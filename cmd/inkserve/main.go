@@ -29,6 +29,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -84,12 +85,12 @@ func buildServer(args []string) (http.Handler, string, error) {
 		modelName  = fs.String("model", "gcn", "model: gcn, sage or gin")
 		aggName    = fs.String("agg", "max", "aggregation: max, min, mean or sum")
 		hidden     = fs.Int("hidden", 32, "hidden dimension")
-		shards     = fs.Int("shards", 1, "engine shards: >1 serves the graph from a partitioned multi-engine deployment (-wal becomes a WAL directory)")
+		shards     = fs.Int("shards", 1, "engine shards: >1 serves the graph from a partitioned multi-engine deployment")
 		partition  = fs.String("partition", "hash", "vertex partition strategy with -shards>1: hash, block or greedy (locality-aware)")
 		fullBcast  = fs.Bool("full-broadcast", false, "with -shards>1: broadcast every cross-shard record to every shard instead of subscription-filtered delivery (legacy exchange, for A/B comparison)")
 		batch      = fs.Int("batch", 0, "micro-batch size for /v1/submit (0 disables batching)")
 		staleness  = fs.Duration("staleness", 0, "max staleness before a pending /v1/submit batch flushes")
-		walPath    = fs.String("wal", "", "write-ahead log path: applied batches are journaled, and with -bundle the log is replayed on startup")
+		walPath    = fs.String("wal", "", "write-ahead log file: accepted batches are journaled before they are applied, and an existing log is replayed on startup onto the booted state (bundle or bootstrap)")
 		slowUpdate = fs.Duration("slow-update", 0, "log a full per-layer trace for updates slower than this (0 disables)")
 		traceAll   = fs.Bool("trace-updates", false, "log a per-layer trace for every update (verbose)")
 		pprofOn    = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
@@ -113,16 +114,8 @@ func buildServer(args []string) (http.Handler, string, error) {
 		return nil, "", err
 	}
 
-	if *shards <= 1 {
-		var bad []string
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "partition" || f.Name == "full-broadcast" {
-				bad = append(bad, "-"+f.Name)
-			}
-		})
-		if len(bad) > 0 {
-			return nil, "", fmt.Errorf("%s: partitioned-deployment flags require -shards>1", strings.Join(bad, ", "))
-		}
+	if bad := setAmong(fs, "partition", "full-broadcast"); *shards <= 1 && len(bad) > 0 {
+		return nil, "", fmt.Errorf("%s: partitioned-deployment flags require -shards>1", strings.Join(bad, ", "))
 	}
 
 	// Tiered-store flag validation: meaningless combinations fail fast
@@ -134,13 +127,7 @@ func buildServer(args []string) (http.Handler, string, error) {
 		tieredQ    tensor.Quant
 	)
 	if !tiered {
-		var bad []string
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "page-bytes" || f.Name == "quantize" || f.Name == "store-dir" {
-				bad = append(bad, "-"+f.Name)
-			}
-		})
-		if len(bad) > 0 {
+		if bad := setAmong(fs, "page-bytes", "quantize", "store-dir"); len(bad) > 0 {
 			return nil, "", fmt.Errorf("%s: tiered-store flags require -mem-cap", strings.Join(bad, ", "))
 		}
 	} else {
@@ -160,82 +147,31 @@ func buildServer(args []string) (http.Handler, string, error) {
 	}
 
 	if *shards > 1 {
-		if *bundle != "" || *saveBundle != "" {
-			return nil, "", fmt.Errorf("-shards is incompatible with -bundle/-save-bundle (engine bundles are single-engine)")
-		}
-		// Genuinely single-engine flags fail fast instead of being silently
-		// ignored: the batching scheduler, per-layer update tracing and the
-		// shadow drift auditor have no router equivalent. fs.Visit only
-		// reports flags the user actually set, so defaults pass.
-		singleOnly := map[string]bool{
-			"batch": true, "staleness": true, "slow-update": true,
-			"trace-updates": true, "audit-every": true, "audit-sample": true,
-			"audit-tol": true, "mem-cap": true, "page-bytes": true,
-			"quantize": true, "store-dir": true,
-		}
-		var bad []string
-		fs.Visit(func(f *flag.Flag) {
-			if singleOnly[f.Name] {
-				bad = append(bad, "-"+f.Name)
-			}
-		})
+		// Flags whose feature reads one engine's internals fail fast instead
+		// of being silently ignored: a shard graph does not hold the L-hop
+		// cone of a local vertex, so the drift auditor, per-layer update
+		// traces, the tiered row store and engine bundles have no sharded
+		// form.
+		bad := setAmong(fs, "bundle", "save-bundle", "slow-update", "trace-updates",
+			"audit-every", "audit-sample", "audit-tol", "mem-cap", "page-bytes", "quantize", "store-dir")
 		if len(bad) > 0 {
 			return nil, "", fmt.Errorf("%s: single-engine flags with no sharded equivalent; drop them or run with -shards=1", strings.Join(bad, ", "))
 		}
-		g, feats, err := loadData(fs, *file, *name, *scale, *seed)
-		if err != nil {
-			return nil, "", err
-		}
-		model, err := buildModel(*modelName, *aggName, *hidden, feats.Dim(), *seed)
-		if err != nil {
-			return nil, "", err
-		}
-		log.Printf("bootstrapping %s over %d nodes / %d edges across %d shards …",
-			model.Name, g.NumNodes(), g.NumEdges(), *shards)
-		var d metrics.Stopwatch
-		d.Start()
-		rt, err := shard.New(model, g, feats.X, shard.Config{
-			Shards:            *shards,
-			WALDir:            *walPath,
-			PartitionStrategy: *partition,
-			FullBroadcast:     *fullBcast,
-		})
-		d.Stop()
-		if err != nil {
-			return nil, "", err
-		}
-		st := rt.Stats()
-		log.Printf("initial inference done in %v (%s partition, cut fraction %.3f)", d.Elapsed(), st.PartitionStrategy, st.CutFraction)
-		if *fullBcast {
-			log.Printf("subscription filtering disabled (-full-broadcast): every record goes to every shard")
-		}
-		if st.RecoveredRounds > 0 {
-			log.Printf("replayed %d rounds from the shard WALs", st.RecoveredRounds)
-		}
-		if *walPath != "" {
-			log.Printf("journaling rounds to per-shard WALs under %s", *walPath)
-		}
-		if *traceRing != 256 || *traceSample != 64 {
-			rt.SetTraceSampling(*traceRing, *traceSample)
-			log.Printf("flight recorder: ring=%d sample=1/%d", *traceRing, *traceSample)
-		}
-		if *slo > 0 {
-			rt.SetHealthSLO(*slo)
-			log.Printf("healthz SLO: ack p99 <= %v (burn-rate alerts at /v1/alerts)", *slo)
-		}
-		if *blackboxDir != "" {
-			rt.EnableBlackBox(obs.BlackBoxConfig{Dir: *blackboxDir, Profiles: *blackboxProfiles})
-			log.Printf("incident black box: bundles under %s (GET /debug/bundle for on-demand capture)", *blackboxDir)
-		} else if *blackboxProfiles {
-			return nil, "", fmt.Errorf("-blackbox-profiles requires -blackbox")
-		}
-		handler := withPprof(rt.Handler(), *pprofOn)
-		return handler, *addr, nil
+	}
+	if *blackboxProfiles && *blackboxDir == "" {
+		return nil, "", fmt.Errorf("-blackbox-profiles requires -blackbox")
+	}
+	if fi, err := os.Stat(*walPath); err == nil && fi.IsDir() {
+		return nil, "", fmt.Errorf("-wal %s is a directory (the per-shard layout of an older -shards run): -wal names one log file in every deployment shape; move the directory away or name a file", *walPath)
 	}
 
-	var counters metrics.Counters
-	var engine *inkstream.Engine
-
+	// Boot the backend: one engine (resumed from a bundle or bootstrapped
+	// by full inference) or a shard router over the same bootstrap.
+	var (
+		counters metrics.Counters
+		engine   *inkstream.Engine
+		rt       *shard.Router
+	)
 	if *bundle != "" {
 		g, model, state, err := persist.LoadBundleFile(*bundle)
 		if err != nil {
@@ -247,16 +183,6 @@ func buildServer(args []string) (http.Handler, string, error) {
 		}
 		log.Printf("resumed %s over %d nodes / %d edges from %s",
 			model.Name, g.NumNodes(), g.NumEdges(), *bundle)
-		if *walPath != "" {
-			if batches, torn, err := persist.ReadWAL(*walPath); err == nil {
-				if err := persist.Replay(engine, batches); err != nil {
-					return nil, "", err
-				}
-				log.Printf("replayed %d WAL batches (torn tail: %v)", len(batches), torn)
-			} else if !os.IsNotExist(err) {
-				return nil, "", err
-			}
-		}
 	} else {
 		g, feats, err := loadData(fs, *file, *name, *scale, *seed)
 		if err != nil {
@@ -266,11 +192,19 @@ func buildServer(args []string) (http.Handler, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-
-		log.Printf("bootstrapping %s over %d nodes / %d edges …", model.Name, g.NumNodes(), g.NumEdges())
+		log.Printf("bootstrapping %s over %d nodes / %d edges across %d shard(s) …",
+			model.Name, g.NumNodes(), g.NumEdges(), *shards)
 		var d metrics.Stopwatch
 		d.Start()
-		engine, err = inkstream.New(model, g, feats.X, &counters, inkstream.Options{})
+		if *shards > 1 {
+			rt, err = shard.New(model, g, feats.X, shard.Config{
+				Shards:            *shards,
+				PartitionStrategy: *partition,
+				FullBroadcast:     *fullBcast,
+			})
+		} else {
+			engine, err = inkstream.New(model, g, feats.X, &counters, inkstream.Options{})
+		}
 		d.Stop()
 		if err != nil {
 			return nil, "", err
@@ -289,11 +223,14 @@ func buildServer(args []string) (http.Handler, string, error) {
 			}
 		}
 	}
-	var (
-		tieredStore *persist.TieredStore
-		faultLat    *obs.Histogram
-	)
-	if tiered {
+
+	var srv *server.Server
+	switch {
+	case rt != nil:
+		srv = server.NewOn(rt)
+		st := srv.Stats()
+		log.Printf("%s partition, cut fraction %.3f, full-broadcast exchange: %v", st.PartitionStrategy, st.CutFraction, st.FullBroadcast)
+	case tiered:
 		dir := *storeDir
 		if dir == "" {
 			var err error
@@ -301,9 +238,8 @@ func buildServer(args []string) (http.Handler, string, error) {
 				return nil, "", err
 			}
 		}
-		faultLat = obs.NewLatencyHistogram()
-		var err error
-		tieredStore, err = persist.NewTieredStore(persist.TieredConfig{
+		faultLat := obs.NewLatencyHistogram()
+		store, err := persist.NewTieredStore(persist.TieredConfig{
 			Dir:          dir,
 			Dim:          engine.Output().Cols,
 			PageBytes:    int(tieredPage),
@@ -314,23 +250,15 @@ func buildServer(args []string) (http.Handler, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		if err := engine.SetRowStore(tieredStore); err != nil {
+		if err := engine.SetRowStore(store); err != nil {
 			return nil, "", err
 		}
 		log.Printf("tiered row store: cap=%s page=%s (%d rows/page) quant=%s spill=%s",
-			*memCap, *pageBytes, tieredStore.PageRows(), tieredQ, dir)
-	}
-	srv := server.New(engine, &counters)
-	if tieredStore != nil {
-		srv.EnablePageCache(tieredStore.Stats, faultLat, tieredQ.String())
-	}
-	if *walPath != "" {
-		wal, err := persist.OpenWAL(*walPath)
-		if err != nil {
-			return nil, "", err
-		}
-		srv.SetJournal(wal)
-		log.Printf("journaling updates to %s", *walPath)
+			*memCap, *pageBytes, store.PageRows(), tieredQ, dir)
+		srv = server.New(engine, &counters)
+		srv.EnablePageCache(store.Stats, faultLat, tieredQ.String())
+	default:
+		srv = server.New(engine, &counters)
 	}
 	if *batch > 0 || *staleness > 0 {
 		if err := srv.EnableBatching(scheduler.Policy{MaxBatch: *batch, MaxStaleness: *staleness}); err != nil {
@@ -362,20 +290,59 @@ func buildServer(args []string) (http.Handler, string, error) {
 	}
 	if *slo > 0 {
 		srv.SetHealthSLO(*slo)
-		log.Printf("healthz SLO: ack p99 <= %v", *slo)
+		log.Printf("healthz SLO: ack p99 <= %v (burn-rate alerts at /v1/alerts)", *slo)
 	}
-	if *auditEvery > 0 {
+	if *auditEvery > 0 && engine != nil {
 		srv.EnableDriftAudit(*auditEvery, *auditSample, float32(*auditTol))
 		log.Printf("drift audit: every %d updates, %d nodes sampled", *auditEvery, *auditSample)
 	}
 	if *blackboxDir != "" {
 		srv.EnableBlackBox(obs.BlackBoxConfig{Dir: *blackboxDir, Profiles: *blackboxProfiles})
 		log.Printf("incident black box: bundles under %s (GET /debug/bundle for on-demand capture)", *blackboxDir)
-	} else if *blackboxProfiles {
-		return nil, "", fmt.Errorf("-blackbox-profiles requires -blackbox")
 	}
-	handler := withPprof(srv.Handler(), *pprofOn)
-	return handler, *addr, nil
+	if *walPath != "" {
+		// One replay rule: an existing log is replayed onto whatever state the
+		// process booted from, through the live pipeline (not yet journaling),
+		// so a replayed record is counted and published like a live one. The
+		// log holds requests as submitted: one answered 422 is refused again
+		// without effect. Only a backend that stops taking writes aborts.
+		batches, torn, err := persist.ReadWAL(*walPath)
+		if err != nil && !os.IsNotExist(err) {
+			return nil, "", err
+		}
+		rejected := persist.Replay(srv, batches)
+		for _, r := range rejected {
+			if errors.Is(r.Err, server.ErrUnavailable) {
+				srv.Close()
+				return nil, "", fmt.Errorf("replaying %s onto the booted state: record %d: %w", *walPath, r.Index, r.Err)
+			}
+		}
+		if len(batches) > 0 || torn {
+			log.Printf("replayed %d WAL records from %s (%d refused again, as when first submitted; torn tail dropped: %v)",
+				len(batches), *walPath, len(rejected), torn)
+		}
+		wal, err := persist.OpenWAL(*walPath)
+		if err != nil {
+			return nil, "", err
+		}
+		srv.SetJournal(wal)
+		log.Printf("journaling updates to %s", *walPath)
+	}
+	return withPprof(srv.Handler(), *pprofOn), *addr, nil
+}
+
+// setAmong returns, as "-name", the flags among names the user actually set
+// (defaults pass), in flag-name order.
+func setAmong(fs *flag.FlagSet, names ...string) []string {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		for _, n := range names {
+			if f.Name == n {
+				set = append(set, "-"+n)
+			}
+		}
+	})
+	return set
 }
 
 // parseBytes parses a human-friendly byte size: a plain number with an

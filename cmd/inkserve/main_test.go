@@ -1,13 +1,23 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/gnn"
+	"repro/internal/graph"
+	"repro/internal/server"
+	"repro/internal/tensor"
 )
 
 func get(t *testing.T, ts *httptest.Server, path string) int {
@@ -169,17 +179,18 @@ func TestBuildServerErrors(t *testing.T) {
 	}
 }
 
-// Sharded serving: single-engine flags fail fast (not log-and-ignore), and
-// -slo / -trace-ring / -trace-sample carry over to the router, giving the
-// sharded deployment the same serving surface (/v1/rounds included).
+// Sharded serving: the flags whose feature reads one engine's internals fail
+// fast (not log-and-ignore); everything the pipeline owns — -slo,
+// -trace-ring/-trace-sample, -batch//v1/submit — works under -shards as on
+// one engine, next to the router's own /v1/rounds.
 func TestBuildServerSharded(t *testing.T) {
 	for i, args := range [][]string{
-		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-batch", "8"},
 		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-slow-update", "1ms"},
 		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-trace-updates"},
 		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-audit-every", "16"},
 		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-audit-tol", "0.1"},
-		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-staleness", "1s"},
+		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-save-bundle", filepath.Join(t.TempDir(), "e.inkb")},
+		{"-shards", "2", "-bundle", "/does/not/matter"},
 	} {
 		if _, _, err := buildServer(args); err == nil {
 			t.Errorf("case %d: accepted single-engine flag with -shards: %v", i, args)
@@ -187,7 +198,7 @@ func TestBuildServerSharded(t *testing.T) {
 	}
 
 	h, _, err := buildServer([]string{"-dataset", "PM", "-scale", "32",
-		"-shards", "2", "-slo", "1h", "-trace-ring", "128", "-trace-sample", "1"})
+		"-shards", "2", "-slo", "1h", "-trace-ring", "128", "-trace-sample", "1", "-batch", "2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,5 +229,194 @@ func TestBuildServerSharded(t *testing.T) {
 	}
 	if code := get(t, ts, "/v1/nonsense"); code != http.StatusNotFound {
 		t.Errorf("unknown /v1 path status %d, want 404", code)
+	}
+	// The scheduler only calls Apply, so /v1/submit batches under shards too:
+	// the second event of a -batch 2 flushes one round.
+	edges := statsEdges(t, ts.URL)
+	for i, body := range []string{`{"u":300,"v":301,"insert":true}`, `{"u":302,"v":303,"insert":true}`} {
+		resp, err := http.Post(ts.URL+"/v1/submit", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Flushed bool `json:"flushed"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || out.Flushed != (i == 1) {
+			t.Fatalf("submit %d: status %d flushed=%v", i, resp.StatusCode, out.Flushed)
+		}
+	}
+	if got := statsEdges(t, ts.URL); got != edges+2 {
+		t.Errorf("edges after a flushed /v1/submit batch = %d, want %d", got, edges+2)
+	}
+	// What is not ported is not mounted: a typed 404, like /v1/rounds on one
+	// engine.
+	vresp, err := http.Post(ts.URL+"/v1/verify", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vresp.Body.Close()
+	if vresp.StatusCode != http.StatusNotFound {
+		t.Errorf("/v1/verify under -shards: status %d, want 404", vresp.StatusCode)
+	}
+}
+
+// TestKillAndRestartReplaysWAL is the one WAL replay rule, over both
+// deployment shapes and both aggregator families: an existing log is
+// replayed onto whatever state the process booted from (here: bootstrap
+// inference, no bundle), through the same Apply the live pipeline drives. A
+// "kill" abandons the server without any shutdown path — every acked update
+// was fsynced before its ack — and leaves a torn record behind; the restart
+// drops the torn tail, the next restart still sees what was written after
+// it, and the final rows equal full inference over the mirrored graph
+// (bit-exact for max, within 2e-3 for mean). Every lifetime also sends a
+// request the server answers 422: the journal stage runs ahead of validation,
+// so it is in the log, and every restart refuses it again without effect.
+func TestKillAndRestartReplaysWAL(t *testing.T) {
+	for _, shards := range []string{"1", "2"} {
+		for _, agg := range []string{"max", "mean"} {
+			t.Run("shards="+shards+"/"+agg, func(t *testing.T) {
+				wal := filepath.Join(t.TempDir(), "updates.wal")
+				args := []string{"-dataset", "PM", "-scale", "32", "-agg", agg, "-shards", shards, "-wal", wal}
+
+				// The oracle's copy of what the server boots from.
+				spec, err := dataset.ByName("PM")
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec.Scale *= 32
+				g, feats := dataset.Generate(spec, 1)
+				model, err := buildModel("gcn", agg, 32, feats.Dim(), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(5))
+
+				// live runs one server lifetime: a few acked writes, mirrored on
+				// the oracle's graph and features, then the kill.
+				live := func(writes int) {
+					t.Helper()
+					h, _, err := buildServer(args)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ts := httptest.NewServer(h)
+					defer ts.Close()
+					if resp, err := http.Post(ts.URL+"/v1/update", "application/json",
+						strings.NewReader(`{"changes":[{"u":0,"v":0,"insert":true}]}`)); err != nil {
+						t.Fatal(err)
+					} else if resp.Body.Close(); resp.StatusCode != http.StatusUnprocessableEntity {
+						t.Fatalf("self-loop: status %d, want 422", resp.StatusCode)
+					}
+					for i := 0; i < writes; i++ {
+						delta := graph.RandomDelta(rng, g, 3)
+						changes := make([]server.EdgeChangeJSON, len(delta))
+						for j, c := range delta {
+							changes[j] = server.EdgeChangeJSON{U: c.U, V: c.V, Insert: c.Insert}
+						}
+						post(t, ts.URL+"/v1/update", server.UpdateRequest{Changes: changes})
+						if err := delta.Apply(g); err != nil {
+							t.Fatal(err)
+						}
+						node := rng.Intn(g.NumNodes())
+						x := tensor.RandVector(rng, feats.Dim(), 1)
+						post(t, ts.URL+"/v1/features", server.FeaturesRequest{
+							Updates: []server.FeatureUpdateJSON{{Node: int32(node), X: x}},
+						})
+						copy(feats.X.Row(node), x)
+					}
+				}
+
+				live(4)
+				// The crash caught a record half-written: a header promising
+				// more payload than made it to disk.
+				f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write([]byte{'R', 200, 0, 0, 0, 1, 2, 3}); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+				live(2) // restart 1: replays 9 records, drops the torn one, appends 5 more
+
+				h, _, err := buildServer(args) // restart 2
+				if err != nil {
+					t.Fatal(err)
+				}
+				ts := httptest.NewServer(h)
+				defer ts.Close()
+				want, err := gnn.Infer(model, g, feats.X, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tol := float32(0)
+				if agg == "mean" {
+					tol = 2e-3
+				}
+				for v := 0; v < g.NumNodes(); v++ {
+					resp, err := http.Get(fmt.Sprintf("%s/v1/embedding?node=%d", ts.URL, v))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var out server.EmbeddingResponse
+					err = json.NewDecoder(resp.Body).Decode(&out)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK {
+						t.Fatalf("node %d: status %d, %v", v, resp.StatusCode, err)
+					}
+					if !tensor.Vector(out.Embedding).ApproxEqual(want.Output().Row(v), tol) {
+						t.Fatalf("node %d after two restarts: served %v, full inference over the replayed graph gives %v",
+							v, out.Embedding, want.Output().Row(v))
+					}
+				}
+				if got := statsEdges(t, ts.URL); got != g.NumEdges() {
+					t.Errorf("recovered %d edges, mirror has %d", got, g.NumEdges())
+				}
+				// Replay goes through the live pipeline, so its rounds are counted
+				// where live ones are: 12 accepted records, 2 refused.
+				var st server.StatsResponse
+				resp, err := http.Get(ts.URL + "/v1/stats")
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = json.NewDecoder(resp.Body).Decode(&st)
+				resp.Body.Close()
+				if err != nil || st.UpdatesServed != 12 || (st.ShardingStats != nil && st.Rounds != 12) {
+					t.Errorf("after replay: updates_served %d, sharding %+v (%v), want 12 each", st.UpdatesServed, st.ShardingStats, err)
+				}
+			})
+		}
+	}
+}
+
+func post(t *testing.T, url string, body any) {
+	t.Helper()
+	b, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, msg)
+	}
+}
+
+// A -wal directory left by an older sharded run is refused, never ignored.
+func TestBuildServerRefusesWALDirectory(t *testing.T) {
+	dir := t.TempDir()
+	for _, shards := range []string{"1", "2"} {
+		_, _, err := buildServer([]string{"-dataset", "PM", "-scale", "32", "-shards", shards, "-wal", dir})
+		if err == nil || !strings.Contains(err.Error(), "is a directory") {
+			t.Errorf("-shards %s: -wal directory not refused: %v", shards, err)
+		}
 	}
 }

@@ -137,53 +137,25 @@ func summaryLine(s obs.Samples) string {
 	return fmt.Sprintf("serving: epoch=%.0f  lag=%.0f  updates=%.0f  reads=%.0f  group-commits=%.0f (avg batch %.1f)  fused=%.1f  stalls=%.0f",
 		get("inkstream_snapshot_epoch"), get("inkstream_snapshot_lag_batches"),
 		get("inkstream_updates_total"), get("inkstream_reads_total"),
-		gcCount, gcMean, coMean, get("inkstream_coalesce_stalls_total")) + shardSuffix(s) + tieredSuffix(nil, s) + runtimeSuffix(nil, s)
+		gcCount, gcMean, coMean, get("inkstream_coalesce_stalls_total")) + shardSuffix(nil, s) + tieredSuffix(nil, s) + runtimeSuffix(nil, s)
 }
 
-// shardSuffix appends the partitioned-deployment fields when the scrape
-// comes from a shard router (single-engine servers don't export the
-// family): shard count, epoch skew, the cumulative barrier-wait share of
-// BSP time and the shard most often on the critical path.
-func shardSuffix(s obs.Samples) string {
-	shards, ok := s.Get("inkstream_router_shards")
-	if !ok || shards <= 1 {
-		return ""
-	}
-	skew, _ := s.Get("inkstream_router_epoch_skew")
-	out := fmt.Sprintf("  shards=%.0f  skew=%.0f", shards, skew)
-	if cut, ok := s.Get("inkstream_router_cut_fraction"); ok {
-		out += fmt.Sprintf("  cut=%.0f%%", 100*cut)
-	}
-	if rounds, _ := s.Get("inkstream_updates_total"); rounds > 0 {
-		recs, _ := s.Get("inkstream_boundary_records_total")
-		ghost, _ := s.Get("inkstream_ghost_rows_total")
-		out += fmt.Sprintf("  bcast/rd=%.1f  ghost/rd=%.1f", recs/rounds, ghost/rounds)
-	}
-	wait, _ := s.Get("inkstream_round_barrier_wait_seconds_total")
-	compute, _ := s.Get("inkstream_round_compute_seconds_total")
-	if bsp := wait + compute; bsp > 0 {
-		out += fmt.Sprintf("  barrier=%.0f%%", 100*wait/bsp)
-	}
-	if shard, n := topStraggler(nil, s); n > 0 {
-		out += fmt.Sprintf("  straggler=s%s", shard)
-	}
-	return out
-}
-
-// shardWatchSuffix is shardSuffix over one scrape window: the barrier share
-// and straggler come from counter deltas, so they describe the rounds that
-// ran between the two scrapes (falling back to cumulative values when the
-// window profiled none).
-func shardWatchSuffix(prev, cur obs.Samples) string {
-	shards, ok := cur.Get("inkstream_router_shards")
-	if !ok || shards <= 1 {
+// shardSuffix appends the partitioned-deployment columns when the scrape
+// comes from a deployment of more than one shard: shard count, epoch skew
+// and cut fraction, then — from the counter deltas between the two scrapes,
+// so they describe the rounds that ran in the window — the per-round
+// exchange volume, the barrier-wait share of BSP time and the shard most
+// often on the critical path. A window that profiled no round falls back to
+// the cumulative values; prev nil renders the cumulative (summary-line)
+// form.
+func shardSuffix(prev, cur obs.Samples) string {
+	shards, _ := cur.Get("inkstream_router_shards")
+	if shards <= 1 {
 		return ""
 	}
 	skew, _ := cur.Get("inkstream_router_epoch_skew")
-	out := fmt.Sprintf("  shards=%.0f  skew=%.0f", shards, skew)
-	if cut, ok := cur.Get("inkstream_router_cut_fraction"); ok {
-		out += fmt.Sprintf("  cut=%.0f%%", 100*cut)
-	}
+	cut, _ := cur.Get("inkstream_router_cut_fraction")
+	out := fmt.Sprintf("  shards=%.0f  skew=%.0f  cut=%.0f%%", shards, skew, 100*cut)
 	delta := func(name string) float64 {
 		c, _ := cur.Get(name)
 		p, _ := prev.Get(name)
@@ -318,8 +290,8 @@ func topStraggler(prev, cur obs.Samples) (string, float64) {
 }
 
 // watchLine summarises one scrape window. Rates come from counter deltas;
-// the p99 comes from the windowed difference of the latency histogram's
-// cumulative buckets (falling back to the all-time histogram when the
+// the p99 comes from the windowed difference of the apply-latency
+// histogram's cumulative buckets (one engine batch or one BSP round) (falling back to the all-time histogram when the
 // window saw no updates).
 func watchLine(prev, cur obs.Samples, dt time.Duration) string {
 	delta := func(name string) float64 {
@@ -330,12 +302,7 @@ func watchLine(prev, cur obs.Samples, dt time.Duration) string {
 	secs := dt.Seconds()
 	updates := delta("inkstream_updates_total")
 
-	latFamily := "inkstream_update_latency_seconds"
-	if les, _ := cur.Buckets(latFamily); len(les) == 0 {
-		// Shard routers export ack latency only (there is no single update
-		// pipeline to time).
-		latFamily = "inkstream_ack_latency_seconds"
-	}
+	const latFamily = "inkstream_update_latency_seconds"
 	les, cumCur := cur.Buckets(latFamily)
 	_, cumPrev := prev.Buckets(latFamily)
 	p99 := 0.0
@@ -375,7 +342,7 @@ func watchLine(prev, cur obs.Samples, dt time.Duration) string {
 	return fmt.Sprintf("upd/s=%.1f  p99=%s  events/s=%.0f  pruned=%.1f%%  pending=%.0f  epoch=%.0f  lag=%.0f  reads/s=%.1f  gc=%.1f  fused=%.1f  stalls=%.0f",
 		updates/secs, fmtSeconds(p99), events/secs, 100*prunedRatio, pending,
 		epoch, lag, delta("inkstream_reads_total")/secs, gcBatch, fused,
-		delta("inkstream_coalesce_stalls_total")) + shardWatchSuffix(prev, cur) + tieredSuffix(prev, cur) + runtimeSuffix(prev, cur)
+		delta("inkstream_coalesce_stalls_total")) + shardSuffix(prev, cur) + tieredSuffix(prev, cur) + runtimeSuffix(prev, cur)
 }
 
 // visitRatio returns the windowed share of node visits resolved as cond,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"strings"
@@ -17,18 +18,21 @@ import (
 	"repro/internal/shard"
 )
 
-// TestWatchLoop polls a live in-process inkserve and checks the rolling
-// summary lines carry the expected fields.
+// TestWatchLoop polls a live in-process server of either deployment shape
+// and checks the rolling summary lines carry the expected fields; on the
+// 2-shard shape also the partitioned columns: shard count, epoch skew, the
+// barrier-wait share and the straggler attribution from the round profiler.
 func TestWatchLoop(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testWatchLoop(t, shards) })
+	}
+}
+
+func testWatchLoop(t *testing.T, shards int) {
 	rng := rand.New(rand.NewSource(3))
 	g := dataset.GenerateRMAT(rng, 120, 500, dataset.DefaultRMAT)
 	feats := dataset.NewFeatures(rng, 120, 6)
 	model := gnn.NewGCN(rng, 6, 12, gnn.NewAggregator(gnn.AggMax))
-	var c metrics.Counters
-	eng, err := inkstream.New(model, g, feats.X, &c, inkstream.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Precompute an insert/delete toggle stream before serving starts, so
 	// no goroutine reads the graph while the server mutates it.
 	var bodies []string
@@ -43,7 +47,21 @@ func TestWatchLoop(t *testing.T) {
 		}
 	}
 
-	srv := server.New(eng, &c)
+	var srv *server.Server
+	if shards > 1 {
+		rt, err := shard.New(model, g, feats.X, shard.Config{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv = server.NewOn(rt)
+	} else {
+		var c metrics.Counters
+		eng, err := inkstream.New(model, g, feats.X, &c, inkstream.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv = server.New(eng, &c)
+	}
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -87,6 +105,28 @@ func TestWatchLoop(t *testing.T) {
 			}
 		}
 	}
+	if shards == 1 {
+		if strings.Contains(out.String(), "shards=") {
+			t.Errorf("single-engine watch shows partitioned columns:\n%s", out.String())
+		}
+		return
+	}
+	for i, line := range lines {
+		for _, field := range []string{"shards=2", "skew="} {
+			if !strings.Contains(line, field) {
+				t.Errorf("line %d %q missing %s", i, line, field)
+			}
+		}
+	}
+	// The header scrapes before the first round; the windowed lines see
+	// profiled rounds and must attribute the critical path.
+	for i, line := range lines[1:] {
+		for _, field := range []string{"barrier=", "straggler=s"} {
+			if !strings.Contains(line, field) {
+				t.Errorf("watch line %d %q missing %s", i, line, field)
+			}
+		}
+	}
 }
 
 func itoa(n int) string {
@@ -110,76 +150,5 @@ func TestWatchLoopErrors(t *testing.T) {
 	}
 	if err := watchLoop(&out, "http://x", 0, 1); err == nil {
 		t.Error("zero interval accepted")
-	}
-}
-
-// TestWatchLoopSharded points the watcher at a shard router and checks the
-// partitioned columns appear: shard count, epoch skew, the barrier-wait
-// share and the straggler attribution from the round profiler.
-func TestWatchLoopSharded(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := dataset.GenerateRMAT(rng, 120, 500, dataset.DefaultRMAT)
-	feats := dataset.NewFeatures(rng, 120, 6)
-	model := gnn.NewGCN(rng, 6, 12, gnn.NewAggregator(gnn.AggMax))
-	rt, err := shard.New(model, g.Clone(), feats.X, shard.Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-
-	var bodies []string
-	for u := 0; u < g.NumNodes() && len(bodies) < 100; u++ {
-		for v := u + 1; v < g.NumNodes() && len(bodies) < 100; v++ {
-			if g.HasEdge(graph.NodeID(u), graph.NodeID(v)) {
-				continue
-			}
-			bodies = append(bodies,
-				`{"changes":[{"u":`+itoa(u)+`,"v":`+itoa(v)+`,"insert":true}]}`,
-				`{"changes":[{"u":`+itoa(u)+`,"v":`+itoa(v)+`,"insert":false}]}`)
-		}
-	}
-	ts := httptest.NewServer(rt.Handler())
-	defer ts.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for i := 0; ; i = (i + 1) % len(bodies) {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			resp, err := ts.Client().Post(ts.URL+"/v1/update", "application/json", strings.NewReader(bodies[i]))
-			if err != nil {
-				return
-			}
-			resp.Body.Close()
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-
-	var out bytes.Buffer
-	if err := watchLoop(&out, ts.URL, 20*time.Millisecond, 2); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want header + 2:\n%s", len(lines), out.String())
-	}
-	for i, line := range lines {
-		for _, field := range []string{"shards=2", "skew="} {
-			if !strings.Contains(line, field) {
-				t.Errorf("line %d %q missing %s", i, line, field)
-			}
-		}
-	}
-	// The header scrapes before the first round; the windowed lines see
-	// profiled rounds and must attribute the critical path.
-	for i, line := range lines[1:] {
-		for _, field := range []string{"barrier=", "straggler=s"} {
-			if !strings.Contains(line, field) {
-				t.Errorf("watch line %d %q missing %s", i, line, field)
-			}
-		}
 	}
 }

@@ -46,7 +46,7 @@ type BurstResult struct {
 }
 
 // Render formats the burst report. The final line is stable and
-// machine-parseable (scripts/bench_snapshot.sh).
+// machine-parseable.
 func (r BurstResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Sustained burst (%s): %d waves x %d pipelined single-change updates (queue depth %d), flash crowd on node %d (degree %d)\n",

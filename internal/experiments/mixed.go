@@ -153,7 +153,7 @@ func Mixed(c Config) (MixedResult, error) {
 		ReadP50:    q(all, 0.50),
 		ReadP99:    q(all, 0.99),
 		ReadMax:    q(all, 1.0),
-		FinalEpoch: srv.Snapshot().Epoch,
+		FinalEpoch: srv.Stats().Epoch,
 	}
 	return res, nil
 }

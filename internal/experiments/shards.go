@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/gnn"
 	"repro/internal/graph"
+	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/tensor"
 )
@@ -77,7 +78,7 @@ type ShardScalingResult struct {
 }
 
 // Render formats the scaling report. The per-point `shard-scaling:` lines
-// are stable and machine-parseable (scripts/bench_snapshot.sh).
+// are stable and machine-parseable.
 func (r ShardScalingResult) Render() string {
 	var b strings.Builder
 	mode := "filtered"
@@ -116,7 +117,7 @@ func (r ShardScalingResult) Render() string {
 // and returns its point plus the final embeddings for the exactness check.
 func runShardCount(c Config, inst instance, model *gnn.Model, pools [][]graph.EdgeChange,
 	waves, shards int) (ShardPoint, []tensor.Vector, error) {
-	rt, err := shard.New(model, inst.G, inst.X, shard.Config{
+	router, err := shard.New(model, inst.G, inst.X, shard.Config{
 		Shards:            shards,
 		PartitionStrategy: c.PartitionStrategy,
 		FullBroadcast:     c.FullBroadcast,
@@ -124,6 +125,7 @@ func runShardCount(c Config, inst instance, model *gnn.Model, pools [][]graph.Ed
 	if err != nil {
 		return ShardPoint{}, nil, err
 	}
+	rt := server.NewOn(router)
 	defer rt.Close()
 
 	depth := len(pools)
@@ -136,7 +138,9 @@ func runShardCount(c Config, inst instance, model *gnn.Model, pools [][]graph.Ed
 			ch := pool[i%len(pool)]
 			ch.Insert = (i/len(pool))%2 == 0
 			submitted[w] = time.Now()
-			dones[w] = rt.ApplyAsync(graph.Delta{ch}, nil)
+			if dones[w], err = rt.ApplyAsync(graph.Delta{ch}, nil); err != nil {
+				return ShardPoint{}, nil, fmt.Errorf("wave %d stream %d: %w", i, w, err)
+			}
 		}
 		for w, d := range dones {
 			if err := <-d; err != nil {
@@ -163,7 +167,7 @@ func runShardCount(c Config, inst instance, model *gnn.Model, pools [][]graph.Ed
 		AckP50:          q(0.50),
 		AckP99:          q(0.99),
 		Rounds:          st.Rounds,
-		Stalls:          st.Stalls,
+		Stalls:          st.Coalesce.Stalls,
 		CutFraction:     st.CutFraction,
 		BoundaryRecords: st.BoundaryRecords,
 		FilteredRecords: st.FilteredRecords,
@@ -240,7 +244,8 @@ func runShardCountReps(c Config, inst instance, model *gnn.Model, pools [][]grap
 
 // ShardScaling runs the partitioned-serving scenario on the first configured
 // dataset: the identical flash-crowd stream (the burst scenario's workload)
-// through shard.Router deployments at every configured shard count,
+// through shard.Router deployments (behind the server pipeline) at every
+// configured shard count,
 // reporting updates/sec and ack latency per count, the speedup over the
 // 1-shard deployment, and whether every final embedding stayed bit-exact
 // across deployment shapes (DESIGN.md §11.3).

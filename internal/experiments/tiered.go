@@ -48,8 +48,7 @@ type TieredResult struct {
 	Points    []TieredPoint
 }
 
-// Render prints one machine-parsable line per sweep point (consumed by
-// scripts/bench_snapshot.sh).
+// Render prints one machine-parsable line per sweep point.
 func (r TieredResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Tiered working-set sweep (%s): %d nodes × dim %d = %d KiB encoded, quant=%s, %d update batches, %d reads/point\n",

@@ -71,8 +71,9 @@ func TestGreedyPartitionCutBeatsHash(t *testing.T) {
 }
 
 // TestGreedyPartitionDeterministic: the assignment is a pure function of the
-// graph — round-aligned WAL recovery rebuilds the partition from the
-// bootstrap graph and must land every vertex on the same shard.
+// graph — a restart rebuilds the partition from the bootstrap graph and
+// lands every vertex on the same shard, so per-shard numbers compare
+// across runs.
 func TestGreedyPartitionDeterministic(t *testing.T) {
 	for name, g := range benchGraphs(t) {
 		a, err := graph.NewGreedyPartition(g, 4, 0)

@@ -7,9 +7,9 @@ import (
 
 // Partition assigns every vertex to one of NumShards owners — the routing
 // map of partitioned multi-engine serving (DESIGN.md §11). The assignment
-// is immutable after construction: shard graphs, ghost rows and per-shard
-// WALs are all derived from it, so re-partitioning means rebuilding the
-// deployment.
+// is immutable after construction: shard graphs and ghost rows are derived
+// from it, so re-partitioning means rebuilding the deployment (the WAL is
+// logical and replays onto any partition).
 type Partition struct {
 	owner  []uint8
 	shards int
@@ -69,10 +69,10 @@ const DefaultGreedySlack = 1.05
 // C = slack·n/shards. Ties break toward the lower shard index and isolated
 // or early vertices fall back to the emptiest shard, so the result is a
 // pure function of (g, shards, slack): no randomness, stable across runs —
-// round-aligned WAL recovery rebuilds the identical partition from the
-// bootstrap graph. Compared to hashing (cut fraction ≈ (N−1)/N) this keeps
-// neighborhoods co-resident and typically halves the cut on the
-// power-law bench graphs; Cut() measures the achieved fraction.
+// a restart rebuilds the identical partition from the bootstrap graph.
+// Compared to hashing (cut fraction ≈ (N−1)/N) this keeps neighborhoods
+// co-resident and typically halves the cut on the power-law bench graphs;
+// Cut() measures the achieved fraction.
 func NewGreedyPartition(g *Graph, shards int, slack float64) (*Partition, error) {
 	n := g.NumNodes()
 	p, err := newPartition(n, shards)

@@ -17,11 +17,13 @@ import (
 // ignoredFrames are substrings of stack frames that mark a goroutine as
 // process-lifetime by design, not a leak:
 //   - the tensor package's global worker pool is created once and serves
-//     every engine for the life of the process;
+//     every engine for the life of the process (matched on the worker
+//     closure's name, which keeps its "ensurePool.func1" tail whether or not
+//     ensurePool was inlined into its caller — it is under -race);
 //   - test-runner goroutines (tRunner and friends) carry the test
 //     function's own repro frames while the test is still finishing.
 var ignoredFrames = []string{
-	"repro/internal/tensor.ensurePool",
+	"ensurePool.func1",
 	"testing.tRunner",
 	"testing.(*T).Run",
 }

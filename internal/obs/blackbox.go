@@ -545,9 +545,6 @@ type RoundDump struct {
 	Reqs          int              `json:"requests"`
 	Edges         int              `json:"edges"`
 	VUps          int              `json:"vertex_updates"`
-	FuseUS        float64          `json:"fuse_us"`
-	JournalUS     float64          `json:"journal_us"`
-	QueueUS       float64          `json:"queue_us"`
 	BSPUS         float64          `json:"bsp_us"`
 	BroadcastUS   float64          `json:"broadcast_us"`
 	TotalUS       float64          `json:"total_us"`

@@ -13,8 +13,7 @@ import (
 // explain why an 8-shard deployment is slower than a 2-shard one, because
 // the cost lives *between* requests — in the barrier-synchronised round the
 // router executes across all shards. A RoundTrace records one round's
-// critical path: the router-side spans (drain/fuse, validate, journal,
-// queue) and then, per barrier stage, the per-shard compute time, the
+// critical path: per barrier stage, the per-shard compute time, the
 // ghost-refresh share of it, and the barrier wait (the gap between a shard
 // finishing and the slowest shard — the straggler — closing the stage).
 // The RoundRecorder keeps the last N rounds in the same lock-light
@@ -64,30 +63,27 @@ type RoundStageSpan struct {
 	Shards   []RoundShardSpan
 }
 
-// RoundTrace is the flight record of one BSP round. Written by the router
-// goroutines while the round is in flight and frozen before it is recorded;
+// RoundTrace is the flight record of one BSP round. Written by the apply
+// goroutine while the round is in flight and frozen before it is recorded;
 // readers only ever see recorded (immutable) traces.
 type RoundTrace struct {
-	// ID is the round's trace ID, assigned when the round seals. Request
-	// traces covering the round carry the same ID, so /v1/traces and
-	// /v1/rounds can be joined.
+	// ID is the round's trace ID. Request traces covering the round carry
+	// the same ID, so /v1/traces and /v1/rounds can be joined; what happened
+	// to a request before its round (queueing, journal, fusing) is in the
+	// stage marks of its request trace.
 	ID uint64
-	// Start is when the round opened (first request fused in).
+	// Start is when the apply stage handed the fused batch to the router.
 	Start time.Time
-	// Reqs, Edges and VUps size the round: requests fused, directed edge
+	// Reqs, Edges and VUps size the round: requests fused, logical edge
 	// changes and vertex updates across them.
 	Reqs, Edges, VUps int
-	// Fuse is open→seal on the router goroutine (drain, validate, conflict
-	// checks); Journal the per-shard WAL group commit; Queue the wait
-	// between sealing and the apply goroutine picking the round up.
-	Fuse, Journal, Queue time.Duration
 	// Stages are the barrier stages in execution order.
 	Stages []RoundStageSpan
 	// Records and Bytes total the cross-shard broadcast volume of the
 	// round (all stages).
 	Records int
 	Bytes   int64
-	// Total is open→published (all shards).
+	// Total is Start→published (all shards).
 	Total time.Duration
 }
 
@@ -217,9 +213,6 @@ type roundTraceJSON struct {
 	Reqs          int              `json:"requests"`
 	Edges         int              `json:"edges,omitempty"`
 	VUps          int              `json:"vertex_updates,omitempty"`
-	FuseUS        float64          `json:"fuse_us"`
-	JournalUS     float64          `json:"journal_us"`
-	QueueUS       float64          `json:"queue_us"`
 	BSPUS         float64          `json:"bsp_us"`
 	BroadcastUS   float64          `json:"broadcast_us"`
 	TotalUS       float64          `json:"total_us"`
@@ -231,8 +224,8 @@ type roundTraceJSON struct {
 	Stages        []roundStageJSON `json:"stages"`
 }
 
-// MarshalJSON renders the round trace for GET /v1/rounds: the router spans,
-// the whole-round attribution (straggler, barrier share, skew) and the
+// MarshalJSON renders the round trace for GET /v1/rounds: the whole-round
+// attribution (straggler, barrier share, skew) and the
 // per-stage per-shard breakdown.
 func (t *RoundTrace) MarshalJSON() ([]byte, error) {
 	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
@@ -242,9 +235,6 @@ func (t *RoundTrace) MarshalJSON() ([]byte, error) {
 		Reqs:          t.Reqs,
 		Edges:         t.Edges,
 		VUps:          t.VUps,
-		FuseUS:        us(t.Fuse),
-		JournalUS:     us(t.Journal),
-		QueueUS:       us(t.Queue),
 		BSPUS:         us(t.BSPTime()),
 		BroadcastUS:   us(t.BroadcastTime()),
 		TotalUS:       us(t.Total),

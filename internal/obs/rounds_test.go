@@ -28,13 +28,10 @@ func testRound() *RoundTrace {
 		return out
 	}
 	return &RoundTrace{
-		ID:      7,
-		Start:   time.Now(),
-		Reqs:    3,
-		Edges:   12,
-		Fuse:    100 * time.Microsecond,
-		Journal: 200 * time.Microsecond,
-		Queue:   50 * time.Microsecond,
+		ID:    7,
+		Start: time.Now(),
+		Reqs:  3,
+		Edges: 12,
 		Stages: []RoundStageSpan{
 			{Name: "begin", Makespan: 15 * time.Millisecond, Shards: mk(5, 10, 15)},
 			{Name: "layer0", Records: 8, Bytes: 512, Broadcast: 300 * time.Microsecond,

@@ -59,7 +59,7 @@ type TieredStore struct {
 	touched []*page
 
 	hotBytes atomic.Int64
-	hand     int // clock hand, worker-only
+	hand     atomic.Uint64 // clock hand: advanced by the worker, and by tests forcing a sweep beside it
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -461,8 +461,7 @@ func (st *TieredStore) evictToCap() {
 		return
 	}
 	for steps := 0; steps < 2*n && st.hotBytes.Load() > st.memCap; steps++ {
-		p := pages[st.hand%n]
-		st.hand++
+		p := pages[int((st.hand.Add(1)-1)%uint64(n))]
 		f := p.cur.Load()
 		if f == nil || !f.clean.Load() || f.payload.Load() == nil {
 			continue

@@ -335,8 +335,8 @@ func TestTieredCrashSafetyTornSlot(t *testing.T) {
 	if err != nil || torn {
 		t.Fatalf("ReadWAL: %v torn=%v", err, torn)
 	}
-	if err := Replay(recovered, batches); err != nil {
-		t.Fatal(err)
+	if rej := Replay(recovered, batches); len(rej) > 0 {
+		t.Fatalf("replay refused %d records, first: %+v", len(rej), rej[0])
 	}
 	st2 := newTestStore(t, TieredConfig{Dir: storeDir, Dim: 8, PageBytes: 4 * rowB})
 	if err := recovered.SetRowStore(st2); err != nil {
@@ -399,7 +399,10 @@ func TestTieredConcurrentReadersNoTearing(t *testing.T) {
 			id := int(epoch*7+uint64(k)*11) % n
 			st.WriteRow(id, uniformRow(dim, float32(epoch)*1000+float32(id)))
 		}
-		view = st.Seal(epoch)
+		// The readers keep the epoch-1 view (reassigning the variable they
+		// captured would be this test's own race): a superseded view keeps
+		// resolving through the page table, which is what is under test.
+		st.Seal(epoch)
 	}
 	close(stop)
 	wg.Wait()

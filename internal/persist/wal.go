@@ -40,13 +40,47 @@ type WAL struct {
 // /metrics exposes journal fsync behaviour.
 func (w *WAL) SetLatencyHistogram(h *obs.Histogram) { w.lat = h }
 
-// OpenWAL opens (or creates) a log for appending.
+// OpenWAL opens (or creates) a log for appending. A torn trailing record
+// left by a crash mid-write is cut off first: ReadWAL stops at it, so a
+// record appended behind it would never be replayed.
 func OpenWAL(path string) (*WAL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
+	if err := truncateTornTail(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("persist: opening WAL %s: %w", path, err)
+	}
 	return &WAL{f: f, w: bufio.NewWriter(f)}, nil
+}
+
+// truncateTornTail walks the record headers and cuts the file back to the
+// end of its last complete record.
+func truncateTornTail(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	var off int64
+	var hdr [5]byte
+	for off+int64(len(hdr)) <= fi.Size() {
+		if _, err := f.ReadAt(hdr[:], off); err != nil {
+			return err
+		}
+		if hdr[0] != 'R' {
+			return fmt.Errorf("bad WAL record marker %q at offset %d", hdr[0], off)
+		}
+		end := off + int64(len(hdr)) + int64(binary.LittleEndian.Uint32(hdr[1:]))
+		if end > fi.Size() {
+			break
+		}
+		off = end
+	}
+	if off == fi.Size() {
+		return nil
+	}
+	return f.Truncate(off)
 }
 
 // Append writes one applied batch. The record only becomes durable after
@@ -248,14 +282,34 @@ func decodeBatch(p []byte) (Batch, error) {
 	return b, nil
 }
 
-// Replay applies every batch in order to the engine.
-func Replay(engine *inkstream.Engine, batches []Batch) error {
+// Applier is what a log is replayed onto: the same Apply the live write path
+// offers (a server's pipeline, or an engine).
+type Applier interface {
+	Apply(delta graph.Delta, vups []inkstream.VertexUpdate) error
+}
+
+// Rejected is one WAL record the applier refused at replay.
+type Rejected struct {
+	Index int
+	Err   error
+}
+
+// Replay applies every batch in order and returns the records the applier
+// refused. The log holds requests as they were submitted — the journal runs
+// ahead of validation, so a request that was answered "invalid" is in it —
+// and Apply is deterministic and all-or-nothing: replayed onto the state the
+// log was written against, such a record is refused again for the same
+// reason and changes nothing, exactly as it did live. Replay therefore goes
+// on past a refusal; which refusals are fatal (an applier that refuses
+// writes altogether, rather than one record) is the caller's call.
+func Replay(a Applier, batches []Batch) []Rejected {
+	var out []Rejected
 	for i, b := range batches {
-		if err := engine.Apply(b.Delta, b.Vups); err != nil {
-			return fmt.Errorf("persist: WAL replay batch %d: %w", i, err)
+		if err := a.Apply(b.Delta, b.Vups); err != nil {
+			out = append(out, Rejected{Index: i, Err: err})
 		}
 	}
-	return nil
+	return out
 }
 
 func float32bits(f float32) uint32     { return math.Float32bits(f) }

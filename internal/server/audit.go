@@ -1,10 +1,13 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"math"
 	"math/rand"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,6 +35,8 @@ import (
 // Constructed eagerly in New so the /metrics families always exist; the
 // background loop only starts with EnableDriftAudit.
 type auditState struct {
+	hists []obs.LabeledHistogram // per-audit drift, one per aggregator kind
+
 	every  uint64  // audit every N applied updates (0 = loop disabled)
 	sample int     // nodes captured per audit
 	tol    float32 // max abs drift allowed before the audit fails
@@ -47,18 +52,32 @@ type auditState struct {
 	// onFailure, when set (EnableBlackBox), runs on each failed audit with
 	// the failure detail — the black box capture trigger. Set before serving.
 	onFailure func(reason string)
-
-	done chan struct{} // closed when the loop exits; nil when never started
 }
 
 // newAuditState seeds the auditor with serving defaults; EnableDriftAudit
 // overrides them and starts the loop.
-func newAuditState() *auditState {
+func newAuditState(m *gnn.Model) *auditState {
 	return &auditState{
+		hists:  driftHistograms(m),
 		sample: 16,
 		tol:    2e-3,
 		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
+}
+
+func (a *auditState) register(r *obs.Registry) {
+	r.CounterFunc("inkstream_drift_audits_total",
+		"Shadow-recompute drift audits completed.",
+		func() float64 { return float64(a.audits.Load()) })
+	r.CounterFunc("inkstream_drift_audit_failures_total",
+		"Drift audits whose max abs drift exceeded the tolerance.",
+		func() float64 { return float64(a.failures.Load()) })
+	r.GaugeFunc("inkstream_drift_max_abs",
+		"Max abs difference between maintained and shadow-recomputed embeddings in the most recent drift audit.",
+		a.lastDrift)
+	r.HistogramVec("inkstream_drift_abs",
+		"Per-audit max abs drift, labeled by the model's aggregator kind (accumulative kinds drift; monotonic kinds should sit in the lowest bucket).",
+		1e-9, a.hists)
 }
 
 // driftHistograms builds one drift histogram per distinct aggregator kind in
@@ -87,8 +106,16 @@ func driftHistograms(m *gnn.Model) []obs.LabeledHistogram {
 
 // lastDrift returns the most recent audit's max abs drift (0 before the
 // first audit) — the inkstream_drift_max_abs gauge and healthz field.
-func (s *Server) lastDrift() float64 {
-	return math.Float64frombits(s.audit.driftBits.Load())
+func (a *auditState) lastDrift() float64 {
+	return math.Float64frombits(a.driftBits.Load())
+}
+
+// engine returns the backend New built, or nil on a NewOn server. Only the
+// New-only configuration methods (drift audit, page cache) use it; nothing
+// the two deployment shapes share does.
+func (s *Server) engine() *engineBackend {
+	e, _ := s.backend.(*engineBackend)
+	return e
 }
 
 // EnableDriftAudit starts the background auditor: every `every` applied
@@ -96,12 +123,15 @@ func (s *Server) lastDrift() float64 {
 // state and fails the audit when their max abs drift exceeds tol (tol <= 0
 // keeps the default 2e-3 — the tolerance the batch-size sweeps accept for
 // accumulative aggregators; monotonic aggregators should measure ~0).
-// Call before serving; the loop stops with Close.
+// Call before serving; the loop stops with Close. It needs the L-hop cone of
+// the sampled nodes in one engine's graph, so it is a no-op on a NewOn
+// server.
 func (s *Server) EnableDriftAudit(every uint64, sample int, tol float32) {
-	a := s.audit
-	if every == 0 {
+	e := s.engine()
+	if every == 0 || e == nil {
 		return
 	}
+	a := e.audit
 	a.every = every
 	if sample > 0 {
 		a.sample = sample
@@ -109,17 +139,17 @@ func (s *Server) EnableDriftAudit(every uint64, sample int, tol float32) {
 	if tol > 0 {
 		a.tol = tol
 	}
-	a.done = make(chan struct{})
-	go s.auditLoop()
+	s.wg.Add(1)
+	go e.auditLoop()
 }
 
 // auditLoop polls the applied-update counter and runs one audit each time it
 // advances by the configured stride. Polling (rather than hooking the apply
 // path) keeps the pipeline free of auditor branches; the stride check costs
 // one atomic load per poll.
-func (s *Server) auditLoop() {
-	a := s.audit
-	defer close(a.done)
+func (e *engineBackend) auditLoop() {
+	a, s := e.audit, e.s
+	defer s.wg.Done()
 	tick := time.NewTicker(250 * time.Millisecond)
 	defer tick.Stop()
 	var last uint64
@@ -133,7 +163,7 @@ func (s *Server) auditLoop() {
 				continue
 			}
 			last = cur
-			if _, err := s.AuditNow(a.sample); err != nil && err != ErrServerClosed {
+			if _, err := s.AuditNow(a.sample); err != nil && !errors.Is(err, ErrServerClosed) {
 				log.Printf("%v", err)
 			}
 		}
@@ -146,13 +176,17 @@ func (s *Server) auditLoop() {
 // when the audit failed (drift over tolerance) or could not run. Safe from
 // any goroutine; concurrent audits serialise.
 func (s *Server) AuditNow(sample int) (baseline.ShadowResult, error) {
-	a := s.audit
+	e := s.engine()
+	if e == nil {
+		return baseline.ShadowResult{}, fmt.Errorf("drift audit: needs a single-engine deployment")
+	}
+	a := e.audit
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if sample < 1 {
 		sample = 1
 	}
-	n := s.engine.Snapshot().Nodes
+	n := e.Snapshot().Nodes
 	if n == 0 {
 		return baseline.ShadowResult{}, fmt.Errorf("drift audit: empty graph")
 	}
@@ -174,18 +208,16 @@ func (s *Server) AuditNow(sample int) (baseline.ShadowResult, error) {
 	// Phase 1: capture on the apply stage (exclusive, cheap — clones the
 	// cone's adjacency and feature/output rows, no inference).
 	var sh *baseline.Shadow
-	err := s.do(nil, nil, func() error {
+	err := e.s.do(nil, nil, func() error {
 		var cerr error
-		sh, cerr = baseline.CaptureShadow(
-			s.engine.Model(), s.engine.Graph(),
-			s.engine.State().H[0], s.engine.Output(), targets)
+		sh, cerr = baseline.CaptureShadow(e.Model(), e.Graph(), e.State().H[0], e.Output(), targets)
 		if sh != nil {
-			sh.Epoch = s.engine.Snapshot().Epoch
+			sh.Epoch = e.Snapshot().Epoch
 		}
 		return cerr
 	})
 	if err != nil {
-		if err != ErrServerClosed {
+		if !errors.Is(err, ErrServerClosed) {
 			err = fmt.Errorf("drift audit: capture: %w", err)
 		}
 		return baseline.ShadowResult{}, err
@@ -196,8 +228,8 @@ func (s *Server) AuditNow(sample int) (baseline.ShadowResult, error) {
 	a.audits.Add(1)
 	a.driftBits.Store(math.Float64bits(float64(res.MaxAbsDiff)))
 	driftNanos := int64(math.Ceil(float64(res.MaxAbsDiff) * 1e9))
-	for i := range s.driftHists {
-		s.driftHists[i].H.Observe(driftNanos)
+	for i := range a.hists {
+		a.hists[i].H.Observe(driftNanos)
 	}
 	if res.MaxAbsDiff > a.tol {
 		a.failures.Add(1)
@@ -212,4 +244,61 @@ func (s *Server) AuditNow(sample int) (baseline.ShadowResult, error) {
 	}
 	a.lastFailed.Store(false)
 	return res, nil
+}
+
+// VerifyResponse is the body of POST /v1/verify (both outcomes).
+type VerifyResponse struct {
+	// Status is "verified" or "failed"; Error the failure detail.
+	Status string `json:"status"`
+	Error  string `json:"error,omitempty"`
+	// MaxAbsDiff is the measured max abs difference between the maintained
+	// embeddings and the from-scratch recompute — reported even on success,
+	// so operators see how close to the tolerance the state is drifting.
+	MaxAbsDiff float64 `json:"max_abs_diff"`
+	// ElapsedMS is the recompute+compare time on the apply stage; LatencyMS
+	// the full request latency including the wait to quiesce the pipeline.
+	ElapsedMS float64 `json:"elapsed_ms"`
+	LatencyMS float64 `json:"latency_ms"`
+}
+
+// handleVerify recomputes the full inference and compares it against the
+// maintained state (Engine.VerifyDiff) — an operational self-check, and the
+// exhaustive sibling of the sampled drift auditor. It runs as an exclusive
+// operation on the apply stage (the pipeline is quiesced for the whole
+// recompute), so it never races an update; use the drift auditor for a
+// continuous check that does not stall serving. It is a POST because it is
+// expensive. Only this backend mounts it: a shard graph does not hold the
+// L-hop cone of a local vertex, so there is no per-shard recompute to
+// compare against.
+func (e *engineBackend) handleVerify(w http.ResponseWriter, _ *http.Request) {
+	var diff float32
+	var elapsed time.Duration
+	t0 := time.Now()
+	err := e.s.do(nil, nil, func() error {
+		v0 := time.Now()
+		var verr error
+		diff, verr = e.VerifyDiff(2e-3)
+		elapsed = time.Since(v0)
+		return verr
+	})
+	lat := time.Since(t0)
+	if errors.Is(err, ErrServerClosed) {
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	}
+	resp := VerifyResponse{
+		Status:     "verified",
+		MaxAbsDiff: float64(diff),
+		ElapsedMS:  float64(elapsed.Microseconds()) / 1000,
+		LatencyMS:  float64(lat.Microseconds()) / 1000,
+	}
+	if err != nil {
+		resp.Status = "failed"
+		resp.Error = fmt.Sprintf("verification failed: %v", err)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusInternalServerError)
+		_ = json.NewEncoder(w).Encode(resp) // too late for a status change; the connection will just break
+		return
+	}
+	writeJSON(w, resp)
 }

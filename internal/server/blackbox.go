@@ -7,10 +7,10 @@ import (
 )
 
 // Incident black box wiring (DESIGN.md §15). EnableBlackBox arms automatic
-// post-mortem capture on the two incident signals a single-engine
-// deployment has — a burn-rate alert transitioning to firing and a drift
-// audit failure — and exposes the same snapshot on demand at
-// GET /debug/bundle.
+// post-mortem capture on the incident signal the pipeline has — a burn-rate
+// alert transitioning to firing — plus whatever the backend arms itself (a
+// drift audit failure, a sharded round fail-stop), and exposes the same
+// snapshot on demand at GET /debug/bundle.
 
 // BlackBoxInfo is the deployment-shape block written into each bundle's
 // config.json; inkstat -postmortem prints it as the incident header.
@@ -25,8 +25,9 @@ type BlackBoxInfo struct {
 // EnableBlackBox arms the incident black box: cfg.Dir names the dump
 // directory; cfg.Source is filled in by the server (any caller-provided
 // Config payload is kept). Automatic captures trigger on alert
-// pending→firing and on drift-audit failure, debounced per cfg. Call before
-// serving; captured bundles are read back with obs.LoadDump or
+// pending→firing and on the backend's own incidents (Backend.ArmBlackBox: a
+// drift-audit failure, a sharded round fail-stop), debounced per cfg. Call
+// before serving; captured bundles are read back with obs.LoadDump or
 // inkstat -postmortem.
 func (s *Server) EnableBlackBox(cfg obs.BlackBoxConfig) *obs.BlackBox {
 	cfg.Source.Flight = s.flight
@@ -36,9 +37,12 @@ func (s *Server) EnableBlackBox(cfg obs.BlackBoxConfig) *obs.BlackBox {
 	if cfg.Source.Config == nil {
 		info := BlackBoxInfo{
 			Deployment: "single-engine",
-			Shards:     1,
+			Shards:     s.backend.Shape().Shards,
 			SLOMS:      float64(s.sloNS.Load()) / 1e6,
 			Coalescing: s.coalesce.Load(),
+		}
+		if info.Shards > 1 {
+			info.Deployment = "sharded"
 		}
 		if s.flight != nil {
 			info.SampleEvery = s.flight.SampleEvery()
@@ -51,14 +55,9 @@ func (s *Server) EnableBlackBox(cfg obs.BlackBoxConfig) *obs.BlackBox {
 	s.alerts.OnFiring(func(name, reason string) {
 		bb.Trigger("alert-"+name, reason)
 	})
-	s.audit.onFailure = func(reason string) {
-		bb.Trigger("audit-failure", reason)
-	}
+	s.backend.ArmBlackBox(bb)
 	return bb
 }
-
-// BlackBox exposes the black box (nil until EnableBlackBox).
-func (s *Server) BlackBox() *obs.BlackBox { return s.blackbox }
 
 // handleBundle serves GET /debug/bundle: an on-demand tar.gz capture of the
 // full observability state.

@@ -1,11 +1,6 @@
 package server
 
 import (
-	"archive/tar"
-	"compress/gzip"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -70,60 +65,6 @@ func TestBlackBoxIncidentBundle(t *testing.T) {
 	}
 }
 
-// TestBundleEndpoint: /debug/bundle is 501 until EnableBlackBox, then
-// serves a well-formed tar.gz without writing to the dump directory.
-func TestBundleEndpoint(t *testing.T) {
-	leakcheck.Check(t)
-	srv, _ := newObsServer(t)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/debug/bundle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("disabled bundle status %d, want 501", resp.StatusCode)
-	}
-
-	srv.EnableBlackBox(obs.BlackBoxConfig{Dir: t.TempDir(), Debounce: -1})
-	resp2, err := http.Get(ts.URL + "/debug/bundle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("bundle status %d", resp2.StatusCode)
-	}
-	if ct := resp2.Header.Get("Content-Type"); ct != "application/gzip" {
-		t.Errorf("content type %q", ct)
-	}
-	gz, err := gzip.NewReader(resp2.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	tr := tar.NewReader(gz)
-	for {
-		hdr, err := tr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		names = append(names, hdr.Name)
-	}
-	joined := strings.Join(names, " ")
-	for _, want := range []string{"MANIFEST.json", "runtime.json", "timeseries.json"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("tar missing %s: %v", want, names)
-		}
-	}
-}
-
 // TestPageFaultTraceExemplars: a faulting tiered read attaches its trace ID
 // to the page-fault latency histogram and records a "read" trace, so a fat
 // fault bucket resolves to a concrete read at /v1/traces.
@@ -136,7 +77,7 @@ func TestPageFaultTraceExemplars(t *testing.T) {
 	// bootstrap generations and sweep the resident set down to the 8-page
 	// cap before any read can fault.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.pageStats().Evictions == 0 {
+	for s.engine().pageStats().Evictions == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("store never evicted under an 8-page cap")
 		}
@@ -150,7 +91,7 @@ func TestPageFaultTraceExemplars(t *testing.T) {
 			}
 		}
 	}
-	if s.pageStats().Misses == 0 {
+	if s.engine().pageStats().Misses == 0 {
 		t.Fatal("no faults under an 8-page cap; the test premise broke")
 	}
 

@@ -8,11 +8,11 @@ import (
 
 // Server-side adaptive coalescing (DESIGN.md §9). The journal stage already
 // drains every request queued behind the in-flight one into a group; the
-// apply stage used to call Engine.Apply once per request anyway, paying the
-// engine's fixed per-batch costs (validation, arena rewind, per-layer
-// grouper epochs, snapshot publication) once per request. Coalescing merges
-// compatible requests of a group into one fused Engine.Apply, preserving
-// the per-request contract:
+// apply stage used to call Backend.Apply once per request anyway, paying the
+// backend's fixed per-batch costs (validation, arena rewind, per-layer
+// grouper epochs, BSP barriers, snapshot publication) once per request.
+// Coalescing merges compatible requests of a group into one fused Apply,
+// preserving the per-request contract:
 //
 //   - Ack/error routing: a request is acknowledged with exactly the error
 //     it would have received applied alone. Compatible requests cannot
@@ -42,7 +42,7 @@ func (s *Server) canonEdge(ch graph.EdgeChange) edgeKey {
 	return edgeKey{ch.U, ch.V}
 }
 
-// fused accumulates compatible queued mutations into one engine batch.
+// fused accumulates compatible queued mutations into one backend batch.
 // Owned by the apply goroutine; all storage is reused across flushes.
 type fused struct {
 	reqs  []*updateReq
@@ -113,8 +113,8 @@ func (s *Server) addFused(f *fused, r *updateReq) {
 // flushFused applies the open batch (fused when it covers more than one
 // request), publishes the covering snapshot, and only then acknowledges
 // every request in it. A fused apply that fails — some request's changes
-// were invalid, and engine validation precedes any mutation, so the state
-// is untouched — falls back to replaying the requests one at a time, which
+// were invalid, and Backend.Apply is all-or-nothing, so the state is
+// untouched — falls back to replaying the requests one at a time, which
 // routes the error to exactly the offending request(s). No-op on an empty
 // batch.
 func (s *Server) flushFused(f *fused) {
@@ -123,21 +123,17 @@ func (s *Server) flushFused(f *fused) {
 		return
 	}
 	s.coSize.Observe(int64(n))
-	if n == 1 {
-		r := f.reqs[0]
-		r.err = s.engine.Apply(r.delta, r.vups)
-		if r.err == nil {
-			s.updates.Add(1)
-		}
-	} else if err := s.engine.Apply(f.delta, f.vups); err == nil {
+	if round, err := s.backend.Apply(f.delta, f.vups, n); err == nil {
 		s.updates.Add(int64(n))
+		for _, r := range f.reqs {
+			r.round = round
+		}
+	} else if n == 1 {
+		f.reqs[0].err = err
 	} else {
 		s.coFallbacks.Add(1)
 		for _, r := range f.reqs {
-			r.err = s.engine.Apply(r.delta, r.vups)
-			if r.err == nil {
-				s.updates.Add(1)
-			}
+			s.applyOne(r)
 		}
 	}
 	var eng *obs.Trace
@@ -148,13 +144,21 @@ func (s *Server) flushFused(f *fused) {
 		// taken when some request in it will be recorded.
 		s.attachEngineTrace(r, &eng)
 	}
-	s.engine.PublishSnapshot()
+	s.backend.PublishSnapshot()
 	s.processed.Add(uint64(n))
 	for _, r := range f.reqs {
 		r.mark(obs.StagePublish)
 		s.finish(r, r.err)
 	}
 	f.reset()
+}
+
+// applyOne applies one request on its own.
+func (s *Server) applyOne(r *updateReq) {
+	r.round, r.err = s.backend.Apply(r.delta, r.vups, 1)
+	if r.err == nil {
+		s.updates.Add(1)
+	}
 }
 
 // coalesceGroup folds one journaled group into the open batch without the
@@ -185,15 +189,8 @@ func (s *Server) coalesceGroup(group []*updateReq, f *fused) {
 	}
 }
 
-// applyCoalesced coalesces one group and closes the window: every request
-// is acknowledged (behind a covering snapshot) before it returns.
-func (s *Server) applyCoalesced(group []*updateReq, f *fused) {
-	s.coalesceGroup(group, f)
-	s.flushFused(f)
-}
-
 // applySingly is the non-coalescing apply stage (SetCoalescing(false), and
-// the historical behaviour): one Engine.Apply per request, one snapshot
+// the historical behaviour): one Backend.Apply per request, one snapshot
 // publication covering the group, then the acknowledgements.
 func (s *Server) applySingly(group []*updateReq) {
 	var mutations uint64
@@ -204,20 +201,17 @@ func (s *Server) applySingly(group []*updateReq) {
 			r.mark(obs.StageApply)
 			continue
 		}
-		r.err = s.engine.Apply(r.delta, r.vups)
+		s.applyOne(r)
 		r.fused = 1
 		r.mark(obs.StageApply)
 		// Per-request applies mean the engine trace is exact per request;
 		// clone it before the next apply overwrites it.
 		var eng *obs.Trace
 		s.attachEngineTrace(r, &eng)
-		if r.err == nil {
-			s.updates.Add(1)
-		}
 		mutations++
 	}
 	if mutations > 0 {
-		s.engine.PublishSnapshot()
+		s.backend.PublishSnapshot()
 		s.processed.Add(mutations)
 		for _, r := range group {
 			if r.op == nil {

@@ -37,6 +37,13 @@ func newCoalesceServer(t *testing.T) *Server {
 // goroutine — the only way to pin down which requests share a fused batch.
 func quiesce(s *Server) { s.Close() }
 
+// applyCoalesced coalesces one group and closes the window: every request
+// is acknowledged (behind a covering snapshot) before it returns.
+func (s *Server) applyCoalesced(group []*updateReq, f *fused) {
+	s.coalesceGroup(group, f)
+	s.flushFused(f)
+}
+
 func mutReq(delta graph.Delta, vups []inkstream.VertexUpdate) *updateReq {
 	return &updateReq{delta: delta, vups: vups, done: make(chan error, 1)}
 }
@@ -70,7 +77,7 @@ func TestCoalesceEquivalence(t *testing.T) {
 	quiesce(fusedSrv)
 	quiesce(singleSrv)
 	rng := rand.New(rand.NewSource(2))
-	edges := freshEdges(t, fusedSrv.engine.Graph(), rng, 16)
+	edges := freshEdges(t, fusedSrv.engine().Graph(), rng, 16)
 
 	mkGroup := func() []*updateReq {
 		group := make([]*updateReq, len(edges))
@@ -91,15 +98,15 @@ func TestCoalesceEquivalence(t *testing.T) {
 			t.Fatalf("single request %d: %v", i, err)
 		}
 	}
-	if !fusedSrv.engine.Output().Equal(singleSrv.engine.Output()) {
+	if !fusedSrv.engine().Output().Equal(singleSrv.engine().Output()) {
 		t.Fatalf("fused embeddings not bit-identical to one-at-a-time (max diff %g)",
-			fusedSrv.engine.Output().MaxAbsDiff(singleSrv.engine.Output()))
+			fusedSrv.engine().Output().MaxAbsDiff(singleSrv.engine().Output()))
 	}
 	st := fusedSrv.CoalesceStats()
 	if st.Requests != int64(len(edges)) || st.Batches != 1 || st.Stalls != 0 || st.Fallbacks != 0 {
 		t.Fatalf("coalesce stats = %+v, want all %d requests in 1 batch", st, len(edges))
 	}
-	if err := fusedSrv.engine.Verify(0); err != nil {
+	if err := fusedSrv.engine().Verify(0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -112,7 +119,7 @@ func TestCoalesceConflictStall(t *testing.T) {
 	s := newCoalesceServer(t)
 	quiesce(s)
 	rng := rand.New(rand.NewSource(3))
-	e := freshEdges(t, s.engine.Graph(), rng, 1)[0]
+	e := freshEdges(t, s.engine().Graph(), rng, 1)[0]
 
 	first := mutReq(graph.Delta{e}, nil)
 	// Same logical edge, reversed orientation: conflicts with the open
@@ -130,10 +137,10 @@ func TestCoalesceConflictStall(t *testing.T) {
 	if st.Stalls != 1 || st.Batches != 2 {
 		t.Fatalf("coalesce stats = %+v, want 1 stall and 2 batches", st)
 	}
-	if !s.engine.Graph().HasEdge(e.U, e.V) {
+	if !s.engine().Graph().HasEdge(e.U, e.V) {
 		t.Fatal("first request's edge missing after conflict flush")
 	}
-	if err := s.engine.Verify(0); err != nil {
+	if err := s.engine().Verify(0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -146,7 +153,7 @@ func TestCoalesceFallbackRouting(t *testing.T) {
 	s := newCoalesceServer(t)
 	quiesce(s)
 	rng := rand.New(rand.NewSource(4))
-	edges := freshEdges(t, s.engine.Graph(), rng, 3)
+	edges := freshEdges(t, s.engine().Graph(), rng, 3)
 
 	good1 := mutReq(graph.Delta{edges[0]}, nil)
 	bad := mutReq(graph.Delta{{U: edges[1].U, V: edges[1].V, Insert: false}}, nil)
@@ -166,11 +173,11 @@ func TestCoalesceFallbackRouting(t *testing.T) {
 	if st.Fallbacks != 1 || st.Stalls != 0 || st.Batches != 1 {
 		t.Fatalf("coalesce stats = %+v, want 1 fallback, 0 stalls, 1 batch", st)
 	}
-	g := s.engine.Graph()
+	g := s.engine().Graph()
 	if !g.HasEdge(edges[0].U, edges[0].V) || !g.HasEdge(edges[2].U, edges[2].V) {
 		t.Fatal("valid requests' edges missing after fallback replay")
 	}
-	if err := s.engine.Verify(0); err != nil {
+	if err := s.engine().Verify(0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -181,7 +188,7 @@ func TestCoalesceFallbackRouting(t *testing.T) {
 func TestCoalesceVertexConflict(t *testing.T) {
 	s := newCoalesceServer(t)
 	quiesce(s)
-	dim := s.engine.State().H[0].Cols
+	dim := s.engine().State().H[0].Cols
 	vup := func(val float32) []inkstream.VertexUpdate {
 		x := make(tensor.Vector, dim)
 		for i := range x {
@@ -201,10 +208,10 @@ func TestCoalesceVertexConflict(t *testing.T) {
 	if st := s.CoalesceStats(); st.Stalls != 1 || st.Batches != 2 {
 		t.Fatalf("coalesce stats = %+v, want 1 stall and 2 batches", st)
 	}
-	if got := s.engine.State().H[0].Row(5)[0]; got != 2 {
+	if got := s.engine().State().H[0].Row(5)[0]; got != 2 {
 		t.Fatalf("node 5 feature = %g, want the last writer's 2", got)
 	}
-	if err := s.engine.Verify(0); err != nil {
+	if err := s.engine().Verify(0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -220,7 +227,7 @@ func TestCoalescePipelineEquivalence(t *testing.T) {
 	sequential.SetCoalescing(false)
 	rng := rand.New(rand.NewSource(6))
 	const workers, perWorker = 8, 8
-	edges := freshEdges(t, coalesced.engine.Graph(), rng, workers*perWorker)
+	edges := freshEdges(t, coalesced.engine().Graph(), rng, workers*perWorker)
 
 	for _, s := range []*Server{coalesced, sequential} {
 		var wg sync.WaitGroup
@@ -241,11 +248,11 @@ func TestCoalescePipelineEquivalence(t *testing.T) {
 	}
 	quiesce(coalesced)
 	quiesce(sequential)
-	if !coalesced.engine.Output().Equal(sequential.engine.Output()) {
+	if !coalesced.engine().Output().Equal(sequential.engine().Output()) {
 		t.Fatalf("coalesced pipeline diverged from sequential (max diff %g)",
-			coalesced.engine.Output().MaxAbsDiff(sequential.engine.Output()))
+			coalesced.engine().Output().MaxAbsDiff(sequential.engine().Output()))
 	}
-	if err := coalesced.engine.Verify(0); err != nil {
+	if err := coalesced.engine().Verify(0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -265,12 +272,12 @@ func TestCoalesceStress(t *testing.T) {
 	}
 	own := make([][]graph.EdgeChange, workers)
 	for w := range own {
-		own[w] = freshEdges(t, s.engine.Graph(), rng, 4)
+		own[w] = freshEdges(t, s.engine().Graph(), rng, 4)
 	}
 	// One shared edge toggled by every worker: its insert/remove requests
 	// interleave arbitrarily, so many are invalid — the acks must simply be
 	// consistent, and the state must stay convergent.
-	shared := freshEdges(t, s.engine.Graph(), rng, 1)[0]
+	shared := freshEdges(t, s.engine().Graph(), rng, 1)[0]
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -294,7 +301,7 @@ func TestCoalesceStress(t *testing.T) {
 	}
 	wg.Wait()
 	quiesce(s)
-	if err := s.engine.Verify(0); err != nil {
+	if err := s.engine().Verify(0); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.CoalesceStats(); st.Requests == 0 {

@@ -59,16 +59,21 @@ func (s *Server) willRecord(r *updateReq) bool {
 	return r.sampled || r.err != nil || s.flight.IsSlow(time.Since(r.start))
 }
 
-// attachEngineTrace clones the engine's per-layer trace of the apply that
-// just covered r onto the request, and links the apply-latency histogram
-// bucket it landed in to the request's trace ID (exemplar). Must run on the
-// apply goroutine, before the next Engine.Apply invalidates the trace.
+// attachEngineTrace clones the backend's per-layer trace of the apply that
+// just covered r (when it keeps one) onto the request, and links the
+// apply-latency histogram bucket it landed in to the request's trace ID
+// (exemplar). Must run on the apply goroutine, before the next Apply
+// invalidates the trace.
 func (s *Server) attachEngineTrace(r *updateReq, eng **obs.Trace) {
 	if !s.willRecord(r) {
 		return
 	}
 	if *eng == nil {
-		*eng = s.engine.Trace().Clone()
+		t := s.backend.Trace()
+		if t == nil {
+			return
+		}
+		*eng = t.Clone()
 		s.obs.UpdateLatency.Exemplar((*eng).Total.Nanoseconds(), r.id)
 	}
 	r.eng = *eng
@@ -99,6 +104,7 @@ func (s *Server) finish(r *updateReq, err error) {
 				Sampled: r.sampled,
 				Slow:    slow,
 				Engine:  r.eng,
+				Round:   r.round,
 			}
 			if err != nil {
 				t.Err = err.Error()
@@ -162,30 +168,44 @@ type TracesResponse struct {
 	Traces []*obs.ReqTrace `json:"traces"`
 }
 
-// handleTraces serves the flight-recorder ring, newest first. Query
-// parameters: n caps the number of traces returned; min_us drops traces
-// faster than the given total latency (in microseconds) — "show me the slow
-// ones".
+// handleTraces serves the flight-recorder ring, newest first.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	f := s.flight
 	if f == nil {
 		httpError(w, http.StatusNotImplemented, "request tracing disabled")
 		return
 	}
-	traces := f.Traces()
+	ServeRing(w, r, f.Traces(),
+		func(t *obs.ReqTrace) time.Duration { return t.Total },
+		func(traces []*obs.ReqTrace) any {
+			return TracesResponse{
+				SampleEvery:     f.SampleEvery(),
+				SlowThresholdMS: float64(f.SlowThreshold()) / 1e6,
+				Recorded:        f.Recorded(),
+				Traces:          traces,
+			}
+		})
+}
+
+// ServeRing answers a GET for a newest-first trace ring (/v1/traces, and a
+// backend's /v1/rounds) with its two query parameters applied: n caps
+// the number of entries returned, min_us drops entries faster than the
+// given total latency in microseconds — "show me the slow ones". body wraps
+// the surviving entries into the response.
+func ServeRing[T any](w http.ResponseWriter, r *http.Request, ring []T, total func(T) time.Duration, body func([]T) any) {
 	if v := r.URL.Query().Get("min_us"); v != "" {
 		minUS, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "bad min_us %q", v)
 			return
 		}
-		kept := traces[:0]
-		for _, t := range traces {
-			if float64(t.Total.Nanoseconds())/1e3 >= minUS {
+		kept := ring[:0]
+		for _, t := range ring {
+			if float64(total(t).Nanoseconds())/1e3 >= minUS {
 				kept = append(kept, t)
 			}
 		}
-		traces = kept
+		ring = kept
 	}
 	if v := r.URL.Query().Get("n"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -193,35 +213,26 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "bad n %q", v)
 			return
 		}
-		if n < len(traces) {
-			traces = traces[:n]
+		if n < len(ring) {
+			ring = ring[:n]
 		}
 	}
-	if traces == nil {
-		traces = []*obs.ReqTrace{}
+	if ring == nil {
+		ring = []T{}
 	}
-	writeJSON(w, TracesResponse{
-		SampleEvery:     f.SampleEvery(),
-		SlowThresholdMS: float64(f.SlowThreshold()) / 1e6,
-		Recorded:        f.Recorded(),
-		Traces:          traces,
-	})
+	writeJSON(w, body(ring))
 }
 
 // handleTimeseries serves the in-process time-series window (oldest sample
 // first) — the last ~10 minutes of serving behaviour without a scraping
 // stack.
 func (s *Server) handleTimeseries(w http.ResponseWriter, _ *http.Request) {
-	if s.sampler == nil {
-		httpError(w, http.StatusNotImplemented, "time-series sampling disabled")
-		return
-	}
 	writeJSON(w, s.sampler.Snapshot())
 }
 
 // buildTimeseries registers the serving series the sampler tracks. Counters
 // render as per-second rates, latency quantiles are windowed per tick; every
-// source reads atomics or the published snapshot, so a tick never touches
+// source reads atomics or the published state, so a tick never touches
 // mutable engine state.
 func (s *Server) buildTimeseries() {
 	ts := s.sampler
@@ -230,16 +241,8 @@ func (s *Server) buildTimeseries() {
 	ts.Counter("events_per_s", func() float64 { return float64(s.obs.Events.Sum()) })
 	ts.HistQuantile("ack_p99_ms", s.ackLat, 0.99, 1e-6)
 	ts.HistQuantile("apply_p99_ms", s.obs.UpdateLatency, 0.99, 1e-6)
-	ts.Gauge("epoch", func() float64 { return float64(s.engine.Snapshot().Epoch) })
-	ts.Gauge("lag_batches", func() float64 {
-		p := s.processed.Load()
-		a := s.accepted.Load()
-		if a < p {
-			return 0
-		}
-		return float64(a - p)
-	})
-	ts.Gauge("drift_max_abs", s.lastDrift)
+	ts.Gauge("epoch", func() float64 { return float64(s.backend.Shape().Epoch) })
+	ts.Gauge("lag_batches", func() float64 { return float64(s.lag()) })
 	// Runtime telemetry series (heap_mb, goroutines, gc_cpu_pct,
 	// gc_pause_ms, sched_p99_ms); the first one runs the tick's Collect.
 	s.runtime.Install(ts)

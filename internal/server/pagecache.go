@@ -1,7 +1,11 @@
 package server
 
 import (
+	"time"
+
+	"repro/internal/inkstream"
 	"repro/internal/obs"
+	"repro/internal/tensor"
 )
 
 // PageCacheSection is the /v1/stats block describing the tiered row
@@ -24,11 +28,13 @@ type PageCacheSection struct {
 // on-page encoding. Like the other configuration methods it must be
 // called before serving. The server stays decoupled from the storage
 // package: everything crosses this boundary as obs types, the same way
-// the journal crosses as an interface.
+// the journal crosses as an interface. New servers only: the tiered store is
+// one engine's row store.
 func (s *Server) EnablePageCache(stats func() obs.PageCacheStats, faultLat *obs.Histogram, quant string) {
-	s.pageStats = stats
-	s.pageFaultLat = faultLat
-	s.pageQuant = quant
+	e := s.engine()
+	e.pageStats = stats
+	e.pageFaultLat = faultLat
+	e.pageQuant = quant
 	r := s.reg
 	r.CounterFunc("inkstream_page_cache_hits_total",
 		"Row reads served from a resident page payload (no disk access).",
@@ -65,4 +71,43 @@ func (s *Server) EnablePageCache(stats func() obs.PageCacheStats, faultLat *obs.
 			"Latency of faulting one page back from the spill file (slot read, verify, decode-ready); buckets carry trace-ID exemplars resolvable at /v1/traces.",
 			1e-9, faultLat)
 	}
+}
+
+// readTieredRow reads one row from a tiered snapshot under the flight
+// recorder: a read whose page faulted in from the spill file gets a trace
+// ID, an exemplar in the page-fault latency histogram, and (when sampled or
+// slow) a "read"-kind entry in /v1/traces — so a fat fault bucket resolves
+// to a concrete read the same way ack latency resolves to an update.
+// Attribution is by miss-count delta around the row fetch, so under
+// concurrent faulting reads a trace may adopt a neighbour's fault; the
+// linkage is a debugging breadcrumb, not an accounting invariant.
+func (e *engineBackend) readTieredRow(snap *inkstream.Snapshot, node int) tensor.Vector {
+	f := e.s.flight
+	missesBefore := e.pageStats().Misses
+	t0 := time.Now()
+	row := snap.Row(node)
+	if e.pageStats().Misses == missesBefore {
+		return row // served resident: stay off the trace machinery
+	}
+	d := time.Since(t0)
+	id := f.NextID()
+	e.pageFaultLat.Exemplar(d.Nanoseconds(), id)
+	sampled, slow := f.SampledID(id), f.IsSlow(d)
+	if sampled || slow || row == nil {
+		t := &obs.ReqTrace{
+			ID:      id,
+			Kind:    "read",
+			Start:   t0,
+			Total:   d,
+			Sampled: sampled,
+			Slow:    slow,
+		}
+		t.Marks[obs.StageAck] = d
+		if row == nil {
+			t.Err = "tiered row unavailable (page fault failed)"
+		}
+		t.GCPause = e.s.runtime.GCPauseOverlap(t0, t0.Add(d))
+		f.Record(t)
+	}
+	return row
 }

@@ -15,6 +15,11 @@ import (
 // with) Close.
 var ErrServerClosed = errors.New("server: closed")
 
+// ErrUnavailable marks a backend error as "writes are refused" rather than
+// "this batch is invalid": handlers answer 503 instead of 422 for any error
+// wrapping it (shard.ErrCorrupt does).
+var ErrUnavailable = errors.New("backend refuses writes")
+
 // maxGroup bounds how many queued requests one group commit may cover:
 // large enough to amortise the fsync under load, small enough to bound
 // the latency any single request waits behind the group.
@@ -33,12 +38,15 @@ type updateReq struct {
 
 	// Flight-recorder state (flight.go): id 0 means tracing is disabled for
 	// this request. Marks are cumulative offsets from start, each written by
-	// the one pipeline goroutine owning the request at that stage.
+	// the one pipeline goroutine owning the request at that stage. round is
+	// the backend's ID for the apply that covered the request (0 when the
+	// backend has none), joining its trace to /v1/rounds.
 	id      uint64
 	start   time.Time
 	kind    string
 	sampled bool
 	fused   int
+	round   uint64
 	marks   [obs.StageCount]time.Duration
 	eng     *obs.Trace
 }
@@ -57,135 +65,69 @@ func (s *Server) Apply(delta graph.Delta, vups []inkstream.VertexUpdate) error {
 // (nil on success) once the batch is durable, applied, and covered by a
 // published snapshot. It is how a pipelined client keeps several updates in
 // flight from one goroutine — the queued-behind-the-in-flight-update regime
-// that server-side coalescing fuses. If the server closes before a request
-// reaches the apply stage its channel may never receive, so callers that do
-// not control the server's lifetime should select against their own
-// shutdown signal rather than wait unconditionally.
+// that server-side coalescing fuses. Every accepted request gets exactly
+// one outcome, Close included: a request Close overtakes is acknowledged
+// with ErrServerClosed.
 func (s *Server) ApplyAsync(delta graph.Delta, vups []inkstream.VertexUpdate) (<-chan error, error) {
 	r := s.newReq(delta, vups, nil)
-	select {
-	case <-s.quit:
-		return nil, ErrServerClosed
-	case s.submitCh <- r:
+	if err := s.submit(r); err != nil {
+		return nil, err
 	}
-	s.accepted.Add(1)
 	return r.done, nil
 }
 
 // do enqueues a request and waits for its outcome.
 func (s *Server) do(delta graph.Delta, vups []inkstream.VertexUpdate, op func() error) error {
 	r := s.newReq(delta, vups, op)
-	select {
-	case <-s.quit:
-		return ErrServerClosed
-	case s.submitCh <- r:
+	if err := s.submit(r); err != nil {
+		return err
 	}
-	if op == nil {
+	return <-r.done
+}
+
+// submit enqueues r unless the server is closed. A full submitCh blocks
+// here but never deadlocks: the journal stage keeps draining and takes no
+// locks, and Close's write lock just waits.
+func (s *Server) submit(r *updateReq) error {
+	s.closeMu.RLock()
+	defer s.closeMu.RUnlock()
+	if s.closed {
+		return ErrServerClosed
+	}
+	s.submitCh <- r
+	if r.op == nil {
 		s.accepted.Add(1)
 	}
-	select {
-	case err := <-r.done:
-		return err
-	case <-s.quit:
-		// Shutdown raced the request; it may or may not have been applied.
-		return ErrServerClosed
-	}
+	return nil
 }
 
 // ReadEmbedding resolves one node against the currently published
 // snapshot with zero locking. The returned row is immutable (shared with
 // the snapshot) and valid indefinitely; epoch is the staleness bound the
 // caller may report. ok is false when the node is out of the snapshot's
-// range.
+// range (or, in tiered mode, its page could not be faulted back in).
 func (s *Server) ReadEmbedding(node int) (row tensor.Vector, epoch uint64, ok bool) {
-	snap := s.engine.Snapshot()
 	s.reads.Add(1)
-	if node < 0 || node >= snap.NumNodes() {
-		return nil, snap.Epoch, false
-	}
-	if s.pageStats != nil && s.flight != nil {
-		row = s.readTieredRow(snap, node)
-	} else {
-		row = snap.Row(node)
-	}
-	if row == nil {
-		// Tiered mode only: the row could not be faulted back in (e.g. the
-		// spill file is gone). Treated as unavailable, never served torn.
-		return nil, snap.Epoch, false
-	}
-	return row, snap.Epoch, true
+	return s.backend.ReadRow(node)
 }
-
-// readTieredRow reads one row from a tiered snapshot under the flight
-// recorder: a read whose page faulted in from the spill file gets a trace
-// ID, an exemplar in the page-fault latency histogram, and (when sampled or
-// slow) a "read"-kind entry in /v1/traces — so a fat fault bucket resolves
-// to a concrete read the same way ack latency resolves to an update.
-// Attribution is by miss-count delta around the row fetch, so under
-// concurrent faulting reads a trace may adopt a neighbour's fault; the
-// linkage is a debugging breadcrumb, not an accounting invariant.
-func (s *Server) readTieredRow(snap *inkstream.Snapshot, node int) tensor.Vector {
-	f := s.flight
-	missesBefore := s.pageStats().Misses
-	t0 := time.Now()
-	row := snap.Row(node)
-	if s.pageStats().Misses == missesBefore {
-		return row // served resident: stay off the trace machinery
-	}
-	d := time.Since(t0)
-	id := f.NextID()
-	s.pageFaultLat.Exemplar(d.Nanoseconds(), id)
-	sampled, slow := f.SampledID(id), f.IsSlow(d)
-	if sampled || slow || row == nil {
-		t := &obs.ReqTrace{
-			ID:      id,
-			Kind:    "read",
-			Start:   t0,
-			Total:   d,
-			Sampled: sampled,
-			Slow:    slow,
-		}
-		t.Marks[obs.StageAck] = d
-		if row == nil {
-			t.Err = "tiered row unavailable (page fault failed)"
-		}
-		t.GCPause = s.runtime.GCPauseOverlap(t0, t0.Add(d))
-		f.Record(t)
-	}
-	return row
-}
-
-// Snapshot returns the currently published embedding snapshot. Safe from
-// any goroutine.
-func (s *Server) Snapshot() *inkstream.Snapshot { return s.engine.Snapshot() }
 
 // Close stops the pipeline and waits for both stages to exit. Requests
-// still in flight are failed with ErrServerClosed rather than drained;
+// still queued are failed with ErrServerClosed rather than applied;
 // anything already journaled remains durable and is recovered by WAL
-// replay. Reads keep working against the last published snapshot.
+// replay. Reads keep working against the last published snapshot. A
+// concurrent second Close returns once the first has finished.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
+		s.closeMu.Lock()
+		s.closed = true
+		s.closeMu.Unlock()
 		close(s.quit)
-		if s.audit.done != nil {
-			<-s.audit.done
-		}
-		if s.sampler != nil {
-			s.sampler.Stop()
-		}
-		// Drain queued incident captures before exit, so an alert or audit
-		// failure immediately followed by shutdown still leaves its bundle.
+		s.wg.Wait()
+		s.sampler.Stop()
+		// Drain queued incident captures last, so an alert, audit failure or
+		// fail-stop immediately followed by shutdown still leaves its bundle.
 		s.blackbox.Close()
 	})
-	s.wg.Wait()
-}
-
-// start launches the two pipeline stages. Called once from New, after
-// every configuration field exists; SetJournal/EnableBatching remain
-// "call before serving" because the stages read those fields unlocked.
-func (s *Server) start() {
-	s.wg.Add(2)
-	go s.journalLoop()
-	go s.applyLoop()
 }
 
 // journalLoop is stage 1 of the writer pipeline: it drains every request
@@ -196,6 +138,18 @@ func (s *Server) start() {
 func (s *Server) journalLoop() {
 	defer s.wg.Done()
 	defer close(s.applyCh)
+	// Shutdown drain: Close barred new submits before closing quit, so
+	// failing what is still queued leaves no request without an outcome.
+	defer func() {
+		for {
+			select {
+			case r := <-s.submitCh:
+				s.finish(r, ErrServerClosed)
+			default:
+				return
+			}
+		}
+	}()
 	for {
 		var first *updateReq
 		select {
@@ -237,24 +191,18 @@ func (s *Server) journalGroup(group []*updateReq) []*updateReq {
 	if s.journal == nil {
 		return group
 	}
-	bj, batched := s.journal.(BatchJournal)
 	var jerr error
 	journaled := 0
 	for _, r := range group {
 		if r.op != nil || jerr != nil {
 			continue
 		}
-		if batched {
-			jerr = bj.AppendBuffered(r.delta, r.vups)
-		} else {
-			jerr = s.journal.Append(r.delta, r.vups)
-		}
-		if jerr == nil {
+		if jerr = s.journal.AppendBuffered(r.delta, r.vups); jerr == nil {
 			journaled++
 		}
 	}
-	if jerr == nil && batched && journaled > 0 {
-		jerr = bj.Commit()
+	if jerr == nil && journaled > 0 {
+		jerr = s.journal.Commit()
 	}
 	if journaled > 0 && jerr == nil {
 		s.gcSize.Observe(int64(journaled))
@@ -281,10 +229,10 @@ func (s *Server) journalGroup(group []*updateReq) []*updateReq {
 	return out
 }
 
-// applyLoop is stage 2: the only goroutine that ever mutates the engine.
+// applyLoop is stage 2: the only goroutine that ever mutates the backend.
 // With coalescing on (the default) it merges each group's compatible
-// mutations into fused Engine.Apply calls (coalesce.go), amortising the
-// engine's fixed per-batch costs across everything that queued behind the
+// mutations into fused Backend.Apply calls (coalesce.go), amortising the
+// backend's fixed per-batch costs across everything that queued behind the
 // in-flight update; with coalescing off it applies each request on its
 // own. Either way a snapshot covering a request is published before that
 // request is acknowledged — so a successful response implies the served

@@ -1,7 +1,10 @@
-// Package server exposes an InkStream engine as an HTTP service: a
-// long-running inference daemon that accepts streaming edge and
-// vertex-feature updates and serves always-fresh embeddings — the
-// "real-time inference in dynamic settings" deployment the paper targets.
+// Package server exposes InkStream as an HTTP service: a long-running
+// inference daemon that accepts streaming edge and vertex-feature updates
+// and serves always-fresh embeddings — the "real-time inference in dynamic
+// settings" deployment the paper targets. It owns the one write pipeline;
+// what the pipeline applies batches to is a Backend (backend.go): a single
+// engine (New) or a partitioned multi-engine deployment (NewOn over
+// internal/shard).
 //
 // Endpoints:
 //
@@ -12,19 +15,25 @@
 //	GET  /v1/healthz    (also /healthz; degraded detection, uptime, epoch)
 //	GET  /v1/traces     (flight recorder: last N request-scoped pipeline traces)
 //	GET  /v1/timeseries (in-process time-series window, ~1s × 10min)
+//	GET  /v1/alerts     (burn-rate alert status)
+//	POST /v1/submit     (single edge event into the batching scheduler)
 //	GET  /metrics       (Prometheus text exposition, with trace-ID exemplars)
+//	GET  /debug/bundle  (on-demand incident bundle)
+//
+// plus whatever the backend mounts: POST /v1/verify (full recompute
+// self-check) on one engine, GET /v1/rounds under shards.
 //
 // Concurrency model (DESIGN.md §8): reads never block on writes. All
 // mutations funnel into a single-writer pipeline — requests enqueue onto a
 // channel drained by a journal stage (which makes a whole group of queued
 // batches durable under one fsync, "group commit") feeding an apply stage
-// (the only goroutine that mutates the engine). The apply stage coalesces
+// (the only goroutine that calls Backend.Apply). The apply stage coalesces
 // by default (DESIGN.md §9): compatible mutations queued behind the
-// in-flight one merge into a single fused Engine.Apply, and a conflicting
+// in-flight one merge into a single fused Apply, and a conflicting
 // request (same edge or same node as the open batch) flushes the batch
 // first, so per-request ack/error semantics are preserved. After each
-// applied batch the engine publishes an immutable, epoch-stamped embedding
-// snapshot via an atomic pointer; every read handler resolves against the
+// applied batch the backend publishes immutable, epoch-stamped embedding
+// snapshots via atomic pointers; every read handler resolves against the
 // current snapshot with zero locking and reports the snapshot epoch it
 // observed. A successful mutation response implies the batch is durable,
 // applied, and visible in the published snapshot (read-your-writes).
@@ -38,6 +47,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -54,20 +64,27 @@ import (
 	"repro/internal/tensor"
 )
 
-// Server wraps an engine with HTTP handlers and the single-writer update
-// pipeline. The engine is owned by the apply stage after New returns;
+// Server wraps a backend with HTTP handlers and the single-writer update
+// pipeline. The backend is owned by the apply stage after New returns;
 // nothing else may mutate it.
 type Server struct {
-	engine   *inkstream.Engine
-	counters *metrics.Counters
-	journal  Journal
+	backend Backend
+	journal Journal
+	mux     *http.ServeMux
 
 	// Pipeline plumbing (pipeline.go).
 	submitCh  chan *updateReq
 	applyCh   chan []*updateReq
 	quit      chan struct{}
 	closeOnce sync.Once
-	wg        sync.WaitGroup
+	// closeMu orders submits against Close: a submitter holds the read side
+	// across its submitCh send, so once Close sets closed under the write
+	// side no request can land behind the journal stage's shutdown drain (a
+	// bare select on quit could — a buffered send and a closed quit are both
+	// ready, and select picks between them at random).
+	closeMu sync.RWMutex
+	closed  bool
+	wg      sync.WaitGroup // the two stages, and the drift auditor once enabled
 
 	updates   atomic.Int64  // successful mutation requests
 	reads     atomic.Int64  // embedding reads resolved against a snapshot
@@ -107,38 +124,20 @@ type Server struct {
 	// EnableBlackBox.
 	runtime  *obs.Runtime
 	blackbox *obs.BlackBox
-
-	// Drift auditor (audit.go).
-	audit      *auditState
-	driftHists []obs.LabeledHistogram
-
-	// Tiered row store observability (pagecache.go); nil in the default
-	// resident configuration.
-	pageStats    func() obs.PageCacheStats
-	pageFaultLat *obs.Histogram
-	pageQuant    string
 }
 
-// Journal records every applied batch before it reaches the engine
-// (write-ahead logging); persist.WAL implements it. A journal failure
-// fails the update before the engine sees it, so a successful response
-// implies the batch is durable.
+// Journal is the write-ahead log the journal stage writes every accepted
+// batch to before the backend sees it; persist.WAL implements it.
+// AppendBuffered stages one record without durability and one Commit fsyncs
+// everything staged (group commit: one fsync covers every request queued
+// behind it). A journal failure fails the update before the backend sees
+// it, so a successful response implies the batch is durable.
 type Journal interface {
-	Append(delta graph.Delta, vups []inkstream.VertexUpdate) error
-}
-
-// BatchJournal is the group-commit extension of Journal (implemented by
-// persist.WAL): AppendBuffered stages records without durability and one
-// Commit fsyncs them all. When the configured journal supports it, the
-// pipeline's journal stage covers every request queued behind an fsync
-// with that single fsync.
-type BatchJournal interface {
-	Journal
 	AppendBuffered(delta graph.Delta, vups []inkstream.VertexUpdate) error
 	Commit() error
 }
 
-// New wraps an engine; counters may be the same instance the engine
+// New wraps one engine; counters may be the same instance the engine
 // records into (or nil). The server reuses the engine's observer when one
 // was installed at construction (so CLI-configured tracing keeps working)
 // and otherwise installs a fresh one, builds the /metrics registry,
@@ -148,16 +147,33 @@ type BatchJournal interface {
 // Configuration methods (SetJournal, EnableBatching, EnableSlowUpdateLog)
 // must be called before the first request is served.
 func New(engine *inkstream.Engine, counters *metrics.Counters) *Server {
-	s := &Server{engine: engine, counters: counters}
-	s.obs = engine.Observer()
-	if s.obs == nil {
-		s.obs = obs.NewObserver()
-		engine.SetObserver(s.obs)
+	o := engine.Observer()
+	if o == nil {
+		o = obs.NewObserver()
+		engine.SetObserver(o)
 	}
+	s := &Server{obs: o}
+	s.backend = &engineBackend{Engine: engine, s: s, counters: counters, audit: newAuditState(engine.Model())}
+	return s.init()
+}
+
+// NewOn starts the same pipeline on any Backend (internal/shard's router):
+// its routes, stats section and metric families are mounted next to the
+// server's own. The features that read one engine's internals (/v1/verify,
+// the drift auditor, per-layer update traces, the tiered row store) come
+// with New's backend only.
+func NewOn(b Backend) *Server {
+	return (&Server{backend: b, obs: obs.NewObserver()}).init()
+}
+
+func (s *Server) init() *Server {
+	// Epoch 1 reflects the bootstrapped state, so readers always have a
+	// snapshot to resolve against.
+	s.backend.PublishSnapshot()
 	s.walLat = obs.NewLatencyHistogram()
 	s.gcSize = obs.NewSizeHistogram()
 	s.coSize = obs.NewSizeHistogram()
-	s.undirected = engine.Graph().Undirected
+	s.undirected = s.backend.Shape().Undirected
 	s.coalesce.Store(true)
 	s.started = time.Now()
 	// Flight recorder defaults: last 256 interesting requests, 1 in 64
@@ -166,8 +182,6 @@ func New(engine *inkstream.Engine, counters *metrics.Counters) *Server {
 	s.ackLat = obs.NewLatencyHistogram()
 	s.ackLat.EnableExemplars()
 	s.obs.UpdateLatency.EnableExemplars()
-	s.audit = newAuditState()
-	s.driftHists = driftHistograms(engine.Model())
 	// In-process time-series: 1s resolution, 10-minute window. The alert
 	// engine evaluates its burn-rate rules on every tick (alerts are
 	// installed by SetHealthSLO).
@@ -176,25 +190,21 @@ func New(engine *inkstream.Engine, counters *metrics.Counters) *Server {
 	s.runtime = obs.NewRuntime()
 	s.reg = obs.NewRegistry()
 	s.buildRegistry()
-	// Epoch 1 reflects the bootstrapped state, so readers always have a
-	// snapshot to resolve against.
-	engine.PublishSnapshot()
+	s.buildTimeseries()
+	s.buildMux()
+	s.backend.Mount(Surface{Mux: s.mux, Registry: s.reg, Sampler: s.sampler, Observer: s.obs})
 	s.submitCh = make(chan *updateReq, 4*maxGroup)
 	s.applyCh = make(chan []*updateReq, 1)
 	s.quit = make(chan struct{})
-	s.buildTimeseries()
 	s.sampler.Start()
-	s.start()
+	// The two pipeline stages start last, once every field they read exists;
+	// SetJournal/EnableBatching remain "call before serving" because the
+	// stages read those fields unlocked.
+	s.wg.Add(2)
+	go s.journalLoop()
+	go s.applyLoop()
 	return s
 }
-
-// Observer exposes the server's observer for CLI wiring (slow-update
-// thresholds, trace emission).
-func (s *Server) Observer() *obs.Observer { return s.obs }
-
-// Registry exposes the metric registry, e.g. to register process-level
-// extras before serving.
-func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // EnableSlowUpdateLog logs a full per-layer trace for every update slower
 // than threshold (and for every update when traceAll is set). logger nil
@@ -215,13 +225,13 @@ func (s *Server) EnableSlowUpdateLog(threshold time.Duration, traceAll bool, log
 	}
 }
 
-// buildRegistry registers every exposed family. Engine-derived values are
-// sampled from the immutable published snapshot, so scraping never
-// touches mutable engine state; only the scheduler gauges lock s.mu
+// buildRegistry registers every family the pipeline itself exposes.
+// Backend-derived values are sampled from the published state, so scraping
+// never touches mutable engine state; only the scheduler gauges lock s.mu
 // inside their sample closure.
 func (s *Server) buildRegistry() {
 	r := s.reg
-	snap := func() *inkstream.Snapshot { return s.engine.Snapshot() }
+	shape := s.backend.Shape
 	r.CounterFunc("inkstream_updates_total",
 		"Update batches applied by the engine (edge and vertex-feature).",
 		func() float64 { return float64(s.obs.Updates()) })
@@ -237,37 +247,24 @@ func (s *Server) buildRegistry() {
 	r.Histogram("inkstream_update_events",
 		"Propagation events processed per applied batch.",
 		1, s.obs.Events)
-	r.LabeledCounterFunc("inkstream_node_visits_total",
-		"Per-layer node visits by InkStream condition (paper Fig. 8 taxonomy).",
-		func() []obs.LabeledValue {
-			st := snap().Conditions
-			counts := make(map[string]int64, len(st.Counts))
-			for c := inkstream.CondPruned; c <= inkstream.CondSelfOnly; c++ {
-				counts[c.String()] = st.Counts[c]
-			}
-			return obs.SortedLabeled("condition", counts)
-		})
 	r.GaugeFunc("inkstream_graph_nodes",
 		"Nodes in the maintained graph (as of the published snapshot).",
-		func() float64 { return float64(snap().Nodes) })
+		func() float64 { return float64(shape().Nodes) })
 	r.GaugeFunc("inkstream_graph_edges",
 		"Edges in the maintained graph (as of the published snapshot).",
-		func() float64 { return float64(snap().Edges) })
+		func() float64 { return float64(shape().Edges) })
 	r.GaugeFunc("inkstream_snapshot_epoch",
-		"Epoch of the currently published embedding snapshot.",
-		func() float64 { return float64(snap().Epoch) })
+		"Epoch of the published embedding snapshot (minimum across shards).",
+		func() float64 { return float64(shape().Epoch) })
+	r.GaugeFunc("inkstream_router_shards",
+		"Engines behind the write pipeline (1 = single engine).",
+		func() float64 { return float64(shape().Shards) })
+	r.GaugeFunc("inkstream_router_epoch_skew",
+		"Max minus min published snapshot epoch across shards (transient while a round publishes).",
+		func() float64 { sh := shape(); return float64(sh.MaxEpoch - sh.Epoch) })
 	r.GaugeFunc("inkstream_snapshot_lag_batches",
 		"Mutation batches accepted by the pipeline but not yet reflected in the published snapshot (reader staleness bound).",
-		func() float64 {
-			// Load processed first so a concurrent publish can only shrink
-			// the reported lag, never make it negative.
-			p := s.processed.Load()
-			a := s.accepted.Load()
-			if a < p {
-				return 0
-			}
-			return float64(a - p)
-		})
+		func() float64 { return float64(s.lag()) })
 	r.CounterFunc("inkstream_reads_total",
 		"Embedding reads resolved against a published snapshot (lock-free path).",
 		func() float64 { return float64(s.reads.Load()) })
@@ -286,20 +283,6 @@ func (s *Server) buildRegistry() {
 	r.CounterFunc("inkstream_http_updates_served_total",
 		"Successful mutation requests (/v1/update, /v1/features, flushed /v1/submit).",
 		func() float64 { return float64(s.updates.Load()) })
-	if s.counters != nil {
-		r.CounterFunc("inkstream_bytes_fetched_total",
-			"Embedding/feature bytes read by inference (Table V memory cost).",
-			func() float64 { return float64(s.counters.BytesFetched.Load()) })
-		r.CounterFunc("inkstream_bytes_written_total",
-			"Embedding bytes stored back by inference.",
-			func() float64 { return float64(s.counters.BytesWritten.Load()) })
-		r.CounterFunc("inkstream_flops_total",
-			"Floating-point operations spent in inference.",
-			func() float64 { return float64(s.counters.FLOPs.Load()) })
-		r.CounterFunc("inkstream_events_processed_total",
-			"InkStream propagation events consumed.",
-			func() float64 { return float64(s.counters.EventsProcessed.Load()) })
-	}
 	schedStats := func() (scheduler.Stats, int) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -344,20 +327,20 @@ func (s *Server) buildRegistry() {
 			}
 			return float64(s.flight.Recorded())
 		})
-	r.CounterFunc("inkstream_drift_audits_total",
-		"Shadow-recompute drift audits completed.",
-		func() float64 { return float64(s.audit.audits.Load()) })
-	r.CounterFunc("inkstream_drift_audit_failures_total",
-		"Drift audits whose max abs drift exceeded the tolerance.",
-		func() float64 { return float64(s.audit.failures.Load()) })
-	r.GaugeFunc("inkstream_drift_max_abs",
-		"Max abs difference between maintained and shadow-recomputed embeddings in the most recent drift audit.",
-		s.lastDrift)
-	r.HistogramVec("inkstream_drift_abs",
-		"Per-audit max abs drift, labeled by the model's aggregator kind (accumulative kinds drift; monotonic kinds should sit in the lowest bucket).",
-		1e-9, s.driftHists)
 	s.alerts.Register(r)
 	s.runtime.Register(r)
+}
+
+// lag is the number of mutation batches accepted by the pipeline but not yet
+// reflected in the published snapshot.
+func (s *Server) lag() uint64 {
+	// Load processed first so a concurrent publish can only shrink the
+	// reported lag, never make it negative.
+	p := s.processed.Load()
+	if a := s.accepted.Load(); a > p {
+		return a - p
+	}
+	return 0
 }
 
 // SetCoalescing switches server-side update coalescing (coalesce.go) on or
@@ -391,10 +374,12 @@ func (s *Server) CoalesceStats() CoalesceStats {
 	}
 }
 
-// SetJournal installs a write-ahead journal; call before serving. Journals
+// SetJournal installs a write-ahead journal; call before serving — after
+// replaying an existing log through Apply, which must not journal its
+// records a second time (the journal stage reads the field only while it
+// holds a request, so installing it between requests is ordered). Journals
 // that can observe their commit latency (persist.WAL) are handed the
-// registered WAL histogram. Journals implementing BatchJournal get group
-// commit: one fsync covers every request queued behind it.
+// registered WAL histogram.
 func (s *Server) SetJournal(j Journal) {
 	s.journal = j
 	if h, ok := j.(interface{ SetLatencyHistogram(*obs.Histogram) }); ok {
@@ -410,12 +395,12 @@ func (a deltaApplier) Update(d graph.Delta) error { return a.s.Apply(d, nil) }
 // EnableBatching installs a scheduler for the /v1/submit endpoint: single
 // edge events are coalesced and flushed as ΔG batches per the policy —
 // the Fig. 7 latency/staleness trade-off made operational. The scheduler
-// inherits the engine graph's directedness, so coalescing only treats
+// inherits the served graph's directedness, so coalescing only treats
 // (u,v) and (v,u) as the same edge on undirected graphs. Call before
 // serving. Callers should also run a periodic Tick (see Tick) so the
 // staleness deadline fires during quiet periods.
 func (s *Server) EnableBatching(p scheduler.Policy) error {
-	p.Directed = !s.engine.Graph().Undirected
+	p.Directed = !s.undirected
 	b, err := scheduler.New(deltaApplier{s}, p)
 	if err != nil {
 		return err
@@ -437,7 +422,11 @@ func (s *Server) Tick() error {
 }
 
 // Handler returns the route table.
-func (s *Server) Handler() http.Handler {
+func (s *Server) Handler() http.Handler { return s.mux }
+
+// buildMux registers every route the pipeline serves; the backend mounts
+// its own on the same mux afterwards.
+func (s *Server) buildMux() {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/update", s.handleUpdate)
 	mux.HandleFunc("POST /v1/features", s.handleFeatures)
@@ -448,7 +437,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	mux.HandleFunc("GET /v1/timeseries", s.handleTimeseries)
 	mux.Handle("GET /v1/alerts", s.alerts)
-	mux.HandleFunc("POST /v1/verify", s.handleVerify)
 	mux.HandleFunc("POST /v1/submit", s.handleSubmit)
 	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.HandleFunc("GET /debug/bundle", s.handleBundle)
@@ -458,7 +446,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no %s %s endpoint", r.Method, r.URL.Path)
 	})
-	return mux
+	s.mux = mux
 }
 
 // SubmitResponse reports the batching state after one /v1/submit event.
@@ -489,61 +477,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, SubmitResponse{Flushed: flushed, Pending: pending})
 }
 
-// VerifyResponse is the body of POST /v1/verify (both outcomes).
-type VerifyResponse struct {
-	// Status is "verified" or "failed"; Error the failure detail.
-	Status string `json:"status"`
-	Error  string `json:"error,omitempty"`
-	// MaxAbsDiff is the measured max abs difference between the maintained
-	// embeddings and the from-scratch recompute — reported even on success,
-	// so operators see how close to the tolerance the state is drifting.
-	MaxAbsDiff float64 `json:"max_abs_diff"`
-	// ElapsedMS is the recompute+compare time on the apply stage; LatencyMS
-	// the full request latency including the wait to quiesce the pipeline.
-	ElapsedMS float64 `json:"elapsed_ms"`
-	LatencyMS float64 `json:"latency_ms"`
-}
-
-// handleVerify recomputes the full inference and compares it against the
-// maintained state (Engine.VerifyDiff) — an operational self-check, and the
-// exhaustive sibling of the sampled drift auditor. It runs as an exclusive
-// operation on the apply stage (the pipeline is quiesced for the whole
-// recompute), so it never races an update; use the drift auditor for a
-// continuous check that does not stall serving. It is a POST because it is
-// expensive.
-func (s *Server) handleVerify(w http.ResponseWriter, _ *http.Request) {
-	var diff float32
-	var elapsed time.Duration
-	t0 := time.Now()
-	err := s.do(nil, nil, func() error {
-		v0 := time.Now()
-		var verr error
-		diff, verr = s.engine.VerifyDiff(2e-3)
-		elapsed = time.Since(v0)
-		return verr
-	})
-	lat := time.Since(t0)
-	if err == ErrServerClosed {
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	resp := VerifyResponse{
-		Status:     "verified",
-		MaxAbsDiff: float64(diff),
-		ElapsedMS:  float64(elapsed.Microseconds()) / 1000,
-		LatencyMS:  float64(lat.Microseconds()) / 1000,
-	}
-	if err != nil {
-		resp.Status = "failed"
-		resp.Error = fmt.Sprintf("verification failed: %v", err)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		_ = json.NewEncoder(w).Encode(resp)
-		return
-	}
-	writeJSON(w, resp)
-}
-
 // EdgeChangeJSON is one edge modification in the wire format.
 type EdgeChangeJSON struct {
 	U      int32 `json:"u"`
@@ -557,20 +490,38 @@ type UpdateRequest struct {
 }
 
 // UpdateResponse reports the applied batch. Epoch is a published snapshot
-// epoch that covers the batch: any read observing this epoch (or later)
-// sees the update.
+// epoch that covers the batch (the minimum across shards): any read
+// observing this epoch (or later) sees the update.
 type UpdateResponse struct {
 	Applied   int     `json:"applied"`
 	Epoch     uint64  `json:"epoch"`
 	LatencyMS float64 `json:"latency_ms"`
 }
 
-// mutationStatus maps a pipeline error to an HTTP status.
+// mutationStatus maps a pipeline error to an HTTP status: 503 when the
+// pipeline or the backend refuses writes, 422 for a rejected batch.
 func mutationStatus(err error) int {
-	if err == ErrServerClosed {
+	if errors.Is(err, ErrServerClosed) || errors.Is(err, ErrUnavailable) {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusUnprocessableEntity
+}
+
+// serveMutation runs one decoded mutation through the pipeline and writes
+// the ack.
+func (s *Server) serveMutation(w http.ResponseWriter, what string, delta graph.Delta, vups []inkstream.VertexUpdate) {
+	t0 := time.Now()
+	err := s.Apply(delta, vups)
+	lat := time.Since(t0)
+	if err != nil {
+		httpError(w, mutationStatus(err), "applying %s: %v", what, err)
+		return
+	}
+	writeJSON(w, UpdateResponse{
+		Applied:   len(delta) + len(vups),
+		Epoch:     s.backend.Shape().Epoch,
+		LatencyMS: float64(lat.Microseconds()) / 1000,
+	})
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
@@ -587,18 +538,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	for i, c := range req.Changes {
 		delta[i] = graph.EdgeChange{U: c.U, V: c.V, Insert: c.Insert}
 	}
-	t0 := time.Now()
-	err := s.Apply(delta, nil)
-	lat := time.Since(t0)
-	if err != nil {
-		httpError(w, mutationStatus(err), "applying batch: %v", err)
-		return
-	}
-	writeJSON(w, UpdateResponse{
-		Applied:   len(delta),
-		Epoch:     s.engine.Snapshot().Epoch,
-		LatencyMS: float64(lat.Microseconds()) / 1000,
-	})
+	s.serveMutation(w, "batch", delta, nil)
 }
 
 // FeatureUpdateJSON is one vertex-feature replacement in the wire format.
@@ -626,18 +566,7 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 	for i, u := range req.Updates {
 		ups[i] = inkstream.VertexUpdate{Node: u.Node, X: tensor.Vector(u.X)}
 	}
-	t0 := time.Now()
-	err := s.Apply(nil, ups)
-	lat := time.Since(t0)
-	if err != nil {
-		httpError(w, mutationStatus(err), "applying features: %v", err)
-		return
-	}
-	writeJSON(w, UpdateResponse{
-		Applied:   len(ups),
-		Epoch:     s.engine.Snapshot().Epoch,
-		LatencyMS: float64(lat.Microseconds()) / 1000,
-	})
+	s.serveMutation(w, "features", nil, ups)
 }
 
 // EmbeddingResponse is the body of GET /v1/embedding. Epoch is the
@@ -676,13 +605,17 @@ type LatencyQuantiles struct {
 	Max float64 `json:"max_ms"`
 }
 
-// StatsResponse is the body of GET /v1/stats.
+// StatsResponse is the body of GET /v1/stats, for either backend.
 type StatsResponse struct {
-	Nodes int `json:"nodes"`
-	Edges int `json:"edges"`
-	// Epoch is the published snapshot epoch the stats were read from;
-	// SnapshotLag the number of accepted batches it does not yet cover.
+	Nodes  int `json:"nodes"`
+	Edges  int `json:"edges"`
+	Shards int `json:"shards"`
+	// Epoch is the published snapshot epoch the stats were read from (the
+	// minimum across shards), EpochSkew the max minus min across shards, and
+	// SnapshotLag the number of accepted batches the snapshot does not yet
+	// cover.
 	Epoch         uint64 `json:"epoch"`
+	EpochSkew     uint64 `json:"epoch_skew"`
 	SnapshotLag   uint64 `json:"snapshot_lag"`
 	UpdatesServed int64  `json:"updates_served"`
 	ReadsServed   int64  `json:"reads_served"`
@@ -692,7 +625,7 @@ type StatsResponse struct {
 	Pending    int `json:"pending"`
 	MaxPending int `json:"max_pending"`
 	// Coalesce summarises server-side update coalescing: requests fused,
-	// engine flushes covering them, conflict stalls and replay fallbacks.
+	// backend applies covering them, conflict stalls and replay fallbacks.
 	Coalesce      CoalesceStats    `json:"coalesce"`
 	Conditions    map[string]int64 `json:"conditions"`
 	BytesFetched  int64            `json:"bytes_fetched"`
@@ -700,40 +633,104 @@ type StatsResponse struct {
 	UpdateLatency LatencyQuantiles `json:"update_latency"`
 	// PageCache describes the tiered row store; nil in resident mode.
 	PageCache *PageCacheSection `json:"page_cache,omitempty"`
+	// ShardingStats is the partitioned backend's section, inlined at the top
+	// level; nil on a single engine.
+	*ShardingStats
 }
 
-// handleStats reads everything from the published snapshot, atomics and
-// the observer — never from mutable engine state — so it stays lock-free
-// apart from the scheduler queue gauges.
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	snap := s.engine.Snapshot()
+// ShardingStats is what a partitioned backend (internal/shard) adds to
+// /v1/stats through Backend.FillStats.
+type ShardingStats struct {
+	// Rounds counts applied BSP rounds.
+	Rounds int64 `json:"rounds"`
+	// PartitionStrategy names the vertex-placement policy ("hash", "block"
+	// or "greedy"); FullBroadcast marks the legacy all-to-all exchange
+	// (subscription filtering off).
+	PartitionStrategy string `json:"partition_strategy"`
+	FullBroadcast     bool   `json:"full_broadcast,omitempty"`
+	// CutFraction is the bootstrap-time fraction of arcs crossing shards;
+	// BoundaryRecords/BoundaryBytes the cumulative record deliveries to
+	// remote shards those cut arcs induced. FilteredRecords counts the
+	// remote deliveries the subscription filter suppressed (0 under full
+	// broadcast), GhostRows the ghost message rows engines adopted from the
+	// delivered records.
+	CutFraction     float64 `json:"cut_fraction"`
+	BoundaryRecords int64   `json:"boundary_records"`
+	BoundaryBytes   int64   `json:"boundary_bytes"`
+	FilteredRecords int64   `json:"filtered_records"`
+	GhostRows       int64   `json:"ghost_rows"`
+	Corrupt         bool    `json:"corrupt,omitempty"`
+	// FailStop carries the forensics of the round that tripped the corrupt
+	// latch — round ID, error, time — present only after a fail-stop.
+	FailStop *obs.FailStopInfo `json:"fail_stop,omitempty"`
+	// RoundProfile summarises the round profiler's critical-path
+	// attribution (nil with profiling off or before the first round).
+	RoundProfile *RoundProfileStats `json:"round_profile,omitempty"`
+	PerShard     []ShardStats       `json:"per_shard"`
+}
+
+// ShardStats is one shard's slice of /v1/stats (GET /v1/stats?shard=N
+// returns just this).
+type ShardStats struct {
+	Shard int `json:"shard"`
+	// Epoch is the shard's published snapshot epoch; Rounds the update
+	// rounds it reflects. All shards publish every round, so epochs agree
+	// except transiently while a round's publishes race the reader.
+	Epoch  uint64 `json:"epoch"`
+	Rounds uint64 `json:"rounds"`
+	// OwnedNodes is the partition size; Arcs the shard graph's current arc
+	// count (every in-arc of every owned vertex).
+	OwnedNodes   int   `json:"owned_nodes"`
+	Arcs         int   `json:"arcs"`
+	Events       int64 `json:"events_processed"`
+	NodesVisited int64 `json:"nodes_visited"`
+}
+
+// RoundProfileStats is the cumulative critical-path attribution over every
+// profiled round: where BSP wall-time went (shard compute vs barrier wait),
+// how much of it the record broadcasts cost, and which shard sets the pace.
+type RoundProfileStats struct {
+	Rounds int64 `json:"rounds"`
+	// BarrierShare is the cumulative fraction of BSP time the mean shard
+	// spent stalled at barriers (1 − mean compute / BSP); BroadcastShare
+	// the router-side record merge time as a fraction of BSP.
+	BarrierShare   float64 `json:"barrier_share"`
+	BroadcastShare float64 `json:"broadcast_share"`
+	// BoundaryShare is the boundary-phase fraction of split-layer compute
+	// (boundary / (boundary + interior)) across profiled rounds — how early
+	// the filtered protocol publishes its records. 0 under full broadcast
+	// (layers are not split).
+	BoundaryShare float64 `json:"boundary_share"`
+	// MeanStragglerSkew is the mean over rounds of max/mean shard compute
+	// (1 = perfectly balanced); Straggler the shard that was slowest most
+	// often, with the per-shard round counts in StragglerRounds.
+	MeanStragglerSkew float64 `json:"mean_straggler_skew"`
+	Straggler         int     `json:"straggler"`
+	StragglerRounds   []int64 `json:"straggler_rounds"`
+}
+
+// Stats summarises the deployment. Everything is read from the published
+// state, atomics and the observer — never from mutable engine state — so it
+// stays lock-free apart from the scheduler queue gauges.
+func (s *Server) Stats() StatsResponse {
+	sh := s.backend.Shape()
 	resp := StatsResponse{
-		Nodes:         snap.Nodes,
-		Edges:         snap.Edges,
-		Epoch:         snap.Epoch,
+		Nodes:         sh.Nodes,
+		Edges:         sh.Edges,
+		Shards:        sh.Shards,
+		Epoch:         sh.Epoch,
+		EpochSkew:     sh.MaxEpoch - sh.Epoch,
 		UpdatesServed: s.updates.Load(),
 		ReadsServed:   s.reads.Load(),
 		Conditions:    map[string]int64{},
 	}
-	if p, a := s.processed.Load(), s.accepted.Load(); a > p {
-		resp.SnapshotLag = a - p
-	}
+	resp.SnapshotLag = s.lag()
 	resp.Coalesce = s.CoalesceStats()
-	for c := inkstream.CondPruned; c <= inkstream.CondSelfOnly; c++ {
-		if n := snap.Conditions.Counts[c]; n > 0 {
-			resp.Conditions[c.String()] = n
-		}
-	}
 	if s.batcher != nil {
 		s.mu.Lock()
 		resp.Pending = s.batcher.Pending()
 		resp.MaxPending = s.batcher.Stats().MaxPending
 		s.mu.Unlock()
-	}
-	if s.counters != nil {
-		cs := s.counters.Snapshot()
-		resp.BytesFetched = cs.BytesFetched
-		resp.Events = cs.EventsProcessed
 	}
 	resp.SlowUpdates = s.obs.SlowUpdates()
 	lat := s.obs.UpdateLatency.Snapshot()
@@ -744,15 +741,29 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		P99: float64(lat.P99()) * ms,
 		Max: float64(lat.Max) * ms,
 	}
-	if s.pageStats != nil {
-		sec := &PageCacheSection{PageCacheStats: s.pageStats(), Quant: s.pageQuant}
-		sec.HitRate = sec.PageCacheStats.HitRate()
-		if s.pageFaultLat != nil {
-			sec.FaultP99Ms = float64(s.pageFaultLat.Snapshot().P99()) * ms
-		}
-		resp.PageCache = sec
+	s.backend.FillStats(&resp)
+	return resp
+}
+
+// handleStats serves Stats; ?shard=N restricts the response to one shard's
+// slice of a partitioned deployment.
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	stats := s.Stats()
+	q := r.URL.Query().Get("shard")
+	if q == "" {
+		writeJSON(w, stats)
+		return
 	}
-	writeJSON(w, resp)
+	var per []ShardStats
+	if stats.ShardingStats != nil {
+		per = stats.PerShard
+	}
+	id, err := strconv.Atoi(q)
+	if err != nil || id < 0 || id >= len(per) {
+		httpError(w, http.StatusBadRequest, "bad shard %q (have %d)", q, len(per))
+		return
+	}
+	writeJSON(w, per[id])
 }
 
 // SetHealthSLO sets the ack-latency p99 objective the health check enforces:
@@ -762,9 +773,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // firing alerts degrade /healthz too. 0 disables both (the default).
 func (s *Server) SetHealthSLO(slo time.Duration) {
 	s.sloNS.Store(slo.Nanoseconds())
-	if s.alerts == nil {
-		return
-	}
 	if slo <= 0 {
 		s.alerts.SetRules()
 		return
@@ -779,15 +787,15 @@ func (s *Server) Alerts() *obs.AlertEngine { return s.alerts }
 type HealthzResponse struct {
 	// Status is "ok" or "degraded". The response is always HTTP 200 —
 	// degraded means "serving but out of spec" (drift audit failing, ack
-	// p99 over SLO), which is an alerting condition, not an unreachability
-	// one; Reasons lists what degraded it.
+	// p99 over SLO, writes fail-stopped), which is an alerting condition,
+	// not an unreachability one; Reasons lists what degraded it.
 	Status        string  `json:"status"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// Shards and EpochSkew are populated by the shard router, which serves
-	// this same schema for deployment-shape parity (1 for a single engine).
-	Shards        int     `json:"shards,omitempty"`
+	// Shards is 1 for a single engine; Epoch the minimum published epoch
+	// across shards and EpochSkew the max minus min.
+	Shards        int     `json:"shards"`
 	Epoch         uint64  `json:"epoch"`
-	EpochSkew     uint64  `json:"epoch_skew,omitempty"`
+	EpochSkew     uint64  `json:"epoch_skew"`
 	AckP99MS      float64 `json:"ack_p99_ms"`
 	SLOMS         float64 `json:"slo_ms,omitempty"`
 	DriftMaxAbs   float64 `json:"drift_max_abs"`
@@ -799,40 +807,31 @@ type HealthzResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	sh := s.backend.Shape()
 	resp := HealthzResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.started).Seconds(),
-		Epoch:         s.engine.Snapshot().Epoch,
-		DriftMaxAbs:   s.lastDrift(),
-		AuditFailures: s.audit.failures.Load(),
+		Shards:        sh.Shards,
+		Epoch:         sh.Epoch,
+		EpochSkew:     sh.MaxEpoch - sh.Epoch,
 	}
-	var reasons []string
-	if s.sampler != nil {
-		// Max over the last ~10 ticks so one quiet second cannot mask a
-		// breached SLO between scrapes.
-		if v, ok := s.sampler.MaxRecent("ack_p99_ms", 10); ok {
-			resp.AckP99MS = v
-		}
+	s.backend.FillHealth(&resp)
+	// Max over the last ~10 ticks so one quiet second cannot mask a breached
+	// SLO between scrapes.
+	if v, ok := s.sampler.MaxRecent("ack_p99_ms", 10); ok {
+		resp.AckP99MS = v
 	}
 	if slo := time.Duration(s.sloNS.Load()); slo > 0 {
 		resp.SLOMS = float64(slo) / 1e6
 		if resp.AckP99MS > resp.SLOMS {
-			reasons = append(reasons, fmt.Sprintf(
+			resp.Reasons = append(resp.Reasons, fmt.Sprintf(
 				"ack p99 %.3fms over SLO %.3fms", resp.AckP99MS, resp.SLOMS))
 		}
 	}
-	if s.audit.lastFailed.Load() {
-		reasons = append(reasons, fmt.Sprintf(
-			"drift audit failing: max abs drift %g over tolerance %g",
-			resp.DriftMaxAbs, s.audit.tol))
-	}
-	if s.alerts != nil {
-		resp.AlertsFiring = s.alerts.Firing()
-		reasons = append(reasons, s.alerts.FiringReasons()...)
-	}
-	if len(reasons) > 0 {
+	resp.AlertsFiring = s.alerts.Firing()
+	resp.Reasons = append(resp.Reasons, s.alerts.FiringReasons()...)
+	if len(resp.Reasons) > 0 {
 		resp.Status = "degraded"
-		resp.Reasons = reasons
 	}
 	writeJSON(w, resp)
 }

@@ -1,0 +1,567 @@
+package server_test
+
+import (
+	"archive/tar"
+	"compress/gzip"
+	"encoding/json"
+	"io"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/dataset"
+	"repro/internal/gnn"
+	"repro/internal/graph"
+	"repro/internal/inkstream"
+	"repro/internal/leakcheck"
+	"repro/internal/metrics"
+	"repro/internal/obs"
+	"repro/internal/server"
+	"repro/internal/shard"
+	"repro/internal/tensor"
+)
+
+// The shape table: everything the one write pipeline promises — request
+// tracing, the time-series window, SLO burn-rate alerts, the shared routes,
+// /debug/bundle, validation and shutdown — is checked once, over both things
+// the pipeline can drive: one engine (server.New) and a 2-shard router
+// (server.NewOn over internal/shard). What only one shape has lives next to
+// it: drift audit, verify and tiering in this package's engine tests, rounds
+// and fail-stop in internal/shard's.
+
+const (
+	shapeNodes   = 150
+	shapeFeatLen = 8
+)
+
+var shapes = []struct {
+	name   string
+	shards int
+}{{"engine", 1}, {"2-shard", 2}}
+
+func forEachShape(t *testing.T, f func(t *testing.T, shards int)) {
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) { f(t, sh.shards) })
+	}
+}
+
+// deploy builds one server of the given shape and returns it with the
+// caller's mirror of its graph.
+func deploy(t *testing.T, shards int) (*server.Server, *graph.Graph) {
+	t.Helper()
+	leakcheck.Check(t)
+	rng := rand.New(rand.NewSource(7))
+	g := dataset.GenerateRMAT(rng, shapeNodes, 600, dataset.DefaultRMAT)
+	feats := dataset.NewFeatures(rng, shapeNodes, shapeFeatLen)
+	model := gnn.NewGCN(rng, shapeFeatLen, 16, gnn.NewAggregator(gnn.AggMax))
+	var srv *server.Server
+	if shards > 1 {
+		rt, err := shard.New(model, g.Clone(), feats.X, shard.Config{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv = server.NewOn(rt)
+	} else {
+		c := new(metrics.Counters)
+		eng, err := inkstream.New(model, g.Clone(), feats.X, c, inkstream.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv = server.New(eng, c)
+	}
+	t.Cleanup(srv.Close)
+	return srv, g
+}
+
+// absent returns n distinct edges missing from g.
+func absent(t *testing.T, g *graph.Graph, n int) []graph.EdgeChange {
+	t.Helper()
+	var out []graph.EdgeChange
+	for u := 0; u < g.NumNodes() && len(out) < n; u++ {
+		for v := u + 1; v < g.NumNodes() && len(out) < n; v++ {
+			if !g.HasEdge(graph.NodeID(u), graph.NodeID(v)) && !g.HasEdge(graph.NodeID(v), graph.NodeID(u)) {
+				out = append(out, graph.EdgeChange{U: graph.NodeID(u), V: graph.NodeID(v), Insert: true})
+			}
+		}
+	}
+	if len(out) < n {
+		t.Fatalf("only %d absent edges", len(out))
+	}
+	return out
+}
+
+// insert applies each edge as its own request; all must succeed.
+func insert(t *testing.T, srv *server.Server, edges []graph.EdgeChange) {
+	t.Helper()
+	for _, e := range edges {
+		if err := srv.Apply(graph.Delta{e}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// get fetches url, optionally decodes a 200 body into out, and returns the
+// status and raw body.
+func get(t *testing.T, url string, out any) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != nil && resp.StatusCode == http.StatusOK {
+		if err := json.Unmarshal(body, out); err != nil {
+			t.Fatalf("GET %s: decoding %q: %v", url, body, err)
+		}
+	}
+	return resp.StatusCode, string(body)
+}
+
+// TestShapesRequestTraces: with 1-in-1 sampling every request lands in the
+// ring with ordered stage marks and the fused count, carrying the engine's
+// per-layer trace (engine) or the round ID (sharded); GET /v1/traces serves
+// them newest first with working filters, and the ack-latency histogram
+// carries a trace-ID exemplar. Failed requests are recorded even outside
+// the sample.
+func TestShapesRequestTraces(t *testing.T) {
+	forEachShape(t, func(t *testing.T, shards int) {
+		srv, g := deploy(t, shards)
+		srv.SetTraceSampling(64, 1)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		edges := absent(t, g, 6)
+		insert(t, srv, edges)
+
+		f := srv.FlightRecorder()
+		if f.Recorded() < int64(len(edges)) {
+			t.Fatalf("recorded %d traces, want >= %d", f.Recorded(), len(edges))
+		}
+		for _, tr := range f.Traces() {
+			if tr.Kind != "update" || tr.Edges != 1 || tr.Fused < 1 {
+				t.Errorf("trace %+v", tr)
+			}
+			// Cumulative marks must be monotone across reached stages and end
+			// at the ack (no journal configured, so the journal mark stays 0).
+			if tr.Marks[obs.StageJournal] != 0 {
+				t.Errorf("journal mark %v without a journal", tr.Marks[obs.StageJournal])
+			}
+			prev := time.Duration(0)
+			for st := obs.StageCoalesce; st < obs.StageCount; st++ {
+				m := tr.Marks[st]
+				if m == 0 {
+					t.Fatalf("stage %v unreached in %s", st, tr)
+				}
+				if m < prev {
+					t.Fatalf("marks not monotone in %s", tr)
+				}
+				prev = m
+			}
+			if tr.Marks[obs.StageAck] != tr.Total {
+				t.Fatalf("ack mark %v != total %v in %s", tr.Marks[obs.StageAck], tr.Total, tr)
+			}
+			if shards == 1 && tr.Engine == nil {
+				t.Errorf("sampled trace missing engine trace: %s", tr)
+			}
+			if shards > 1 && tr.Round == 0 {
+				t.Errorf("sampled trace names no round: %s", tr)
+			}
+		}
+
+		var body server.TracesResponse
+		get(t, ts.URL+"/v1/traces?n=3", &body)
+		if body.SampleEvery != 1 || body.Recorded < int64(len(edges)) || len(body.Traces) != 3 {
+			t.Fatalf("traces response: every=%d recorded=%d n=%d", body.SampleEvery, body.Recorded, len(body.Traces))
+		}
+		if body.Traces[0].ID < body.Traces[1].ID {
+			t.Error("traces not newest first")
+		}
+		var none server.TracesResponse
+		get(t, ts.URL+"/v1/traces?min_us=10000000", &none)
+		if len(none.Traces) != 0 {
+			t.Errorf("min_us filter kept %d traces", len(none.Traces))
+		}
+
+		_, text := get(t, ts.URL+"/metrics", nil)
+		samples, err := obs.ParseText(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, s := range samples.Family("inkstream_ack_latency_seconds_bucket") {
+			if s.Exemplar != nil && s.Exemplar.TraceID() != "" {
+				found = true
+			}
+		}
+		if !found {
+			t.Error("no trace-ID exemplar on inkstream_ack_latency_seconds")
+		}
+
+		srv.SetTraceSampling(16, 0) // sampling off: only slow/failed record
+		if err := srv.Apply(graph.Delta{{U: 0, V: 0, Insert: true}}, nil); err == nil {
+			t.Fatal("self-loop accepted")
+		}
+		traces := srv.FlightRecorder().Traces()
+		if len(traces) != 1 || traces[0].Err == "" {
+			t.Fatalf("failed request not recorded: %v", traces)
+		}
+	})
+}
+
+// TestShapesTimeseries: after updates and a manual tick, /v1/timeseries
+// serves the pipeline's series with a nonzero update rate.
+func TestShapesTimeseries(t *testing.T) {
+	forEachShape(t, func(t *testing.T, shards int) {
+		srv, g := deploy(t, shards)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+
+		srv.Sampler().Tick() // prime counters
+		insert(t, srv, absent(t, g, 4))
+		srv.Sampler().Tick()
+
+		var snap obs.TSSnapshot
+		get(t, ts.URL+"/v1/timeseries", &snap)
+		if snap.IntervalMS != 1000 || snap.Ticks < 2 {
+			t.Fatalf("snapshot meta: %+v", snap)
+		}
+		got := map[string][]float64{}
+		for _, s := range snap.Series {
+			got[s.Name] = s.Samples
+		}
+		names := []string{"upd_per_s", "reads_per_s", "events_per_s", "ack_p99_ms", "apply_p99_ms", "epoch", "lag_batches", "heap_mb"}
+		if shards == 1 {
+			names = append(names, "drift_max_abs")
+		}
+		for _, name := range names {
+			if _, ok := got[name]; !ok {
+				t.Errorf("series %q missing (have %v)", name, snap.Series)
+			}
+		}
+		// The ticks between priming and the read saw 4 updates; the
+		// background ticker may split them across samples, so assert on the
+		// window total.
+		var updSum, ackMax, applyMax float64
+		for _, v := range got["upd_per_s"] {
+			updSum += v
+		}
+		for _, v := range got["ack_p99_ms"] {
+			ackMax = max(ackMax, v)
+		}
+		for _, v := range got["apply_p99_ms"] {
+			applyMax = max(applyMax, v)
+		}
+		if updSum < 4 {
+			t.Errorf("upd_per_s %v sums to %v, want >= 4", got["upd_per_s"], updSum)
+		}
+		if ackMax <= 0 || applyMax <= 0 {
+			t.Errorf("ack_p99_ms %v / apply_p99_ms %v never nonzero", got["ack_p99_ms"], got["apply_p99_ms"])
+		}
+		if ep := got["epoch"]; ep[len(ep)-1] < 5 {
+			t.Errorf("epoch %v, want >= 5 after 4 updates", ep)
+		}
+	})
+}
+
+// TestShapesSLOAlerts drives the burn-rate alert lifecycle: SetHealthSLO
+// installs the fast/slow rule pair, a sub-microsecond SLO makes every tick's
+// windowed ack p99 a breach, the fast rule fires after its hold, /v1/alerts
+// serves the status, /healthz degrades naming the alert, and clearing the
+// SLO resolves everything.
+func TestShapesSLOAlerts(t *testing.T) {
+	forEachShape(t, func(t *testing.T, shards int) {
+		srv, g := deploy(t, shards)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+
+		var alerts obs.AlertsResponse
+		get(t, ts.URL+"/v1/alerts", &alerts)
+		if alerts.Firing != 0 {
+			t.Fatalf("alerts firing with no SLO set: %+v", alerts)
+		}
+		srv.SetHealthSLO(time.Nanosecond)
+		if got := len(srv.Alerts().Rules()); got != 2 {
+			t.Fatalf("SetHealthSLO installed %d rules, want 2", got)
+		}
+		for _, e := range absent(t, g, 4) {
+			insert(t, srv, []graph.EdgeChange{e})
+			srv.Sampler().Tick()
+		}
+		if got := srv.Alerts().Firing(); len(got) == 0 {
+			t.Fatal("no alert firing after sustained SLO breaches")
+		}
+		get(t, ts.URL+"/v1/alerts", &alerts)
+		if alerts.Firing == 0 || len(alerts.Alerts) != 2 {
+			t.Fatalf("alerts response %+v", alerts)
+		}
+		var h server.HealthzResponse
+		get(t, ts.URL+"/healthz", &h)
+		if h.Status != "degraded" || len(h.AlertsFiring) == 0 {
+			t.Fatalf("healthz under fire: %+v", h)
+		}
+
+		srv.SetHealthSLO(0)
+		if got := srv.Alerts().Firing(); len(got) != 0 {
+			t.Fatalf("alerts survive SLO removal: %v", got)
+		}
+		get(t, ts.URL+"/healthz", &h)
+		if h.Status != "ok" {
+			t.Fatalf("healthz after SLO removal: %+v", h)
+		}
+	})
+}
+
+// TestShapesEndpoints pins the one route table: /healthz and /v1/stats carry
+// the shape fields for either backend, the pipeline's metric families are
+// exported by both, unknown /v1/* paths get a typed JSON 404, and the
+// shape-specific routes answer on the shape that has them and say so on the
+// one that does not.
+func TestShapesEndpoints(t *testing.T) {
+	forEachShape(t, func(t *testing.T, shards int) {
+		srv, g := deploy(t, shards)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		insert(t, srv, absent(t, g, 3))
+
+		for _, path := range []string{"/healthz", "/v1/healthz"} {
+			var h server.HealthzResponse
+			if code, _ := get(t, ts.URL+path, &h); code != http.StatusOK || h.Status != "ok" {
+				t.Fatalf("%s: %d %+v", path, code, h)
+			}
+			if h.Shards != shards || h.Epoch == 0 || h.EpochSkew != 0 || h.UptimeSeconds < 0 {
+				t.Errorf("%s: %+v", path, h)
+			}
+		}
+		var st server.StatsResponse
+		get(t, ts.URL+"/v1/stats", &st)
+		if st.Shards != shards || st.Nodes != shapeNodes || st.Edges != g.NumEdges()+3 || st.UpdatesServed != 3 {
+			t.Errorf("stats: %+v", st)
+		}
+		if st.EpochSkew != 0 || st.Epoch == 0 || st.UpdateLatency.Max <= 0 || st.Events == 0 || len(st.Conditions) == 0 {
+			t.Errorf("stats: %+v", st)
+		}
+		if (st.ShardingStats != nil) != (shards > 1) {
+			t.Errorf("sharding section present=%v on %d shard(s)", st.ShardingStats != nil, shards)
+		}
+
+		_, text := get(t, ts.URL+"/metrics", nil)
+		for _, fam := range []string{
+			"inkstream_update_latency_seconds", "inkstream_ack_latency_seconds",
+			"inkstream_updates_total", "inkstream_coalesce_stalls_total",
+			"inkstream_router_shards", "inkstream_router_epoch_skew",
+			"inkstream_snapshot_epoch", "inkstream_events_processed_total",
+			"inkstream_node_visits_total", "inkstream_alerts_firing",
+			"inkstream_runtime_goroutines",
+		} {
+			if !strings.Contains(text, "\n"+fam) {
+				t.Errorf("/metrics missing %s", fam)
+			}
+		}
+
+		code, body := get(t, ts.URL+"/v1/nonsense", nil)
+		var errBody map[string]string
+		if err := json.Unmarshal([]byte(body), &errBody); code != http.StatusNotFound || err != nil || errBody["error"] == "" {
+			t.Fatalf("unknown /v1 path: %d %q", code, body)
+		}
+
+		roundsCode, _ := get(t, ts.URL+"/v1/rounds", nil)
+		shardCode, _ := get(t, ts.URL+"/v1/stats?shard=0", nil)
+		vresp, err := http.Post(ts.URL+"/v1/verify", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vresp.Body.Close()
+		want := [3]int{http.StatusNotFound, http.StatusBadRequest, http.StatusOK}
+		if shards > 1 {
+			want = [3]int{http.StatusOK, http.StatusOK, http.StatusNotFound}
+		}
+		if got := [3]int{roundsCode, shardCode, vresp.StatusCode}; got != want {
+			t.Errorf("/v1/rounds, /v1/stats?shard=0, /v1/verify: %v, want %v", got, want)
+		}
+	})
+}
+
+// TestShapesBundleEndpoint: /debug/bundle is 501 until EnableBlackBox, then
+// serves a well-formed tar.gz without writing to the dump directory; a
+// sharded deployment's bundle also carries its round profiles.
+func TestShapesBundleEndpoint(t *testing.T) {
+	forEachShape(t, func(t *testing.T, shards int) {
+		srv, g := deploy(t, shards)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		insert(t, srv, absent(t, g, 1))
+
+		if code, _ := get(t, ts.URL+"/debug/bundle", nil); code != http.StatusNotImplemented {
+			t.Fatalf("disabled bundle status %d, want 501", code)
+		}
+		srv.EnableBlackBox(obs.BlackBoxConfig{Dir: t.TempDir(), Debounce: -1})
+		resp, err := http.Get(ts.URL + "/debug/bundle")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("bundle status %d", resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/gzip" {
+			t.Errorf("content type %q", ct)
+		}
+		gz, err := gzip.NewReader(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		tr := tar.NewReader(gz)
+		for {
+			hdr, err := tr.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			names = append(names, hdr.Name)
+		}
+		joined := strings.Join(names, " ")
+		want := []string{"MANIFEST.json", "runtime.json", "timeseries.json", "traces.json", "config.json"}
+		if shards > 1 {
+			want = append(want, "rounds.json")
+		}
+		for _, name := range want {
+			if !strings.Contains(joined, name) {
+				t.Errorf("tar missing %s: %v", name, names)
+			}
+		}
+	})
+}
+
+// TestShapesValidation pins all-or-nothing application: invalid batches are
+// rejected whole with no state change, the deployment stays healthy, and a
+// valid batch still lands afterwards. On the sharded shape this is the
+// router-side validation that makes shard applies infallible.
+func TestShapesValidation(t *testing.T) {
+	forEachShape(t, func(t *testing.T, shards int) {
+		srv, g := deploy(t, shards)
+		missing := absent(t, g, 1)[0]
+		var present graph.EdgeChange
+		for u := 0; u < g.NumNodes() && !present.Insert; u++ {
+			if out := g.OutNeighbors(graph.NodeID(u)); len(out) > 0 {
+				present = graph.EdgeChange{U: graph.NodeID(u), V: out[0], Insert: true}
+			}
+		}
+		cases := []struct {
+			name  string
+			delta graph.Delta
+			vups  []inkstream.VertexUpdate
+		}{
+			{"insert-existing", graph.Delta{present}, nil},
+			{"delete-missing", graph.Delta{{U: missing.U, V: missing.V, Insert: false}}, nil},
+			{"vup-out-of-range", nil, []inkstream.VertexUpdate{{Node: shapeNodes + 5, X: make(tensor.Vector, shapeFeatLen)}}},
+			{"vup-bad-dim", nil, []inkstream.VertexUpdate{{Node: 1, X: make(tensor.Vector, shapeFeatLen+1)}}},
+			{"vup-duplicate", nil, []inkstream.VertexUpdate{
+				{Node: 2, X: make(tensor.Vector, shapeFeatLen)},
+				{Node: 2, X: make(tensor.Vector, shapeFeatLen)},
+			}},
+			// The second half of an otherwise valid batch is bad: the first
+			// half must not land.
+			{"half-valid", graph.Delta{missing, present}, nil},
+		}
+		for _, tc := range cases {
+			if err := srv.Apply(tc.delta, tc.vups); err == nil {
+				t.Errorf("%s: accepted", tc.name)
+			}
+		}
+		st := srv.Stats()
+		if st.UpdatesServed != 0 {
+			t.Fatalf("rejected batches counted as %d served updates", st.UpdatesServed)
+		}
+		if st.Edges != g.NumEdges() {
+			t.Fatalf("edge count drifted to %d, want %d", st.Edges, g.NumEdges())
+		}
+		if shards > 1 {
+			if st.Rounds != 0 {
+				t.Fatalf("rejected batches produced %d rounds", st.Rounds)
+			}
+			if st.Corrupt {
+				t.Fatal("rejections marked the deployment corrupt")
+			}
+		}
+
+		// A valid batch still lands after the rejections.
+		if err := srv.Apply(graph.Delta{missing}, nil); err != nil {
+			t.Fatalf("valid batch after rejections: %v", err)
+		}
+		if got := srv.Stats().Edges; got != g.NumEdges()+1 {
+			t.Fatalf("edge count %d after insert, want %d", got, g.NumEdges()+1)
+		}
+	})
+}
+
+// TestShapesClose pins shutdown: every request the pipeline accepted gets
+// exactly one outcome even when Close races the submits (nil, or
+// ErrServerClosed for the ones Close overtook — never a channel that stays
+// silent), Apply after Close fails with ErrServerClosed, and reads keep
+// serving.
+func TestShapesClose(t *testing.T) {
+	forEachShape(t, func(t *testing.T, shards int) {
+		srv, g := deploy(t, shards)
+		edges := absent(t, g, 64)
+
+		acks := make(chan (<-chan error), 4*len(edges))
+		submitted := make(chan struct{})
+		go func() {
+			defer close(acks)
+			for i := 0; i < 4; i++ {
+				for _, e := range edges {
+					e.Insert = i%2 == 0
+					done, err := srv.ApplyAsync(graph.Delta{e}, nil)
+					if err != nil {
+						if err != server.ErrServerClosed {
+							t.Errorf("refused submit: %v", err)
+						}
+						return
+					}
+					acks <- done
+					if i == 0 && e == edges[8] {
+						close(submitted)
+					}
+				}
+			}
+		}()
+		<-submitted
+		srv.Close()
+		var applied, overtaken int
+		for done := range acks {
+			select {
+			case err := <-done:
+				switch err {
+				case nil:
+					applied++
+				case server.ErrServerClosed:
+					overtaken++
+				default:
+					t.Errorf("outcome %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("an accepted request never got an outcome (%d applied, %d overtaken so far)", applied, overtaken)
+			}
+		}
+		t.Logf("%d applied, %d overtaken by Close", applied, overtaken)
+
+		if err := srv.Apply(graph.Delta{edges[0]}, nil); err != server.ErrServerClosed {
+			t.Fatalf("apply after close: %v, want ErrServerClosed", err)
+		}
+		if _, err := srv.ApplyAsync(graph.Delta{edges[0]}, nil); err != server.ErrServerClosed {
+			t.Fatalf("async apply after close: %v, want ErrServerClosed", err)
+		}
+		if _, _, ok := srv.ReadEmbedding(0); !ok {
+			t.Fatal("reads stopped serving after close")
+		}
+	})
+}

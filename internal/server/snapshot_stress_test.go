@@ -70,7 +70,7 @@ func TestSnapshotEpochConsistencyRace(t *testing.T) {
 	// update stream below is the only mutator, so it sees every epoch: one
 	// publish per applied batch, observed right after Apply returns
 	// (publish-before-ack) and before the next batch is submitted.
-	truth := map[uint64]*inkstream.Snapshot{1: s.Snapshot()}
+	truth := map[uint64]*inkstream.Snapshot{1: eng.Snapshot()}
 	if truth[1].Epoch != 1 {
 		t.Fatalf("initial epoch %d", truth[1].Epoch)
 	}
@@ -126,7 +126,7 @@ func TestSnapshotEpochConsistencyRace(t *testing.T) {
 		if err := s.Apply(delta, nil); err != nil {
 			t.Fatal(err)
 		}
-		snap := s.Snapshot()
+		snap := eng.Snapshot()
 		truth[snap.Epoch] = snap
 	}
 	close(stop)

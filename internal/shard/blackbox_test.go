@@ -16,19 +16,14 @@ import (
 	"repro/internal/tensor"
 )
 
-func newBlackBoxRouter(t *testing.T) *Router {
+func newBlackBoxRouter(t *testing.T) *deployment {
 	t.Helper()
 	leakcheck.Check(t)
 	rng := rand.New(rand.NewSource(41))
 	const n, featLen = 40, 6
 	g := testGraph(rng, n, 100)
 	x := tensor.RandMatrix(rng, n, featLen, 1)
-	rt, err := New(testModel(rng, "SAGE", featLen, gnn.AggMax), g, x, Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rt.Close() })
-	return rt
+	return newDeployment(t, testModel(rng, "SAGE", featLen, gnn.AggMax), g, x, Config{Shards: 2})
 }
 
 // TestFailStopForensics: tripping the fail-stop latch records which round
@@ -42,19 +37,19 @@ func TestFailStopForensics(t *testing.T) {
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
 
-	if rt.FailStop() != nil {
+	if rt.rt.FailStop() != nil {
 		t.Fatal("healthy router reports a fail-stop record")
 	}
 	// Deterministic ticks so the bundle's timeseries carries samples.
 	rt.Sampler().Tick()
 	rt.Sampler().Tick()
-	rt.failStopNow(7, errors.New("shard 1: apply exploded"))
-	rt.failStopNow(9, errors.New("cascading second failure"))
+	rt.rt.failStopNow(7, errors.New("shard 1: apply exploded"))
+	rt.rt.failStopNow(9, errors.New("cascading second failure"))
 
-	if !rt.Corrupt() {
+	if !rt.rt.Corrupt() {
 		t.Fatal("corrupt latch not set")
 	}
-	fs := rt.FailStop()
+	fs := rt.rt.FailStop()
 	if fs == nil || fs.Round != 7 || !strings.Contains(fs.Err, "exploded") {
 		t.Fatalf("fail-stop record %+v, want first failure (round 7)", fs)
 	}
@@ -107,32 +102,5 @@ func TestFailStopForensics(t *testing.T) {
 	}
 	if !strings.Contains(string(d.Config), `"sharded"`) {
 		t.Errorf("bundle config: %s", d.Config)
-	}
-}
-
-// TestRouterBundleEndpoint: the router serves /debug/bundle like the
-// single-engine server — 501 until armed, then a tar.gz.
-func TestRouterBundleEndpoint(t *testing.T) {
-	rt := newBlackBoxRouter(t)
-	ts := httptest.NewServer(rt.Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/debug/bundle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("disabled bundle status %d, want 501", resp.StatusCode)
-	}
-
-	rt.EnableBlackBox(obs.BlackBoxConfig{Dir: t.TempDir(), Debounce: -1})
-	resp2, err := http.Get(ts.URL + "/debug/bundle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("Content-Type") != "application/gzip" {
-		t.Fatalf("bundle: status %d type %q", resp2.StatusCode, resp2.Header.Get("Content-Type"))
 	}
 }

@@ -1,72 +1,24 @@
 package shard
 
 import (
+	"io"
 	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/server"
 )
 
-// Sharded flight recorder (DESIGN.md §12): the PR-5 observability stack at
-// round granularity. Requests get trace IDs and cumulative stage marks
-// (journal → apply → ack; the router pipeline has no separate coalesce or
-// publish handoff — fusing happens before the journal and every shard
-// publishes inside the apply stage), each sealed round gets a RoundTrace
-// with per-stage per-shard compute/barrier/ghost spans, and the sampler +
-// alert engine give the router the same /v1/timeseries, /v1/alerts and
-// SLO-aware /healthz surface as the single-engine server.
-
-// finish is the single acknowledgement point of the round pipeline: it
-// bumps the processed/updates counters, observes ack latency, records the
-// request's flight trace when it qualifies (sampled, slow or failed), and
-// only then delivers the outcome. Every done-channel send goes through
-// here. fused is the number of requests in the request's round (0 when it
-// never joined one).
-func (rt *Router) finish(req *request, err error, fused int) {
-	rt.processed.Add(1)
-	total := time.Since(req.start)
-	if err == nil {
-		rt.updates.Add(1)
-		rt.ackLat.Observe(total.Nanoseconds())
-	}
-	if f := rt.flight; f != nil && req.id != 0 {
-		req.marks[obs.StageAck] = total
-		slow := f.IsSlow(total)
-		if req.sampled || slow || err != nil {
-			if err == nil {
-				rt.ackLat.Exemplar(total.Nanoseconds(), req.id)
-			}
-			t := &obs.ReqTrace{
-				ID:      req.id,
-				Kind:    req.kind,
-				Start:   req.start,
-				Edges:   req.logical,
-				VUps:    len(req.vups),
-				Fused:   fused,
-				Marks:   req.marks,
-				Total:   total,
-				Sampled: req.sampled,
-				Slow:    slow,
-				Round:   req.round,
-			}
-			if err != nil {
-				t.Err = err.Error()
-			}
-			t.GCPause = rt.runtime.GCPauseOverlap(req.start, req.start.Add(total))
-			f.Record(t)
-		}
-	}
-	req.done <- err
-}
+// Round profiler (DESIGN.md §12): each round leaves a RoundTrace with
+// per-stage per-shard compute/barrier/ghost spans, served at GET /v1/rounds.
+// Request traces, the sampler and the alert engine are the server's; a
+// request trace carries the ID of the round that applied it.
 
 // recordRound freezes one successful profiled round: total latency,
 // histogram + round-ID exemplar, cumulative critical-path attribution, and
 // the ring slot. Runs on the apply goroutine only.
 func (rt *Router) recordRound(p *obs.RoundTrace) {
-	p.Total = time.Since(p.Start)
 	rt.roundDur.Observe(p.Total.Nanoseconds())
 	rt.roundDur.Exemplar(p.Total.Nanoseconds(), p.ID)
 
@@ -132,84 +84,8 @@ func (rt *Router) SetRoundProfiling(ring int) {
 	}
 }
 
-// SetTraceSampling reconfigures request tracing before serving: ring is the
-// number of retained traces, every the sampling divisor (0 records only
-// slow/failed requests). ring 0 disables request tracing entirely.
-func (rt *Router) SetTraceSampling(ring, every int) {
-	if ring <= 0 {
-		rt.flight = nil
-		return
-	}
-	f := obs.NewFlightRecorder(ring, every)
-	if rt.flight != nil {
-		f.SetSlowThreshold(rt.flight.SlowThreshold())
-	}
-	rt.flight = f
-}
-
-// SetSlowTraceThreshold marks requests at or above d as slow (always
-// recorded). Safe at any time; no-op when tracing is disabled.
-func (rt *Router) SetSlowTraceThreshold(d time.Duration) {
-	if rt.flight != nil {
-		rt.flight.SetSlowThreshold(d)
-	}
-}
-
-// SetHealthSLO sets the ack-latency p99 objective /healthz enforces and
-// installs the standard fast/slow burn-rate alert pair over the windowed
-// ack p99 series. 0 disables both.
-func (rt *Router) SetHealthSLO(slo time.Duration) {
-	rt.sloNS.Store(slo.Nanoseconds())
-	if rt.alerts == nil {
-		return
-	}
-	if slo <= 0 {
-		rt.alerts.SetRules()
-		return
-	}
-	rt.alerts.SetRules(obs.DefaultBurnRateRules("ack_p99_ms", float64(slo)/1e6)...)
-}
-
-// FlightRecorder exposes the request-trace recorder (nil when disabled).
-func (rt *Router) FlightRecorder() *obs.FlightRecorder { return rt.flight }
-
 // RoundProfiler exposes the round-trace recorder (nil when disabled).
 func (rt *Router) RoundProfiler() *obs.RoundRecorder { return rt.profiler }
-
-// Sampler exposes the in-process time-series sampler; tests drive its Tick
-// deterministically instead of waiting out the 1s cadence.
-func (rt *Router) Sampler() *obs.Sampler { return rt.sampler }
-
-// Alerts exposes the burn-rate alert engine.
-func (rt *Router) Alerts() *obs.AlertEngine { return rt.alerts }
-
-// Runtime exposes the Go runtime telemetry collector.
-func (rt *Router) Runtime() *obs.Runtime { return rt.runtime }
-
-// buildTimeseries registers the router's serving series. Every source reads
-// atomics or published snapshots, so a tick never blocks the pipeline.
-func (rt *Router) buildTimeseries() {
-	ts := rt.sampler
-	ts.Counter("upd_per_s", func() float64 { return float64(rt.updates.Load()) })
-	ts.Counter("reads_per_s", func() float64 { return float64(rt.reads.Load()) })
-	ts.Counter("rounds_per_s", func() float64 { return float64(rt.rounds.Load()) })
-	ts.HistQuantile("ack_p99_ms", rt.ackLat, 0.99, 1e-6)
-	ts.HistQuantile("round_p99_ms", rt.roundDur, 0.99, 1e-6)
-	ts.Gauge("epoch", func() float64 { lo, _ := rt.epochs(); return float64(lo) })
-	ts.Gauge("epoch_skew", func() float64 { lo, hi := rt.epochs(); return float64(hi - lo) })
-	ts.Gauge("lag_batches", func() float64 {
-		p := rt.processed.Load()
-		a := rt.accepted.Load()
-		if a < p {
-			return 0
-		}
-		return float64(a - p)
-	})
-	ts.Gauge("barrier_share", rt.lastShare)
-	// Runtime series (heap_mb, goroutines, gc_cpu_pct, gc_pause_ms,
-	// sched_p99_ms); the first one runs the tick's runtime/metrics read.
-	rt.runtime.Install(ts)
-}
 
 // RoundsResponse is the body of GET /v1/rounds.
 type RoundsResponse struct {
@@ -221,99 +97,19 @@ type RoundsResponse struct {
 	Rounds []*obs.RoundTrace `json:"rounds"`
 }
 
-// handleRounds serves the round-profiler ring, newest first. Query
-// parameters: n caps the number of rounds returned; min_us drops rounds
-// faster than the given total latency in microseconds.
+// handleRounds serves the round-profiler ring, newest first, with the n and
+// min_us filters of /v1/traces; 501 with profiling off.
 func (rt *Router) handleRounds(w http.ResponseWriter, r *http.Request) {
 	p := rt.profiler
 	if p == nil {
-		httpError(w, http.StatusNotImplemented, "round profiling disabled")
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusNotImplemented)
+		_, _ = io.WriteString(w, `{"error":"round profiling disabled"}`+"\n") // the connection is the client's problem
 		return
 	}
-	rounds := p.Traces()
-	if v := r.URL.Query().Get("min_us"); v != "" {
-		minUS, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad min_us %q", v)
-			return
-		}
-		kept := rounds[:0]
-		for _, t := range rounds {
-			if float64(t.Total.Nanoseconds())/1e3 >= minUS {
-				kept = append(kept, t)
-			}
-		}
-		rounds = kept
-	}
-	if v := r.URL.Query().Get("n"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, "bad n %q", v)
-			return
-		}
-		if n < len(rounds) {
-			rounds = rounds[:n]
-		}
-	}
-	if rounds == nil {
-		rounds = []*obs.RoundTrace{}
-	}
-	writeJSON(w, RoundsResponse{
-		Recorded: p.Recorded(),
-		Shards:   len(rt.shards),
-		Rounds:   rounds,
-	})
-}
-
-// handleTraces serves the request flight-recorder ring, newest first, with
-// the single-engine server's n/min_us filters and response schema.
-func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
-	f := rt.flight
-	if f == nil {
-		httpError(w, http.StatusNotImplemented, "request tracing disabled")
-		return
-	}
-	traces := f.Traces()
-	if v := r.URL.Query().Get("min_us"); v != "" {
-		minUS, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad min_us %q", v)
-			return
-		}
-		kept := traces[:0]
-		for _, t := range traces {
-			if float64(t.Total.Nanoseconds())/1e3 >= minUS {
-				kept = append(kept, t)
-			}
-		}
-		traces = kept
-	}
-	if v := r.URL.Query().Get("n"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, "bad n %q", v)
-			return
-		}
-		if n < len(traces) {
-			traces = traces[:n]
-		}
-	}
-	if traces == nil {
-		traces = []*obs.ReqTrace{}
-	}
-	writeJSON(w, server.TracesResponse{
-		SampleEvery:     f.SampleEvery(),
-		SlowThresholdMS: float64(f.SlowThreshold()) / 1e6,
-		Recorded:        f.Recorded(),
-		Traces:          traces,
-	})
-}
-
-// handleTimeseries serves the router's in-process time-series window.
-func (rt *Router) handleTimeseries(w http.ResponseWriter, _ *http.Request) {
-	if rt.sampler == nil {
-		httpError(w, http.StatusNotImplemented, "time-series sampling disabled")
-		return
-	}
-	writeJSON(w, rt.sampler.Snapshot())
+	server.ServeRing(w, r, p.Traces(),
+		func(t *obs.RoundTrace) time.Duration { return t.Total },
+		func(rounds []*obs.RoundTrace) any {
+			return RoundsResponse{Recorded: p.Recorded(), Shards: len(rt.shards), Rounds: rounds}
+		})
 }

@@ -10,8 +10,28 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/inkstream"
+	"repro/internal/server"
 	"repro/internal/tensor"
 )
+
+// deployment is a router behind the server's write pipeline — what
+// inkserve -shards builds: Apply, ReadEmbedding, Stats and the HTTP surface
+// are the server's, the round machinery is rt's.
+type deployment struct {
+	*server.Server
+	rt *Router
+}
+
+func newDeployment(t testing.TB, model *gnn.Model, g *graph.Graph, x *tensor.Matrix, cfg Config) *deployment {
+	t.Helper()
+	rt, err := New(model, g, x, cfg)
+	if err != nil {
+		t.Fatalf("%+v deployment: %v", cfg, err)
+	}
+	d := &deployment{server.NewOn(rt), rt}
+	t.Cleanup(d.Close)
+	return d
+}
 
 func testGraph(rng *rand.Rand, n, edges int) *graph.Graph {
 	g := graph.NewUndirected(n)
@@ -54,34 +74,20 @@ func TestCrossShardBitExact(t *testing.T) {
 				x := tensor.RandMatrix(rng, n, featLen, 1)
 				model := testModel(rng, name, featLen, kind)
 
-				r1, err := New(model, g.Clone(), x.Clone(), Config{Shards: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer r1.Close()
+				r1 := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 1})
 				// One deployment per partition strategy on the filtered
 				// protocol, plus the hash strategy on the legacy
 				// full-broadcast path — all must match the 1-shard
 				// reference bitwise at every epoch.
-				type deployment struct {
+				type named struct {
 					name string
-					rt   *Router
+					rt   *deployment
 				}
-				var deps []deployment
+				var deps []named
 				for _, strat := range graph.PartitionStrategies {
-					rt, err := New(model, g.Clone(), x.Clone(), Config{Shards: 4, PartitionStrategy: strat})
-					if err != nil {
-						t.Fatalf("%s deployment: %v", strat, err)
-					}
-					defer rt.Close()
-					deps = append(deps, deployment{strat, rt})
+					deps = append(deps, named{strat, newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 4, PartitionStrategy: strat})})
 				}
-				rb, err := New(model, g.Clone(), x.Clone(), Config{Shards: 4, FullBroadcast: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer rb.Close()
-				deps = append(deps, deployment{"hash/full-broadcast", rb})
+				deps = append(deps, named{"hash/full-broadcast", newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 4, FullBroadcast: true})})
 				r4 := deps[0].rt
 				for _, d := range deps {
 					if d.rt.Stats().CutFraction == 0 {
@@ -187,11 +193,7 @@ func TestRouterConcurrentWriters(t *testing.T) {
 	x := tensor.RandMatrix(rng, n, featLen, 1)
 	model := testModel(rng, "SAGE", featLen, gnn.AggMax)
 
-	rt, err := New(model, g.Clone(), x.Clone(), Config{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 4})
 
 	// A pool of canonical edges, some initially present, some absent.
 	type pooled struct {
@@ -323,177 +325,7 @@ func TestRouterConcurrentWriters(t *testing.T) {
 			t.Fatalf("node %d: post-stress state disagrees with reference inference", v)
 		}
 	}
-	if rt.Corrupt() {
+	if rt.rt.Corrupt() {
 		t.Fatal("deployment marked corrupt after clean stress")
-	}
-}
-
-// TestRouterWALRecovery round-trips a deployment through its per-shard
-// WALs: apply a stream, close, reopen over the same bootstrap inputs, and
-// demand identical epochs and embeddings, then verify the reopened router
-// still accepts updates.
-func TestRouterWALRecovery(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	const n, featLen = 40, 5
-	g := testGraph(rng, n, 90)
-	x := tensor.RandMatrix(rng, n, featLen, 1)
-	model := testModel(rng, "SAGE", featLen, gnn.AggMean)
-	dir := t.TempDir()
-	cfg := Config{Shards: 3, WALDir: dir}
-
-	rt, err := New(model, g.Clone(), x.Clone(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mirror := g.Clone()
-	const steps = 5
-	for step := 0; step < steps; step++ {
-		delta := graph.RandomDelta(rng, mirror, 3)
-		vups := []inkstream.VertexUpdate{{
-			Node: graph.NodeID(rng.Intn(n)),
-			X:    tensor.RandVector(rng, featLen, 1),
-		}}
-		if err := rt.Apply(delta, vups); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if err := delta.Apply(mirror); err != nil {
-			t.Fatal(err)
-		}
-	}
-	type snap struct {
-		row   tensor.Vector
-		epoch uint64
-	}
-	before := make([]snap, n)
-	for v := 0; v < n; v++ {
-		row, epoch, _ := rt.ReadEmbedding(v)
-		before[v] = snap{row: row.Clone(), epoch: epoch}
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rt2, err := New(model, g.Clone(), x.Clone(), cfg)
-	if err != nil {
-		t.Fatalf("reopening: %v", err)
-	}
-	defer rt2.Close()
-	st := rt2.Stats()
-	if st.RecoveredRounds != steps {
-		t.Fatalf("recovered %d rounds, want %d", st.RecoveredRounds, steps)
-	}
-	for v := 0; v < n; v++ {
-		row, epoch, _ := rt2.ReadEmbedding(v)
-		if epoch != before[v].epoch {
-			t.Fatalf("node %d: epoch %d after recovery, want %d", v, epoch, before[v].epoch)
-		}
-		if !row.Equal(before[v].row) {
-			t.Fatalf("node %d: embedding changed across recovery", v)
-		}
-	}
-	if st.Edges != mirror.NumEdges() {
-		t.Fatalf("recovered %d edges, mirror has %d", st.Edges, mirror.NumEdges())
-	}
-
-	delta := graph.RandomDelta(rng, mirror, 2)
-	if err := rt2.Apply(delta, nil); err != nil {
-		t.Fatalf("post-recovery apply: %v", err)
-	}
-	if _, epoch, _ := rt2.ReadEmbedding(0); epoch != before[0].epoch+1 {
-		t.Fatalf("post-recovery epoch %d, want %d", epoch, before[0].epoch+1)
-	}
-}
-
-// TestRouterValidation pins the router-side validation that makes shard
-// applies infallible: invalid batches are rejected whole with no state
-// change, and the deployment stays healthy.
-func TestRouterValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const n, featLen = 30, 4
-	g := testGraph(rng, n, 60)
-	x := tensor.RandMatrix(rng, n, featLen, 1)
-	model := testModel(rng, "SAGE", featLen, gnn.AggMax)
-
-	rt, err := New(model, g.Clone(), x.Clone(), Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-
-	var present, absent graph.EdgeChange
-	found := 0
-	for u := 0; u < n && found < 2; u++ {
-		for v := u + 1; v < n && found < 2; v++ {
-			if g.HasEdge(graph.NodeID(u), graph.NodeID(v)) {
-				if present == (graph.EdgeChange{}) {
-					present = graph.EdgeChange{U: graph.NodeID(u), V: graph.NodeID(v)}
-					found++
-				}
-			} else if absent == (graph.EdgeChange{}) {
-				absent = graph.EdgeChange{U: graph.NodeID(u), V: graph.NodeID(v)}
-				found++
-			}
-		}
-	}
-
-	cases := []struct {
-		name  string
-		delta graph.Delta
-		vups  []inkstream.VertexUpdate
-	}{
-		{"insert-existing", graph.Delta{{U: present.U, V: present.V, Insert: true}}, nil},
-		{"delete-missing", graph.Delta{{U: absent.U, V: absent.V, Insert: false}}, nil},
-		{"vup-out-of-range", nil, []inkstream.VertexUpdate{{Node: n + 5, X: make(tensor.Vector, featLen)}}},
-		{"vup-bad-dim", nil, []inkstream.VertexUpdate{{Node: 1, X: make(tensor.Vector, featLen+1)}}},
-		{"vup-duplicate", nil, []inkstream.VertexUpdate{
-			{Node: 2, X: make(tensor.Vector, featLen)},
-			{Node: 2, X: make(tensor.Vector, featLen)},
-		}},
-	}
-	for _, tc := range cases {
-		if err := rt.Apply(tc.delta, tc.vups); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-	st := rt.Stats()
-	if st.Rounds != 0 {
-		t.Fatalf("rejected batches produced %d rounds", st.Rounds)
-	}
-	if st.Corrupt {
-		t.Fatal("rejections marked the deployment corrupt")
-	}
-	if st.Edges != g.NumEdges() {
-		t.Fatalf("edge count drifted to %d, want %d", st.Edges, g.NumEdges())
-	}
-
-	// A valid batch still lands after the rejections.
-	if err := rt.Apply(graph.Delta{{U: absent.U, V: absent.V, Insert: true}}, nil); err != nil {
-		t.Fatalf("valid batch after rejections: %v", err)
-	}
-	if got := rt.Stats().Edges; got != g.NumEdges()+1 {
-		t.Fatalf("edge count %d after insert, want %d", got, g.NumEdges()+1)
-	}
-}
-
-// TestRouterClose pins shutdown semantics: Apply after Close fails with
-// ErrRouterClosed and reads keep serving.
-func TestRouterClose(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	const n, featLen = 20, 4
-	g := testGraph(rng, n, 40)
-	x := tensor.RandMatrix(rng, n, featLen, 1)
-	model := testModel(rng, "SAGE", featLen, gnn.AggMax)
-	rt, err := New(model, g.Clone(), x.Clone(), Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Apply(graph.Delta{{U: 0, V: 1, Insert: !g.HasEdge(0, 1)}}, nil); err != ErrRouterClosed {
-		t.Fatalf("apply after close: %v, want ErrRouterClosed", err)
-	}
-	if _, _, ok := rt.ReadEmbedding(0); !ok {
-		t.Fatal("reads stopped serving after close")
 	}
 }

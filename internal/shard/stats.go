@@ -9,106 +9,13 @@ import (
 	"repro/internal/server"
 )
 
-// ShardStats is one shard's slice of /v1/stats.
-type ShardStats struct {
-	Shard int `json:"shard"`
-	// Epoch is the shard's published snapshot epoch; Rounds the update
-	// rounds it reflects. All shards publish every round, so epochs agree
-	// except transiently while a round's publishes race the reader.
-	Epoch  uint64 `json:"epoch"`
-	Rounds uint64 `json:"rounds"`
-	// OwnedNodes is the partition size; Arcs the shard graph's current arc
-	// count (every in-arc of every owned vertex).
-	OwnedNodes   int   `json:"owned_nodes"`
-	Arcs         int   `json:"arcs"`
-	Events       int64 `json:"events_processed"`
-	NodesVisited int64 `json:"nodes_visited"`
-}
-
-// StatsResponse is the body of the router's GET /v1/stats.
-type StatsResponse struct {
-	Shards int `json:"shards"`
-	Nodes  int `json:"nodes"`
-	Edges  int `json:"edges"`
-	// Epoch is the minimum published epoch across shards (the epoch every
-	// read is guaranteed to be at least as fresh as); EpochSkew the max
-	// minus min across shards.
-	Epoch       uint64 `json:"epoch"`
-	EpochSkew   uint64 `json:"epoch_skew"`
-	SnapshotLag uint64 `json:"snapshot_lag"`
-	// Rounds counts applied BSP rounds (RecoveredRounds of them replayed
-	// from the WALs at startup); Stalls the rounds sealed early by a
-	// conflicting request.
-	Rounds          int64 `json:"rounds"`
-	RecoveredRounds int64 `json:"recovered_rounds"`
-	Stalls          int64 `json:"stalls"`
-	UpdatesServed   int64 `json:"updates_served"`
-	ReadsServed     int64 `json:"reads_served"`
-	// PartitionStrategy names the vertex-placement policy ("hash", "block",
-	// "greedy", or "custom" for an injected partition); FullBroadcast marks
-	// the legacy all-to-all exchange (subscription filtering off).
-	PartitionStrategy string `json:"partition_strategy"`
-	FullBroadcast     bool   `json:"full_broadcast,omitempty"`
-	// CutFraction is the bootstrap-time fraction of arcs crossing shards;
-	// BoundaryRecords/BoundaryBytes the cumulative record deliveries to
-	// remote shards those cut arcs induced. FilteredRecords counts the
-	// remote deliveries the subscription filter suppressed (0 under full
-	// broadcast), GhostRows the ghost message rows engines adopted from the
-	// delivered records.
-	CutFraction     float64 `json:"cut_fraction"`
-	BoundaryRecords int64   `json:"boundary_records"`
-	BoundaryBytes   int64   `json:"boundary_bytes"`
-	FilteredRecords int64   `json:"filtered_records"`
-	GhostRows       int64   `json:"ghost_rows"`
-	Corrupt         bool    `json:"corrupt,omitempty"`
-	// FailStop carries the forensics of the round that tripped the corrupt
-	// latch — round ID, error, time — present only after a fail-stop.
-	FailStop   *obs.FailStopInfo       `json:"fail_stop,omitempty"`
-	AckLatency server.LatencyQuantiles `json:"ack_latency"`
-	// RoundProfile summarises the round profiler's critical-path
-	// attribution (nil with profiling off or before the first round).
-	RoundProfile *RoundProfileStats `json:"round_profile,omitempty"`
-	PerShard     []ShardStats       `json:"per_shard"`
-}
-
-// RoundProfileStats is the cumulative critical-path attribution over every
-// profiled round: where BSP wall-time went (shard compute vs barrier wait),
-// how much of it the record broadcasts cost, and which shard sets the pace.
-type RoundProfileStats struct {
-	Rounds int64 `json:"rounds"`
-	// BarrierShare is the cumulative fraction of BSP time the mean shard
-	// spent stalled at barriers (1 − mean compute / BSP); BroadcastShare
-	// the router-side record merge time as a fraction of BSP.
-	BarrierShare   float64 `json:"barrier_share"`
-	BroadcastShare float64 `json:"broadcast_share"`
-	// BoundaryShare is the boundary-phase fraction of split-layer compute
-	// (boundary / (boundary + interior)) across profiled rounds — how early
-	// the filtered protocol publishes its records. 0 under full broadcast
-	// (layers are not split).
-	BoundaryShare float64 `json:"boundary_share"`
-	// MeanStragglerSkew is the mean over rounds of max/mean shard compute
-	// (1 = perfectly balanced); Straggler the shard that was slowest most
-	// often, with the per-shard round counts in StragglerRounds.
-	MeanStragglerSkew float64 `json:"mean_straggler_skew"`
-	Straggler         int     `json:"straggler"`
-	StragglerRounds   []int64 `json:"straggler_rounds"`
-}
-
-// Stats summarises the deployment. Everything is read from published
-// snapshots and atomics — safe from any goroutine, lock-free.
-func (rt *Router) Stats() StatsResponse {
-	lo, hi := rt.epochs()
-	resp := StatsResponse{
-		Shards:            len(rt.shards),
-		Nodes:             rt.part.NumNodes(),
-		Edges:             int(rt.edges.Load()),
-		Epoch:             lo,
-		EpochSkew:         hi - lo,
+// FillStats adds the sharding section to a /v1/stats body, and the
+// per-condition visit and event totals summed across shards. Everything is
+// read from published snapshots and atomics — safe from any goroutine,
+// lock-free.
+func (rt *Router) FillStats(resp *server.StatsResponse) {
+	sec := &server.ShardingStats{
 		Rounds:            rt.rounds.Load(),
-		RecoveredRounds:   rt.recovered.Load(),
-		Stalls:            rt.stalls.Load(),
-		UpdatesServed:     rt.updates.Load(),
-		ReadsServed:       rt.reads.Load(),
 		PartitionStrategy: rt.strategy,
 		FullBroadcast:     rt.fullBroadcast,
 		CutFraction:       rt.cut.CutFraction,
@@ -116,22 +23,11 @@ func (rt *Router) Stats() StatsResponse {
 		BoundaryBytes:     rt.boundaryBytes.Load(),
 		FilteredRecords:   rt.filteredRecs.Load(),
 		GhostRows:         rt.ghostRows.Load(),
-		Corrupt:           rt.corrupt.Load(),
+		Corrupt:           rt.Corrupt(),
 		FailStop:          rt.failStop.Load(),
 	}
-	if p, a := rt.processed.Load(), rt.accepted.Load(); a > p {
-		resp.SnapshotLag = a - p
-	}
-	lat := rt.ackLat.Snapshot()
-	const ms = 1e-6
-	resp.AckLatency = server.LatencyQuantiles{
-		P50: float64(lat.P50()) * ms,
-		P95: float64(lat.P95()) * ms,
-		P99: float64(lat.P99()) * ms,
-		Max: float64(lat.Max) * ms,
-	}
 	if n := rt.profiled.Load(); n > 0 {
-		rp := &RoundProfileStats{
+		rp := &server.RoundProfileStats{
 			Rounds:            n,
 			MeanStragglerSkew: float64(rt.skewMilli.Load()) / 1000 / float64(n),
 			Straggler:         -1,
@@ -152,13 +48,13 @@ func (rt *Router) Stats() StatsResponse {
 				best, rp.Straggler = c, i
 			}
 		}
-		resp.RoundProfile = rp
+		sec.RoundProfile = rp
 	}
 	counts := rt.part.Counts()
 	for i, s := range rt.shards {
 		snap := s.eng.Snapshot()
 		cs := s.c.Snapshot()
-		resp.PerShard = append(resp.PerShard, ShardStats{
+		sec.PerShard = append(sec.PerShard, server.ShardStats{
 			Shard:        i,
 			Epoch:        snap.Epoch,
 			Rounds:       snap.AppliedBatches,
@@ -168,64 +64,53 @@ func (rt *Router) Stats() StatsResponse {
 			NodesVisited: cs.NodesVisited,
 		})
 	}
-	return resp
+	for name, n := range rt.conditions() {
+		if n > 0 {
+			resp.Conditions[name] = n
+		}
+	}
+	resp.Events = rt.events()
+	resp.ShardingStats = sec
 }
 
-// buildRegistry registers the router's /metrics families. Families shared
-// with the single-engine server keep the same names and semantics
-// (aggregated across shards) so existing dashboards and inkstat keep
-// working; router- and shard-scoped families are new.
-func (rt *Router) buildRegistry() {
-	r := rt.reg
-	r.GaugeFunc("inkstream_router_shards",
-		"Engine shards behind this router.",
-		func() float64 { return float64(len(rt.shards)) })
-	r.GaugeFunc("inkstream_router_epoch_skew",
-		"Max minus min published snapshot epoch across shards (transient while a round publishes).",
-		func() float64 { lo, hi := rt.epochs(); return float64(hi - lo) })
+// conditions sums the shards' published per-condition visit totals by name.
+func (rt *Router) conditions() map[string]int64 {
+	counts := make(map[string]int64)
+	for _, s := range rt.shards {
+		st := s.eng.Snapshot().Conditions
+		for c := inkstream.CondPruned; c <= inkstream.CondSelfOnly; c++ {
+			counts[c.String()] += st.Counts[c]
+		}
+	}
+	return counts
+}
+
+// FillHealth reports the fail-stop latch as a degraded reason for /healthz.
+func (rt *Router) FillHealth(resp *server.HealthzResponse) {
+	if fs := rt.failStop.Load(); fs != nil {
+		resp.Reasons = append(resp.Reasons, fmt.Sprintf(
+			"writes fail-stopped at round %d (%s); reads serve the last published snapshots",
+			fs.Round, fs.Err))
+	}
+}
+
+// Mount registers what only a partitioned deployment has on the server's
+// surface: the GET /v1/rounds route, the router- and shard-scoped metric
+// families, and the round series of /v1/timeseries. The families every
+// deployment shape exports (epoch, lag, latency, coalescing, ...) are the
+// server's.
+func (rt *Router) Mount(sf server.Surface) {
+	rt.obs = sf.Observer
+	sf.Mux.HandleFunc("GET /v1/rounds", rt.handleRounds)
+	ts := sf.Sampler
+	ts.HistQuantile("round_p99_ms", rt.roundDur, 0.99, 1e-6)
+	ts.Gauge("epoch_skew", func() float64 { sh := rt.Shape(); return float64(sh.MaxEpoch - sh.Epoch) })
+	ts.Gauge("barrier_share", rt.lastShare)
+
+	r := sf.Registry
 	r.GaugeFunc("inkstream_router_cut_fraction",
 		"Fraction of arcs crossing shard boundaries at bootstrap (partition quality).",
 		func() float64 { return rt.cut.CutFraction })
-	r.GaugeFunc("inkstream_snapshot_epoch",
-		"Minimum published snapshot epoch across shards.",
-		func() float64 { lo, _ := rt.epochs(); return float64(lo) })
-	r.GaugeFunc("inkstream_snapshot_lag_batches",
-		"Mutation requests accepted by the router but not yet acked (reader staleness bound).",
-		func() float64 {
-			p := rt.processed.Load()
-			a := rt.accepted.Load()
-			if a < p {
-				return 0
-			}
-			return float64(a - p)
-		})
-	r.CounterFunc("inkstream_updates_total",
-		"Update rounds applied across all shards (each round is one barrier-synchronised batch).",
-		func() float64 { return float64(rt.rounds.Load()) })
-	r.CounterFunc("inkstream_http_updates_served_total",
-		"Successful mutation requests.",
-		func() float64 { return float64(rt.updates.Load()) })
-	r.CounterFunc("inkstream_reads_total",
-		"Embedding reads resolved against a shard's published snapshot.",
-		func() float64 { return float64(rt.reads.Load()) })
-	r.GaugeFunc("inkstream_graph_nodes",
-		"Vertices in the served graph.",
-		func() float64 { return float64(rt.part.NumNodes()) })
-	r.GaugeFunc("inkstream_graph_edges",
-		"Logical edges in the served graph.",
-		func() float64 { return float64(rt.edges.Load()) })
-	r.Histogram("inkstream_ack_latency_seconds",
-		"Submit-to-ack latency of one mutation request (round formation + per-shard journal + BSP apply + publish).",
-		1e-9, rt.ackLat)
-	r.Histogram("inkstream_coalesced_batch_size",
-		"Mutation requests fused into one BSP round.",
-		1, rt.coSize)
-	r.CounterFunc("inkstream_coalesce_stalls_total",
-		"Rounds sealed early because a queued request conflicted (same edge or same updated vertex).",
-		func() float64 { return float64(rt.stalls.Load()) })
-	r.CounterFunc("inkstream_rounds_recovered_total",
-		"Rounds replayed from the per-shard WALs at startup.",
-		func() float64 { return float64(rt.recovered.Load()) })
 	r.CounterFunc("inkstream_boundary_records_total",
 		"Message-change records broadcast across shards for ghost-row refresh and fan-out regeneration.",
 		func() float64 { return float64(rt.boundaryRecs.Load()) })
@@ -243,83 +128,35 @@ func (rt *Router) buildRegistry() {
 		1, rt.recSize)
 	r.CounterFunc("inkstream_events_processed_total",
 		"InkStream propagation events consumed, summed across shards.",
-		func() float64 {
-			var total int64
-			for _, s := range rt.shards {
-				total += s.c.EventsProcessed.Load()
-			}
-			return float64(total)
-		})
+		func() float64 { return float64(rt.events()) })
 	r.LabeledCounterFunc("inkstream_node_visits_total",
 		"Per-layer node visits by InkStream condition, summed across shards.",
-		func() []obs.LabeledValue {
-			counts := make(map[string]int64)
-			for _, s := range rt.shards {
-				st := s.eng.Snapshot().Conditions
-				for c := inkstream.CondPruned; c <= inkstream.CondSelfOnly; c++ {
-					counts[c.String()] += st.Counts[c]
-				}
+		func() []obs.LabeledValue { return obs.SortedLabeled("condition", rt.conditions()) })
+	perShard := func(f func(i int, s *shardState) float64) func() []obs.LabeledValue {
+		return func() []obs.LabeledValue {
+			out := make([]obs.LabeledValue, len(rt.shards))
+			for i, s := range rt.shards {
+				out[i] = obs.LabeledValue{Labels: shardLabel(i), Value: f(i, s)}
 			}
-			return obs.SortedLabeled("condition", counts)
-		})
+			return out
+		}
+	}
 	r.LabeledGaugeFunc("inkstream_shard_epoch",
 		"Published snapshot epoch per shard.",
-		func() []obs.LabeledValue {
-			out := make([]obs.LabeledValue, len(rt.shards))
-			for i, s := range rt.shards {
-				out[i] = obs.LabeledValue{
-					Labels: shardLabel(i),
-					Value:  float64(s.eng.Snapshot().Epoch),
-				}
-			}
-			return out
-		})
+		perShard(func(_ int, s *shardState) float64 { return float64(s.eng.Snapshot().Epoch) }))
+	owned := rt.part.Counts() // the partition is fixed at bootstrap
 	r.LabeledGaugeFunc("inkstream_shard_owned_nodes",
 		"Vertices owned per shard.",
-		func() []obs.LabeledValue {
-			counts := rt.part.Counts()
-			out := make([]obs.LabeledValue, len(counts))
-			for i, n := range counts {
-				out[i] = obs.LabeledValue{Labels: shardLabel(i), Value: float64(n)}
-			}
-			return out
-		})
+		perShard(func(i int, _ *shardState) float64 { return float64(owned[i]) }))
 	r.LabeledCounterFunc("inkstream_shard_rounds_total",
 		"Update rounds reflected in each shard's published snapshot.",
-		func() []obs.LabeledValue {
-			out := make([]obs.LabeledValue, len(rt.shards))
-			for i, s := range rt.shards {
-				out[i] = obs.LabeledValue{
-					Labels: shardLabel(i),
-					Value:  float64(s.eng.Snapshot().AppliedBatches),
-				}
-			}
-			return out
-		})
+		perShard(func(_ int, s *shardState) float64 { return float64(s.eng.Snapshot().AppliedBatches) }))
 	r.LabeledCounterFunc("inkstream_shard_events_total",
 		"InkStream propagation events consumed per shard.",
-		func() []obs.LabeledValue {
-			out := make([]obs.LabeledValue, len(rt.shards))
-			for i, s := range rt.shards {
-				out[i] = obs.LabeledValue{
-					Labels: shardLabel(i),
-					Value:  float64(s.c.EventsProcessed.Load()),
-				}
-			}
-			return out
-		})
+		perShard(func(_ int, s *shardState) float64 { return float64(s.c.EventsProcessed.Load()) }))
 	r.LabeledCounterFunc("inkstream_shard_node_visits_total",
 		"Node visits per shard (all conditions).",
-		func() []obs.LabeledValue {
-			out := make([]obs.LabeledValue, len(rt.shards))
-			for i, s := range rt.shards {
-				out[i] = obs.LabeledValue{
-					Labels: shardLabel(i),
-					Value:  float64(s.c.NodesVisited.Load()),
-				}
-			}
-			return out
-		})
+		perShard(func(_ int, s *shardState) float64 { return float64(s.c.NodesVisited.Load()) }))
 
 	// Round profiler: critical-path attribution of BSP wall-time
 	// (flight.go). compute/barrier are per-shard means, so their sum tracks
@@ -357,26 +194,28 @@ func (rt *Router) buildRegistry() {
 		func() float64 { return math.Float64frombits(rt.lastSkew.Load()) })
 	r.LabeledCounterFunc("inkstream_shard_straggler_rounds_total",
 		"Rounds each shard was the straggler of (slowest total compute).",
-		func() []obs.LabeledValue {
-			out := make([]obs.LabeledValue, len(rt.stragglerRounds))
-			for i := range rt.stragglerRounds {
-				out[i] = obs.LabeledValue{
-					Labels: shardLabel(i),
-					Value:  float64(rt.stragglerRounds[i].Load()),
-				}
-			}
-			return out
-		})
-	r.CounterFunc("inkstream_traces_recorded_total",
-		"Request traces captured by the flight recorder.",
-		func() float64 {
-			if rt.flight == nil {
-				return 0
-			}
-			return float64(rt.flight.Recorded())
-		})
-	rt.alerts.Register(r)
-	rt.runtime.Register(r)
+		perShard(func(i int, _ *shardState) float64 { return float64(rt.stragglerRounds[i].Load()) }))
 }
 
 func shardLabel(i int) string { return fmt.Sprintf(`shard="%d"`, i) }
+
+// ArmBlackBox is the router's contribution to the server's incident black
+// box (DESIGN.md §15): the one incident signal only a sharded deployment
+// has — the fail-stop latch tripped by a failed round — triggers a capture,
+// and every bundle carries the round profiles and, after a fail-stop, a
+// failstop.json with the failing round's forensics.
+func (rt *Router) ArmBlackBox(bb *obs.BlackBox) {
+	rt.blackbox = bb
+	bb.AddFile("rounds.json", func() any {
+		if p := rt.profiler; p != nil {
+			return p.Traces()
+		}
+		return nil
+	})
+	bb.AddFile("failstop.json", func() any {
+		if fs := rt.failStop.Load(); fs != nil {
+			return fs
+		}
+		return nil
+	})
+}

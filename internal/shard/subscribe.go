@@ -39,8 +39,8 @@ import (
 
 // initSubscriptions builds the subscription tables and boundary masks from
 // the bootstrap graph (the replica holds its directed arcs) and installs
-// each shard's boundary mask. Called once at construction, before WAL
-// recovery — recovered rounds maintain the tables like live ones.
+// each shard's boundary mask. Called once at construction; replayed rounds
+// maintain the tables like live ones.
 func (rt *Router) initSubscriptions() error {
 	n := len(rt.shards)
 	rt.subs = make([]map[graph.NodeID]int, n)
@@ -84,9 +84,7 @@ func (rt *Router) initSubscriptions() error {
 // tables and boundary masks, then hydrates every new subscription (refcount
 // 0 → 1 on a remote source) by copying the owner's current message rows into
 // the subscriber's ghost rows — all before the round opens, on the apply
-// goroutine, while every engine is idle. Seal time would be wrong: rounds
-// pipeline, so the router goroutine may seal round k+1 while round k still
-// computes.
+// goroutine, while every engine is idle.
 func (rt *Router) prepareRoundRouting(r *round) error {
 	type hydration struct {
 		shard int
@@ -173,23 +171,15 @@ func (rt *Router) executeRoundFiltered(r *round) error {
 	prof := r.prof
 	var durs []time.Duration
 	if prof != nil {
-		prof.Queue = time.Since(r.sealed)
 		durs = make([]time.Duration, n)
 	}
 	if err := rt.prepareRoundRouting(r); err != nil {
 		return fmt.Errorf("routing: %w", err)
 	}
 
-	outs := make([][]inkstream.MessageChange, n)
-	if err := rt.runStage(prof, durs, func(i int, s *shardState) error {
-		recs, err := s.eng.BeginRound(r.subDelta[i], r.subVups[i])
-		outs[i] = recs
+	outs, err := rt.beginRound(r, durs)
+	if err != nil {
 		return err
-	}); err != nil {
-		return fmt.Errorf("begin: %w", err)
-	}
-	if prof != nil {
-		rt.addStage(prof, "begin", durs, nil, 0, 0, 0)
 	}
 
 	// Layer-0 delivery lists from the BeginRound records.
@@ -313,17 +303,7 @@ func (rt *Router) executeRoundFiltered(r *round) error {
 	}
 	rt.delivA, rt.delivB = deliv, next
 
-	err := rt.runStage(prof, durs, func(i int, s *shardState) error {
-		if err := s.eng.FinishRound(); err != nil {
-			return err
-		}
-		s.eng.PublishSnapshot()
-		return nil
-	})
-	if err == nil && prof != nil {
-		rt.addStage(prof, "publish", durs, nil, 0, 0, bcast)
-	}
-	return err
+	return rt.finishRound(prof, durs, bcast)
 }
 
 // sortRecords node-sorts one delivery list. Each source node's record is

@@ -57,16 +57,8 @@ func TestSubscriptionFiltersDeliveries(t *testing.T) {
 	x := tensor.RandMatrix(rng, n, featLen, 1)
 	model := testModel(rng, "SAGE", featLen, gnn.AggSum)
 
-	filt, err := New(model, g.Clone(), x.Clone(), Config{Shards: 2, PartitionStrategy: "block"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer filt.Close()
-	bcast, err := New(model, g.Clone(), x.Clone(), Config{Shards: 2, PartitionStrategy: "block", FullBroadcast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bcast.Close()
+	filt := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 2, PartitionStrategy: "block"})
+	bcast := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 2, PartitionStrategy: "block", FullBroadcast: true})
 
 	mirror := g.Clone()
 	for step := 0; step < 12; step++ {
@@ -136,21 +128,9 @@ func TestSubscriptionZeroCut(t *testing.T) {
 	x := tensor.RandMatrix(rng, n, featLen, 1)
 	model := testModel(rng, "GIN", featLen, gnn.AggMax)
 
-	ref, err := New(model, g.Clone(), x.Clone(), Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	filt, err := New(model, g.Clone(), x.Clone(), Config{Shards: 2, PartitionStrategy: "block"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer filt.Close()
-	bcast, err := New(model, g.Clone(), x.Clone(), Config{Shards: 2, PartitionStrategy: "block", FullBroadcast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bcast.Close()
+	ref := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 1})
+	filt := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 2, PartitionStrategy: "block"})
+	bcast := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 2, PartitionStrategy: "block", FullBroadcast: true})
 
 	half := n / 2
 	for step := 0; step < 6; step++ {
@@ -165,7 +145,7 @@ func TestSubscriptionZeroCut(t *testing.T) {
 			continue
 		}
 		delta := graph.Delta{{U: u, V: v, Insert: !g.HasEdge(u, v)}}
-		for _, rt := range []*Router{ref, filt, bcast} {
+		for _, rt := range []*deployment{ref, filt, bcast} {
 			if err := rt.Apply(delta, nil); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
@@ -226,16 +206,8 @@ func TestSubscriptionHydrationOnNewArc(t *testing.T) {
 		t.Fatal("no cross-shard non-edge found")
 	}
 
-	ref, err := New(model, g.Clone(), x.Clone(), Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	filt, err := New(model, g.Clone(), x.Clone(), Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer filt.Close()
+	ref := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 1})
+	filt := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 2})
 
 	apply := func(delta graph.Delta, vups []inkstream.VertexUpdate) {
 		t.Helper()

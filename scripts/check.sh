@@ -14,49 +14,25 @@ fi
 go vet ./...
 go build ./...
 go test ./...
-go test -race ./internal/tensor ./internal/gnn ./internal/inkstream \
-    ./internal/obs ./internal/server ./internal/scheduler ./internal/persist \
-    ./internal/shard ./internal/leakcheck
+go test -race ./internal/tensor ./internal/gnn ./internal/scheduler \
+    ./internal/experiments ./internal/leakcheck
 
-# The PR4 hot paths deserve fresh (uncached) race runs: the sharded
-# grouper under repeated multi-batch churn and server-side coalescing
-# under concurrent conflicting writers.
-go test -race -count=1 -run 'TestShardedGrouperStress|TestShardedGroupingEquivalence|TestCoalesce' \
-    ./internal/inkstream ./internal/server
+# The packages whose concurrency this repo's claims rest on get fresh
+# (uncached) race runs of their whole test set, not a -run pattern: a
+# pattern that matches nothing passes silently, so a renamed or folded test
+# would drop out of the gate unnoticed. That covers the one write pipeline
+# under concurrent conflicting writers and Close (server, over both
+# backends), BSP rounds with the overlapped exchange and the fail-stop latch
+# (shard), sharded grouping and the split-layer protocol (inkstream), the
+# tiered store's lock-free reads against writeback and eviction (persist),
+# and the trace rings, sampler, alert engine and black box (obs).
+go test -race -count=1 ./internal/server ./internal/shard ./internal/inkstream \
+    ./internal/persist ./internal/obs
 
-# The PR6 router fan-out likewise: cross-shard exactness and concurrent
-# conflicting writers against the partitioned deployment, uncached.
-go test -race -count=1 -run 'TestCrossShardBitExact|TestRouterConcurrentWriters' \
-    ./internal/shard
-
-# The PR8 overlapped exchange runs every shard's boundary and interior
-# phases concurrently with the router-side record bucketing, and the
-# engine's split-layer protocol shares scratch state between the phases —
-# both deserve fresh race runs, as does subscription maintenance under the
-# bit-exactness streams.
-go test -race -count=1 -run 'TestSubscription|TestSplitRound|TestGhostRow' \
-    ./internal/shard ./internal/inkstream
-
-# The PR9 tiered row store serves lock-free reads while the writer seals
-# epochs and the background worker writes back and evicts frames; the
-# whole store surface (publication seam, fault/evict races, crash
-# recovery, server page-cache stats) gets a fresh race run.
-go test -race -count=1 -run 'TestTiered|TestSetRowStore|TestPageCache' \
-    ./internal/persist ./internal/inkstream ./internal/server ./internal/experiments
-
-# The PR7 round profiler and burn-rate alerting touch every shard's stage
-# timings from the round goroutine while HTTP readers snapshot them, so
-# they get fresh race runs too.
-go test -race -count=1 \
-    -run 'TestRouterRoundProfiler|TestRouterObservabilityEndpoints|TestRouterSLOBurnRate|TestAlertEngine|TestServerSLOAlerts' \
-    ./internal/shard ./internal/obs ./internal/server
-
-# The PR10 black box captures bundles from a worker goroutine while the
-# pipeline keeps mutating every source it serializes, and the fail-stop
-# latch races the round goroutines against HTTP readers; both get fresh
-# race runs, as does the runtime collector under concurrent scrapes.
-go test -race -count=1 -run 'TestBlackBox|TestFailStop|TestBundle|TestRouterBundle|TestRuntime|TestPageFaultTraceExemplars' \
-    ./internal/obs ./internal/server ./internal/shard
+# bench/ is its own module (not in ./... above) and imports internal/*:
+# vet and test it here so an API change next to its probe fails this gate,
+# not the next benchmark run.
+(cd bench && go vet ./... && go test ./...)
 
 # Observability must stay essentially free on the engine hot path and the
 # full pipeline. The gate runs paired benchmarks and is sensitive to box
