@@ -47,11 +47,6 @@ func run(args []string) error {
 		mixedUpds = fs.Int("mixed-updates", 200, "update batches streamed by the mixed workload")
 		burstDep  = fs.Int("burst-depth", 8, "updates kept in flight (pipeline queue depth) in the burst scenario (experiment: burst)")
 		burstUpds = fs.Int("burst-updates", 2000, "total single-change updates per coalescing mode in the burst scenario")
-		shardCnts = fs.String("shard-counts", "1,2,4,8", "comma-separated deployment sizes for the shard-scaling scenario (experiment: shards)")
-		partition = fs.String("partition", "hash", "vertex partition strategy for the shard-scaling scenario: hash, block or greedy")
-		fullBcast = fs.Bool("full-broadcast", false, "disable subscription-filtered delivery in the shard-scaling scenario (legacy all-to-all exchange)")
-		shardReps = fs.Int("shard-reps", 1, "repetitions per shard count; the median rep by updates/sec is reported")
-		shardWork = fs.String("shard-workload", "crowd", "shard-scaling stream: crowd (flash crowd on the hub) or scatter (disjoint edge streams)")
 		tierFacts = fs.String("tiered-factors", "1,2,4,10", "comma-separated working-set multiples of the cap for the tiered-store sweep (experiment: tiered)")
 		tierQuant = fs.String("tiered-quant", "f32", "on-page row encoding for the tiered sweep: f32, f16 or int8")
 		tierReads = fs.Int("tiered-reads", 32, "Zipf-skewed audited reads per published batch in the tiered sweep")
@@ -95,10 +90,6 @@ func run(args []string) error {
 	cfg.MixedUpdates = *mixedUpds
 	cfg.BurstDepth = *burstDep
 	cfg.BurstUpdates = *burstUpds
-	cfg.PartitionStrategy = *partition
-	cfg.FullBroadcast = *fullBcast
-	cfg.ShardReps = *shardReps
-	cfg.ShardWorkload = *shardWork
 	cfg.TieredQuant = *tierQuant
 	cfg.TieredReadsPerBatch = *tierReads
 	if *tierFacts != "" {
@@ -109,16 +100,6 @@ func run(args []string) error {
 				return fmt.Errorf("-tiered-factors: bad factor %q", f)
 			}
 			cfg.TieredFactors = append(cfg.TieredFactors, n)
-		}
-	}
-	if *shardCnts != "" {
-		cfg.ShardCounts = nil
-		for _, f := range strings.Split(*shardCnts, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 1 {
-				return fmt.Errorf("-shard-counts: bad shard count %q", f)
-			}
-			cfg.ShardCounts = append(cfg.ShardCounts, n)
 		}
 	}
 	if *datasets != "" {

@@ -73,7 +73,12 @@ func run(args []string) error {
 // buildServer parses flags and constructs the HTTP handler; split from run
 // so tests can exercise the full setup path without binding a port.
 func buildServer(args []string) (http.Handler, string, error) {
-	fs := flag.NewFlagSet("inkserve", flag.ContinueOnError)
+	return buildServerOn(flag.NewFlagSet("inkserve", flag.ContinueOnError), args)
+}
+
+// buildServerOn is buildServer over a caller-owned flag set, so a test can
+// enumerate the flags the binary defines.
+func buildServerOn(fs *flag.FlagSet, args []string) (http.Handler, string, error) {
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
 		name       = fs.String("dataset", "", "dataset profile to generate")
@@ -87,7 +92,6 @@ func buildServer(args []string) (http.Handler, string, error) {
 		hidden     = fs.Int("hidden", 32, "hidden dimension")
 		shards     = fs.Int("shards", 1, "engine shards: >1 serves the graph from a partitioned multi-engine deployment")
 		partition  = fs.String("partition", "hash", "vertex partition strategy with -shards>1: hash, block or greedy (locality-aware)")
-		fullBcast  = fs.Bool("full-broadcast", false, "with -shards>1: broadcast every cross-shard record to every shard instead of subscription-filtered delivery (legacy exchange, for A/B comparison)")
 		batch      = fs.Int("batch", 0, "micro-batch size for /v1/submit (0 disables batching)")
 		staleness  = fs.Duration("staleness", 0, "max staleness before a pending /v1/submit batch flushes")
 		walPath    = fs.String("wal", "", "write-ahead log file: accepted batches are journaled before they are applied, and an existing log is replayed on startup onto the booted state (bundle or bootstrap)")
@@ -114,7 +118,10 @@ func buildServer(args []string) (http.Handler, string, error) {
 		return nil, "", err
 	}
 
-	if bad := setAmong(fs, "partition", "full-broadcast"); *shards <= 1 && len(bad) > 0 {
+	if *shards < 1 {
+		return nil, "", fmt.Errorf("-shards %d: need at least 1 engine", *shards)
+	}
+	if bad := setAmong(fs, "partition"); *shards == 1 && len(bad) > 0 {
 		return nil, "", fmt.Errorf("%s: partitioned-deployment flags require -shards>1", strings.Join(bad, ", "))
 	}
 
@@ -200,7 +207,6 @@ func buildServer(args []string) (http.Handler, string, error) {
 			rt, err = shard.New(model, g, feats.X, shard.Config{
 				Shards:            *shards,
 				PartitionStrategy: *partition,
-				FullBroadcast:     *fullBcast,
 			})
 		} else {
 			engine, err = inkstream.New(model, g, feats.X, &counters, inkstream.Options{})
@@ -229,7 +235,7 @@ func buildServer(args []string) (http.Handler, string, error) {
 	case rt != nil:
 		srv = server.NewOn(rt)
 		st := srv.Stats()
-		log.Printf("%s partition, cut fraction %.3f, full-broadcast exchange: %v", st.PartitionStrategy, st.CutFraction, st.FullBroadcast)
+		log.Printf("%s partition, cut fraction %.3f", st.PartitionStrategy, st.CutFraction)
 	case tiered:
 		dir := *storeDir
 		if dir == "" {

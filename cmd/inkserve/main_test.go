@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -165,17 +167,63 @@ func TestBuildServerObservability(t *testing.T) {
 
 func TestBuildServerErrors(t *testing.T) {
 	cases := [][]string{
-		{},                                 // no source
-		{"-dataset", "nope"},               // unknown dataset
-		{"-dataset", "PM", "-model", "x"},  // unknown model
-		{"-dataset", "PM", "-agg", "medi"}, // unknown aggregation
-		{"-bundle", "/does/not/exist"},     // missing bundle
-		{"-file", "/does/not/exist"},       // missing snapshot
+		{},                                  // no source
+		{"-dataset", "nope"},                // unknown dataset
+		{"-dataset", "PM", "-model", "x"},   // unknown model
+		{"-dataset", "PM", "-agg", "medi"},  // unknown aggregation
+		{"-bundle", "/does/not/exist"},      // missing bundle
+		{"-file", "/does/not/exist"},        // missing snapshot
+		{"-dataset", "PM", "-shards", "0"},  // no engine at all
+		{"-dataset", "PM", "-shards", "-2"}, // (used to boot one engine silently)
 	}
 	for i, args := range cases {
 		if _, _, err := buildServer(args); err == nil {
 			t.Errorf("case %d: accepted %v", i, args)
 		}
+	}
+}
+
+// TestReadmeFlagTable keeps README.md's "inkserve flags" tables and the
+// binary in step: every flag the binary defines is named as `-name` in the
+// first column of a table row of that section, and every flag named there
+// is defined.
+func TestReadmeFlagTable(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "### inkserve flags\n")
+	if !ok {
+		t.Fatal(`README.md has no "### inkserve flags" section`)
+	}
+	if i := strings.Index(section, "\n## "); i >= 0 {
+		section = section[:i]
+	}
+	documented := make(map[string]bool)
+	flagName := regexp.MustCompile("`-([a-z][a-z-]*)")
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| `-") {
+			continue
+		}
+		firstCol, _, _ := strings.Cut(line[1:], " | ")
+		for _, m := range flagName.FindAllStringSubmatch(firstCol, -1) {
+			documented[m[1]] = true
+		}
+	}
+
+	fs := flag.NewFlagSet("inkserve", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if _, _, err := buildServerOn(fs, []string{"-shards", "0"}); err == nil {
+		t.Fatal("-shards 0 accepted")
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		if !documented[f.Name] {
+			t.Errorf("flag -%s is defined but missing from README.md's inkserve flags table", f.Name)
+		}
+		delete(documented, f.Name)
+	})
+	for name := range documented {
+		t.Errorf("README.md's inkserve flags table names -%s, which the binary does not define", name)
 	}
 }
 

@@ -55,25 +55,6 @@ type Config struct {
 	// BurstUpdates is the total number of single-change updates the burst
 	// scenario pushes through each coalescing mode.
 	BurstUpdates int
-	// ShardCounts is the deployment sizes the shard-scaling scenario
-	// measures (experiment "shards"); the first entry should be 1 so the
-	// speedup and bit-exactness columns have a baseline.
-	ShardCounts []int
-	// PartitionStrategy selects the vertex-placement policy for the
-	// shard-scaling scenario ("hash", "block" or "greedy"; "" means hash).
-	PartitionStrategy string
-	// FullBroadcast disables subscription-filtered delivery in the
-	// shard-scaling scenario (the pre-PR8 all-to-all exchange baseline).
-	FullBroadcast bool
-	// ShardWorkload selects the shard-scaling stream: "crowd" (default —
-	// every update touches the flash-crowd hub, the worst case for
-	// delivery filtering) or "scatter" (disjoint edge streams spread over
-	// the graph, the steady-state case locality partitioning pays off on).
-	ShardWorkload string
-	// ShardReps repeats each shard-count measurement; the reported point is
-	// the median by updates/sec, with the min kept alongside. 1-CPU CI boxes
-	// are noisy — a single rep regularly inverts the scaling curve.
-	ShardReps int
 	// TieredFactors are the working-set multiples of the memory cap the
 	// tiered-store sweep (experiment "tiered") serves the embedding
 	// footprint at (cap = footprint/factor); a resident baseline point is
@@ -137,12 +118,6 @@ func (c Config) normalize() Config {
 	}
 	if c.BurstUpdates < 1 {
 		c.BurstUpdates = 2000
-	}
-	if len(c.ShardCounts) == 0 {
-		c.ShardCounts = []int{1, 2, 4, 8}
-	}
-	if c.ShardReps < 1 {
-		c.ShardReps = 1
 	}
 	if len(c.TieredFactors) == 0 {
 		c.TieredFactors = []int{1, 2, 4, 10}

@@ -402,7 +402,7 @@ func TestScalingSweep(t *testing.T) {
 }
 
 func TestRunnerRegistry(t *testing.T) {
-	if len(Names()) != 17 {
+	if len(Names()) != 16 {
 		t.Errorf("registry size = %d", len(Names()))
 	}
 	if _, err := Run("nope", tiny()); err == nil {
@@ -477,40 +477,5 @@ func TestTieredSweep(t *testing.T) {
 		if !strings.Contains(r.Render(), "tiered-sweep: factor=4") {
 			t.Errorf("quant %s: render missing machine-parseable point line", quant)
 		}
-	}
-}
-
-func TestShardScaling(t *testing.T) {
-	c := tiny()
-	c.Datasets = []dataset.Spec{dataset.PubMed}
-	c.BurstDepth = 4
-	c.BurstUpdates = 40
-	c.ShardCounts = []int{1, 3}
-	r, err := ShardScaling(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Points) != 2 {
-		t.Fatalf("points = %d", len(r.Points))
-	}
-	for _, p := range r.Points {
-		if p.Updates != 40 || p.UpdatesPerSec <= 0 || p.Rounds == 0 {
-			t.Errorf("shards=%d: degenerate point %+v", p.Shards, p)
-		}
-		if p.AckP99 < p.AckP50 {
-			t.Errorf("shards=%d: percentile ordering broken", p.Shards)
-		}
-		// The headline correctness claim: every deployment shape serves
-		// embeddings bitwise identical to the 1-shard baseline.
-		if !p.BitExact {
-			t.Errorf("shards=%d: embeddings diverged from the 1-shard baseline", p.Shards)
-		}
-	}
-	if one, three := r.Points[0], r.Points[1]; one.Shards != 1 ||
-		three.CutFraction == 0 || three.BoundaryRecords == 0 {
-		t.Errorf("3-shard point saw no boundary traffic: %+v", three)
-	}
-	if !strings.Contains(r.Render(), "shard-scaling: shards=3") {
-		t.Error("render missing machine-parseable point line")
 	}
 }

@@ -31,7 +31,6 @@ var Registry = map[string]Runner{
 	"scaling": func(c Config) (Result, error) { return Scaling(c) },
 	"mixed":   func(c Config) (Result, error) { return Mixed(c) },
 	"burst":   func(c Config) (Result, error) { return Burst(c) },
-	"shards":  func(c Config) (Result, error) { return ShardScaling(c) },
 	"tiered":  func(c Config) (Result, error) { return TieredSweep(c) },
 }
 

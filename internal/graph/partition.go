@@ -43,8 +43,7 @@ func NewHashPartition(n, shards int) (*Partition, error) {
 
 // NewBlockPartition assigns contiguous ID ranges to shards (vertex v goes
 // to shard v·shards/n). On graphs whose IDs carry locality this minimises
-// the cut; on generator-ordered graphs it concentrates hubs. Exposed so
-// the shard-scaling bench can compare cut fractions.
+// the cut; on generator-ordered graphs it concentrates hubs.
 func NewBlockPartition(n, shards int) (*Partition, error) {
 	p, err := newPartition(n, shards)
 	if err != nil {
@@ -239,9 +238,9 @@ func (p *Partition) Counts() []int {
 
 // CutStats summarises how a partition cuts a graph: every arc whose source
 // and destination live on different shards crosses the cut, and every
-// message-change record of a boundary source is broadcast as ghost-refresh
-// traffic. The stats feed metrics and the shard-scaling bench report; they
-// play no role in correctness (the broadcast exchange needs no cut index).
+// message-change record of a boundary source is delivered to its subscribed
+// shards as ghost-refresh traffic. The stats feed metrics and /v1/stats; they
+// play no role in correctness (the router keeps its own subscription tables).
 type CutStats struct {
 	// Arcs is the total directed arc count; CutArcs the arcs crossing
 	// shards; CutFraction their ratio (0 on an empty graph).

@@ -34,17 +34,6 @@ type Options struct {
 	// targets (and, since it idles the worker pool, parallel sharded event
 	// routing too).
 	Sequential bool
-	// DisableShardedGrouping forces sequential event routing even for
-	// layers whose event count crosses the sharding threshold. It changes
-	// performance only: the sharded router is bit-exact with the
-	// sequential one (DESIGN.md §9).
-	DisableShardedGrouping bool
-	// ShardMinEvents is the per-layer event count at which event routing
-	// fans out across the tensor worker pool; 0 means the built-in
-	// default (512). Layers below the threshold route sequentially —
-	// the sharded path's partition passes only pay off once routing
-	// dominates.
-	ShardMinEvents int
 	// Trace, when set, is invoked once per visited node per layer with
 	// the node's classification, after that layer completes (in sorted
 	// target order, from a single goroutine). For observability and
@@ -92,11 +81,11 @@ type Engine struct {
 	// of each Apply.
 	arena vecArena
 
-	// processLayer fan-in/fan-out buffers, reused across layers and
+	// processRange fan-in/fan-out buffers, reused across layers and
 	// Applies. outN[i]/outU[i] keep their capacity for group slot i; evBuf
 	// and uevBuf carry each layer's merged events into the next layer's
 	// grouping pass (safe to overwrite in place: the grouper has absorbed
-	// the previous layer's events before processLayer reuses the buffer).
+	// the previous layer's events before mergeCarried reuses the buffer).
 	outN   [][]Event
 	outU   [][]UserEvent
 	conds  []Condition
@@ -104,10 +93,10 @@ type Engine struct {
 	uevBuf []UserEvent
 
 	// Partitioned-mode state (partition.go). partLocal non-nil switches the
-	// engine into shard mode: Apply is disabled in favour of the
-	// BeginRound/RoundLayer/FinishRound protocol, and processTarget captures
-	// message-change records into outR/partRecOut instead of fanning events
-	// out locally.
+	// engine into shard mode: Apply is disabled in favour of the round
+	// protocol (BeginRound, RoundLayerBoundary+RoundLayerInterior per layer,
+	// FinishRound), and processTarget captures message-change records into
+	// outR/partRecOut instead of fanning events out locally.
 	partLocal  []bool
 	partActive bool
 	partDelta  graph.Delta
@@ -132,10 +121,10 @@ type Engine struct {
 	partRecB      []MessageChange
 
 	// roundTiming gates the per-stage round profiler hooks (partition.go):
-	// when on, each BeginRound/RoundLayer call leaves a RoundStageStats in
-	// lastStage for the router to collect after the stage barrier. Off by
-	// default — a couple of time.Now calls per stage is cheap, but the
-	// profiler is still opt-in like the flight recorder.
+	// when on, each round stage leaves a RoundStageStats in lastStage for
+	// the router to collect after the stage barrier. Off by default — a
+	// couple of time.Now calls per stage is cheap, but the profiler is still
+	// opt-in like the flight recorder.
 	roundTiming bool
 	lastStage   RoundStageStats
 
@@ -147,8 +136,12 @@ type Engine struct {
 	// scratchPools[l] recycles processTarget worker scratch for layer l.
 	scratchPools []sync.Pool
 
-	// gr is the reusable epoch-stamped grouping table.
-	gr *grouper
+	// gr is the reusable epoch-stamped grouping table; shardMin is the
+	// per-layer event count from which it routes across the worker pool
+	// (shardMinEvents; a field only so in-package tests can pin either
+	// route).
+	gr       *grouper
+	shardMin int
 
 	// snap is the epoch-snapshot machinery (snapshot.go); dirt is the
 	// per-group output-changed scratch merged alongside conds.
@@ -190,6 +183,7 @@ func NewFromState(model *gnn.Model, g *graph.Graph, state *gnn.State, c *metrics
 		return l < model.NumLayers() && model.Layers[l].SelfDependent()
 	}}
 	e.gr = newGrouper(g.NumNodes())
+	e.shardMin = shardMinEvents
 	e.layerStats = make([]ConditionStats, model.NumLayers())
 	e.scratchPools = make([]sync.Pool, model.NumLayers())
 	e.obs = opts.Observer
@@ -353,10 +347,8 @@ func (e *Engine) Apply(delta graph.Delta, vups []VertexUpdate) error {
 	if observing {
 		t0 = time.Now()
 	}
-	if err := delta.Validate(e.g); err != nil {
-		return err
-	}
-	if err := e.validateVertexUpdates(vups); err != nil {
+	oldMsg, err := e.stageBatch(delta, vups)
+	if err != nil {
 		return err
 	}
 	L := e.model.NumLayers()
@@ -364,30 +356,7 @@ func (e *Engine) Apply(delta graph.Delta, vups []VertexUpdate) error {
 		e.trace.Reset(L)
 		e.trace.DeltaEdges = len(delta)
 		e.trace.VertexUpdates = len(vups)
-		phase0 = time.Now()
-	}
-
-	// Rewind the payload arena: every payload from the previous Apply is
-	// dead by now (groups and event buffers only reuse, never re-read).
-	e.arena.reset()
-
-	// Snapshot m⁻_{l,u} for every layer for the sources of removed arcs:
-	// their Del payloads must be the previous-timestamp messages even if
-	// the source is updated while processing an earlier layer. Taken
-	// before any mutation.
-	oldMsg := e.snapshotRemovedSources(delta)
-
-	// Record which arcs are inserted (propagation from an affected source
-	// skips them — the changed-edge event carries the new message already)
-	// and per-node in-degree deltas (the mean aggregator's incremental
-	// formula needs the previous degree).
-	e.indexDeltaArcs(delta)
-
-	if err := delta.Apply(e.g); err != nil {
-		return err // unreachable after Validate, but fail safe
-	}
-	if observing {
-		e.trace.DeltaApply = time.Since(phase0)
+		e.trace.DeltaApply = time.Since(t0)
 		phase0 = time.Now()
 	}
 
@@ -420,10 +389,7 @@ func (e *Engine) Apply(delta graph.Delta, vups []VertexUpdate) error {
 		}
 		// Stage the layer's full native event list — changed-edge events
 		// first, then the carried events, matching the historical arrival
-		// order — and route it through the grouper: sequentially for small
-		// layers, across the worker pool for large ones. Both routes yield
-		// identical groups in identical order (DESIGN.md §9), so the choice
-		// is invisible to everything downstream.
+		// order.
 		e.routeN = e.appendChangedEdgeEvents(e.routeN[:0], l, delta, oldMsg)
 		fetched := 0
 		for _, ev := range carried {
@@ -431,22 +397,9 @@ func (e *Engine) Apply(delta graph.Delta, vups []VertexUpdate) error {
 		}
 		e.c.FetchVec(fetched)
 		e.routeN = append(e.routeN, carried...)
-		dim := e.model.Layers[l].MsgDim()
-		var groups []*group
-		if S := e.shardCount(len(e.routeN) + len(carriedUser)); S > 1 {
-			e.gr.beginSharded(dim, S)
-			groups = e.gr.groupSharded(e.routeN, carriedUser, e.hooks)
-		} else {
-			e.gr.begin(dim)
-			for _, ev := range e.routeN {
-				e.gr.addNative(ev)
-			}
-			for _, ev := range carriedUser {
-				e.gr.addUser(ev)
-			}
-			groups = e.gr.finish(e.hooks)
-		}
-		carried, carriedUser = e.processLayer(l, groups)
+		groups := e.groupLayer(l, e.routeN, carriedUser)
+		e.processRange(l, groups, 0, len(groups))
+		carried, carriedUser = e.mergeCarried(groups, len(groups))
 		if observing {
 			span.Elapsed = time.Since(phase0)
 			span.EventsOut = int64(len(carried))
@@ -468,6 +421,53 @@ func (e *Engine) Apply(delta graph.Delta, vups []VertexUpdate) error {
 	return nil
 }
 
+// stageBatch is the prologue of every batch, standalone (Apply) or
+// partitioned (BeginRound): validate, so an error leaves graph and state
+// untouched; rewind the payload arena (every payload of the previous batch
+// is dead by now — groups and event buffers only reuse, never re-read);
+// snapshot m⁻_{l,u} at every layer for the sources of removed arcs, before
+// any mutation — their Del payloads must be the previous-timestamp messages
+// even if the source is updated while processing an earlier layer (ghost
+// rows included: they still hold last round's values here); index inserted
+// arcs and in-degree deltas; then mutate the graph. It returns the
+// removed-source snapshot.
+func (e *Engine) stageBatch(delta graph.Delta, vups []VertexUpdate) ([]map[graph.NodeID]tensor.Vector, error) {
+	if err := delta.Validate(e.g); err != nil {
+		return nil, err
+	}
+	if err := e.validateVertexUpdates(vups); err != nil {
+		return nil, err
+	}
+	e.arena.reset()
+	oldMsg := e.snapshotRemovedSources(delta)
+	e.indexDeltaArcs(delta)
+	if err := delta.Apply(e.g); err != nil {
+		return nil, err // unreachable after Validate, but fail safe
+	}
+	return oldMsg, nil
+}
+
+// groupLayer routes one layer's staged native events and carried user
+// events into per-target groups: sequentially for small layers, across the
+// worker pool for large ones. Both routes yield identical groups in
+// identical order (DESIGN.md §9), so the choice is invisible to everything
+// downstream. Groups come back sorted by target.
+func (e *Engine) groupLayer(l int, native []Event, user []UserEvent) []*group {
+	dim := e.model.Layers[l].MsgDim()
+	if S := e.shardCount(len(native) + len(user)); S > 1 {
+		e.gr.beginSharded(dim, S)
+		return e.gr.groupSharded(native, user, e.hooks)
+	}
+	e.gr.begin(dim)
+	for _, ev := range native {
+		e.gr.addNative(ev)
+	}
+	for _, ev := range user {
+		e.gr.addUser(ev)
+	}
+	return e.gr.finish(e.hooks)
+}
+
 // AppliedBatches returns the number of successfully applied batches —
 // the counter a published Snapshot records as AppliedBatches. Writer
 // goroutine only.
@@ -487,21 +487,14 @@ func (e *Engine) arcsOf(ch graph.EdgeChange) (arcs [2][2]graph.NodeID, n int) {
 }
 
 // shardCount decides how many grouper shards the upcoming layer's event
-// routing uses: 1 (sequential) below the event threshold or when any
-// ablation/option rules out pool work; otherwise twice the effective worker
-// count — ParallelForGrain inlines regions smaller than two chunks per
-// worker, and the 2× headroom also absorbs the up-to-2× shard imbalance of
-// the power-of-two block partition — capped at maxShards so the per-chunk
-// count matrix of the partition passes stays small.
+// routing uses: 1 (sequential) below the event threshold or when an ablation
+// rules out pool work; otherwise twice the effective worker count —
+// ParallelForGrain inlines regions smaller than two chunks per worker, and
+// the 2× headroom also absorbs the up-to-2× shard imbalance of the
+// power-of-two block partition — capped at maxShards so the per-chunk count
+// matrix of the partition passes stays small.
 func (e *Engine) shardCount(nEvents int) int {
-	if e.opts.Sequential || e.opts.DisableGrouping || e.opts.DisableShardedGrouping {
-		return 1
-	}
-	minEv := e.opts.ShardMinEvents
-	if minEv <= 0 {
-		minEv = defaultShardMinEvents
-	}
-	if nEvents < minEv {
+	if e.opts.Sequential || e.opts.DisableGrouping || nEvents < e.shardMin {
 		return 1
 	}
 	w := tensor.Parallelism
@@ -513,22 +506,15 @@ func (e *Engine) shardCount(nEvents int) int {
 		// parallelism — the direct sequential grouper is strictly better.
 		return 1
 	}
-	s := 2 * w
-	if s > maxShards {
-		s = maxShards
-	}
-	if s < 2 {
-		return 1
-	}
-	return s
+	return min(2*w, maxShards)
 }
 
 const (
-	// defaultShardMinEvents gates the sharded router: below this many
-	// events per layer, sequential routing wins (the partition passes and
-	// pool handoff cost more than they save). Same spirit as
-	// tensor.MinChunkWork, measured in events rather than grain units.
-	defaultShardMinEvents = 512
+	// shardMinEvents gates the sharded router: below this many events per
+	// layer, sequential routing wins (the partition passes and pool handoff
+	// cost more than they save). Same spirit as tensor.MinChunkWork,
+	// measured in events rather than grain units.
+	shardMinEvents = 512
 	// maxShards bounds the shard count (and must stay ≤ 256: the
 	// partition records shard owners in a uint8).
 	maxShards = 32
@@ -630,51 +616,48 @@ func (e *Engine) payload(p tensor.Vector) tensor.Vector {
 	return p
 }
 
-// processLayer consumes the grouped events of layer l: it updates each
-// target's α (incrementally where eligible), recomputes the layer output
-// for affected targets, and emits the next layer's events. Targets are
-// independent after grouping, so they are processed in parallel; results
-// are merged in sorted-target order for determinism.
-func (e *Engine) processLayer(l int, groups []*group) ([]Event, []UserEvent) {
+// processRange consumes groups[lo:hi] of layer l's grouped events: it
+// updates each target's α (incrementally where eligible), recomputes the
+// layer output for affected targets, and emits the next layer's events (or,
+// in partitioned mode, message-change records). Targets are independent after
+// grouping, so they are processed in parallel; conditions, dirty rows and
+// records are merged in group order for determinism. Emitted events stay in
+// the per-slot outN/outU buffers until mergeCarried collects them, so a layer
+// may be processed in more than one range (the round protocol's boundary and
+// interior phases).
+func (e *Engine) processRange(l int, groups []*group, lo, hi int) {
 	n := len(groups)
 	// Grow the per-group fan-out tables to n slots, keeping each slot's
-	// accumulated capacity across layers and Apply calls.
+	// accumulated capacity across layers and batches.
 	for len(e.outN) < n {
 		e.outN = append(e.outN, nil)
 		e.outU = append(e.outU, nil)
 		e.outR = append(e.outR, nil)
 	}
-	outN, outU, outR := e.outN, e.outU, e.outR
 	if cap(e.conds) < n {
 		e.conds = make([]Condition, n)
 		e.dirt = make([]bool, n)
 	}
 	conds, dirt := e.conds[:n], e.dirt[:n]
-	body := func(lo, hi int) {
-		// Per-chunk scratch, recycled across chunks, layers and Applies.
+	outN, outU, outR := e.outN, e.outU, e.outR
+	// body processes the chunk [a, b) of the range, i.e. groups[lo+a:lo+b].
+	body := func(a, b int) {
+		// Per-chunk scratch, recycled across chunks, layers and batches.
 		sc := e.getScratch(l)
-		for i := lo; i < hi; i++ {
+		for i := lo + a; i < lo+b; i++ {
 			outN[i], outU[i], outR[i], conds[i], dirt[i] = e.processTarget(l, groups[i], sc, outN[i][:0], outU[i][:0], outR[i][:0])
 		}
 		e.scratchPools[l].Put(sc)
 	}
 	if e.opts.Sequential || e.opts.DisableGrouping {
-		body(0, n)
+		body(0, hi-lo)
 	} else {
-		tensor.ParallelForGrain(n, 4*e.model.Layers[l].MsgDim(), body)
+		tensor.ParallelForGrain(hi-lo, 4*e.model.Layers[l].MsgDim(), body)
 	}
-	// Merge into the carried-event buffers. The buffers may still hold the
-	// events carried INTO this layer, but the grouper consumed those before
-	// processLayer ran, so overwriting them in place is safe.
-	nextN, nextU := e.evBuf[:0], e.uevBuf[:0]
-	for i := 0; i < n; i++ {
-		nextN = append(nextN, outN[i]...)
-		nextU = append(nextU, outU[i]...)
-		if e.partActive {
-			// Records merge in sorted-group-target order, so the round's
-			// record list comes out sorted by source node.
-			e.partRecOut = append(e.partRecOut, outR[i]...)
-		}
+	for i := lo; i < hi; i++ {
+		// Records merge in sorted-group-target order, so a range's record
+		// list comes out sorted by source node (always empty standalone).
+		e.partRecOut = append(e.partRecOut, outR[i]...)
 		e.stats.Add(conds[i])
 		e.layerStats[l].Add(conds[i])
 		if dirt[i] {
@@ -683,6 +666,29 @@ func (e *Engine) processLayer(l int, groups []*group) ([]Event, []UserEvent) {
 		if e.opts.Trace != nil {
 			e.opts.Trace(l, groups[i].target, conds[i])
 		}
+	}
+}
+
+// mergeCarried collects the events a fully processed layer emitted into the
+// carried-event buffers, in target order. groups[:split] and groups[split:]
+// are each sorted by target (split == len(groups) for a layer processed in
+// one range), so a two-way merge of the slots restores the order an unsplit
+// layer produces. The buffers may still hold the events carried INTO this
+// layer, but the grouper consumed those before the layer was processed, so
+// overwriting them in place is safe.
+func (e *Engine) mergeCarried(groups []*group, split int) ([]Event, []UserEvent) {
+	nextN, nextU := e.evBuf[:0], e.uevBuf[:0]
+	i, j := 0, split
+	for i < split || j < len(groups) {
+		k := i
+		if i == split || (j < len(groups) && groups[j].target < groups[i].target) {
+			k = j
+			j++
+		} else {
+			i++
+		}
+		nextN = append(nextN, e.outN[k]...)
+		nextU = append(nextU, e.outU[k]...)
 	}
 	e.evBuf, e.uevBuf = nextN, nextU
 	return nextN, nextU
@@ -795,10 +801,11 @@ func (e *Engine) processTarget(l int, g *group, sc *scratch, evts []Event, uevts
 		return evts, uevts, recs, cond, false
 	}
 	if e.partActive {
-		// Partitioned mode: the router broadcasts the message change to
-		// every shard, which regenerates the fan-out over its own arcs
-		// (RoundLayer) — including this one. Local fan-out here would
-		// double-apply the change to local out-neighbors.
+		// Partitioned mode: the router delivers the message change to
+		// every shard with an arc from u, which regenerates the fan-out
+		// over its own arcs (regenFanOut) — including this one. Local
+		// fan-out here would double-apply the change to local
+		// out-neighbors.
 		recs = append(recs, MessageChange{Node: u, Old: oldM, New: mRow})
 	} else {
 		evts = e.fanOut(u, next.Agg(), oldM, mRow, evts)

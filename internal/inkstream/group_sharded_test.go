@@ -1,6 +1,7 @@
 package inkstream
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -51,6 +52,90 @@ func TestPartitionStable(t *testing.T) {
 	}
 }
 
+// setWorkers pins the tensor worker count for one test: the grouping
+// selector reads it, and a 1-CPU host would otherwise never route sharded.
+func setWorkers(t *testing.T, w int) {
+	t.Helper()
+	old := tensor.Parallelism
+	tensor.Parallelism = w
+	t.Cleanup(func() { tensor.Parallelism = old })
+}
+
+// TestGroupingSelector pins the one rule that picks a grouping route, at its
+// boundary: a layer one event short of shardMinEvents routes sequentially,
+// a layer of exactly shardMinEvents (user events count) routes across the
+// pool when there is more than one worker, and one worker never shards.
+// Both sides of the boundary then apply the same batch — a directed delta of
+// exactly shardMinEvents changes is exactly that many layer-0 events — to
+// bit-identical state.
+func TestGroupingSelector(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	const n, featLen = 1500, 6
+	build := func() *Engine {
+		rng := rand.New(rand.NewSource(3))
+		g := graph.New(n)
+		for g.NumEdges() < 4*n {
+			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+			if u != v && !g.HasEdge(u, v) {
+				if err := g.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		x := tensor.RandMatrix(rng, n, featLen, 1)
+		model := gnn.NewGIN(rng, featLen, 8, 3, gnn.NewAggregator(gnn.AggSum))
+		e, err := New(model, g, x, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+
+	e := build()
+	dim := e.model.Layers[0].MsgDim()
+	native := make([]Event, shardMinEvents)
+	for i := range native {
+		native[i] = Event{Op: OpUpdate, Target: graph.NodeID(rng.Intn(n)), Payload: tensor.RandVector(rng, dim, 1)}
+	}
+	user := []UserEvent{{Target: graph.NodeID(rng.Intn(n))}}
+	routed := func(workers int, native []Event, user []UserEvent) int {
+		tensor.Parallelism = workers
+		e.groupLayer(0, native, user)
+		return e.gr.nShards
+	}
+	setWorkers(t, 4)
+	if got := routed(4, native[:shardMinEvents-1], nil); got != 1 {
+		t.Errorf("%d events, 4 workers: routed across %d shards, want sequential", shardMinEvents-1, got)
+	}
+	if got := routed(4, native, nil); got <= 1 {
+		t.Errorf("%d events, 4 workers: routed sequentially, want sharded", shardMinEvents)
+	}
+	if got := routed(4, native[:shardMinEvents-1], user); got <= 1 {
+		t.Errorf("%d native + 1 user event, 4 workers: routed sequentially, want sharded", shardMinEvents-1)
+	}
+	if got := routed(1, native, nil); got != 1 {
+		t.Errorf("%d events, 1 worker: routed across %d shards, want sequential", shardMinEvents, got)
+	}
+
+	shardedEng, seqEng := build(), build()
+	delta := graph.RandomDelta(rng, shardedEng.Graph(), shardMinEvents)
+	tensor.Parallelism = 4
+	if shardedEng.shardCount(len(delta)) <= 1 {
+		t.Fatal("layer 0 of the threshold-sized batch would not route sharded")
+	}
+	if err := shardedEng.Update(delta); err != nil {
+		t.Fatal(err)
+	}
+	tensor.Parallelism = 1
+	if err := seqEng.Update(delta); err != nil {
+		t.Fatal(err)
+	}
+	if !shardedEng.State().Equal(seqEng.State()) {
+		t.Fatalf("state differs across the selector boundary (output max diff %g)",
+			shardedEng.Output().MaxAbsDiff(seqEng.Output()))
+	}
+}
+
 // TestShardedGroupingEquivalence: the sharded event router must be
 // bit-exact with the sequential one for every aggregator kind — not just
 // within tolerance — because it reproduces the identical group order,
@@ -59,21 +144,23 @@ func TestShardedGroupingEquivalence(t *testing.T) {
 	for _, kind := range allKinds {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			build := func(opts Options) (*Engine, *tensor.Matrix) {
+			build := func(shardMin int) *Engine {
 				rng := rand.New(rand.NewSource(99))
 				g := randomGraph(rng, 400, 1600)
 				x := tensor.RandMatrix(rng, 400, 6, 1)
 				model := gnn.NewGIN(rng, 6, 8, 3, gnn.NewAggregator(kind))
-				e, err := New(model, g, x, nil, opts)
+				e, err := New(model, g, x, nil, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				return e, x
+				e.shardMin = shardMin
+				return e
 			}
-			// ShardMinEvents 1 forces the sharded router on every layer of
+			// A threshold of 1 forces the sharded router on every layer of
 			// the first engine; the second always routes sequentially.
-			sharded, _ := build(Options{ShardMinEvents: 1})
-			seq, _ := build(Options{DisableShardedGrouping: true})
+			setWorkers(t, 4)
+			sharded := build(1)
+			seq := build(math.MaxInt)
 			drng := rand.New(rand.NewSource(5))
 			for batch := 0; batch < 4; batch++ {
 				delta := graph.RandomDelta(drng, sharded.Graph(), 80)
@@ -102,10 +189,12 @@ func TestShardedGrouperStress(t *testing.T) {
 	g := randomGraph(rng, 600, 3000)
 	x := tensor.RandMatrix(rng, 600, 8, 1)
 	model := gnn.NewGIN(rng, 8, 16, 3, gnn.NewAggregator(gnn.AggMax))
-	e, err := New(model, g, x, nil, Options{ShardMinEvents: 1})
+	e, err := New(model, g, x, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	setWorkers(t, 4)
+	e.shardMin = 1
 	batches := 12
 	if testing.Short() {
 		batches = 4
@@ -122,17 +211,18 @@ func TestShardedGrouperStress(t *testing.T) {
 }
 
 // benchApplyGrouping measures Apply over large deltas with the given
-// routing options; the delta stream is pre-generated and replayed as
+// sharding threshold; the delta stream is pre-generated and replayed as
 // insert/delete toggles so every iteration does identical work.
-func benchApplyGrouping(b *testing.B, opts Options) {
+func benchApplyGrouping(b *testing.B, shardMin int) {
 	rng := rand.New(rand.NewSource(23))
 	g := randomGraph(rng, 4000, 20_000)
 	x := tensor.RandMatrix(rng, 4000, 16, 1)
 	model := gnn.NewGIN(rng, 16, 32, 3, gnn.NewAggregator(gnn.AggMax))
-	e, err := New(model, g, x, nil, opts)
+	e, err := New(model, g, x, nil, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	e.shardMin = shardMin
 	// An alternating insert/remove pair over a fixed edge set keeps the
 	// graph (and thus per-iteration work) stable.
 	var absent graph.Delta
@@ -163,9 +253,9 @@ func benchApplyGrouping(b *testing.B, opts Options) {
 }
 
 func BenchmarkApplyShardedGrouping(b *testing.B) {
-	benchApplyGrouping(b, Options{})
+	benchApplyGrouping(b, shardMinEvents)
 }
 
 func BenchmarkApplySequentialGrouping(b *testing.B) {
-	benchApplyGrouping(b, Options{DisableShardedGrouping: true})
+	benchApplyGrouping(b, math.MaxInt)
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/tensor"
 )
@@ -17,31 +16,31 @@ import (
 // In partitioned mode one engine owns a subset of the vertices. It holds
 // full-size state matrices, but only the rows of local vertices are
 // authoritative; message rows of remote vertices are ghost rows, refreshed
-// from broadcast message-change records at the start of every layer. The
+// from delivered message-change records at the start of every layer. The
 // engine never fans events out itself — processTarget captures a
-// MessageChange record per affected source instead, the router merges the
-// records of all shards in node order, and every shard regenerates the
-// fan-out over its own in-arcs (RoundLayer). Because a shard graph holds
-// every in-arc of every local vertex, the regenerated per-target event
-// sequence is exactly the single-engine sequence restricted to local
-// targets, in the same arrival order — which is what makes N-shard results
-// bit-exact against a 1-shard run (see DESIGN.md §11.3).
+// MessageChange record per affected source instead, the router delivers each
+// record, in node order, to the shards holding an arc from its source, and
+// every shard regenerates the fan-out over its own in-arcs
+// (RoundLayerBoundary). Because a shard graph holds every in-arc of every
+// local vertex, the regenerated per-target event sequence is exactly the
+// single-engine sequence restricted to local targets, in the same arrival
+// order — which is what makes N-shard results bit-exact against a
+// standalone engine (see DESIGN.md §11.3).
 
-var errPartitioned = errors.New("inkstream: engine is in partitioned mode; use BeginRound/RoundLayer/FinishRound via the shard router")
+var errPartitioned = errors.New("inkstream: engine is in partitioned mode; use the round protocol (BeginRound … FinishRound) via the shard router")
 
 // RoundStageStats is one shard's self-measured slice of one round stage,
 // read by the router after the stage barrier (the WaitGroup join orders the
 // write before the read). Ghost is the ghost-row refresh portion of a
-// RoundLayer call; Events the native events the stage staged locally.
+// RoundLayerBoundary call; Events the native events the stage staged locally.
 type RoundStageStats struct {
 	GhostRows int
 	Events    int
 	Ghost     time.Duration
 	// Boundary/Interior split one RoundLayerBoundary+RoundLayerInterior
 	// pair's compute time into the part that produced outgoing records and
-	// the part overlapped with the exchange (both zero for plain
-	// RoundLayer calls). BoundaryTargets counts the groups processed in the
-	// boundary phase.
+	// the part overlapped with the exchange. BoundaryTargets counts the
+	// groups processed in the boundary phase.
 	Boundary        time.Duration
 	Interior        time.Duration
 	BoundaryTargets int
@@ -51,8 +50,8 @@ type RoundStageStats struct {
 // concurrently with rounds.
 func (e *Engine) SetRoundTiming(on bool) { e.roundTiming = on }
 
-// LastStageStats returns the stats of the most recent BeginRound/RoundLayer
-// call (zero when timing is off).
+// LastStageStats returns the stats of the most recent round stage (zero when
+// timing is off).
 func (e *Engine) LastStageStats() RoundStageStats { return e.lastStage }
 
 // MessageChange records that node Node's layer-(l+1) message changed from
@@ -100,120 +99,17 @@ func (e *Engine) BeginRound(delta graph.Delta, vups []VertexUpdate) ([]MessageCh
 	if e.partActive {
 		return nil, errors.New("inkstream: BeginRound with a round already open")
 	}
-	if err := delta.Validate(e.g); err != nil {
-		return nil, err
-	}
-	if err := e.validateVertexUpdates(vups); err != nil {
-		return nil, err
-	}
-	for i, up := range vups {
-		if !e.partLocal[up.Node] {
-			return nil, fmt.Errorf("inkstream: vertex update %d targets remote node %d", i, up.Node)
-		}
-	}
-
-	// Same staging as Apply: rewind the payload arena, snapshot the
-	// pre-round messages of removed-arc sources (ghost rows included —
-	// they still hold last round's values here), index inserted arcs and
-	// in-degree deltas, then mutate the shard graph.
-	e.arena.reset()
-	e.partOld = e.snapshotRemovedSources(delta)
-	e.indexDeltaArcs(delta)
-	if err := delta.Apply(e.g); err != nil {
-		return nil, err // unreachable after Validate, but fail safe
-	}
-	e.partDelta = delta
-	e.partActive = true
-
-	recs, carU := e.applyVertexUpdatesCapture(vups)
-	e.partCarU = carU
-	if e.roundTiming {
-		e.lastStage = RoundStageStats{Events: len(recs)}
-	}
-	return recs, nil
-}
-
-// RoundLayer runs layer l of the open round. recs must be the node-sorted
-// union of every shard's records for this layer: the layer-0 records
-// returned by BeginRound (for l == 0) or the records returned by the
-// previous RoundLayer (for l > 0). It refreshes ghost message rows from
-// remote records, regenerates the layer's event list (changed-edge events
-// in sub-batch order, then record fan-out in node order — the single-engine
-// arrival order restricted to local targets), processes the layer, and
-// returns this shard's records for the next layer, sorted by node.
-// The returned slice is engine-owned scratch (see BeginRound).
-func (e *Engine) RoundLayer(l int, recs []MessageChange) ([]MessageChange, error) {
-	groups, err := e.stageRoundLayer(l, recs)
+	oldMsg, err := e.stageBatch(delta, vups)
 	if err != nil {
 		return nil, err
 	}
+	e.partOld, e.partDelta, e.partActive = oldMsg, delta, true
 	e.partRecOut = e.partRecOut[:0]
-	_, carU := e.processLayer(l, groups)
-	e.partCarU = carU
+	_, e.partCarU = e.applyVertexUpdates(vups)
+	if e.roundTiming {
+		e.lastStage = RoundStageStats{Events: len(e.partRecOut)}
+	}
 	return e.partRecOut, nil
-}
-
-// stageRoundLayer is the shared prologue of RoundLayer and
-// RoundLayerBoundary: validate, refresh ghost rows from remote records,
-// regenerate the layer's native event list and group it. The returned
-// groups are sorted by target (except under DisableGrouping, which keeps
-// arrival order — one group per event).
-func (e *Engine) stageRoundLayer(l int, recs []MessageChange) ([]*group, error) {
-	if !e.partActive {
-		return nil, errors.New("inkstream: RoundLayer without an open round")
-	}
-	if e.partSplitOpen {
-		return nil, errors.New("inkstream: previous layer's interior phase still pending (RoundLayerInterior)")
-	}
-	if l < 0 || l >= e.model.NumLayers() {
-		return nil, fmt.Errorf("inkstream: RoundLayer layer %d out of range [0,%d)", l, e.model.NumLayers())
-	}
-
-	// Ghost refresh: adopt the remote shards' message changes before any
-	// event references M[l]. Local records are this engine's own rows —
-	// already current.
-	var ghostStart time.Time
-	if e.roundTiming {
-		ghostStart = time.Now()
-	}
-	ghosts := 0
-	for _, r := range recs {
-		if e.partLocal[r.Node] {
-			continue
-		}
-		e.state.M[l].SetRow(int(r.Node), r.New)
-		e.c.StoreVec(len(r.New))
-		ghosts++
-	}
-	if e.roundTiming {
-		e.lastStage = RoundStageStats{GhostRows: ghosts, Ghost: time.Since(ghostStart)}
-	}
-
-	// Stage the layer's native event list exactly as Apply does: changed-
-	// edge events first, then the fan-out of this layer's message changes.
-	e.routeN = e.appendChangedEdgeEvents(e.routeN[:0], l, e.partDelta, e.partOld)
-	e.routeN = e.regenFanOut(e.routeN, l, recs)
-	carriedUser := e.partCarU
-
-	dim := e.model.Layers[l].MsgDim()
-	var groups []*group
-	if S := e.shardCount(len(e.routeN) + len(carriedUser)); S > 1 {
-		e.gr.beginSharded(dim, S)
-		groups = e.gr.groupSharded(e.routeN, carriedUser, e.hooks)
-	} else {
-		e.gr.begin(dim)
-		for _, ev := range e.routeN {
-			e.gr.addNative(ev)
-		}
-		for _, ev := range carriedUser {
-			e.gr.addUser(ev)
-		}
-		groups = e.gr.finish(e.hooks)
-	}
-	if e.roundTiming {
-		e.lastStage.Events = len(e.routeN) + len(carriedUser)
-	}
-	return groups, nil
 }
 
 // SetPartitionBoundary installs the boundary mask for split-layer rounds:
@@ -234,28 +130,64 @@ func (e *Engine) SetPartitionBoundary(boundary []bool) error {
 	return nil
 }
 
-// RoundLayerBoundary runs the boundary phase of layer l: the same staging as
-// RoundLayer, then the compute of only the targets whose records other
-// shards are waiting for. It returns those records immediately — sorted by
-// node, engine-owned, stable until this engine's next stageRoundLayer — so
-// the router can start the cross-shard exchange while RoundLayerInterior
-// finishes the rest of the layer. Splitting a layer never changes values:
-// grouped targets are independent within a layer (layer-l processing reads
-// M[l]/Alpha[l] and writes only per-target H[l+1]/M[l+1] rows), so only the
-// schedule moves. Under DisableGrouping the group list is in arrival order
-// rather than target order, so the split is disabled and the whole layer
+// RoundLayerBoundary runs the boundary phase of layer l of the open round.
+// recs must be the node-sorted records delivered to this shard for the
+// layer: its own and its subscriptions' share of the layer-0 records
+// returned by BeginRound (for l == 0) or of the records the previous layer's
+// two phases returned (for l > 0). It refreshes ghost message rows from the
+// remote records, regenerates the layer's event list (changed-edge events in
+// sub-batch order, then record fan-out in node order — the single-engine
+// arrival order restricted to local targets), groups it, and computes only
+// the targets whose records other shards are waiting for. Those records are
+// returned immediately — sorted by node, engine-owned, stable until this
+// engine's next RoundLayerBoundary — so the router can start the cross-shard
+// exchange while RoundLayerInterior finishes the rest of the layer.
+// Splitting a layer never changes values: grouped targets are independent
+// within a layer (layer-l processing reads M[l]/Alpha[l] and writes only
+// per-target H[l+1]/M[l+1] rows), so only the schedule moves. With no
+// boundary mask, and under the DisableGrouping ablation, the whole layer
 // runs in the boundary phase.
 func (e *Engine) RoundLayerBoundary(l int, recs []MessageChange) ([]MessageChange, error) {
-	groups, err := e.stageRoundLayer(l, recs)
-	if err != nil {
-		return nil, err
+	if !e.partActive {
+		return nil, errors.New("inkstream: RoundLayerBoundary without an open round")
 	}
+	if e.partSplitOpen {
+		return nil, errors.New("inkstream: previous layer's interior phase still pending (RoundLayerInterior)")
+	}
+	if l < 0 || l >= e.model.NumLayers() {
+		return nil, fmt.Errorf("inkstream: RoundLayerBoundary layer %d out of range [0,%d)", l, e.model.NumLayers())
+	}
+
+	// Ghost refresh: adopt the remote shards' message changes before any
+	// event references M[l]. Local records are this engine's own rows —
+	// already current.
+	var t0 time.Time
+	if e.roundTiming {
+		t0 = time.Now()
+	}
+	ghosts := 0
+	for _, r := range recs {
+		if e.partLocal[r.Node] {
+			continue
+		}
+		e.state.M[l].SetRow(int(r.Node), r.New)
+		e.c.StoreVec(len(r.New))
+		ghosts++
+	}
+	if e.roundTiming {
+		e.lastStage = RoundStageStats{GhostRows: ghosts, Ghost: time.Since(t0)}
+	}
+
+	// Stage the layer's native event list exactly as Apply does: changed-
+	// edge events first, then the fan-out of this layer's message changes.
+	e.routeN = e.appendChangedEdgeEvents(e.routeN[:0], l, e.partDelta, e.partOld)
+	e.routeN = e.regenFanOut(e.routeN, l, recs)
+	groups := e.groupLayer(l, e.routeN, e.partCarU)
 
 	split := len(groups)
 	if e.partBoundary != nil && !e.opts.DisableGrouping {
 		// Stable-partition boundary targets first. Both halves stay sorted
-		// by target, so RoundLayerInterior can reconstruct the global target
-		// order with a two-way merge.
+		// by target, so mergeCarried can reconstruct the global target order.
 		e.partGroups = e.partGroups[:0]
 		for _, g := range groups {
 			if e.partBoundary[g.target] {
@@ -271,8 +203,8 @@ func (e *Engine) RoundLayerBoundary(l int, recs []MessageChange) ([]MessageChang
 		groups = e.partGroups
 	}
 
-	var t0 time.Time
 	if e.roundTiming {
+		e.lastStage.Events = len(e.routeN) + len(e.partCarU)
 		t0 = time.Now()
 	}
 	e.partRecOut = e.partRecOut[:0]
@@ -312,79 +244,19 @@ func (e *Engine) RoundLayerInterior() ([]MessageChange, error) {
 		e.lastStage.Interior = time.Since(t0)
 	}
 
-	// Merge the carried user events of the two phases back into global
-	// target order (each phase's slots are target-sorted runs), so the next
-	// layer sees exactly the event order an unsplit layer produces.
-	uev := e.uevBuf[:0]
-	i, j := 0, split
-	for i < split && j < len(groups) {
-		if groups[i].target < groups[j].target {
-			uev = append(uev, e.outU[i]...)
-			i++
-		} else {
-			uev = append(uev, e.outU[j]...)
-			j++
-		}
-	}
-	for ; i < split; i++ {
-		uev = append(uev, e.outU[i]...)
-	}
-	for ; j < len(groups); j++ {
-		uev = append(uev, e.outU[j]...)
-	}
-	e.uevBuf = uev
-	e.partCarU = uev
+	// Only user-hook events are carried in partitioned mode (records stand
+	// in for native fan-out); the next layer sees them in exactly the order
+	// an unsplit layer produces.
+	_, e.partCarU = e.mergeCarried(groups, split)
 	e.partSplitOpen = false
 	return interiorRecs, nil
-}
-
-// processRange runs processTarget over groups[lo:hi] (parallel unless the
-// engine is sequential) and merges that range's records into partRecOut and
-// its conditions into the stats. Carried events stay in the per-slot outU
-// buffers for the caller to merge in target order once both phases ran.
-func (e *Engine) processRange(l int, groups []*group, lo, hi int) {
-	n := len(groups)
-	for len(e.outN) < n {
-		e.outN = append(e.outN, nil)
-		e.outU = append(e.outU, nil)
-		e.outR = append(e.outR, nil)
-	}
-	if cap(e.conds) < n {
-		e.conds = make([]Condition, n)
-		e.dirt = make([]bool, n)
-	}
-	conds, dirt := e.conds[:n], e.dirt[:n]
-	outN, outU, outR := e.outN, e.outU, e.outR
-	body := func(lo, hi int) {
-		sc := e.getScratch(l)
-		for i := lo; i < hi; i++ {
-			outN[i], outU[i], outR[i], conds[i], dirt[i] = e.processTarget(l, groups[i], sc, outN[i][:0], outU[i][:0], outR[i][:0])
-		}
-		e.scratchPools[l].Put(sc)
-	}
-	if e.opts.Sequential || e.opts.DisableGrouping {
-		body(lo, hi)
-	} else {
-		tensor.ParallelForGrain(hi-lo, 4*e.model.Layers[l].MsgDim(), func(a, b int) { body(lo+a, lo+b) })
-	}
-	for i := lo; i < hi; i++ {
-		e.partRecOut = append(e.partRecOut, outR[i]...)
-		e.stats.Add(conds[i])
-		e.layerStats[l].Add(conds[i])
-		if dirt[i] {
-			e.markDirty(groups[i].target)
-		}
-		if e.opts.Trace != nil {
-			e.opts.Trace(l, groups[i].target, conds[i])
-		}
-	}
 }
 
 // HasCarriedRoundEvents reports whether the open round is carrying user-hook
 // events into its next layer. The router's idle-shard check reads it between
 // layer barriers: a shard with an empty sub-batch, an empty delivery list AND
-// no carried events has provably nothing to do in the next RoundLayer call,
-// so the router skips the call entirely.
+// no carried events has provably nothing to do in the next layer, so the
+// router skips its two layer calls entirely.
 func (e *Engine) HasCarriedRoundEvents() bool { return len(e.partCarU) > 0 }
 
 // MessageRow returns the engine's live layer-l message row of vertex v. The
@@ -492,39 +364,12 @@ func (e *Engine) regenFanOut(evts []Event, l int, recs []MessageChange) []Event 
 	return evts
 }
 
-// applyVertexUpdatesCapture is applyVertexUpdates for partitioned mode:
-// instead of fanning layer-0 events out it captures one MessageChange per
-// feature update whose message actually changed, in sub-batch order (the
-// router sorts round updates by node, so this is node order).
-func (e *Engine) applyVertexUpdatesCapture(ups []VertexUpdate) ([]MessageChange, []UserEvent) {
-	if len(ups) == 0 {
-		return nil, nil
-	}
-	layer0 := e.model.Layers[0]
-	e.partRecOut = e.partRecOut[:0]
-	uevts := e.uevBuf[:0]
-	for _, up := range ups {
-		e.state.H[0].SetRow(int(up.Node), up.X)
-		mRow := e.state.M[0].Row(int(up.Node))
-		oldM := e.arena.clone(mRow)
-		layer0.ComputeMessage(mRow, up.X)
-		gnn.CountMessage(e.c, layer0)
-		if oldM.Equal(mRow) {
-			continue
-		}
-		e.partRecOut = append(e.partRecOut, MessageChange{Node: up.Node, Old: oldM, New: mRow})
-		uevts = append(uevts, e.hooks.Propagate(-1, up.Node, oldM, mRow)...)
-	}
-	e.uevBuf = uevts
-	return e.partRecOut, uevts
-}
-
 // indexDeltaArcs records which arcs this batch inserts (propagation from
 // an affected source skips them — the changed-edge event carries the new
 // message already) and per-node in-degree deltas (the mean aggregator's
 // incremental formula needs the previous degree). The maps are created on
 // the first non-empty delta and cleared in place afterwards; vertex-only
-// batches never pay for them. Shared by Apply and BeginRound.
+// batches never pay for them.
 func (e *Engine) indexDeltaArcs(delta graph.Delta) {
 	if len(e.insArcs) > 0 {
 		clear(e.insArcs)

@@ -1,7 +1,6 @@
 package inkstream
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -23,101 +22,11 @@ func expandDelta(delta graph.Delta) graph.Delta {
 	return out
 }
 
-// driveRound pushes one batch through the round protocol exactly the way
-// the shard router does: BeginRound, per-layer record exchange (copied into
-// a caller-owned buffer and sorted by node), FinishRound.
-func driveRound(t *testing.T, e *Engine, delta graph.Delta, vups []VertexUpdate) {
-	t.Helper()
-	recs, err := e.BeginRound(delta, vups)
-	if err != nil {
-		t.Fatalf("BeginRound: %v", err)
-	}
-	merged := append([]MessageChange(nil), recs...)
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Node < merged[j].Node })
-	for l := 0; l < e.model.NumLayers(); l++ {
-		out, err := e.RoundLayer(l, merged)
-		if err != nil {
-			t.Fatalf("RoundLayer %d: %v", l, err)
-		}
-		merged = append(merged[:0], out...)
-		sort.Slice(merged, func(i, j int) bool { return merged[i].Node < merged[j].Node })
-	}
-	if err := e.FinishRound(); err != nil {
-		t.Fatalf("FinishRound: %v", err)
-	}
-	e.PublishSnapshot()
-}
-
-// TestRoundProtocolMatchesApply drives an all-local partitioned engine (one
-// shard owning everything, over the directed expansion of the same graph)
-// through the round protocol and demands bitwise-identical state against a
-// plain engine applying the same stream — for every model and aggregator,
-// accumulative ones included. This is the single-engine half of the shard
-// bit-exactness argument (DESIGN.md §11.3): the regenerated event order must
-// equal Apply's native order exactly.
-func TestRoundProtocolMatchesApply(t *testing.T) {
-	for _, name := range []string{"GCN", "SAGE", "GIN"} {
-		for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMean, gnn.AggSum} {
-			t.Run(fmt.Sprintf("%s/%s", name, kind), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(41))
-				const n, featLen = 60, 6
-				g := randomGraph(rng, n, 150)
-				x := tensor.RandMatrix(rng, n, featLen, 1)
-				model := buildModel(rng, name, featLen, kind)
-
-				plain, err := New(model, g.Clone(), x.Clone(), nil, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				part, err := graph.NewHashPartition(n, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Bootstrap from the original graph's inference, like the
-				// router does: the shard graph's adjacency order differs, so
-				// re-inferring over it would land accumulative sums on
-				// different ulps.
-				ink, err := NewFromState(model, part.ShardGraph(g, 0), plain.State().Clone(), nil, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := ink.SetPartitionLocal(part.LocalMask(0)); err != nil {
-					t.Fatal(err)
-				}
-
-				xCur := x.Clone()
-				for step := 0; step < 8; step++ {
-					delta := graph.RandomDelta(rng, plain.Graph(), 4)
-					var vups []VertexUpdate
-					if step%2 == 1 {
-						nodes := rng.Perm(n)[:3]
-						sort.Ints(nodes)
-						for _, v := range nodes {
-							vups = append(vups, VertexUpdate{
-								Node: graph.NodeID(v),
-								X:    tensor.RandVector(rng, featLen, 1),
-							})
-							copy(xCur.Row(v), vups[len(vups)-1].X)
-						}
-					}
-					if err := plain.Apply(delta, vups); err != nil {
-						t.Fatalf("step %d: plain Apply: %v", step, err)
-					}
-					driveRound(t, ink, expandDelta(delta), vups)
-					if !plain.State().Equal(ink.State()) {
-						t.Fatalf("step %d: round-protocol state diverged from Apply", step)
-					}
-				}
-				checkEquivalence(t, plain, xCur, kind, "plain")
-			})
-		}
-	}
-}
-
 // TestRoundTimingStats pins the round-profiler hooks: with timing on, every
 // stage leaves a RoundStageStats behind (ghost refresh counted for remote
-// records only, events counted for the staged layer list), FinishRound
-// clears it, and running the same stream with timing on stays bit-exact.
+// records only, events counted for the staged layer list, the whole layer in
+// the boundary phase without a mask), FinishRound clears it, and running the
+// same stream with timing on stays bit-exact.
 func TestRoundTimingStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const n, featLen = 40, 5
@@ -163,7 +72,11 @@ func TestRoundTimingStats(t *testing.T) {
 	merged := append([]MessageChange(nil), recs...)
 	sort.Slice(merged, func(i, j int) bool { return merged[i].Node < merged[j].Node })
 	for l := 0; l < model.NumLayers(); l++ {
-		out, err := ink.RoundLayer(l, merged)
+		bnd, err := ink.RoundLayerBoundary(l, merged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		intr, err := ink.RoundLayerInterior()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +88,10 @@ func TestRoundTimingStats(t *testing.T) {
 		if len(merged) > 0 && st.Events == 0 && l == 0 && len(delta) > 0 {
 			t.Fatalf("layer %d: zero events staged for a non-empty round", l)
 		}
-		merged = append(merged[:0], out...)
+		if l == 0 && st.BoundaryTargets == 0 {
+			t.Fatalf("layer %d: no boundary-phase targets without a boundary mask", l)
+		}
+		merged = append(append(merged[:0], bnd...), intr...)
 		sort.Slice(merged, func(i, j int) bool { return merged[i].Node < merged[j].Node })
 	}
 	if err := ink.FinishRound(); err != nil {
@@ -208,8 +124,8 @@ func TestPartitionedModeRejections(t *testing.T) {
 	if _, err := plain.BeginRound(nil, nil); err == nil {
 		t.Fatal("BeginRound accepted on a standalone engine")
 	}
-	if _, err := plain.RoundLayer(0, nil); err == nil {
-		t.Fatal("RoundLayer accepted without an open round")
+	if _, err := plain.RoundLayerBoundary(0, nil); err == nil {
+		t.Fatal("RoundLayerBoundary accepted without an open round")
 	}
 	if err := plain.FinishRound(); err == nil {
 		t.Fatal("FinishRound accepted without an open round")

@@ -11,12 +11,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// driveRoundSplit is driveRound over the boundary/interior split protocol:
-// every layer runs as RoundLayerBoundary followed by RoundLayerInterior,
-// with the two record slices concatenated and node-sorted like the router's
-// overlapped merge. The boundary slice must survive the interior call
-// untouched (the overlap contract), so it is only copied out afterwards.
-func driveRoundSplit(t *testing.T, e *Engine, delta graph.Delta, vups []VertexUpdate) {
+// driveRound pushes one batch through the round protocol exactly the way the
+// shard router does: BeginRound, then every layer as RoundLayerBoundary
+// followed by RoundLayerInterior with the two record slices concatenated and
+// node-sorted like the router's overlapped merge, then FinishRound. The
+// boundary slice must survive the interior call untouched (the overlap
+// contract), so it is only copied out afterwards.
+func driveRound(t *testing.T, e *Engine, delta graph.Delta, vups []VertexUpdate) {
 	t.Helper()
 	recs, err := e.BeginRound(delta, vups)
 	if err != nil {
@@ -50,121 +51,94 @@ func driveRoundSplit(t *testing.T, e *Engine, delta graph.Delta, vups []VertexUp
 	e.PublishSnapshot()
 }
 
-// TestSplitRoundMatchesApply drives an all-local partitioned engine through
-// the split-layer round protocol under an adversarial boundary mask (every
-// third vertex) and demands bitwise-identical state against a plain engine:
-// splitting a layer into boundary and interior phases moves the schedule,
-// never the values (DESIGN.md §13). Runs every model × aggregator, like
-// TestRoundProtocolMatchesApply.
+// TestSplitRoundMatchesApply drives an all-local partitioned engine (one
+// shard owning everything, over the directed expansion of the same graph)
+// through the round protocol and demands bitwise-identical state against a
+// plain engine applying the same stream — for every model and aggregator,
+// accumulative ones included. This is the single-engine half of the shard
+// bit-exactness argument (DESIGN.md §11.3): the regenerated event order must
+// equal Apply's native order exactly, and splitting a layer into boundary
+// and interior phases moves the schedule, never the values (§13). The mask
+// rows: none (the whole layer runs in the boundary phase — the unsplit
+// protocol), an adversarial every-third-vertex mask (correctness must not
+// depend on the mask meaning anything: the router's real mask is an
+// optimisation hint, not a correctness input), and all vertices (the
+// interior phase is empty).
 func TestSplitRoundMatchesApply(t *testing.T) {
-	for _, name := range []string{"GCN", "SAGE", "GIN"} {
-		for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMean, gnn.AggSum} {
-			t.Run(fmt.Sprintf("%s/%s", name, kind), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(43))
-				const n, featLen = 60, 6
-				g := randomGraph(rng, n, 150)
-				x := tensor.RandMatrix(rng, n, featLen, 1)
-				model := buildModel(rng, name, featLen, kind)
+	masks := []struct {
+		name string
+		at   func(v int) bool // nil: no mask installed
+	}{
+		{"nil", nil},
+		{"third", func(v int) bool { return v%3 == 0 }},
+		{"all", func(int) bool { return true }},
+	}
+	for _, mask := range masks {
+		for _, name := range []string{"GCN", "SAGE", "GIN"} {
+			for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMean, gnn.AggSum} {
+				t.Run(fmt.Sprintf("%s/%s/%s", mask.name, name, kind), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(43))
+					const n, featLen = 60, 6
+					g := randomGraph(rng, n, 150)
+					x := tensor.RandMatrix(rng, n, featLen, 1)
+					model := buildModel(rng, name, featLen, kind)
 
-				plain, err := New(model, g.Clone(), x.Clone(), nil, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				part, err := graph.NewHashPartition(n, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ink, err := NewFromState(model, part.ShardGraph(g, 0), plain.State().Clone(), nil, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := ink.SetPartitionLocal(part.LocalMask(0)); err != nil {
-					t.Fatal(err)
-				}
-				// An arbitrary mask: correctness must not depend on the mask
-				// meaning anything (the router's real mask is an optimisation
-				// hint, not a correctness input).
-				boundary := make([]bool, n)
-				for v := range boundary {
-					boundary[v] = v%3 == 0
-				}
-				if err := ink.SetPartitionBoundary(boundary); err != nil {
-					t.Fatal(err)
-				}
-
-				for step := 0; step < 8; step++ {
-					delta := graph.RandomDelta(rng, plain.Graph(), 4)
-					var vups []VertexUpdate
-					if step%2 == 1 {
-						nodes := rng.Perm(n)[:3]
-						sort.Ints(nodes)
-						for _, v := range nodes {
-							vups = append(vups, VertexUpdate{
-								Node: graph.NodeID(v),
-								X:    tensor.RandVector(rng, featLen, 1),
-							})
+					plain, err := New(model, g.Clone(), x.Clone(), nil, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					part, err := graph.NewHashPartition(n, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Bootstrap from the original graph's inference, like the
+					// router does: the shard graph's adjacency order differs,
+					// so re-inferring over it would land accumulative sums on
+					// different ulps.
+					ink, err := NewFromState(model, part.ShardGraph(g, 0), plain.State().Clone(), nil, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := ink.SetPartitionLocal(part.LocalMask(0)); err != nil {
+						t.Fatal(err)
+					}
+					if mask.at != nil {
+						boundary := make([]bool, n)
+						for v := range boundary {
+							boundary[v] = mask.at(v)
+						}
+						if err := ink.SetPartitionBoundary(boundary); err != nil {
+							t.Fatal(err)
 						}
 					}
-					if err := plain.Apply(delta, vups); err != nil {
-						t.Fatalf("step %d: plain Apply: %v", step, err)
+
+					xCur := x.Clone()
+					for step := 0; step < 8; step++ {
+						delta := graph.RandomDelta(rng, plain.Graph(), 4)
+						var vups []VertexUpdate
+						if step%2 == 1 {
+							nodes := rng.Perm(n)[:3]
+							sort.Ints(nodes)
+							for _, v := range nodes {
+								vups = append(vups, VertexUpdate{
+									Node: graph.NodeID(v),
+									X:    tensor.RandVector(rng, featLen, 1),
+								})
+								copy(xCur.Row(v), vups[len(vups)-1].X)
+							}
+						}
+						if err := plain.Apply(delta, vups); err != nil {
+							t.Fatalf("step %d: plain Apply: %v", step, err)
+						}
+						driveRound(t, ink, expandDelta(delta), vups)
+						if !plain.State().Equal(ink.State()) {
+							t.Fatalf("step %d: round-protocol state diverged from Apply", step)
+						}
 					}
-					driveRoundSplit(t, ink, expandDelta(delta), vups)
-					if !plain.State().Equal(ink.State()) {
-						t.Fatalf("step %d: split round protocol diverged from Apply", step)
-					}
-				}
-			})
+					checkEquivalence(t, plain, xCur, kind, "plain")
+				})
+			}
 		}
-	}
-}
-
-// TestSplitRoundNilMask pins the degenerate masks: with no boundary mask the
-// whole layer runs in the boundary phase (the split is a no-op), and with an
-// all-true mask the interior phase is empty — both stay bit-exact.
-func TestSplitRoundNilMask(t *testing.T) {
-	for _, mask := range []string{"nil", "all"} {
-		t.Run(mask, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(29))
-			const n, featLen = 40, 5
-			g := randomGraph(rng, n, 100)
-			x := tensor.RandMatrix(rng, n, featLen, 1)
-			model := buildModel(rng, "SAGE", featLen, gnn.AggMax)
-
-			plain, err := New(model, g.Clone(), x.Clone(), nil, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			part, err := graph.NewHashPartition(n, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ink, err := NewFromState(model, part.ShardGraph(g, 0), plain.State().Clone(), nil, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ink.SetPartitionLocal(part.LocalMask(0)); err != nil {
-				t.Fatal(err)
-			}
-			if mask == "all" {
-				all := make([]bool, n)
-				for v := range all {
-					all[v] = true
-				}
-				if err := ink.SetPartitionBoundary(all); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for step := 0; step < 4; step++ {
-				delta := graph.RandomDelta(rng, plain.Graph(), 4)
-				if err := plain.Apply(delta, nil); err != nil {
-					t.Fatal(err)
-				}
-				driveRoundSplit(t, ink, expandDelta(delta), nil)
-				if !plain.State().Equal(ink.State()) {
-					t.Fatalf("step %d: diverged (mask=%s)", step, mask)
-				}
-			}
-		})
 	}
 }
 
@@ -204,9 +178,6 @@ func TestSplitRoundSequencing(t *testing.T) {
 	if _, err := ink.RoundLayerBoundary(1, nil); err == nil {
 		t.Fatal("RoundLayerBoundary accepted with the previous interior pending")
 	}
-	if _, err := ink.RoundLayer(1, nil); err == nil {
-		t.Fatal("RoundLayer accepted with an interior pending")
-	}
 	if err := ink.FinishRound(); err == nil {
 		t.Fatal("FinishRound accepted mid-split")
 	}
@@ -217,7 +188,10 @@ func TestSplitRoundSequencing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for l := 1; l < model.NumLayers(); l++ {
-		if _, err := ink.RoundLayer(l, nil); err != nil {
+		if _, err := ink.RoundLayerBoundary(l, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ink.RoundLayerInterior(); err != nil {
 			t.Fatal(err)
 		}
 	}

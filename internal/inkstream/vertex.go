@@ -23,6 +23,9 @@ func (e *Engine) validateVertexUpdates(ups []VertexUpdate) error {
 		if int(up.Node) < 0 || int(up.Node) >= e.g.NumNodes() {
 			return fmt.Errorf("inkstream: vertex update %d: %w (%d)", i, graph.ErrBadNode, up.Node)
 		}
+		if e.partLocal != nil && !e.partLocal[up.Node] {
+			return fmt.Errorf("inkstream: vertex update %d targets remote node %d", i, up.Node)
+		}
 		if len(up.X) != e.model.InDim() {
 			return fmt.Errorf("inkstream: vertex update %d: feature dim %d, model wants %d", i, len(up.X), e.model.InDim())
 		}
@@ -38,14 +41,17 @@ func (e *Engine) validateVertexUpdates(ups []VertexUpdate) error {
 // messages, and produces the initial layer-0 events: the effect of a new
 // feature x_u is the replacement of m_{1,u} in the paper's 1-based
 // numbering — here m_0 — propagated to u's neighbors and, for
-// self-dependent first layers, to u itself via the hooks.
+// self-dependent first layers, to u itself via the hooks. In an open round
+// the fan-out is replaced by one MessageChange per changed message appended
+// to partRecOut, in sub-batch order (the router sorts round updates by node,
+// so this is node order), exactly as in processTarget.
 func (e *Engine) applyVertexUpdates(ups []VertexUpdate) ([]Event, []UserEvent) {
 	if len(ups) == 0 {
 		return nil, nil
 	}
 	layer0 := e.model.Layers[0]
 	// Build the initial events directly in the carried-event buffers; the
-	// layer loop consumes them into the grouper before processLayer reuses
+	// layer loop consumes them into the grouper before mergeCarried reuses
 	// the same buffers for its output.
 	evts, uevts := e.evBuf[:0], e.uevBuf[:0]
 	for _, up := range ups {
@@ -57,7 +63,11 @@ func (e *Engine) applyVertexUpdates(ups []VertexUpdate) ([]Event, []UserEvent) {
 		if oldM.Equal(mRow) {
 			continue
 		}
-		evts = e.fanOut(up.Node, layer0.Agg(), oldM, mRow, evts)
+		if e.partActive {
+			e.partRecOut = append(e.partRecOut, MessageChange{Node: up.Node, Old: oldM, New: mRow})
+		} else {
+			evts = e.fanOut(up.Node, layer0.Agg(), oldM, mRow, evts)
+		}
 		uevts = append(uevts, e.hooks.Propagate(-1, up.Node, oldM, mRow)...)
 	}
 	e.evBuf, e.uevBuf = evts, uevts

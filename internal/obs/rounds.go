@@ -22,7 +22,7 @@ import (
 // RoundShardSpan is one shard's slice of one barrier stage.
 type RoundShardSpan struct {
 	// Compute is the shard's wall time inside the stage call
-	// (BeginRound/RoundLayer/FinishRound+publish); Barrier is the stage
+	// (BeginRound, the layer's two phases, FinishRound+publish); Barrier is the stage
 	// makespan minus Compute — the time the shard spent waiting for the
 	// straggler to close the barrier.
 	Compute time.Duration
@@ -33,7 +33,7 @@ type RoundShardSpan struct {
 	Ghost  time.Duration
 	Events int
 	// Boundary/Interior split Compute into the boundary-first phases of the
-	// overlapped exchange (zero on the broadcast path); GhostRows counts the
+	// overlapped exchange (zero outside layer stages); GhostRows counts the
 	// remote rows the shard adopted in the stage. Skipped marks a layer call
 	// the router elided because the shard had no events, no delivered
 	// records and no carried hooks — a skipped shard is excluded from
@@ -51,10 +51,10 @@ type RoundShardSpan struct {
 type RoundStageSpan struct {
 	// Name is "begin", "layer<k>" or "publish".
 	Name string
-	// Records and Bytes are the merged message-change records broadcast
-	// into this stage for ghost refresh (0 on 1-shard deployments — nothing
-	// crosses a boundary); Broadcast is the router-side merge/sort time
-	// spent producing them.
+	// Records and Bytes are the message-change records delivered to remote
+	// shards for this stage's ghost refresh (0 on 1-shard deployments —
+	// nothing crosses a boundary); Broadcast is the router-side
+	// bucketing/sort time spent producing the delivery lists.
 	Records   int
 	Bytes     int64
 	Broadcast time.Duration

@@ -644,16 +644,13 @@ type ShardingStats struct {
 	// Rounds counts applied BSP rounds.
 	Rounds int64 `json:"rounds"`
 	// PartitionStrategy names the vertex-placement policy ("hash", "block"
-	// or "greedy"); FullBroadcast marks the legacy all-to-all exchange
-	// (subscription filtering off).
+	// or "greedy").
 	PartitionStrategy string `json:"partition_strategy"`
-	FullBroadcast     bool   `json:"full_broadcast,omitempty"`
 	// CutFraction is the bootstrap-time fraction of arcs crossing shards;
 	// BoundaryRecords/BoundaryBytes the cumulative record deliveries to
 	// remote shards those cut arcs induced. FilteredRecords counts the
-	// remote deliveries the subscription filter suppressed (0 under full
-	// broadcast), GhostRows the ghost message rows engines adopted from the
-	// delivered records.
+	// remote deliveries the subscription filter suppressed, GhostRows the
+	// ghost message rows engines adopted from the delivered records.
 	CutFraction     float64 `json:"cut_fraction"`
 	BoundaryRecords int64   `json:"boundary_records"`
 	BoundaryBytes   int64   `json:"boundary_bytes"`
@@ -688,18 +685,17 @@ type ShardStats struct {
 
 // RoundProfileStats is the cumulative critical-path attribution over every
 // profiled round: where BSP wall-time went (shard compute vs barrier wait),
-// how much of it the record broadcasts cost, and which shard sets the pace.
+// how much of it the record exchange cost, and which shard sets the pace.
 type RoundProfileStats struct {
 	Rounds int64 `json:"rounds"`
 	// BarrierShare is the cumulative fraction of BSP time the mean shard
 	// spent stalled at barriers (1 − mean compute / BSP); BroadcastShare
-	// the router-side record merge time as a fraction of BSP.
+	// the router-side record bucketing time as a fraction of BSP.
 	BarrierShare   float64 `json:"barrier_share"`
 	BroadcastShare float64 `json:"broadcast_share"`
 	// BoundaryShare is the boundary-phase fraction of split-layer compute
 	// (boundary / (boundary + interior)) across profiled rounds — how early
-	// the filtered protocol publishes its records. 0 under full broadcast
-	// (layers are not split).
+	// a layer publishes the records other shards wait for.
 	BoundaryShare float64 `json:"boundary_share"`
 	// MeanStragglerSkew is the mean over rounds of max/mean shard compute
 	// (1 = perfectly balanced); Straggler the shard that was slowest most

@@ -8,12 +8,15 @@
 // vertex s owns, and full-size state matrices whose remote message rows
 // are ghost rows. Updates execute as BSP rounds
 // in layer lockstep: every shard applies its sub-batch, and after each
-// layer the message-change records of all shards are merged in node order
-// and broadcast, so every shard refreshes its ghost rows and regenerates
-// the fan-out over its own arcs. Because the regenerated per-target event
-// sequence equals the single-engine sequence restricted to local targets
-// (in the same arrival order), an N-shard deployment is bit-exact against
-// a 1-shard one — for monotonic and accumulative aggregators alike.
+// layer every message-change record is delivered, in node order, to its
+// producer and to the shards holding an arc from its source (subscribe.go),
+// which refresh their ghost rows and regenerate the fan-out over their own
+// arcs. Because the regenerated per-target event sequence equals the
+// single-engine sequence restricted to local targets (in the same arrival
+// order), an N-shard deployment is bit-exact against a standalone engine —
+// for monotonic and accumulative aggregators alike. One shard is the
+// degenerate case of the same protocol: nothing is subscribed, so nothing
+// is delivered remotely.
 //
 // The router is not a server: it is the apply step of internal/server's one
 // write pipeline (server.Backend). The pipeline submits, journals, fuses
@@ -33,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,12 +62,6 @@ type Config struct {
 	// "greedy" (locality-aware streaming greedy, graph.NewGreedyPartition).
 	// Resolved over the bootstrap graph via graph.PartitionByStrategy.
 	PartitionStrategy string
-	// FullBroadcast disables subscription-filtered delivery and the
-	// boundary-first overlap: every message-change record is broadcast to
-	// every shard through plain RoundLayer calls. This is the pre-PR8
-	// exchange, kept selectable as the A/B baseline for the shard-scaling
-	// bench (BENCH_pr8.json measures the filtered path against it).
-	FullBroadcast bool
 	// Opts is applied to every shard engine. Observer and Trace are ignored
 	// (they are single-engine serving concerns; the router records rounds
 	// into the server's observer).
@@ -104,12 +100,10 @@ type Router struct {
 	// ghost rows iff the count is positive. remoteSubs[u] counts the shards
 	// subscribed to u; boundary[s] is the per-shard mask of owned vertices
 	// with at least one remote subscriber (the engines' boundary-phase
-	// input, mutated in place between rounds). All nil in FullBroadcast
-	// mode and for 1-shard deployments.
-	fullBroadcast bool
-	subs          []map[graph.NodeID]int
-	remoteSubs    []int
-	boundary      [][]bool
+	// input, mutated in place between rounds).
+	subs       []map[graph.NodeID]int
+	remoteSubs []int
+	boundary   [][]bool
 
 	rounds atomic.Int64 // rounds applied
 	edges  atomic.Int64 // logical edge count of the served graph
@@ -149,17 +143,16 @@ type Router struct {
 	broadcastNS      atomic.Int64
 	bspNS            atomic.Int64
 	skewMilli        atomic.Int64 // cumulative straggler skew × 1000
-	boundaryNS       atomic.Int64 // cumulative boundary-phase compute (filtered protocol)
-	interiorNS       atomic.Int64 // cumulative interior-phase compute (filtered protocol)
+	boundaryNS       atomic.Int64 // cumulative boundary-phase compute
+	interiorNS       atomic.Int64 // cumulative interior-phase compute
 	stragglerRounds  []atomic.Int64
 	lastBarrierShare atomic.Uint64
 	lastSkew         atomic.Uint64
 
-	// recBuf is the reusable merged-record buffer (broadcast path);
-	// delivA/delivB are the filtered path's per-destination delivery lists,
-	// double-buffered because layer l's lists are still being read by
-	// engines while layer l+1's are built.
-	recBuf         []inkstream.MessageChange
+	// delivA/delivB are the per-destination delivery lists, double-buffered
+	// because layer l's lists are still being read by engines while layer
+	// l+1's are built; bndOut/intrOut hold each shard's two record slices
+	// of the layer in flight.
 	delivA, delivB [][]inkstream.MessageChange
 	intrOut        [][]inkstream.MessageChange
 	bndOut         [][]inkstream.MessageChange
@@ -191,15 +184,14 @@ func New(model *gnn.Model, g *graph.Graph, x *tensor.Matrix, cfg Config) (*Route
 	opts.Observer = nil
 	opts.Trace = nil
 	rt := &Router{
-		model:         model,
-		part:          part,
-		strategy:      strategy,
-		replica:       directedReplica(g),
-		undirected:    g.Undirected,
-		cut:           part.Cut(g),
-		fullBroadcast: cfg.FullBroadcast || cfg.Shards == 1,
-		recSize:       obs.NewSizeHistogram(),
-		roundDur:      obs.NewLatencyHistogram(),
+		model:      model,
+		part:       part,
+		strategy:   strategy,
+		replica:    directedReplica(g),
+		undirected: g.Undirected,
+		cut:        part.Cut(g),
+		recSize:    obs.NewSizeHistogram(),
+		roundDur:   obs.NewLatencyHistogram(),
 	}
 	rt.roundDur.EnableExemplars()
 	// Last 256 rounds profiled by default; reconfigure with
@@ -221,12 +213,9 @@ func New(model *gnn.Model, g *graph.Graph, x *tensor.Matrix, cfg Config) (*Route
 		st.eng = eng
 		rt.shards = append(rt.shards, st)
 	}
-	if !rt.fullBroadcast {
-		if err := rt.initSubscriptions(); err != nil {
-			return nil, err
-		}
+	if err := rt.initSubscriptions(); err != nil {
+		return nil, err
 	}
-
 	return rt, nil
 }
 
@@ -432,17 +421,6 @@ func (rt *Router) split(arcs graph.Delta, vups []inkstream.VertexUpdate) *round 
 // ---------------------------------------------------------------------------
 // Round execution.
 
-// executeRound runs one BSP round. Multi-shard deployments use the
-// subscription-filtered, boundary-first protocol (subscribe.go) unless
-// FullBroadcast pins the legacy path; 1-shard deployments always broadcast
-// (there is nothing to filter or overlap).
-func (rt *Router) executeRound(r *round) error {
-	if rt.fullBroadcast {
-		return rt.executeRoundBroadcast(r)
-	}
-	return rt.executeRoundFiltered(r)
-}
-
 // runStage is eachShard plus per-shard wall-time capture when the round is
 // profiled: each goroutine writes only its own durs slot, and the WaitGroup
 // join orders those writes before addStage reads them.
@@ -458,80 +436,7 @@ func (rt *Router) runStage(prof *obs.RoundTrace, durs []time.Duration, f func(i 
 	})
 }
 
-// executeRoundBroadcast runs one BSP round in plain layer lockstep:
-// BeginRound on every shard, then per layer a barrier-synchronised exchange
-// — the node-sorted union of every shard's message-change records is
-// broadcast to all shards, which refresh ghost rows and regenerate local
-// fan-out — then FinishRound and a snapshot publish on every shard.
-func (rt *Router) executeRoundBroadcast(r *round) error {
-	n := len(rt.shards)
-	prof := r.prof
-	var durs []time.Duration
-	if prof != nil {
-		durs = make([]time.Duration, n)
-	}
-	var bcast time.Duration
-	mergeTimed := func(outs [][]inkstream.MessageChange) []inkstream.MessageChange {
-		if prof == nil {
-			return rt.mergeRecords(outs)
-		}
-		t0 := time.Now()
-		m := rt.mergeRecords(outs)
-		bcast = time.Since(t0)
-		return m
-	}
-
-	outs, err := rt.beginRound(r, durs)
-	if err != nil {
-		return err
-	}
-	merged := mergeTimed(outs)
-	roundRecs := 0
-	for l := 0; l < rt.model.NumLayers(); l++ {
-		stageRecs, stageBytes := 0, int64(0)
-		if n > 1 && len(merged) > 0 {
-			// Boundary traffic: every record is delivered to the n-1 other
-			// shards for ghost refresh and fan-out regeneration.
-			roundRecs += len(merged) * (n - 1)
-			rt.boundaryRecs.Add(int64(len(merged) * (n - 1)))
-			var bytes int64
-			for _, rec := range merged {
-				bytes += int64(4 * (len(rec.Old) + len(rec.New)))
-			}
-			rt.boundaryBytes.Add(bytes * int64(n-1))
-			stageRecs = len(merged) * (n - 1)
-			stageBytes = bytes * int64(n-1)
-		}
-		layerBcast := bcast // merge time that produced this stage's records
-		layer := l
-		if err := rt.runStage(prof, durs, func(i int, s *shardState) error {
-			recs, err := s.eng.RoundLayer(layer, merged)
-			outs[i] = recs
-			return err
-		}); err != nil {
-			return fmt.Errorf("layer %d: %w", l, err)
-		}
-		if n > 1 {
-			for _, s := range rt.shards {
-				rt.ghostRows.Add(int64(s.eng.LastStageStats().GhostRows))
-			}
-		}
-		if prof != nil {
-			rt.addStage(prof, "layer"+strconv.Itoa(l), durs, nil, stageRecs, stageBytes, layerBcast)
-			prof.Records += stageRecs
-			prof.Bytes += stageBytes
-		}
-		merged = mergeTimed(outs)
-	}
-	if n > 1 {
-		rt.recSize.Observe(int64(roundRecs))
-	}
-	// The trailing merge drained the last layer's (unconsumed) records;
-	// its cost goes to the publish stage.
-	return rt.finishRound(prof, durs, bcast)
-}
-
-// beginRound is the first barrier stage of either protocol: every shard
+// beginRound is the first barrier stage of a round: every shard
 // applies its sub-batch and returns its layer-0 message-change records.
 func (rt *Router) beginRound(r *round, durs []time.Duration) ([][]inkstream.MessageChange, error) {
 	outs := make([][]inkstream.MessageChange, len(rt.shards))
@@ -548,9 +453,9 @@ func (rt *Router) beginRound(r *round, durs []time.Duration) ([][]inkstream.Mess
 	return outs, nil
 }
 
-// finishRound is the last barrier stage of either protocol: every shard
+// finishRound is the last barrier stage of a round: every shard
 // seals the round and publishes its snapshot. bcast is the record
-// merge/bucketing time since the last layer stage.
+// bucketing time since the last layer stage.
 func (rt *Router) finishRound(prof *obs.RoundTrace, durs []time.Duration, bcast time.Duration) error {
 	err := rt.runStage(prof, durs, func(i int, s *shardState) error {
 		if err := s.eng.FinishRound(); err != nil {
@@ -605,21 +510,6 @@ func (rt *Router) addStage(prof *obs.RoundTrace, name string, durs []time.Durati
 		}
 	}
 	prof.Stages = append(prof.Stages, st)
-}
-
-// mergeRecords merges the per-shard record lists into one list sorted by
-// node. Each list is already node-sorted and a node's record is produced
-// by exactly one shard (its owner), so a plain sort is deterministic; the
-// structs are copied into the router-owned buffer because the inputs are
-// engine scratch.
-func (rt *Router) mergeRecords(outs [][]inkstream.MessageChange) []inkstream.MessageChange {
-	merged := rt.recBuf[:0]
-	for _, recs := range outs {
-		merged = append(merged, recs...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Node < merged[j].Node })
-	rt.recBuf = merged
-	return merged
 }
 
 // eachShard runs f once per shard, in parallel for multi-shard

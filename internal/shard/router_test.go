@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,6 +34,29 @@ func newDeployment(t testing.TB, model *gnn.Model, g *graph.Graph, x *tensor.Mat
 	return d
 }
 
+// reference is a standalone engine over the same bootstrap — the bit-exact
+// reference that shares no line of round protocol with the deployments it
+// judges. apply feeds it a batch the way every deployment shape orders one:
+// vertex updates sorted by node (Router.split).
+type reference struct{ eng *inkstream.Engine }
+
+func newReference(t testing.TB, model *gnn.Model, g *graph.Graph, x *tensor.Matrix) reference {
+	t.Helper()
+	eng, err := inkstream.New(model, g.Clone(), x.Clone(), nil, inkstream.Options{})
+	if err != nil {
+		t.Fatalf("reference engine: %v", err)
+	}
+	return reference{eng}
+}
+
+func (r reference) apply(delta graph.Delta, vups []inkstream.VertexUpdate) error {
+	vups = append([]inkstream.VertexUpdate(nil), vups...)
+	sort.Slice(vups, func(i, j int) bool { return vups[i].Node < vups[j].Node })
+	return r.eng.Apply(delta, vups)
+}
+
+func (r reference) row(v int) tensor.Vector { return r.eng.Output().Row(v) }
+
 func testGraph(rng *rand.Rand, n, edges int) *graph.Graph {
 	g := graph.NewUndirected(n)
 	for g.NumEdges() < edges {
@@ -59,11 +83,14 @@ func testModel(rng *rand.Rand, name string, featLen int, kind gnn.AggKind) *gnn.
 }
 
 // TestCrossShardBitExact drives an identical add/delete/feature-update
-// stream through a 1-shard and a 4-shard deployment over a graph with a
-// nontrivial cut and demands identical embeddings for every vertex at every
-// published epoch — bitwise, for accumulative aggregators included (the
-// §11.3 exactness claim). The final state is also checked against
-// from-scratch inference on a mirror of the stream.
+// stream through a standalone engine, a 1-shard deployment and one 4-shard
+// deployment per partition strategy over a graph with a nontrivial cut, and
+// demands identical embeddings for every vertex at every published epoch —
+// bitwise, for accumulative aggregators included (the §11.3 exactness
+// claim). The 1-shard router runs the same round protocol as the
+// deployments it is compared with, so the engine is the reference that
+// shares none of it. The final state is also checked against from-scratch
+// inference on a mirror of the stream.
 func TestCrossShardBitExact(t *testing.T) {
 	for _, name := range []string{"SAGE", "GIN"} {
 		for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMean, gnn.AggSum} {
@@ -74,11 +101,11 @@ func TestCrossShardBitExact(t *testing.T) {
 				x := tensor.RandMatrix(rng, n, featLen, 1)
 				model := testModel(rng, name, featLen, kind)
 
+				ref := newReference(t, model, g, x)
 				r1 := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 1})
-				// One deployment per partition strategy on the filtered
-				// protocol, plus the hash strategy on the legacy
-				// full-broadcast path — all must match the 1-shard
-				// reference bitwise at every epoch.
+				// One deployment per partition strategy — all must match
+				// the 1-shard deployment, and that the engine, bitwise at
+				// every epoch.
 				type named struct {
 					name string
 					rt   *deployment
@@ -87,7 +114,6 @@ func TestCrossShardBitExact(t *testing.T) {
 				for _, strat := range graph.PartitionStrategies {
 					deps = append(deps, named{strat, newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 4, PartitionStrategy: strat})})
 				}
-				deps = append(deps, named{"hash/full-broadcast", newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 4, FullBroadcast: true})})
 				r4 := deps[0].rt
 				for _, d := range deps {
 					if d.rt.Stats().CutFraction == 0 {
@@ -110,6 +136,9 @@ func TestCrossShardBitExact(t *testing.T) {
 							copy(xCur.Row(v), up.X)
 						}
 					}
+					if err := ref.apply(delta, vups); err != nil {
+						t.Fatalf("step %d: engine apply: %v", step, err)
+					}
 					if err := r1.Apply(delta, vups); err != nil {
 						t.Fatalf("step %d: 1-shard apply: %v", step, err)
 					}
@@ -125,6 +154,10 @@ func TestCrossShardBitExact(t *testing.T) {
 						row1, e1, ok1 := r1.ReadEmbedding(v)
 						if !ok1 {
 							t.Fatalf("step %d: node %d unreadable on 1-shard", step, v)
+						}
+						if !row1.Equal(ref.row(v)) {
+							t.Fatalf("step %d: node %d: 1-shard deployment diverged from the standalone engine at epoch %d:\nengine:  %v\n1-shard: %v",
+								step, v, e1, ref.row(v), row1)
 						}
 						for _, d := range deps {
 							row4, e4, ok4 := d.rt.ReadEmbedding(v)

@@ -17,7 +17,6 @@ func (rt *Router) FillStats(resp *server.StatsResponse) {
 	sec := &server.ShardingStats{
 		Rounds:            rt.rounds.Load(),
 		PartitionStrategy: rt.strategy,
-		FullBroadcast:     rt.fullBroadcast,
 		CutFraction:       rt.cut.CutFraction,
 		BoundaryRecords:   rt.boundaryRecs.Load(),
 		BoundaryBytes:     rt.boundaryBytes.Load(),
@@ -112,13 +111,13 @@ func (rt *Router) Mount(sf server.Surface) {
 		"Fraction of arcs crossing shard boundaries at bootstrap (partition quality).",
 		func() float64 { return rt.cut.CutFraction })
 	r.CounterFunc("inkstream_boundary_records_total",
-		"Message-change records broadcast across shards for ghost-row refresh and fan-out regeneration.",
+		"Message-change records delivered to remote shards for ghost-row refresh and fan-out regeneration.",
 		func() float64 { return float64(rt.boundaryRecs.Load()) })
 	r.CounterFunc("inkstream_boundary_bytes_total",
-		"Payload bytes carried by cross-shard record broadcasts.",
+		"Payload bytes carried by cross-shard record deliveries.",
 		func() float64 { return float64(rt.boundaryBytes.Load()) })
 	r.CounterFunc("inkstream_filtered_records_total",
-		"Remote record deliveries suppressed by the subscription filter (0 under full broadcast).",
+		"Remote record deliveries suppressed by the subscription filter.",
 		func() float64 { return float64(rt.filteredRecs.Load()) })
 	r.CounterFunc("inkstream_ghost_rows_total",
 		"Ghost message rows engines adopted from delivered cross-shard records.",
@@ -178,13 +177,13 @@ func (rt *Router) Mount(sf server.Surface) {
 		"Mean participating-shard barrier wait (stage makespan minus own compute) across profiled rounds.",
 		func() float64 { return float64(rt.barrierNS.Load()) * 1e-9 })
 	r.CounterFunc("inkstream_round_broadcast_seconds_total",
-		"Router-side record merge/broadcast time across profiled rounds.",
+		"Router-side record bucketing time across profiled rounds.",
 		func() float64 { return float64(rt.broadcastNS.Load()) * 1e-9 })
 	r.CounterFunc("inkstream_round_boundary_seconds_total",
-		"Boundary-phase shard compute across profiled rounds (filtered protocol only).",
+		"Boundary-phase shard compute across profiled rounds.",
 		func() float64 { return float64(rt.boundaryNS.Load()) * 1e-9 })
 	r.CounterFunc("inkstream_round_interior_seconds_total",
-		"Interior-phase shard compute across profiled rounds (filtered protocol only).",
+		"Interior-phase shard compute across profiled rounds.",
 		func() float64 { return float64(rt.interiorNS.Load()) * 1e-9 })
 	r.GaugeFunc("inkstream_round_barrier_share",
 		"Barrier-wait fraction of BSP time in the most recent profiled round.",

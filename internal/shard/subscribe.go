@@ -12,20 +12,20 @@ import (
 	"repro/internal/inkstream"
 )
 
-// This file is the PR8 cross-shard seam: subscription-filtered delta
-// delivery and the boundary-first compute/exchange overlap (DESIGN.md §13).
+// This file is the cross-shard seam: the round protocol, with
+// subscription-filtered record delivery and the boundary-first
+// compute/exchange overlap (DESIGN.md §13).
 //
-// Under the broadcast protocol every shard receives every message-change
-// record of every round layer, even though a shard only ever reads the ghost
-// rows of vertices it has an in-arc from. The router therefore keeps, per
-// shard, a refcount of live cross-shard arcs per remote source — the shard's
-// subscriptions — and delivers each record only to its producer (fan-out
-// over its own arcs) and its subscribers (ghost refresh + fan-out). The
-// per-target event sequence each engine regenerates is unchanged: records a
-// shard never receives are exactly the records whose sources have no arc
-// into the shard, i.e. records that regenerate zero local events — so only
-// the delivery set shrinks, never the event order, and bit-exactness
-// survives (the §11.3 argument is untouched).
+// A shard only ever reads the ghost rows of vertices it has an in-arc from.
+// The router therefore keeps, per shard, a refcount of live cross-shard arcs
+// per remote source — the shard's subscriptions — and delivers each
+// message-change record only to its producer (fan-out over its own arcs) and
+// its subscribers (ghost refresh + fan-out). The per-target event sequence
+// each engine regenerates is the one delivering every record everywhere
+// would give: records a shard never receives are exactly the records whose
+// sources have no arc into the shard, i.e. records that regenerate zero
+// local events — so filtering shrinks the delivery set, never the event
+// order, and the §11.3 bit-exactness argument holds unchanged.
 //
 // Subscriptions move with the cut: the apply goroutine folds each round's
 // arc changes into the refcounts before opening the round, and when a shard
@@ -155,18 +155,19 @@ func (rt *Router) bucketRecords(src int, recs []inkstream.MessageChange, deliv [
 	return delivered, filtered, bytes
 }
 
-// executeRoundFiltered runs one BSP round over the subscription-filtered,
-// boundary-first protocol. Per layer, every participating shard runs
-// RoundLayerBoundary (producing the records other shards wait for) and then
-// RoundLayerInterior back to back with no inter-shard barrier between the
-// phases; the apply goroutine buckets each shard's boundary records into the
-// next layer's delivery lists as they arrive, overlapping the exchange with
-// the interior compute. Shards with an empty sub-batch, an empty delivery
-// list and no carried hook events skip the layer call entirely — the idle
-// half of a partitioned deployment stops paying the lockstep tax. Values
-// are bit-exact against the broadcast path: only the delivery sets and the
-// schedule differ (DESIGN.md §13).
-func (rt *Router) executeRoundFiltered(r *round) error {
+// executeRound runs one BSP round: BeginRound on every shard, then the
+// layers in lockstep, then FinishRound and a snapshot publish on every
+// shard. Per layer, every participating shard runs RoundLayerBoundary
+// (producing the records other shards wait for) and then RoundLayerInterior
+// back to back with no inter-shard barrier between the phases; the apply
+// goroutine buckets each shard's boundary records into the next layer's
+// delivery lists as they arrive, overlapping the exchange with the interior
+// compute. Shards with an empty sub-batch, an empty delivery list and no
+// carried hook events skip the layer call entirely — the idle half of a
+// partitioned deployment stops paying the lockstep tax. A 1-shard deployment
+// runs the same code with nothing subscribed: no boundary targets, no remote
+// deliveries.
+func (rt *Router) executeRound(r *round) error {
 	n := len(rt.shards)
 	prof := r.prof
 	var durs []time.Duration

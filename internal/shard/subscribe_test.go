@@ -45,11 +45,11 @@ func communityGraph(rng *rand.Rand, n, intra, bridges int) *graph.Graph {
 	return g
 }
 
-// TestSubscriptionFiltersDeliveries pins the tentpole claim on a
-// community graph block-partitioned along its communities: the filtered
-// protocol delivers strictly fewer remote records than the full broadcast
-// on an identical stream, suppresses a nonzero number, adopts ghost rows,
-// and stays bit-exact against the broadcast deployment throughout.
+// TestSubscriptionFiltersDeliveries pins subscription filtering on a
+// community graph block-partitioned along its communities: the deployment
+// suppresses a nonzero number of remote deliveries, still delivers across
+// the bridges and adopts ghost rows from them, and stays bit-exact against a
+// standalone engine throughout.
 func TestSubscriptionFiltersDeliveries(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	const n, featLen = 64, 6
@@ -57,8 +57,8 @@ func TestSubscriptionFiltersDeliveries(t *testing.T) {
 	x := tensor.RandMatrix(rng, n, featLen, 1)
 	model := testModel(rng, "SAGE", featLen, gnn.AggSum)
 
+	ref := newReference(t, model, g, x)
 	filt := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 2, PartitionStrategy: "block"})
-	bcast := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 2, PartitionStrategy: "block", FullBroadcast: true})
 
 	mirror := g.Clone()
 	for step := 0; step < 12; step++ {
@@ -71,46 +71,34 @@ func TestSubscriptionFiltersDeliveries(t *testing.T) {
 			}}
 		}
 		if err := filt.Apply(delta, vups); err != nil {
-			t.Fatalf("step %d: filtered apply: %v", step, err)
+			t.Fatalf("step %d: deployment apply: %v", step, err)
 		}
-		if err := bcast.Apply(delta, vups); err != nil {
-			t.Fatalf("step %d: broadcast apply: %v", step, err)
+		if err := ref.apply(delta, vups); err != nil {
+			t.Fatalf("step %d: engine apply: %v", step, err)
 		}
 		if err := delta.Apply(mirror); err != nil {
 			t.Fatal(err)
 		}
 		for v := 0; v < n; v++ {
-			rf, _, okf := filt.ReadEmbedding(v)
-			rb, _, okb := bcast.ReadEmbedding(v)
-			if !okf || !okb {
+			rf, _, ok := filt.ReadEmbedding(v)
+			if !ok {
 				t.Fatalf("step %d: node %d unreadable", step, v)
 			}
-			if !rf.Equal(rb) {
-				t.Fatalf("step %d: node %d diverged between filtered and broadcast", step, v)
+			if !rf.Equal(ref.row(v)) {
+				t.Fatalf("step %d: node %d diverged from the standalone engine", step, v)
 			}
 		}
 	}
 
-	sf, sb := filt.Stats(), bcast.Stats()
-	if sf.FullBroadcast || !sb.FullBroadcast {
-		t.Fatalf("mode flags wrong: filtered=%v broadcast=%v", sf.FullBroadcast, sb.FullBroadcast)
-	}
+	sf := filt.Stats()
 	if sf.PartitionStrategy != "block" {
 		t.Fatalf("partition strategy %q, want block", sf.PartitionStrategy)
 	}
 	if sf.FilteredRecords == 0 {
 		t.Fatal("community stream suppressed no deliveries")
 	}
-	if sb.FilteredRecords != 0 {
-		t.Fatalf("broadcast path reports %d filtered records", sb.FilteredRecords)
-	}
-	if sf.BoundaryRecords >= sb.BoundaryRecords {
-		t.Fatalf("filtered delivered %d records, broadcast %d — filtering saved nothing",
-			sf.BoundaryRecords, sb.BoundaryRecords)
-	}
-	if sf.BoundaryRecords+sf.FilteredRecords != sb.BoundaryRecords {
-		t.Fatalf("delivered %d + suppressed %d != broadcast deliveries %d on an identical stream",
-			sf.BoundaryRecords, sf.FilteredRecords, sb.BoundaryRecords)
+	if sf.BoundaryRecords == 0 {
+		t.Fatal("bridged communities delivered no records")
 	}
 	if sf.GhostRows == 0 {
 		t.Fatal("bridged communities adopted no ghost rows")
@@ -118,9 +106,8 @@ func TestSubscriptionFiltersDeliveries(t *testing.T) {
 }
 
 // TestSubscriptionZeroCut: with disconnected communities block-partitioned
-// apart, nothing is subscribed, so the filtered protocol delivers zero
-// remote records while the broadcast baseline still ships every one — and
-// both match a 1-shard reference.
+// apart, nothing is subscribed, so the deployment delivers zero remote
+// records — and matches both a 1-shard deployment and a standalone engine.
 func TestSubscriptionZeroCut(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))
 	const n, featLen = 48, 5
@@ -128,9 +115,9 @@ func TestSubscriptionZeroCut(t *testing.T) {
 	x := tensor.RandMatrix(rng, n, featLen, 1)
 	model := testModel(rng, "GIN", featLen, gnn.AggMax)
 
+	eng := newReference(t, model, g, x)
 	ref := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 1})
 	filt := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 2, PartitionStrategy: "block"})
-	bcast := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 2, PartitionStrategy: "block", FullBroadcast: true})
 
 	half := n / 2
 	for step := 0; step < 6; step++ {
@@ -145,10 +132,13 @@ func TestSubscriptionZeroCut(t *testing.T) {
 			continue
 		}
 		delta := graph.Delta{{U: u, V: v, Insert: !g.HasEdge(u, v)}}
-		for _, rt := range []*deployment{ref, filt, bcast} {
+		for _, rt := range []*deployment{ref, filt} {
 			if err := rt.Apply(delta, nil); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
+		}
+		if err := eng.apply(delta, nil); err != nil {
+			t.Fatalf("step %d: engine apply: %v", step, err)
 		}
 		if err := delta.Apply(g); err != nil {
 			t.Fatal(err)
@@ -156,22 +146,21 @@ func TestSubscriptionZeroCut(t *testing.T) {
 		for w := 0; w < n; w++ {
 			r0, _, _ := ref.ReadEmbedding(w)
 			rf, _, _ := filt.ReadEmbedding(w)
-			rb, _, _ := bcast.ReadEmbedding(w)
-			if !r0.Equal(rf) || !r0.Equal(rb) {
+			if !r0.Equal(rf) || !r0.Equal(eng.row(w)) {
 				t.Fatalf("step %d: node %d diverged", step, w)
 			}
 		}
 	}
 
-	sf, sb := filt.Stats(), bcast.Stats()
+	sf := filt.Stats()
 	if sf.CutFraction != 0 {
 		t.Fatalf("cut fraction %g on disconnected communities", sf.CutFraction)
 	}
 	if sf.BoundaryRecords != 0 {
-		t.Fatalf("filtered protocol delivered %d records across an empty cut", sf.BoundaryRecords)
+		t.Fatalf("deployment delivered %d records across an empty cut", sf.BoundaryRecords)
 	}
-	if sb.BoundaryRecords == 0 {
-		t.Fatal("broadcast baseline delivered nothing — comparison is vacuous")
+	if sf.FilteredRecords == 0 {
+		t.Fatal("stream produced no records to suppress — the zero is vacuous")
 	}
 }
 
