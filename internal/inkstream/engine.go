@@ -703,19 +703,21 @@ func (e *Engine) getScratch(l int) *scratch {
 }
 
 // scratch is the per-worker-chunk temporary storage of processTarget: the
-// staged layer output, the reduced deletion/addition messages and the
-// staged α. Contents never survive one target.
+// staged layer output, the reduced deletion/addition messages, the staged α
+// and the exposed channel list. Contents never survive one target.
 type scratch struct {
 	newH               tensor.Vector
 	mDel, mAdd, staged tensor.Vector
+	exposed            []int32
 }
 
 func newScratch(layer gnn.Layer) *scratch {
 	return &scratch{
-		newH:   make(tensor.Vector, layer.OutDim()),
-		mDel:   make(tensor.Vector, layer.MsgDim()),
-		mAdd:   make(tensor.Vector, layer.MsgDim()),
-		staged: make(tensor.Vector, layer.MsgDim()),
+		newH:    make(tensor.Vector, layer.OutDim()),
+		mDel:    make(tensor.Vector, layer.MsgDim()),
+		mAdd:    make(tensor.Vector, layer.MsgDim()),
+		staged:  make(tensor.Vector, layer.MsgDim()),
+		exposed: make([]int32, 0, layer.MsgDim()),
 	}
 }
 
@@ -759,7 +761,9 @@ func (e *Engine) processTarget(l int, g *group, sc *scratch, evts []Event, uevts
 		affected = true
 	}
 	if !affected {
-		if g.hasNative() {
+		// A visit that scanned the neighborhood keeps its class even when α
+		// came back equal: Fig. 8 counts what the visit cost.
+		if g.hasNative() && cond != CondExposedReset {
 			cond = CondPruned
 		}
 		return evts, uevts, recs, cond, false

@@ -12,8 +12,9 @@
 //   - Intra-layer (Sec. II-C): a target node's aggregated neighborhood α is
 //     evolved incrementally from the previous timestamp whenever the
 //     grouped events permit (always for accumulative aggregators; in the
-//     no-reset and covered-reset conditions for monotonic ones), falling
-//     back to full neighborhood recomputation only on exposed resets.
+//     no-reset and covered-reset conditions for monotonic ones); on an
+//     exposed reset the neighborhood is scanned for the exposed channels
+//     only, and just those are rebuilt.
 //
 // Monotonic aggregators (max/min) yield bit-identical results to full
 // recomputation; accumulative ones (mean/sum) are equivalent up to

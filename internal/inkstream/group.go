@@ -1,7 +1,8 @@
 package inkstream
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -9,8 +10,9 @@ import (
 
 // group collects every event heading to one target node in one layer
 // (Sec. II-B1). Monotonic layers keep the raw Del/Add payload lists (the
-// reset-condition check needs them reduced but the recompute fallback does
-// not); accumulative layers are reduced on the fly into a running sum.
+// reset-condition check needs them reduced, the isolated-target and
+// ungrouped paths do not); accumulative layers are reduced on the fly into
+// a running sum.
 type group struct {
 	target graph.NodeID
 	// Monotonic payloads.
@@ -51,6 +53,10 @@ func (g *group) ensureSum(dim int) {
 func (g *group) hasNative() bool {
 	return len(g.dels) > 0 || len(g.adds) > 0 || g.sum != nil
 }
+
+// byTarget orders groups by target ID; targets are unique within an epoch,
+// so the order is total.
+func byTarget(a, b *group) int { return cmp.Compare(a.target, b.target) }
 
 // gshard is one shard of the grouping table: a private freelist of group
 // structs plus the count of entries live this epoch. In sequential routing
@@ -205,7 +211,7 @@ func (gr *grouper) addUser(e UserEvent) { gr.addUserIn(&gr.shards[0], e) }
 func (gr *grouper) finish(hooks UserHooks) []*group {
 	sh := &gr.shards[0]
 	live := sh.groups[:sh.used]
-	sort.Slice(live, func(i, j int) bool { return live[i].target < live[j].target })
+	slices.SortFunc(live, byTarget)
 	// Re-sync the index array with the sorted freelist order so get()
 	// stays coherent if more events arrive within this epoch.
 	for i, g := range live {
@@ -328,7 +334,7 @@ func (gr *grouper) groupSharded(native []Event, user []UserEvent, hooks UserHook
 				gr.addUserIn(sh, user[i])
 			}
 			live := sh.groups[:sh.used]
-			sort.Slice(live, func(a, b int) bool { return live[a].target < live[b].target })
+			slices.SortFunc(live, byTarget)
 		}
 	})
 

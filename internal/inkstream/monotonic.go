@@ -6,78 +6,164 @@ import (
 	"repro/internal/tensor"
 )
 
-// applyMonotonic implements Sec. II-C1: the grouped events heading to one
-// target are reduced, the effect on the old aggregated neighborhood is
-// classified into no reset / covered reset / exposed reset, and the target
-// is updated incrementally in the first two conditions or recomputed from
-// its whole neighborhood in the third. Returns whether α actually changed
-// and the classification.
+// applyMonotonic implements Sec. II-C1 at channel granularity. The grouped
+// events heading to one target are reduced to m⁻_A (dels) and m_A (adds) and
+// every channel of α⁻ is classified on its own, because each channel's
+// extremum is an independent selection: a channel that lost no witness
+// (α⁻[i] ≠ m⁻_A[i]) merges m_A[i]; a reset channel that m_A[i] covers takes
+// the merge too, which is m_A[i]; only the remaining exposed channels D are
+// rebuilt from the current neighborhood (rebuildChannels). The node's Fig. 8
+// class follows from the channels — exposed reset iff D ≠ ∅, else covered
+// reset iff any channel reset — so it is the class the whole-row rule gave.
+// Returns whether α actually changed and the classification.
 func (e *Engine) applyMonotonic(l int, g *group, sc *scratch) (changed bool, cond Condition) {
-	layer := e.model.Layers[l]
-	agg := layer.Agg()
+	agg := e.model.Layers[l].Agg()
 	alpha := e.state.Alpha[l].Row(int(g.target))
 	dim := len(alpha)
 	e.c.FetchVec(dim)
 	e.c.AddFLOPs(int64(dim * (len(g.dels) + len(g.adds))))
+	staged := sc.staged
 
-	// α⁻ of a previously isolated node is the *defined* zero vector, not a
-	// monotonic aggregation result; merging into it would be unsound, so
-	// the first edges of such a node force a (trivially cheap) recompute.
 	if e.g.InDegree(g.target)-e.degDelta[g.target] == 0 {
-		before := alpha.Clone()
-		e.recomputeAlpha(l, g.target, alpha)
-		return !alpha.Equal(before), CondExposedReset
-	}
-
-	mDel := reduceInto(sc.mDel, agg.Merge, g.dels)
-	mAdd := reduceInto(sc.mAdd, agg.Merge, g.adds)
-
-	// Reset channels: indices where a deleted message attains the old
-	// extremum. Because the deleted messages are a subset of the
-	// neighborhood α⁻ aggregates, only the reduced deletion can attain it.
-	hasReset := false
-	if mDel != nil {
-		for i := range alpha {
-			if alpha[i] == mDel[i] {
-				hasReset = true
-				break
+		// α⁻ of a previously isolated node is the *defined* zero vector, not
+		// a monotonic aggregation result: there is no reduced deletion to
+		// classify against and merging into it would be unsound, so the first
+		// edges of such a node force a (trivially cheap) whole-row recompute.
+		e.recomputeAlpha(l, g.target, staged)
+		cond = CondExposedReset
+	} else {
+		mDel := reduceInto(sc.mDel, agg.Merge, g.dels)
+		mAdd := reduceInto(sc.mAdd, agg.Merge, g.adds)
+		if mAdd != nil {
+			e.c.AddFLOPs(int64(dim))
+		}
+		// Only the reduced deletion can attain the old extremum: the deleted
+		// messages are a subset of the neighborhood α⁻ aggregates.
+		isMax := agg.Kind() == gnn.AggMax
+		exposed := sc.exposed[:0] // cap dim: never grows
+		reset := false
+		for i, a := range alpha {
+			if mDel != nil && a == mDel[i] {
+				reset = true
+				if mAdd == nil || (isMax && mAdd[i] < a) || (!isMax && mAdd[i] > a) {
+					exposed = append(exposed, int32(i))
+					continue
+				}
 			}
+			if mAdd != nil {
+				a = pick(isMax, a, mAdd[i])
+			}
+			staged[i] = a
+		}
+		switch {
+		case len(exposed) > 0:
+			e.rebuildChannels(l, g.target, isMax, exposed, staged)
+			cond = CondExposedReset
+		case reset:
+			cond = CondCoveredReset
+		default:
+			cond = CondNoReset
 		}
 	}
 
-	switch {
-	case !hasReset:
-		cond = CondNoReset
-	case mAdd != nil && covers(agg, alpha, mAdd, mDel):
-		cond = CondCoveredReset
-	default:
-		// Exposed reset: irrecoverable channels; fetch the whole current
-		// neighborhood and recompute (Algorithm 1 line 11).
-		e.recomputeAlpha(l, g.target, alpha)
-		return true, CondExposedReset
-	}
-
-	if mAdd == nil {
-		// Deletion-only with no reset: α is untouched.
-		return false, cond
-	}
-	newAlpha := sc.staged
-	copy(newAlpha, alpha)
-	agg.Merge(newAlpha, mAdd)
-	e.c.AddFLOPs(int64(dim))
-	changed = !newAlpha.Equal(alpha)
+	changed = !staged.Equal(alpha)
 	if changed {
-		copy(alpha, newAlpha)
+		copy(alpha, staged)
 		e.c.StoreVec(dim)
 	}
 	return changed, cond
 }
 
-// reduceInto reduces a payload list into the provided scratch vector;
-// returns nil for an empty list.
+// pick is one channel of Aggregator.Merge for max/min: a unless m is strictly
+// better, so a tie keeps the first holder — the rule tensor.EltMax/EltMin
+// apply, written the same way so the two agree on every bit pattern.
+func pick(isMax bool, a, m float32) float32 {
+	if isMax {
+		if a >= m {
+			return a
+		}
+		return m
+	}
+	if a <= m {
+		return a
+	}
+	return m
+}
+
+// rebuildChannels recomputes the exposed channels D of α_{l,u} into dst by one
+// scan of the current in-neighborhood that reads only the D columns of m_l
+// (Algorithm 1 line 11, restricted to what the batch invalidated). Max/min
+// never compute a value, they select one per channel, in neighbor order with
+// ties kept by the first holder, so each rebuilt channel is bit-identical to
+// the same channel of a whole-row recomputeAlpha. A rebuilt channel can only
+// move away from the extremum: max(α⁻[i], m_A[i]) bounds it (min for AggMin).
+func (e *Engine) rebuildChannels(l int, u graph.NodeID, isMax bool, D []int32, dst tensor.Vector) {
+	nbrs := e.g.InNeighbors(u)
+	m := e.state.M[l]
+	e.c.FetchVec(len(D) * len(nbrs))
+	e.c.AddFLOPs(int64(len(D) * len(nbrs)))
+	if len(nbrs) == 0 {
+		// Every in-neighbor was deleted: the defined zero row (Finalize).
+		for _, i := range D {
+			dst[i] = 0
+		}
+		return
+	}
+	if len(D) == 1 {
+		// One exposed channel (the common case): a plain column loop.
+		col := m.Data[D[0]:]
+		best := col[int(nbrs[0])*m.Cols]
+		if isMax {
+			for _, v := range nbrs[1:] {
+				if x := col[int(v)*m.Cols]; !(best >= x) {
+					best = x
+				}
+			}
+		} else {
+			for _, v := range nbrs[1:] {
+				if x := col[int(v)*m.Cols]; !(best <= x) {
+					best = x
+				}
+			}
+		}
+		dst[D[0]] = best
+		return
+	}
+	first := m.Row(int(nbrs[0]))
+	for _, i := range D {
+		dst[i] = first[i]
+	}
+	if isMax {
+		for _, v := range nbrs[1:] {
+			row := m.Row(int(v))
+			for _, i := range D {
+				if x := row[i]; !(dst[i] >= x) {
+					dst[i] = x
+				}
+			}
+		}
+	} else {
+		for _, v := range nbrs[1:] {
+			row := m.Row(int(v))
+			for _, i := range D {
+				if x := row[i]; !(dst[i] <= x) {
+					dst[i] = x
+				}
+			}
+		}
+	}
+}
+
+// reduceInto reduces a payload list with merge: nil for an empty list, the
+// payload itself for a single one (the common layer-1 case of one
+// Del(old)/Add(new) pair per changed source; the result is only ever read),
+// otherwise the reduction staged in dst.
 func reduceInto(dst tensor.Vector, merge func(dst, m tensor.Vector), payloads []tensor.Vector) tensor.Vector {
-	if len(payloads) == 0 {
+	switch len(payloads) {
+	case 0:
 		return nil
+	case 1:
+		return payloads[0]
 	}
 	copy(dst, payloads[0])
 	for _, p := range payloads[1:] {
@@ -86,46 +172,25 @@ func reduceInto(dst tensor.Vector, merge func(dst, m tensor.Vector), payloads []
 	return dst
 }
 
-// covers reports whether the reduced added message dominates the reduced
-// deleted message on every reset channel (α⁻[i] == m⁻_A[i]) — the
-// covered-reset condition: ∀ i ∈ D, 𝒜(m⁻_A[i], m_A[i]) = m_A[i]. By the
-// transitivity of the monotonic function, dominating the deleted extremum
-// implies dominating every surviving neighbor on those channels.
-func covers(agg gnn.Aggregator, alpha, mAdd, mDel tensor.Vector) bool {
-	max := agg.Kind() == gnn.AggMax
-	for i := range alpha {
-		if alpha[i] != mDel[i] {
-			continue
-		}
-		if max {
-			if mAdd[i] < mDel[i] {
-				return false
-			}
-		} else if mAdd[i] > mDel[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// recomputeAlpha rebuilds α_{l,u} from the current neighborhood and cached
-// messages: α = 𝒜(m_{l,v} : v ∈ N(u)). No extra computation is needed for
-// the messages themselves — rows of m_l for neighbors affected at layer
-// l−1 were refreshed when that layer was processed.
-func (e *Engine) recomputeAlpha(l int, u graph.NodeID, alpha tensor.Vector) {
-	layer := e.model.Layers[l]
-	agg := layer.Agg()
+// recomputeAlpha rebuilds the whole row α_{l,u} into dst from the current
+// neighborhood and cached messages: α = 𝒜(m_{l,v} : v ∈ N(u)). No extra
+// computation is needed for the messages themselves — rows of m_l for
+// neighbors affected at layer l−1 were refreshed when that layer was
+// processed. It serves only the two cases with no reduced deletion to
+// classify channels against: a previously isolated target, and the
+// grouping ablation below. The caller charges the store if dst is state.
+func (e *Engine) recomputeAlpha(l int, u graph.NodeID, dst tensor.Vector) {
+	agg := e.model.Layers[l].Agg()
 	nbrs := e.g.InNeighbors(u)
-	agg.Identity(alpha)
+	agg.Identity(dst)
 	m := e.state.M[l]
 	for _, v := range nbrs {
-		agg.Merge(alpha, m.Row(int(v)))
+		agg.Merge(dst, m.Row(int(v)))
 	}
-	agg.Finalize(alpha, len(nbrs))
-	dim := len(alpha)
+	agg.Finalize(dst, len(nbrs))
+	dim := len(dst)
 	e.c.FetchVec(dim * len(nbrs))
 	e.c.AddFLOPs(int64(dim * len(nbrs)))
-	e.c.StoreVec(dim)
 }
 
 // applyMonotonicUngrouped is the grouping-ablation path (Fig. 4d): events
@@ -145,6 +210,7 @@ func (e *Engine) applyMonotonicUngrouped(l int, g *group, sc *scratch) (changed 
 		// See applyMonotonic: a previously empty neighborhood cannot be
 		// evolved incrementally.
 		e.recomputeAlpha(l, g.target, alpha)
+		e.c.StoreVec(dim)
 		return !alpha.Equal(before), CondExposedReset
 	}
 	for _, d := range g.dels {
@@ -158,6 +224,7 @@ func (e *Engine) applyMonotonicUngrouped(l int, g *group, sc *scratch) (changed 
 		}
 		if needReset {
 			e.recomputeAlpha(l, g.target, alpha)
+			e.c.StoreVec(dim)
 			recomputed = true
 		}
 	}

@@ -1,7 +1,7 @@
 package inkstream
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -94,7 +94,7 @@ func (e *Engine) DirtyRows() []graph.NodeID {
 	for id := range e.snap.dirty {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -8,7 +8,10 @@ import (
 
 // Condition classifies how one visited node in one layer was handled — the
 // taxonomy behind the paper's Fig. 8 and the pruning statistics of
-// Table V.
+// Table V. A visit has one class, decided by what it cost: a native visit
+// whose α or embedding survived is CondPruned unless it paid a neighborhood
+// scan, in which case it stays CondExposedReset (its propagation is pruned
+// all the same).
 type Condition uint8
 
 const (
@@ -20,8 +23,9 @@ const (
 	// CondCoveredReset: reset channels were covered by the added messages;
 	// incremental update applied.
 	CondCoveredReset
-	// CondExposedReset: reset channels not covered; the whole neighborhood
-	// was fetched and recomputed.
+	// CondExposedReset: some reset channels not covered; the neighborhood was
+	// scanned to rebuild those channels (the whole row for a previously
+	// isolated node and under DisableGrouping).
 	CondExposedReset
 	// CondAccumulative: accumulative-layer incremental update (always
 	// applicable, never pruned).
@@ -99,7 +103,8 @@ func (s *ConditionStats) Fraction(c Condition) float64 {
 	return float64(s.Counts[c]) / float64(t)
 }
 
-// Incremental returns the share of visits updated incrementally (no-reset +
+// Incremental returns the share of visits updated incrementally, i.e. from
+// the grouped events alone with no neighborhood fetch (no-reset +
 // covered-reset + accumulative).
 func (s *ConditionStats) Incremental() float64 {
 	return s.Fraction(CondNoReset) + s.Fraction(CondCoveredReset) + s.Fraction(CondAccumulative)

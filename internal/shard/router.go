@@ -33,9 +33,10 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -410,7 +411,7 @@ func (rt *Router) split(arcs graph.Delta, vups []inkstream.VertexUpdate) *round 
 	// impossible — validate rejects them), so layer-0 record order is node
 	// order on every deployment shape.
 	vups = append([]inkstream.VertexUpdate(nil), vups...)
-	sort.Slice(vups, func(i, j int) bool { return vups[i].Node < vups[j].Node })
+	slices.SortFunc(vups, func(a, b inkstream.VertexUpdate) int { return cmp.Compare(a.Node, b.Node) })
 	for _, up := range vups {
 		s := rt.part.Owner(up.Node)
 		r.subVups[s] = append(r.subVups[s], up)

@@ -1,9 +1,10 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -310,5 +311,5 @@ func (rt *Router) executeRound(r *round) error {
 // sortRecords node-sorts one delivery list. Each source node's record is
 // produced by exactly one shard, so the order is total and deterministic.
 func sortRecords(recs []inkstream.MessageChange) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Node < recs[j].Node })
+	slices.SortFunc(recs, func(a, b inkstream.MessageChange) int { return cmp.Compare(a.Node, b.Node) })
 }

@@ -33,6 +33,10 @@ go test -race ./internal/tensor ./internal/gnn ./internal/scheduler \
 go test -race -count=1 ./internal/server ./internal/shard ./internal/inkstream \
     ./internal/persist ./internal/obs
 
+# The hot-path benchmarks DESIGN.md §6 quotes run once each (≈2 s), so they
+# cannot rot unnoticed; the numbers of a single iteration mean nothing.
+go test -run '^$' -bench 'BenchmarkApply' -benchtime 1x ./internal/inkstream
+
 # bench/ is its own module (not in ./... above) and imports internal/*:
 # vet and test it here so an API change next to its probe fails this gate,
 # not the next benchmark run.
