@@ -36,11 +36,11 @@ type watchlistHooks struct {
 	touched map[graph.NodeID]int
 }
 
-func (w *watchlistHooks) Propagate(l int, u graph.NodeID, oldM, newM tensor.Vector) []inkstream.UserEvent {
+func (w *watchlistHooks) Propagate(l int, u graph.NodeID, oldM, newM tensor.Vector, dst []inkstream.UserEvent) []inkstream.UserEvent {
 	w.mu.Lock()
 	w.touched[u]++
 	w.mu.Unlock()
-	return w.UserHooks.Propagate(l, u, oldM, newM)
+	return w.UserHooks.Propagate(l, u, oldM, newM, dst)
 }
 
 func main() {

@@ -246,8 +246,8 @@ func TestOpString(t *testing.T) {
 
 func TestNopHooks(t *testing.T) {
 	h := NopHooks{}
-	if h.Propagate(0, 1, nil, nil) != nil {
-		t.Error("NopHooks.Propagate must return nil")
+	if h.Propagate(0, 1, nil, nil, nil) != nil {
+		t.Error("NopHooks.Propagate must append nothing")
 	}
 	evts := []UserEvent{{Target: 1}}
 	if got := h.Reduce(1, evts); len(got) != 1 {
@@ -267,7 +267,9 @@ func TestSelfHooksReduceDedups(t *testing.T) {
 	if !h.Apply(0, 1, evts) {
 		t.Error("SelfHooks.Apply must force recompute")
 	}
-	if got := h.Propagate(0, 7, nil, nil); len(got) != 1 || got[0].Target != 7 {
+	// Propagate appends to the caller's buffer and keeps what it held.
+	buf := []UserEvent{{Target: 3}}
+	if got := h.Propagate(0, 7, nil, nil, buf); len(got) != 2 || got[0].Target != 3 || got[1].Target != 7 {
 		t.Errorf("Propagate = %v", got)
 	}
 }
@@ -279,9 +281,9 @@ type countingHooks struct {
 	propagations int
 }
 
-func (c *countingHooks) Propagate(l int, u graph.NodeID, oldM, newM tensor.Vector) []UserEvent {
+func (c *countingHooks) Propagate(l int, u graph.NodeID, oldM, newM tensor.Vector, dst []UserEvent) []UserEvent {
 	c.propagations++
-	return c.UserHooks.Propagate(l, u, oldM, newM)
+	return c.UserHooks.Propagate(l, u, oldM, newM, dst)
 }
 
 func TestCustomHooksWrap(t *testing.T) {

@@ -3,7 +3,6 @@ package inkstream
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -67,8 +66,11 @@ type Engine struct {
 	// Per-Apply scratch, valid only during one Apply call but retained
 	// across calls so the steady-state hot path does not allocate: the
 	// maps are cleared (not re-made) per batch, created lazily on the
-	// first non-empty delta.
-	insArcs  map[[2]graph.NodeID]struct{}
+	// first non-empty delta. insArcs lists the arcs this batch inserts,
+	// sorted by (source, target), for the duplicate-event rule: a record
+	// looks up its source's run once (stageRecords) and only a source with
+	// a run checks its routed arcs against it (routeShards).
+	insArcs  [][2]graph.NodeID
 	degDelta map[graph.NodeID]int
 	// snapMaps[l] holds snapshotRemovedSources' per-layer tables, cleared
 	// per batch; nil until the first deletion batch.
@@ -82,35 +84,38 @@ type Engine struct {
 	arena vecArena
 
 	// processRange fan-in/fan-out buffers, reused across layers and
-	// Applies. outN[i]/outU[i] keep their capacity for group slot i; evBuf
-	// and uevBuf carry each layer's merged events into the next layer's
-	// grouping pass (safe to overwrite in place: the grouper has absorbed
-	// the previous layer's events before mergeCarried reuses the buffer).
-	outN   [][]Event
+	// Applies. outR[i] is the message change group slot i emitted (New nil
+	// for none) and outU[i] its user events, which keeps its capacity;
+	// recOut and uevBuf carry each layer's merged records and user events
+	// into the next layer's grouping pass (safe to overwrite in place: the
+	// grouper has absorbed the previous layer's input before they are
+	// reused). edgeEv stages one layer's changed-edge events and routeR its
+	// records (group.go).
+	outR   []MessageChange
 	outU   [][]UserEvent
 	conds  []Condition
-	evBuf  []Event
+	recOut []MessageChange
 	uevBuf []UserEvent
+	edgeEv []Event
+	routeR []routedRec
 
 	// Partitioned-mode state (partition.go). partLocal non-nil switches the
 	// engine into shard mode: Apply is disabled in favour of the round
 	// protocol (BeginRound, RoundLayerBoundary+RoundLayerInterior per layer,
-	// FinishRound), and processTarget captures message-change records into
-	// outR/partRecOut instead of fanning events out locally.
+	// FinishRound), which hands each layer's records to the router instead
+	// of straight to the next layer.
 	partLocal  []bool
 	partActive bool
 	partDelta  graph.Delta
 	partOld    []map[graph.NodeID]tensor.Vector
 	partCarU   []UserEvent
-	partRecOut []MessageChange
-	outR       [][]MessageChange
 
 	// Boundary-first overlap state (partition.go). partBoundary marks the
 	// local vertices with at least one remote subscriber; RoundLayerBoundary
 	// stashes the layer's groups (reordered boundary-first) plus the split
 	// point so RoundLayerInterior can finish the layer while the router
 	// exchanges the boundary records. partRecB is the interior phase's
-	// record buffer — the boundary phase's slice (partRecOut) is still being
+	// record buffer — the boundary phase's slice (recOut) is still being
 	// read by the router while the interior computes, so the two phases
 	// must not share backing storage.
 	partBoundary  []bool
@@ -127,11 +132,6 @@ type Engine struct {
 	// opt-in like the flight recorder.
 	roundTiming bool
 	lastStage   RoundStageStats
-
-	// routeN stages one layer's full native event list (changed-edge events
-	// plus carried events) ahead of grouping, so the sharded router can
-	// partition it; reused across layers and Applies.
-	routeN []Event
 
 	// scratchPools[l] recycles processTarget worker scratch for layer l.
 	scratchPools []sync.Pool
@@ -360,17 +360,11 @@ func (e *Engine) Apply(delta graph.Delta, vups []VertexUpdate) error {
 		phase0 = time.Now()
 	}
 
-	// Vertex updates produce the initial layer-0 events.
-	carried, carriedUser := e.applyVertexUpdates(vups)
+	// Vertex updates produce the initial layer-0 message changes.
+	user := e.applyVertexUpdates(vups)
+	recs := e.recOut
 	if observing {
 		e.trace.VertexApply = time.Since(phase0)
-	}
-
-	// Changed-edge events are re-enqueued at every layer; precompute the
-	// per-layer count once for the trace.
-	nArcs := len(delta)
-	if e.g.Undirected {
-		nArcs *= 2
 	}
 
 	for l := 0; l < L; l++ {
@@ -379,30 +373,26 @@ func (e *Engine) Apply(delta graph.Delta, vups []VertexUpdate) error {
 		var conds0 ConditionStats
 		if observing {
 			span = &e.trace.Layers[l]
-			span.EventsIn = int64(nArcs + len(carried))
-			span.UserEventsIn = int64(len(carriedUser))
+			span.UserEventsIn = int64(len(user))
 			if e.c != nil {
 				bytes0 = e.c.BytesFetched.Load()
 			}
 			conds0 = e.layerStats[l]
 			phase0 = time.Now()
 		}
-		// Stage the layer's full native event list — changed-edge events
-		// first, then the carried events, matching the historical arrival
-		// order.
-		e.routeN = e.appendChangedEdgeEvents(e.routeN[:0], l, delta, oldMsg)
-		fetched := 0
-		for _, ev := range carried {
-			fetched += len(ev.Payload)
-		}
-		e.c.FetchVec(fetched)
-		e.routeN = append(e.routeN, carried...)
-		groups := e.groupLayer(l, e.routeN, carriedUser)
+		// Changed-edge events are re-enqueued at every layer and arrive
+		// first; the previous layer's message changes follow in node order.
+		e.edgeEv = e.appendChangedEdgeEvents(e.edgeEv[:0], l, delta, oldMsg)
+		groups, routed := e.groupLayer(l, e.edgeEv, recs, user)
+		e.recOut = e.recOut[:0]
 		e.processRange(l, groups, 0, len(groups))
-		carried, carriedUser = e.mergeCarried(groups, len(groups))
+		recs, user = e.recOut, e.mergeCarried(groups, len(groups))
 		if observing {
 			span.Elapsed = time.Since(phase0)
-			span.EventsOut = int64(len(carried))
+			span.EventsIn = int64(len(e.edgeEv) + routed)
+			if l > 0 {
+				e.trace.Layers[l-1].EventsOut = int64(routed)
+			}
 			if e.c != nil {
 				span.BytesFetched = e.c.BytesFetched.Load() - bytes0
 			}
@@ -447,27 +437,6 @@ func (e *Engine) stageBatch(delta graph.Delta, vups []VertexUpdate) ([]map[graph
 	return oldMsg, nil
 }
 
-// groupLayer routes one layer's staged native events and carried user
-// events into per-target groups: sequentially for small layers, across the
-// worker pool for large ones. Both routes yield identical groups in
-// identical order (DESIGN.md §9), so the choice is invisible to everything
-// downstream. Groups come back sorted by target.
-func (e *Engine) groupLayer(l int, native []Event, user []UserEvent) []*group {
-	dim := e.model.Layers[l].MsgDim()
-	if S := e.shardCount(len(native) + len(user)); S > 1 {
-		e.gr.beginSharded(dim, S)
-		return e.gr.groupSharded(native, user, e.hooks)
-	}
-	e.gr.begin(dim)
-	for _, ev := range native {
-		e.gr.addNative(ev)
-	}
-	for _, ev := range user {
-		e.gr.addUser(ev)
-	}
-	return e.gr.finish(e.hooks)
-}
-
 // AppliedBatches returns the number of successfully applied batches —
 // the counter a published Snapshot records as AppliedBatches. Writer
 // goroutine only.
@@ -491,8 +460,7 @@ func (e *Engine) arcsOf(ch graph.EdgeChange) (arcs [2][2]graph.NodeID, n int) {
 // rules out pool work; otherwise twice the effective worker count —
 // ParallelForGrain inlines regions smaller than two chunks per worker, and
 // the 2× headroom also absorbs the up-to-2× shard imbalance of the
-// power-of-two block partition — capped at maxShards so the per-chunk count
-// matrix of the partition passes stays small.
+// power-of-two block partition — capped at maxShards.
 func (e *Engine) shardCount(nEvents int) int {
 	if e.opts.Sequential || e.opts.DisableGrouping || nEvents < e.shardMin {
 		return 1
@@ -502,8 +470,7 @@ func (e *Engine) shardCount(nEvents int) int {
 		w = runtime.GOMAXPROCS(0)
 	}
 	if w <= 1 {
-		// One worker: the partition passes cost memory traffic and buy no
-		// parallelism — the direct sequential grouper is strictly better.
+		// One worker: shards buy no parallelism.
 		return 1
 	}
 	return min(2*w, maxShards)
@@ -511,12 +478,11 @@ func (e *Engine) shardCount(nEvents int) int {
 
 const (
 	// shardMinEvents gates the sharded router: below this many events per
-	// layer, sequential routing wins (the partition passes and pool handoff
-	// cost more than they save). Same spirit as tensor.MinChunkWork,
-	// measured in events rather than grain units.
+	// layer, sequential routing wins (the pool handoff and every task's own
+	// scan of the input cost more than they save). Same spirit as
+	// tensor.MinChunkWork, measured in events rather than grain units.
 	shardMinEvents = 512
-	// maxShards bounds the shard count (and must stay ≤ 256: the
-	// partition records shard owners in a uint8).
+	// maxShards bounds the shard count.
 	maxShards = 32
 )
 
@@ -569,8 +535,8 @@ func (e *Engine) snapshotRemovedSources(delta graph.Delta) []map[graph.NodeID]te
 // cancelling the old message m⁻_{l,u} at v; for an inserted arc (s,t) an
 // event adding the current message m_{l,s} — which the previous layer's
 // processing has already refreshed if s was affected. Events are appended
-// to evts (rather than routed into the grouper directly) so Apply can
-// hand the complete list to either the sequential or the sharded router.
+// to evts (rather than routed into the grouper directly) so every routing
+// task can scan the list for the targets it owns.
 func (e *Engine) appendChangedEdgeEvents(evts []Event, l int, delta graph.Delta, oldMsg []map[graph.NodeID]tensor.Vector) []Event {
 	agg := e.model.Layers[l].Agg()
 	dim := e.model.Layers[l].MsgDim()
@@ -618,34 +584,33 @@ func (e *Engine) payload(p tensor.Vector) tensor.Vector {
 
 // processRange consumes groups[lo:hi] of layer l's grouped events: it
 // updates each target's α (incrementally where eligible), recomputes the
-// layer output for affected targets, and emits the next layer's events (or,
-// in partitioned mode, message-change records). Targets are independent after
-// grouping, so they are processed in parallel; conditions, dirty rows and
-// records are merged in group order for determinism. Emitted events stay in
-// the per-slot outN/outU buffers until mergeCarried collects them, so a layer
-// may be processed in more than one range (the round protocol's boundary and
-// interior phases).
+// layer output for affected targets, and emits the next layer's message-change
+// records and user events. Targets are independent after grouping, so they
+// are processed in parallel; conditions, dirty rows and records are merged in
+// group order for determinism, so a range's records come out sorted by source
+// node. User events stay in the per-slot outU buffers until mergeCarried
+// collects them, so a layer may be processed in more than one range (the
+// round protocol's boundary and interior phases).
 func (e *Engine) processRange(l int, groups []*group, lo, hi int) {
 	n := len(groups)
-	// Grow the per-group fan-out tables to n slots, keeping each slot's
+	// Grow the per-group fan-out tables to n slots, keeping each outU slot's
 	// accumulated capacity across layers and batches.
-	for len(e.outN) < n {
-		e.outN = append(e.outN, nil)
+	for len(e.outU) < n {
 		e.outU = append(e.outU, nil)
-		e.outR = append(e.outR, nil)
+		e.outR = append(e.outR, MessageChange{})
 	}
 	if cap(e.conds) < n {
 		e.conds = make([]Condition, n)
 		e.dirt = make([]bool, n)
 	}
 	conds, dirt := e.conds[:n], e.dirt[:n]
-	outN, outU, outR := e.outN, e.outU, e.outR
+	outU, outR := e.outU, e.outR
 	// body processes the chunk [a, b) of the range, i.e. groups[lo+a:lo+b].
 	body := func(a, b int) {
 		// Per-chunk scratch, recycled across chunks, layers and batches.
 		sc := e.getScratch(l)
 		for i := lo + a; i < lo+b; i++ {
-			outN[i], outU[i], outR[i], conds[i], dirt[i] = e.processTarget(l, groups[i], sc, outN[i][:0], outU[i][:0], outR[i][:0])
+			outU[i], outR[i], conds[i], dirt[i] = e.processTarget(l, groups[i], sc, outU[i][:0])
 		}
 		e.scratchPools[l].Put(sc)
 	}
@@ -655,9 +620,9 @@ func (e *Engine) processRange(l int, groups []*group, lo, hi int) {
 		tensor.ParallelForGrain(hi-lo, 4*e.model.Layers[l].MsgDim(), body)
 	}
 	for i := lo; i < hi; i++ {
-		// Records merge in sorted-group-target order, so a range's record
-		// list comes out sorted by source node (always empty standalone).
-		e.partRecOut = append(e.partRecOut, outR[i]...)
+		if outR[i].New != nil {
+			e.recOut = append(e.recOut, outR[i])
+		}
 		e.stats.Add(conds[i])
 		e.layerStats[l].Add(conds[i])
 		if dirt[i] {
@@ -669,15 +634,15 @@ func (e *Engine) processRange(l int, groups []*group, lo, hi int) {
 	}
 }
 
-// mergeCarried collects the events a fully processed layer emitted into the
-// carried-event buffers, in target order. groups[:split] and groups[split:]
-// are each sorted by target (split == len(groups) for a layer processed in
-// one range), so a two-way merge of the slots restores the order an unsplit
-// layer produces. The buffers may still hold the events carried INTO this
-// layer, but the grouper consumed those before the layer was processed, so
-// overwriting them in place is safe.
-func (e *Engine) mergeCarried(groups []*group, split int) ([]Event, []UserEvent) {
-	nextN, nextU := e.evBuf[:0], e.uevBuf[:0]
+// mergeCarried collects the user events a fully processed layer emitted into
+// the carried buffer, in target order. groups[:split] and groups[split:] are
+// each sorted by target (split == len(groups) for a layer processed in one
+// range), so a two-way merge of the slots restores the order an unsplit layer
+// produces. The buffer may still hold the events carried INTO this layer, but
+// the grouper consumed those before the layer was processed, so overwriting
+// them in place is safe.
+func (e *Engine) mergeCarried(groups []*group, split int) []UserEvent {
+	next := e.uevBuf[:0]
 	i, j := 0, split
 	for i < split || j < len(groups) {
 		k := i
@@ -687,11 +652,10 @@ func (e *Engine) mergeCarried(groups []*group, split int) ([]Event, []UserEvent)
 		} else {
 			i++
 		}
-		nextN = append(nextN, e.outN[k]...)
-		nextU = append(nextU, e.outU[k]...)
+		next = append(next, e.outU[k]...)
 	}
-	e.evBuf, e.uevBuf = nextN, nextU
-	return nextN, nextU
+	e.uevBuf = next
+	return next
 }
 
 // getScratch fetches (or lazily builds) worker scratch for layer l.
@@ -723,13 +687,13 @@ func newScratch(layer gnn.Layer) *scratch {
 
 // processTarget handles all events heading to one node in one layer:
 // Algorithm 1 lines 4–21 plus the user-hook application and the next-layer
-// propagation of Sec. II-B2. Emitted events are appended to evts/uevts
-// (reusable buffers owned by the caller's group slot); in partitioned mode
-// the local fan-out is replaced by a message-change record appended to recs
-// (partition.go). The final bool reports whether the write landed in the
-// final layer with a changed value — i.e. whether the served embedding row
-// is now dirty.
-func (e *Engine) processTarget(l int, g *group, sc *scratch, evts []Event, uevts []UserEvent, recs []MessageChange) ([]Event, []UserEvent, []MessageChange, Condition, bool) {
+// propagation of Sec. II-B2, which is one MessageChange (New nil when the
+// node does not propagate) for the next layer's grouping pass — or, between
+// shard engines, the router — to deliver over the node's out-arcs. User
+// events are appended to uevts, a reusable buffer owned by the caller's group
+// slot. The final bool reports whether the write landed in the final layer
+// with a changed value — i.e. whether the served embedding row is now dirty.
+func (e *Engine) processTarget(l int, g *group, sc *scratch, uevts []UserEvent) ([]UserEvent, MessageChange, Condition, bool) {
 	layer := e.model.Layers[l]
 	agg := layer.Agg()
 	u := g.target
@@ -766,7 +730,7 @@ func (e *Engine) processTarget(l int, g *group, sc *scratch, evts []Event, uevts
 		if g.hasNative() && cond != CondExposedReset {
 			cond = CondPruned
 		}
-		return evts, uevts, recs, cond, false
+		return uevts, MessageChange{}, cond, false
 	}
 
 	// Recompute the layer output h_{l+1,u} = act(𝒯(α, m)) from the
@@ -786,68 +750,23 @@ func (e *Engine) processTarget(l int, g *group, sc *scratch, evts []Event, uevts
 	if !hChanged && !e.opts.DisablePruning {
 		// The embedding survived the α change (e.g. clamped by ReLU):
 		// the node is resilient at the output level; prune.
-		return evts, uevts, recs, cond, false
+		return uevts, MessageChange{}, cond, false
 	}
 	if l+1 >= e.model.NumLayers() {
-		return evts, uevts, recs, cond, outChanged
+		return uevts, MessageChange{}, cond, outChanged
 	}
 
-	// Refresh the node's next-layer message and fan out events. oldM (and
-	// the fan-out diff) escape into event payloads shared by every event
-	// from this node — the paper's one-payload-per-source memory model —
-	// and live on the Apply-scoped arena.
+	// Refresh the node's next-layer message. oldM escapes into the record —
+	// one payload per source, the paper's memory model — and lives on the
+	// Apply-scoped arena; New aliases the live row.
 	next := e.model.Layers[l+1]
 	mRow := e.state.M[l+1].Row(int(u))
 	oldM := e.arena.clone(mRow)
 	next.ComputeMessage(mRow, hRow)
 	gnn.CountMessage(e.c, next)
 	if oldM.Equal(mRow) && !e.opts.DisablePruning {
-		return evts, uevts, recs, cond, false
+		return uevts, MessageChange{}, cond, false
 	}
-	if e.partActive {
-		// Partitioned mode: the router delivers the message change to
-		// every shard with an arc from u, which regenerates the fan-out
-		// over its own arcs (regenFanOut) — including this one. Local
-		// fan-out here would double-apply the change to local
-		// out-neighbors.
-		recs = append(recs, MessageChange{Node: u, Old: oldM, New: mRow})
-	} else {
-		evts = e.fanOut(u, next.Agg(), oldM, mRow, evts)
-	}
-	uevts = append(uevts, e.hooks.Propagate(l, u, oldM, mRow)...)
-	return evts, uevts, recs, cond, false
-}
-
-// fanOut builds the next-layer events from node u to its current
-// out-neighbors, skipping arcs inserted in this batch (their changed-edge
-// events already carry the new message — the duplicate-event rule of
-// Sec. II-B2).
-func (e *Engine) fanOut(u graph.NodeID, nextAgg gnn.Aggregator, oldM, newM tensor.Vector, evts []Event) []Event {
-	nbrs := e.g.OutNeighbors(u)
-	if len(nbrs) == 0 {
-		return evts
-	}
-	// Reserve the worst-case capacity up front: high-degree fan-out would
-	// otherwise pay repeated slice growth inside the per-neighbor loop.
-	var diff tensor.Vector
-	if nextAgg.Monotonic() {
-		evts = slices.Grow(evts, 2*len(nbrs))
-	} else {
-		evts = slices.Grow(evts, len(nbrs))
-		diff = e.arena.alloc(len(newM))
-		tensor.Sub(diff, newM, oldM)
-	}
-	for _, v := range nbrs {
-		if _, skip := e.insArcs[[2]graph.NodeID{u, v}]; skip {
-			continue
-		}
-		if nextAgg.Monotonic() {
-			evts = append(evts,
-				Event{Op: OpDel, Target: v, Payload: e.payload(oldM)},
-				Event{Op: OpAdd, Target: v, Payload: e.payload(newM)})
-		} else {
-			evts = append(evts, Event{Op: OpUpdate, Target: v, Payload: e.payload(diff)})
-		}
-	}
-	return evts
+	uevts = e.hooks.Propagate(l, u, oldM, mRow, uevts)
+	return uevts, MessageChange{Node: u, Old: oldM, New: mRow}, cond, false
 }

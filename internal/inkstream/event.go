@@ -57,10 +57,13 @@ func (o Op) String() string {
 }
 
 // Event is the native event of the computing model: an operation, a target
-// node, and an embedding payload. Payloads are slice headers aliasing a
-// vector shared by every event fanned out from the same source — the
-// paper's separation of lightweight metadata from heavy embeddings. Events
-// must treat payloads as immutable.
+// node, and an embedding payload. Only the changed-edge events of a batch
+// (at most two per changed edge per layer) are ever materialised as Events.
+// The effect of a changed message travels as one MessageChange record per
+// source, and the grouping pass walks that source's out-neighbors itself
+// (DESIGN.md §4.1): the paper's separation of lightweight metadata from
+// heavy embeddings, taken to no per-arc metadata at all. Payloads alias
+// engine-owned vectors and must be treated as immutable.
 type Event struct {
 	Op      Op
 	Target  graph.NodeID
@@ -85,9 +88,10 @@ type UserEvent struct {
 type UserHooks interface {
 	// Propagate is called at the end of processing layer `layer` for each
 	// affected node u whose message for layer+1 changed from oldM to newM
-	// (layer == -1 for vertex-feature updates feeding layer 0). The
-	// returned events are delivered when layer+1 is processed.
-	Propagate(layer int, u graph.NodeID, oldM, newM tensor.Vector) []UserEvent
+	// (layer == -1 for vertex-feature updates feeding layer 0). It appends
+	// its events to dst, a reusable engine-owned buffer, and returns the
+	// extended slice; they are delivered when layer+1 is processed.
+	Propagate(layer int, u graph.NodeID, oldM, newM tensor.Vector, dst []UserEvent) []UserEvent
 	// Reduce groups/reduces the user events heading to one target
 	// (user_grouping in the paper). The result replaces evts.
 	Reduce(target graph.NodeID, evts []UserEvent) []UserEvent
@@ -101,8 +105,8 @@ type UserHooks interface {
 // only on the aggregated neighborhood (e.g. GCN) need nothing more.
 type NopHooks struct{}
 
-func (NopHooks) Propagate(int, graph.NodeID, tensor.Vector, tensor.Vector) []UserEvent {
-	return nil
+func (NopHooks) Propagate(_ int, _ graph.NodeID, _, _ tensor.Vector, dst []UserEvent) []UserEvent {
+	return dst
 }
 func (NopHooks) Reduce(_ graph.NodeID, evts []UserEvent) []UserEvent { return evts }
 func (NopHooks) Apply(int, graph.NodeID, []UserEvent) bool           { return false }
@@ -119,11 +123,11 @@ type SelfHooks struct {
 	SelfDependent func(l int) bool
 }
 
-func (h SelfHooks) Propagate(layer int, u graph.NodeID, _, _ tensor.Vector) []UserEvent {
+func (h SelfHooks) Propagate(layer int, u graph.NodeID, _, _ tensor.Vector, dst []UserEvent) []UserEvent {
 	if h.SelfDependent(layer + 1) {
-		return []UserEvent{{Target: u}}
+		dst = append(dst, UserEvent{Target: u})
 	}
-	return nil
+	return dst
 }
 
 func (h SelfHooks) Reduce(_ graph.NodeID, evts []UserEvent) []UserEvent {

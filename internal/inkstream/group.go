@@ -59,25 +59,23 @@ func (g *group) hasNative() bool {
 func byTarget(a, b *group) int { return cmp.Compare(a.target, b.target) }
 
 // gshard is one shard of the grouping table: a private freelist of group
-// structs plus the count of entries live this epoch. In sequential routing
-// only shard 0 is used; in sharded routing each shard owns a contiguous
-// block of target IDs, and the worker processing a shard is the only
+// structs plus the count of entries live this epoch. Each shard owns a
+// contiguous block of target IDs, and the worker routing a shard is the only
 // goroutine that ever touches its freelist (or the stamp/idx entries of its
-// targets) — no cross-shard writes, no locks.
+// targets) — no cross-shard writes, no locks. A sequential epoch is the
+// one-shard case.
 type gshard struct {
 	groups []*group // freelist; groups[:used] are live this epoch
 	used   int
 }
 
-// grouper performs the grouping pass: it buckets a layer's event list by
-// target node and reduces per-target where possible. It is an engine-owned
-// epoch-stamped table: the per-node stamp/idx arrays are reused across
-// layers and Apply calls without clearing (the stamp distinguishes epochs),
-// and group structs — including their payload-slice and sum-buffer capacity
-// — are recycled from per-shard freelists, so steady-state grouping does
-// not allocate and involves no map operations. Grouping is the per-event
-// hot path; large epochs route in parallel via groupSharded, small ones
-// sequentially through addNative/addUser + finish.
+// grouper is the table behind the grouping pass (Engine.groupLayer): it
+// buckets a layer's events by target node and reduces per-target where
+// possible. It is an engine-owned epoch-stamped table: the per-node stamp/idx
+// arrays are reused across layers and Apply calls without clearing (the stamp
+// distinguishes epochs), and group structs — including their payload-slice
+// and sum-buffer capacity — are recycled from per-shard freelists, so
+// steady-state grouping does not allocate and involves no map operations.
 type grouper struct {
 	stamp []uint32
 	idx   []int32
@@ -91,13 +89,7 @@ type grouper struct {
 	nShards int  // shards active this epoch (1 = sequential routing)
 	shift   uint // target >> shift == owning shard this epoch
 	dim     int
-
-	// Sharded-mode scratch, reused across epochs.
-	out              []*group // concatenated sorted groups
-	shardOf          []uint8  // per-event owner (partition pass 1)
-	counts           []int32  // per-chunk per-shard counts, then cursors
-	permN, permU     []int32  // stable per-shard event orderings
-	boundsN, boundsU []int32  // shard region offsets into permN/permU
+	out     []*group // concatenated sorted groups, reused across epochs
 }
 
 func newGrouper(n int) *grouper {
@@ -108,35 +100,26 @@ func newGrouper(n int) *grouper {
 	}
 }
 
-// begin opens a new sequential epoch for a layer whose messages have the
-// given dimension.
-func (gr *grouper) begin(dim int) {
+// begin opens a new epoch routed across S shards for a layer whose messages
+// have the given dimension. The shard of a target is target>>shift with
+// shift chosen so the shard index stays below S: a power-of-two block
+// partition of the ID space (one block holding every target when S is 1).
+// Blocks are monotonic in target ID, which is what lets finish produce the
+// global sorted order by concatenation; the price is up-to-2× shard-size
+// imbalance, which the 2×-workers shard count (see Engine.shardCount)
+// absorbs.
+func (gr *grouper) begin(dim, S int) {
 	gr.epoch++
 	gr.dim = dim
-	gr.nShards = 1
-	for s := range gr.shards {
-		gr.shards[s].used = 0
-	}
-}
-
-// beginSharded opens a new epoch routed across S shards. The shard of a
-// target is target>>shift with shift chosen so the shard index stays below
-// S: a power-of-two block partition of the ID space. Blocks are monotonic
-// in target ID, which is what lets finishSharded produce the global sorted
-// order by concatenation; the price is up-to-2× shard-size imbalance, which
-// the 2×-workers shard count (see Engine.shardCount) absorbs.
-func (gr *grouper) beginSharded(dim, S int) {
-	gr.begin(dim)
-	if S < 1 {
-		S = 1
-	}
 	for len(gr.shards) < S {
 		gr.shards = append(gr.shards, gshard{})
 	}
+	for s := range gr.shards {
+		gr.shards[s].used = 0
+	}
 	gr.nShards = S
-	bound := len(gr.stamp)
 	shift := uint(0)
-	for bound > 1 && (bound-1)>>shift >= S {
+	for (len(gr.stamp)-1)>>shift >= S {
 		shift++
 	}
 	gr.shift = shift
@@ -151,9 +134,9 @@ func (gr *grouper) ensure(n int) {
 }
 
 // getIn returns target's group in shard sh, creating it from the shard's
-// freelist on first sight this epoch. In sharded epochs it must only be
-// called by the worker owning sh (stamp/idx entries of sh's targets are
-// written by that worker alone).
+// freelist on first sight this epoch. It must only be called by the worker
+// owning sh (stamp/idx entries of sh's targets are written by that worker
+// alone).
 func (gr *grouper) getIn(sh *gshard, target graph.NodeID) *group {
 	if gr.stamp[target] == gr.epoch {
 		return sh.groups[gr.idx[target]]
@@ -172,178 +155,28 @@ func (gr *grouper) getIn(sh *gshard, target graph.NodeID) *group {
 	return g
 }
 
-// addNativeIn folds one native event into its target's group in sh. For
-// OpUpdate the payload is summed immediately — the paper's reduction of
-// same-operation events — so the group holds one vector regardless of
-// fan-in.
-func (gr *grouper) addNativeIn(sh *gshard, e Event) {
-	g := gr.getIn(sh, e.Target)
-	switch e.Op {
-	case OpAdd:
-		g.adds = append(g.adds, e.Payload)
-	case OpDel:
-		g.dels = append(g.dels, e.Payload)
-	case OpUpdate:
-		if g.sum == nil {
-			g.ensureSum(gr.dim)
-		}
-		tensor.Add(g.sum, g.sum, e.Payload)
-		g.nUpd++
+// addSum folds one accumulative payload into g's running sum — the paper's
+// reduction of same-operation events — so the group holds one vector
+// regardless of fan-in.
+func (gr *grouper) addSum(g *group, p tensor.Vector) {
+	if g.sum == nil {
+		g.ensureSum(gr.dim)
 	}
+	tensor.Add(g.sum, g.sum, p)
+	g.nUpd++
 }
 
-// addUserIn buckets one user event into sh.
-func (gr *grouper) addUserIn(sh *gshard, e UserEvent) {
-	g := gr.getIn(sh, e.Target)
-	g.user = append(g.user, e)
-}
-
-// addNative folds one native event on the sequential path (shard 0).
-func (gr *grouper) addNative(e Event) { gr.addNativeIn(&gr.shards[0], e) }
-
-// addUser buckets one user event on the sequential path (shard 0).
-func (gr *grouper) addUser(e UserEvent) { gr.addUserIn(&gr.shards[0], e) }
-
-// finish returns the sequential epoch's per-target groups sorted by target
-// ID, applying the user-hook reduction. Sorting makes the whole engine
-// deterministic for a fixed worker count: groups are processed in chunks
-// of this order and their emitted events concatenated in the same order.
+// finish returns the epoch's per-target groups sorted by target ID, applying
+// the user-hook reduction. Every shard is already sorted (routeShards) and
+// shard blocks are monotonic in target ID, so concatenation is the global
+// order. Sorting makes the whole engine deterministic for a fixed worker
+// count: groups are processed in chunks of this order and what they emit is
+// merged in the same order. The reduction runs on the calling goroutine: the
+// UserHooks contract only promises concurrency-safety for distinct-target
+// Apply calls.
 func (gr *grouper) finish(hooks UserHooks) []*group {
-	sh := &gr.shards[0]
-	live := sh.groups[:sh.used]
-	slices.SortFunc(live, byTarget)
-	// Re-sync the index array with the sorted freelist order so get()
-	// stays coherent if more events arrive within this epoch.
-	for i, g := range live {
-		gr.idx[g.target] = int32(i)
-	}
-	for _, g := range live {
-		if len(g.user) > 0 {
-			g.user = hooks.Reduce(g.target, g.user)
-		}
-	}
-	return live
-}
-
-// partChunk is the event-chunk granularity of the partition passes: large
-// enough that a chunk's per-shard count row amortises, small enough that a
-// typical sharded epoch still yields parallel work.
-const partChunk = 4096
-
-// partition computes a stable shard partition of n items: on return,
-// perm[bounds[s]:bounds[s+1]] lists the item indices owned by shard s in
-// their original order. Two pool passes: pass 1 records every item's owner
-// and per-chunk per-shard counts; a sequential prefix sum turns the counts
-// into disjoint write cursors; pass 2 scatters the indices. Chunks write
-// disjoint count rows and disjoint perm regions, so both passes are
-// race-free, and cursors are assigned in chunk order, so the per-shard
-// order equals the arrival order — the property that keeps sharded
-// grouping bit-exact with sequential grouping.
-func (gr *grouper) partition(n int, targetAt func(int) graph.NodeID, perm, bounds []int32) ([]int32, []int32) {
-	S := gr.nShards
-	nChunks := (n + partChunk - 1) / partChunk
-	if cap(perm) < n {
-		perm = make([]int32, n)
-	}
-	perm = perm[:n]
-	if cap(bounds) < S+1 {
-		bounds = make([]int32, S+1)
-	}
-	bounds = bounds[:S+1]
-	if cap(gr.shardOf) < n {
-		gr.shardOf = make([]uint8, n)
-	}
-	so := gr.shardOf[:n]
-	if cap(gr.counts) < nChunks*S {
-		gr.counts = make([]int32, nChunks*S)
-	}
-	counts := gr.counts[:nChunks*S]
-	for i := range counts {
-		counts[i] = 0
-	}
-	shift := gr.shift
-	tensor.ParallelForGrain(nChunks, partChunk, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			base, end := c*partChunk, (c+1)*partChunk
-			if end > n {
-				end = n
-			}
-			cnt := counts[c*S : c*S+S]
-			for i := base; i < end; i++ {
-				s := uint8(uint32(targetAt(i)) >> shift)
-				so[i] = s
-				cnt[s]++
-			}
-		}
-	})
-	var total int32
-	for s := 0; s < S; s++ {
-		bounds[s] = total
-		for c := 0; c < nChunks; c++ {
-			k := c*S + s
-			v := counts[k]
-			counts[k] = total
-			total += v
-		}
-	}
-	bounds[S] = total
-	tensor.ParallelForGrain(nChunks, partChunk, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			base, end := c*partChunk, (c+1)*partChunk
-			if end > n {
-				end = n
-			}
-			cur := counts[c*S : c*S+S]
-			for i := base; i < end; i++ {
-				s := so[i]
-				perm[cur[s]] = int32(i)
-				cur[s]++
-			}
-		}
-	})
-	return perm, bounds
-}
-
-// groupSharded routes one sharded epoch's native and user events across the
-// shards on the tensor worker pool and returns the per-target groups in
-// globally sorted target order — the same group order, per-group contents
-// and within-group event order the sequential addNative/finish path
-// produces, so the two paths are bit-exact (DESIGN.md §9). The user-hook
-// reduction runs on the calling goroutine: the UserHooks contract only
-// promises concurrency-safety for distinct-target Apply calls.
-func (gr *grouper) groupSharded(native []Event, user []UserEvent, hooks UserHooks) []*group {
-	S := gr.nShards
-	gr.permN, gr.boundsN = gr.partition(len(native),
-		func(i int) graph.NodeID { return native[i].Target }, gr.permN, gr.boundsN)
-	permN, boundsN := gr.permN, gr.boundsN
-	gr.permU, gr.boundsU = gr.partition(len(user),
-		func(i int) graph.NodeID { return user[i].Target }, gr.permU, gr.boundsU)
-	permU, boundsU := gr.permU, gr.boundsU
-
-	// Per-index grain: one shard's routing cost scales with its share of the
-	// events; ~8 element-units per event keeps the MinChunkWork floor from
-	// serialising epochs that just cleared the sharding threshold.
-	grain := 8 * ((len(native)+len(user))/S + 1)
-	tensor.ParallelForGrain(S, grain, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			sh := &gr.shards[s]
-			for _, i := range permN[boundsN[s]:boundsN[s+1]] {
-				gr.addNativeIn(sh, native[i])
-			}
-			for _, i := range permU[boundsU[s]:boundsU[s+1]] {
-				gr.addUserIn(sh, user[i])
-			}
-			live := sh.groups[:sh.used]
-			slices.SortFunc(live, byTarget)
-		}
-	})
-
-	// Shard blocks are monotonic in target ID, so concatenating the sorted
-	// shards yields the global sorted order. No idx re-sync: a sharded epoch
-	// never receives events after grouping (unlike finish, which stays
-	// coherent for intra-epoch re-entry).
 	out := gr.out[:0]
-	for s := 0; s < S; s++ {
+	for s := range gr.shards[:gr.nShards] {
 		sh := &gr.shards[s]
 		out = append(out, sh.groups[:sh.used]...)
 	}
@@ -354,4 +187,146 @@ func (gr *grouper) groupSharded(native []Event, user []UserEvent, hooks UserHook
 	}
 	gr.out = out
 	return out
+}
+
+// routedRec is one message change staged for a layer's routing pass: the
+// source, the payloads its out-neighbors receive (monotonic: the old message
+// to cancel and the new one to merge; accumulative: del is nil and add is
+// new − old, computed once per source on the arena), and the arcs the source
+// gained in this batch (Engine.insertedFrom), which are not routed.
+type routedRec struct {
+	node     graph.NodeID
+	del, add tensor.Vector
+	inserted [][2]graph.NodeID
+}
+
+// stageRecords turns layer l's message-change records into e.routeR and
+// returns the number of native events they stand for: one per routed arc on
+// an accumulative layer, a Del/Add pair on a monotonic one. An arc inserted
+// in this batch is not routed — its changed-edge event already carries the
+// new message, the duplicate-event rule of Sec. II-B2 — so a source routes
+// outdeg − (its arcs inserted this batch) events; every inserted arc is in
+// the post-batch graph exactly once (Delta.Validate), which keeps the count
+// exact without walking a neighborhood.
+func (e *Engine) stageRecords(l int, recs []MessageChange) (events int) {
+	mono := e.model.Layers[l].Agg().Monotonic()
+	e.routeR = e.routeR[:0]
+	for _, r := range recs {
+		rr := routedRec{node: r.Node, del: r.Old, add: r.New, inserted: e.insertedFrom(r.Node)}
+		arcs := e.g.OutDegree(r.Node) - len(rr.inserted)
+		if arcs == 0 {
+			continue
+		}
+		if mono {
+			arcs *= 2
+		} else {
+			// The diff is bitwise identical on every shard engine (same
+			// Old/New bits, same elementwise subtraction), so accumulative
+			// sums see the payloads a single engine would.
+			rr.del, rr.add = nil, e.arena.alloc(len(r.New))
+			tensor.Sub(rr.add, r.New, r.Old)
+		}
+		events += arcs
+		e.routeR = append(e.routeR, rr)
+	}
+	return events
+}
+
+// insertedFrom returns the run of this batch's inserted arcs whose source is
+// u, sorted by target.
+func (e *Engine) insertedFrom(u graph.NodeID) [][2]graph.NodeID {
+	lo, _ := slices.BinarySearchFunc(e.insArcs, u, func(a [2]graph.NodeID, u graph.NodeID) int {
+		return cmp.Compare(a[0], u)
+	})
+	hi := lo
+	for hi < len(e.insArcs) && e.insArcs[hi][0] == u {
+		hi++
+	}
+	return e.insArcs[lo:hi]
+}
+
+// arcTarget orders an arc against a target ID by the arc's target.
+func arcTarget(a [2]graph.NodeID, v graph.NodeID) int { return cmp.Compare(a[1], v) }
+
+// groupLayer routes one layer's input into per-target groups: the
+// changed-edge events, then the staged message changes of the previous layer
+// (each folded into the groups of its source's out-neighbors, with no Event
+// built), then the carried user events. Small layers route on the calling
+// goroutine, large ones across the worker pool, each pool task owning a
+// contiguous run of target-block shards; both routes yield identical groups
+// in identical order (DESIGN.md §9), so the choice is invisible to
+// everything downstream. Groups come back sorted by target, with the number
+// of native events the records stood for.
+func (e *Engine) groupLayer(l int, edge []Event, recs []MessageChange, user []UserEvent) ([]*group, int) {
+	dim := e.model.Layers[l].MsgDim()
+	routed := e.stageRecords(l, recs)
+	e.c.FetchVec(routed * dim)
+	n := len(edge) + routed + len(user)
+	S := e.shardCount(n)
+	e.gr.begin(dim, S)
+	if S == 1 {
+		e.routeShards(0, 1, edge, user)
+	} else {
+		// Per-index grain: one shard's routing cost scales with its share of
+		// the events; ~8 element-units per event keeps the MinChunkWork floor
+		// from serialising epochs that just cleared the sharding threshold.
+		tensor.ParallelForGrain(S, 8*(n/S+1), func(lo, hi int) { e.routeShards(lo, hi, edge, user) })
+	}
+	return e.gr.finish(e.hooks), routed
+}
+
+// routeShards fills the groups of shards [lo, hi) in one scan of the layer's
+// input, taking the targets those shards own and leaving the rest to the
+// other tasks. Per target the arrival order is therefore the same whatever
+// the shard count: changed-edge events in ΔG order, then message changes in
+// record order. It leaves each shard's groups sorted by target.
+func (e *Engine) routeShards(lo, hi int, edge []Event, user []UserEvent) {
+	gr := e.gr
+	shift, base, span := gr.shift, uint32(lo), uint32(hi-lo)
+	for _, ev := range edge {
+		s := uint32(ev.Target)>>shift - base
+		if s >= span {
+			continue
+		}
+		g := gr.getIn(&gr.shards[lo+int(s)], ev.Target)
+		switch ev.Op {
+		case OpAdd:
+			g.adds = append(g.adds, ev.Payload)
+		case OpDel:
+			g.dels = append(g.dels, ev.Payload)
+		case OpUpdate:
+			gr.addSum(g, ev.Payload)
+		}
+	}
+	for i := range e.routeR {
+		r := &e.routeR[i]
+		for _, v := range e.g.OutNeighbors(r.node) {
+			s := uint32(v)>>shift - base
+			if s >= span {
+				continue
+			}
+			if len(r.inserted) > 0 {
+				if _, dup := slices.BinarySearchFunc(r.inserted, v, arcTarget); dup {
+					continue
+				}
+			}
+			g := gr.getIn(&gr.shards[lo+int(s)], v)
+			if r.del != nil {
+				g.dels = append(g.dels, e.payload(r.del))
+				g.adds = append(g.adds, e.payload(r.add))
+			} else {
+				gr.addSum(g, e.payload(r.add))
+			}
+		}
+	}
+	for _, ev := range user {
+		if s := uint32(ev.Target)>>shift - base; s < span {
+			g := gr.getIn(&gr.shards[lo+int(s)], ev.Target)
+			g.user = append(g.user, ev)
+		}
+	}
+	for s := lo; s < hi; s++ {
+		sh := &gr.shards[s]
+		slices.SortFunc(sh.groups[:sh.used], byTarget)
+	}
 }

@@ -3,6 +3,7 @@ package inkstream
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gnn"
@@ -10,45 +11,135 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestPartitionStable checks the stable shard partition directly: every
-// index lands in its target's shard region, regions are contiguous and in
-// shard order, and within a region the original order is preserved — the
-// property that keeps sharded grouping bit-exact with sequential grouping.
-func TestPartitionStable(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const nodes, S = 1000, 8
-	gr := newGrouper(nodes)
-	gr.beginSharded(4, S)
-	targets := make([]graph.NodeID, 10_000)
-	for i := range targets {
-		targets[i] = graph.NodeID(rng.Intn(nodes))
-	}
-	perm, bounds := gr.partition(len(targets),
-		func(i int) graph.NodeID { return targets[i] }, nil, nil)
-	if got := int(bounds[S]); got != len(targets) {
-		t.Fatalf("bounds[%d] = %d, want %d", S, got, len(targets))
-	}
-	seen := make([]bool, len(targets))
-	for s := 0; s < S; s++ {
-		prev := int32(-1)
-		for _, i := range perm[bounds[s]:bounds[s+1]] {
-			if seen[i] {
-				t.Fatalf("index %d appears twice", i)
-			}
-			seen[i] = true
-			if got := int(uint32(targets[i]) >> gr.shift); got != s {
-				t.Fatalf("index %d (target %d) in shard %d, owner is %d", i, targets[i], s, got)
-			}
-			if i <= prev {
-				t.Fatalf("shard %d not stable: index %d after %d", s, i, prev)
-			}
-			prev = i
+// groupCopy is one group's routed content, copied out of the recycled group
+// structs so two routes of the same input can be compared.
+type groupCopy struct {
+	target     graph.NodeID
+	dels, adds []tensor.Vector
+	sum        tensor.Vector
+	nUpd       int
+	user       []UserEvent
+}
+
+func copyGroups(groups []*group) []groupCopy {
+	out := make([]groupCopy, len(groups))
+	for i, g := range groups {
+		out[i] = groupCopy{
+			target: g.target,
+			dels:   slices.Clone(g.dels),
+			adds:   slices.Clone(g.adds),
+			sum:    g.sum.Clone(),
+			nUpd:   g.nUpd,
+			user:   slices.Clone(g.user),
 		}
 	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("index %d missing from partition", i)
-		}
+	return out
+}
+
+// samePayloads reports whether two payload lists hold the same vectors (not
+// just equal ones) in the same order.
+func samePayloads(a, b []tensor.Vector) bool {
+	return slices.EqualFunc(a, b, func(x, y tensor.Vector) bool { return &x[0] == &y[0] })
+}
+
+func sameUser(a, b UserEvent) bool { return a.Target == b.Target && a.Tag == b.Tag }
+
+// TestShardOwnership checks the scan-and-own route directly on some 10 k
+// random events — changed-edge style events, message-change records over a
+// random directed graph, user events: every group filled for shard s has
+// target>>shift == s, the concatenation is globally sorted, and every group
+// holds exactly what the sequential route gives it, in the same order — the
+// same payload vectors for max, a bit-identical running sum for sum (float
+// addition does not reassociate, so equal bits are equal fold order).
+func TestShardOwnership(t *testing.T) {
+	const nodes = 1000
+	for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggSum} {
+		t.Run(kind.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			g := graph.New(nodes)
+			for g.NumEdges() < 16*nodes {
+				u, v := graph.NodeID(rng.Intn(nodes)), graph.NodeID(rng.Intn(nodes))
+				if u != v && !g.HasEdge(u, v) {
+					if err := g.AddEdge(u, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			model := gnn.NewGCN(rng, 4, 4, gnn.NewAggregator(kind))
+			e, err := New(model, g, tensor.RandMatrix(rng, nodes, 4, 1), nil, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dim := model.Layers[0].MsgDim()
+			edge := make([]Event, 2000)
+			for i := range edge {
+				op := OpUpdate
+				if kind == gnn.AggMax {
+					op = Op(rng.Intn(2)) // OpAdd or OpDel
+				}
+				edge[i] = Event{Op: op, Target: graph.NodeID(rng.Intn(nodes)), Payload: tensor.RandVector(rng, dim, 1)}
+			}
+			// Records in node order, as the engine carries them.
+			var recs []MessageChange
+			for u := graph.NodeID(0); u < nodes; u++ {
+				if rng.Intn(2) == 0 {
+					recs = append(recs, MessageChange{Node: u, Old: tensor.RandVector(rng, dim, 1), New: tensor.RandVector(rng, dim, 1)})
+				}
+			}
+			user := make([]UserEvent, 500)
+			for i := range user {
+				user[i] = UserEvent{Target: graph.NodeID(rng.Intn(nodes)), Tag: i}
+			}
+			e.SetHooks(NopHooks{}) // keep every user event: SelfHooks dedups
+
+			setWorkers(t, 4)
+			e.shardMin = math.MaxInt
+			seqGroups, seqRouted := e.groupLayer(0, edge, recs, user)
+			if e.gr.nShards != 1 {
+				t.Fatalf("sequential route used %d shards", e.gr.nShards)
+			}
+			if n := len(edge) + seqRouted + len(user); n < 10_000 {
+				t.Fatalf("only %d events routed, want ≥ 10000", n)
+			}
+			want := copyGroups(seqGroups)
+
+			e.shardMin = 1
+			groups, routed := e.groupLayer(0, edge, recs, user)
+			S := e.gr.nShards
+			if S <= 1 {
+				t.Fatal("sharded route did not shard")
+			}
+			if routed != seqRouted {
+				t.Fatalf("routed %d events sharded, %d sequentially", routed, seqRouted)
+			}
+			for s := 0; s < S; s++ {
+				sh := &e.gr.shards[s]
+				for _, g := range sh.groups[:sh.used] {
+					if got := int(uint32(g.target) >> e.gr.shift); got != s {
+						t.Fatalf("target %d grouped in shard %d, owner is %d", g.target, s, got)
+					}
+				}
+			}
+			if len(groups) != len(want) {
+				t.Fatalf("%d groups sharded, %d sequentially", len(groups), len(want))
+			}
+			for i, g := range groups {
+				if i > 0 && groups[i-1].target >= g.target {
+					t.Fatalf("groups not sorted: %d before %d", groups[i-1].target, g.target)
+				}
+				w := want[i]
+				if g.target != w.target || g.nUpd != w.nUpd || !slices.EqualFunc(g.user, w.user, sameUser) {
+					t.Fatalf("group %d: target %d nUpd %d user %v, sequential route has target %d nUpd %d user %v",
+						i, g.target, g.nUpd, g.user, w.target, w.nUpd, w.user)
+				}
+				if !samePayloads(g.dels, w.dels) || !samePayloads(g.adds, w.adds) {
+					t.Fatalf("target %d: payload order differs from the sequential route", g.target)
+				}
+				if !g.sum.Equal(w.sum) {
+					t.Fatalf("target %d: running sum differs from the sequential route", g.target)
+				}
+			}
+		})
 	}
 }
 
@@ -100,7 +191,7 @@ func TestGroupingSelector(t *testing.T) {
 	user := []UserEvent{{Target: graph.NodeID(rng.Intn(n))}}
 	routed := func(workers int, native []Event, user []UserEvent) int {
 		tensor.Parallelism = workers
-		e.groupLayer(0, native, user)
+		e.groupLayer(0, native, nil, user)
 		return e.gr.nShards
 	}
 	setWorkers(t, 4)

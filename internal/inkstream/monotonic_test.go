@@ -263,7 +263,8 @@ func (b *monoRig) visit(delta graph.Delta) (changed bool, cond Condition, err er
 	if err != nil {
 		return false, 0, err
 	}
-	for _, g := range e.groupLayer(0, e.appendChangedEdgeEvents(nil, 0, delta, oldMsg), nil) {
+	groups, _ := e.groupLayer(0, e.appendChangedEdgeEvents(nil, 0, delta, oldMsg), nil, nil)
+	for _, g := range groups {
 		if g.target == b.target {
 			changed, cond = e.applyMonotonic(0, g, e.getScratch(0))
 			return changed, cond, nil

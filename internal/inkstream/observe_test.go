@@ -54,6 +54,22 @@ func TestApplyRecordsTrace(t *testing.T) {
 	if got.Layers[0].EventsIn != wantArcs {
 		t.Errorf("layer 0 events in = %d, want %d", got.Layers[0].EventsIn, wantArcs)
 	}
+	// Routing runs in the consuming layer: a layer's EventsOut is the routed
+	// arc-event count of the next layer (0 for the last), and EventsIn —
+	// computed per source as out-degree less this batch's inserted arcs, no
+	// event being built — is exactly what the targets then consumed.
+	last := len(got.Layers) - 1
+	for l := 0; l < last; l++ {
+		if want := got.Layers[l+1].EventsIn - wantArcs; got.Layers[l].EventsOut != want {
+			t.Errorf("layer %d events out = %d, layer %d routed %d", l, got.Layers[l].EventsOut, l+1, want)
+		}
+	}
+	if got.Layers[last].EventsOut != 0 {
+		t.Errorf("last layer events out = %d", got.Layers[last].EventsOut)
+	}
+	if consumed := c.EventsProcessed.Load(); got.Events() != consumed {
+		t.Errorf("trace counts %d events in, targets consumed %d", got.Events(), consumed)
+	}
 	// Per-condition span counts must reconcile with the engine's stats.
 	var sum ConditionStats
 	for l := range got.Layers {

@@ -1,6 +1,7 @@
 package inkstream
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -16,23 +17,26 @@ import (
 // In partitioned mode one engine owns a subset of the vertices. It holds
 // full-size state matrices, but only the rows of local vertices are
 // authoritative; message rows of remote vertices are ghost rows, refreshed
-// from delivered message-change records at the start of every layer. The
-// engine never fans events out itself — processTarget captures a
-// MessageChange record per affected source instead, the router delivers each
-// record, in node order, to the shards holding an arc from its source, and
-// every shard regenerates the fan-out over its own in-arcs
-// (RoundLayerBoundary). Because a shard graph holds every in-arc of every
-// local vertex, the regenerated per-target event sequence is exactly the
-// single-engine sequence restricted to local targets, in the same arrival
-// order — which is what makes N-shard results bit-exact against a
-// standalone engine (see DESIGN.md §11.3).
+// from delivered message-change records at the start of every layer.
+// Propagation is the same as standalone — processTarget emits one
+// MessageChange per affected source and the next layer's grouping pass walks
+// that source's out-arcs (groupLayer) — except that the records travel
+// through the router, which delivers each, in node order, to the shards
+// holding an arc from its source. Because a shard graph holds every in-arc
+// of every local vertex, the per-target arrival sequence is exactly the
+// single-engine sequence restricted to local targets — which is what makes
+// N-shard results bit-exact against a standalone engine (see DESIGN.md
+// §11.3).
 
 var errPartitioned = errors.New("inkstream: engine is in partitioned mode; use the round protocol (BeginRound … FinishRound) via the shard router")
 
 // RoundStageStats is one shard's self-measured slice of one round stage,
 // read by the router after the stage barrier (the WaitGroup join orders the
 // write before the read). Ghost is the ghost-row refresh portion of a
-// RoundLayerBoundary call; Events the native events the stage staged locally.
+// RoundLayerBoundary call; Events what a layer stage routed locally, on the
+// obs.LayerSpan definition — changed-edge events plus routed arc events (two
+// per arc on a monotonic layer) — plus its user events, and for BeginRound
+// the records it produced.
 type RoundStageStats struct {
 	GhostRows int
 	Events    int
@@ -56,10 +60,13 @@ func (e *Engine) LastStageStats() RoundStageStats { return e.lastStage }
 
 // MessageChange records that node Node's layer-(l+1) message changed from
 // Old to New while processing layer l (or its layer-0 message, for a
-// vertex-feature update). Old points into the emitting engine's arena and
-// New into its live message matrix: both are stable until that engine's
-// next BeginRound, so receivers must consume records within the same round
-// (the router's layer barrier guarantees this).
+// vertex-feature update). It is how a change propagates in every mode: the
+// grouping pass of the next layer folds Old and New into the groups of Node's
+// out-neighbors, sharing the two payloads among all of them. Old points into
+// the emitting engine's arena and New into its live message matrix: both are
+// stable until that engine's next batch, so a receiving shard engine must
+// consume records within the same round (the router's layer barrier
+// guarantees this).
 type MessageChange struct {
 	Node graph.NodeID
 	Old  tensor.Vector
@@ -104,12 +111,11 @@ func (e *Engine) BeginRound(delta graph.Delta, vups []VertexUpdate) ([]MessageCh
 		return nil, err
 	}
 	e.partOld, e.partDelta, e.partActive = oldMsg, delta, true
-	e.partRecOut = e.partRecOut[:0]
-	_, e.partCarU = e.applyVertexUpdates(vups)
+	e.partCarU = e.applyVertexUpdates(vups)
 	if e.roundTiming {
-		e.lastStage = RoundStageStats{Events: len(e.partRecOut)}
+		e.lastStage = RoundStageStats{Events: len(e.recOut)}
 	}
-	return e.partRecOut, nil
+	return e.recOut, nil
 }
 
 // SetPartitionBoundary installs the boundary mask for split-layer rounds:
@@ -135,9 +141,9 @@ func (e *Engine) SetPartitionBoundary(boundary []bool) error {
 // layer: its own and its subscriptions' share of the layer-0 records
 // returned by BeginRound (for l == 0) or of the records the previous layer's
 // two phases returned (for l > 0). It refreshes ghost message rows from the
-// remote records, regenerates the layer's event list (changed-edge events in
-// sub-batch order, then record fan-out in node order — the single-engine
-// arrival order restricted to local targets), groups it, and computes only
+// remote records, groups the layer's input (changed-edge events in sub-batch
+// order, then the records over this shard's arcs in node order — the
+// single-engine arrival order restricted to local targets), and computes only
 // the targets whose records other shards are waiting for. Those records are
 // returned immediately — sorted by node, engine-owned, stable until this
 // engine's next RoundLayerBoundary — so the router can start the cross-shard
@@ -178,11 +184,10 @@ func (e *Engine) RoundLayerBoundary(l int, recs []MessageChange) ([]MessageChang
 		e.lastStage = RoundStageStats{GhostRows: ghosts, Ghost: time.Since(t0)}
 	}
 
-	// Stage the layer's native event list exactly as Apply does: changed-
-	// edge events first, then the fan-out of this layer's message changes.
-	e.routeN = e.appendChangedEdgeEvents(e.routeN[:0], l, e.partDelta, e.partOld)
-	e.routeN = e.regenFanOut(e.routeN, l, recs)
-	groups := e.groupLayer(l, e.routeN, e.partCarU)
+	// Group the layer's input exactly as Apply does: changed-edge events
+	// first, then this layer's message changes.
+	e.edgeEv = e.appendChangedEdgeEvents(e.edgeEv[:0], l, e.partDelta, e.partOld)
+	groups, routed := e.groupLayer(l, e.edgeEv, recs, e.partCarU)
 
 	split := len(groups)
 	if e.partBoundary != nil && !e.opts.DisableGrouping {
@@ -204,10 +209,10 @@ func (e *Engine) RoundLayerBoundary(l int, recs []MessageChange) ([]MessageChang
 	}
 
 	if e.roundTiming {
-		e.lastStage.Events = len(e.routeN) + len(e.partCarU)
+		e.lastStage.Events = len(e.edgeEv) + routed + len(e.partCarU)
 		t0 = time.Now()
 	}
-	e.partRecOut = e.partRecOut[:0]
+	e.recOut = e.recOut[:0]
 	e.processRange(l, groups, 0, split)
 	if e.roundTiming {
 		e.lastStage.Boundary = time.Since(t0)
@@ -215,7 +220,7 @@ func (e *Engine) RoundLayerBoundary(l int, recs []MessageChange) ([]MessageChang
 	}
 	e.partGroups, e.partSplit, e.partLayer = groups, split, l
 	e.partSplitOpen = true
-	return e.partRecOut, nil
+	return e.recOut, nil
 }
 
 // RoundLayerInterior finishes the layer RoundLayerBoundary opened: it
@@ -234,20 +239,19 @@ func (e *Engine) RoundLayerInterior() ([]MessageChange, error) {
 	if e.roundTiming {
 		t0 = time.Now()
 	}
-	boundaryRecs := e.partRecOut
-	e.partRecOut = e.partRecB[:0]
+	boundaryRecs := e.recOut
+	e.recOut = e.partRecB[:0]
 	e.processRange(l, groups, split, len(groups))
-	e.partRecB = e.partRecOut
-	interiorRecs := e.partRecOut
-	e.partRecOut = boundaryRecs
+	e.partRecB = e.recOut
+	interiorRecs := e.recOut
+	e.recOut = boundaryRecs
 	if e.roundTiming {
 		e.lastStage.Interior = time.Since(t0)
 	}
 
-	// Only user-hook events are carried in partitioned mode (records stand
-	// in for native fan-out); the next layer sees them in exactly the order
+	// The next layer sees the carried user-hook events in exactly the order
 	// an unsplit layer produces.
-	_, e.partCarU = e.mergeCarried(groups, split)
+	e.partCarU = e.mergeCarried(groups, split)
 	e.partSplitOpen = false
 	return interiorRecs, nil
 }
@@ -318,81 +322,35 @@ func (e *Engine) FinishRound() error {
 	return nil
 }
 
-// regenFanOut regenerates the layer-l events of the round's message-change
-// records over this shard's arcs: for each record in node order, events to
-// the source's local out-neighbors, skipping arcs inserted this round
-// (their changed-edge events already carry the new message). This mirrors
-// Engine.fanOut with the record standing in for the in-process source: the
-// payloads are rebuilt locally (old-message clone, ghost-row new message,
-// locally computed diff), so cross-shard records are read exactly once.
-func (e *Engine) regenFanOut(evts []Event, l int, recs []MessageChange) []Event {
-	agg := e.model.Layers[l].Agg()
-	for _, r := range recs {
-		nbrs := e.g.OutNeighbors(r.Node)
-		if len(nbrs) == 0 {
-			continue
-		}
-		newM := e.state.M[l].Row(int(r.Node))
-		if agg.Monotonic() {
-			oldM := e.arena.clone(r.Old)
-			evts = slices.Grow(evts, 2*len(nbrs))
-			for _, v := range nbrs {
-				if _, skip := e.insArcs[[2]graph.NodeID{r.Node, v}]; skip {
-					continue
-				}
-				e.c.FetchVec(2 * len(newM))
-				evts = append(evts,
-					Event{Op: OpDel, Target: v, Payload: e.payload(oldM)},
-					Event{Op: OpAdd, Target: v, Payload: e.payload(newM)})
-			}
-		} else {
-			// The diff is bitwise identical on every shard (same Old/New
-			// bits, same elementwise subtraction), so accumulative sums see
-			// the exact payloads a single engine would.
-			diff := e.arena.alloc(len(newM))
-			tensor.Sub(diff, newM, r.Old)
-			evts = slices.Grow(evts, len(nbrs))
-			for _, v := range nbrs {
-				if _, skip := e.insArcs[[2]graph.NodeID{r.Node, v}]; skip {
-					continue
-				}
-				e.c.FetchVec(len(diff))
-				evts = append(evts, Event{Op: OpUpdate, Target: v, Payload: e.payload(diff)})
-			}
-		}
-	}
-	return evts
-}
-
-// indexDeltaArcs records which arcs this batch inserts (propagation from
-// an affected source skips them — the changed-edge event carries the new
-// message already) and per-node in-degree deltas (the mean aggregator's
-// incremental formula needs the previous degree). The maps are created on
-// the first non-empty delta and cleared in place afterwards; vertex-only
-// batches never pay for them.
+// indexDeltaArcs records which arcs this batch inserts, sorted by source then
+// target (propagation from an affected source skips them — the changed-edge
+// event carries the new message already — and only a record whose source has
+// a run here pays a per-arc check), and per-node in-degree deltas (the mean
+// aggregator's incremental formula needs the previous degree). The storage is
+// retained and reset per batch; vertex-only batches never pay for it.
 func (e *Engine) indexDeltaArcs(delta graph.Delta) {
-	if len(e.insArcs) > 0 {
-		clear(e.insArcs)
-	}
+	e.insArcs = e.insArcs[:0]
 	if len(e.degDelta) > 0 {
 		clear(e.degDelta)
 	}
 	if len(delta) == 0 {
 		return
 	}
-	if e.insArcs == nil {
-		e.insArcs = make(map[[2]graph.NodeID]struct{})
+	if e.degDelta == nil {
 		e.degDelta = make(map[graph.NodeID]int)
 	}
 	for _, ch := range delta {
 		arcs, na := e.arcsOf(ch)
 		for _, a := range arcs[:na] {
 			if ch.Insert {
-				e.insArcs[a] = struct{}{}
+				e.insArcs = append(e.insArcs, a)
 				e.degDelta[a[1]]++
 			} else {
 				e.degDelta[a[1]]--
 			}
 		}
 	}
+	slices.SortFunc(e.insArcs, func(a, b [2]graph.NodeID) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
 }

@@ -1,14 +1,53 @@
 package inkstream
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
+
+func benchApplyHubFeatures(b *testing.B) {
+	spec := dataset.Yelp
+	spec.Scale *= 8
+	g, feats := dataset.Generate(spec, 1)
+	hubs := make([]graph.NodeID, g.NumNodes())
+	for i := range hubs {
+		hubs[i] = graph.NodeID(i)
+	}
+	slices.SortFunc(hubs, func(a, c graph.NodeID) int { return cmp.Compare(g.OutDegree(c), g.OutDegree(a)) })
+	rng := rand.New(rand.NewSource(5))
+	var vupA, vupB []VertexUpdate
+	for _, u := range hubs[:4] {
+		vupA = append(vupA, VertexUpdate{Node: u, X: tensor.RandVector(rng, feats.Dim(), 1)})
+		vupB = append(vupB, VertexUpdate{Node: u, X: feats.Row(int32(u)).Clone()})
+	}
+	for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMean} {
+		model := gnn.NewGCN(rand.New(rand.NewSource(6)), feats.Dim(), 32, gnn.NewAggregator(kind))
+		e, err := New(model, g, feats.X.Clone(), nil, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("features/gcn-"+kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v := vupA
+				if i%2 == 1 {
+					v = vupB
+				}
+				if err := e.UpdateVertices(v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // TestScratchReuseAcrossApplies drives one engine through many mixed
 // batches — inserts, deletes, vertex updates, empty deltas — and verifies
@@ -90,8 +129,13 @@ func TestVertexOnlyAfterEdgeBatches(t *testing.T) {
 // deletions (plus a vertex-update variant), so the graph and cached state
 // return to the same footprint every two iterations. Allocation counts are
 // the headline number: the engine-owned scratch should keep the steady
-// state near zero allocs per event.
+// state near zero allocs per event. The features/ rows rewrite the features
+// of the four highest-out-degree nodes of the dense profile (Yelp at the
+// benchmark suite's scale) — the record-routing path at its widest, some
+// hundred thousand arcs per Apply.
 func BenchmarkApply(b *testing.B) {
+	benchApplyHubFeatures(b)
+
 	rng := rand.New(rand.NewSource(5))
 	const n, feat, hidden = 2048, 64, 64
 	g := randomGraph(rng, n, 4*n)

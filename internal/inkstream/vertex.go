@@ -18,7 +18,9 @@ func (e *Engine) validateVertexUpdates(ups []VertexUpdate) error {
 	if len(ups) == 0 {
 		return nil
 	}
-	seen := make(map[graph.NodeID]struct{}, len(ups))
+	// Duplicates are found through the grouper's stamp table under an epoch
+	// of its own: no per-request set.
+	e.gr.epoch++
 	for i, up := range ups {
 		if int(up.Node) < 0 || int(up.Node) >= e.g.NumNodes() {
 			return fmt.Errorf("inkstream: vertex update %d: %w (%d)", i, graph.ErrBadNode, up.Node)
@@ -29,31 +31,27 @@ func (e *Engine) validateVertexUpdates(ups []VertexUpdate) error {
 		if len(up.X) != e.model.InDim() {
 			return fmt.Errorf("inkstream: vertex update %d: feature dim %d, model wants %d", i, len(up.X), e.model.InDim())
 		}
-		if _, dup := seen[up.Node]; dup {
+		if e.gr.stamp[up.Node] == e.gr.epoch {
 			return fmt.Errorf("inkstream: vertex update %d: node %d updated twice in one batch", i, up.Node)
 		}
-		seen[up.Node] = struct{}{}
+		e.gr.stamp[up.Node] = e.gr.epoch
 	}
 	return nil
 }
 
 // applyVertexUpdates writes the new features, refreshes the first-layer
-// messages, and produces the initial layer-0 events: the effect of a new
-// feature x_u is the replacement of m_{1,u} in the paper's 1-based
-// numbering — here m_0 — propagated to u's neighbors and, for
-// self-dependent first layers, to u itself via the hooks. In an open round
-// the fan-out is replaced by one MessageChange per changed message appended
-// to partRecOut, in sub-batch order (the router sorts round updates by node,
-// so this is node order), exactly as in processTarget.
-func (e *Engine) applyVertexUpdates(ups []VertexUpdate) ([]Event, []UserEvent) {
-	if len(ups) == 0 {
-		return nil, nil
-	}
+// messages, and produces layer 0's input: the effect of a new feature x_u is
+// the replacement of m_{1,u} in the paper's 1-based numbering — here m_0 —
+// which reaches u's neighbors as one MessageChange in recOut (reset here), in
+// batch order (the router sorts round updates by node, so between shard
+// engines this is node order), exactly as in processTarget, and u itself,
+// for self-dependent first layers, via the returned hook events.
+func (e *Engine) applyVertexUpdates(ups []VertexUpdate) []UserEvent {
 	layer0 := e.model.Layers[0]
-	// Build the initial events directly in the carried-event buffers; the
-	// layer loop consumes them into the grouper before mergeCarried reuses
-	// the same buffers for its output.
-	evts, uevts := e.evBuf[:0], e.uevBuf[:0]
+	// The layer loop consumes the events into the grouper before
+	// mergeCarried reuses the buffer for its output.
+	e.recOut = e.recOut[:0]
+	uevts := e.uevBuf[:0]
 	for _, up := range ups {
 		e.state.H[0].SetRow(int(up.Node), up.X)
 		mRow := e.state.M[0].Row(int(up.Node))
@@ -63,15 +61,11 @@ func (e *Engine) applyVertexUpdates(ups []VertexUpdate) ([]Event, []UserEvent) {
 		if oldM.Equal(mRow) {
 			continue
 		}
-		if e.partActive {
-			e.partRecOut = append(e.partRecOut, MessageChange{Node: up.Node, Old: oldM, New: mRow})
-		} else {
-			evts = e.fanOut(up.Node, layer0.Agg(), oldM, mRow, evts)
-		}
-		uevts = append(uevts, e.hooks.Propagate(-1, up.Node, oldM, mRow)...)
+		e.recOut = append(e.recOut, MessageChange{Node: up.Node, Old: oldM, New: mRow})
+		uevts = e.hooks.Propagate(-1, up.Node, oldM, mRow, uevts)
 	}
-	e.evBuf, e.uevBuf = evts, uevts
-	return evts, uevts
+	e.uevBuf = uevts
+	return uevts
 }
 
 // AddNode grows the graph and every cached matrix by one isolated vertex

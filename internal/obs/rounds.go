@@ -28,8 +28,9 @@ type RoundShardSpan struct {
 	Compute time.Duration
 	Barrier time.Duration
 	// Ghost is the ghost-row refresh share of Compute (adopting remote
-	// message rows before the layer runs); Events the native events the
-	// shard staged for the stage.
+	// message rows before the layer runs); Events what the shard routed in a
+	// layer stage, on LayerSpan.EventsIn's definition (changed-edge events
+	// plus routed arc events) plus its user events.
 	Ghost  time.Duration
 	Events int
 	// Boundary/Interior split Compute into the boundary-first phases of the

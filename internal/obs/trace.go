@@ -17,10 +17,19 @@ const MaxCond = 8
 // classified (the paper's evolvable-condition taxonomy), the embedding
 // bytes fetched and the wall time spent.
 type LayerSpan struct {
-	Layer        int
-	EventsIn     int64 // native events entering the layer (changed-edge + carried)
+	Layer int
+	// EventsIn counts the native events entering the layer: its changed-edge
+	// events plus the routed arc events of the message changes the previous
+	// layer emitted — one per out-arc of each changed source (arcs inserted
+	// in the same batch excepted), two (Del + Add) on a monotonic layer. The
+	// engine carries one record per source and never builds those events;
+	// the count is what the grouping pass folds. Routing runs in the
+	// consuming layer, so its time is in that layer's Elapsed.
+	EventsIn     int64
 	UserEventsIn int64 // user-hook events entering the layer
-	EventsOut    int64 // native events emitted toward the next layer
+	// EventsOut is the routed arc-event count of the next layer (its
+	// EventsIn less its changed-edge events); 0 for the last layer.
+	EventsOut    int64
 	Nodes        int64 // grouped targets processed
 	BytesFetched int64 // embedding bytes read during the layer
 	Cond         [MaxCond]int64

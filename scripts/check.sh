@@ -33,8 +33,10 @@ go test -race ./internal/tensor ./internal/gnn ./internal/scheduler \
 go test -race -count=1 ./internal/server ./internal/shard ./internal/inkstream \
     ./internal/persist ./internal/obs
 
-# The hot-path benchmarks DESIGN.md §6 quotes run once each (≈2 s), so they
+# The hot-path benchmarks DESIGN.md §6 quotes run once each (≈3 s), so they
 # cannot rot unnoticed; the numbers of a single iteration mean nothing.
+# BenchmarkApply's features/ rows (four hub feature rewrites on the dense
+# profile) are the record-routing path at some hundred thousand arcs a batch.
 go test -run '^$' -bench 'BenchmarkApply' -benchtime 1x ./internal/inkstream
 
 # bench/ is its own module (not in ./... above) and imports internal/*:
