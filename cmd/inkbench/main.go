@@ -45,8 +45,6 @@ func run(args []string) error {
 		ginLayers = fs.Int("gin-layers", 5, "GIN depth")
 		readers   = fs.Int("readers", 4, "concurrent readers in the mixed read/write workload (experiment: mixed)")
 		mixedUpds = fs.Int("mixed-updates", 200, "update batches streamed by the mixed workload")
-		burstDep  = fs.Int("burst-depth", 8, "updates kept in flight (pipeline queue depth) in the burst scenario (experiment: burst)")
-		burstUpds = fs.Int("burst-updates", 2000, "total single-change updates per coalescing mode in the burst scenario")
 		tierFacts = fs.String("tiered-factors", "1,2,4,10", "comma-separated working-set multiples of the cap for the tiered-store sweep (experiment: tiered)")
 		tierQuant = fs.String("tiered-quant", "f32", "on-page row encoding for the tiered sweep: f32, f16 or int8")
 		tierReads = fs.Int("tiered-reads", 32, "Zipf-skewed audited reads per published batch in the tiered sweep")
@@ -88,8 +86,6 @@ func run(args []string) error {
 	cfg.GINLayers = *ginLayers
 	cfg.Readers = *readers
 	cfg.MixedUpdates = *mixedUpds
-	cfg.BurstDepth = *burstDep
-	cfg.BurstUpdates = *burstUpds
 	cfg.TieredQuant = *tierQuant
 	cfg.TieredReadsPerBatch = *tierReads
 	if *tierFacts != "" {

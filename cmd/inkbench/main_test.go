@@ -16,9 +16,11 @@ func TestRunExperiment(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
-		{},                           // no experiment
-		{"unknown-exp"},              // unknown id
-		{"-datasets", "XX", "fig1a"}, // unknown dataset
+		{},                               // no experiment
+		{"unknown-exp"},                  // unknown id
+		{"-quick", "burst"},              // removed experiment: unknown like any other
+		{"-burst-updates", "9", "-list"}, // removed flag: undefined like any other
+		{"-datasets", "XX", "fig1a"},     // unknown dataset
 	}
 	for i, args := range cases {
 		if err := run(args); err == nil {

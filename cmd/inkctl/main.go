@@ -6,7 +6,6 @@
 //
 //	inkctl -addr http://localhost:8080 insert 3 7
 //	inkctl delete 3 7
-//	inkctl submit 3 7 insert        # micro-batched single event
 //	inkctl feature 5 0.1,0.2,0.3
 //	inkctl embedding 12
 //	inkctl stats
@@ -39,7 +38,7 @@ func run(args []string, out io.Writer) error {
 	addr := fs.String("addr", "http://localhost:8080", "inkserve base URL")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: inkctl [flags] <command> [args]")
-		fmt.Fprintln(fs.Output(), "commands: insert U V | delete U V | submit U V insert|delete | feature NODE v1,v2,… | embedding NODE | stats | verify")
+		fmt.Fprintln(fs.Output(), "commands: insert U V | delete U V | feature NODE v1,v2,… | embedding NODE | stats | verify")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -58,15 +57,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		return c.update(u, v, cmd == "insert")
-	case "submit":
-		if len(rest) != 4 || (rest[3] != "insert" && rest[3] != "delete") {
-			return fmt.Errorf("usage: submit U V insert|delete")
-		}
-		u, v, err := parseEdge(rest[1:3])
-		if err != nil {
-			return err
-		}
-		return c.submit(u, v, rest[3] == "insert")
 	case "feature":
 		if len(rest) != 3 {
 			return fmt.Errorf("usage: feature NODE v1,v2,…")
@@ -127,10 +117,6 @@ func (c *client) update(u, v int, insert bool) error {
 	return c.post("/v1/update", server.UpdateRequest{
 		Changes: []server.EdgeChangeJSON{{U: int32(u), V: int32(v), Insert: insert}},
 	})
-}
-
-func (c *client) submit(u, v int, insert bool) error {
-	return c.post("/v1/submit", server.EdgeChangeJSON{U: int32(u), V: int32(v), Insert: insert})
 }
 
 func (c *client) feature(node int, x []float32) error {

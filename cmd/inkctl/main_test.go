@@ -11,7 +11,6 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/inkstream"
-	"repro/internal/scheduler"
 	"repro/internal/server"
 )
 
@@ -27,9 +26,6 @@ func testService(t *testing.T) (*httptest.Server, *inkstream.Engine) {
 	}
 	srv := server.New(eng, nil)
 	t.Cleanup(srv.Close)
-	if err := srv.EnableBatching(scheduler.Policy{MaxBatch: 2}); err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, eng
@@ -80,13 +76,8 @@ func TestInsertDeleteEmbeddingStatsVerify(t *testing.T) {
 	}
 }
 
-func TestSubmitAndFeature(t *testing.T) {
+func TestFeature(t *testing.T) {
 	ts, eng := testService(t)
-	u, v := freeEdge(eng)
-	out, err := runCtl(t, ts, "submit", strconv.Itoa(int(u)), strconv.Itoa(int(v)), "insert")
-	if err != nil || !strings.Contains(out, "pending") {
-		t.Fatalf("submit: %v %q", err, out)
-	}
 	if _, err := runCtl(t, ts, "feature", "3", "0.1,0.2,0.3,0.4"); err != nil {
 		t.Fatalf("feature: %v", err)
 	}
@@ -109,15 +100,15 @@ func TestServerErrorsSurface(t *testing.T) {
 func TestUsageErrors(t *testing.T) {
 	ts, _ := testService(t)
 	cases := [][]string{
-		{},                              // no command
-		{"frobnicate"},                  // unknown command
-		{"insert", "1"},                 // missing V
-		{"insert", "x", "2"},            // bad node
-		{"submit", "1", "2", "explode"}, // bad op
-		{"feature", "1"},                // missing features
-		{"feature", "1", "a,b"},         // bad floats
-		{"embedding"},                   // missing node
-		{"embedding", "abc"},            // bad node
+		{},                             // no command
+		{"frobnicate"},                 // unknown command
+		{"submit", "1", "2", "insert"}, // removed command: unknown like any other
+		{"insert", "1"},                // missing V
+		{"insert", "x", "2"},           // bad node
+		{"feature", "1"},               // missing features
+		{"feature", "1", "a,b"},        // bad floats
+		{"embedding"},                  // missing node
+		{"embedding", "abc"},           // bad node
 	}
 	for i, args := range cases {
 		if _, err := runCtl(t, ts, args...); err == nil {

@@ -39,7 +39,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/gnn"
@@ -48,7 +47,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/persist"
-	"repro/internal/scheduler"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/tensor"
@@ -92,8 +90,6 @@ func buildServerOn(fs *flag.FlagSet, args []string) (http.Handler, string, error
 		hidden     = fs.Int("hidden", 32, "hidden dimension")
 		shards     = fs.Int("shards", 1, "engine shards: >1 serves the graph from a partitioned multi-engine deployment")
 		partition  = fs.String("partition", "hash", "vertex partition strategy with -shards>1: hash, block or greedy (locality-aware)")
-		batch      = fs.Int("batch", 0, "micro-batch size for /v1/submit (0 disables batching)")
-		staleness  = fs.Duration("staleness", 0, "max staleness before a pending /v1/submit batch flushes")
 		walPath    = fs.String("wal", "", "write-ahead log file: accepted batches are journaled before they are applied, and an existing log is replayed on startup onto the booted state (bundle or bootstrap)")
 		slowUpdate = fs.Duration("slow-update", 0, "log a full per-layer trace for updates slower than this (0 disables)")
 		traceAll   = fs.Bool("trace-updates", false, "log a per-layer trace for every update (verbose)")
@@ -265,23 +261,6 @@ func buildServerOn(fs *flag.FlagSet, args []string) (http.Handler, string, error
 		srv.EnablePageCache(store.Stats, faultLat, tieredQ.String())
 	default:
 		srv = server.New(engine, &counters)
-	}
-	if *batch > 0 || *staleness > 0 {
-		if err := srv.EnableBatching(scheduler.Policy{MaxBatch: *batch, MaxStaleness: *staleness}); err != nil {
-			return nil, "", err
-		}
-		interval := *staleness
-		if interval <= 0 {
-			interval = time.Second
-		}
-		go func() {
-			for range time.Tick(interval / 2) {
-				if err := srv.Tick(); err != nil {
-					log.Printf("inkserve: batch flush: %v", err)
-				}
-			}
-		}()
-		log.Printf("micro-batching enabled: batch=%d staleness=%v", *batch, *staleness)
 	}
 	if *slowUpdate > 0 || *traceAll {
 		srv.EnableSlowUpdateLog(*slowUpdate, *traceAll, nil)

@@ -175,6 +175,7 @@ func TestBuildServerErrors(t *testing.T) {
 		{"-file", "/does/not/exist"},        // missing snapshot
 		{"-dataset", "PM", "-shards", "0"},  // no engine at all
 		{"-dataset", "PM", "-shards", "-2"}, // (used to boot one engine silently)
+		{"-dataset", "PM", "-batch", "8"},   // removed flag: undefined like any other
 	}
 	for i, args := range cases {
 		if _, _, err := buildServer(args); err == nil {
@@ -229,8 +230,8 @@ func TestReadmeFlagTable(t *testing.T) {
 
 // Sharded serving: the flags whose feature reads one engine's internals fail
 // fast (not log-and-ignore); everything the pipeline owns — -slo,
-// -trace-ring/-trace-sample, -batch//v1/submit — works under -shards as on
-// one engine, next to the router's own /v1/rounds.
+// -trace-ring/-trace-sample — works under -shards as on one engine, next to
+// the router's own /v1/rounds.
 func TestBuildServerSharded(t *testing.T) {
 	for i, args := range [][]string{
 		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-slow-update", "1ms"},
@@ -246,7 +247,7 @@ func TestBuildServerSharded(t *testing.T) {
 	}
 
 	h, _, err := buildServer([]string{"-dataset", "PM", "-scale", "32",
-		"-shards", "2", "-slo", "1h", "-trace-ring", "128", "-trace-sample", "1", "-batch", "2"})
+		"-shards", "2", "-slo", "1h", "-trace-ring", "128", "-trace-sample", "1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,28 +278,6 @@ func TestBuildServerSharded(t *testing.T) {
 	}
 	if code := get(t, ts, "/v1/nonsense"); code != http.StatusNotFound {
 		t.Errorf("unknown /v1 path status %d, want 404", code)
-	}
-	// The scheduler only calls Apply, so /v1/submit batches under shards too:
-	// the second event of a -batch 2 flushes one round.
-	edges := statsEdges(t, ts.URL)
-	for i, body := range []string{`{"u":300,"v":301,"insert":true}`, `{"u":302,"v":303,"insert":true}`} {
-		resp, err := http.Post(ts.URL+"/v1/submit", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out struct {
-			Flushed bool `json:"flushed"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || out.Flushed != (i == 1) {
-			t.Fatalf("submit %d: status %d flushed=%v", i, resp.StatusCode, out.Flushed)
-		}
-	}
-	if got := statsEdges(t, ts.URL); got != edges+2 {
-		t.Errorf("edges after a flushed /v1/submit batch = %d, want %d", got, edges+2)
 	}
 	// What is not ported is not mounted: a typed 404, like /v1/rounds on one
 	// engine.

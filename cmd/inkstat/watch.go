@@ -326,7 +326,6 @@ func watchLine(prev, cur obs.Samples, dt time.Duration) string {
 
 	prunedRatio := visitRatio(prev, cur, "pruned")
 
-	pending, _ := cur.Get("inkstream_scheduler_pending")
 	epoch, _ := cur.Get("inkstream_snapshot_epoch")
 	lag, _ := cur.Get("inkstream_snapshot_lag_batches")
 	gcBatch := 0.0
@@ -339,8 +338,8 @@ func watchLine(prev, cur obs.Samples, dt time.Duration) string {
 	if dc := delta("inkstream_coalesced_batch_size_count"); dc > 0 {
 		fused = delta("inkstream_coalesced_batch_size_sum") / dc
 	}
-	return fmt.Sprintf("upd/s=%.1f  p99=%s  events/s=%.0f  pruned=%.1f%%  pending=%.0f  epoch=%.0f  lag=%.0f  reads/s=%.1f  gc=%.1f  fused=%.1f  stalls=%.0f",
-		updates/secs, fmtSeconds(p99), events/secs, 100*prunedRatio, pending,
+	return fmt.Sprintf("upd/s=%.1f  p99=%s  events/s=%.0f  pruned=%.1f%%  epoch=%.0f  lag=%.0f  reads/s=%.1f  gc=%.1f  fused=%.1f  stalls=%.0f",
+		updates/secs, fmtSeconds(p99), events/secs, 100*prunedRatio,
 		epoch, lag, delta("inkstream_reads_total")/secs, gcBatch, fused,
 		delta("inkstream_coalesce_stalls_total")) + shardSuffix(prev, cur) + tieredSuffix(prev, cur) + runtimeSuffix(prev, cur)
 }

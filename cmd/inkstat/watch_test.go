@@ -99,7 +99,7 @@ func testWatchLoop(t *testing.T, shards int) {
 		}
 	}
 	for _, line := range lines[1:] {
-		for _, field := range []string{"upd/s=", "p99=", "events/s=", "pruned=", "pending=", "epoch=", "lag=", "reads/s=", "gc="} {
+		for _, field := range []string{"upd/s=", "p99=", "events/s=", "pruned=", "epoch=", "lag=", "reads/s=", "gc="} {
 			if !strings.Contains(line, field) {
 				t.Errorf("line %q missing %s", line, field)
 			}

@@ -47,14 +47,6 @@ type Config struct {
 	// MixedUpdates is the number of ΔG batches the mixed workload streams
 	// through the server pipeline.
 	MixedUpdates int
-	// BurstDepth is the pipeline queue depth of the sustained-burst
-	// throughput scenario (experiment "burst"): how many single-change
-	// updates the pipelined client keeps in flight — the depth the
-	// coalescing comparison is measured at.
-	BurstDepth int
-	// BurstUpdates is the total number of single-change updates the burst
-	// scenario pushes through each coalescing mode.
-	BurstUpdates int
 	// TieredFactors are the working-set multiples of the memory cap the
 	// tiered-store sweep (experiment "tiered") serves the embedding
 	// footprint at (cap = footprint/factor); a resident baseline point is
@@ -112,12 +104,6 @@ func (c Config) normalize() Config {
 	}
 	if c.MixedUpdates < 1 {
 		c.MixedUpdates = 200
-	}
-	if c.BurstDepth < 1 {
-		c.BurstDepth = 8
-	}
-	if c.BurstUpdates < 1 {
-		c.BurstUpdates = 2000
 	}
 	if len(c.TieredFactors) == 0 {
 		c.TieredFactors = []int{1, 2, 4, 10}

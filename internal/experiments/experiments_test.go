@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -402,7 +404,7 @@ func TestScalingSweep(t *testing.T) {
 }
 
 func TestRunnerRegistry(t *testing.T) {
-	if len(Names()) != 16 {
+	if len(Names()) != 15 {
 		t.Errorf("registry size = %d", len(Names()))
 	}
 	if _, err := Run("nope", tiny()); err == nil {
@@ -411,6 +413,32 @@ func TestRunnerRegistry(t *testing.T) {
 	res, err := Run("memcost", tiny())
 	if err != nil || res.Render() == "" {
 		t.Errorf("Run(memcost): %v", err)
+	}
+}
+
+// TestDesignIndexMatchesRegistry keeps DESIGN.md §3 and the registry in
+// step: the backticked ids in the first column of the per-experiment index
+// are exactly the registered experiments.
+func TestDesignIndexMatchesRegistry(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## 3. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 3")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var ids []string
+	for _, line := range strings.Split(section, "\n") {
+		if id, ok := strings.CutPrefix(line, "| `"); ok {
+			id, _, _ = strings.Cut(id, "`")
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	if got, want := strings.Join(ids, " "), strings.Join(Names(), " "); got != want {
+		t.Errorf("DESIGN.md §3 indexes [%s], the registry holds [%s]", got, want)
 	}
 }
 

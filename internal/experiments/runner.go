@@ -30,7 +30,6 @@ var Registry = map[string]Runner{
 	"hotspot": func(c Config) (Result, error) { return Hotspot(c) },
 	"scaling": func(c Config) (Result, error) { return Scaling(c) },
 	"mixed":   func(c Config) (Result, error) { return Mixed(c) },
-	"burst":   func(c Config) (Result, error) { return Burst(c) },
 	"tiered":  func(c Config) (Result, error) { return TieredSweep(c) },
 }
 

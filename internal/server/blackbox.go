@@ -19,7 +19,6 @@ type BlackBoxInfo struct {
 	Shards      int     `json:"shards"`
 	SLOMS       float64 `json:"slo_ms,omitempty"`
 	SampleEvery int     `json:"trace_sample_every,omitempty"`
-	Coalescing  bool    `json:"coalescing"`
 }
 
 // EnableBlackBox arms the incident black box: cfg.Dir names the dump
@@ -39,7 +38,6 @@ func (s *Server) EnableBlackBox(cfg obs.BlackBoxConfig) *obs.BlackBox {
 			Deployment: "single-engine",
 			Shards:     s.backend.Shape().Shards,
 			SLOMS:      float64(s.sloNS.Load()) / 1e6,
-			Coalescing: s.coalesce.Load(),
 		}
 		if info.Shards > 1 {
 			info.Deployment = "sharded"

@@ -6,13 +6,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Server-side adaptive coalescing (DESIGN.md §9). The journal stage already
-// drains every request queued behind the in-flight one into a group; the
-// apply stage used to call Backend.Apply once per request anyway, paying the
-// backend's fixed per-batch costs (validation, arena rewind, per-layer
-// grouper epochs, BSP barriers, snapshot publication) once per request.
-// Coalescing merges compatible requests of a group into one fused Apply,
-// preserving the per-request contract:
+// Server-side adaptive coalescing (DESIGN.md §8). The journal stage drains
+// every request queued behind the in-flight one into a group; applying each
+// on its own would pay the backend's fixed per-batch costs (validation,
+// arena rewind, per-layer grouper epochs, BSP barriers, snapshot
+// publication) once per request. Coalescing merges compatible requests of a
+// group into one fused Apply, preserving the per-request contract:
 //
 //   - Ack/error routing: a request is acknowledged with exactly the error
 //     it would have received applied alone. Compatible requests cannot
@@ -20,7 +19,7 @@ import (
 //     fused apply still fails, the batch is replayed request-by-request so
 //     the error lands on exactly the conflicting request.
 //   - Read-your-writes: the snapshot covering a fused batch is published
-//     before any of its requests are acknowledged, exactly as before.
+//     before any of its requests are acknowledged.
 //   - Ordering: requests are fused and flushed in arrival order; a request
 //     that conflicts with the open batch flushes it (a "stall") and starts
 //     the next one, so same-edge/same-node sequences apply in sequence.
@@ -186,40 +185,5 @@ func (s *Server) coalesceGroup(group []*updateReq, f *fused) {
 		if len(f.reqs) >= maxGroup {
 			s.flushFused(f)
 		}
-	}
-}
-
-// applySingly is the non-coalescing apply stage (SetCoalescing(false), and
-// the historical behaviour): one Backend.Apply per request, one snapshot
-// publication covering the group, then the acknowledgements.
-func (s *Server) applySingly(group []*updateReq) {
-	var mutations uint64
-	for _, r := range group {
-		r.mark(obs.StageCoalesce)
-		if r.op != nil {
-			r.err = r.op()
-			r.mark(obs.StageApply)
-			continue
-		}
-		s.applyOne(r)
-		r.fused = 1
-		r.mark(obs.StageApply)
-		// Per-request applies mean the engine trace is exact per request;
-		// clone it before the next apply overwrites it.
-		var eng *obs.Trace
-		s.attachEngineTrace(r, &eng)
-		mutations++
-	}
-	if mutations > 0 {
-		s.backend.PublishSnapshot()
-		s.processed.Add(mutations)
-		for _, r := range group {
-			if r.op == nil {
-				r.mark(obs.StagePublish)
-			}
-		}
-	}
-	for _, r := range group {
-		s.finish(r, r.err)
 	}
 }

@@ -16,10 +16,25 @@ import (
 // newCoalesceServer builds a server over a deterministic engine (AggMax, so
 // every comparison below may demand bit-exactness: the maintained state of
 // a monotonic model is a pure function of graph + features).
-func newCoalesceServer(t *testing.T) *Server {
+func newCoalesceServer(t *testing.T) *Server { return newCoalesceServerOn(t, false) }
+
+// newCoalesceServerOn is newCoalesceServer over the same RMAT graph, or over
+// a directed graph holding the same arcs (so (u,v) and (v,u) are two edges).
+func newCoalesceServerOn(t *testing.T, directed bool) *Server {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	g := dataset.GenerateRMAT(rng, 300, 1200, dataset.DefaultRMAT)
+	if directed {
+		d := graph.New(g.NumNodes())
+		for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+			for _, v := range g.OutNeighbors(u) {
+				if err := d.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		g = d
+	}
 	feats := dataset.NewFeatures(rng, 300, 8)
 	model := gnn.NewGCN(rng, 8, 16, gnn.NewAggregator(gnn.AggMax))
 	var c metrics.Counters
@@ -33,8 +48,8 @@ func newCoalesceServer(t *testing.T) *Server {
 }
 
 // quiesce stops the server's pipeline goroutines so a test can drive the
-// apply stage (applyCoalesced / applySingly) deterministically from its own
-// goroutine — the only way to pin down which requests share a fused batch.
+// apply stage (applyCoalesced) deterministically from its own goroutine —
+// the only way to pin down which requests share a fused batch.
 func quiesce(s *Server) { s.Close() }
 
 // applyCoalesced coalesces one group and closes the window: every request
@@ -88,7 +103,11 @@ func TestCoalesceEquivalence(t *testing.T) {
 	}
 	fusedGroup, singleGroup := mkGroup(), mkGroup()
 	fusedSrv.applyCoalesced(fusedGroup, newFused())
-	singleSrv.applySingly(singleGroup)
+	// The reference arm is the same code with nothing queued behind the
+	// in-flight request: every group holds one request.
+	for _, r := range singleGroup {
+		singleSrv.applyCoalesced([]*updateReq{r}, newFused())
+	}
 
 	for i := range edges {
 		if err := <-fusedGroup[i].done; err != nil {
@@ -106,42 +125,58 @@ func TestCoalesceEquivalence(t *testing.T) {
 	if st.Requests != int64(len(edges)) || st.Batches != 1 || st.Stalls != 0 || st.Fallbacks != 0 {
 		t.Fatalf("coalesce stats = %+v, want all %d requests in 1 batch", st, len(edges))
 	}
+	if st := singleSrv.CoalesceStats(); st.Batches != st.Requests || st.Requests != int64(len(edges)) {
+		t.Fatalf("reference stats = %+v, want %d batches of one request", st, len(edges))
+	}
 	if err := fusedSrv.engine().Verify(0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestCoalesceConflictStall: a request touching an edge of the open batch
-// (in either orientation — the graph is undirected) must flush the batch
-// first, and then fail with exactly the error it would have received
-// applied alone.
+// must flush the batch first, and then get exactly the outcome it would have
+// had applied alone. Which requests touch the same edge depends on the
+// graph: on an undirected one (u,v) and (v,u) are one edge, so the reversed
+// insert stalls and is then refused as a duplicate; on a directed one they
+// are two edges and fuse into one batch.
 func TestCoalesceConflictStall(t *testing.T) {
-	s := newCoalesceServer(t)
-	quiesce(s)
-	rng := rand.New(rand.NewSource(3))
-	e := freshEdges(t, s.engine().Graph(), rng, 1)[0]
+	for _, tc := range []struct {
+		name     string
+		directed bool
+		stalls   int64
+		batches  int64
+	}{
+		{"undirected", false, 1, 2},
+		{"directed", true, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newCoalesceServerOn(t, tc.directed)
+			quiesce(s)
+			rng := rand.New(rand.NewSource(3))
+			e := freshEdges(t, s.engine().Graph(), rng, 1)[0]
 
-	first := mutReq(graph.Delta{e}, nil)
-	// Same logical edge, reversed orientation: conflicts with the open
-	// batch, and — applied after the flush — is a duplicate insert.
-	second := mutReq(graph.Delta{{U: e.V, V: e.U, Insert: true}}, nil)
-	s.applyCoalesced([]*updateReq{first, second}, newFused())
+			first := mutReq(graph.Delta{e}, nil)
+			second := mutReq(graph.Delta{{U: e.V, V: e.U, Insert: true}}, nil)
+			s.applyCoalesced([]*updateReq{first, second}, newFused())
 
-	if err := <-first.done; err != nil {
-		t.Fatalf("first request: %v", err)
-	}
-	if err := <-second.done; err == nil {
-		t.Fatal("duplicate insert acknowledged without error")
-	}
-	st := s.CoalesceStats()
-	if st.Stalls != 1 || st.Batches != 2 {
-		t.Fatalf("coalesce stats = %+v, want 1 stall and 2 batches", st)
-	}
-	if !s.engine().Graph().HasEdge(e.U, e.V) {
-		t.Fatal("first request's edge missing after conflict flush")
-	}
-	if err := s.engine().Verify(0); err != nil {
-		t.Fatal(err)
+			if err := <-first.done; err != nil {
+				t.Fatalf("first request: %v", err)
+			}
+			if err := <-second.done; (err == nil) != tc.directed {
+				t.Fatalf("reversed insert: %v (directed=%v)", err, tc.directed)
+			}
+			st := s.CoalesceStats()
+			if st.Stalls != tc.stalls || st.Batches != tc.batches || st.Fallbacks != 0 {
+				t.Fatalf("coalesce stats = %+v, want %d stall(s) and %d batch(es), no fallback", st, tc.stalls, tc.batches)
+			}
+			g := s.engine().Graph()
+			if !g.HasEdge(e.U, e.V) || !g.HasEdge(e.V, e.U) {
+				t.Fatal("an arc of the pair is missing")
+			}
+			if err := s.engine().Verify(0); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -217,37 +252,44 @@ func TestCoalesceVertexConflict(t *testing.T) {
 }
 
 // TestCoalescePipelineEquivalence exercises coalescing through the live
-// concurrent pipeline: the same conflict-free update set pushed through a
-// coalescing and a non-coalescing server by racing workers must converge
-// to bit-identical embeddings (the fusion factor itself is timing-
-// dependent and not asserted).
+// concurrent pipeline: the same conflict-free update set pushed through one
+// server by racing workers (whatever queues behind the in-flight request
+// fuses; the factor is timing-dependent and not asserted) and through another
+// by one closed-loop writer (each Apply waits for its ack, so nothing can
+// queue behind it and every batch covers one request) must converge to
+// bit-identical embeddings.
 func TestCoalescePipelineEquivalence(t *testing.T) {
 	coalesced := newCoalesceServer(t)
 	sequential := newCoalesceServer(t)
-	sequential.SetCoalescing(false)
 	rng := rand.New(rand.NewSource(6))
 	const workers, perWorker = 8, 8
 	edges := freshEdges(t, coalesced.engine().Graph(), rng, workers*perWorker)
 
-	for _, s := range []*Server{coalesced, sequential} {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			pool := edges[w*perWorker : (w+1)*perWorker]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for _, ch := range pool {
-					if err := s.Apply(graph.Delta{ch}, nil); err != nil {
-						t.Errorf("apply %v: %v", ch, err)
-						return
-					}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		pool := edges[w*perWorker : (w+1)*perWorker]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, ch := range pool {
+				if err := coalesced.Apply(graph.Delta{ch}, nil); err != nil {
+					t.Errorf("apply %v: %v", ch, err)
+					return
 				}
-			}()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, ch := range edges {
+		if err := sequential.Apply(graph.Delta{ch}, nil); err != nil {
+			t.Fatalf("apply %v: %v", ch, err)
 		}
-		wg.Wait()
 	}
 	quiesce(coalesced)
 	quiesce(sequential)
+	if st := sequential.CoalesceStats(); st.Batches != st.Requests || st.Requests != int64(len(edges)) {
+		t.Fatalf("closed-loop reference stats = %+v, want %d batches of one request", st, len(edges))
+	}
 	if !coalesced.engine().Output().Equal(sequential.engine().Output()) {
 		t.Fatalf("coalesced pipeline diverged from sequential (max diff %g)",
 			coalesced.engine().Output().MaxAbsDiff(sequential.engine().Output()))

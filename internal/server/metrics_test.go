@@ -20,12 +20,11 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/persist"
-	"repro/internal/scheduler"
 )
 
 // newObsServer builds a server and returns it alongside its test listener,
-// for tests that need to configure batching, journaling or slow-update
-// logging before (re)mounting the handler.
+// for tests that need to configure journaling or slow-update logging before
+// (re)mounting the handler.
 func newObsServer(t *testing.T) (*Server, *inkstream.Engine) {
 	t.Helper()
 	leakcheck.Check(t)
@@ -173,13 +172,11 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestMetricsSchedulerAndWAL covers the queue-depth gauges, flush-reason
-// counters and WAL append-latency histogram.
-func TestMetricsSchedulerAndWAL(t *testing.T) {
+// TestMetricsWALAndGroupCommit covers the WAL append-latency histogram and
+// the group-commit size histogram: untouched until a request is journaled,
+// then one commit covering one request.
+func TestMetricsWALAndGroupCommit(t *testing.T) {
 	srv, eng := newObsServer(t)
-	if err := srv.EnableBatching(scheduler.Policy{MaxBatch: 3}); err != nil {
-		t.Fatal(err)
-	}
 	wal, err := persist.OpenWAL(filepath.Join(t.TempDir(), "wal.bin"))
 	if err != nil {
 		t.Fatal(err)
@@ -189,50 +186,22 @@ func TestMetricsSchedulerAndWAL(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	edges := absentEdges(t, eng.Graph(), 3)
-	for _, e := range edges[:2] {
-		resp := postJSON(t, ts.URL+"/v1/submit", e)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("submit status %d", resp.StatusCode)
-		}
-	}
 	samples := scrape(t, ts.URL)
-	if got, _ := samples.Get("inkstream_scheduler_pending"); got != 2 {
-		t.Errorf("scheduler pending = %v, want 2", got)
-	}
-	if got, _ := samples.Get("inkstream_scheduler_submitted_total"); got != 2 {
-		t.Errorf("scheduler submitted = %v, want 2", got)
-	}
-	// No flush yet → WAL untouched.
 	if got, _ := samples.Get("inkstream_wal_append_latency_seconds_count"); got != 0 {
-		t.Errorf("wal appends before flush = %v", got)
+		t.Errorf("wal appends before any update = %v", got)
 	}
 
-	// Third submit hits MaxBatch: size-flush through journal + engine.
-	resp := postJSON(t, ts.URL+"/v1/submit", edges[2])
+	resp := postJSON(t, ts.URL+"/v1/update", UpdateRequest{Changes: absentEdges(t, eng.Graph(), 3)})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("submit status %d", resp.StatusCode)
+		t.Fatalf("update status %d", resp.StatusCode)
 	}
 	samples = scrape(t, ts.URL)
-	if got, _ := samples.Get("inkstream_scheduler_pending"); got != 0 {
-		t.Errorf("pending after flush = %v", got)
-	}
-	if got, _ := samples.Get("inkstream_scheduler_pending_max"); got != 3 {
-		t.Errorf("pending max = %v, want 3", got)
-	}
-	if got, _ := samples.Get("inkstream_scheduler_flushes_total", "reason", "size"); got != 1 {
-		t.Errorf("size flushes = %v, want 1", got)
-	}
-	if got, _ := samples.Get("inkstream_scheduler_flushes_total", "reason", "staleness"); got != 0 {
-		t.Errorf("staleness flushes = %v, want 0", got)
-	}
 	if got, _ := samples.Get("inkstream_wal_append_latency_seconds_count"); got != 1 {
-		t.Errorf("wal appends after flush = %v, want 1", got)
+		t.Errorf("wal appends after one update = %v, want 1", got)
 	}
-	// The flushed batch rode one group commit covering one journaled
-	// request.
+	// The request rode one group commit covering one journaled request.
 	if got, _ := samples.Get("inkstream_group_commit_batch_size_count"); got != 1 {
-		t.Errorf("group commits after flush = %v, want 1", got)
+		t.Errorf("group commits after one update = %v, want 1", got)
 	}
 	if got, _ := samples.Get("inkstream_group_commit_batch_size_sum"); got != 1 {
 		t.Errorf("group commit batch sum = %v, want 1", got)
@@ -242,20 +211,14 @@ func TestMetricsSchedulerAndWAL(t *testing.T) {
 	}
 }
 
-// TestStatsPendingAndLatency checks the /v1/stats additions: scheduler
-// queue depth and latency quantiles.
-func TestStatsPendingAndLatency(t *testing.T) {
+// TestStatsLatencyQuantiles checks the /v1/stats update-latency quantiles
+// and condition counts after one update.
+func TestStatsLatencyQuantiles(t *testing.T) {
 	srv, eng := newObsServer(t)
-	if err := srv.EnableBatching(scheduler.Policy{MaxBatch: 100}); err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	edges := absentEdges(t, eng.Graph(), 2)
-	// One direct update (records latency) and one buffered submit.
-	postJSON(t, ts.URL+"/v1/update", UpdateRequest{Changes: edges[:1]})
-	postJSON(t, ts.URL+"/v1/submit", edges[1])
+	postJSON(t, ts.URL+"/v1/update", UpdateRequest{Changes: absentEdges(t, eng.Graph(), 1)})
 
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -263,12 +226,6 @@ func TestStatsPendingAndLatency(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	stats := decode[StatsResponse](t, resp)
-	if stats.Pending != 1 {
-		t.Errorf("stats pending = %d, want 1", stats.Pending)
-	}
-	if stats.MaxPending != 1 {
-		t.Errorf("stats max pending = %d, want 1", stats.MaxPending)
-	}
 	if stats.UpdateLatency.P50 <= 0 || stats.UpdateLatency.Max <= 0 {
 		t.Errorf("latency quantiles missing: %+v", stats.UpdateLatency)
 	}

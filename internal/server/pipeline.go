@@ -60,23 +60,9 @@ func (s *Server) Apply(delta graph.Delta, vups []inkstream.VertexUpdate) error {
 	return s.do(delta, vups, nil)
 }
 
-// ApplyAsync submits one update batch into the pipeline without waiting
-// for the outcome: the returned channel delivers the single acknowledgement
-// (nil on success) once the batch is durable, applied, and covered by a
-// published snapshot. It is how a pipelined client keeps several updates in
-// flight from one goroutine — the queued-behind-the-in-flight-update regime
-// that server-side coalescing fuses. Every accepted request gets exactly
-// one outcome, Close included: a request Close overtakes is acknowledged
-// with ErrServerClosed.
-func (s *Server) ApplyAsync(delta graph.Delta, vups []inkstream.VertexUpdate) (<-chan error, error) {
-	r := s.newReq(delta, vups, nil)
-	if err := s.submit(r); err != nil {
-		return nil, err
-	}
-	return r.done, nil
-}
-
-// do enqueues a request and waits for its outcome.
+// do enqueues a request and waits for its one outcome. Every accepted
+// request gets exactly one, Close included: a request Close overtakes is
+// acknowledged with ErrServerClosed.
 func (s *Server) do(delta graph.Delta, vups []inkstream.VertexUpdate, op func() error) error {
 	r := s.newReq(delta, vups, op)
 	if err := s.submit(r); err != nil {
@@ -230,22 +216,17 @@ func (s *Server) journalGroup(group []*updateReq) []*updateReq {
 }
 
 // applyLoop is stage 2: the only goroutine that ever mutates the backend.
-// With coalescing on (the default) it merges each group's compatible
-// mutations into fused Backend.Apply calls (coalesce.go), amortising the
-// backend's fixed per-batch costs across everything that queued behind the
-// in-flight update; with coalescing off it applies each request on its
-// own. Either way a snapshot covering a request is published before that
-// request is acknowledged — so a successful response implies the served
-// snapshot already reflects the update (read-your-writes: the paper's
+// It merges each group's compatible mutations into fused Backend.Apply calls
+// (coalesce.go), amortising the backend's fixed per-batch costs across
+// everything that queued behind the in-flight update; with nothing queued a
+// batch covers one request. A snapshot covering a request is published
+// before that request is acknowledged — so a successful response implies the
+// served snapshot already reflects the update (read-your-writes: the paper's
 // "instantaneous" availability).
 func (s *Server) applyLoop() {
 	defer s.wg.Done()
 	f := newFused()
 	for group := range s.applyCh {
-		if !s.coalesce.Load() {
-			s.applySingly(group)
-			continue
-		}
 		s.coalesceGroup(group, f)
 		// Drain every group already journaled behind this one into the
 		// open batch before flushing. The absorb never waits — it only
@@ -259,12 +240,6 @@ func (s *Server) applyLoop() {
 			select {
 			case more, ok := <-s.applyCh:
 				if !ok {
-					s.flushFused(f)
-					return
-				}
-				if !s.coalesce.Load() {
-					s.flushFused(f)
-					s.applySingly(more)
 					break absorb
 				}
 				s.coalesceGroup(more, f)

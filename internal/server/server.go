@@ -16,7 +16,6 @@
 //	GET  /v1/traces     (flight recorder: last N request-scoped pipeline traces)
 //	GET  /v1/timeseries (in-process time-series window, ~1s × 10min)
 //	GET  /v1/alerts     (burn-rate alert status)
-//	POST /v1/submit     (single edge event into the batching scheduler)
 //	GET  /metrics       (Prometheus text exposition, with trace-ID exemplars)
 //	GET  /debug/bundle  (on-demand incident bundle)
 //
@@ -27,28 +26,30 @@
 // mutations funnel into a single-writer pipeline — requests enqueue onto a
 // channel drained by a journal stage (which makes a whole group of queued
 // batches durable under one fsync, "group commit") feeding an apply stage
-// (the only goroutine that calls Backend.Apply). The apply stage coalesces
-// by default (DESIGN.md §9): compatible mutations queued behind the
-// in-flight one merge into a single fused Apply, and a conflicting
-// request (same edge or same node as the open batch) flushes the batch
-// first, so per-request ack/error semantics are preserved. After each
-// applied batch the backend publishes immutable, epoch-stamped embedding
-// snapshots via atomic pointers; every read handler resolves against the
-// current snapshot with zero locking and reports the snapshot epoch it
-// observed. A successful mutation response implies the batch is durable,
-// applied, and visible in the published snapshot (read-your-writes).
+// (the only goroutine that calls Backend.Apply). That queue is the only
+// place writes are batched: the apply stage merges compatible mutations
+// queued behind the in-flight one into a single fused Apply, and a
+// conflicting request (same edge or same node as the open batch) flushes
+// the batch first, so per-request ack/error semantics are preserved. After
+// each applied batch the backend publishes immutable, epoch-stamped
+// embedding snapshots via atomic pointers; every read handler resolves
+// against the current snapshot with zero locking and reports the snapshot
+// epoch it observed. A successful mutation response implies the batch is
+// durable, applied, and visible in the published snapshot
+// (read-your-writes).
 //
 // Observability: every server owns an obs.Observer shared with its engine
 // (per-update latency/size histograms, slow-update traces) and an
 // obs.Registry exposing them — plus the work counters, per-condition visit
-// totals, scheduler queue state, WAL commit latency, snapshot epoch/lag
-// and group-commit batch sizes — at GET /metrics.
+// totals, WAL commit latency, snapshot epoch/lag and group-commit and
+// coalesced batch sizes — at GET /metrics.
 package server
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -60,7 +61,6 @@ import (
 	"repro/internal/inkstream"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/scheduler"
 	"repro/internal/tensor"
 )
 
@@ -92,16 +92,11 @@ type Server struct {
 	processed atomic.Uint64 // mutation batches reflected in (or rejected
 	// before) the published snapshot; accepted-processed is the lag
 
-	// Server-side coalescing state (coalesce.go): the switch, the graph's
-	// directedness captured for edge canonicalisation, and the counters.
-	coalesce    atomic.Bool
+	// Server-side coalescing state (coalesce.go): the graph's directedness
+	// captured for edge canonicalisation, and the counters.
 	undirected  bool
 	coStalls    atomic.Int64 // fused batches flushed early by a conflict
 	coFallbacks atomic.Int64 // fused applies replayed per-request
-
-	// mu guards only the batching scheduler; the read path never takes it.
-	mu      sync.Mutex
-	batcher *scheduler.Scheduler
 
 	obs    *obs.Observer
 	reg    *obs.Registry
@@ -144,8 +139,8 @@ type Journal interface {
 // publishes the initial embedding snapshot (epoch 1), and starts the
 // writer pipeline. Call Close to stop it.
 //
-// Configuration methods (SetJournal, EnableBatching, EnableSlowUpdateLog)
-// must be called before the first request is served.
+// Configuration methods (SetJournal, EnableSlowUpdateLog) must be called
+// before the first request is served.
 func New(engine *inkstream.Engine, counters *metrics.Counters) *Server {
 	o := engine.Observer()
 	if o == nil {
@@ -174,7 +169,6 @@ func (s *Server) init() *Server {
 	s.gcSize = obs.NewSizeHistogram()
 	s.coSize = obs.NewSizeHistogram()
 	s.undirected = s.backend.Shape().Undirected
-	s.coalesce.Store(true)
 	s.started = time.Now()
 	// Flight recorder defaults: last 256 interesting requests, 1 in 64
 	// sampled. Reconfigure with SetTraceSampling before serving.
@@ -198,8 +192,8 @@ func (s *Server) init() *Server {
 	s.quit = make(chan struct{})
 	s.sampler.Start()
 	// The two pipeline stages start last, once every field they read exists;
-	// SetJournal/EnableBatching remain "call before serving" because the
-	// stages read those fields unlocked.
+	// SetJournal remains "call before serving" because the journal stage reads
+	// the field unlocked.
 	s.wg.Add(2)
 	go s.journalLoop()
 	go s.applyLoop()
@@ -227,8 +221,7 @@ func (s *Server) EnableSlowUpdateLog(threshold time.Duration, traceAll bool, log
 
 // buildRegistry registers every family the pipeline itself exposes.
 // Backend-derived values are sampled from the published state, so scraping
-// never touches mutable engine state; only the scheduler gauges lock s.mu
-// inside their sample closure.
+// never touches mutable engine state and takes no lock.
 func (s *Server) buildRegistry() {
 	r := s.reg
 	shape := s.backend.Shape
@@ -281,38 +274,8 @@ func (s *Server) buildRegistry() {
 		"Fused applies that failed validation and were replayed request-by-request.",
 		func() float64 { return float64(s.coFallbacks.Load()) })
 	r.CounterFunc("inkstream_http_updates_served_total",
-		"Successful mutation requests (/v1/update, /v1/features, flushed /v1/submit).",
+		"Successful mutation requests (/v1/update, /v1/features).",
 		func() float64 { return float64(s.updates.Load()) })
-	schedStats := func() (scheduler.Stats, int) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.batcher == nil {
-			return scheduler.Stats{}, 0
-		}
-		return s.batcher.Stats(), s.batcher.Pending()
-	}
-	r.GaugeFunc("inkstream_scheduler_pending",
-		"Edge events buffered by the batching scheduler.",
-		func() float64 { _, p := schedStats(); return float64(p) })
-	r.GaugeFunc("inkstream_scheduler_pending_max",
-		"High-water mark of the scheduler pending queue.",
-		func() float64 { st, _ := schedStats(); return float64(st.MaxPending) })
-	r.CounterFunc("inkstream_scheduler_submitted_total",
-		"Edge events submitted to the batching scheduler.",
-		func() float64 { st, _ := schedStats(); return float64(st.Submitted) })
-	r.CounterFunc("inkstream_scheduler_conflicts_total",
-		"Submitted events coalesced against a pending event on the same edge.",
-		func() float64 { st, _ := schedStats(); return float64(st.Conflicts) })
-	r.LabeledCounterFunc("inkstream_scheduler_flushes_total",
-		"Scheduler flushes by trigger reason.",
-		func() []obs.LabeledValue {
-			st, _ := schedStats()
-			return obs.SortedLabeled("reason", map[string]int64{
-				"size":      int64(st.SizeFlushes),
-				"staleness": int64(st.TimeFlushes),
-				"explicit":  int64(st.ExplicitFlushes()),
-			})
-		})
 	r.Histogram("inkstream_wal_append_latency_seconds",
 		"Durability cost per WAL commit: encode, write, flush and fsync (one commit may cover a whole group).",
 		1e-9, s.walLat)
@@ -342,12 +305,6 @@ func (s *Server) lag() uint64 {
 	}
 	return 0
 }
-
-// SetCoalescing switches server-side update coalescing (coalesce.go) on or
-// off. On by default; safe to call at any time (the apply stage reads the
-// switch per group), which lets benchmarks compare the two modes on one
-// server.
-func (s *Server) SetCoalescing(on bool) { s.coalesce.Store(on) }
 
 // CoalesceStats summarises the coalescing activity so far.
 type CoalesceStats struct {
@@ -387,40 +344,6 @@ func (s *Server) SetJournal(j Journal) {
 	}
 }
 
-// deltaApplier adapts the pipeline to scheduler.Updater.
-type deltaApplier struct{ s *Server }
-
-func (a deltaApplier) Update(d graph.Delta) error { return a.s.Apply(d, nil) }
-
-// EnableBatching installs a scheduler for the /v1/submit endpoint: single
-// edge events are coalesced and flushed as ΔG batches per the policy —
-// the Fig. 7 latency/staleness trade-off made operational. The scheduler
-// inherits the served graph's directedness, so coalescing only treats
-// (u,v) and (v,u) as the same edge on undirected graphs. Call before
-// serving. Callers should also run a periodic Tick (see Tick) so the
-// staleness deadline fires during quiet periods.
-func (s *Server) EnableBatching(p scheduler.Policy) error {
-	p.Directed = !s.undirected
-	b, err := scheduler.New(deltaApplier{s}, p)
-	if err != nil {
-		return err
-	}
-	s.batcher = b
-	return nil
-}
-
-// Tick drives the batching staleness deadline; safe to call from a
-// background goroutine. No-op when batching is disabled.
-func (s *Server) Tick() error {
-	if s.batcher == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, err := s.batcher.Tick()
-	return err
-}
-
 // Handler returns the route table.
 func (s *Server) Handler() http.Handler { return s.mux }
 
@@ -437,7 +360,6 @@ func (s *Server) buildMux() {
 	mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	mux.HandleFunc("GET /v1/timeseries", s.handleTimeseries)
 	mux.Handle("GET /v1/alerts", s.alerts)
-	mux.HandleFunc("POST /v1/submit", s.handleSubmit)
 	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.HandleFunc("GET /debug/bundle", s.handleBundle)
 	// Unknown /v1/* paths get a typed JSON 404 instead of the mux's plain
@@ -447,34 +369,6 @@ func (s *Server) buildMux() {
 		httpError(w, http.StatusNotFound, "no %s %s endpoint", r.Method, r.URL.Path)
 	})
 	s.mux = mux
-}
-
-// SubmitResponse reports the batching state after one /v1/submit event.
-type SubmitResponse struct {
-	Flushed bool `json:"flushed"`
-	Pending int  `json:"pending"`
-}
-
-// handleSubmit enqueues a single edge event into the batching scheduler.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.batcher == nil {
-		httpError(w, http.StatusNotImplemented, "batching not enabled; use /v1/update")
-		return
-	}
-	var ch EdgeChangeJSON
-	if err := json.NewDecoder(r.Body).Decode(&ch); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding body: %v", err)
-		return
-	}
-	s.mu.Lock()
-	flushed, err := s.batcher.Submit(graph.EdgeChange{U: ch.U, V: ch.V, Insert: ch.Insert})
-	pending := s.batcher.Pending()
-	s.mu.Unlock()
-	if err != nil {
-		httpError(w, mutationStatus(err), "applying batch: %v", err)
-		return
-	}
-	writeJSON(w, SubmitResponse{Flushed: flushed, Pending: pending})
 }
 
 // EdgeChangeJSON is one edge modification in the wire format.
@@ -507,6 +401,36 @@ func mutationStatus(err error) int {
 	return http.StatusUnprocessableEntity
 }
 
+// maxBodyBytes bounds a mutation request body. The largest bodies the tree
+// sends (the bench's 64-change and 4-row feature requests) are a few KB, so
+// this is headroom, not a tuning knob.
+const maxBodyBytes = 16 << 20
+
+// decodeBody is the only place a request body is decoded: it reads exactly
+// one JSON value of at most maxBodyBytes into v. On failure it has answered
+// — 413 for an oversized body, 400 for malformed JSON or anything but
+// whitespace after the value — and returns false, so a refused body never
+// reaches the pipeline.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "body over %d bytes", tooBig.Limit)
+	} else {
+		httpError(w, http.StatusBadRequest, "decoding body: %v", err)
+	}
+	return false
+}
+
 // serveMutation runs one decoded mutation through the pipeline and writes
 // the ack.
 func (s *Server) serveMutation(w http.ResponseWriter, what string, delta graph.Delta, vups []inkstream.VertexUpdate) {
@@ -526,8 +450,7 @@ func (s *Server) serveMutation(w http.ResponseWriter, what string, delta graph.D
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Changes) == 0 {
@@ -554,8 +477,7 @@ type FeaturesRequest struct {
 
 func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 	var req FeaturesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Updates) == 0 {
@@ -620,10 +542,6 @@ type StatsResponse struct {
 	UpdatesServed int64  `json:"updates_served"`
 	ReadsServed   int64  `json:"reads_served"`
 	SlowUpdates   int64  `json:"slow_updates"`
-	// Pending is the batching scheduler's queue depth (0 when batching is
-	// disabled); MaxPending its high-water mark.
-	Pending    int `json:"pending"`
-	MaxPending int `json:"max_pending"`
 	// Coalesce summarises server-side update coalescing: requests fused,
 	// backend applies covering them, conflict stalls and replay fallbacks.
 	Coalesce      CoalesceStats    `json:"coalesce"`
@@ -707,7 +625,7 @@ type RoundProfileStats struct {
 
 // Stats summarises the deployment. Everything is read from the published
 // state, atomics and the observer — never from mutable engine state — so it
-// stays lock-free apart from the scheduler queue gauges.
+// takes no lock.
 func (s *Server) Stats() StatsResponse {
 	sh := s.backend.Shape()
 	resp := StatsResponse{
@@ -722,12 +640,6 @@ func (s *Server) Stats() StatsResponse {
 	}
 	resp.SnapshotLag = s.lag()
 	resp.Coalesce = s.CoalesceStats()
-	if s.batcher != nil {
-		s.mu.Lock()
-		resp.Pending = s.batcher.Pending()
-		resp.MaxPending = s.batcher.Stats().MaxPending
-		s.mu.Unlock()
-	}
 	resp.SlowUpdates = s.obs.SlowUpdates()
 	lat := s.obs.UpdateLatency.Snapshot()
 	const ms = 1e-6 // nanoseconds → milliseconds

@@ -15,7 +15,6 @@ import (
 	"repro/internal/inkstream"
 	"repro/internal/leakcheck"
 	"repro/internal/metrics"
-	"repro/internal/scheduler"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *inkstream.Engine) {
@@ -203,61 +202,6 @@ func TestStatsFlow(t *testing.T) {
 	}
 	if len(out.Conditions) == 0 || out.Events == 0 {
 		t.Errorf("stats missing engine activity: %+v", out)
-	}
-}
-
-func TestSubmitWithoutBatching(t *testing.T) {
-	ts, _ := newTestServer(t)
-	resp := postJSON(t, ts.URL+"/v1/submit", EdgeChangeJSON{U: 1, V: 2, Insert: true})
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("status %d", resp.StatusCode)
-	}
-}
-
-func TestSubmitBatchingFlow(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	g := dataset.GenerateRMAT(rng, 100, 400, dataset.DefaultRMAT)
-	feats := dataset.NewFeatures(rng, 100, 8)
-	model := gnn.NewGCN(rng, 8, 16, gnn.NewAggregator(gnn.AggMax))
-	eng, err := inkstream.New(model, g, feats.X, nil, inkstream.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(eng, nil)
-	defer srv.Close()
-	if err := srv.EnableBatching(scheduler.Policy{MaxBatch: 3}); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	flushes := 0
-	submitted := 0
-	for i := 0; submitted < 7; i++ {
-		u := graph.NodeID(rng.Intn(100))
-		v := graph.NodeID(rng.Intn(100))
-		if u == v || eng.Graph().HasEdge(u, v) {
-			continue
-		}
-		resp := postJSON(t, ts.URL+"/v1/submit", EdgeChangeJSON{U: int32(u), V: int32(v), Insert: true})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("submit status %d", resp.StatusCode)
-		}
-		out := decode[SubmitResponse](t, resp)
-		if out.Flushed {
-			flushes++
-		}
-		submitted++
-	}
-	if flushes != 2 {
-		t.Errorf("flushes = %d, want 2 (batch size 3, 7 submits)", flushes)
-	}
-	if err := srv.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	// Engine state must stay consistent after the flushed batches.
-	if err := eng.Verify(0); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -4,11 +4,14 @@ import (
 	"archive/tar"
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,6 +103,30 @@ func insert(t *testing.T, srv *server.Server, edges []graph.EdgeChange) {
 		if err := srv.Apply(graph.Delta{e}, nil); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// post sends body as JSON and returns the status and raw response body.
+func post(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(out)
+}
+
+// wantError requires the typed JSON error body with the given status.
+func wantError(t *testing.T, what string, code int, body string, want int) {
+	t.Helper()
+	var errBody map[string]string
+	if err := json.Unmarshal([]byte(body), &errBody); code != want || err != nil || errBody["error"] == "" {
+		t.Errorf("%s: %d %q, want a JSON %d", what, code, body, want)
 	}
 }
 
@@ -365,10 +392,10 @@ func TestShapesEndpoints(t *testing.T) {
 		}
 
 		code, body := get(t, ts.URL+"/v1/nonsense", nil)
-		var errBody map[string]string
-		if err := json.Unmarshal([]byte(body), &errBody); code != http.StatusNotFound || err != nil || errBody["error"] == "" {
-			t.Fatalf("unknown /v1 path: %d %q", code, body)
-		}
+		wantError(t, "unknown /v1 path", code, body, http.StatusNotFound)
+		// The removed pre-WAL route is unknown like any other.
+		code, body = post(t, ts.URL+"/v1/submit", `{"u":1,"v":2,"insert":true}`)
+		wantError(t, "POST /v1/submit", code, body, http.StatusNotFound)
 
 		roundsCode, _ := get(t, ts.URL+"/v1/rounds", nil)
 		shardCode, _ := get(t, ts.URL+"/v1/stats?shard=0", nil)
@@ -503,62 +530,100 @@ func TestShapesValidation(t *testing.T) {
 	})
 }
 
+// TestShapesBodyLimits pins decodeBody on both mutation routes: a body over
+// the server's 16 MiB limit is answered 413, anything but whitespace after
+// the one JSON value 400, and neither reaches the pipeline — the same
+// requests without the padding or the garbage are applied.
+func TestShapesBodyLimits(t *testing.T) {
+	forEachShape(t, func(t *testing.T, shards int) {
+		srv, g := deploy(t, shards)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		e := absent(t, g, 1)[0]
+		update := fmt.Sprintf(`{"changes":[{"u":%d,"v":%d,"insert":true}]}`, e.U, e.V)
+		features := `{"updates":[{"node":1,"x":[0,0,0,0,0,0,0,0]}]}`
+		pad := strings.Repeat(" ", 16<<20) // leading whitespace is valid JSON: only the size is wrong
+
+		before := srv.Stats()
+		for _, tc := range []struct {
+			name, path, body string
+			want             int
+		}{
+			{"update-oversized", "/v1/update", pad + update, http.StatusRequestEntityTooLarge},
+			{"features-oversized", "/v1/features", pad + features, http.StatusRequestEntityTooLarge},
+			{"update-trailing-garbage", "/v1/update", update + " x", http.StatusBadRequest},
+			{"update-second-value", "/v1/update", update + update, http.StatusBadRequest},
+			{"features-trailing-garbage", "/v1/features", features + "]", http.StatusBadRequest},
+		} {
+			code, body := post(t, ts.URL+tc.path, tc.body)
+			wantError(t, tc.name, code, body, tc.want)
+		}
+		after := srv.Stats()
+		if after.Epoch != before.Epoch || after.UpdatesServed != 0 || after.Edges != before.Edges || after.SnapshotLag != 0 {
+			t.Fatalf("a refused body reached the pipeline: before %+v, after %+v", before, after)
+		}
+
+		for path, body := range map[string]string{"/v1/update": update + "\n", "/v1/features": features} {
+			if code, out := post(t, ts.URL+path, body); code != http.StatusOK {
+				t.Errorf("%s with a well-formed body: %d %q", path, code, out)
+			}
+		}
+		if got := srv.Stats(); got.UpdatesServed != 2 || got.Edges != before.Edges+1 {
+			t.Errorf("stats after the well-formed requests: %+v", got)
+		}
+	})
+}
+
 // TestShapesClose pins shutdown: every request the pipeline accepted gets
-// exactly one outcome even when Close races the submits (nil, or
-// ErrServerClosed for the ones Close overtook — never a channel that stays
-// silent), Apply after Close fails with ErrServerClosed, and reads keep
+// exactly one outcome even when Close races the writers (nil, or
+// ErrServerClosed for the ones Close overtook — never an Apply that stays
+// blocked), Apply after Close fails with ErrServerClosed, and reads keep
 // serving.
 func TestShapesClose(t *testing.T) {
 	forEachShape(t, func(t *testing.T, shards int) {
 		srv, g := deploy(t, shards)
-		edges := absent(t, g, 64)
 
-		acks := make(chan (<-chan error), 4*len(edges))
-		submitted := make(chan struct{})
-		go func() {
-			defer close(acks)
-			for i := 0; i < 4; i++ {
-				for _, e := range edges {
+		// One closed-loop writer per edge, so some sixty requests are queued
+		// or in flight whenever Close lands.
+		var applied, overtaken atomic.Int64
+		var wg sync.WaitGroup
+		for _, e := range absent(t, g, 64) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 4; i++ {
 					e.Insert = i%2 == 0
-					done, err := srv.ApplyAsync(graph.Delta{e}, nil)
-					if err != nil {
-						if err != server.ErrServerClosed {
-							t.Errorf("refused submit: %v", err)
-						}
+					switch err := srv.Apply(graph.Delta{e}, nil); err {
+					case nil:
+						applied.Add(1)
+					case server.ErrServerClosed:
+						overtaken.Add(1)
+						return
+					default:
+						t.Errorf("outcome %v", err)
 						return
 					}
-					acks <- done
-					if i == 0 && e == edges[8] {
-						close(submitted)
-					}
 				}
-			}
-		}()
-		<-submitted
+			}()
+		}
+		for applied.Load() < 8 {
+			time.Sleep(50 * time.Microsecond)
+		}
 		srv.Close()
-		var applied, overtaken int
-		for done := range acks {
-			select {
-			case err := <-done:
-				switch err {
-				case nil:
-					applied++
-				case server.ErrServerClosed:
-					overtaken++
-				default:
-					t.Errorf("outcome %v", err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("an accepted request never got an outcome (%d applied, %d overtaken so far)", applied, overtaken)
-			}
+		done := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("an accepted request never got an outcome (%d applied, %d overtaken so far)", applied.Load(), overtaken.Load())
 		}
-		t.Logf("%d applied, %d overtaken by Close", applied, overtaken)
+		t.Logf("%d applied, %d writers overtaken by Close", applied.Load(), overtaken.Load())
 
-		if err := srv.Apply(graph.Delta{edges[0]}, nil); err != server.ErrServerClosed {
+		if err := srv.Apply(graph.Delta{{U: 0, V: 1, Insert: true}}, nil); err != server.ErrServerClosed {
 			t.Fatalf("apply after close: %v, want ErrServerClosed", err)
-		}
-		if _, err := srv.ApplyAsync(graph.Delta{edges[0]}, nil); err != server.ErrServerClosed {
-			t.Fatalf("async apply after close: %v, want ErrServerClosed", err)
 		}
 		if _, _, ok := srv.ReadEmbedding(0); !ok {
 			t.Fatal("reads stopped serving after close")

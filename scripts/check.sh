@@ -14,8 +14,8 @@ fi
 go vet ./...
 go build ./...
 go test ./...
-go test -race ./internal/tensor ./internal/gnn ./internal/scheduler \
-    ./internal/experiments ./internal/leakcheck
+go test -race ./internal/tensor ./internal/gnn ./internal/experiments \
+    ./internal/leakcheck
 
 # The packages whose concurrency this repo's claims rest on get fresh
 # (uncached) race runs of their whole test set, not a -run pattern: a
