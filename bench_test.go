@@ -14,13 +14,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/inkstream"
-	"repro/internal/lightgcn"
 	"repro/internal/tensor"
 )
 
@@ -91,68 +89,28 @@ func BenchmarkFig9Trained(b *testing.B) {
 // BenchmarkMemCost regenerates the Sec. III-E checkpoint-memory analysis.
 func BenchmarkMemCost(b *testing.B) { runExperiment(b, "memcost", benchConfig()) }
 
-// BenchmarkReplay measures a full C-TDG timeline replay (latency
-// percentiles of InkStream vs k-hop).
-func BenchmarkReplay(b *testing.B) { runExperiment(b, "replay", benchConfig()) }
-
-// BenchmarkHotspot measures the uniform-vs-hub-biased churn contrast.
-func BenchmarkHotspot(b *testing.B) { runExperiment(b, "hotspot", benchConfig()) }
-
-// BenchmarkScaling measures the fixed-ΔG growing-graph sweep (speedup
-// grows with graph size).
-func BenchmarkScaling(b *testing.B) {
-	cfg := benchConfig()
-	cfg.ExtraScale = 16
-	runExperiment(b, "scaling", cfg)
-}
-
-// BenchmarkParallelScaling contrasts the engine's intra-layer parallel
-// apply against sequential processing at different worker counts.
-func BenchmarkParallelScaling(b *testing.B) {
-	w := newBenchWorld(b, "gcn", gnn.AggMean, 1000) // mean: dense work, no pruning
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			old := tensor.Parallelism
-			tensor.Parallelism = workers
-			defer func() { tensor.Parallelism = old }()
-			w.inkUpdate(b, inkstream.Options{})
-		})
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Method micro-benchmarks: one engine update per iteration on a mid-size
-// power-law graph, reported per model and per method.
+// Ablation benchmarks (DESIGN.md §4): each toggles one design decision on
+// one engine update per iteration (2-layer max-GCN, mid-size power-law graph).
 
 type benchWorld struct {
 	g     *graph.Graph
-	x     *tensor.Matrix
 	model *gnn.Model
 	state *gnn.State
 	delta graph.Delta
 }
 
-func newBenchWorld(b *testing.B, kind string, agg gnn.AggKind, deltaG int) *benchWorld {
+func newBenchWorld(b *testing.B, deltaG int) *benchWorld {
 	b.Helper()
 	rng := rand.New(rand.NewSource(11))
 	g := dataset.GenerateRMAT(rng, 5000, 25000, dataset.DefaultRMAT)
 	x := tensor.RandMatrix(rng, 5000, 32, 1)
-	var model *gnn.Model
-	switch kind {
-	case "gcn":
-		model = gnn.NewGCN(rng, 32, 32, gnn.NewAggregator(agg))
-	case "sage":
-		model = gnn.NewSAGE(rng, 32, 32, gnn.NewAggregator(agg))
-	case "gin":
-		model = gnn.NewGIN(rng, 32, 16, 3, gnn.NewAggregator(agg))
-	default:
-		b.Fatalf("unknown model %q", kind)
-	}
+	model := gnn.NewGCN(rng, 32, 32, gnn.NewAggregator(gnn.AggMax))
 	state, err := gnn.Infer(model, g, x, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return &benchWorld{g: g, x: x, model: model, state: state,
+	return &benchWorld{g: g, model: model, state: state,
 		delta: graph.RandomDelta(rng, g, deltaG)}
 }
 
@@ -173,85 +131,10 @@ func (w *benchWorld) inkUpdate(b *testing.B, opts inkstream.Options) {
 	}
 }
 
-// BenchmarkInkStreamUpdate measures one ΔG=100 incremental update per
-// model and aggregation class.
-func BenchmarkInkStreamUpdate(b *testing.B) {
-	for _, kind := range []string{"gcn", "sage", "gin"} {
-		for _, agg := range []gnn.AggKind{gnn.AggMax, gnn.AggMean} {
-			b.Run(fmt.Sprintf("%s/%s", kind, agg), func(b *testing.B) {
-				newBenchWorld(b, kind, agg, 100).inkUpdate(b, inkstream.Options{})
-			})
-		}
-	}
-}
-
-// BenchmarkKHopUpdate measures the k-hop baseline on the same workload.
-func BenchmarkKHopUpdate(b *testing.B) {
-	for _, kind := range []string{"gcn", "sage", "gin"} {
-		b.Run(kind, func(b *testing.B) {
-			w := newBenchWorld(b, kind, gnn.AggMax, 100)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				kh, err := baseline.NewKHop(w.model, w.g.Clone(), w.x, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if err := kh.Update(append(graph.Delta(nil), w.delta...)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFullInference measures the PyG-style full-graph baseline.
-func BenchmarkFullInference(b *testing.B) {
-	for _, kind := range []string{"gcn", "sage", "gin"} {
-		b.Run(kind, func(b *testing.B) {
-			w := newBenchWorld(b, kind, gnn.AggMax, 100)
-			f := &baseline.Full{Model: w.model}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := f.Infer(w.g, w.x); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFusedInference measures the Graphiler stand-in.
-func BenchmarkFusedInference(b *testing.B) {
-	w := newBenchWorld(b, "gcn", gnn.AggMax, 100)
-	f := &baseline.Fused{Model: w.model}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.Infer(w.g, w.x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Ablation benchmarks (DESIGN.md §4): each toggles one design decision.
-
-// BenchmarkAblationPruning: inter-layer pruned propagation on/off
-// (Table VI's component 2).
-func BenchmarkAblationPruning(b *testing.B) {
-	w := newBenchWorld(b, "gcn", gnn.AggMax, 100)
-	b.Run("on", func(b *testing.B) { w.inkUpdate(b, inkstream.Options{}) })
-	b.Run("off", func(b *testing.B) { w.inkUpdate(b, inkstream.Options{DisablePruning: true}) })
-}
-
 // BenchmarkAblationGrouping: event grouping vs per-event processing
 // (Fig. 4's motivation).
 func BenchmarkAblationGrouping(b *testing.B) {
-	w := newBenchWorld(b, "gcn", gnn.AggMax, 100)
+	w := newBenchWorld(b, 100)
 	b.Run("on", func(b *testing.B) { w.inkUpdate(b, inkstream.Options{Sequential: true}) })
 	b.Run("off", func(b *testing.B) { w.inkUpdate(b, inkstream.Options{DisableGrouping: true}) })
 }
@@ -259,77 +142,16 @@ func BenchmarkAblationGrouping(b *testing.B) {
 // BenchmarkAblationPayloadSharing: shared event payloads vs per-event
 // copies (Sec. II-B's metadata/payload separation).
 func BenchmarkAblationPayloadSharing(b *testing.B) {
-	w := newBenchWorld(b, "gcn", gnn.AggMax, 1000)
+	w := newBenchWorld(b, 1000)
 	b.Run("shared", func(b *testing.B) { w.inkUpdate(b, inkstream.Options{}) })
 	b.Run("copied", func(b *testing.B) { w.inkUpdate(b, inkstream.Options{CopyPayloads: true}) })
 }
 
 // BenchmarkAblationParallel: parallel vs sequential intra-layer apply.
 func BenchmarkAblationParallel(b *testing.B) {
-	w := newBenchWorld(b, "gcn", gnn.AggMax, 1000)
+	w := newBenchWorld(b, 1000)
 	b.Run("parallel", func(b *testing.B) { w.inkUpdate(b, inkstream.Options{}) })
 	b.Run("sequential", func(b *testing.B) { w.inkUpdate(b, inkstream.Options{Sequential: true}) })
-}
-
-// BenchmarkSampledEngineUpdate measures the sampled-neighborhood engine
-// (Sec. II-E sampling support): diffing the bottom-k samples plus the
-// incremental replay.
-func BenchmarkSampledEngineUpdate(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	g := dataset.GenerateRMAT(rng, 5000, 50000, dataset.DefaultRMAT) // dense: sampling bites
-	x := tensor.RandMatrix(rng, 5000, 32, 1)
-	model := gnn.NewGCN(rng, 32, 32, gnn.NewAggregator(gnn.AggMax))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s, err := inkstream.NewSampled(model, g.Clone(), x, 10, 7, nil, inkstream.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		delta := graph.RandomDelta(rng, s.FullGraph(), 100)
-		b.StartTimer()
-		if err := s.Update(delta); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLightGCNUpdate measures the weighted-sum incremental engine.
-func BenchmarkLightGCNUpdate(b *testing.B) {
-	rng := rand.New(rand.NewSource(17))
-	g := dataset.GenerateRMAT(rng, 5000, 25000, dataset.DefaultRMAT)
-	x := tensor.RandMatrix(rng, 5000, 32, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e, err := lightgcn.New(g.Clone(), x, 3, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		delta := graph.RandomDelta(rng, e.Graph(), 100)
-		b.StartTimer()
-		if err := e.Update(delta); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineBootstrap measures the initial full inference +
-// checkpointing (what persistence lets a restart skip).
-func BenchmarkEngineBootstrap(b *testing.B) {
-	rng := rand.New(rand.NewSource(19))
-	g := dataset.GenerateRMAT(rng, 5000, 25000, dataset.DefaultRMAT)
-	x := tensor.RandMatrix(rng, 5000, 32, 1)
-	model := gnn.NewGCN(rng, 32, 32, gnn.NewAggregator(gnn.AggMax))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := inkstream.New(model, g.Clone(), x, nil, inkstream.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -355,23 +177,6 @@ func BenchmarkMatMul(b *testing.B) {
 		b.Run(fmt.Sprintf("par/%dx%dx%d", sh[0], sh[1], sh[2]), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tensor.ParallelMatMul(z, x, y)
-			}
-		})
-	}
-}
-
-func BenchmarkAggregate(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	msgs := make([]tensor.Vector, 64)
-	for i := range msgs {
-		msgs[i] = tensor.RandVector(rng, 64, 1)
-	}
-	dst := tensor.NewVector(64)
-	for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMean, gnn.AggSum} {
-		agg := gnn.NewAggregator(kind)
-		b.Run(kind.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				gnn.Aggregate(agg, dst, msgs)
 			}
 		})
 	}

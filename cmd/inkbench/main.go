@@ -6,9 +6,9 @@
 //	inkbench -list
 //	inkbench all
 //
-// Experiments: fig1a fig1b table4 table5 table6 fig7 fig8 fig9 memcost,
-// plus repo extras such as the mixed read/write serving workload
-// (`inkbench -readers 8 mixed`).
+// Experiments: fig1a fig1b table4 table5 table6 fig7 fig8 fig9 fig9t
+// memcost — the paper's evaluation artifacts and nothing else; serving is
+// measured by bench/ through the shipping inkserve binary.
 // Output is a text rendering of the corresponding paper artifact; see
 // EXPERIMENTS.md for the recorded paper-vs-measured comparison.
 package main
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -43,11 +42,6 @@ func run(args []string) error {
 		hidden    = fs.Int("hidden", 32, "hidden-state dimension for GCN/GraphSAGE (GIN uses half)")
 		scenarios = fs.Int("scenarios", 3, "max graph-changing scenarios averaged per point")
 		ginLayers = fs.Int("gin-layers", 5, "GIN depth")
-		readers   = fs.Int("readers", 4, "concurrent readers in the mixed read/write workload (experiment: mixed)")
-		mixedUpds = fs.Int("mixed-updates", 200, "update batches streamed by the mixed workload")
-		tierFacts = fs.String("tiered-factors", "1,2,4,10", "comma-separated working-set multiples of the cap for the tiered-store sweep (experiment: tiered)")
-		tierQuant = fs.String("tiered-quant", "f32", "on-page row encoding for the tiered sweep: f32, f16 or int8")
-		tierReads = fs.Int("tiered-reads", 32, "Zipf-skewed audited reads per published batch in the tiered sweep")
 		datasets  = fs.String("datasets", "", "comma-separated dataset names or abbreviations (default: all six)")
 		outPath   = fs.String("out", "", "also append renderings to this file")
 		profPath  = fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
@@ -84,20 +78,6 @@ func run(args []string) error {
 	cfg.Hidden = *hidden
 	cfg.Scenarios = *scenarios
 	cfg.GINLayers = *ginLayers
-	cfg.Readers = *readers
-	cfg.MixedUpdates = *mixedUpds
-	cfg.TieredQuant = *tierQuant
-	cfg.TieredReadsPerBatch = *tierReads
-	if *tierFacts != "" {
-		cfg.TieredFactors = nil
-		for _, f := range strings.Split(*tierFacts, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 1 {
-				return fmt.Errorf("-tiered-factors: bad factor %q", f)
-			}
-			cfg.TieredFactors = append(cfg.TieredFactors, n)
-		}
-	}
 	if *datasets != "" {
 		cfg.Datasets = nil
 		for _, name := range strings.Split(*datasets, ",") {

@@ -20,6 +20,8 @@ func TestRunErrors(t *testing.T) {
 		{"unknown-exp"},                  // unknown id
 		{"-quick", "burst"},              // removed experiment: unknown like any other
 		{"-burst-updates", "9", "-list"}, // removed flag: undefined like any other
+		{"-quick", "mixed"},              // retired in-process scenario: bench/ measures serving
+		{"-readers", "4", "-list"},       // its flag went with it
 		{"-datasets", "XX", "fig1a"},     // unknown dataset
 	}
 	for i, args := range cases {

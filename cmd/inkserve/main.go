@@ -11,17 +11,17 @@
 //	inkserve -dataset PM -pprof -slow-update 5ms   # observability extras
 //	inkserve -dataset PA -mem-cap 64m -quantize f16  # tiered row store
 //
-// Every server exposes Prometheus metrics at GET /metrics; -slow-update /
-// -trace-updates log per-layer update traces and -pprof mounts the runtime
-// profiler under /debug/pprof/ (see DESIGN.md §7). The flight recorder
-// (GET /v1/traces, tune with -trace-ring/-trace-sample), the in-process
-// time-series window (GET /v1/timeseries) and the continuous drift audit
-// (-audit-every, reported by /healthz together with the -slo ack-latency
-// objective) are on by default (DESIGN.md §10). -blackbox <dir> arms the
+// Every server exposes Prometheus metrics at GET /metrics and -pprof mounts
+// the runtime profiler under /debug/pprof/. The flight recorder
+// (GET /v1/traces, tune with -trace-ring/-trace-sample; -slow-update keeps
+// every request at or above a latency, per-layer engine trace attached),
+// the in-process time-series window (GET /v1/timeseries) and the continuous
+// drift audit (-audit-every, reported by /healthz together with the -slo
+// ack-latency objective) are on by default. -blackbox <dir> arms the
 // incident black box: post-mortem bundles are auto-captured on alert
 // firing, drift-audit failure or round fail-stop, served on demand at
-// GET /debug/bundle, and rendered offline with inkstat -postmortem
-// (DESIGN.md §15).
+// GET /debug/bundle, and rendered offline with inkstat -postmortem. All of
+// it is DESIGN.md §9.
 //
 // With -save-bundle the bootstrapped engine is persisted before serving,
 // so a later -bundle start skips the initial full-graph inference. See
@@ -39,6 +39,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/gnn"
@@ -65,7 +66,25 @@ func run(args []string) error {
 		return err
 	}
 	log.Printf("serving on %s", addr)
-	return http.ListenAndServe(addr, handler)
+	return newHTTPServer(addr, handler).ListenAndServe()
+}
+
+// Connection deadlines: a client gets readHeaderTimeout to finish its
+// request headers and an idle keep-alive connection is dropped after
+// idleTimeout. There is deliberately no ReadTimeout or WriteTimeout:
+// /v1/verify, /debug/bundle and the pprof profiles legitimately run long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // buildServer parses flags and constructs the HTTP handler; split from run
@@ -91,8 +110,7 @@ func buildServerOn(fs *flag.FlagSet, args []string) (http.Handler, string, error
 		shards     = fs.Int("shards", 1, "engine shards: >1 serves the graph from a partitioned multi-engine deployment")
 		partition  = fs.String("partition", "hash", "vertex partition strategy with -shards>1: hash, block or greedy (locality-aware)")
 		walPath    = fs.String("wal", "", "write-ahead log file: accepted batches are journaled before they are applied, and an existing log is replayed on startup onto the booted state (bundle or bootstrap)")
-		slowUpdate = fs.Duration("slow-update", 0, "log a full per-layer trace for updates slower than this (0 disables)")
-		traceAll   = fs.Bool("trace-updates", false, "log a per-layer trace for every update (verbose)")
+		slowUpdate = fs.Duration("slow-update", 0, "requests at or above this latency are always kept in the flight recorder (GET /v1/traces, with the per-layer engine trace) and counted in inkstream_slow_updates_total (0 disables)")
 		pprofOn    = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 
 		memCap    = fs.String("mem-cap", "", "enable the tiered row store: soft cap on resident embedding page bytes, e.g. 512k, 64m, 1g (empty keeps everything resident)")
@@ -152,10 +170,9 @@ func buildServerOn(fs *flag.FlagSet, args []string) (http.Handler, string, error
 	if *shards > 1 {
 		// Flags whose feature reads one engine's internals fail fast instead
 		// of being silently ignored: a shard graph does not hold the L-hop
-		// cone of a local vertex, so the drift auditor, per-layer update
-		// traces, the tiered row store and engine bundles have no sharded
-		// form.
-		bad := setAmong(fs, "bundle", "save-bundle", "slow-update", "trace-updates",
+		// cone of a local vertex, so the drift auditor, the tiered row store
+		// and engine bundles have no sharded form.
+		bad := setAmong(fs, "bundle", "save-bundle",
 			"audit-every", "audit-sample", "audit-tol", "mem-cap", "page-bytes", "quantize", "store-dir")
 		if len(bad) > 0 {
 			return nil, "", fmt.Errorf("%s: single-engine flags with no sharded equivalent; drop them or run with -shards=1", strings.Join(bad, ", "))
@@ -262,15 +279,12 @@ func buildServerOn(fs *flag.FlagSet, args []string) (http.Handler, string, error
 	default:
 		srv = server.New(engine, &counters)
 	}
-	if *slowUpdate > 0 || *traceAll {
-		srv.EnableSlowUpdateLog(*slowUpdate, *traceAll, nil)
-		log.Printf("update tracing enabled: slow-update=%v trace-all=%v", *slowUpdate, *traceAll)
+	if *slowUpdate > 0 {
+		srv.SetSlowTraceThreshold(*slowUpdate)
+		log.Printf("slow updates: requests at or above %v are kept in /v1/traces", *slowUpdate)
 	}
 	if *traceRing != 256 || *traceSample != 64 {
 		srv.SetTraceSampling(*traceRing, *traceSample)
-		if *slowUpdate > 0 {
-			srv.SetSlowTraceThreshold(*slowUpdate)
-		}
 		log.Printf("flight recorder: ring=%d sample=1/%d", *traceRing, *traceSample)
 	}
 	if *slo > 0 {

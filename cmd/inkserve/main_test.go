@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/gnn"
@@ -30,6 +32,40 @@ func get(t *testing.T, ts *httptest.Server, path string) int {
 	}
 	resp.Body.Close()
 	return resp.StatusCode
+}
+
+// The server run starts carries both connection deadlines, and the header
+// one does what it is for: a client that sends half a request line and goes
+// quiet is disconnected (with bare http.ListenAndServe it was held forever).
+func TestHalfRequestIsClosed(t *testing.T) {
+	srv := newHTTPServer("", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout {
+		t.Fatalf("server deadlines: header %v idle %v", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	srv.ReadHeaderTimeout = 50 * time.Millisecond // the test does not wait out the real one
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /v1/he")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("connection with half a request line still open after 5s: %v", err)
+	}
 }
 
 func TestBuildServerFromDataset(t *testing.T) {
@@ -137,7 +173,7 @@ func statsEdges(t *testing.T, base string) int {
 // profiler endpoints.
 func TestBuildServerObservability(t *testing.T) {
 	h, _, err := buildServer([]string{"-dataset", "PM", "-scale", "32",
-		"-pprof", "-slow-update", "1h", "-trace-updates"})
+		"-pprof", "-slow-update", "1h"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,15 +203,16 @@ func TestBuildServerObservability(t *testing.T) {
 
 func TestBuildServerErrors(t *testing.T) {
 	cases := [][]string{
-		{},                                  // no source
-		{"-dataset", "nope"},                // unknown dataset
-		{"-dataset", "PM", "-model", "x"},   // unknown model
-		{"-dataset", "PM", "-agg", "medi"},  // unknown aggregation
-		{"-bundle", "/does/not/exist"},      // missing bundle
-		{"-file", "/does/not/exist"},        // missing snapshot
-		{"-dataset", "PM", "-shards", "0"},  // no engine at all
-		{"-dataset", "PM", "-shards", "-2"}, // (used to boot one engine silently)
-		{"-dataset", "PM", "-batch", "8"},   // removed flag: undefined like any other
+		{},                                   // no source
+		{"-dataset", "nope"},                 // unknown dataset
+		{"-dataset", "PM", "-model", "x"},    // unknown model
+		{"-dataset", "PM", "-agg", "medi"},   // unknown aggregation
+		{"-bundle", "/does/not/exist"},       // missing bundle
+		{"-file", "/does/not/exist"},         // missing snapshot
+		{"-dataset", "PM", "-shards", "0"},   // no engine at all
+		{"-dataset", "PM", "-shards", "-2"},  // (used to boot one engine silently)
+		{"-dataset", "PM", "-batch", "8"},    // removed flag: undefined like any other
+		{"-dataset", "PM", "-trace-updates"}, // removed with the slow-update log: /v1/traces holds the traces
 	}
 	for i, args := range cases {
 		if _, _, err := buildServer(args); err == nil {
@@ -230,12 +267,10 @@ func TestReadmeFlagTable(t *testing.T) {
 
 // Sharded serving: the flags whose feature reads one engine's internals fail
 // fast (not log-and-ignore); everything the pipeline owns — -slo,
-// -trace-ring/-trace-sample — works under -shards as on one engine, next to
-// the router's own /v1/rounds.
+// -slow-update, -trace-ring/-trace-sample — works under -shards as on one
+// engine, next to the router's own /v1/rounds.
 func TestBuildServerSharded(t *testing.T) {
 	for i, args := range [][]string{
-		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-slow-update", "1ms"},
-		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-trace-updates"},
 		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-audit-every", "16"},
 		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-audit-tol", "0.1"},
 		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-save-bundle", filepath.Join(t.TempDir(), "e.inkb")},
@@ -247,12 +282,37 @@ func TestBuildServerSharded(t *testing.T) {
 	}
 
 	h, _, err := buildServer([]string{"-dataset", "PM", "-scale", "32",
-		"-shards", "2", "-slo", "1h", "-trace-ring", "128", "-trace-sample", "1"})
+		"-shards", "2", "-slo", "1h", "-slow-update", "1ns", "-trace-ring", "128", "-trace-sample", "0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(h)
 	defer ts.Close()
+	// Sampling is off, so the one trace is there because it was slow.
+	spec, err := dataset.ByName("PM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	post(t, ts.URL+"/v1/features", server.FeaturesRequest{
+		Updates: []server.FeatureUpdateJSON{{Node: 1, X: make([]float32, spec.FeatLen())}},
+	})
+	tresp, err := http.Get(ts.URL + "/v1/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traces struct {
+		SlowThresholdMS float64 `json:"slow_threshold_ms"`
+		Traces          []struct {
+			Slow    bool   `json:"slow"`
+			RoundID string `json:"round_id"`
+		}
+	}
+	err = json.NewDecoder(tresp.Body).Decode(&traces)
+	tresp.Body.Close()
+	if err != nil || traces.SlowThresholdMS != 1e-6 || len(traces.Traces) != 1 ||
+		!traces.Traces[0].Slow || traces.Traces[0].RoundID == "" {
+		t.Errorf("-shards 2 -slow-update 1ns: /v1/traces %+v (%v), want one slow trace naming its round", traces, err)
+	}
 	for _, path := range []string{
 		"/v1/healthz", "/v1/stats", "/v1/rounds", "/v1/traces",
 		"/v1/timeseries", "/v1/alerts", "/metrics",

@@ -9,7 +9,7 @@ import (
 )
 
 // Shadow recompute: the sampled, non-exclusive sibling of Engine.Verify
-// (DESIGN.md §10). Verify recomputes the whole graph and must quiesce the
+// (DESIGN.md §9.4). Verify recomputes the whole graph and must quiesce the
 // writer; a Shadow instead captures, in one cheap pass on the writer's
 // goroutine, everything needed to recompute the final embeddings of a
 // handful of sampled nodes — their L-hop in-dependency cone: frozen

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section (Sec. III). Each experiment has a driver returning a
-// typed result with a Render method that prints the same rows/series the
-// paper reports; cmd/inkbench and the repository-root benchmarks are thin
-// wrappers over these drivers.
+// evaluation section (Sec. III), and only those: serving performance is
+// measured by bench/ through the shipping inkserve binary. Each experiment
+// has a driver returning a typed result with a Render method that prints
+// the same rows/series the paper reports; cmd/inkbench and the
+// repository-root benchmarks are thin wrappers over these drivers.
 //
 // Absolute numbers differ from the paper (CPU-only Go engine on scaled
 // synthetic datasets, see DESIGN.md §1); the experiments reproduce the
@@ -41,23 +42,6 @@ type Config struct {
 	Scenarios int
 	// GINLayers is the GIN depth (paper: 5).
 	GINLayers int
-	// Readers is the number of concurrent reader goroutines in the mixed
-	// read/write workload (experiment "mixed").
-	Readers int
-	// MixedUpdates is the number of ΔG batches the mixed workload streams
-	// through the server pipeline.
-	MixedUpdates int
-	// TieredFactors are the working-set multiples of the memory cap the
-	// tiered-store sweep (experiment "tiered") serves the embedding
-	// footprint at (cap = footprint/factor); a resident baseline point is
-	// always run first.
-	TieredFactors []int
-	// TieredQuant is the on-page encoding for the tiered sweep ("f32",
-	// "f16" or "int8"; "" means f32).
-	TieredQuant string
-	// TieredReadsPerBatch is the number of Zipf-skewed audited reads issued
-	// after each published update batch of the tiered sweep.
-	TieredReadsPerBatch int
 }
 
 // Default returns the standard configuration used by cmd/inkbench.
@@ -98,18 +82,6 @@ func (c Config) normalize() Config {
 	}
 	if c.GINLayers < 2 {
 		c.GINLayers = 2
-	}
-	if c.Readers < 1 {
-		c.Readers = 4
-	}
-	if c.MixedUpdates < 1 {
-		c.MixedUpdates = 200
-	}
-	if len(c.TieredFactors) == 0 {
-		c.TieredFactors = []int{1, 2, 4, 10}
-	}
-	if c.TieredReadsPerBatch < 1 {
-		c.TieredReadsPerBatch = 32
 	}
 	return c
 }

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -333,78 +336,8 @@ func TestFig9TrainedSmallDelta(t *testing.T) {
 	_ = r.Render()
 }
 
-func TestReplayLatencies(t *testing.T) {
-	cfg := tiny()
-	r, err := Replay(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.Batches == 0 {
-			t.Errorf("%s: no batches replayed", row.Dataset)
-		}
-		if row.InkP50 <= 0 || row.KHopP50 <= 0 {
-			t.Errorf("%s: missing latencies %+v", row.Dataset, row)
-		}
-		if row.InkP50 > row.InkMax || row.KHopP50 > row.KHopMax {
-			t.Errorf("%s: percentile ordering broken", row.Dataset)
-		}
-	}
-	_ = r.Render()
-}
-
-func TestHotspotChurn(t *testing.T) {
-	cfg := tiny()
-	cfg.ExtraScale = 8 // need real hubs for the contrast
-	r, err := Hotspot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.Uniform <= 0 || row.Hot <= 0 {
-			t.Errorf("%s: missing timings", row.Dataset)
-		}
-		// Hub-biased churn must enlarge the theoretical affected area.
-		if row.AffectedHot < row.AffectedUniform {
-			t.Errorf("%s: hot churn affected %d < uniform %d",
-				row.Dataset, row.AffectedHot, row.AffectedUniform)
-		}
-	}
-	_ = r.Render()
-}
-
-func TestScalingSweep(t *testing.T) {
-	cfg := tiny()
-	cfg.ExtraScale = 16 // sweep runs at 16x..1x of this
-	r, err := Scaling(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 5 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	for i := 1; i < len(r.Rows); i++ {
-		if r.Rows[i].Nodes <= r.Rows[i-1].Nodes {
-			t.Errorf("sweep not growing: %d then %d nodes", r.Rows[i-1].Nodes, r.Rows[i].Nodes)
-		}
-	}
-	// The paper's trend: on the largest graph of the sweep, InkStream's
-	// speedup over k-hop must exceed its speedup on the smallest.
-	first, last := r.Rows[0], r.Rows[len(r.Rows)-1]
-	if last.Speedup <= first.Speedup {
-		t.Errorf("speedup did not grow with graph size: %.1f -> %.1f", first.Speedup, last.Speedup)
-	}
-	_ = r.Render()
-}
-
 func TestRunnerRegistry(t *testing.T) {
-	if len(Names()) != 15 {
+	if len(Names()) != 10 {
 		t.Errorf("registry size = %d", len(Names()))
 	}
 	if _, err := Run("nope", tiny()); err == nil {
@@ -442,68 +375,84 @@ func TestDesignIndexMatchesRegistry(t *testing.T) {
 	}
 }
 
-func TestMixedWorkload(t *testing.T) {
-	c := tiny()
-	c.Readers = 2
-	c.MixedUpdates = 10
-	r, err := Mixed(c)
+// TestReadmeIdsMatchRegistry keeps README's "What is reproduced where" id
+// list in step with the registry.
+func TestReadmeIdsMatchRegistry(t *testing.T) {
+	doc, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Updates != 10 {
-		t.Errorf("applied %d updates", r.Updates)
+	_, section, ok := strings.Cut(string(doc), "\n### What is reproduced where\n")
+	if !ok {
+		t.Fatal(`README.md has no "What is reproduced where" section`)
 	}
-	// Epoch 1 is the bootstrap snapshot; every applied batch publishes one
-	// more.
-	if r.FinalEpoch != 11 {
-		t.Errorf("final epoch %d, want 11", r.FinalEpoch)
+	_, list, ok := strings.Cut(section, "(`inkbench <id>`): `")
+	if !ok {
+		t.Fatal("README.md's section does not list the `inkbench <id>` ids")
 	}
-	if r.Reads == 0 || r.ReadP99 < r.ReadP50 {
-		t.Errorf("read stats reads=%d p50=%v p99=%v", r.Reads, r.ReadP50, r.ReadP99)
-	}
-	if r.Render() == "" {
-		t.Error("empty rendering")
+	list, _, _ = strings.Cut(list, "`")
+	ids := strings.Fields(list)
+	sort.Strings(ids)
+	if got, want := strings.Join(ids, " "), strings.Join(Names(), " "); got != want {
+		t.Errorf("README.md lists [%s], the registry holds [%s]", got, want)
 	}
 }
 
-func TestTieredSweep(t *testing.T) {
-	c := tiny()
-	c.Datasets = []dataset.Spec{dataset.PubMed}
-	c.MixedUpdates = 12
-	c.TieredReadsPerBatch = 16
-	c.TieredFactors = []int{1, 4}
-	for _, quant := range []string{"f32", "int8"} {
-		c.TieredQuant = quant
-		r, err := TieredSweep(c)
+// TestDesignSectionReferences: every "DESIGN.md §N" in the tree's sources,
+// scripts and documents names a top-level section DESIGN.md has, so folding
+// or renumbering a section cannot leave a reference pointing at nothing.
+// CHANGES.md and ROADMAP.md narrate earlier states of the document and
+// ISSUE.md is the per-PR brief; they are not checked.
+func TestDesignSectionReferences(t *testing.T) {
+	const root = "../.."
+	doc, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := make(map[string]bool)
+	for _, m := range regexp.MustCompile(`(?m)^## (\d+)\. `).FindAllStringSubmatch(string(doc), -1) {
+		sections[m[1]] = true
+	}
+	if len(sections) == 0 {
+		t.Fatal("DESIGN.md has no numbered top-level sections")
+	}
+	ref := regexp.MustCompile(`DESIGN\.md §(\d+)`)
+	skip := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
+	refs := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
-			t.Fatalf("quant %s: %v", quant, err)
+			return err
 		}
-		if len(r.Points) != 3 {
-			t.Fatalf("quant %s: points = %d, want resident + 2 factors", quant, len(r.Points))
-		}
-		resident := r.Points[0]
-		if resident.Factor != 0 || resident.CapBytes != 0 || resident.HitRate != 1 {
-			t.Errorf("quant %s: degenerate resident baseline %+v", quant, resident)
-		}
-		wantExact := "bit-exact"
-		if quant != "f32" {
-			wantExact = "within-tol"
-		}
-		for _, p := range r.Points {
-			// The audit runs inside the sweep: reaching here means every read
-			// matched the resident reference; the point just records the mode.
-			if p.Exact != wantExact {
-				t.Errorf("quant %s factor %d: exact = %q, want %q", quant, p.Factor, p.Exact, wantExact)
+		if d.IsDir() {
+			if name := d.Name(); path != root && strings.HasPrefix(name, ".") {
+				return filepath.SkipDir // .git, .bench_build
 			}
-			if p.UpdPerSec <= 0 || p.ReadP99 < p.ReadP50 {
-				t.Errorf("quant %s factor %d: degenerate timings %+v", quant, p.Factor, p)
-			}
-			if p.Factor > 0 && (p.CapBytes <= 0 || p.CapBytes != r.Footprint/int64(p.Factor)) {
-				t.Errorf("quant %s factor %d: cap %d vs footprint %d", quant, p.Factor, p.CapBytes, r.Footprint)
+			return nil
+		}
+		switch filepath.Ext(path) {
+		case ".go", ".sh", ".md":
+		default:
+			return nil
+		}
+		if skip[d.Name()] && filepath.Dir(path) == root {
+			return nil
+		}
+		text, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range ref.FindAllStringSubmatch(string(text), -1) {
+			refs++
+			if !sections[m[1]] {
+				t.Errorf("%s cites DESIGN.md §%s, which is not a top-level section", path, m[1])
 			}
 		}
-		if !strings.Contains(r.Render(), "tiered-sweep: factor=4") {
-			t.Errorf("quant %s: render missing machine-parseable point line", quant)
-		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refs == 0 {
+		t.Error("found no DESIGN.md §N reference at all: the pattern or the walk is broken")
 	}
 }

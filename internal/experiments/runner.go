@@ -26,11 +26,6 @@ var Registry = map[string]Runner{
 	"fig9":    func(c Config) (Result, error) { return Fig9(c) },
 	"fig9t":   func(c Config) (Result, error) { return Fig9Trained(c) },
 	"memcost": func(c Config) (Result, error) { return MemCost(c) },
-	"replay":  func(c Config) (Result, error) { return Replay(c) },
-	"hotspot": func(c Config) (Result, error) { return Hotspot(c) },
-	"scaling": func(c Config) (Result, error) { return Scaling(c) },
-	"mixed":   func(c Config) (Result, error) { return Mixed(c) },
-	"tiered":  func(c Config) (Result, error) { return TieredSweep(c) },
 }
 
 // Names returns the sorted experiment IDs.

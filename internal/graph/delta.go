@@ -144,93 +144,6 @@ func RandomDelta(rng *rand.Rand, g *Graph, n int) Delta {
 	return d
 }
 
-// RandomDeltaHot draws a ΔG batch whose endpoints are biased toward
-// high-degree nodes: each change picks its first endpoint by sampling
-// `bias` candidates and keeping the one with the largest degree
-// (tournament selection; bias=1 reduces to uniform). The paper observes
-// that the *location* of changed edges strongly influences the affected
-// area — hub-adjacent churn touches far more of the graph than uniform
-// churn — and this generator makes that workload dimension testable.
-// Like RandomDelta, half the changes are removals of existing edges and
-// half insertions of absent ones, and the result validates against g.
-func RandomDeltaHot(rng *rand.Rand, g *Graph, n, bias int) Delta {
-	if bias < 1 {
-		bias = 1
-	}
-	dels := n / 2
-	ins := n - dels
-	d := make(Delta, 0, n)
-	touched := make(map[arcKey]struct{}, n)
-	nNodes := g.NumNodes()
-
-	// Note that plain uniform *edge* sampling (RandomDelta's removal path)
-	// is already degree-proportional; to bias beyond it, tournaments run
-	// over the endpoint degree *sum*.
-	edges := g.Edges()
-	if g.Undirected {
-		uniq := edges[:0]
-		for _, e := range edges {
-			if e[0] < e[1] {
-				uniq = append(uniq, e)
-			}
-		}
-		edges = uniq
-	}
-	degSum := func(e [2]NodeID) int { return g.InDegree(e[0]) + g.InDegree(e[1]) }
-	pickHotEdge := func() [2]NodeID {
-		best := edges[rng.Intn(len(edges))]
-		for i := 1; i < bias; i++ {
-			c := edges[rng.Intn(len(edges))]
-			if degSum(c) > degSum(best) {
-				best = c
-			}
-		}
-		return best
-	}
-	pickHotNode := func() NodeID {
-		best := NodeID(rng.Intn(nNodes))
-		for i := 1; i < bias; i++ {
-			c := NodeID(rng.Intn(nNodes))
-			if g.InDegree(c) > g.InDegree(best) {
-				best = c
-			}
-		}
-		return best
-	}
-
-	for added, attempts := 0, 0; added < dels && len(edges) > 0; attempts++ {
-		if attempts > 200*n+1000 {
-			break // too much churn already concentrated on the hubs
-		}
-		e := pickHotEdge()
-		if _, dup := touched[key(e[0], e[1])]; dup {
-			continue
-		}
-		d = append(d, EdgeChange{U: e[0], V: e[1], Insert: false})
-		touched[key(e[0], e[1])] = struct{}{}
-		touched[key(e[1], e[0])] = struct{}{}
-		added++
-	}
-	for added, attempts := 0, 0; added < ins; attempts++ {
-		if attempts > 200*n+1000 {
-			break
-		}
-		u := pickHotNode()
-		v := pickHotNode()
-		if u == v || g.HasEdge(u, v) {
-			continue
-		}
-		if _, dup := touched[key(u, v)]; dup {
-			continue
-		}
-		d = append(d, EdgeChange{U: u, V: v, Insert: true})
-		touched[key(u, v)] = struct{}{}
-		touched[key(v, u)] = struct{}{}
-		added++
-	}
-	return d
-}
-
 // Touched returns the distinct destination endpoints whose in-neighborhood
 // is altered by d — the layer-1 seeds of the affected area. For undirected
 // graphs both endpoints are seeds.

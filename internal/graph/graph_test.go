@@ -260,50 +260,6 @@ func TestRandomDeltaBalanced(t *testing.T) {
 	}
 }
 
-func TestRandomDeltaHotBiased(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	// Hub-heavy graph: star around 0 plus random edges.
-	g := NewUndirected(200)
-	for i := NodeID(1); i < 100; i++ {
-		mustAdd(t, g, 0, i)
-	}
-	for g.NumEdges() < 300 {
-		u := NodeID(rng.Intn(200))
-		v := NodeID(rng.Intn(200))
-		if u == v || g.HasEdge(u, v) {
-			continue
-		}
-		mustAdd(t, g, u, v)
-	}
-	avgDeg := func(d Delta) float64 {
-		var s float64
-		for _, c := range d {
-			s += float64(g.InDegree(c.U))
-		}
-		return s / float64(len(d))
-	}
-	uniform := RandomDelta(rng, g.Clone(), 40)
-	hot := RandomDeltaHot(rng, g, 40, 8)
-	if err := hot.Validate(g); err != nil {
-		t.Fatalf("hot delta invalid: %v", err)
-	}
-	if len(hot) == 0 {
-		t.Fatal("empty hot delta")
-	}
-	if avgDeg(hot) <= avgDeg(uniform) {
-		t.Errorf("hot delta not hub-biased: hot avg deg %.1f vs uniform %.1f",
-			avgDeg(hot), avgDeg(uniform))
-	}
-	// bias=1 behaves like uniform sampling and still validates.
-	if err := RandomDeltaHot(rng, g, 10, 1).Validate(g); err != nil {
-		t.Errorf("bias=1: %v", err)
-	}
-	// Applies cleanly.
-	if err := hot.Apply(g); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeltaTouched(t *testing.T) {
 	d := Delta{{U: 0, V: 1, Insert: true}, {U: 2, V: 1, Insert: false}}
 	got := d.Touched(false)

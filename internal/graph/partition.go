@@ -6,7 +6,7 @@ import (
 )
 
 // Partition assigns every vertex to one of NumShards owners — the routing
-// map of partitioned multi-engine serving (DESIGN.md §11). The assignment
+// map of partitioned multi-engine serving (DESIGN.md §7.4). The assignment
 // is immutable after construction: shard graphs and ghost rows are derived
 // from it, so re-partitioning means rebuilding the deployment (the WAL is
 // logical and replays onto any partition).

@@ -40,10 +40,9 @@ type Options struct {
 	Trace func(layer int, node graph.NodeID, cond Condition)
 	// Observer, when set, records every Apply into the serving-path
 	// latency/size histograms and fills a per-layer obs.Trace (phase
-	// timings, event traffic, condition counts) that the observer emits
-	// for slow updates. The trace buffer is engine-owned and reused, so
-	// steady-state observation does not allocate; see SetObserver to
-	// install one after construction.
+	// timings, event traffic, condition counts; see Trace). The trace
+	// buffer is engine-owned and reused, so steady-state observation does
+	// not allocate; see SetObserver to install one after construction.
 	Observer *obs.Observer
 }
 

@@ -254,7 +254,7 @@ func arcTarget(a [2]graph.NodeID, v graph.NodeID) int { return cmp.Compare(a[1],
 // built), then the carried user events. Small layers route on the calling
 // goroutine, large ones across the worker pool, each pool task owning a
 // contiguous run of target-block shards; both routes yield identical groups
-// in identical order (DESIGN.md §9), so the choice is invisible to
+// in identical order (DESIGN.md §6.3), so the choice is invisible to
 // everything downstream. Groups come back sorted by target, with the number
 // of native events the records stood for.
 func (e *Engine) groupLayer(l int, edge []Event, recs []MessageChange, user []UserEvent) ([]*group, int) {

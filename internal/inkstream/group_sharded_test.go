@@ -230,7 +230,7 @@ func TestGroupingSelector(t *testing.T) {
 // TestShardedGroupingEquivalence: the sharded event router must be
 // bit-exact with the sequential one for every aggregator kind — not just
 // within tolerance — because it reproduces the identical group order,
-// group contents and within-group event order (DESIGN.md §9).
+// group contents and within-group event order (DESIGN.md §6.3).
 func TestShardedGroupingEquivalence(t *testing.T) {
 	for _, kind := range allKinds {
 		kind := kind
@@ -301,10 +301,10 @@ func TestShardedGrouperStress(t *testing.T) {
 	}
 }
 
-// benchApplyGrouping measures Apply over large deltas with the given
-// sharding threshold; the delta stream is pre-generated and replayed as
+// BenchmarkApplyShardedGrouping measures Apply over deltas large enough for
+// the sharded route; the delta stream is pre-generated and replayed as
 // insert/delete toggles so every iteration does identical work.
-func benchApplyGrouping(b *testing.B, shardMin int) {
+func BenchmarkApplyShardedGrouping(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	g := randomGraph(rng, 4000, 20_000)
 	x := tensor.RandMatrix(rng, 4000, 16, 1)
@@ -313,7 +313,6 @@ func benchApplyGrouping(b *testing.B, shardMin int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e.shardMin = shardMin
 	// An alternating insert/remove pair over a fixed edge set keeps the
 	// graph (and thus per-iteration work) stable.
 	var absent graph.Delta
@@ -341,12 +340,4 @@ func benchApplyGrouping(b *testing.B, shardMin int) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkApplyShardedGrouping(b *testing.B) {
-	benchApplyGrouping(b, shardMinEvents)
-}
-
-func BenchmarkApplySequentialGrouping(b *testing.B) {
-	benchApplyGrouping(b, math.MaxInt)
 }

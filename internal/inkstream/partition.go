@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the partition-aware face of the engine: the shard-side half
-// of partitioned multi-engine serving (internal/shard, DESIGN.md §11).
+// of partitioned multi-engine serving (internal/shard, DESIGN.md §7.4).
 //
 // In partitioned mode one engine owns a subset of the vertices. It holds
 // full-size state matrices, but only the rows of local vertices are

@@ -56,7 +56,7 @@ func driveRound(t *testing.T, e *Engine, delta graph.Delta, vups []VertexUpdate)
 // through the round protocol and demands bitwise-identical state against a
 // plain engine applying the same stream — for every model and aggregator,
 // accumulative ones included. This is the single-engine half of the shard
-// bit-exactness argument (DESIGN.md §11.3): the regenerated event order must
+// bit-exactness argument (DESIGN.md §7.5): the regenerated event order must
 // equal Apply's native order exactly, and splitting a layer into boundary
 // and interior phases moves the schedule, never the values (§13). The mask
 // rows: none (the whole layer runs in the boundary phase — the unsplit

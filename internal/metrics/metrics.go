@@ -7,8 +7,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -176,25 +174,4 @@ func Time(f func()) time.Duration {
 	t0 := time.Now()
 	f()
 	return time.Since(t0)
-}
-
-// Percentile returns the p-th percentile (0–100) of ds using the
-// nearest-rank method; it does not mutate ds. Returns 0 for empty input.
-func Percentile(ds []time.Duration, p float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
 }

@@ -136,28 +136,3 @@ func TestTime(t *testing.T) {
 		t.Errorf("Time = %v", d)
 	}
 }
-
-func TestPercentile(t *testing.T) {
-	ds := []time.Duration{5, 1, 4, 2, 3} // deliberately unsorted
-	cases := []struct {
-		p    float64
-		want time.Duration
-	}{
-		{0, 1}, {20, 1}, {50, 3}, {80, 4}, {100, 5}, {95, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(ds, c.p); got != c.want {
-			t.Errorf("Percentile(%g) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	// Input must not be mutated.
-	if ds[0] != 5 {
-		t.Error("Percentile mutated input")
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty input should yield 0")
-	}
-	if Percentile([]time.Duration{7}, 50) != 7 {
-		t.Error("singleton")
-	}
-}

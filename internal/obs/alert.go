@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// SLO burn-rate alerting (DESIGN.md §12): a declarative alert engine
+// SLO burn-rate alerting (DESIGN.md §9.3): a declarative alert engine
 // evaluated over the Sampler ring.
 //
 // A rule names a sampled series (e.g. the windowed "ack_p99_ms"), a target

@@ -17,7 +17,7 @@ import (
 	"time"
 )
 
-// Incident black box (DESIGN.md §15). Every observability ring in this repo
+// Incident black box (DESIGN.md §9.5). Every observability ring in this repo
 // — flight traces, round traces, the sampler window, alert state — is
 // volatile: the moment a fail-stopped router or an OOM-killed server exits,
 // the evidence explaining *why* exits with it. BlackBox is the flight

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Flight recorder: request-scoped pipeline traces (DESIGN.md §10).
+// Flight recorder: request-scoped pipeline traces (DESIGN.md §9.2).
 //
 // The per-update Trace resolves where one Engine.Apply spent its time, but
 // a served request's latency is dominated by everything *around* the apply:

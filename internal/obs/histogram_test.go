@@ -158,8 +158,6 @@ func TestHistogramConcurrentWriters(t *testing.T) {
 func TestObserverRecord(t *testing.T) {
 	o := NewObserver()
 	o.SlowThreshold = time.Millisecond
-	var emitted []*Trace
-	o.OnTrace = func(tr *Trace) { emitted = append(emitted, tr.Clone()) }
 
 	fast := &Trace{Total: 10 * time.Microsecond, DeltaEdges: 2,
 		Layers: []LayerSpan{{EventsIn: 4}}}
@@ -170,9 +168,6 @@ func TestObserverRecord(t *testing.T) {
 	if o.Updates() != 2 || o.SlowUpdates() != 1 {
 		t.Fatalf("updates=%d slow=%d", o.Updates(), o.SlowUpdates())
 	}
-	if len(emitted) != 1 || emitted[0].Total != slow.Total {
-		t.Fatalf("emitted %d traces", len(emitted))
-	}
 	if s := o.Events.Snapshot(); s.Sum != 4+10 {
 		t.Errorf("events sum = %d", s.Sum)
 	}
@@ -180,44 +175,15 @@ func TestObserverRecord(t *testing.T) {
 		t.Errorf("batch sum = %d", s.Sum)
 	}
 
-	o.TraceAll = true
-	o.RecordUpdate(fast)
-	if len(emitted) != 2 {
-		t.Error("TraceAll did not emit fast trace")
-	}
-
 	o.RecordLatency(2*time.Millisecond, 3, 9)
-	if o.Updates() != 4 || o.SlowUpdates() != 2 {
+	if o.Updates() != 3 || o.SlowUpdates() != 2 {
 		t.Errorf("after RecordLatency: updates=%d slow=%d", o.Updates(), o.SlowUpdates())
 	}
 
 	var nilObs *Observer
 	nilObs.RecordUpdate(fast) // nil-safety
 	nilObs.RecordLatency(time.Second, 1, 1)
-	if nilObs.Tracing() || nilObs.Updates() != 0 || nilObs.SlowUpdates() != 0 {
+	if nilObs.Updates() != 0 || nilObs.SlowUpdates() != 0 {
 		t.Error("nil observer not inert")
-	}
-}
-
-func TestObserverTracing(t *testing.T) {
-	o := NewObserver()
-	if o.Tracing() {
-		t.Error("default observer should not trace")
-	}
-	o.SlowThreshold = time.Millisecond
-	if o.Tracing() {
-		t.Error("threshold without receiver should not trace")
-	}
-	o.OnTrace = func(*Trace) {}
-	if !o.Tracing() {
-		t.Error("threshold + receiver should trace")
-	}
-	o.SlowThreshold = 0
-	if o.Tracing() {
-		t.Error("receiver without threshold or TraceAll should not trace")
-	}
-	o.TraceAll = true
-	if !o.Tracing() {
-		t.Error("TraceAll should trace")
 	}
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // Observer aggregates one serving path's update observations: latency and
-// batch-size histograms that are always on, and an optional trace channel
-// for slow (or all) updates. Engines call RecordUpdate once per applied
-// batch; everything it does is lock-free. A nil *Observer disables all
-// recording, so call sites need no guards.
+// batch-size histograms that are always on, and a count of slow updates.
+// Engines call RecordUpdate once per applied batch; everything it does is
+// lock-free. A nil *Observer disables all recording, so call sites need no
+// guards.
 type Observer struct {
 	// UpdateLatency holds end-to-end Apply latencies in nanoseconds.
 	UpdateLatency *Histogram
@@ -20,35 +20,21 @@ type Observer struct {
 	Events *Histogram
 
 	// SlowThreshold marks an update slow when its total latency reaches
-	// it; slow updates bump SlowUpdates and emit their trace to OnTrace.
-	// Zero disables the slow path.
+	// it; slow updates bump SlowUpdates. Zero disables the count. Set it
+	// before the first update is recorded.
 	SlowThreshold time.Duration
-	// TraceAll emits every update's trace to OnTrace, not just slow ones.
-	TraceAll bool
-	// OnTrace receives the trace of slow (or, with TraceAll, all) updates.
-	// The *Trace is only valid during the call — Clone to retain. Called
-	// from the updating goroutine; keep it fast or hand off.
-	OnTrace func(*Trace)
 
 	updates atomic.Int64
 	slow    atomic.Int64
 }
 
-// NewObserver builds an observer with the default histogram geometry and
-// no trace emission.
+// NewObserver builds an observer with the default histogram geometry.
 func NewObserver() *Observer {
 	return &Observer{
 		UpdateLatency: NewLatencyHistogram(),
 		BatchSize:     NewSizeHistogram(),
 		Events:        NewSizeHistogram(),
 	}
-}
-
-// Tracing reports whether an engine should fill a Trace for the next
-// update: either every trace is emitted, or slow ones are and a receiver
-// is installed.
-func (o *Observer) Tracing() bool {
-	return o != nil && (o.TraceAll || (o.OnTrace != nil && o.SlowThreshold > 0))
 }
 
 // RecordLatency records one update without a trace (used by baselines so
@@ -66,23 +52,9 @@ func (o *Observer) RecordLatency(d time.Duration, batch int, events int64) {
 	}
 }
 
-// RecordUpdate records one traced update and emits the trace when the
-// update is slow (or TraceAll is set).
+// RecordUpdate records one traced update.
 func (o *Observer) RecordUpdate(t *Trace) {
-	if o == nil {
-		return
-	}
-	o.updates.Add(1)
-	o.UpdateLatency.ObserveDuration(t.Total)
-	o.BatchSize.Observe(int64(t.DeltaEdges + t.VertexUpdates))
-	o.Events.Observe(t.Events())
-	slow := o.SlowThreshold > 0 && t.Total >= o.SlowThreshold
-	if slow {
-		o.slow.Add(1)
-	}
-	if o.OnTrace != nil && (o.TraceAll || slow) {
-		o.OnTrace(t)
-	}
+	o.RecordLatency(t.Total, t.DeltaEdges+t.VertexUpdates, t.Events())
 }
 
 // Updates returns the number of recorded updates.

@@ -198,12 +198,6 @@ func TestTraceRendering(t *testing.T) {
 			{Layer: 1, EventsIn: 118, Nodes: 60, Elapsed: 200 * time.Microsecond},
 		},
 	}
-	line := tr.String()
-	for _, want := range []string{"dG=16", "total=312µs", "L0[", "pruned=3", "no-reset=42", "L1[", "nodes=60"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("trace line missing %q: %s", want, line)
-		}
-	}
 	if tr.Events() != 150 || tr.NodesVisited() != 105 {
 		t.Errorf("events=%d nodes=%d", tr.Events(), tr.NodesVisited())
 	}

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Round profiler (DESIGN.md §12): per-BSP-round spans for partitioned
+// Round profiler (DESIGN.md §9.2): per-BSP-round spans for partitioned
 // serving.
 //
 // A request trace (flight.go) explains one request's latency; it cannot

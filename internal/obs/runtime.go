@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// Runtime telemetry plane (DESIGN.md §15). The serving stack explains tail
+// Runtime telemetry plane (DESIGN.md §9.3). The serving stack explains tail
 // latency in application terms — coalescing, barriers, page faults — but in
 // a real Go process the tails that matter are just as often the runtime's:
 // a GC pause freezing the apply goroutine, heap growth from the tiered

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// In-process time-series (DESIGN.md §10): a fixed-size ring sampler that
+// In-process time-series (DESIGN.md §9.3): a fixed-size ring sampler that
 // periodically snapshots registered scalar sources — counters rendered as
 // per-second rates, gauges as instantaneous values, histogram quantiles
 // windowed per tick — into preallocated float64 rings. Steady-state ticks

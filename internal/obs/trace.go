@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 )
 
@@ -100,30 +99,6 @@ func (t *Trace) condName(i int) string {
 		return t.CondNames[i]
 	}
 	return fmt.Sprintf("cond%d", i)
-}
-
-// String renders the trace as one structured log line:
-//
-//	update dG=16 vups=0 total=312µs delta=8µs L0[in=32 user=0 out=118 nodes=45 fetched=11KiB no-reset=42 pruned=3 54µs] L1[…]
-func (t *Trace) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "update dG=%d vups=%d total=%v delta=%v",
-		t.DeltaEdges, t.VertexUpdates, t.Total.Round(time.Microsecond), t.DeltaApply.Round(time.Microsecond))
-	if t.VertexUpdates > 0 {
-		fmt.Fprintf(&b, " vapply=%v", t.VertexApply.Round(time.Microsecond))
-	}
-	for i := range t.Layers {
-		s := &t.Layers[i]
-		fmt.Fprintf(&b, " L%d[in=%d user=%d out=%d nodes=%d fetched=%d",
-			s.Layer, s.EventsIn, s.UserEventsIn, s.EventsOut, s.Nodes, s.BytesFetched)
-		for c, n := range s.Cond {
-			if n > 0 {
-				fmt.Fprintf(&b, " %s=%d", t.condName(c), n)
-			}
-		}
-		fmt.Fprintf(&b, " %v]", s.Elapsed.Round(time.Microsecond))
-	}
-	return b.String()
 }
 
 // traceJSON and spanJSON shape the JSON rendering (durations in

@@ -37,6 +37,22 @@ func uniformRow(dim int, v float32) tensor.Vector {
 	return row
 }
 
+// maxAbsDiff is the largest per-channel distance between two rows of equal
+// length.
+func maxAbsDiff(a, b tensor.Vector) float32 {
+	var m float32
+	for i := range a {
+		d := a[i] - b[i]
+		if d < 0 {
+			d = -d
+		}
+		if d > m {
+			m = d
+		}
+	}
+	return m
+}
+
 func TestTieredRoundTrip(t *testing.T) {
 	const dim, n = 8, 100
 	st := newTestStore(t, TieredConfig{Dim: dim, PageBytes: 4 * dim * 4}) // 4 rows/page
@@ -183,15 +199,8 @@ func TestTieredQuantizedWithinBound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bound := q.ErrorBound(want[i])
-				for c := range got {
-					d := got[c] - want[i][c]
-					if d < 0 {
-						d = -d
-					}
-					if d > bound {
-						t.Fatalf("row %d ch %d: |%g-%g| exceeds bound %g", i, c, got[c], want[i][c], bound)
-					}
+				if d, bound := maxAbsDiff(got, want[i]), q.ErrorBound(want[i]); d > bound {
+					t.Fatalf("row %d: %v is %g from %v, bound %g", i, got, d, want[i], bound)
 				}
 			}
 		})
@@ -413,48 +422,63 @@ func TestTieredConcurrentReadersNoTearing(t *testing.T) {
 	}
 }
 
-// End-to-end against the engine: the tiered fp32 path serves exactly the
-// same rows as the default resident snapshots across update cycles.
+// End-to-end against the engine, through a store capped below the
+// footprint: across update cycles the tiered fp32 path serves exactly the
+// rows of the default resident snapshots, and an int8 one stays inside the
+// codec bound of the resident row at every read — the engine computes from
+// its own fp32 state, so streaming updates cannot compound the rounding.
 func TestTieredEngineBitExactVsResident(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	g := randomGraph(rng, 80, 240)
-	x := tensor.RandMatrix(rng, 80, 6, 1)
-	model := gnn.NewGCN(rng, 6, 8, gnn.NewAggregator(gnn.AggSum))
+	for _, q := range []tensor.Quant{tensor.QuantF32, tensor.QuantI8} {
+		t.Run(q.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(6))
+			g := randomGraph(rng, 80, 240)
+			x := tensor.RandMatrix(rng, 80, 6, 1)
+			model := gnn.NewGCN(rng, 6, 8, gnn.NewAggregator(gnn.AggSum))
 
-	resident, err := inkstream.New(model, g.Clone(), x, nil, inkstream.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiered, err := inkstream.New(model, g.Clone(), x, nil, inkstream.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowB := 4 * 8
-	st := newTestStore(t, TieredConfig{Dim: 8, PageBytes: 4 * rowB, MemCap: int64(5 * 4 * rowB)})
-	if err := tiered.SetRowStore(st); err != nil {
-		t.Fatal(err)
-	}
-
-	for batch := 0; batch < 5; batch++ {
-		delta := graph.RandomDelta(rng, resident.Graph(), 10)
-		if err := resident.Apply(delta, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := tiered.Apply(append(graph.Delta(nil), delta...), nil); err != nil {
-			t.Fatal(err)
-		}
-		rs := resident.PublishSnapshot()
-		ts := tiered.PublishSnapshot()
-		if rs.NumNodes() != ts.NumNodes() {
-			t.Fatalf("node counts diverge: %d vs %d", rs.NumNodes(), ts.NumNodes())
-		}
-		st.writebackDirty()
-		st.evictToCap()
-		for i := 0; i < rs.NumNodes(); i++ {
-			if !rs.Row(i).Equal(ts.Row(i)) {
-				t.Fatalf("batch %d row %d: tiered differs from resident", batch, i)
+			resident, err := inkstream.New(model, g.Clone(), x, nil, inkstream.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			tiered, err := inkstream.New(model, g.Clone(), x, nil, inkstream.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pageB := 4 * q.RowBytes(8)
+			st := newTestStore(t, TieredConfig{Dim: 8, Quant: q, PageBytes: pageB, MemCap: int64(5 * pageB)})
+			if err := tiered.SetRowStore(st); err != nil {
+				t.Fatal(err)
+			}
+
+			for batch := 0; batch < 5; batch++ {
+				delta := graph.RandomDelta(rng, resident.Graph(), 10)
+				if err := resident.Apply(delta, nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := tiered.Apply(append(graph.Delta(nil), delta...), nil); err != nil {
+					t.Fatal(err)
+				}
+				rs := resident.PublishSnapshot()
+				ts := tiered.PublishSnapshot()
+				if rs.NumNodes() != ts.NumNodes() {
+					t.Fatalf("node counts diverge: %d vs %d", rs.NumNodes(), ts.NumNodes())
+				}
+				st.writebackDirty()
+				st.evictToCap()
+				for i := 0; i < rs.NumNodes(); i++ {
+					want, got := rs.Row(i), ts.Row(i)
+					if q == tensor.QuantF32 {
+						if !want.Equal(got) {
+							t.Fatalf("batch %d row %d: tiered differs from resident", batch, i)
+						}
+					} else if d, bound := maxAbsDiff(got, want), q.ErrorBound(want); d > bound {
+						t.Fatalf("batch %d row %d: %v is %g from %v, %s bound %g", batch, i, got, d, want, q, bound)
+					}
+				}
+			}
+			if st.Stats().Evictions == 0 {
+				t.Error("the cap never evicted a page: the reads did not cross the fault path")
+			}
+		})
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Continuous drift auditor (DESIGN.md §10). InkStream's accumulative
+// Continuous drift auditor (DESIGN.md §9.4). InkStream's accumulative
 // aggregators (sum, mean) reassociate floating-point arithmetic across every
 // incremental batch, so the maintained embeddings drift away from a from-
 // scratch inference over time — the accumulated-error concern the paper's

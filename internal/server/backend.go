@@ -12,7 +12,7 @@ import (
 )
 
 // Backend is the seam between the write pipeline and whatever holds the
-// graph (DESIGN.md §8): one engine (engineBackend, below), or N
+// graph (DESIGN.md §7.2): one engine (engineBackend, below), or N
 // partition-owning engines executing each batch as a BSP round
 // (internal/shard). It is what lets one pipeline hide which of the two it
 // drives: the server never asks a backend what it is. Apply,

@@ -6,7 +6,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Incident black box wiring (DESIGN.md §15). EnableBlackBox arms automatic
+// Incident black box wiring (DESIGN.md §9.5). EnableBlackBox arms automatic
 // post-mortem capture on the incident signal the pipeline has — a burn-rate
 // alert transitioning to firing — plus whatever the backend arms itself (a
 // drift audit failure, a sharded round fail-stop), and exposes the same

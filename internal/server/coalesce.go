@@ -6,7 +6,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Server-side adaptive coalescing (DESIGN.md §8). The journal stage drains
+// Server-side adaptive coalescing (DESIGN.md §7.3). The journal stage drains
 // every request queued behind the in-flight one into a group; applying each
 // on its own would pay the backend's fixed per-batch costs (validation,
 // arena rewind, per-layer grouper epochs, BSP barriers, snapshot

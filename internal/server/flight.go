@@ -10,7 +10,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Flight-recorder wiring (DESIGN.md §10): every request travelling the
+// Flight-recorder wiring (DESIGN.md §9.2): every request travelling the
 // single-writer pipeline gets a trace ID at submit and a cumulative
 // timestamp at each stage it passes (journal group commit, coalesce pickup,
 // engine apply, snapshot publish, ack). The per-stage marks cost a handful
@@ -136,10 +136,12 @@ func (s *Server) SetTraceSampling(ring, every int) {
 	s.flight = f
 }
 
-// SetSlowTraceThreshold marks requests at or above d as slow: always
-// recorded, engine trace attached. Safe at any time; no-op when tracing is
-// disabled.
+// SetSlowTraceThreshold marks requests at or above d as slow — always kept
+// in the flight recorder, with the backend's per-layer trace attached when
+// it keeps one — and applied batches at or above d as slow updates
+// (inkstream_slow_updates_total). Call before serving.
 func (s *Server) SetSlowTraceThreshold(d time.Duration) {
+	s.obs.SlowThreshold = d
 	if s.flight != nil {
 		s.flight.SetSlowThreshold(d)
 	}

@@ -1,8 +1,7 @@
 package server
 
 import (
-	"bytes"
-	"log"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"net/http"
@@ -237,12 +236,13 @@ func TestStatsLatencyQuantiles(t *testing.T) {
 	}
 }
 
-// TestSlowUpdateLog: a nanosecond threshold marks every update slow and
-// logs its trace.
+// TestSlowUpdateLog: a nanosecond threshold marks every update slow, and a
+// slow request is kept in the flight recorder — outside the 1-in-64 sample —
+// with the engine's per-layer trace attached, which is where the log line
+// -slow-update used to print now lives (GET /v1/traces).
 func TestSlowUpdateLog(t *testing.T) {
 	srv, eng := newObsServer(t)
-	var buf bytes.Buffer
-	srv.EnableSlowUpdateLog(time.Nanosecond, false, log.New(&buf, "", 0))
+	srv.SetSlowTraceThreshold(time.Nanosecond)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -250,9 +250,26 @@ func TestSlowUpdateLog(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/update", UpdateRequest{
 		Changes: []EdgeChangeJSON{{U: u, V: v, Insert: true}},
 	})
-	out := buf.String()
-	if !strings.Contains(out, "slow update") || !strings.Contains(out, "dG=1") {
-		t.Errorf("slow-update log missing trace: %q", out)
+	resp, err := http.Get(ts.URL + "/v1/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body := decode[struct {
+		SlowThresholdMS float64 `json:"slow_threshold_ms"`
+		Traces          []struct {
+			Slow, Sampled bool
+			Edges         int
+			Engine        struct {
+				Layers []json.RawMessage
+			}
+		}
+	}](t, resp)
+	if body.SlowThresholdMS != 1e-6 || len(body.Traces) != 1 {
+		t.Fatalf("threshold %v ms, %d traces; want 1e-6 and the one slow request", body.SlowThresholdMS, len(body.Traces))
+	}
+	if tr := body.Traces[0]; !tr.Slow || tr.Sampled || tr.Edges != 1 || len(tr.Engine.Layers) != eng.Model().NumLayers() {
+		t.Errorf("slow trace %+v: want slow, unsampled, 1 edge, %d engine layers", tr, eng.Model().NumLayers())
 	}
 	samples := scrape(t, ts.URL)
 	if got, _ := samples.Get("inkstream_slow_updates_total"); got != 1 {

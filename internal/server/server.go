@@ -22,7 +22,7 @@
 // plus whatever the backend mounts: POST /v1/verify (full recompute
 // self-check) on one engine, GET /v1/rounds under shards.
 //
-// Concurrency model (DESIGN.md §8): reads never block on writes. All
+// Concurrency model (DESIGN.md §7): reads never block on writes. All
 // mutations funnel into a single-writer pipeline — requests enqueue onto a
 // channel drained by a journal stage (which makes a whole group of queued
 // batches durable under one fsync, "group commit") feeding an apply stage
@@ -50,7 +50,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"strconv"
 	"sync"
@@ -139,7 +138,7 @@ type Journal interface {
 // publishes the initial embedding snapshot (epoch 1), and starts the
 // writer pipeline. Call Close to stop it.
 //
-// Configuration methods (SetJournal, EnableSlowUpdateLog) must be called
+// Configuration methods (SetJournal, SetSlowTraceThreshold) must be called
 // before the first request is served.
 func New(engine *inkstream.Engine, counters *metrics.Counters) *Server {
 	o := engine.Observer()
@@ -198,25 +197,6 @@ func (s *Server) init() *Server {
 	go s.journalLoop()
 	go s.applyLoop()
 	return s
-}
-
-// EnableSlowUpdateLog logs a full per-layer trace for every update slower
-// than threshold (and for every update when traceAll is set). logger nil
-// means the standard logger. Call before serving.
-func (s *Server) EnableSlowUpdateLog(threshold time.Duration, traceAll bool, logger *log.Logger) {
-	if logger == nil {
-		logger = log.Default()
-	}
-	s.obs.SlowThreshold = threshold
-	s.obs.TraceAll = traceAll
-	s.SetSlowTraceThreshold(threshold)
-	s.obs.OnTrace = func(t *obs.Trace) {
-		if threshold > 0 && t.Total >= threshold {
-			logger.Printf("slow update (>= %v): %s", threshold, t)
-			return
-		}
-		logger.Printf("%s", t)
-	}
 }
 
 // buildRegistry registers every family the pipeline itself exposes.

@@ -155,8 +155,8 @@ func get(t *testing.T, url string, out any) (int, string) {
 // ring with ordered stage marks and the fused count, carrying the engine's
 // per-layer trace (engine) or the round ID (sharded); GET /v1/traces serves
 // them newest first with working filters, and the ack-latency histogram
-// carries a trace-ID exemplar. Failed requests are recorded even outside
-// the sample.
+// carries a trace-ID exemplar. Failed and slow requests are recorded even
+// outside the sample.
 func TestShapesRequestTraces(t *testing.T) {
 	forEachShape(t, func(t *testing.T, shards int) {
 		srv, g := deploy(t, shards)
@@ -237,6 +237,21 @@ func TestShapesRequestTraces(t *testing.T) {
 		traces := srv.FlightRecorder().Traces()
 		if len(traces) != 1 || traces[0].Err == "" {
 			t.Fatalf("failed request not recorded: %v", traces)
+		}
+
+		// A slow request is kept outside the sample in both shapes, with what
+		// the backend has to say about its apply, and counted.
+		srv.SetSlowTraceThreshold(time.Nanosecond)
+		insert(t, srv, absent(t, g, 7)[6:])
+		tr := srv.FlightRecorder().Traces()[0]
+		if !tr.Slow || tr.Sampled || tr.Err != "" {
+			t.Fatalf("newest trace is not the slow request: %s", tr)
+		}
+		if shards == 1 && tr.Engine == nil || shards > 1 && tr.Round == 0 {
+			t.Errorf("slow trace carries no engine trace / round ID: %s", tr)
+		}
+		if got := srv.Stats().SlowUpdates; got != 1 {
+			t.Errorf("slow_updates = %d, want 1", got)
 		}
 	})
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/server"
 )
 
-// Round profiler (DESIGN.md §12): each round leaves a RoundTrace with
+// Round profiler (DESIGN.md §9.2): each round leaves a RoundTrace with
 // per-stage per-shard compute/barrier/ghost spans, served at GET /v1/rounds.
 // Request traces, the sampler and the alert engine are the server's; a
 // request trace carries the ID of the round that applied it.

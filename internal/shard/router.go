@@ -29,7 +29,7 @@
 // Failure semantics are fail-stop: router-level validation makes shard
 // applies infallible, so if one fails anyway the deployment marks itself
 // corrupt, rejects further mutations, and keeps serving reads from the
-// last published snapshots (DESIGN.md §11.5).
+// last published snapshots (DESIGN.md §7.6).
 package shard
 
 import (
@@ -51,7 +51,7 @@ import (
 )
 
 // ErrCorrupt is returned for mutations once a round has failed; the router
-// is fail-stop for writes but keeps serving reads (DESIGN.md §11.5). It
+// is fail-stop for writes but keeps serving reads (DESIGN.md §7.6). It
 // wraps server.ErrUnavailable, so the HTTP layer answers 503.
 var ErrCorrupt = fmt.Errorf("shard: deployment corrupt after failed round; writes rejected (%w)", server.ErrUnavailable)
 

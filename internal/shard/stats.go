@@ -199,7 +199,7 @@ func (rt *Router) Mount(sf server.Surface) {
 func shardLabel(i int) string { return fmt.Sprintf(`shard="%d"`, i) }
 
 // ArmBlackBox is the router's contribution to the server's incident black
-// box (DESIGN.md §15): the one incident signal only a sharded deployment
+// box (DESIGN.md §9.5): the one incident signal only a sharded deployment
 // has — the fail-stop latch tripped by a failed round — triggers a capture,
 // and every bundle carries the round profiles and, after a fail-stop, a
 // failstop.json with the failing round's forensics.

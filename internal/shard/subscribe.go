@@ -15,7 +15,7 @@ import (
 
 // This file is the cross-shard seam: the round protocol, with
 // subscription-filtered record delivery and the boundary-first
-// compute/exchange overlap (DESIGN.md §13).
+// compute/exchange overlap (DESIGN.md §7.4).
 //
 // A shard only ever reads the ghost rows of vertices it has an in-arc from.
 // The router therefore keeps, per shard, a refcount of live cross-shard arcs

@@ -169,22 +169,3 @@ func TestParallelForConcurrentRegions(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// BenchmarkParallelForDispatch measures the fixed cost of one parallel
-// region: the pool dispatch that the persistent workers amortise.
-func BenchmarkParallelForDispatch(b *testing.B) {
-	oldMin := MinChunkWork
-	MinChunkWork = 1
-	defer func() { MinChunkWork = oldMin }()
-	b.Run("tiny-body", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ParallelFor(1024, func(lo, hi int) {})
-		}
-	})
-	b.Run("seq-fallback", func(b *testing.B) {
-		MinChunkWork = 1 << 20
-		for i := 0; i < b.N; i++ {
-			ParallelFor(1024, func(lo, hi int) {})
-		}
-	})
-}

@@ -33,11 +33,14 @@ go test -race ./internal/tensor ./internal/gnn ./internal/experiments \
 go test -race -count=1 ./internal/server ./internal/shard ./internal/inkstream \
     ./internal/persist ./internal/obs
 
-# The hot-path benchmarks DESIGN.md §6 quotes run once each (≈3 s), so they
-# cannot rot unnoticed; the numbers of a single iteration mean nothing.
-# BenchmarkApply's features/ rows (four hub feature rewrites on the dense
-# profile) are the record-routing path at some hundred thousand arcs a batch.
-go test -run '^$' -bench 'BenchmarkApply' -benchtime 1x ./internal/inkstream
+# Every Benchmark* left in the tree is cited by this script,
+# scripts/obs_overhead.sh, README.md or DESIGN.md, so each runs one iteration
+# here (≈15 s) and cannot rot unnoticed; the numbers of a single iteration
+# mean nothing. BenchmarkApply's features/ rows (four hub feature rewrites on
+# the dense profile) are the record-routing path at some hundred thousand
+# arcs a batch.
+go test -run '^$' -bench . -benchtime 1x . ./internal/tensor ./internal/gnn \
+    ./internal/inkstream ./internal/server ./internal/shard
 
 # bench/ is its own module (not in ./... above) and imports internal/*:
 # vet and test it here so an API change next to its probe fails this gate,
