@@ -16,10 +16,12 @@
 // (GET /v1/traces, tune with -trace-ring/-trace-sample; -slow-update keeps
 // every request at or above a latency, per-layer engine trace attached),
 // the in-process time-series window (GET /v1/timeseries) and the continuous
-// drift audit (-audit-every, reported by /healthz together with the -slo
-// ack-latency objective) are on by default. -blackbox <dir> arms the
-// incident black box: post-mortem bundles are auto-captured on alert
-// firing, drift-audit failure or round fail-stop, served on demand at
+// drift audit are on by default. The audit spends at most 2% of one core and
+// runs no more often than every -audit-every applied updates; it is reported
+// by /healthz together with the -slo ack-latency objective, and -audit-tol
+// bounds both it and POST /v1/verify on sum/mean models. -blackbox <dir>
+// arms the incident black box: post-mortem bundles are auto-captured on
+// alert firing, drift-audit failure or round fail-stop, served on demand at
 // GET /debug/bundle, and rendered offline with inkstat -postmortem. All of
 // it is DESIGN.md §9.
 //
@@ -121,9 +123,9 @@ func buildServerOn(fs *flag.FlagSet, args []string) (http.Handler, string, error
 		traceRing   = fs.Int("trace-ring", 256, "flight-recorder ring size for GET /v1/traces (0 disables request tracing)")
 		traceSample = fs.Int("trace-sample", 64, "record 1 in N pipeline requests in the flight recorder (slow/failed requests are always recorded)")
 		slo         = fs.Duration("slo", 0, "ack-latency p99 objective: /healthz reports degraded above it (0 disables)")
-		auditEvery  = fs.Uint64("audit-every", 256, "shadow-recompute a drift audit every N applied updates (0 disables)")
+		auditEvery  = fs.Uint64("audit-every", 256, "minimum applied updates between drift audits; audits are further spaced to use at most 2% of one core (0 disables)")
 		auditSample = fs.Int("audit-sample", 16, "nodes shadow-recomputed per drift audit")
-		auditTol    = fs.Float64("audit-tol", 0, "max abs drift tolerated by the audit (0 keeps the default 2e-3)")
+		auditTol    = fs.Float64("audit-tol", 0, "max drift tolerated by the audit and POST /v1/verify on a model with a sum/mean layer; monotonic models must match exactly (0 keeps the default 2e-3)")
 
 		blackboxDir      = fs.String("blackbox", "", "incident black box dump directory: auto-capture post-mortem bundles on alert firing, audit failure or fail-stop, and serve GET /debug/bundle (empty disables)")
 		blackboxProfiles = fs.Bool("blackbox-profiles", false, "include pprof heap and goroutine profiles in captured bundles (requires -blackbox)")
@@ -291,9 +293,14 @@ func buildServerOn(fs *flag.FlagSet, args []string) (http.Handler, string, error
 		srv.SetHealthSLO(*slo)
 		log.Printf("healthz SLO: ack p99 <= %v (burn-rate alerts at /v1/alerts)", *slo)
 	}
-	if *auditEvery > 0 && engine != nil {
+	if engine != nil {
+		// -audit-tol also bounds POST /v1/verify, so it applies with the
+		// auditor off too.
 		srv.EnableDriftAudit(*auditEvery, *auditSample, float32(*auditTol))
-		log.Printf("drift audit: every %d updates, %d nodes sampled", *auditEvery, *auditSample)
+		if *auditEvery > 0 {
+			log.Printf("drift audit: at least %d updates apart within its CPU budget, %d nodes sampled",
+				*auditEvery, *auditSample)
+		}
 	}
 	if *blackboxDir != "" {
 		srv.EnableBlackBox(obs.BlackBoxConfig{Dir: *blackboxDir, Profiles: *blackboxProfiles})

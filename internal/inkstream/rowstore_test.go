@@ -61,7 +61,7 @@ func (v *fakeRowView) Release()     { v.st.released = append(v.st.released, v.ep
 var errFault = errors.New("row unavailable")
 
 func TestSetRowStoreAfterPublishFails(t *testing.T) {
-	eng := newSnapEngine(t)
+	eng := newSnapEngine(t, 120)
 	eng.PublishSnapshot()
 	if err := eng.SetRowStore(newFakeRowStore()); err == nil {
 		t.Fatal("SetRowStore after PublishSnapshot should fail")
@@ -69,7 +69,7 @@ func TestSetRowStoreAfterPublishFails(t *testing.T) {
 }
 
 func TestTieredPublishWritesDirtyRowsOnly(t *testing.T) {
-	eng := newSnapEngine(t)
+	eng := newSnapEngine(t, 120)
 	st := newFakeRowStore()
 	if err := eng.SetRowStore(st); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestTieredPublishWritesDirtyRowsOnly(t *testing.T) {
 }
 
 func TestTieredPublishAddNodeGrowth(t *testing.T) {
-	eng := newSnapEngine(t)
+	eng := newSnapEngine(t, 120)
 	st := newFakeRowStore()
 	if err := eng.SetRowStore(st); err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestTieredPublishAddNodeGrowth(t *testing.T) {
 }
 
 func TestTieredRowFaultReturnsNil(t *testing.T) {
-	eng := newSnapEngine(t)
+	eng := newSnapEngine(t, 120)
 	st := newFakeRowStore()
 	if err := eng.SetRowStore(st); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestTieredRowFaultReturnsNil(t *testing.T) {
 }
 
 func TestTieredRefreshRewritesAllRows(t *testing.T) {
-	eng := newSnapEngine(t)
+	eng := newSnapEngine(t, 120)
 	st := newFakeRowStore()
 	if err := eng.SetRowStore(st); err != nil {
 		t.Fatal(err)

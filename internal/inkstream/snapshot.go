@@ -8,6 +8,14 @@ import (
 	"repro/internal/tensor"
 )
 
+// Snapshot rows live in fixed chunks of chunkRows rows, so a publication
+// copies one pointer per chunk and clones only the chunks that hold a dirty
+// row (DESIGN.md §7.1).
+const (
+	chunkShift = 6
+	chunkRows  = 1 << chunkShift
+)
+
 // Snapshot is an immutable, epoch-stamped copy of the final-layer
 // embeddings plus the serving-relevant summary state. Snapshots are built
 // copy-on-write from the rows the engine actually touched since the last
@@ -29,7 +37,10 @@ type Snapshot struct {
 	// statistics at publication time.
 	Conditions ConditionStats
 
-	rows []tensor.Vector
+	// rows[c] holds rows c*chunkRows … c*chunkRows+chunkRows-1; every chunk
+	// but the last is full. A chunk no dirty row touched is shared with the
+	// previous snapshot.
+	rows [][]tensor.Vector
 	// view is the sealed row-store generation backing this snapshot when
 	// the engine has a RowStore attached; rows is nil in that mode.
 	view RowView
@@ -40,7 +51,16 @@ func (s *Snapshot) NumNodes() int {
 	if s.view != nil {
 		return s.view.NumRows()
 	}
-	return len(s.rows)
+	return numRows(s.rows)
+}
+
+// numRows counts the rows of a chunk table.
+func numRows(chunks [][]tensor.Vector) int {
+	if len(chunks) == 0 {
+		return 0
+	}
+	last := len(chunks) - 1
+	return last<<chunkShift + len(chunks[last])
 }
 
 // Row returns node i's embedding as of this snapshot's epoch. The returned
@@ -56,7 +76,7 @@ func (s *Snapshot) Row(i int) tensor.Vector {
 		}
 		return v
 	}
-	return s.rows[i]
+	return s.rows[i>>chunkShift][i&(chunkRows-1)]
 }
 
 // snapState is the engine's snapshot machinery. Dirty-output tracking is
@@ -76,6 +96,11 @@ type snapState struct {
 	// store, when non-nil, backs publications instead of resident clones
 	// (see SetRowStore).
 	store RowStore
+	// ids and own are publication scratch, retained across publications:
+	// the dirty rows to re-clone, and which chunks of the next table are
+	// private copies.
+	ids []int
+	own []bool
 }
 
 // Snapshot returns the most recently published snapshot, or nil when
@@ -119,9 +144,10 @@ func (e *Engine) markAllDirty() {
 // PublishSnapshot builds a new immutable snapshot of the final-layer
 // embeddings and publishes it atomically, then clears the dirty-row set.
 // The first call clones every row and enables dirty tracking; subsequent
-// calls share every clean row with the previous snapshot and clone only
-// the rows Apply touched since (copy-on-write), so steady-state publication
-// cost is proportional to the affected area, not the graph.
+// calls copy the previous snapshot's chunk pointers, copy only the chunks
+// holding a row Apply touched since, and re-clone just those rows
+// (copy-on-write), so steady-state publication costs O(n/chunkRows + dirty
+// chunks), not O(n).
 //
 // Must only be called from the writer goroutine (the same discipline as
 // Apply); the returned snapshot may be read from anywhere.
@@ -132,32 +158,19 @@ func (e *Engine) PublishSnapshot() *Snapshot {
 	if e.snap.store != nil {
 		return e.publishTiered(prev, out, n)
 	}
-	rows := make([]tensor.Vector, n)
-	switch {
-	case prev == nil || e.snap.all:
-		for i := range rows {
-			rows[i] = out.Row(i).Clone()
-		}
-		e.snap.all = false
-	default:
-		copy(rows, prev.rows)
-		// Rows beyond the previous snapshot (AddNode growth) are all new.
-		for i := len(prev.rows); i < n; i++ {
-			rows[i] = out.Row(i).Clone()
-		}
-		for id := range e.snap.dirty {
-			if int(id) < n {
-				rows[id] = out.Row(int(id)).Clone()
-			}
-		}
+	// Refresh replaced the whole state: rebuild as on the first publication.
+	var prevRows [][]tensor.Vector
+	if prev != nil && !e.snap.all {
+		prevRows = prev.rows
 	}
+	e.snap.all = false
 	s := &Snapshot{
 		Epoch:          1,
 		AppliedBatches: e.snap.applied,
 		Nodes:          n,
 		Edges:          e.g.NumEdges(),
 		Conditions:     e.stats,
-		rows:           rows,
+		rows:           e.cowChunks(prevRows, out, n),
 	}
 	if prev != nil {
 		s.Epoch = prev.Epoch + 1
@@ -168,6 +181,66 @@ func (e *Engine) PublishSnapshot() *Snapshot {
 		clear(e.snap.dirty)
 	}
 	return s
+}
+
+// cowChunks builds the chunk table of the first n rows of out from prev,
+// the previous table (nil to clone every row). Rows past prev's (AddNode
+// growth) and dirty rows are re-cloned into private copies of their chunks;
+// every other chunk is shared. When at least half the chunks need a copy,
+// every chunk is copied into one allocation, which costs what a flat row
+// array would; otherwise each copied chunk is its own allocation, so a chunk
+// that later tables keep sharing pins only itself. A live table therefore
+// holds at most one multi-chunk allocation. The rows are collected before
+// any chunk is copied, so the per-row work is two index stores.
+func (e *Engine) cowChunks(prev [][]tensor.Vector, out *tensor.Matrix, n int) [][]tensor.Vector {
+	rows := make([][]tensor.Vector, (n+chunkRows-1)>>chunkShift)
+	copy(rows, prev)
+	from := numRows(prev)
+	own := slices.Grow(e.snap.own[:0], len(rows))[:len(rows)]
+	clear(own)
+	if from < n {
+		for c := from >> chunkShift; c < len(own); c++ {
+			own[c] = true
+		}
+	}
+	ids := e.snap.ids[:0]
+	for id := range e.snap.dirty {
+		if i := int(id); i < from {
+			ids = append(ids, i)
+			own[i>>chunkShift] = true
+		}
+	}
+	copied := 0
+	for _, o := range own {
+		if o {
+			copied++
+		}
+	}
+	if 2*copied >= len(own) {
+		flat := make([]tensor.Vector, n)
+		for c := range rows {
+			lo := c << chunkShift
+			hi := min(lo+chunkRows, n)
+			copy(flat[lo:hi], rows[c])
+			rows[c] = flat[lo:hi:hi]
+		}
+	} else {
+		for c, o := range own {
+			if o {
+				ch := make([]tensor.Vector, min(chunkRows, n-c<<chunkShift))
+				copy(ch, rows[c])
+				rows[c] = ch
+			}
+		}
+	}
+	for i := from; i < n; i++ {
+		rows[i>>chunkShift][i&(chunkRows-1)] = out.Row(i).Clone()
+	}
+	for _, i := range ids {
+		rows[i>>chunkShift][i&(chunkRows-1)] = out.Row(i).Clone()
+	}
+	e.snap.ids, e.snap.own = ids, own
+	return rows
 }
 
 // publishTiered is the RowStore-backed publication path: changed rows are

@@ -10,11 +10,11 @@ import (
 	"repro/internal/tensor"
 )
 
-func newSnapEngine(t *testing.T) *Engine {
+func newSnapEngine(t testing.TB, nodes int) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
-	g := dataset.GenerateRMAT(rng, 120, 480, dataset.DefaultRMAT)
-	feats := dataset.NewFeatures(rng, 120, 8)
+	g := dataset.GenerateRMAT(rng, nodes, 4*nodes, dataset.DefaultRMAT)
+	feats := dataset.NewFeatures(rng, nodes, 8)
 	model := gnn.NewGCN(rng, 8, 16, gnn.NewAggregator(gnn.AggMax))
 	eng, err := New(model, g, feats.X, nil, Options{})
 	if err != nil {
@@ -24,7 +24,7 @@ func newSnapEngine(t *testing.T) *Engine {
 }
 
 func TestSnapshotPublishAndCOW(t *testing.T) {
-	eng := newSnapEngine(t)
+	eng := newSnapEngine(t, 120)
 	if eng.Snapshot() != nil {
 		t.Fatal("snapshot before first publish")
 	}
@@ -96,33 +96,135 @@ func TestSnapshotPublishAndCOW(t *testing.T) {
 }
 
 func TestSnapshotRefreshMarksAllDirty(t *testing.T) {
-	eng := newSnapEngine(t)
+	eng := newSnapEngine(t, 120)
 	s1 := eng.PublishSnapshot()
 	if err := eng.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	s2 := eng.PublishSnapshot()
+	if s2.NumNodes() != 120 {
+		t.Fatalf("rows after Refresh %d", s2.NumNodes())
+	}
 	for i := 0; i < s2.NumNodes(); i++ {
 		if &s1.Row(i)[0] == &s2.Row(i)[0] {
 			t.Fatalf("row %d shares storage after Refresh (state was replaced)", i)
 		}
+		if !s2.Row(i).Equal(eng.Output().Row(i)) {
+			t.Fatalf("row %d differs from engine output after Refresh", i)
+		}
 	}
 }
 
+// TestSnapshotAddNodeGrowth grows the snapshot across chunk boundaries: a
+// partial last chunk that fills up and spills into a new one (63 → 65) and
+// a full last chunk followed by a fresh one (128 → 129). Every row reads
+// back as the engine's output, untouched full chunks stay shared and the
+// superseded snapshot keeps its old row count.
 func TestSnapshotAddNodeGrowth(t *testing.T) {
-	eng := newSnapEngine(t)
+	for _, tc := range []struct{ from, to int }{{120, 121}, {63, 65}, {128, 129}} {
+		eng := newSnapEngine(t, tc.from)
+		s1 := eng.PublishSnapshot()
+		x := make(tensor.Vector, 8)
+		for k := tc.from; k < tc.to; k++ {
+			x[0] = float32(k)
+			id, err := eng.AddNode(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int(id) != k {
+				t.Fatalf("AddNode id %d, want %d", id, k)
+			}
+		}
+		if err := eng.Update(graph.Delta{{U: 0, V: graph.NodeID(tc.to - 1), Insert: true}}); err != nil {
+			t.Fatal(err)
+		}
+		dirty := map[graph.NodeID]bool{}
+		for _, id := range eng.DirtyRows() {
+			dirty[id] = true
+		}
+		s2 := eng.PublishSnapshot()
+		if s1.NumNodes() != tc.from || s2.NumNodes() != tc.to {
+			t.Fatalf("%d→%d: snapshot rows %d then %d", tc.from, tc.to, s1.NumNodes(), s2.NumNodes())
+		}
+		for i := 0; i < tc.to; i++ {
+			if !s2.Row(i).Equal(eng.Output().Row(i)) {
+				t.Fatalf("%d→%d: row %d differs from engine output", tc.from, tc.to, i)
+			}
+			if i < tc.from && !dirty[graph.NodeID(i)] && &s1.Row(i)[0] != &s2.Row(i)[0] {
+				t.Errorf("%d→%d: clean row %d was re-cloned", tc.from, tc.to, i)
+			}
+		}
+	}
+}
+
+// TestSnapshotHeldAcrossPublishes: a snapshot a reader holds is never
+// written by later publications, however many of its chunks they copy —
+// one at a time (few dirty chunks) or all at once (at least half dirty).
+func TestSnapshotHeldAcrossPublishes(t *testing.T) {
+	eng := newSnapEngine(t, 1000)
+	held := eng.PublishSnapshot()
+	want := make([]tensor.Vector, held.NumNodes())
+	for i := range want {
+		want[i] = held.Row(i).Clone()
+	}
+	nchunks := (held.NumNodes() + chunkRows - 1) / chunkRows
+	rng := rand.New(rand.NewSource(8))
+	chunks := map[int]bool{}
+	var few, most bool
+	for p := 0; p < 50; p++ {
+		size := 1
+		if p%5 == 4 {
+			size = 64
+		}
+		if err := eng.Update(graph.RandomDelta(rng, eng.Graph(), size)); err != nil {
+			t.Fatal(err)
+		}
+		dirty := map[int]bool{}
+		for _, id := range eng.DirtyRows() {
+			dirty[int(id)>>chunkShift] = true
+			chunks[int(id)>>chunkShift] = true
+		}
+		few = few || len(dirty) > 0 && 2*len(dirty) < nchunks
+		most = most || 2*len(dirty) >= nchunks
+		s := eng.PublishSnapshot()
+		for i := 0; i < s.NumNodes(); i++ {
+			if !s.Row(i).Equal(eng.Output().Row(i)) {
+				t.Fatalf("publish %d: row %d differs from engine output", p, i)
+			}
+		}
+	}
+	if len(chunks) < 3 || !few || !most {
+		t.Fatalf("dirty rows spanned %d chunks (want >= 3); a publish with few dirty chunks %v, with most %v", len(chunks), few, most)
+	}
+	if held.NumNodes() != len(want) {
+		t.Fatalf("held snapshot rows %d, want %d", held.NumNodes(), len(want))
+	}
+	for i, w := range want {
+		if !held.Row(i).Equal(w) {
+			t.Fatalf("held snapshot row %d changed after later publishes", i)
+		}
+	}
+}
+
+// TestSnapshotPublishAllocs pins publication cost to the dirty rows: on a
+// 3.7 k-row engine, publishing 5 dirty rows that sit in 5 different chunks
+// allocates the chunk table, 5 chunks and 5 rows — well under what one
+// n-entry row-pointer array (~90 KB) would cost.
+func TestSnapshotPublishAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	eng := newSnapEngine(t, 3700)
 	eng.PublishSnapshot()
-	x := make(tensor.Vector, 8)
-	x[0] = 1
-	id, err := eng.AddNode(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := eng.PublishSnapshot()
-	if s.NumNodes() != int(id)+1 {
-		t.Fatalf("snapshot rows %d, want %d", s.NumNodes(), id+1)
-	}
-	if !s.Row(int(id)).Equal(eng.Output().Row(int(id))) {
-		t.Error("new node row missing from snapshot")
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < 5; k++ {
+				eng.markDirty(graph.NodeID(k * 700))
+			}
+			eng.PublishSnapshot()
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > 12<<10 {
+		t.Fatalf("5-dirty-row publish allocates %d B/op, want <= %d", got, 12<<10)
 	}
 }

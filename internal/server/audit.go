@@ -23,13 +23,20 @@ import (
 // incremental batch, so the maintained embeddings drift away from a from-
 // scratch inference over time — the accumulated-error concern the paper's
 // tolerance sweeps quantify offline. The auditor turns it into a live
-// signal: every K applied updates it captures the L-hop dependency cone of a
-// few random nodes on the apply stage (cheap, exclusive — see
-// baseline.CaptureShadow), recomputes them *off* the pipeline, and publishes
-// the measured drift (gauge, per-aggregator histograms) plus a failure
-// counter when drift exceeds the tolerance. It is the sampled, non-exclusive
-// sibling of Engine.Verify: Verify quiesces the writer for a full-graph
-// recompute; the auditor stalls it only for the capture.
+// signal: it captures the L-hop dependency cone of a few random nodes on the
+// apply stage (exclusive — see baseline.CaptureShadow), recomputes them *off*
+// the pipeline, and publishes the measured drift (gauge, per-aggregator
+// histograms) plus a failure counter when drift exceeds the tolerance. It is
+// the sampled, non-exclusive sibling of Engine.Verify: Verify quiesces the
+// writer for a full-graph recompute; the auditor stalls it only for the
+// capture. On a small dense graph the cone of a few nodes is most of the
+// graph, so an audit costs about a full inference; the loop therefore spends
+// at most auditShare of one core on it, whatever the update rate.
+
+// auditShare is the share of one core the audit loop may spend: after an
+// audit that took d, the next one starts no earlier than d·(1/auditShare − 1)
+// later.
+const auditShare = 0.02
 
 // auditState carries the auditor's configuration and published results.
 // Constructed eagerly in New so the /metrics families always exist; the
@@ -37,9 +44,12 @@ import (
 type auditState struct {
 	hists []obs.LabeledHistogram // per-audit drift, one per aggregator kind
 
-	every  uint64  // audit every N applied updates (0 = loop disabled)
 	sample int     // nodes captured per audit
-	tol    float32 // max abs drift allowed before the audit fails
+	tol    float32 // max abs drift allowed on a model with a sum/mean layer
+	// exact is set when every aggregator is monotonic: the maintained state
+	// is then bit-exact by construction (DESIGN.md §6.4), so any difference
+	// at all is a bug and fails the audit.
+	exact bool
 
 	mu  sync.Mutex // serialises audits; guards rng
 	rng *rand.Rand
@@ -57,12 +67,25 @@ type auditState struct {
 // newAuditState seeds the auditor with serving defaults; EnableDriftAudit
 // overrides them and starts the loop.
 func newAuditState(m *gnn.Model) *auditState {
+	exact := true
+	for _, l := range m.Layers {
+		exact = exact && l.Agg().Monotonic()
+	}
 	return &auditState{
 		hists:  driftHistograms(m),
 		sample: 16,
 		tol:    2e-3,
+		exact:  exact,
 		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
+}
+
+// limit is the largest drift an audit passes.
+func (a *auditState) limit() float32 {
+	if a.exact {
+		return 0
+	}
+	return a.tol
 }
 
 func (a *auditState) register(r *obs.Registry) {
@@ -118,54 +141,80 @@ func (s *Server) engine() *engineBackend {
 	return e
 }
 
-// EnableDriftAudit starts the background auditor: every `every` applied
-// updates it shadow-recomputes `sample` random nodes against the maintained
-// state and fails the audit when their max abs drift exceeds tol (tol <= 0
-// keeps the default 2e-3 — the tolerance the batch-size sweeps accept for
-// accumulative aggregators; monotonic aggregators should measure ~0).
-// Call before serving; the loop stops with Close. It needs the L-hop cone of
-// the sampled nodes in one engine's graph, so it is a no-op on a NewOn
-// server.
+// EnableDriftAudit configures the drift audit and, when every > 0, starts
+// the background auditor: once at least `every` updates have been applied
+// since the last audit, and no sooner than its CPU budget (auditShare of one
+// core) allows, it shadow-recomputes `sample` random nodes against the
+// maintained state. An audit fails on any difference when every aggregator
+// is monotonic, and otherwise when the max abs drift exceeds tol; tol also
+// bounds POST /v1/verify (tol <= 0 keeps the default 2e-3, the tolerance the
+// batch-size sweeps accept for accumulative aggregators). Call before
+// serving; the loop stops with Close. It needs the L-hop cone of the sampled
+// nodes in one engine's graph, so it is a no-op on a NewOn server.
 func (s *Server) EnableDriftAudit(every uint64, sample int, tol float32) {
 	e := s.engine()
-	if every == 0 || e == nil {
+	if e == nil {
 		return
 	}
 	a := e.audit
-	a.every = every
 	if sample > 0 {
 		a.sample = sample
 	}
 	if tol > 0 {
 		a.tol = tol
 	}
+	if every == 0 {
+		return
+	}
 	s.wg.Add(1)
-	go e.auditLoop()
+	go e.auditLoop(every)
 }
 
-// auditLoop polls the applied-update counter and runs one audit each time it
-// advances by the configured stride. Polling (rather than hooking the apply
-// path) keeps the pipeline free of auditor branches; the stride check costs
-// one atomic load per poll.
-func (e *engineBackend) auditLoop() {
+// auditPace is the auditor's schedule: a stride floor in applied updates, so
+// an idle server does not audit, and a CPU budget in wall time.
+type auditPace struct {
+	every     uint64    // minimum applied updates between audits
+	last      uint64    // applied updates when the last audit started
+	notBefore time.Time // earliest start the budget allows
+}
+
+// due reports whether an audit may start at now, with updates applied so far.
+func (p auditPace) due(now time.Time, updates uint64) bool {
+	return updates >= p.last+p.every && !now.Before(p.notBefore)
+}
+
+// nextAudit returns the earliest start of the audit after one that ended at
+// end and took took: spacing audits by took·(1/auditShare − 1) holds the
+// auditor's busy time to auditShare of the wall time.
+func nextAudit(end time.Time, took time.Duration) time.Time {
+	return end.Add(time.Duration(float64(took) * (1/auditShare - 1)))
+}
+
+// auditLoop polls the applied-update counter and runs an audit whenever the
+// pace allows one, at least every updates apart. Polling (rather than
+// hooking the apply path) keeps the pipeline free of auditor branches; a
+// poll costs one atomic load.
+func (e *engineBackend) auditLoop(every uint64) {
 	a, s := e.audit, e.s
 	defer s.wg.Done()
 	tick := time.NewTicker(250 * time.Millisecond)
 	defer tick.Stop()
-	var last uint64
+	pace := auditPace{every: every}
 	for {
 		select {
 		case <-s.quit:
 			return
-		case <-tick.C:
+		case now := <-tick.C:
 			cur := uint64(s.obs.Updates())
-			if cur < last+a.every {
+			if !pace.due(now, cur) {
 				continue
 			}
-			last = cur
+			start := time.Now()
 			if _, err := s.AuditNow(a.sample); err != nil && !errors.Is(err, ErrServerClosed) {
 				log.Printf("%v", err)
 			}
+			end := time.Now()
+			pace.last, pace.notBefore = cur, nextAudit(end, end.Sub(start))
 		}
 	}
 }
@@ -231,12 +280,12 @@ func (s *Server) AuditNow(sample int) (baseline.ShadowResult, error) {
 	for i := range a.hists {
 		a.hists[i].H.Observe(driftNanos)
 	}
-	if res.MaxAbsDiff > a.tol {
+	if res.MaxAbsDiff > a.limit() {
 		a.failures.Add(1)
 		a.lastFailed.Store(true)
 		err := fmt.Errorf(
 			"drift audit: max abs drift %g over tolerance %g at node %d (epoch %d, %d/%d nodes sampled/recomputed)",
-			res.MaxAbsDiff, a.tol, res.WorstNode, sh.Epoch, res.Nodes, res.ClosureNodes)
+			res.MaxAbsDiff, a.limit(), res.WorstNode, sh.Epoch, res.Nodes, res.ClosureNodes)
 		if a.onFailure != nil {
 			a.onFailure(err.Error())
 		}
@@ -262,7 +311,8 @@ type VerifyResponse struct {
 }
 
 // handleVerify recomputes the full inference and compares it against the
-// maintained state (Engine.VerifyDiff) — an operational self-check, and the
+// maintained state (Engine.VerifyDiff: bit-exact on a monotonic model, within
+// the audit tolerance otherwise) — an operational self-check, and the
 // exhaustive sibling of the sampled drift auditor. It runs as an exclusive
 // operation on the apply stage (the pipeline is quiesced for the whole
 // recompute), so it never races an update; use the drift auditor for a
@@ -277,7 +327,7 @@ func (e *engineBackend) handleVerify(w http.ResponseWriter, _ *http.Request) {
 	err := e.s.do(nil, nil, func() error {
 		v0 := time.Now()
 		var verr error
-		diff, verr = e.VerifyDiff(2e-3)
+		diff, verr = e.VerifyDiff(e.audit.tol)
 		elapsed = time.Since(v0)
 		return verr
 	})

@@ -183,7 +183,7 @@ func (e *engineBackend) FillHealth(resp *HealthzResponse) {
 	resp.AuditFailures = a.failures.Load()
 	if a.lastFailed.Load() {
 		resp.Reasons = append(resp.Reasons, fmt.Sprintf(
-			"drift audit failing: max abs drift %g over tolerance %g", resp.DriftMaxAbs, a.tol))
+			"drift audit failing: max abs drift %g over tolerance %g", resp.DriftMaxAbs, a.limit()))
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gnn"
 	"repro/internal/graph"
+	"repro/internal/inkstream"
 )
 
 // TestHealthzDegraded: breaching the ack SLO or failing the drift audit
@@ -102,6 +104,138 @@ func TestDriftAuditCorruption(t *testing.T) {
 	}
 	if v, _ := samples.Get("inkstream_drift_max_abs"); v < 0.2 {
 		t.Errorf("drift_max_abs gauge %v after corruption", v)
+	}
+}
+
+// nudge adds d to every element of every maintained output row (call it
+// while the pipeline is idle).
+func nudge(eng *inkstream.Engine, d float32) {
+	out := eng.Output()
+	for i := 0; i < out.Rows; i++ {
+		row := out.Row(i)
+		for j := range row {
+			row[j] += d
+		}
+	}
+}
+
+// TestDriftAuditExactOnMonotonic: on an all-max model the maintained state
+// is bit-exact by construction, so the audit fails on a difference far
+// below the sum/mean tolerance.
+func TestDriftAuditExactOnMonotonic(t *testing.T) {
+	srv, eng := newObsServer(t)
+	nudge(eng, 1e-6)
+	if res, err := srv.AuditNow(8); err == nil {
+		t.Fatalf("audit passed a 1e-6 difference on a max model: %+v", res)
+	}
+}
+
+// TestVerifyHonoursAuditTol: POST /v1/verify judges a sum/mean model by the
+// configured -audit-tol, also with the audit loop off (every 0).
+func TestVerifyHonoursAuditTol(t *testing.T) {
+	srv, eng := newAggServer(t, gnn.AggMean)
+	srv.EnableDriftAudit(0, 0, 1e-4)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	verify := func() (int, VerifyResponse) {
+		resp, err := http.Post(ts.URL+"/v1/verify", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v VerifyResponse
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, v
+	}
+	if code, v := verify(); code != http.StatusOK || v.Status != "verified" {
+		t.Fatalf("fresh mean engine: %d %+v", code, v)
+	}
+	nudge(eng, 1e-3)
+	if code, v := verify(); code != http.StatusInternalServerError || v.Status != "failed" {
+		t.Fatalf("1e-3 drift against tol 1e-4: %d %+v", code, v)
+	}
+}
+
+// TestAuditPace: an audit needs both the stride (applied updates since the
+// last one) and the CPU budget (wall time since the last one ended).
+func TestAuditPace(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	after80ms := nextAudit(t0, 80*time.Millisecond)
+	for _, tc := range []struct {
+		name    string
+		pace    auditPace
+		now     time.Time
+		updates uint64
+		want    bool
+	}{
+		{"first audit, stride met", auditPace{every: 4}, t0, 4, true},
+		{"first audit, stride short", auditPace{every: 4}, t0, 3, false},
+		{"stride short", auditPace{every: 4, last: 10}, t0, 13, false},
+		{"stride met", auditPace{every: 4, last: 10}, t0, 14, true},
+		{"inside budget", auditPace{every: 1, last: 10, notBefore: after80ms}, t0.Add(3900 * time.Millisecond), 1000, false},
+		{"budget spent", auditPace{every: 1, last: 10, notBefore: after80ms}, t0.Add(3930 * time.Millisecond), 1000, true},
+		{"budget spent, stride short", auditPace{every: 256, last: 10, notBefore: after80ms}, t0.Add(time.Minute), 265, false},
+	} {
+		if got := tc.pace.due(tc.now, tc.updates); got != tc.want {
+			t.Errorf("%s: due = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if d := after80ms.Sub(t0); d < 3900*time.Millisecond || d > 3930*time.Millisecond {
+		t.Errorf("an 80 ms audit spaces the next %v later, want ~3.92 s", d)
+	}
+
+	// The loop's schedule under a busy server: 250 ms polls, every poll sees
+	// new updates, each audit takes 80 ms. Busy time stays within the share
+	// plus one audit, and the auditor stays live.
+	const took = 80 * time.Millisecond
+	pace := auditPace{every: 1}
+	now, end := t0, t0.Add(10*time.Minute)
+	var busy time.Duration
+	audits := 0
+	for updates := uint64(1); now.Before(end); updates++ {
+		if pace.due(now, updates) {
+			audits++
+			busy += took
+			now = now.Add(took)
+			pace.last, pace.notBefore = updates, nextAudit(now, took)
+		}
+		now = now.Add(250 * time.Millisecond)
+	}
+	wall := now.Sub(t0)
+	if limit := time.Duration(auditShare*float64(wall)) + took; busy > limit {
+		t.Errorf("audits busy %v of %v wall, want <= %v", busy, wall, limit)
+	}
+	if audits < 100 {
+		t.Errorf("%d audits in %v: the auditor starved", audits, wall)
+	}
+}
+
+// TestDriftAuditLoop: the background auditor runs under a stream of
+// single-edge updates, and Close stops it (leakcheck, via newObsServer).
+func TestDriftAuditLoop(t *testing.T) {
+	srv, eng := newObsServer(t)
+	srv.EnableDriftAudit(1, 4, 0)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	e := absentEdges(t, eng.Graph(), 1)[0]
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; ; i++ {
+		if err := srv.Apply(graph.Delta{{U: graph.NodeID(e.U), V: graph.NodeID(e.V), Insert: i%2 == 0}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		samples := scrape(t, ts.URL)
+		if v, _ := samples.Get("inkstream_drift_audits_total"); v >= 1 {
+			if f, _ := samples.Get("inkstream_drift_audit_failures_total"); f != 0 {
+				t.Fatalf("%v audit failures on a healthy max engine", f)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no drift audit within 5 s of single-edge updates")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

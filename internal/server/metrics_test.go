@@ -26,11 +26,17 @@ import (
 // (re)mounting the handler.
 func newObsServer(t *testing.T) (*Server, *inkstream.Engine) {
 	t.Helper()
+	return newAggServer(t, gnn.AggMax)
+}
+
+// newAggServer is newObsServer over a GCN with the given aggregator.
+func newAggServer(t *testing.T, agg gnn.AggKind) (*Server, *inkstream.Engine) {
+	t.Helper()
 	leakcheck.Check(t)
 	rng := rand.New(rand.NewSource(7))
 	g := dataset.GenerateRMAT(rng, 150, 600, dataset.DefaultRMAT)
 	feats := dataset.NewFeatures(rng, 150, 8)
-	model := gnn.NewGCN(rng, 8, 16, gnn.NewAggregator(gnn.AggMax))
+	model := gnn.NewGCN(rng, 8, 16, gnn.NewAggregator(agg))
 	var c metrics.Counters
 	eng, err := inkstream.New(model, g, feats.X, &c, inkstream.Options{})
 	if err != nil {
