@@ -112,7 +112,7 @@ func buildServerOn(fs *flag.FlagSet, args []string) (http.Handler, string, error
 		shards     = fs.Int("shards", 1, "engine shards: >1 serves the graph from a partitioned multi-engine deployment")
 		partition  = fs.String("partition", "hash", "vertex partition strategy with -shards>1: hash, block or greedy (locality-aware)")
 		walPath    = fs.String("wal", "", "write-ahead log file: accepted batches are journaled before they are applied, and an existing log is replayed on startup onto the booted state (bundle or bootstrap)")
-		slowUpdate = fs.Duration("slow-update", 0, "requests at or above this latency are always kept in the flight recorder (GET /v1/traces, with the per-layer engine trace) and counted in inkstream_slow_updates_total (0 disables)")
+		slowUpdate = fs.Duration("slow-update", 0, "requests at or above this latency are always kept in the flight recorder (GET /v1/traces, with the per-layer engine trace) and counted in /v1/stats slow_updates (0 disables)")
 		pprofOn    = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 
 		memCap    = fs.String("mem-cap", "", "enable the tiered row store: soft cap on resident embedding page bytes, e.g. 512k, 64m, 1g (empty keeps everything resident)")

@@ -290,9 +290,9 @@ func topStraggler(prev, cur obs.Samples) (string, float64) {
 }
 
 // watchLine summarises one scrape window. Rates come from counter deltas;
-// the p99 comes from the windowed difference of the apply-latency
-// histogram's cumulative buckets (one engine batch or one BSP round) (falling back to the all-time histogram when the
-// window saw no updates).
+// the p99 comes from the windowed difference of the cumulative buckets of
+// the apply-latency histogram (one engine batch or one BSP round), falling
+// back to the all-time histogram when the window saw no updates.
 func watchLine(prev, cur obs.Samples, dt time.Duration) string {
 	delta := func(name string) float64 {
 		c, _ := cur.Get(name)
@@ -317,13 +317,7 @@ func watchLine(prev, cur obs.Samples, dt time.Duration) string {
 		p99 = obs.BucketQuantile(les, cumCur, 0.99)
 	}
 
-	// Event throughput: the engine-level counter when exported, otherwise
-	// the per-batch events histogram sum.
 	events := delta("inkstream_events_processed_total")
-	if events == 0 {
-		events = delta("inkstream_update_events_sum")
-	}
-
 	prunedRatio := visitRatio(prev, cur, "pruned")
 
 	epoch, _ := cur.Get("inkstream_snapshot_epoch")

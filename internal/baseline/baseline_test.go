@@ -178,8 +178,8 @@ func TestFusedWorkingSetGrowsWithDepth(t *testing.T) {
 	}
 }
 
-// TestKHopRecordsObserver: the baseline feeds the same observer histograms
-// as the engine, so served comparisons are like-for-like.
+// TestKHopRecordsObserver: the baseline feeds the same observer latency
+// histogram as the engine, so served comparisons are like-for-like.
 func TestKHopRecordsObserver(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(rng, 40, 120)
@@ -199,8 +199,5 @@ func TestKHopRecordsObserver(t *testing.T) {
 	}
 	if s := kh.Obs.UpdateLatency.Snapshot(); s.Count != 1 || s.Max <= 0 {
 		t.Errorf("latency histogram %+v", s)
-	}
-	if s := kh.Obs.Events.Snapshot(); s.Sum != int64(kh.LastAffected) {
-		t.Errorf("events sum = %d, want affected %d", s.Sum, kh.LastAffected)
 	}
 }

@@ -101,7 +101,7 @@ func (k *KHop) Update(delta graph.Delta) error {
 		k.C.StoreVec(k.Model.OutDim())
 	}
 	if k.Obs != nil {
-		k.Obs.RecordLatency(time.Since(t0), len(delta), int64(k.LastAffected))
+		k.Obs.RecordLatency(time.Since(t0))
 	}
 	return nil
 }

@@ -39,7 +39,7 @@ type Options struct {
 	// debugging; keep it fast.
 	Trace func(layer int, node graph.NodeID, cond Condition)
 	// Observer, when set, records every Apply into the serving-path
-	// latency/size histograms and fills a per-layer obs.Trace (phase
+	// latency histogram and fills a per-layer obs.Trace (phase
 	// timings, event traffic, condition counts; see Trace). The trace
 	// buffer is engine-owned and reused, so steady-state observation does
 	// not allocate; see SetObserver to install one after construction.
@@ -335,7 +335,7 @@ func (e *Engine) UpdateVertices(ups []VertexUpdate) error { return e.Apply(nil, 
 func (e *Engine) Apply(delta graph.Delta, vups []VertexUpdate) error {
 	// Observability: with an observer installed, every phase below is
 	// timed into the engine-owned reusable trace (no allocation) and the
-	// batch is recorded into the latency/size histograms at the end. A few
+	// batch is recorded into the latency histogram at the end. A few
 	// time.Now calls per update keep the overhead well under the <5%
 	// budget the observability layer is held to (BenchmarkApplyObservability).
 	if e.partLocal != nil {

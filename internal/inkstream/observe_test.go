@@ -170,8 +170,8 @@ func TestObservedApplyDoesNotAllocate(t *testing.T) {
 
 // BenchmarkApplyObservability measures the observability tax on the
 // steady-state hot path: the same alternating insert/delete workload as
-// BenchmarkApply with the observer off vs on (histograms + trace fill, no
-// emission). scripts/obs_overhead.sh gates the delta at <5%.
+// BenchmarkApply with the observer off vs on (latency histogram + trace
+// fill, no emission). scripts/obs_overhead.sh gates the delta at <5%.
 func BenchmarkApplyObservability(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	const n, feat, hidden = 2048, 64, 64

@@ -89,11 +89,10 @@ type alertInst struct {
 type AlertEngine struct {
 	sampler *Sampler
 
-	mu          sync.Mutex
-	alerts      []*alertInst
-	evals       int64
-	transitions int64
-	onFiring    []func(name, reason string)
+	mu       sync.Mutex
+	alerts   []*alertInst
+	evals    int64
+	onFiring []func(name, reason string)
 }
 
 // NewAlertEngine binds an engine to the sampler whose series the rules
@@ -181,27 +180,27 @@ func (e *AlertEngine) Eval() {
 		switch a.state {
 		case AlertInactive:
 			if breach {
-				a.to(AlertPending, now, e)
+				a.to(AlertPending, now)
 				a.breaches = 1
 			}
 		case AlertPending:
 			if !breach {
-				a.to(AlertInactive, now, e)
+				a.to(AlertInactive, now)
 			} else if a.breaches++; a.breaches > a.forTicks {
-				a.to(AlertFiring, now, e)
+				a.to(AlertFiring, now)
 				fired = append(fired, firedAlert{a.rule.Name, a.firingReason()})
 			}
 		case AlertFiring:
 			if !breach {
-				a.to(AlertResolved, now, e)
+				a.to(AlertResolved, now)
 				a.clears = 1
 			}
 		case AlertResolved:
 			if breach {
-				a.to(AlertFiring, now, e)
+				a.to(AlertFiring, now)
 				fired = append(fired, firedAlert{a.rule.Name, a.firingReason()})
 			} else if a.clears++; a.clears > a.hold {
-				a.to(AlertInactive, now, e)
+				a.to(AlertInactive, now)
 			}
 		}
 	}
@@ -227,11 +226,10 @@ func (a *alertInst) firingReason() string {
 		a.rule.Name, a.rule.Series, a.rule.Target, worst)
 }
 
-func (a *alertInst) to(s AlertState, now time.Time, e *AlertEngine) {
+func (a *alertInst) to(s AlertState, now time.Time) {
 	a.state = s
 	a.since = now
 	a.transitions++
-	e.transitions++
 }
 
 // Firing returns the names of currently firing alerts.
@@ -323,58 +321,6 @@ func (e *AlertEngine) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(e.Status())
-}
-
-// Register exposes the engine's state as metric families on r. Values are
-// sampled under the engine lock at scrape time only.
-func (e *AlertEngine) Register(r *Registry) {
-	r.GaugeFunc("inkstream_alerts_firing",
-		"Burn-rate alerts currently in the firing state (non-zero flips /healthz to degraded).",
-		func() float64 { return float64(len(e.Firing())) })
-	r.CounterFunc("inkstream_alert_evals_total",
-		"Alert-engine evaluation passes (one per time-series tick).",
-		func() float64 {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return float64(e.evals)
-		})
-	r.CounterFunc("inkstream_alert_transitions_total",
-		"Alert state-machine transitions (inactive/pending/firing/resolved).",
-		func() float64 {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return float64(e.transitions)
-		})
-	r.LabeledGaugeFunc("inkstream_alert_state",
-		"Per-alert state: 0 inactive, 1 pending, 2 firing, 3 resolved.",
-		func() []LabeledValue {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			out := make([]LabeledValue, len(e.alerts))
-			for i, a := range e.alerts {
-				out[i] = LabeledValue{
-					Labels: fmt.Sprintf(`alert=%q`, a.rule.Name),
-					Value:  float64(a.state),
-				}
-			}
-			return out
-		})
-	r.LabeledGaugeFunc("inkstream_alert_burn_rate",
-		"Last evaluated burn rate per alert window (error-tick fraction over budget; 1.0 burns the budget exactly at the objective's pace).",
-		func() []LabeledValue {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			var out []LabeledValue
-			for _, a := range e.alerts {
-				for wi, w := range a.rule.Windows {
-					out = append(out, LabeledValue{
-						Labels: fmt.Sprintf(`alert=%q,window="%d"`, a.rule.Name, w.Ticks),
-						Value:  a.burn[wi],
-					})
-				}
-			}
-			return out
-		})
 }
 
 // DefaultBurnRateRules is the standard fast/slow multi-window pair over a

@@ -174,37 +174,3 @@ func TestAlertEngineStatusAndServeHTTP(t *testing.T) {
 		t.Fatalf("body = %+v", body)
 	}
 }
-
-func TestAlertEngineMetrics(t *testing.T) {
-	h := newAlertHarness(AlertRule{
-		Name: "lat", Series: "lat_ms", Target: 10, Objective: 0.5,
-		Windows: []BurnWindow{{Ticks: 2, MaxBurn: 1}},
-	})
-	reg := NewRegistry()
-	h.engine.Register(reg)
-	h.tick(99)
-	h.tick(99)
-
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := ParseText(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := samples.Get("inkstream_alerts_firing"); !ok || got != 1 {
-		t.Fatalf("alerts_firing = %v (ok=%v)", got, ok)
-	}
-	if got, ok := samples.Get("inkstream_alert_evals_total"); !ok || got != 2 {
-		t.Fatalf("evals = %v (ok=%v)", got, ok)
-	}
-	states := samples.Family("inkstream_alert_state")
-	if len(states) != 1 || states[0].Value != float64(AlertFiring) {
-		t.Fatalf("alert_state = %+v", states)
-	}
-	burns := samples.Family("inkstream_alert_burn_rate")
-	if len(burns) != 1 || burns[0].Value <= 1 {
-		t.Fatalf("burn_rate = %+v", burns)
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -104,10 +105,7 @@ type BlackBox struct {
 	cfg BlackBoxConfig
 
 	seq      atomic.Uint64
-	captures atomic.Int64
-	dropped  atomic.Int64
-	errs     atomic.Int64
-	lastUnix atomic.Int64 // CapturedAt of the last automatic capture, unix ns
+	lastUnix atomic.Int64 // end of the last capture to disk, unix ns (the debounce origin)
 	last     atomic.Pointer[DumpManifest]
 
 	// extraMu guards extra: named JSON payload providers (e.g. the router's
@@ -176,8 +174,9 @@ func (b *BlackBox) LastManifest() *DumpManifest { return b.last.Load() }
 
 // Trigger requests an automatic capture: non-blocking (the incident path —
 // an alert eval or the apply goroutine tripping fail-stop — never waits on
-// disk), debounced, executed on the worker. A full queue or a capture
-// inside the debounce window counts as dropped.
+// disk), debounced, executed on the worker. A trigger that finds the queue
+// full, or arrives inside the debounce window, is dropped: a capture for the
+// same incident is already queued or on disk.
 func (b *BlackBox) Trigger(trigger, reason string) {
 	if b == nil {
 		return
@@ -185,7 +184,6 @@ func (b *BlackBox) Trigger(trigger, reason string) {
 	select {
 	case b.events <- bbEvent{trigger, reason}:
 	default:
-		b.dropped.Add(1)
 	}
 }
 
@@ -222,12 +220,11 @@ func (b *BlackBox) worker() {
 func (b *BlackBox) auto(ev bbEvent) {
 	if d := b.cfg.Debounce; d > 0 {
 		if last := b.lastUnix.Load(); last != 0 && time.Since(time.Unix(0, last)) < d {
-			b.dropped.Add(1)
 			return
 		}
 	}
 	if _, err := b.Capture(ev.trigger, ev.reason); err != nil {
-		b.errs.Add(1)
+		log.Printf("%v", err)
 	}
 }
 
@@ -364,10 +361,9 @@ func (b *BlackBox) Capture(trigger, reason string) (DumpManifest, error) {
 			return man, fmt.Errorf("blackbox: write %s: %w", f.name, err)
 		}
 	}
-	b.captures.Add(1)
 	b.last.Store(&man)
-	// Every capture (automatic or on-demand) stamps the debounce window and
-	// the last-capture metric.
+	// Every capture to disk (automatic or on-demand) stamps the debounce
+	// window.
 	b.lastUnix.Store(time.Now().UnixNano())
 	b.prune()
 	return man, nil
@@ -445,7 +441,6 @@ func (b *BlackBox) WriteTarGZ(w io.Writer, trigger, reason string) (DumpManifest
 	if err := tw.Close(); err != nil {
 		return man, err
 	}
-	b.captures.Add(1)
 	return man, gz.Close()
 }
 
@@ -459,31 +454,9 @@ func (b *BlackBox) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/gzip")
 	w.Header().Set("Content-Disposition",
 		fmt.Sprintf(`attachment; filename="inkstream-bundle-%06d.tar.gz"`, seq))
-	if _, err := b.WriteTarGZ(w, "on-demand", "GET /debug/bundle"); err != nil {
-		b.errs.Add(1)
-	}
-}
-
-// Register exposes capture accounting as inkstream_blackbox_* families.
-func (b *BlackBox) Register(r *Registry) {
-	r.CounterFunc("inkstream_blackbox_captures_total",
-		"Incident bundles captured (automatic triggers plus on-demand /debug/bundle).",
-		func() float64 { return float64(b.captures.Load()) })
-	r.CounterFunc("inkstream_blackbox_dropped_total",
-		"Automatic capture triggers dropped by debouncing or a full trigger queue.",
-		func() float64 { return float64(b.dropped.Load()) })
-	r.CounterFunc("inkstream_blackbox_errors_total",
-		"Bundle captures that failed (serialization or disk errors).",
-		func() float64 { return float64(b.errs.Load()) })
-	r.GaugeFunc("inkstream_blackbox_last_capture_timestamp_seconds",
-		"Unix time of the last automatic bundle capture (0 before the first).",
-		func() float64 {
-			ns := b.lastUnix.Load()
-			if ns == 0 {
-				return 0
-			}
-			return float64(ns) / 1e9
-		})
+	// Too late for a status change: a failed capture truncates the stream,
+	// which the client's gzip reader reports.
+	_, _ = b.WriteTarGZ(w, "on-demand", "GET /debug/bundle")
 }
 
 // ---------------------------------------------------------------------------

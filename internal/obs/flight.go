@@ -53,7 +53,7 @@ func (s Stage) String() string {
 // the trace is recorded; readers only ever see recorded (immutable) traces.
 type ReqTrace struct {
 	// ID is the request's trace ID, assigned at submit. Rendered as 16 hex
-	// digits everywhere (exemplars, /v1/traces) so the two can be joined.
+	// digits (TraceIDString), like the round IDs it is joined with.
 	ID uint64
 	// Kind is "update", "features" or "op".
 	Kind string
@@ -76,9 +76,8 @@ type ReqTrace struct {
 	Round uint64
 	// GCPause is the total stop-the-world GC pause time that overlapped the
 	// request's submit→ack window (0 when none did, or when runtime
-	// telemetry is disabled) — the annotation that resolves an ack-latency
-	// exemplar landing in a fat bucket to "the runtime froze the pipeline",
-	// not "the application was slow".
+	// telemetry is disabled) — the annotation that tells "the runtime froze
+	// the pipeline" from "the application was slow".
 	GCPause time.Duration
 	// Sampled and Slow report why the trace was recorded.
 	Sampled, Slow bool
@@ -130,7 +129,8 @@ func (t *ReqTrace) SlowestStage() (Stage, time.Duration) {
 	return best.Stage, best.D
 }
 
-// TraceIDString renders a trace ID the way exemplars and /v1/traces do.
+// TraceIDString renders a trace or round ID the way /v1/traces and
+// /v1/rounds do.
 func TraceIDString(id uint64) string { return fmt.Sprintf("%016x", id) }
 
 type spanJSONEntry struct {

@@ -24,18 +24,6 @@ type Histogram struct {
 	counts []atomic.Int64 // len(bounds)+1; last slot is +Inf
 	sum    atomic.Int64
 	max    atomic.Int64
-
-	// ex holds one exemplar per bucket (last sampled observation that
-	// landed there, with its trace ID); nil until EnableExemplars.
-	ex []atomic.Pointer[Exemplar]
-}
-
-// Exemplar links one concrete observation to the trace that produced it —
-// the OpenMetrics-style breadcrumb that resolves a fat histogram bucket to
-// a /v1/traces entry. Value is in the histogram's stored unit.
-type Exemplar struct {
-	Value   int64
-	TraceID uint64
 }
 
 // NewHistogram builds a histogram whose finite buckets span [min, max]:
@@ -129,38 +117,6 @@ func (h *Histogram) ObserveN(v, n int64) {
 	}
 }
 
-// EnableExemplars allocates the per-bucket exemplar slots. Call once at
-// wiring time, before concurrent use; Exemplar stores are no-ops until
-// then, so unexemplared histograms pay nothing.
-func (h *Histogram) EnableExemplars() {
-	if h.ex == nil {
-		h.ex = make([]atomic.Pointer[Exemplar], len(h.counts))
-	}
-}
-
-// Exemplar attaches a trace ID to the bucket covering v — typically called
-// for the sampled subset of observations, *in addition to* the Observe that
-// already counted the value. One small allocation per call; sample at the
-// call site. Nil-safe and a no-op unless EnableExemplars was called.
-func (h *Histogram) Exemplar(v int64, traceID uint64) {
-	if h == nil || h.ex == nil {
-		return
-	}
-	if v < 0 {
-		v = 0
-	}
-	h.ex[h.bucketIndex(v)].Store(&Exemplar{Value: v, TraceID: traceID})
-}
-
-// Sum returns the running sum of all observations (in the stored unit)
-// without copying buckets — the allocation-free read periodic samplers use.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // LoadCounts copies the live per-bucket counts into dst, which must have
 // NumBuckets slots, and returns the tracked maximum — the allocation-free
 // sibling of Snapshot for callers that own a reusable scratch buffer.
@@ -184,9 +140,6 @@ type HistSnapshot struct {
 	Count  int64
 	Sum    int64
 	Max    int64
-	// Exemplars holds the per-bucket exemplar pointers (nil entries for
-	// buckets without one); nil unless the histogram has exemplars enabled.
-	Exemplars []*Exemplar
 }
 
 // Snapshot copies the current state.
@@ -204,12 +157,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		c := h.counts[i].Load()
 		s.Counts[i] = c
 		s.Count += c
-	}
-	if h.ex != nil {
-		s.Exemplars = make([]*Exemplar, len(h.ex))
-		for i := range h.ex {
-			s.Exemplars[i] = h.ex[i].Load()
-		}
 	}
 	return s
 }

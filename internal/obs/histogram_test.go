@@ -168,21 +168,18 @@ func TestObserverRecord(t *testing.T) {
 	if o.Updates() != 2 || o.SlowUpdates() != 1 {
 		t.Fatalf("updates=%d slow=%d", o.Updates(), o.SlowUpdates())
 	}
-	if s := o.Events.Snapshot(); s.Sum != 4+10 {
-		t.Errorf("events sum = %d", s.Sum)
-	}
-	if s := o.BatchSize.Snapshot(); s.Sum != 2+2 {
-		t.Errorf("batch sum = %d", s.Sum)
+	if s := o.UpdateLatency.Snapshot(); s.Count != 2 || s.Sum != int64(fast.Total+slow.Total) {
+		t.Errorf("latency count=%d sum=%d", s.Count, s.Sum)
 	}
 
-	o.RecordLatency(2*time.Millisecond, 3, 9)
+	o.RecordLatency(2 * time.Millisecond)
 	if o.Updates() != 3 || o.SlowUpdates() != 2 {
 		t.Errorf("after RecordLatency: updates=%d slow=%d", o.Updates(), o.SlowUpdates())
 	}
 
 	var nilObs *Observer
 	nilObs.RecordUpdate(fast) // nil-safety
-	nilObs.RecordLatency(time.Second, 1, 1)
+	nilObs.RecordLatency(time.Second)
 	if nilObs.Updates() != 0 || nilObs.SlowUpdates() != 0 {
 		t.Error("nil observer not inert")
 	}

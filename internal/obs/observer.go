@@ -5,19 +5,13 @@ import (
 	"time"
 )
 
-// Observer aggregates one serving path's update observations: latency and
-// batch-size histograms that are always on, and a count of slow updates.
-// Engines call RecordUpdate once per applied batch; everything it does is
-// lock-free. A nil *Observer disables all recording, so call sites need no
-// guards.
+// Observer aggregates one serving path's update observations: a latency
+// histogram that is always on, and a count of slow updates. Engines call
+// RecordUpdate once per applied batch; everything it does is lock-free. A
+// nil *Observer disables all recording, so call sites need no guards.
 type Observer struct {
 	// UpdateLatency holds end-to-end Apply latencies in nanoseconds.
 	UpdateLatency *Histogram
-	// BatchSize holds the number of changes (edge + vertex) per batch.
-	BatchSize *Histogram
-	// Events holds native events processed per update (the affected-area
-	// proxy that drives the paper's Fig. 7 latency curves).
-	Events *Histogram
 
 	// SlowThreshold marks an update slow when its total latency reaches
 	// it; slow updates bump SlowUpdates. Zero disables the count. Set it
@@ -30,23 +24,17 @@ type Observer struct {
 
 // NewObserver builds an observer with the default histogram geometry.
 func NewObserver() *Observer {
-	return &Observer{
-		UpdateLatency: NewLatencyHistogram(),
-		BatchSize:     NewSizeHistogram(),
-		Events:        NewSizeHistogram(),
-	}
+	return &Observer{UpdateLatency: NewLatencyHistogram()}
 }
 
 // RecordLatency records one update without a trace (used by baselines so
 // benchmark comparisons are observed like-for-like).
-func (o *Observer) RecordLatency(d time.Duration, batch int, events int64) {
+func (o *Observer) RecordLatency(d time.Duration) {
 	if o == nil {
 		return
 	}
 	o.updates.Add(1)
 	o.UpdateLatency.ObserveDuration(d)
-	o.BatchSize.Observe(int64(batch))
-	o.Events.Observe(events)
 	if o.SlowThreshold > 0 && d >= o.SlowThreshold {
 		o.slow.Add(1)
 	}
@@ -54,7 +42,7 @@ func (o *Observer) RecordLatency(d time.Duration, batch int, events int64) {
 
 // RecordUpdate records one traced update.
 func (o *Observer) RecordUpdate(t *Trace) {
-	o.RecordLatency(t.Total, t.DeltaEdges+t.VertexUpdates, t.Events())
+	o.RecordLatency(t.Total)
 }
 
 // Updates returns the number of recorded updates.

@@ -15,23 +15,6 @@ type Sample struct {
 	Name   string
 	Labels map[string]string // nil when unlabeled
 	Value  float64
-	// Exemplar carries the sample's OpenMetrics exemplar, when present
-	// (`… # {trace_id="…"} value`); nil otherwise.
-	Exemplar *SampleExemplar
-}
-
-// SampleExemplar is one parsed exemplar annotation.
-type SampleExemplar struct {
-	Labels map[string]string
-	Value  float64
-}
-
-// TraceID returns the exemplar's trace_id label ("" when absent).
-func (e *SampleExemplar) TraceID() string {
-	if e == nil {
-		return ""
-	}
-	return e.Labels["trace_id"]
 }
 
 // Samples is a parsed scrape with lookup helpers.
@@ -118,22 +101,9 @@ func parseSample(line string) (Sample, error) {
 	if !metricName.MatchString(s.Name) {
 		return s, fmt.Errorf("invalid metric name %q", s.Name)
 	}
-	// An OpenMetrics exemplar may trail the value: `value # {labels} exval`.
-	// Split it off before the strict one-value check. Label values never
-	// contain '#' in this repo's expositions (trace IDs are hex), so a
-	// plain index is safe here.
-	if hash := strings.Index(rest, "#"); hash >= 0 {
-		exStr := strings.TrimSpace(rest[hash+1:])
-		rest = strings.TrimSpace(rest[:hash])
-		ex, err := parseExemplar(exStr)
-		if err != nil {
-			return s, fmt.Errorf("bad exemplar in %q: %w", line, err)
-		}
-		s.Exemplar = ex
-	}
-	// A trailing timestamp (optional in the format) would appear as a
-	// second field; this repo never writes one, so reject extra fields to
-	// keep the golden tests strict.
+	// A trailing timestamp (optional in the format) or exemplar annotation
+	// would appear as further fields; this repo writes neither, so reject
+	// extra fields to keep the golden tests strict.
 	fields := strings.Fields(rest)
 	if len(fields) != 1 {
 		return s, fmt.Errorf("expected one value in %q", line)
@@ -144,30 +114,6 @@ func parseSample(line string) (Sample, error) {
 	}
 	s.Value = v
 	return s, nil
-}
-
-// parseExemplar parses the `{labels} value` tail of an exemplar annotation.
-func parseExemplar(str string) (*SampleExemplar, error) {
-	if len(str) == 0 || str[0] != '{' {
-		return nil, fmt.Errorf("exemplar %q does not start with a label set", str)
-	}
-	end := strings.IndexByte(str, '}')
-	if end < 0 {
-		return nil, fmt.Errorf("unterminated exemplar label set in %q", str)
-	}
-	labels, err := parseLabels(str[1:end])
-	if err != nil {
-		return nil, err
-	}
-	fields := strings.Fields(str[end+1:])
-	if len(fields) != 1 {
-		return nil, fmt.Errorf("expected one exemplar value in %q", str)
-	}
-	v, err := parseValue(fields[0])
-	if err != nil {
-		return nil, err
-	}
-	return &SampleExemplar{Labels: labels, Value: v}, nil
 }
 
 func parseValue(f string) (float64, error) {

@@ -33,10 +33,8 @@ type LabeledValue struct {
 type family struct {
 	name, help, typ string
 	// collect appends samples; suffix extends the family name (histogram
-	// series), labels is the rendered label body or "", and ex is a
-	// pre-rendered exemplar annotation (`# {…} v`, or "") appended after
-	// the value — the OpenMetrics exemplar syntax, understood by ParseText.
-	collect func(emit func(suffix, labels string, v float64, ex string))
+	// series) and labels is the rendered label body or "".
+	collect func(emit func(suffix, labels string, v float64))
 }
 
 var metricName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
@@ -46,7 +44,7 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]bool)}
 }
 
-func (r *Registry) register(name, help, typ string, collect func(emit func(string, string, float64, string))) {
+func (r *Registry) register(name, help, typ string, collect func(emit func(string, string, float64))) {
 	if !metricName.MatchString(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -61,35 +59,24 @@ func (r *Registry) register(name, help, typ string, collect func(emit func(strin
 
 // CounterFunc registers a monotonically increasing value sampled by fn.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.register(name, help, "counter", func(emit func(string, string, float64, string)) {
-		emit("", "", fn(), "")
+	r.register(name, help, "counter", func(emit func(string, string, float64)) {
+		emit("", "", fn())
 	})
 }
 
 // GaugeFunc registers an instantaneous value sampled by fn.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(name, help, "gauge", func(emit func(string, string, float64, string)) {
-		emit("", "", fn(), "")
-	})
-}
-
-// LabeledGaugeFunc registers a gauge family whose samples (one per label
-// set) are produced by fn at scrape time — e.g. the shard router's
-// per-shard snapshot epochs.
-func (r *Registry) LabeledGaugeFunc(name, help string, fn func() []LabeledValue) {
-	r.register(name, help, "gauge", func(emit func(string, string, float64, string)) {
-		for _, lv := range fn() {
-			emit("", lv.Labels, lv.Value, "")
-		}
+	r.register(name, help, "gauge", func(emit func(string, string, float64)) {
+		emit("", "", fn())
 	})
 }
 
 // LabeledCounterFunc registers a counter family whose samples (one per
 // label set) are produced by fn at scrape time.
 func (r *Registry) LabeledCounterFunc(name, help string, fn func() []LabeledValue) {
-	r.register(name, help, "counter", func(emit func(string, string, float64, string)) {
+	r.register(name, help, "counter", func(emit func(string, string, float64)) {
 		for _, lv := range fn() {
-			emit("", lv.Labels, lv.Value, "")
+			emit("", lv.Labels, lv.Value)
 		}
 	})
 }
@@ -97,65 +84,23 @@ func (r *Registry) LabeledCounterFunc(name, help string, fn func() []LabeledValu
 // Histogram registers h under name. scale converts stored values to the
 // exposed unit (1e-9 turns nanosecond observations into the conventional
 // seconds). The exposition carries cumulative `_bucket{le="…"}` series plus
-// `_sum` and `_count`; buckets of exemplar-enabled histograms additionally
-// carry their trace-ID exemplar in OpenMetrics syntax.
+// `_sum` and `_count`.
 func (r *Registry) Histogram(name, help string, scale float64, h *Histogram) {
-	r.register(name, help, "histogram", histCollect("", scale, h))
-}
-
-// LabeledHistogram is one variant of a labeled histogram family: Labels is
-// the rendered label body (e.g. `agg="max"`, no braces).
-type LabeledHistogram struct {
-	Labels string
-	H      *Histogram
-}
-
-// HistogramVec registers a histogram family with one sub-histogram per
-// label set (e.g. the drift auditor's per-aggregator drift). Every variant
-// shares the family name; its label body is prepended to the `le` label.
-func (r *Registry) HistogramVec(name, help string, scale float64, variants []LabeledHistogram) {
-	collects := make([]func(emit func(string, string, float64, string)), len(variants))
-	for i, v := range variants {
-		collects[i] = histCollect(v.Labels, scale, v.H)
-	}
-	r.register(name, help, "histogram", func(emit func(string, string, float64, string)) {
-		for _, c := range collects {
-			c(emit)
-		}
-	})
-}
-
-// histCollect renders one histogram's samples with labels prefixed.
-func histCollect(labels string, scale float64, h *Histogram) func(emit func(string, string, float64, string)) {
 	if scale == 0 {
 		scale = 1
 	}
-	join := func(le string) string {
-		if labels == "" {
-			return `le="` + le + `"`
-		}
-		return labels + `,le="` + le + `"`
-	}
-	return func(emit func(string, string, float64, string)) {
+	r.register(name, help, "histogram", func(emit func(string, string, float64)) {
 		s := h.Snapshot()
-		exFor := func(i int) string {
-			if s.Exemplars == nil || s.Exemplars[i] == nil {
-				return ""
-			}
-			e := s.Exemplars[i]
-			return `# {trace_id="` + TraceIDString(e.TraceID) + `"} ` +
-				formatFloat(float64(e.Value)*scale)
-		}
 		var cum int64
 		for i, b := range s.Bounds {
 			cum += s.Counts[i]
-			emit("_bucket", join(formatFloat(float64(b)*scale)), float64(cum), exFor(i))
+			emit("_bucket", `le="`+formatFloat(float64(b)*scale)+`"`, float64(cum))
 		}
 		cum += s.Counts[len(s.Bounds)]
-		emit("_bucket", join("+Inf"), float64(cum), exFor(len(s.Bounds)))
-		emit("_sum", labels, float64(s.Sum)*scale, "")
-		emit("_count", labels, float64(cum), "")
-	}
+		emit("_bucket", `le="+Inf"`, float64(cum))
+		emit("_sum", "", float64(s.Sum)*scale)
+		emit("_count", "", float64(cum))
+	})
 }
 
 // WriteText renders every registered family in registration order.
@@ -167,16 +112,12 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for _, f := range fams {
 		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, sanitizeHelp(f.help))
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
-		f.collect(func(suffix, labels string, v float64, ex string) {
+		f.collect(func(suffix, labels string, v float64) {
 			if labels != "" {
-				fmt.Fprintf(bw, "%s%s{%s} %s", f.name, suffix, labels, formatFloat(v))
+				fmt.Fprintf(bw, "%s%s{%s} %s\n", f.name, suffix, labels, formatFloat(v))
 			} else {
-				fmt.Fprintf(bw, "%s%s %s", f.name, suffix, formatFloat(v))
+				fmt.Fprintf(bw, "%s%s %s\n", f.name, suffix, formatFloat(v))
 			}
-			if ex != "" {
-				fmt.Fprintf(bw, " %s", ex)
-			}
-			fmt.Fprintln(bw)
 		})
 	}
 	return bw.Flush()

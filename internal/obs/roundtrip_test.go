@@ -10,9 +10,8 @@ import (
 
 // TestRegistryParserRoundTrip is the exposition contract test: ParseText
 // must parse exactly what Registry.Handler()/WriteText emits — counters,
-// gauges, labeled families, histogram bucket/sum/count series, histogram
-// vecs, and the OpenMetrics trace-ID exemplar annotations the flight
-// recorder attaches — and the parsed values must equal the registered ones.
+// gauges, labeled families and histogram bucket/sum/count series — and the
+// parsed values must equal the registered ones.
 func TestRegistryParserRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.CounterFunc("rt_requests_total", "Requests.", func() float64 { return 42 })
@@ -22,19 +21,9 @@ func TestRegistryParserRoundTrip(t *testing.T) {
 	})
 
 	h := NewLatencyHistogram()
-	h.EnableExemplars()
 	h.ObserveDuration(3 * time.Millisecond)
 	h.ObserveDuration(40 * time.Microsecond)
-	h.Exemplar((3 * time.Millisecond).Nanoseconds(), 0x2a)
 	r.Histogram("rt_latency_seconds", "Latency.", 1e-9, h)
-
-	hv := []LabeledHistogram{
-		{Labels: `agg="max"`, H: NewHistogram(1, 1<<20)},
-		{Labels: `agg="sum"`, H: NewHistogram(1, 1<<20)},
-	}
-	hv[0].H.Observe(5)
-	hv[1].H.Observe(1000)
-	r.HistogramVec("rt_drift", "Drift.", 1e-9, hv)
 
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {
@@ -77,161 +66,15 @@ func TestRegistryParserRoundTrip(t *testing.T) {
 	if cum[len(cum)-1] != 2 {
 		t.Errorf("+Inf bucket %v, want 2", cum[len(cum)-1])
 	}
-
-	// Exactly one bucket carries the exemplar, its trace ID renders as 16
-	// hex digits, and its value is in the exposed unit (seconds).
-	var found int
-	for _, s := range samples.Family("rt_latency_seconds_bucket") {
-		if s.Exemplar == nil {
-			continue
-		}
-		found++
-		if id := s.Exemplar.TraceID(); id != TraceIDString(0x2a) {
-			t.Errorf("exemplar trace_id %q, want %q", id, TraceIDString(0x2a))
-		}
-		if want := 0.003; math.Abs(s.Exemplar.Value-want) > 1e-12 {
-			t.Errorf("exemplar value %v, want %v", s.Exemplar.Value, want)
-		}
-		// The exemplar must sit in the bucket that counted the observation.
-		le, err := parseValue(s.Labels["le"])
-		if err != nil || le < 0.003 {
-			t.Errorf("exemplar on bucket le=%v, below the observation", le)
-		}
-	}
-	if found != 1 {
-		t.Errorf("found %d exemplars, want 1", found)
-	}
-
-	// Histogram vec: both variants share the family and are distinguished by
-	// their label, with per-variant counts.
-	if v, ok := samples.Get("rt_drift_count", "agg", "max"); !ok || v != 1 {
-		t.Errorf("vec count (max): got %v ok=%v", v, ok)
-	}
-	if v, ok := samples.Get("rt_drift_count", "agg", "sum"); !ok || v != 1 {
-		t.Errorf("vec count (sum): got %v ok=%v", v, ok)
-	}
-	for _, s := range samples.Family("rt_drift_bucket") {
-		if s.Labels["agg"] == "" || s.Labels["le"] == "" {
-			t.Fatalf("vec bucket missing labels: %v", s.Labels)
-		}
-	}
-
-	// Unexemplared families must not grow annotations.
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "rt_requests_total") && strings.Contains(line, "#") {
-			t.Errorf("counter line carries an exemplar: %q", line)
-		}
-	}
 }
 
-// TestRoundAndAlertFamiliesRoundTrip extends the exposition contract to the
-// PR-7 families: the round-duration histogram with a round-ID exemplar, the
-// per-shard straggler counter, the attribution gauges, and everything the
-// alert engine registers.
-func TestRoundAndAlertFamiliesRoundTrip(t *testing.T) {
-	r := NewRegistry()
-
-	rd := NewLatencyHistogram()
-	rd.EnableExemplars()
-	rd.ObserveDuration(2 * time.Millisecond)
-	rd.ObserveDuration(18 * time.Millisecond)
-	roundID := uint64(0x51)
-	rd.Exemplar((18 * time.Millisecond).Nanoseconds(), roundID)
-	r.Histogram("inkstream_round_duration_seconds", "Round open-to-published duration.", 1e-9, rd)
-
-	r.CounterFunc("inkstream_round_barrier_wait_seconds_total", "Mean per-shard barrier wait.", func() float64 { return 1.25 })
-	r.CounterFunc("inkstream_round_compute_seconds_total", "Mean per-shard compute.", func() float64 { return 3.75 })
-	r.CounterFunc("inkstream_round_broadcast_seconds_total", "Router-side broadcast merge.", func() float64 { return 0.5 })
-	r.GaugeFunc("inkstream_round_barrier_share", "Last round barrier share.", func() float64 { return 0.42 })
-	r.GaugeFunc("inkstream_round_straggler_skew", "Last round straggler skew.", func() float64 { return 1.7 })
-	r.LabeledCounterFunc("inkstream_shard_straggler_rounds_total", "Rounds each shard straggled.", func() []LabeledValue {
-		return SortedLabeled("shard", map[string]int64{"0": 3, "1": 9})
-	})
-
-	sampler := NewSampler(time.Second, 16)
-	lat := 0.0
-	sampler.Gauge("ack_p99_ms", func() float64 { return lat })
-	eng := NewAlertEngine(sampler)
-	eng.SetRules(DefaultBurnRateRules("ack_p99_ms", 5)...)
-	eng.Register(r)
-	lat = 50
-	for i := 0; i < 4; i++ {
-		sampler.Tick()
-	}
-
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	samples, err := ParseText(strings.NewReader(text))
-	if err != nil {
-		t.Fatalf("exposition does not parse: %v\n%s", err, text)
-	}
-
-	if v, ok := samples.Get("inkstream_round_duration_seconds_count"); !ok || v != 2 {
-		t.Errorf("round duration count: got %v ok=%v", v, ok)
-	}
-	var found int
-	for _, s := range samples.Family("inkstream_round_duration_seconds_bucket") {
-		if s.Exemplar == nil {
-			continue
-		}
-		found++
-		if id := s.Exemplar.TraceID(); id != TraceIDString(roundID) {
-			t.Errorf("round exemplar trace_id %q, want %q", id, TraceIDString(roundID))
-		}
-		if want := 0.018; math.Abs(s.Exemplar.Value-want) > 1e-12 {
-			t.Errorf("round exemplar value %v, want %v", s.Exemplar.Value, want)
-		}
-	}
-	if found != 1 {
-		t.Errorf("found %d round exemplars, want 1", found)
-	}
-
-	if v, ok := samples.Get("inkstream_round_barrier_wait_seconds_total"); !ok || v != 1.25 {
-		t.Errorf("barrier wait: got %v ok=%v", v, ok)
-	}
-	if v, ok := samples.Get("inkstream_round_barrier_share"); !ok || v != 0.42 {
-		t.Errorf("barrier share: got %v ok=%v", v, ok)
-	}
-	if v, ok := samples.Get("inkstream_shard_straggler_rounds_total", "shard", "1"); !ok || v != 9 {
-		t.Errorf("straggler rounds: got %v ok=%v", v, ok)
-	}
-
-	// Alert families: the fast rule fires after two all-bad evals, so four
-	// ticks of breached latency must expose a firing count and per-alert
-	// state/burn samples that survive the round trip.
-	if v, ok := samples.Get("inkstream_alerts_firing"); !ok || v < 1 {
-		t.Errorf("alerts firing: got %v ok=%v", v, ok)
-	}
-	if v, ok := samples.Get("inkstream_alert_evals_total"); !ok || v != 4 {
-		t.Errorf("alert evals: got %v ok=%v", v, ok)
-	}
-	if v, ok := samples.Get("inkstream_alert_state", "alert", "ack_p99_ms-slo-fast"); !ok || v != float64(AlertFiring) {
-		t.Errorf("fast alert state: got %v ok=%v", v, ok)
-	}
-	if v, ok := samples.Get("inkstream_alert_burn_rate", "alert", "ack_p99_ms-slo-fast", "window", "12"); !ok || v <= 10 {
-		t.Errorf("fast alert burn: got %v ok=%v", v, ok)
-	}
-}
-
-// TestRuntimeAndBlackBoxFamiliesRoundTrip extends the exposition contract
-// to the PR-10 families: the runtime telemetry plane's gauges, counters and
-// pause/sched histograms, and the black box capture counters.
-func TestRuntimeAndBlackBoxFamiliesRoundTrip(t *testing.T) {
+// TestRuntimeFamiliesRoundTrip extends the exposition contract to the
+// runtime telemetry plane's gauges and GC-pause histogram.
+func TestRuntimeFamiliesRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	rt := NewRuntime()
 	rt.Collect()
 	rt.Register(r)
-
-	bb := NewBlackBox(BlackBoxConfig{Dir: t.TempDir(), Debounce: -1,
-		Source: BlackBoxSource{Runtime: rt}})
-	defer bb.Close()
-	bb.Register(r)
-	if _, err := bb.Capture("manual", ""); err != nil {
-		t.Fatal(err)
-	}
 
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {
@@ -249,55 +92,32 @@ func TestRuntimeAndBlackBoxFamiliesRoundTrip(t *testing.T) {
 	if v, ok := samples.Get("inkstream_runtime_goroutines"); !ok || v < 1 {
 		t.Errorf("goroutines gauge: got %v ok=%v", v, ok)
 	}
-	if v, ok := samples.Get("inkstream_runtime_gc_cycles_total"); !ok || v < 0 {
-		t.Errorf("gc cycles counter: got %v ok=%v", v, ok)
+	if v, ok := samples.Get("inkstream_runtime_gc_cpu_fraction"); !ok || v < 0 || v > 1 {
+		t.Errorf("gc cpu fraction gauge: got %v ok=%v", v, ok)
 	}
-	if v, ok := samples.Get("inkstream_runtime_collects_total"); !ok || v < 1 {
-		t.Errorf("collects counter: got %v ok=%v", v, ok)
+	// The pause histogram exposes a well-formed cumulative bucket series.
+	les, cum := samples.Buckets("inkstream_runtime_gc_pause_seconds")
+	if len(les) == 0 || !math.IsInf(les[len(les)-1], 1) {
+		t.Fatalf("gc pause buckets must end at +Inf: %v", les)
 	}
-	// Both runtime histograms expose well-formed cumulative bucket series.
-	for _, fam := range []string{"inkstream_runtime_gc_pause_seconds", "inkstream_runtime_sched_latency_seconds"} {
-		les, cum := samples.Buckets(fam)
-		if len(les) == 0 || !math.IsInf(les[len(les)-1], 1) {
-			t.Fatalf("%s buckets must end at +Inf: %v", fam, les)
+	for i := 1; i < len(cum); i++ {
+		if cum[i] < cum[i-1] {
+			t.Fatalf("gc pause buckets not cumulative: %v", cum)
 		}
-		for i := 1; i < len(cum); i++ {
-			if cum[i] < cum[i-1] {
-				t.Fatalf("%s buckets not cumulative: %v", fam, cum)
-			}
-		}
-	}
-
-	if v, ok := samples.Get("inkstream_blackbox_captures_total"); !ok || v != 1 {
-		t.Errorf("blackbox captures: got %v ok=%v", v, ok)
-	}
-	if v, ok := samples.Get("inkstream_blackbox_errors_total"); !ok || v != 0 {
-		t.Errorf("blackbox errors: got %v ok=%v", v, ok)
-	}
-	if v, ok := samples.Get("inkstream_blackbox_last_capture_timestamp_seconds"); !ok || v <= 0 {
-		t.Errorf("blackbox last capture: got %v ok=%v", v, ok)
 	}
 }
 
-// TestParseExemplarErrors: malformed exemplar annotations must be rejected,
-// not silently dropped.
+// TestParseExemplarErrors: the registry writes no exemplar annotations, so
+// the strict parser rejects any, well-formed or not, instead of silently
+// dropping them.
 func TestParseExemplarErrors(t *testing.T) {
 	for _, line := range []string{
-		`m_bucket{le="1"} 2 # 0.5`,                     // no label set
-		`m_bucket{le="1"} 2 # {trace_id="aa"`,          // unterminated
-		`m_bucket{le="1"} 2 # {trace_id="aa"} x`,       // bad value
-		`m_bucket{le="1"} 2 # {trace_id="aa"} 0.5 0.6`, // two values
+		`m_bucket{le="1"} 2 # 0.5`,                               // no label set
+		`m_bucket{le="1"} 2 # {trace_id="aa"`,                    // unterminated
+		`m_bucket{le="1"} 2 # {trace_id="00000000000000aa"} 0.5`, // well-formed
 	} {
 		if _, err := ParseText(strings.NewReader(line + "\n")); err == nil {
 			t.Errorf("accepted %q", line)
 		}
-	}
-	// And a well-formed one parses.
-	ss, err := ParseText(strings.NewReader(`m_bucket{le="1"} 2 # {trace_id="00000000000000aa"} 0.5` + "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss[0].Exemplar == nil || ss[0].Exemplar.Value != 0.5 || ss[0].Exemplar.TraceID() != "00000000000000aa" {
-		t.Errorf("bad exemplar: %+v", ss[0].Exemplar)
 	}
 }

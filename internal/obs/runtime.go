@@ -19,10 +19,9 @@ import (
 // set into reusable buffers (allocation-free at steady state), publishes
 // scalar gauges through atomics, folds the runtime's cumulative
 // Float64Histograms (GC pauses, scheduler latency) into the repo's own
-// lock-free log2 histograms so the registry, parser, sampler quantiles and
-// exemplar machinery all work unchanged, and maintains a ring of recent GC
-// pause windows so the pipeline can annotate ack traces that overlapped a
-// stop-the-world pause.
+// lock-free log2 histograms so the registry, parser and sampler quantiles
+// all work unchanged, and maintains a ring of recent GC pause windows so the
+// pipeline can annotate ack traces that overlapped a stop-the-world pause.
 
 // runtime/metrics keys Collect reads, in sample-buffer order.
 const (
@@ -300,27 +299,15 @@ func (r *Runtime) Register(reg *Registry) {
 	reg.GaugeFunc("inkstream_runtime_heap_inuse_bytes",
 		"Bytes of live and not-yet-swept heap objects (runtime/metrics /memory/classes/heap/objects), as of the last sampler tick.",
 		func() float64 { return float64(r.heapBytes.Load()) })
-	reg.GaugeFunc("inkstream_runtime_mem_total_bytes",
-		"Total bytes of memory mapped by the Go runtime, as of the last sampler tick.",
-		func() float64 { return float64(r.totalBytes.Load()) })
 	reg.GaugeFunc("inkstream_runtime_goroutines",
 		"Live goroutines, as of the last sampler tick.",
 		func() float64 { return float64(r.goroutines.Load()) })
-	reg.CounterFunc("inkstream_runtime_gc_cycles_total",
-		"Completed GC cycles.",
-		func() float64 { return float64(r.gcCycles.Load()) })
 	reg.GaugeFunc("inkstream_runtime_gc_cpu_fraction",
 		"Cumulative fraction of available CPU spent on GC since process start.",
 		func() float64 { return math.Float64frombits(r.gcCPUFrac.Load()) })
 	reg.Histogram("inkstream_runtime_gc_pause_seconds",
 		"Stop-the-world GC pause latency, bridged from runtime/metrics /gc/pauses per sampler tick.",
 		1e-9, r.pauseHist)
-	reg.Histogram("inkstream_runtime_sched_latency_seconds",
-		"Time goroutines spent runnable before running, bridged from runtime/metrics /sched/latencies per sampler tick.",
-		1e-9, r.schedHist)
-	reg.CounterFunc("inkstream_runtime_collects_total",
-		"Runtime telemetry collection passes (one per sampler tick while enabled).",
-		func() float64 { return float64(r.collects.Load()) })
 }
 
 // RuntimeStats is the point-in-time runtime snapshot black-box bundles

@@ -15,7 +15,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/gnn"
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 // Continuous drift auditor (DESIGN.md §9.4). InkStream's accumulative
@@ -25,10 +24,10 @@ import (
 // tolerance sweeps quantify offline. The auditor turns it into a live
 // signal: it captures the L-hop dependency cone of a few random nodes on the
 // apply stage (exclusive — see baseline.CaptureShadow), recomputes them *off*
-// the pipeline, and publishes the measured drift (gauge, per-aggregator
-// histograms) plus a failure counter when drift exceeds the tolerance. It is
-// the sampled, non-exclusive sibling of Engine.Verify: Verify quiesces the
-// writer for a full-graph recompute; the auditor stalls it only for the
+// the pipeline, and publishes the measured drift (the drift_max_abs series
+// and /healthz field) plus a failure count when drift exceeds the tolerance.
+// It is the sampled, non-exclusive sibling of Engine.Verify: Verify quiesces
+// the writer for a full-graph recompute; the auditor stalls it only for the
 // capture. On a small dense graph the cone of a few nodes is most of the
 // graph, so an audit costs about a full inference; the loop therefore spends
 // at most auditShare of one core on it, whatever the update rate.
@@ -39,11 +38,9 @@ import (
 const auditShare = 0.02
 
 // auditState carries the auditor's configuration and published results.
-// Constructed eagerly in New so the /metrics families always exist; the
-// background loop only starts with EnableDriftAudit.
+// Constructed eagerly in New so /healthz and the drift_max_abs series always
+// read it; the background loop only starts with EnableDriftAudit.
 type auditState struct {
-	hists []obs.LabeledHistogram // per-audit drift, one per aggregator kind
-
 	sample int     // nodes captured per audit
 	tol    float32 // max abs drift allowed on a model with a sum/mean layer
 	// exact is set when every aggregator is monotonic: the maintained state
@@ -54,7 +51,6 @@ type auditState struct {
 	mu  sync.Mutex // serialises audits; guards rng
 	rng *rand.Rand
 
-	audits     atomic.Int64
 	failures   atomic.Int64
 	lastFailed atomic.Bool
 	driftBits  atomic.Uint64 // float64 bits of the most recent audit's drift
@@ -72,7 +68,6 @@ func newAuditState(m *gnn.Model) *auditState {
 		exact = exact && l.Agg().Monotonic()
 	}
 	return &auditState{
-		hists:  driftHistograms(m),
 		sample: 16,
 		tol:    2e-3,
 		exact:  exact,
@@ -88,47 +83,8 @@ func (a *auditState) limit() float32 {
 	return a.tol
 }
 
-func (a *auditState) register(r *obs.Registry) {
-	r.CounterFunc("inkstream_drift_audits_total",
-		"Shadow-recompute drift audits completed.",
-		func() float64 { return float64(a.audits.Load()) })
-	r.CounterFunc("inkstream_drift_audit_failures_total",
-		"Drift audits whose max abs drift exceeded the tolerance.",
-		func() float64 { return float64(a.failures.Load()) })
-	r.GaugeFunc("inkstream_drift_max_abs",
-		"Max abs difference between maintained and shadow-recomputed embeddings in the most recent drift audit.",
-		a.lastDrift)
-	r.HistogramVec("inkstream_drift_abs",
-		"Per-audit max abs drift, labeled by the model's aggregator kind (accumulative kinds drift; monotonic kinds should sit in the lowest bucket).",
-		1e-9, a.hists)
-}
-
-// driftHistograms builds one drift histogram per distinct aggregator kind in
-// the model. Drift is end-to-end (it accumulates through every layer), so a
-// mixed-aggregator model observes each audit under every kind it uses; the
-// label answers "which aggregation family does this deployment drift like"
-// across a fleet, not "which layer drifted".
-func driftHistograms(m *gnn.Model) []obs.LabeledHistogram {
-	seen := make(map[gnn.AggKind]bool)
-	var out []obs.LabeledHistogram
-	for _, l := range m.Layers {
-		k := l.Agg().Kind()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, obs.LabeledHistogram{
-			Labels: `agg="` + k.String() + `"`,
-			// Nano-units: bucket i covers drift up to ~2^i × 1e-9, spanning
-			// bit-noise (1e-9) through clearly-broken (~1.0).
-			H: obs.NewHistogram(1, 1<<30),
-		})
-	}
-	return out
-}
-
 // lastDrift returns the most recent audit's max abs drift (0 before the
-// first audit) — the inkstream_drift_max_abs gauge and healthz field.
+// first audit) — the drift_max_abs series and healthz field.
 func (a *auditState) lastDrift() float64 {
 	return math.Float64frombits(a.driftBits.Load())
 }
@@ -274,12 +230,7 @@ func (s *Server) AuditNow(sample int) (baseline.ShadowResult, error) {
 	// Phase 2: recompute off the pipeline. The capture is self-contained,
 	// so the writer is already serving the next update while this runs.
 	res := sh.Recompute()
-	a.audits.Add(1)
 	a.driftBits.Store(math.Float64bits(float64(res.MaxAbsDiff)))
-	driftNanos := int64(math.Ceil(float64(res.MaxAbsDiff) * 1e9))
-	for i := range a.hists {
-		a.hists[i].H.Observe(driftNanos)
-	}
 	if res.MaxAbsDiff > a.limit() {
 		a.failures.Add(1)
 		a.lastFailed.Store(true)

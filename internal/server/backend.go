@@ -139,17 +139,7 @@ func (e *engineBackend) Mount(sf Surface) {
 	r.LabeledCounterFunc("inkstream_node_visits_total",
 		"Per-layer node visits by InkStream condition (paper Fig. 8 taxonomy).",
 		func() []obs.LabeledValue { return obs.SortedLabeled("condition", e.conditions()) })
-	e.audit.register(r)
 	if c := e.counters; c != nil {
-		r.CounterFunc("inkstream_bytes_fetched_total",
-			"Embedding/feature bytes read by inference (Table V memory cost).",
-			func() float64 { return float64(c.BytesFetched.Load()) })
-		r.CounterFunc("inkstream_bytes_written_total",
-			"Embedding bytes stored back by inference.",
-			func() float64 { return float64(c.BytesWritten.Load()) })
-		r.CounterFunc("inkstream_flops_total",
-			"Floating-point operations spent in inference.",
-			func() float64 { return float64(c.FLOPs.Load()) })
 		r.CounterFunc("inkstream_events_processed_total",
 			"InkStream propagation events consumed.",
 			func() float64 { return float64(c.EventsProcessed.Load()) })

@@ -49,7 +49,6 @@ func (s *Server) EnableBlackBox(cfg obs.BlackBoxConfig) *obs.BlackBox {
 	}
 	bb := obs.NewBlackBox(cfg)
 	s.blackbox = bb
-	bb.Register(s.reg)
 	s.alerts.OnFiring(func(name, reason string) {
 		bb.Trigger("alert-"+name, reason)
 	})

@@ -65,10 +65,10 @@ func TestBlackBoxIncidentBundle(t *testing.T) {
 	}
 }
 
-// TestPageFaultTraceExemplars: a faulting tiered read attaches its trace ID
-// to the page-fault latency histogram and records a "read" trace, so a fat
-// fault bucket resolves to a concrete read at /v1/traces.
-func TestPageFaultTraceExemplars(t *testing.T) {
+// TestPageFaultReadTraces: a faulting tiered read records a "read" trace,
+// the entry inkstat -postmortem renders among the slowest traces, and its
+// latency lands in the page-fault histogram behind fault-p99=.
+func TestPageFaultReadTraces(t *testing.T) {
 	leakcheck.Check(t)
 	ts, s, _ := newTieredServer(t)
 	s.SetTraceSampling(128, 1)
@@ -95,33 +95,20 @@ func TestPageFaultTraceExemplars(t *testing.T) {
 		t.Fatal("no faults under an 8-page cap; the test premise broke")
 	}
 
-	var readTraces []*obs.ReqTrace
+	reads := 0
 	for _, tr := range s.FlightRecorder().Traces() {
-		if tr.Kind == "read" {
-			readTraces = append(readTraces, tr)
-		}
-	}
-	if len(readTraces) == 0 {
-		t.Fatal("no read-kind traces recorded for faulting reads")
-	}
-	ids := map[string]bool{}
-	for _, tr := range readTraces {
-		ids[obs.TraceIDString(tr.ID)] = true
-	}
-
-	// The histogram's exemplar must join a recorded read trace.
-	samples := scrape(t, ts.URL)
-	var exemplars int
-	for _, sm := range samples.Family("inkstream_page_fault_latency_seconds_bucket") {
-		if sm.Exemplar == nil {
+		if tr.Kind != "read" {
 			continue
 		}
-		exemplars++
-		if !ids[sm.Exemplar.TraceID()] {
-			t.Errorf("fault exemplar %s joins no recorded read trace", sm.Exemplar.TraceID())
+		reads++
+		if tr.Total <= 0 || tr.Marks[obs.StageAck] != tr.Total || !tr.Sampled || tr.Err != "" {
+			t.Errorf("read trace %s", tr)
 		}
 	}
-	if exemplars == 0 {
-		t.Error("page-fault histogram carries no exemplars")
+	if reads == 0 {
+		t.Fatal("no read-kind traces recorded for faulting reads")
+	}
+	if n, _ := scrape(t, ts.URL).Get("inkstream_page_fault_latency_seconds_count"); n < float64(reads) {
+		t.Errorf("page-fault histogram counted %v faults, fewer than the %d read traces", n, reads)
 	}
 }

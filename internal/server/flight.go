@@ -15,9 +15,9 @@ import (
 // timestamp at each stage it passes (journal group commit, coalesce pickup,
 // engine apply, snapshot publish, ack). The per-stage marks cost a handful
 // of time.Now calls per request; everything heavier — building the
-// obs.ReqTrace, cloning the engine's per-layer trace, exemplar attachment —
-// happens only for requests that end up *recorded*: sampled (1 in
-// SampleEvery by ID), slower than the slow threshold, or failed.
+// obs.ReqTrace, cloning the engine's per-layer trace — happens only for
+// requests that end up *recorded*: sampled (1 in SampleEvery by ID), slower
+// than the slow threshold, or failed.
 
 // newReq builds a pipeline request, stamping its flight-recorder identity
 // when request tracing is enabled.
@@ -60,10 +60,8 @@ func (s *Server) willRecord(r *updateReq) bool {
 }
 
 // attachEngineTrace clones the backend's per-layer trace of the apply that
-// just covered r (when it keeps one) onto the request, and links the
-// apply-latency histogram bucket it landed in to the request's trace ID
-// (exemplar). Must run on the apply goroutine, before the next Apply
-// invalidates the trace.
+// just covered r (when it keeps one) onto the request. Must run on the apply
+// goroutine, before the next Apply invalidates the trace.
 func (s *Server) attachEngineTrace(r *updateReq, eng **obs.Trace) {
 	if !s.willRecord(r) {
 		return
@@ -74,7 +72,6 @@ func (s *Server) attachEngineTrace(r *updateReq, eng **obs.Trace) {
 			return
 		}
 		*eng = t.Clone()
-		s.obs.UpdateLatency.Exemplar((*eng).Total.Nanoseconds(), r.id)
 	}
 	r.eng = *eng
 }
@@ -91,7 +88,6 @@ func (s *Server) finish(r *updateReq, err error) {
 		s.ackLat.Observe(total.Nanoseconds())
 		slow := f.IsSlow(total)
 		if r.sampled || slow || err != nil {
-			s.ackLat.Exemplar(total.Nanoseconds(), r.id)
 			t := &obs.ReqTrace{
 				ID:      r.id,
 				Kind:    r.kind,
@@ -110,8 +106,7 @@ func (s *Server) finish(r *updateReq, err error) {
 				t.Err = err.Error()
 			}
 			// Annotate the trace with any GC stop-the-world pause that
-			// overlapped its submit→ack window — the exemplar in a fat
-			// ack-latency bucket then explains itself.
+			// overlapped its submit→ack window.
 			t.GCPause = s.runtime.GCPauseOverlap(r.start, r.start.Add(total))
 			f.Record(t)
 		}
@@ -139,7 +134,7 @@ func (s *Server) SetTraceSampling(ring, every int) {
 // SetSlowTraceThreshold marks requests at or above d as slow — always kept
 // in the flight recorder, with the backend's per-layer trace attached when
 // it keeps one — and applied batches at or above d as slow updates
-// (inkstream_slow_updates_total). Call before serving.
+// (/v1/stats slow_updates). Call before serving.
 func (s *Server) SetSlowTraceThreshold(d time.Duration) {
 	s.obs.SlowThreshold = d
 	if s.flight != nil {
@@ -232,18 +227,15 @@ func (s *Server) handleTimeseries(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, s.sampler.Snapshot())
 }
 
-// buildTimeseries registers the serving series the sampler tracks. Counters
-// render as per-second rates, latency quantiles are windowed per tick; every
-// source reads atomics or the published state, so a tick never touches
-// mutable engine state.
+// buildTimeseries registers the serving series the sampler tracks, each read
+// by an inkstat sparkline, a post-mortem section, /healthz or the burn-rate
+// alerts (DESIGN.md §9.3). Counters render as per-second rates, latency
+// quantiles are windowed per tick; every source reads atomics or the
+// published state, so a tick never touches mutable engine state.
 func (s *Server) buildTimeseries() {
 	ts := s.sampler
 	ts.Counter("upd_per_s", func() float64 { return float64(s.obs.Updates()) })
-	ts.Counter("reads_per_s", func() float64 { return float64(s.reads.Load()) })
-	ts.Counter("events_per_s", func() float64 { return float64(s.obs.Events.Sum()) })
 	ts.HistQuantile("ack_p99_ms", s.ackLat, 0.99, 1e-6)
-	ts.HistQuantile("apply_p99_ms", s.obs.UpdateLatency, 0.99, 1e-6)
-	ts.Gauge("epoch", func() float64 { return float64(s.backend.Shape().Epoch) })
 	ts.Gauge("lag_batches", func() float64 { return float64(s.lag()) })
 	// Runtime telemetry series (heap_mb, goroutines, gc_cpu_pct,
 	// gc_pause_ms, sched_p99_ms); the first one runs the tick's Collect.

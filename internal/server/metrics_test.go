@@ -147,16 +147,9 @@ func TestMetricsExposition(t *testing.T) {
 	if got, _ := samples.Get("inkstream_node_visits_total", "condition", inkstream.CondNoReset.String()); got != float64(st.Counts[inkstream.CondNoReset]) {
 		t.Errorf("no-reset visits = %v, engine %d", got, st.Counts[inkstream.CondNoReset])
 	}
-	// Graph gauges and work counters.
-	if got, _ := samples.Get("inkstream_graph_edges"); got != float64(eng.Graph().NumEdges()) {
-		t.Errorf("graph edges gauge = %v, want %d", got, eng.Graph().NumEdges())
-	}
-	if got, ok := samples.Get("inkstream_bytes_fetched_total"); !ok || got <= 0 {
-		t.Errorf("bytes fetched = %v, %v", got, ok)
-	}
-	// Batch-size histogram saw the one-change batch.
-	if got, _ := samples.Get("inkstream_update_batch_size_count"); got != 1 {
-		t.Errorf("batch size _count = %v, want 1", got)
+	// The event counter behind inkstat's events/s column.
+	if got, ok := samples.Get("inkstream_events_processed_total"); !ok || got <= 0 {
+		t.Errorf("events processed = %v, %v", got, ok)
 	}
 	// Snapshot pipeline metrics: the bootstrap snapshot is epoch 1, the
 	// applied batch published epoch 2, and nothing is in flight when the
@@ -216,8 +209,8 @@ func TestMetricsWALAndGroupCommit(t *testing.T) {
 	}
 }
 
-// TestStatsLatencyQuantiles checks the /v1/stats update-latency quantiles
-// and condition counts after one update.
+// TestStatsLatencyQuantiles checks the /v1/stats update-latency quantiles,
+// condition counts and bytes fetched after one update.
 func TestStatsLatencyQuantiles(t *testing.T) {
 	srv, eng := newObsServer(t)
 	ts := httptest.NewServer(srv.Handler())
@@ -239,6 +232,9 @@ func TestStatsLatencyQuantiles(t *testing.T) {
 	}
 	if len(stats.Conditions) == 0 {
 		t.Error("stats conditions empty after an update")
+	}
+	if stats.BytesFetched <= 0 {
+		t.Errorf("bytes_fetched = %d after an update", stats.BytesFetched)
 	}
 }
 
@@ -277,8 +273,7 @@ func TestSlowUpdateLog(t *testing.T) {
 	if tr := body.Traces[0]; !tr.Slow || tr.Sampled || tr.Edges != 1 || len(tr.Engine.Layers) != eng.Model().NumLayers() {
 		t.Errorf("slow trace %+v: want slow, unsampled, 1 edge, %d engine layers", tr, eng.Model().NumLayers())
 	}
-	samples := scrape(t, ts.URL)
-	if got, _ := samples.Get("inkstream_slow_updates_total"); got != 1 {
-		t.Errorf("slow updates counter = %v, want 1", got)
+	if got := srv.Stats().SlowUpdates; got != 1 {
+		t.Errorf("slow_updates = %d, want 1", got)
 	}
 }

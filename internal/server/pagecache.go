@@ -22,10 +22,10 @@ type PageCacheSection struct {
 }
 
 // EnablePageCache registers the tiered store's page-cache metric families
-// and the /v1/stats page_cache section. stats samples the store's
-// counters (persist.TieredStore.Stats fits); faultLat must be the same
-// histogram the store observes fault latency into; quant names the
-// on-page encoding. Like the other configuration methods it must be
+// (the inkstat -watch cache=/fault-p99=/hot= columns) and the /v1/stats
+// page_cache section. stats samples the store's counters
+// (persist.TieredStore.Stats fits); faultLat must be the same histogram the
+// store observes fault latency into; quant names the on-page encoding. Like the other configuration methods it must be
 // called before serving. The server stays decoupled from the storage
 // package: everything crosses this boundary as obs types, the same way
 // the journal crosses as an interface. New servers only: the tiered store is
@@ -42,21 +42,6 @@ func (s *Server) EnablePageCache(stats func() obs.PageCacheStats, faultLat *obs.
 	r.CounterFunc("inkstream_page_cache_misses_total",
 		"Row reads that faulted their page in from the spill file.",
 		func() float64 { return float64(stats().Misses) })
-	r.CounterFunc("inkstream_page_cache_evictions_total",
-		"Page payloads dropped by the clock (second-chance) sweep.",
-		func() float64 { return float64(stats().Evictions) })
-	r.CounterFunc("inkstream_page_cache_writebacks_total",
-		"Page generations persisted to the spill file by the background writer.",
-		func() float64 { return float64(stats().Writebacks) })
-	r.CounterFunc("inkstream_page_cache_write_errors_total",
-		"Failed spill-file writes; the affected generation stays dirty and resident.",
-		func() float64 { return float64(stats().WriteErrors) })
-	r.GaugeFunc("inkstream_page_cache_hot_bytes",
-		"Resident encoded payload bytes across all pages.",
-		func() float64 { return float64(stats().HotBytes) })
-	r.GaugeFunc("inkstream_page_cache_cap_bytes",
-		"Configured soft cap on resident payload bytes (0 = uncapped).",
-		func() float64 { return float64(stats().CapBytes) })
 	r.GaugeFunc("inkstream_page_cache_hot_pages",
 		"Pages whose current generation is resident.",
 		func() float64 { return float64(stats().HotPages) })
@@ -64,23 +49,19 @@ func (s *Server) EnablePageCache(stats func() obs.PageCacheStats, faultLat *obs.
 		"Total pages in the store.",
 		func() float64 { return float64(stats().TotalPages) })
 	if faultLat != nil {
-		// Faulting reads attach trace-ID exemplars (see readTieredRow), so a
-		// fat bucket links back to its /v1/traces entry like ack/apply do.
-		faultLat.EnableExemplars()
 		r.Histogram("inkstream_page_fault_latency_seconds",
-			"Latency of faulting one page back from the spill file (slot read, verify, decode-ready); buckets carry trace-ID exemplars resolvable at /v1/traces.",
+			"Latency of faulting one page back from the spill file (slot read, verify, decode-ready).",
 			1e-9, faultLat)
 	}
 }
 
 // readTieredRow reads one row from a tiered snapshot under the flight
-// recorder: a read whose page faulted in from the spill file gets a trace
-// ID, an exemplar in the page-fault latency histogram, and (when sampled or
-// slow) a "read"-kind entry in /v1/traces — so a fat fault bucket resolves
-// to a concrete read the same way ack latency resolves to an update.
-// Attribution is by miss-count delta around the row fetch, so under
-// concurrent faulting reads a trace may adopt a neighbour's fault; the
-// linkage is a debugging breadcrumb, not an accounting invariant.
+// recorder: a read whose page faulted in from the spill file gets a trace ID
+// and, when sampled, slow or failed, a "read"-kind entry in /v1/traces (which
+// inkstat -postmortem renders). Attribution is by miss-count delta around
+// the row fetch, so under concurrent faulting reads a trace may adopt a
+// neighbour's fault; the linkage is a debugging breadcrumb, not an
+// accounting invariant.
 func (e *engineBackend) readTieredRow(snap *inkstream.Snapshot, node int) tensor.Vector {
 	f := e.s.flight
 	missesBefore := e.pageStats().Misses
@@ -91,7 +72,6 @@ func (e *engineBackend) readTieredRow(snap *inkstream.Snapshot, node int) tensor
 	}
 	d := time.Since(t0)
 	id := f.NextID()
-	e.pageFaultLat.Exemplar(d.Nanoseconds(), id)
 	sampled, slow := f.SampledID(id), f.IsSlow(d)
 	if sampled || slow || row == nil {
 		t := &obs.ReqTrace{

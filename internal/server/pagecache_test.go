@@ -103,9 +103,8 @@ func TestPageCacheStatsAndMetrics(t *testing.T) {
 	for _, fam := range []string{
 		"inkstream_page_cache_hits_total",
 		"inkstream_page_cache_misses_total",
-		"inkstream_page_cache_evictions_total",
-		"inkstream_page_cache_writebacks_total",
-		"inkstream_page_cache_hot_bytes",
+		"inkstream_page_cache_hot_pages",
+		"inkstream_page_cache_pages",
 		"inkstream_page_fault_latency_seconds",
 	} {
 		if !strings.Contains(string(body), fam) {

@@ -16,7 +16,7 @@
 //	GET  /v1/traces     (flight recorder: last N request-scoped pipeline traces)
 //	GET  /v1/timeseries (in-process time-series window, ~1s × 10min)
 //	GET  /v1/alerts     (burn-rate alert status)
-//	GET  /metrics       (Prometheus text exposition, with trace-ID exemplars)
+//	GET  /metrics       (Prometheus text exposition)
 //	GET  /debug/bundle  (on-demand incident bundle)
 //
 // plus whatever the backend mounts: POST /v1/verify (full recompute
@@ -39,10 +39,10 @@
 // (read-your-writes).
 //
 // Observability: every server owns an obs.Observer shared with its engine
-// (per-update latency/size histograms, slow-update traces) and an
-// obs.Registry exposing them — plus the work counters, per-condition visit
-// totals, WAL commit latency, snapshot epoch/lag and group-commit and
-// coalesced batch sizes — at GET /metrics.
+// (per-update latency histogram, slow-update count) and an obs.Registry
+// exposing, at GET /metrics, the families a reader consumes (DESIGN.md §9.1):
+// update counts and latency, snapshot epoch/lag, reads, group-commit and
+// coalescing factors, WAL commit latency, per-condition visits and events.
 package server
 
 import (
@@ -104,8 +104,8 @@ type Server struct {
 	coSize *obs.Histogram
 
 	// Flight recorder (flight.go): request-scoped pipeline traces, the
-	// submit→ack latency histogram they exemplify, and the in-process
-	// time-series sampler behind /v1/timeseries.
+	// submit→ack latency histogram behind the ack_p99_ms series, and the
+	// in-process time-series sampler behind /v1/timeseries.
 	flight  *obs.FlightRecorder
 	ackLat  *obs.Histogram
 	sampler *obs.Sampler
@@ -173,8 +173,6 @@ func (s *Server) init() *Server {
 	// sampled. Reconfigure with SetTraceSampling before serving.
 	s.flight = obs.NewFlightRecorder(256, 64)
 	s.ackLat = obs.NewLatencyHistogram()
-	s.ackLat.EnableExemplars()
-	s.obs.UpdateLatency.EnableExemplars()
 	// In-process time-series: 1s resolution, 10-minute window. The alert
 	// engine evaluates its burn-rate rules on every tick (alerts are
 	// installed by SetHealthSLO).
@@ -199,7 +197,8 @@ func (s *Server) init() *Server {
 	return s
 }
 
-// buildRegistry registers every family the pipeline itself exposes.
+// buildRegistry registers every family the pipeline itself exposes, each
+// read by an inkstat -watch column or a bench/ metric (DESIGN.md §9.1).
 // Backend-derived values are sampled from the published state, so scraping
 // never touches mutable engine state and takes no lock.
 func (s *Server) buildRegistry() {
@@ -208,24 +207,9 @@ func (s *Server) buildRegistry() {
 	r.CounterFunc("inkstream_updates_total",
 		"Update batches applied by the engine (edge and vertex-feature).",
 		func() float64 { return float64(s.obs.Updates()) })
-	r.CounterFunc("inkstream_slow_updates_total",
-		"Updates slower than the configured slow-update threshold.",
-		func() float64 { return float64(s.obs.SlowUpdates()) })
 	r.Histogram("inkstream_update_latency_seconds",
 		"End-to-end latency of one applied update batch.",
 		1e-9, s.obs.UpdateLatency)
-	r.Histogram("inkstream_update_batch_size",
-		"Edge changes plus vertex updates per applied batch.",
-		1, s.obs.BatchSize)
-	r.Histogram("inkstream_update_events",
-		"Propagation events processed per applied batch.",
-		1, s.obs.Events)
-	r.GaugeFunc("inkstream_graph_nodes",
-		"Nodes in the maintained graph (as of the published snapshot).",
-		func() float64 { return float64(shape().Nodes) })
-	r.GaugeFunc("inkstream_graph_edges",
-		"Edges in the maintained graph (as of the published snapshot).",
-		func() float64 { return float64(shape().Edges) })
 	r.GaugeFunc("inkstream_snapshot_epoch",
 		"Epoch of the published embedding snapshot (minimum across shards).",
 		func() float64 { return float64(shape().Epoch) })
@@ -250,27 +234,9 @@ func (s *Server) buildRegistry() {
 	r.CounterFunc("inkstream_coalesce_stalls_total",
 		"Fused batches flushed early because a queued request conflicted (same edge or same node as the open batch).",
 		func() float64 { return float64(s.coStalls.Load()) })
-	r.CounterFunc("inkstream_coalesce_fallbacks_total",
-		"Fused applies that failed validation and were replayed request-by-request.",
-		func() float64 { return float64(s.coFallbacks.Load()) })
-	r.CounterFunc("inkstream_http_updates_served_total",
-		"Successful mutation requests (/v1/update, /v1/features).",
-		func() float64 { return float64(s.updates.Load()) })
 	r.Histogram("inkstream_wal_append_latency_seconds",
 		"Durability cost per WAL commit: encode, write, flush and fsync (one commit may cover a whole group).",
 		1e-9, s.walLat)
-	r.Histogram("inkstream_ack_latency_seconds",
-		"Submit-to-ack latency of one pipeline request (queueing + journal + coalesce + apply + publish); buckets carry trace-ID exemplars resolvable at /v1/traces.",
-		1e-9, s.ackLat)
-	r.CounterFunc("inkstream_traces_recorded_total",
-		"Request traces recorded by the flight recorder (sampled, slow or failed requests).",
-		func() float64 {
-			if s.flight == nil {
-				return 0
-			}
-			return float64(s.flight.Recorded())
-		})
-	s.alerts.Register(r)
 	s.runtime.Register(r)
 }
 

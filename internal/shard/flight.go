@@ -15,13 +15,10 @@ import (
 // Request traces, the sampler and the alert engine are the server's; a
 // request trace carries the ID of the round that applied it.
 
-// recordRound freezes one successful profiled round: total latency,
-// histogram + round-ID exemplar, cumulative critical-path attribution, and
-// the ring slot. Runs on the apply goroutine only.
+// recordRound freezes one successful profiled round: cumulative
+// critical-path attribution and the ring slot. Runs on the apply goroutine
+// only.
 func (rt *Router) recordRound(p *obs.RoundTrace) {
-	rt.roundDur.Observe(p.Total.Nanoseconds())
-	rt.roundDur.Exemplar(p.Total.Nanoseconds(), p.ID)
-
 	// Per-stage participant means: shards whose layer call was skipped
 	// contribute neither compute nor wait, and for participants
 	// mean(compute)+mean(barrier) = stage makespan, so the invariant
@@ -58,7 +55,6 @@ func (rt *Router) recordRound(p *obs.RoundTrace) {
 	}
 	rt.skewMilli.Add(int64(p.StragglerSkew() * 1000))
 	rt.lastBarrierShare.Store(math.Float64bits(p.BarrierShare()))
-	rt.lastSkew.Store(math.Float64bits(p.StragglerSkew()))
 	rt.profiled.Add(1)
 	rt.profiler.Record(p)
 }

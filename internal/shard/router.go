@@ -117,27 +117,23 @@ type Router struct {
 	boundaryBytes atomic.Int64 // payload bytes those deliveries carried
 	filteredRecs  atomic.Int64 // remote deliveries the subscription filter suppressed
 	ghostRows     atomic.Int64 // ghost rows engines actually adopted from deliveries
-	recSize       *obs.Histogram
 
 	// obs is the server's observer (set by Mount; nil before, which
 	// disables recording): one RecordLatency per round, the way an engine
-	// records one per batch. lastEvents is the shards' summed event counter
-	// after the previous round.
-	obs        *obs.Observer
-	lastEvents int64
+	// records one per batch.
+	obs *obs.Observer
 
 	// Round profiler (flight.go) and the black box the fail-stop latch
 	// triggers (stats.go; nil until the server arms it).
 	profiler *obs.RoundRecorder
-	roundDur *obs.Histogram // round start→published, exemplified by round ID
-	roundSeq atomic.Uint64  // round IDs (profiling or not)
+	roundSeq atomic.Uint64 // round IDs (profiling or not)
 	blackbox *obs.BlackBox
 
 	// Cumulative critical-path attribution, accumulated per profiled
 	// round (flight.go): compute/barrier are per-shard means so
 	// computeNS+barrierNS ≈ bspNS, and stragglerRounds[i] counts the
-	// rounds shard i was the straggler of. last* hold the most recent
-	// round's attribution as Float64bits.
+	// rounds shard i was the straggler of. lastBarrierShare holds the most
+	// recent round's barrier share as Float64bits.
 	profiled         atomic.Int64
 	computeNS        atomic.Int64
 	barrierNS        atomic.Int64
@@ -148,7 +144,6 @@ type Router struct {
 	interiorNS       atomic.Int64 // cumulative interior-phase compute
 	stragglerRounds  []atomic.Int64
 	lastBarrierShare atomic.Uint64
-	lastSkew         atomic.Uint64
 
 	// delivA/delivB are the per-destination delivery lists, double-buffered
 	// because layer l's lists are still being read by engines while layer
@@ -191,10 +186,7 @@ func New(model *gnn.Model, g *graph.Graph, x *tensor.Matrix, cfg Config) (*Route
 		replica:    directedReplica(g),
 		undirected: g.Undirected,
 		cut:        part.Cut(g),
-		recSize:    obs.NewSizeHistogram(),
-		roundDur:   obs.NewLatencyHistogram(),
 	}
-	rt.roundDur.EnableExemplars()
 	// Last 256 rounds profiled by default; reconfigure with
 	// SetRoundProfiling before serving.
 	rt.profiler = obs.NewRoundRecorder(256)
@@ -293,9 +285,7 @@ func (rt *Router) Apply(delta graph.Delta, vups []inkstream.VertexUpdate, reques
 	rt.edges.Add(int64(net))
 	rt.rounds.Add(1)
 	total := time.Since(start)
-	events := rt.events()
-	rt.obs.RecordLatency(total, len(delta)+len(vups), events-rt.lastEvents)
-	rt.lastEvents = events
+	rt.obs.RecordLatency(total)
 	if r.prof != nil {
 		r.prof.Total = total
 		rt.recordRound(r.prof)

@@ -202,13 +202,11 @@ func (rt *Router) executeRound(r *round) error {
 	}
 	bcast = time.Since(t0)
 
-	roundRecs := 0
 	skip := make([]bool, n)
 	for l := 0; l < rt.model.NumLayers(); l++ {
 		rt.boundaryRecs.Add(int64(delivered))
 		rt.filteredRecs.Add(int64(filtered))
 		rt.boundaryBytes.Add(dBytes)
-		roundRecs += delivered
 		stageRecs, stageBytes, layerBcast := delivered, dBytes, bcast
 
 		participants := 0
@@ -299,9 +297,6 @@ func (rt *Router) executeRound(r *round) error {
 			prof.Bytes += stageBytes
 		}
 		deliv, next = next, deliv
-	}
-	if n > 1 {
-		rt.recSize.Observe(int64(roundRecs))
 	}
 	rt.delivA, rt.delivB = deliv, next
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Observability overhead guard, two paired benchmarks:
+# Observability overhead guard, four paired benchmarks:
 #
 #   1. BenchmarkApplyObservability (internal/inkstream) — the engine hot
-#      path with the observer installed (histograms + trace fill) vs off.
+#      path with the observer installed (latency histogram + trace fill) vs
+#      off.
 #   2. BenchmarkPipelineFlightRecorder (internal/server) — the full
 #      submit→ack pipeline with the flight recorder at its serving default
 #      (ring 256, 1-in-64 sampling) vs request tracing disabled.
