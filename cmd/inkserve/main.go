@@ -9,7 +9,6 @@
 //	inkserve -bundle engine.inkb            # resume a persisted engine
 //	inkserve -dataset PM -save-bundle e.inkb -addr :8080
 //	inkserve -dataset PM -pprof -slow-update 5ms   # observability extras
-//	inkserve -dataset PA -mem-cap 64m -quantize f16  # tiered row store
 //
 // Every server exposes Prometheus metrics at GET /metrics and -pprof mounts
 // the runtime profiler under /debug/pprof/. The flight recorder
@@ -39,7 +38,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -52,7 +50,6 @@ import (
 	"repro/internal/persist"
 	"repro/internal/server"
 	"repro/internal/shard"
-	"repro/internal/tensor"
 )
 
 func main() {
@@ -115,11 +112,6 @@ func buildServerOn(fs *flag.FlagSet, args []string) (http.Handler, string, error
 		slowUpdate = fs.Duration("slow-update", 0, "requests at or above this latency are always kept in the flight recorder (GET /v1/traces, with the per-layer engine trace) and counted in /v1/stats slow_updates (0 disables)")
 		pprofOn    = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 
-		memCap    = fs.String("mem-cap", "", "enable the tiered row store: soft cap on resident embedding page bytes, e.g. 512k, 64m, 1g (empty keeps everything resident)")
-		pageBytes = fs.String("page-bytes", "64k", "tiered store page payload size (requires -mem-cap)")
-		quantize  = fs.String("quantize", "f32", "tiered store on-page row encoding: f32 (bit-exact), f16 or int8 (requires -mem-cap)")
-		storeDir  = fs.String("store-dir", "", "tiered store spill directory (requires -mem-cap; default: a fresh temp dir)")
-
 		traceRing   = fs.Int("trace-ring", 256, "flight-recorder ring size for GET /v1/traces (0 disables request tracing)")
 		traceSample = fs.Int("trace-sample", 64, "record 1 in N pipeline requests in the flight recorder (slow/failed requests are always recorded)")
 		slo         = fs.Duration("slo", 0, "ack-latency p99 objective: /healthz reports degraded above it (0 disables)")
@@ -141,41 +133,12 @@ func buildServerOn(fs *flag.FlagSet, args []string) (http.Handler, string, error
 		return nil, "", fmt.Errorf("%s: partitioned-deployment flags require -shards>1", strings.Join(bad, ", "))
 	}
 
-	// Tiered-store flag validation: meaningless combinations fail fast
-	// instead of silently serving a misconfigured cache.
-	tiered := *memCap != ""
-	var (
-		tieredCap  int64
-		tieredPage int64
-		tieredQ    tensor.Quant
-	)
-	if !tiered {
-		if bad := setAmong(fs, "page-bytes", "quantize", "store-dir"); len(bad) > 0 {
-			return nil, "", fmt.Errorf("%s: tiered-store flags require -mem-cap", strings.Join(bad, ", "))
-		}
-	} else {
-		var err error
-		if tieredCap, err = parseBytes(*memCap); err != nil {
-			return nil, "", fmt.Errorf("-mem-cap: %w", err)
-		}
-		if tieredPage, err = parseBytes(*pageBytes); err != nil {
-			return nil, "", fmt.Errorf("-page-bytes: %w", err)
-		}
-		if tieredQ, err = tensor.ParseQuant(*quantize); err != nil {
-			return nil, "", fmt.Errorf("-quantize: %w", err)
-		}
-		if tieredCap < tieredPage {
-			return nil, "", fmt.Errorf("-mem-cap %s is smaller than one -page-bytes page (%s): the cache could never hold a single page", *memCap, *pageBytes)
-		}
-	}
-
 	if *shards > 1 {
 		// Flags whose feature reads one engine's internals fail fast instead
 		// of being silently ignored: a shard graph does not hold the L-hop
-		// cone of a local vertex, so the drift auditor, the tiered row store
-		// and engine bundles have no sharded form.
-		bad := setAmong(fs, "bundle", "save-bundle",
-			"audit-every", "audit-sample", "audit-tol", "mem-cap", "page-bytes", "quantize", "store-dir")
+		// cone of a local vertex, so the drift auditor and engine bundles have
+		// no sharded form.
+		bad := setAmong(fs, "bundle", "save-bundle", "audit-every", "audit-sample", "audit-tol")
 		if len(bad) > 0 {
 			return nil, "", fmt.Errorf("%s: single-engine flags with no sharded equivalent; drop them or run with -shards=1", strings.Join(bad, ", "))
 		}
@@ -246,39 +209,11 @@ func buildServerOn(fs *flag.FlagSet, args []string) (http.Handler, string, error
 	}
 
 	var srv *server.Server
-	switch {
-	case rt != nil:
+	if rt != nil {
 		srv = server.NewOn(rt)
 		st := srv.Stats()
 		log.Printf("%s partition, cut fraction %.3f", st.PartitionStrategy, st.CutFraction)
-	case tiered:
-		dir := *storeDir
-		if dir == "" {
-			var err error
-			if dir, err = os.MkdirTemp("", "inkserve-pages-"); err != nil {
-				return nil, "", err
-			}
-		}
-		faultLat := obs.NewLatencyHistogram()
-		store, err := persist.NewTieredStore(persist.TieredConfig{
-			Dir:          dir,
-			Dim:          engine.Output().Cols,
-			PageBytes:    int(tieredPage),
-			MemCap:       tieredCap,
-			Quant:        tieredQ,
-			FaultLatency: faultLat,
-		})
-		if err != nil {
-			return nil, "", err
-		}
-		if err := engine.SetRowStore(store); err != nil {
-			return nil, "", err
-		}
-		log.Printf("tiered row store: cap=%s page=%s (%d rows/page) quant=%s spill=%s",
-			*memCap, *pageBytes, store.PageRows(), tieredQ, dir)
-		srv = server.New(engine, &counters)
-		srv.EnablePageCache(store.Stats, faultLat, tieredQ.String())
-	default:
+	} else {
 		srv = server.New(engine, &counters)
 	}
 	if *slowUpdate > 0 {
@@ -349,27 +284,6 @@ func setAmong(fs *flag.FlagSet, names ...string) []string {
 		}
 	})
 	return set
-}
-
-// parseBytes parses a human-friendly byte size: a plain number with an
-// optional k/m/g (KiB/MiB/GiB) suffix, case-insensitive, e.g. "512k",
-// "64m", "1g".
-func parseBytes(s string) (int64, error) {
-	t := strings.ToLower(strings.TrimSpace(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(t, "g"):
-		mult, t = 1<<30, t[:len(t)-1]
-	case strings.HasSuffix(t, "m"):
-		mult, t = 1<<20, t[:len(t)-1]
-	case strings.HasSuffix(t, "k"):
-		mult, t = 1<<10, t[:len(t)-1]
-	}
-	n, err := strconv.ParseInt(t, 10, 64)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("bad byte size %q (want e.g. 65536, 512k, 64m, 1g)", s)
-	}
-	return n * mult, nil
 }
 
 // loadData resolves the -file / -dataset flags into a graph and features.

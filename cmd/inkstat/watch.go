@@ -137,7 +137,7 @@ func summaryLine(s obs.Samples) string {
 	return fmt.Sprintf("serving: epoch=%.0f  lag=%.0f  updates=%.0f  reads=%.0f  group-commits=%.0f (avg batch %.1f)  fused=%.1f  stalls=%.0f",
 		get("inkstream_snapshot_epoch"), get("inkstream_snapshot_lag_batches"),
 		get("inkstream_updates_total"), get("inkstream_reads_total"),
-		gcCount, gcMean, coMean, get("inkstream_coalesce_stalls_total")) + shardSuffix(nil, s) + tieredSuffix(nil, s) + runtimeSuffix(nil, s)
+		gcCount, gcMean, coMean, get("inkstream_coalesce_stalls_total")) + shardSuffix(nil, s) + runtimeSuffix(nil, s)
 }
 
 // shardSuffix appends the partitioned-deployment columns when the scrape
@@ -182,58 +182,6 @@ func shardSuffix(prev, cur obs.Samples) string {
 	if n > 0 {
 		out += fmt.Sprintf("  straggler=s%s", shard)
 	}
-	return out
-}
-
-// tieredSuffix appends the page-cache fields when the scrape comes from a
-// server with a tiered row store (resident servers don't export the
-// family): the windowed hit rate and fault p99, with the same
-// cumulative-fallback behaviour as the barrier= columns — a window that
-// saw no reads (or no faults) reports the all-time values instead of 0.
-// prev nil renders the cumulative (summary-line) form.
-func tieredSuffix(prev, cur obs.Samples) string {
-	if _, ok := cur.Get("inkstream_page_cache_pages"); !ok {
-		return ""
-	}
-	get := func(ss obs.Samples, name string) float64 {
-		if ss == nil {
-			return 0
-		}
-		v, _ := ss.Get(name)
-		return v
-	}
-	hits := get(cur, "inkstream_page_cache_hits_total") - get(prev, "inkstream_page_cache_hits_total")
-	misses := get(cur, "inkstream_page_cache_misses_total") - get(prev, "inkstream_page_cache_misses_total")
-	if hits+misses <= 0 { // idle window: fall back to cumulative counters
-		hits = get(cur, "inkstream_page_cache_hits_total")
-		misses = get(cur, "inkstream_page_cache_misses_total")
-	}
-	rate := 100.0
-	if hits+misses > 0 {
-		rate = 100 * hits / (hits + misses)
-	}
-	out := fmt.Sprintf("  cache=%.1f%%", rate)
-
-	les, cumCur := cur.Buckets("inkstream_page_fault_latency_seconds")
-	if len(les) > 0 {
-		p99 := 0.0
-		if prev != nil {
-			if _, cumPrev := prev.Buckets("inkstream_page_fault_latency_seconds"); len(cumPrev) == len(cumCur) {
-				dcum := make([]float64, len(cumCur))
-				for i := range dcum {
-					dcum[i] = cumCur[i] - cumPrev[i]
-				}
-				p99 = obs.BucketQuantile(les, dcum, 0.99)
-			}
-		}
-		if p99 == 0 { // no faults in the window: all-time distribution
-			p99 = obs.BucketQuantile(les, cumCur, 0.99)
-		}
-		out += fmt.Sprintf("  fault-p99=%s", fmtSeconds(p99))
-	}
-	hot := get(cur, "inkstream_page_cache_hot_pages")
-	total := get(cur, "inkstream_page_cache_pages")
-	out += fmt.Sprintf("  hot=%.0f/%.0f", hot, total)
 	return out
 }
 
@@ -335,7 +283,7 @@ func watchLine(prev, cur obs.Samples, dt time.Duration) string {
 	return fmt.Sprintf("upd/s=%.1f  p99=%s  events/s=%.0f  pruned=%.1f%%  epoch=%.0f  lag=%.0f  reads/s=%.1f  gc=%.1f  fused=%.1f  stalls=%.0f",
 		updates/secs, fmtSeconds(p99), events/secs, 100*prunedRatio,
 		epoch, lag, delta("inkstream_reads_total")/secs, gcBatch, fused,
-		delta("inkstream_coalesce_stalls_total")) + shardSuffix(prev, cur) + tieredSuffix(prev, cur) + runtimeSuffix(prev, cur)
+		delta("inkstream_coalesce_stalls_total")) + shardSuffix(prev, cur) + runtimeSuffix(prev, cur)
 }
 
 // visitRatio returns the windowed share of node visits resolved as cond,

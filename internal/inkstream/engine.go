@@ -27,7 +27,7 @@ type Options struct {
 	// Processing falls back to sequential order.
 	DisableGrouping bool
 	// CopyPayloads disables payload sharing between events fanned out from
-	// one source (DESIGN.md §4.1): every event carries its own copy.
+	// one source (DESIGN.md §4, item 1): every event carries its own copy.
 	CopyPayloads bool
 	// Sequential disables intra-layer parallel processing of grouped
 	// targets (and, since it idles the worker pool, parallel sharded event

@@ -61,7 +61,7 @@ func (o Op) String() string {
 // (at most two per changed edge per layer) are ever materialised as Events.
 // The effect of a changed message travels as one MessageChange record per
 // source, and the grouping pass walks that source's out-neighbors itself
-// (DESIGN.md §4.1): the paper's separation of lightweight metadata from
+// (DESIGN.md §4, item 1): the paper's separation of lightweight metadata from
 // heavy embeddings, taken to no per-arc metadata at all. Payloads alias
 // engine-owned vectors and must be treated as immutable.
 type Event struct {

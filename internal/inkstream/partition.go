@@ -26,7 +26,7 @@ import (
 // of every local vertex, the per-target arrival sequence is exactly the
 // single-engine sequence restricted to local targets — which is what makes
 // N-shard results bit-exact against a standalone engine (see DESIGN.md
-// §11.3).
+// §7.5).
 
 var errPartitioned = errors.New("inkstream: engine is in partitioned mode; use the round protocol (BeginRound … FinishRound) via the shard router")
 

@@ -41,18 +41,10 @@ type Snapshot struct {
 	// but the last is full. A chunk no dirty row touched is shared with the
 	// previous snapshot.
 	rows [][]tensor.Vector
-	// view is the sealed row-store generation backing this snapshot when
-	// the engine has a RowStore attached; rows is nil in that mode.
-	view RowView
 }
 
 // NumNodes returns the number of embedding rows in the snapshot.
-func (s *Snapshot) NumNodes() int {
-	if s.view != nil {
-		return s.view.NumRows()
-	}
-	return numRows(s.rows)
-}
+func (s *Snapshot) NumNodes() int { return numRows(s.rows) }
 
 // numRows counts the rows of a chunk table.
 func numRows(chunks [][]tensor.Vector) int {
@@ -63,19 +55,11 @@ func numRows(chunks [][]tensor.Vector) int {
 	return last<<chunkShift + len(chunks[last])
 }
 
-// Row returns node i's embedding as of this snapshot's epoch. The returned
-// vector is immutable by contract: callers must not write to it, and may
-// read it indefinitely without holding any lock. In tiered mode (a RowStore
-// is attached) a row that cannot be faulted back in returns nil; see
-// RowView for the superseded-view staleness semantics.
+// Row returns node i's embedding as of this snapshot's epoch; i must be in
+// [0, NumNodes()), and the result is never nil. The returned vector is
+// immutable by contract: callers must not write to it, and may read it
+// indefinitely without holding any lock.
 func (s *Snapshot) Row(i int) tensor.Vector {
-	if s.view != nil {
-		v, err := s.view.Row(i)
-		if err != nil {
-			return nil
-		}
-		return v
-	}
 	return s.rows[i>>chunkShift][i&(chunkRows-1)]
 }
 
@@ -93,9 +77,6 @@ type snapState struct {
 	// all forces the next publication to re-clone every row (set by
 	// Refresh, which replaces the whole state).
 	all bool
-	// store, when non-nil, backs publications instead of resident clones
-	// (see SetRowStore).
-	store RowStore
 	// ids and own are publication scratch, retained across publications:
 	// the dirty rows to re-clone, and which chunks of the next table are
 	// private copies.
@@ -155,9 +136,6 @@ func (e *Engine) PublishSnapshot() *Snapshot {
 	prev := e.snap.cur.Load()
 	out := e.state.Output()
 	n := e.g.NumNodes()
-	if e.snap.store != nil {
-		return e.publishTiered(prev, out, n)
-	}
 	// Refresh replaced the whole state: rebuild as on the first publication.
 	var prevRows [][]tensor.Vector
 	if prev != nil && !e.snap.all {
@@ -241,52 +219,4 @@ func (e *Engine) cowChunks(prev [][]tensor.Vector, out *tensor.Matrix, n int) []
 	}
 	e.snap.ids, e.snap.own = ids, own
 	return rows
-}
-
-// publishTiered is the RowStore-backed publication path: changed rows are
-// written (encoded) into the store, the store seals an epoch-stamped view,
-// and the previous snapshot's view is released so its frames become
-// eligible for eviction. Copy-on-write happens inside the store at page
-// granularity; untouched rows keep their previously encoded bytes verbatim
-// so quantization error never compounds across epochs.
-func (e *Engine) publishTiered(prev *Snapshot, out *tensor.Matrix, n int) *Snapshot {
-	st := e.snap.store
-	switch {
-	case prev == nil || e.snap.all:
-		for i := 0; i < n; i++ {
-			st.WriteRow(i, out.Row(i))
-		}
-		e.snap.all = false
-	default:
-		// Rows beyond the previous snapshot (AddNode growth) are all new.
-		for i := prev.NumNodes(); i < n; i++ {
-			st.WriteRow(i, out.Row(i))
-		}
-		for id := range e.snap.dirty {
-			if int(id) < n {
-				st.WriteRow(int(id), out.Row(int(id)))
-			}
-		}
-	}
-	epoch := uint64(1)
-	if prev != nil {
-		epoch = prev.Epoch + 1
-	}
-	s := &Snapshot{
-		Epoch:          epoch,
-		AppliedBatches: e.snap.applied,
-		Nodes:          n,
-		Edges:          e.g.NumEdges(),
-		Conditions:     e.stats,
-		view:           st.Seal(epoch),
-	}
-	e.snap.cur.Store(s)
-	if prev != nil && prev.view != nil {
-		prev.view.Release()
-	}
-	e.snap.tracking = true
-	if len(e.snap.dirty) > 0 {
-		clear(e.snap.dirty)
-	}
-	return s
 }

@@ -58,7 +58,7 @@ func driveRound(t *testing.T, e *Engine, delta graph.Delta, vups []VertexUpdate)
 // accumulative ones included. This is the single-engine half of the shard
 // bit-exactness argument (DESIGN.md §7.5): the regenerated event order must
 // equal Apply's native order exactly, and splitting a layer into boundary
-// and interior phases moves the schedule, never the values (§13). The mask
+// and interior phases moves the schedule, never the values (§7.4). The mask
 // rows: none (the whole layer runs in the boundary phase — the unsplit
 // protocol), an adversarial every-third-vertex mask (correctness must not
 // depend on the mask meaning anything: the router's real mask is an

@@ -10,10 +10,10 @@ import (
 )
 
 // Runtime telemetry plane (DESIGN.md §9.3). The serving stack explains tail
-// latency in application terms — coalescing, barriers, page faults — but in
+// latency in application terms — coalescing, barriers, WAL commits — but in
 // a real Go process the tails that matter are just as often the runtime's:
-// a GC pause freezing the apply goroutine, heap growth from the tiered
-// store tripping more frequent cycles, a goroutine pileup in the pipeline.
+// a GC pause freezing the apply goroutine, heap growth tripping more
+// frequent cycles, a goroutine pileup in the pipeline.
 // Runtime bridges the stdlib runtime/metrics package into the existing
 // observability stack: one Collect per Sampler tick reads a fixed sample
 // set into reusable buffers (allocation-free at steady state), publishes

@@ -90,8 +90,8 @@ func (a *auditState) lastDrift() float64 {
 }
 
 // engine returns the backend New built, or nil on a NewOn server. Only the
-// New-only configuration methods (drift audit, page cache) use it; nothing
-// the two deployment shapes share does.
+// drift audit's methods use it; nothing the two deployment shapes share
+// does.
 func (s *Server) engine() *engineBackend {
 	e, _ := s.backend.(*engineBackend)
 	return e

@@ -30,7 +30,7 @@ type Backend interface {
 	// PublishSnapshot makes everything applied so far visible to ReadRow.
 	PublishSnapshot()
 	// ReadRow resolves one node against the published state, with the epoch
-	// it was read at; ok is false for a node out of range or unavailable.
+	// it was read at; ok is false only for a node out of range.
 	ReadRow(node int) (row tensor.Vector, epoch uint64, ok bool)
 	Shape() Shape
 	// Trace returns the per-layer trace of the most recent Apply, valid until
@@ -73,22 +73,14 @@ type Surface struct {
 
 // engineBackend is one engine behind the seam, with what only one engine
 // has: POST /v1/verify and the drift auditor (both need the L-hop cone of a
-// vertex in one graph; audit.go), per-layer update traces, the work
-// counters, and the tiered row store's read path and page-cache section
-// (pagecache.go). It reaches back into the server for the pipeline
-// facilities those use: exclusive ops on the apply stage, the flight
-// recorder, the quit channel.
+// vertex in one graph; audit.go), per-layer update traces and the work
+// counters. It reaches back into the server for the exclusive ops on the
+// apply stage that verify and the audit capture run as.
 type engineBackend struct {
 	*inkstream.Engine
 	s        *Server
 	counters *metrics.Counters // may be nil
 	audit    *auditState
-
-	// Tiered row store observability; pageStats is nil in the default
-	// resident configuration.
-	pageStats    func() obs.PageCacheStats
-	pageFaultLat *obs.Histogram
-	pageQuant    string
 }
 
 func (e *engineBackend) Apply(delta graph.Delta, vups []inkstream.VertexUpdate, _ int) (uint64, error) {
@@ -102,15 +94,7 @@ func (e *engineBackend) ReadRow(node int) (tensor.Vector, uint64, bool) {
 	if node < 0 || node >= snap.NumNodes() {
 		return nil, snap.Epoch, false
 	}
-	// A nil row is a tiered-store page that could not be faulted back in
-	// (e.g. the spill file is gone): unavailable, never served torn.
-	var row tensor.Vector
-	if e.pageStats != nil && e.s.flight != nil {
-		row = e.readTieredRow(snap, node)
-	} else {
-		row = snap.Row(node)
-	}
-	return row, snap.Epoch, row != nil
+	return snap.Row(node), snap.Epoch, true
 }
 
 func (e *engineBackend) Shape() Shape {
@@ -156,14 +140,6 @@ func (e *engineBackend) FillStats(resp *StatsResponse) {
 		cs := e.counters.Snapshot()
 		resp.BytesFetched = cs.BytesFetched
 		resp.Events = cs.EventsProcessed
-	}
-	if e.pageStats != nil {
-		sec := &PageCacheSection{PageCacheStats: e.pageStats(), Quant: e.pageQuant}
-		sec.HitRate = sec.PageCacheStats.HitRate()
-		if e.pageFaultLat != nil {
-			sec.FaultP99Ms = float64(e.pageFaultLat.Snapshot().P99()) * 1e-6
-		}
-		resp.PageCache = sec
 	}
 }
 

@@ -64,51 +64,3 @@ func TestBlackBoxIncidentBundle(t *testing.T) {
 		t.Errorf("bundle config: %s", d.Config)
 	}
 }
-
-// TestPageFaultReadTraces: a faulting tiered read records a "read" trace,
-// the entry inkstat -postmortem renders among the slowest traces, and its
-// latency lands in the page-fault histogram behind fault-p99=.
-func TestPageFaultReadTraces(t *testing.T) {
-	leakcheck.Check(t)
-	ts, s, _ := newTieredServer(t)
-	s.SetTraceSampling(128, 1)
-
-	// The store's background worker (20ms tick) must write back the
-	// bootstrap generations and sweep the resident set down to the 8-page
-	// cap before any read can fault.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.engine().pageStats().Evictions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("store never evicted under an 8-page cap")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Sweep all nodes: most pages are cold now, so reads fault.
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < 200; i++ {
-			if _, _, ok := s.ReadEmbedding(i); !ok {
-				t.Fatalf("read %d failed", i)
-			}
-		}
-	}
-	if s.engine().pageStats().Misses == 0 {
-		t.Fatal("no faults under an 8-page cap; the test premise broke")
-	}
-
-	reads := 0
-	for _, tr := range s.FlightRecorder().Traces() {
-		if tr.Kind != "read" {
-			continue
-		}
-		reads++
-		if tr.Total <= 0 || tr.Marks[obs.StageAck] != tr.Total || !tr.Sampled || tr.Err != "" {
-			t.Errorf("read trace %s", tr)
-		}
-	}
-	if reads == 0 {
-		t.Fatal("no read-kind traces recorded for faulting reads")
-	}
-	if n, _ := scrape(t, ts.URL).Get("inkstream_page_fault_latency_seconds_count"); n < float64(reads) {
-		t.Errorf("page-fault histogram counted %v faults, fewer than the %d read traces", n, reads)
-	}
-}

@@ -90,8 +90,8 @@ func (s *Server) submit(r *updateReq) error {
 // ReadEmbedding resolves one node against the currently published
 // snapshot with zero locking. The returned row is immutable (shared with
 // the snapshot) and valid indefinitely; epoch is the staleness bound the
-// caller may report. ok is false when the node is out of the snapshot's
-// range (or, in tiered mode, its page could not be faulted back in).
+// caller may report. ok is false only when the node is out of the
+// snapshot's range.
 func (s *Server) ReadEmbedding(node int) (row tensor.Vector, epoch uint64, ok bool) {
 	s.reads.Add(1)
 	return s.backend.ReadRow(node)

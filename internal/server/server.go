@@ -154,8 +154,7 @@ func New(engine *inkstream.Engine, counters *metrics.Counters) *Server {
 // NewOn starts the same pipeline on any Backend (internal/shard's router):
 // its routes, stats section and metric families are mounted next to the
 // server's own. The features that read one engine's internals (/v1/verify,
-// the drift auditor, per-layer update traces, the tiered row store) come
-// with New's backend only.
+// the drift auditor, per-layer update traces) come with New's backend only.
 func NewOn(b Backend) *Server {
 	return (&Server{backend: b, obs: obs.NewObserver()}).init()
 }
@@ -495,8 +494,6 @@ type StatsResponse struct {
 	BytesFetched  int64            `json:"bytes_fetched"`
 	Events        int64            `json:"events_processed"`
 	UpdateLatency LatencyQuantiles `json:"update_latency"`
-	// PageCache describes the tiered row store; nil in resident mode.
-	PageCache *PageCacheSection `json:"page_cache,omitempty"`
 	// ShardingStats is the partitioned backend's section, inlined at the top
 	// level; nil on a single engine.
 	*ShardingStats

@@ -32,7 +32,7 @@ import (
 // /debug/bundle, validation and shutdown — is checked once, over both things
 // the pipeline can drive: one engine (server.New) and a 2-shard router
 // (server.NewOn over internal/shard). What only one shape has lives next to
-// it: drift audit, verify and tiering in this package's engine tests, rounds
+// it: drift audit and verify in this package's engine tests, rounds
 // and fail-stop in internal/shard's.
 
 const (
@@ -344,9 +344,9 @@ func TestShapesSLOAlerts(t *testing.T) {
 
 // TestShapesEndpoints pins the one route table: /healthz and /v1/stats carry
 // the shape fields for either backend, the pipeline's metric families are
-// exported by both, unknown /v1/* paths get a typed JSON 404, and the
-// shape-specific routes answer on the shape that has them and say so on the
-// one that does not.
+// exported by both, unknown /v1/* paths and out-of-range embedding reads get
+// a typed JSON 404, and the shape-specific routes answer on the shape that
+// has them and say so on the one that does not.
 func TestShapesEndpoints(t *testing.T) {
 	forEachShape(t, func(t *testing.T, shards int) {
 		srv, g := deploy(t, shards)
@@ -393,6 +393,11 @@ func TestShapesEndpoints(t *testing.T) {
 		// The removed pre-WAL route is unknown like any other.
 		code, body = post(t, ts.URL+"/v1/submit", `{"u":1,"v":2,"insert":true}`)
 		wantError(t, "POST /v1/submit", code, body, http.StatusNotFound)
+		// A read misses only out of range, at either end.
+		for _, node := range []int{-1, shapeNodes} {
+			code, body = get(t, fmt.Sprintf("%s/v1/embedding?node=%d", ts.URL, node), nil)
+			wantError(t, fmt.Sprintf("GET /v1/embedding?node=%d", node), code, body, http.StatusNotFound)
+		}
 
 		roundsCode, _ := get(t, ts.URL+"/v1/rounds", nil)
 		shardCode, _ := get(t, ts.URL+"/v1/stats?shard=0", nil)

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,13 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dataset"
-	"repro/internal/gnn"
-	"repro/internal/inkstream"
-	"repro/internal/leakcheck"
-	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/persist"
 	"repro/internal/server"
 )
 
@@ -32,8 +25,7 @@ import (
 // Where a signal is exported.
 const (
 	everywhere = iota // every deployment
-	oneEngine         // server.New, with or without a page cache or black box
-	paged             // server.New with EnablePageCache
+	oneEngine         // server.New, with or without a black box
 	sharded           // server.NewOn over a 2-shard router
 )
 
@@ -69,12 +61,6 @@ var families = []signal{
 	{"inkstream_runtime_gc_pause_seconds", everywhere, watch + "runtimeSuffix"},
 	{"inkstream_wal_append_latency_seconds", everywhere, "bench/trace.go:metricsMetrics"},
 
-	{"inkstream_page_cache_hits_total", paged, watch + "tieredSuffix"},
-	{"inkstream_page_cache_misses_total", paged, watch + "tieredSuffix"},
-	{"inkstream_page_cache_hot_pages", paged, watch + "tieredSuffix"},
-	{"inkstream_page_cache_pages", paged, watch + "tieredSuffix"},
-	{"inkstream_page_fault_latency_seconds", paged, watch + "tieredSuffix"},
-
 	{"inkstream_router_cut_fraction", sharded, watch + "shardSuffix"},
 	{"inkstream_boundary_records_total", sharded, watch + "shardSuffix"},
 	{"inkstream_ghost_rows_total", sharded, watch + "shardSuffix"},
@@ -96,7 +82,7 @@ var series = []signal{
 	{"barrier_share", sharded, postmortem + "renderSeries"},
 }
 
-// TestTelemetrySurface pins the surface on the four deployments: the
+// TestTelemetrySurface pins the surface on the three deployments: the
 // families a scrape of /metrics declares and the series /v1/timeseries
 // serves are exactly the table's, and every reader named in the table names
 // its signal.
@@ -112,7 +98,6 @@ func TestTelemetrySurface(t *testing.T) {
 		where  []int
 	}{
 		{"engine", func(t *testing.T) *server.Server { srv, _ := deploy(t, 1); return srv }, []int{everywhere, oneEngine}},
-		{"engine+page-cache", deployPaged, []int{everywhere, oneEngine, paged}},
 		{"engine+black-box", func(t *testing.T) *server.Server {
 			srv, _ := deploy(t, 1)
 			srv.EnableBlackBox(obs.BlackBoxConfig{Dir: t.TempDir(), Debounce: -1})
@@ -158,33 +143,6 @@ func TestTelemetrySurface(t *testing.T) {
 			}
 		})
 	}
-}
-
-// deployPaged is deploy's one engine publishing through a tiered row store.
-func deployPaged(t *testing.T) *server.Server {
-	leakcheck.Check(t)
-	rng := rand.New(rand.NewSource(7))
-	g := dataset.GenerateRMAT(rng, shapeNodes, 600, dataset.DefaultRMAT)
-	feats := dataset.NewFeatures(rng, shapeNodes, shapeFeatLen)
-	model := gnn.NewGCN(rng, shapeFeatLen, 16, gnn.NewAggregator(gnn.AggMax))
-	c := new(metrics.Counters)
-	eng, err := inkstream.New(model, g, feats.X, c, inkstream.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultLat := obs.NewLatencyHistogram()
-	st, err := persist.NewTieredStore(persist.TieredConfig{Dir: t.TempDir(), Dim: 16, FaultLatency: faultLat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	if err := eng.SetRowStore(st); err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(eng, c)
-	t.Cleanup(srv.Close)
-	srv.EnablePageCache(st.Stats, faultLat, st.Quant().String())
-	return srv
 }
 
 // readerNames reports whether the function sig.reader names holds the

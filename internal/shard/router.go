@@ -1,5 +1,5 @@
 // Package shard implements partitioned multi-engine serving (DESIGN.md
-// §11): N independent InkStream engines, each owning a vertex partition,
+// §7.4): N independent InkStream engines, each owning a vertex partition,
 // behind a router that fans mixed update batches out into per-shard
 // sub-batches and serves reads from the owning shard's published snapshot.
 //

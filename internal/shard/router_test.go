@@ -86,7 +86,7 @@ func testModel(rng *rand.Rand, name string, featLen int, kind gnn.AggKind) *gnn.
 // stream through a standalone engine, a 1-shard deployment and one 4-shard
 // deployment per partition strategy over a graph with a nontrivial cut, and
 // demands identical embeddings for every vertex at every published epoch —
-// bitwise, for accumulative aggregators included (the §11.3 exactness
+// bitwise, for accumulative aggregators included (the §7.5 exactness
 // claim). The 1-shard router runs the same round protocol as the
 // deployments it is compared with, so the engine is the reference that
 // shares none of it. The final state is also checked against from-scratch

@@ -26,7 +26,7 @@ import (
 // would give: records a shard never receives are exactly the records whose
 // sources have no arc into the shard, i.e. records that regenerate zero
 // local events — so filtering shrinks the delivery set, never the event
-// order, and the §11.3 bit-exactness argument holds unchanged.
+// order, and the §7.5 bit-exactness argument holds unchanged.
 //
 // Subscriptions move with the cut: the apply goroutine folds each round's
 // arc changes into the refcounts before opening the round, and when a shard

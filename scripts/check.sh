@@ -27,11 +27,10 @@ go test -race ./internal/tensor ./internal/gnn ./internal/experiments \
 # fail-stop latch — at 1, 2 and 4 shards against a standalone engine
 # (shard); both grouping routes with the pool workers writing the shared
 # grouper tables, the selector between them, and the boundary/interior
-# round protocol against plain Apply (inkstream); the tiered store's
-# lock-free reads against writeback and eviction (persist); and the trace
-# rings, sampler, alert engine and black box (obs).
+# round protocol against plain Apply (inkstream); and the trace rings,
+# sampler, alert engine and black box (obs).
 go test -race -count=1 ./internal/server ./internal/shard ./internal/inkstream \
-    ./internal/persist ./internal/obs
+    ./internal/obs
 
 # Every Benchmark* left in the tree is cited by this script,
 # scripts/obs_overhead.sh, README.md or DESIGN.md, so each runs one iteration
