@@ -405,7 +405,10 @@ func TestReadmeIdsMatchRegistry(t *testing.T) {
 // in .go files and DESIGN.md itself every § is a DESIGN.md reference, so a
 // bare one counts too (a comment may wrap "DESIGN.md" and its § onto two
 // lines). CHANGES.md, ROADMAP.md and the planning notes in the skip list
-// narrate earlier states of the document; they are not checked.
+// narrate earlier states of the document; they are not checked. Likewise
+// every backticked Test*/Benchmark*/Fuzz* name in DESIGN.md and README.md
+// must be a function in some _test.go file, so renaming or deleting a test
+// cannot leave a citation pointing at nothing.
 func TestDesignSectionReferences(t *testing.T) {
 	const root = "../.."
 	design := filepath.Join(root, "DESIGN.md")
@@ -423,6 +426,8 @@ func TestDesignSectionReferences(t *testing.T) {
 	cited := regexp.MustCompile(`DESIGN\.md §(\d+(?:\.\d+)?)`)
 	bare := regexp.MustCompile(`§(\d+(?:\.\d+)?)`)
 	skip := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
+	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	defined := make(map[string]bool)
 	refs := 0
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -452,6 +457,11 @@ func TestDesignSectionReferences(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range testFunc.FindAllStringSubmatch(string(text), -1) {
+				defined[m[1]] = true
+			}
+		}
 		for _, m := range ref.FindAllStringSubmatch(string(text), -1) {
 			refs++
 			if !sections[m[1]] {
@@ -465,5 +475,26 @@ func TestDesignSectionReferences(t *testing.T) {
 	}
 	if refs == 0 {
 		t.Error("found no DESIGN.md section reference at all: the pattern or the walk is broken")
+	}
+
+	span := regexp.MustCompile("`[^`\n]+`")
+	name := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	cites := 0
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range span.FindAllString(string(text), -1) {
+			for _, n := range name.FindAllString(s, -1) {
+				cites++
+				if !defined[n] {
+					t.Errorf("%s cites `%s`, which is no function in any _test.go file", doc, n)
+				}
+			}
+		}
+	}
+	if cites == 0 {
+		t.Error("found no backticked test name in DESIGN.md or README.md: the pattern is broken")
 	}
 }

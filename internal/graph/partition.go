@@ -237,44 +237,28 @@ func (p *Partition) Counts() []int {
 }
 
 // CutStats summarises how a partition cuts a graph: every arc whose source
-// and destination live on different shards crosses the cut, and every
-// message-change record of a boundary source is delivered to its subscribed
-// shards as ghost-refresh traffic. The stats feed metrics and /v1/stats; they
-// play no role in correctness (the router keeps its own subscription tables).
+// and destination live on different shards crosses the cut. CutFraction is
+// the partition-quality figure /v1/stats and the router's cut-fraction gauge
+// report; the stats play no role in correctness (the router keeps its own
+// subscription tables).
 type CutStats struct {
 	// Arcs is the total directed arc count; CutArcs the arcs crossing
 	// shards; CutFraction their ratio (0 on an empty graph).
 	Arcs        int
 	CutArcs     int
 	CutFraction float64
-	// ShardArcs[s] counts arcs whose destination shard s owns (the arcs of
-	// shard s's graph); BoundarySources[s] counts shard-s vertices with at
-	// least one out-arc into another shard (the vertices whose updates ship
-	// ghost refreshes).
-	ShardArcs       []int
-	BoundarySources []int
 }
 
 // Cut measures how p cuts g.
 func (p *Partition) Cut(g *Graph) CutStats {
-	st := CutStats{
-		ShardArcs:       make([]int, p.shards),
-		BoundarySources: make([]int, p.shards),
-	}
+	var st CutStats
 	for u := 0; u < g.NumNodes(); u++ {
 		src := p.Owner(NodeID(u))
-		boundary := false
 		for _, v := range g.OutNeighbors(NodeID(u)) {
-			dst := p.Owner(v)
 			st.Arcs++
-			st.ShardArcs[dst]++
-			if src != dst {
+			if p.Owner(v) != src {
 				st.CutArcs++
-				boundary = true
 			}
-		}
-		if boundary {
-			st.BoundarySources[src]++
 		}
 	}
 	if st.Arcs > 0 {
@@ -290,7 +274,7 @@ func (p *Partition) Cut(g *Graph) CutStats {
 // others; out-neighbor iteration over this graph yields exactly the local
 // destinations a broadcast message-change record fans out to. The result
 // is always directed — undirected logical edges must be expanded to arcs
-// by the caller (shard.ExpandDelta does this for update batches).
+// by the caller (the shard router's expand does this for update batches).
 func (p *Partition) ShardGraph(g *Graph, s int) *Graph {
 	sg := New(g.NumNodes())
 	for u := 0; u < g.NumNodes(); u++ {

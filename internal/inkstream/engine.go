@@ -100,29 +100,14 @@ type Engine struct {
 
 	// Partitioned-mode state (partition.go). partLocal non-nil switches the
 	// engine into shard mode: Apply is disabled in favour of the round
-	// protocol (BeginRound, RoundLayerBoundary+RoundLayerInterior per layer,
-	// FinishRound), which hands each layer's records to the router instead
-	// of straight to the next layer.
+	// protocol (BeginRound, RoundLayer per layer, FinishRound), which hands
+	// each layer's records to the router instead of straight to the next
+	// layer.
 	partLocal  []bool
 	partActive bool
 	partDelta  graph.Delta
 	partOld    []map[graph.NodeID]tensor.Vector
 	partCarU   []UserEvent
-
-	// Boundary-first overlap state (partition.go). partBoundary marks the
-	// local vertices with at least one remote subscriber; RoundLayerBoundary
-	// stashes the layer's groups (reordered boundary-first) plus the split
-	// point so RoundLayerInterior can finish the layer while the router
-	// exchanges the boundary records. partRecB is the interior phase's
-	// record buffer — the boundary phase's slice (recOut) is still being
-	// read by the router while the interior computes, so the two phases
-	// must not share backing storage.
-	partBoundary  []bool
-	partGroups    []*group
-	partSplit     int
-	partLayer     int
-	partSplitOpen bool
-	partRecB      []MessageChange
 
 	// roundTiming gates the per-stage round profiler hooks (partition.go):
 	// when on, each round stage leaves a RoundStageStats in lastStage for
@@ -379,13 +364,8 @@ func (e *Engine) Apply(delta graph.Delta, vups []VertexUpdate) error {
 			conds0 = e.layerStats[l]
 			phase0 = time.Now()
 		}
-		// Changed-edge events are re-enqueued at every layer and arrive
-		// first; the previous layer's message changes follow in node order.
-		e.edgeEv = e.appendChangedEdgeEvents(e.edgeEv[:0], l, delta, oldMsg)
-		groups, routed := e.groupLayer(l, e.edgeEv, recs, user)
-		e.recOut = e.recOut[:0]
-		e.processRange(l, groups, 0, len(groups))
-		recs, user = e.recOut, e.mergeCarried(groups, len(groups))
+		var routed int
+		recs, user, routed = e.layerStep(l, delta, oldMsg, recs, user)
 		if observing {
 			span.Elapsed = time.Since(phase0)
 			span.EventsIn = int64(len(e.edgeEv) + routed)
@@ -581,16 +561,28 @@ func (e *Engine) payload(p tensor.Vector) tensor.Vector {
 	return p
 }
 
-// processRange consumes groups[lo:hi] of layer l's grouped events: it
-// updates each target's α (incrementally where eligible), recomputes the
-// layer output for affected targets, and emits the next layer's message-change
-// records and user events. Targets are independent after grouping, so they
-// are processed in parallel; conditions, dirty rows and records are merged in
-// group order for determinism, so a range's records come out sorted by source
-// node. User events stay in the per-slot outU buffers until mergeCarried
-// collects them, so a layer may be processed in more than one range (the
-// round protocol's boundary and interior phases).
-func (e *Engine) processRange(l int, groups []*group, lo, hi int) {
+// layerStep runs layer l of a batch — the one layer body of Apply and of the
+// round protocol's RoundLayer. Changed-edge events are re-enqueued at every
+// layer and arrive first; recs, the previous layer's message changes in node
+// order, follow; then the user events carried into the layer. It returns the
+// layer's records (recOut) and carried user events (uevBuf), both sorted by
+// node, and the number of arc events the records routed.
+func (e *Engine) layerStep(l int, delta graph.Delta, oldMsg []map[graph.NodeID]tensor.Vector, recs []MessageChange, user []UserEvent) ([]MessageChange, []UserEvent, int) {
+	e.edgeEv = e.appendChangedEdgeEvents(e.edgeEv[:0], l, delta, oldMsg)
+	groups, routed := e.groupLayer(l, e.edgeEv, recs, user)
+	e.recOut = e.recOut[:0]
+	e.processRange(l, groups)
+	return e.recOut, e.mergeCarried(groups), routed
+}
+
+// processRange consumes layer l's grouped events: it updates each target's α
+// (incrementally where eligible), recomputes the layer output for affected
+// targets, and emits the next layer's message-change records and user
+// events. Targets are independent after grouping, so they are processed in
+// parallel; conditions, dirty rows and records are merged in group order for
+// determinism, so the records come out sorted by source node. User events
+// stay in the per-slot outU buffers until mergeCarried collects them.
+func (e *Engine) processRange(l int, groups []*group) {
 	n := len(groups)
 	// Grow the per-group fan-out tables to n slots, keeping each outU slot's
 	// accumulated capacity across layers and batches.
@@ -604,54 +596,42 @@ func (e *Engine) processRange(l int, groups []*group, lo, hi int) {
 	}
 	conds, dirt := e.conds[:n], e.dirt[:n]
 	outU, outR := e.outU, e.outR
-	// body processes the chunk [a, b) of the range, i.e. groups[lo+a:lo+b].
 	body := func(a, b int) {
 		// Per-chunk scratch, recycled across chunks, layers and batches.
 		sc := e.getScratch(l)
-		for i := lo + a; i < lo+b; i++ {
+		for i := a; i < b; i++ {
 			outU[i], outR[i], conds[i], dirt[i] = e.processTarget(l, groups[i], sc, outU[i][:0])
 		}
 		e.scratchPools[l].Put(sc)
 	}
 	if e.opts.Sequential || e.opts.DisableGrouping {
-		body(0, hi-lo)
+		body(0, n)
 	} else {
-		tensor.ParallelForGrain(hi-lo, 4*e.model.Layers[l].MsgDim(), body)
+		tensor.ParallelForGrain(n, 4*e.model.Layers[l].MsgDim(), body)
 	}
-	for i := lo; i < hi; i++ {
+	for i, g := range groups {
 		if outR[i].New != nil {
 			e.recOut = append(e.recOut, outR[i])
 		}
 		e.stats.Add(conds[i])
 		e.layerStats[l].Add(conds[i])
 		if dirt[i] {
-			e.markDirty(groups[i].target)
+			e.markDirty(g.target)
 		}
 		if e.opts.Trace != nil {
-			e.opts.Trace(l, groups[i].target, conds[i])
+			e.opts.Trace(l, g.target, conds[i])
 		}
 	}
 }
 
-// mergeCarried collects the user events a fully processed layer emitted into
-// the carried buffer, in target order. groups[:split] and groups[split:] are
-// each sorted by target (split == len(groups) for a layer processed in one
-// range), so a two-way merge of the slots restores the order an unsplit layer
-// produces. The buffer may still hold the events carried INTO this layer, but
-// the grouper consumed those before the layer was processed, so overwriting
-// them in place is safe.
-func (e *Engine) mergeCarried(groups []*group, split int) []UserEvent {
+// mergeCarried collects the user events a processed layer emitted into the
+// carried buffer, in group order. The buffer may still hold the events
+// carried INTO this layer, but the grouper consumed those before the layer
+// was processed, so overwriting them in place is safe.
+func (e *Engine) mergeCarried(groups []*group) []UserEvent {
 	next := e.uevBuf[:0]
-	i, j := 0, split
-	for i < split || j < len(groups) {
-		k := i
-		if i == split || (j < len(groups) && groups[j].target < groups[i].target) {
-			k = j
-			j++
-		} else {
-			i++
-		}
-		next = append(next, e.outU[k]...)
+	for i := range groups {
+		next = append(next, e.outU[i]...)
 	}
 	e.uevBuf = next
 	return next

@@ -33,7 +33,7 @@ var errPartitioned = errors.New("inkstream: engine is in partitioned mode; use t
 // RoundStageStats is one shard's self-measured slice of one round stage,
 // read by the router after the stage barrier (the WaitGroup join orders the
 // write before the read). Ghost is the ghost-row refresh portion of a
-// RoundLayerBoundary call; Events what a layer stage routed locally, on the
+// RoundLayer call; Events what a layer stage routed locally, on the
 // obs.LayerSpan definition — changed-edge events plus routed arc events (two
 // per arc on a monotonic layer) — plus its user events, and for BeginRound
 // the records it produced.
@@ -41,13 +41,6 @@ type RoundStageStats struct {
 	GhostRows int
 	Events    int
 	Ghost     time.Duration
-	// Boundary/Interior split one RoundLayerBoundary+RoundLayerInterior
-	// pair's compute time into the part that produced outgoing records and
-	// the part overlapped with the exchange. BoundaryTargets counts the
-	// groups processed in the boundary phase.
-	Boundary        time.Duration
-	Interior        time.Duration
-	BoundaryTargets int
 }
 
 // SetRoundTiming toggles the per-stage profiler hooks. Not safe to call
@@ -118,50 +111,22 @@ func (e *Engine) BeginRound(delta graph.Delta, vups []VertexUpdate) ([]MessageCh
 	return e.recOut, nil
 }
 
-// SetPartitionBoundary installs the boundary mask for split-layer rounds:
-// boundary[v] marks a local vertex with at least one remote subscriber, i.e.
-// a vertex whose message-change records other shards consume. The router
-// derives the mask from its subscription tables and refreshes it between
-// rounds when arc changes move the cut. Passing nil disables the split
-// (RoundLayerBoundary then processes every target in the boundary phase).
-// Not safe to call concurrently with rounds.
-func (e *Engine) SetPartitionBoundary(boundary []bool) error {
-	if boundary != nil && len(boundary) != e.g.NumNodes() {
-		return fmt.Errorf("inkstream: boundary mask for %d nodes, graph has %d", len(boundary), e.g.NumNodes())
-	}
-	if e.partActive {
-		return errors.New("inkstream: cannot change boundary mask mid-round")
-	}
-	e.partBoundary = boundary
-	return nil
-}
-
-// RoundLayerBoundary runs the boundary phase of layer l of the open round.
-// recs must be the node-sorted records delivered to this shard for the
-// layer: its own and its subscriptions' share of the layer-0 records
-// returned by BeginRound (for l == 0) or of the records the previous layer's
-// two phases returned (for l > 0). It refreshes ghost message rows from the
-// remote records, groups the layer's input (changed-edge events in sub-batch
-// order, then the records over this shard's arcs in node order — the
-// single-engine arrival order restricted to local targets), and computes only
-// the targets whose records other shards are waiting for. Those records are
-// returned immediately — sorted by node, engine-owned, stable until this
-// engine's next RoundLayerBoundary — so the router can start the cross-shard
-// exchange while RoundLayerInterior finishes the rest of the layer.
-// Splitting a layer never changes values: grouped targets are independent
-// within a layer (layer-l processing reads M[l]/Alpha[l] and writes only
-// per-target H[l+1]/M[l+1] rows), so only the schedule moves. With no
-// boundary mask, and under the DisableGrouping ablation, the whole layer
-// runs in the boundary phase.
-func (e *Engine) RoundLayerBoundary(l int, recs []MessageChange) ([]MessageChange, error) {
+// RoundLayer runs layer l of the open round. recs must be the node-sorted
+// records delivered to this shard for the layer: its own and its
+// subscriptions' share of the layer-0 records returned by BeginRound (for
+// l == 0) or of the records the previous RoundLayer returned (for l > 0). It
+// refreshes ghost message rows from the remote records, then runs the layer
+// step Apply runs: the changed-edge events in sub-batch order, then the
+// records over this shard's arcs in node order — the single-engine arrival
+// order restricted to local targets — then the carried user events. The
+// returned records are sorted by node, engine-owned and stable until this
+// engine's next RoundLayer.
+func (e *Engine) RoundLayer(l int, recs []MessageChange) ([]MessageChange, error) {
 	if !e.partActive {
-		return nil, errors.New("inkstream: RoundLayerBoundary without an open round")
-	}
-	if e.partSplitOpen {
-		return nil, errors.New("inkstream: previous layer's interior phase still pending (RoundLayerInterior)")
+		return nil, errors.New("inkstream: RoundLayer without an open round")
 	}
 	if l < 0 || l >= e.model.NumLayers() {
-		return nil, fmt.Errorf("inkstream: RoundLayerBoundary layer %d out of range [0,%d)", l, e.model.NumLayers())
+		return nil, fmt.Errorf("inkstream: RoundLayer layer %d out of range [0,%d)", l, e.model.NumLayers())
 	}
 
 	// Ghost refresh: adopt the remote shards' message changes before any
@@ -184,83 +149,20 @@ func (e *Engine) RoundLayerBoundary(l int, recs []MessageChange) ([]MessageChang
 		e.lastStage = RoundStageStats{GhostRows: ghosts, Ghost: time.Since(t0)}
 	}
 
-	// Group the layer's input exactly as Apply does: changed-edge events
-	// first, then this layer's message changes.
-	e.edgeEv = e.appendChangedEdgeEvents(e.edgeEv[:0], l, e.partDelta, e.partOld)
-	groups, routed := e.groupLayer(l, e.edgeEv, recs, e.partCarU)
-
-	split := len(groups)
-	if e.partBoundary != nil && !e.opts.DisableGrouping {
-		// Stable-partition boundary targets first. Both halves stay sorted
-		// by target, so mergeCarried can reconstruct the global target order.
-		e.partGroups = e.partGroups[:0]
-		for _, g := range groups {
-			if e.partBoundary[g.target] {
-				e.partGroups = append(e.partGroups, g)
-			}
-		}
-		split = len(e.partGroups)
-		for _, g := range groups {
-			if !e.partBoundary[g.target] {
-				e.partGroups = append(e.partGroups, g)
-			}
-		}
-		groups = e.partGroups
-	}
-
+	carried := len(e.partCarU)
+	out, user, routed := e.layerStep(l, e.partDelta, e.partOld, recs, e.partCarU)
+	e.partCarU = user
 	if e.roundTiming {
-		e.lastStage.Events = len(e.edgeEv) + routed + len(e.partCarU)
-		t0 = time.Now()
+		e.lastStage.Events = len(e.edgeEv) + routed + carried
 	}
-	e.recOut = e.recOut[:0]
-	e.processRange(l, groups, 0, split)
-	if e.roundTiming {
-		e.lastStage.Boundary = time.Since(t0)
-		e.lastStage.BoundaryTargets = split
-	}
-	e.partGroups, e.partSplit, e.partLayer = groups, split, l
-	e.partSplitOpen = true
-	return e.recOut, nil
-}
-
-// RoundLayerInterior finishes the layer RoundLayerBoundary opened: it
-// computes the interior targets (whose records no other shard consumes
-// before the next layer barrier) and returns their records, sorted by node.
-// The interior phase appends to a separate buffer — the boundary slice may
-// still be in the router's hands — so the two returned slices never share
-// backing storage within a layer.
-func (e *Engine) RoundLayerInterior() ([]MessageChange, error) {
-	if !e.partActive || !e.partSplitOpen {
-		return nil, errors.New("inkstream: RoundLayerInterior without an open boundary phase")
-	}
-	groups, split, l := e.partGroups, e.partSplit, e.partLayer
-
-	var t0 time.Time
-	if e.roundTiming {
-		t0 = time.Now()
-	}
-	boundaryRecs := e.recOut
-	e.recOut = e.partRecB[:0]
-	e.processRange(l, groups, split, len(groups))
-	e.partRecB = e.recOut
-	interiorRecs := e.recOut
-	e.recOut = boundaryRecs
-	if e.roundTiming {
-		e.lastStage.Interior = time.Since(t0)
-	}
-
-	// The next layer sees the carried user-hook events in exactly the order
-	// an unsplit layer produces.
-	e.partCarU = e.mergeCarried(groups, split)
-	e.partSplitOpen = false
-	return interiorRecs, nil
+	return out, nil
 }
 
 // HasCarriedRoundEvents reports whether the open round is carrying user-hook
 // events into its next layer. The router's idle-shard check reads it between
 // layer barriers: a shard with an empty sub-batch, an empty delivery list AND
 // no carried events has provably nothing to do in the next layer, so the
-// router skips its two layer calls entirely.
+// router skips its layer call entirely.
 func (e *Engine) HasCarriedRoundEvents() bool { return len(e.partCarU) > 0 }
 
 // MessageRow returns the engine's live layer-l message row of vertex v. The
@@ -307,9 +209,6 @@ func (e *Engine) SetGhostMessageRow(l int, v graph.NodeID, row tensor.Vector) er
 func (e *Engine) FinishRound() error {
 	if !e.partActive {
 		return errors.New("inkstream: FinishRound without an open round")
-	}
-	if e.partSplitOpen {
-		return errors.New("inkstream: FinishRound with a boundary phase still open (RoundLayerInterior)")
 	}
 	e.partActive = false
 	e.partDelta = nil

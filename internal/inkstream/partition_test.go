@@ -24,9 +24,8 @@ func expandDelta(delta graph.Delta) graph.Delta {
 
 // TestRoundTimingStats pins the round-profiler hooks: with timing on, every
 // stage leaves a RoundStageStats behind (ghost refresh counted for remote
-// records only, events counted for the staged layer list, the whole layer in
-// the boundary phase without a mask), FinishRound clears it, and running the
-// same stream with timing on stays bit-exact.
+// records only, events counted for the staged layer list), FinishRound
+// clears it, and running the same stream with timing on stays bit-exact.
 func TestRoundTimingStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const n, featLen = 40, 5
@@ -69,14 +68,10 @@ func TestRoundTimingStats(t *testing.T) {
 	if st := ink.LastStageStats(); st.Events != len(recs) || st.GhostRows != 0 {
 		t.Fatalf("begin stats = %+v, want %d events", st, len(recs))
 	}
-	merged := append([]MessageChange(nil), recs...)
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Node < merged[j].Node })
+	deliv := append([]MessageChange(nil), recs...)
+	sort.Slice(deliv, func(i, j int) bool { return deliv[i].Node < deliv[j].Node })
 	for l := 0; l < model.NumLayers(); l++ {
-		bnd, err := ink.RoundLayerBoundary(l, merged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		intr, err := ink.RoundLayerInterior()
+		out, err := ink.RoundLayer(l, deliv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,14 +80,10 @@ func TestRoundTimingStats(t *testing.T) {
 		if st.GhostRows != 0 {
 			t.Fatalf("layer %d: %d ghost rows on an all-local shard", l, st.GhostRows)
 		}
-		if len(merged) > 0 && st.Events == 0 && l == 0 && len(delta) > 0 {
+		if len(deliv) > 0 && st.Events == 0 && l == 0 && len(delta) > 0 {
 			t.Fatalf("layer %d: zero events staged for a non-empty round", l)
 		}
-		if l == 0 && st.BoundaryTargets == 0 {
-			t.Fatalf("layer %d: no boundary-phase targets without a boundary mask", l)
-		}
-		merged = append(append(merged[:0], bnd...), intr...)
-		sort.Slice(merged, func(i, j int) bool { return merged[i].Node < merged[j].Node })
+		deliv = append(deliv[:0], out...)
 	}
 	if err := ink.FinishRound(); err != nil {
 		t.Fatal(err)
@@ -107,9 +98,9 @@ func TestRoundTimingStats(t *testing.T) {
 }
 
 // TestPartitionedModeRejections pins the mode boundary: a partitioned engine
-// refuses the standalone entry points, rejects remote-vertex feature updates
-// and out-of-sequence round calls, and a standalone engine refuses the round
-// protocol.
+// refuses the standalone entry points, rejects remote-vertex feature updates,
+// out-of-sequence round calls and out-of-range layers, and a standalone
+// engine refuses the round protocol.
 func TestPartitionedModeRejections(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n, featLen = 20, 4
@@ -124,8 +115,8 @@ func TestPartitionedModeRejections(t *testing.T) {
 	if _, err := plain.BeginRound(nil, nil); err == nil {
 		t.Fatal("BeginRound accepted on a standalone engine")
 	}
-	if _, err := plain.RoundLayerBoundary(0, nil); err == nil {
-		t.Fatal("RoundLayerBoundary accepted without an open round")
+	if _, err := plain.RoundLayer(0, nil); err == nil {
+		t.Fatal("RoundLayer accepted on a standalone engine")
 	}
 	if err := plain.FinishRound(); err == nil {
 		t.Fatal("FinishRound accepted without an open round")
@@ -162,11 +153,19 @@ func TestPartitionedModeRejections(t *testing.T) {
 	if _, err := ink.BeginRound(nil, vups); err == nil {
 		t.Fatal("BeginRound accepted a remote vertex update")
 	}
+	if _, err := ink.RoundLayer(0, nil); err == nil {
+		t.Fatal("RoundLayer accepted without an open round")
+	}
 	if _, err := ink.BeginRound(nil, nil); err != nil {
 		t.Fatalf("opening an empty round: %v", err)
 	}
 	if _, err := ink.BeginRound(nil, nil); err == nil {
 		t.Fatal("BeginRound accepted with a round already open")
+	}
+	for _, l := range []int{-1, model.NumLayers()} {
+		if _, err := ink.RoundLayer(l, nil); err == nil {
+			t.Fatalf("RoundLayer accepted out-of-range layer %d", l)
+		}
 	}
 	if err := ink.SetPartitionLocal(nil); err == nil {
 		t.Fatal("SetPartitionLocal accepted mid-round")

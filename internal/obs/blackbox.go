@@ -490,15 +490,13 @@ type TraceDump struct {
 
 // RoundShardDump mirrors one per-shard span of rounds.json.
 type RoundShardDump struct {
-	Shard      int     `json:"shard"`
-	ComputeUS  float64 `json:"compute_us"`
-	BarrierUS  float64 `json:"barrier_us"`
-	GhostUS    float64 `json:"ghost_us"`
-	Events     int     `json:"events"`
-	BoundaryUS float64 `json:"boundary_us"`
-	InteriorUS float64 `json:"interior_us"`
-	GhostRows  int     `json:"ghost_rows"`
-	Skipped    bool    `json:"skipped"`
+	Shard     int     `json:"shard"`
+	ComputeUS float64 `json:"compute_us"`
+	BarrierUS float64 `json:"barrier_us"`
+	GhostUS   float64 `json:"ghost_us"`
+	Events    int     `json:"events"`
+	GhostRows int     `json:"ghost_rows"`
+	Skipped   bool    `json:"skipped"`
 }
 
 // RoundStageDump mirrors one barrier stage of rounds.json.

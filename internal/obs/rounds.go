@@ -22,7 +22,7 @@ import (
 // RoundShardSpan is one shard's slice of one barrier stage.
 type RoundShardSpan struct {
 	// Compute is the shard's wall time inside the stage call
-	// (BeginRound, the layer's two phases, FinishRound+publish); Barrier is the stage
+	// (BeginRound, RoundLayer, FinishRound+publish); Barrier is the stage
 	// makespan minus Compute — the time the shard spent waiting for the
 	// straggler to close the barrier.
 	Compute time.Duration
@@ -33,14 +33,10 @@ type RoundShardSpan struct {
 	// plus routed arc events) plus its user events.
 	Ghost  time.Duration
 	Events int
-	// Boundary/Interior split Compute into the boundary-first phases of the
-	// overlapped exchange (zero outside layer stages); GhostRows counts the
-	// remote rows the shard adopted in the stage. Skipped marks a layer call
-	// the router elided because the shard had no events, no delivered
-	// records and no carried hooks — a skipped shard is excluded from
-	// makespan and barrier attribution.
-	Boundary  time.Duration
-	Interior  time.Duration
+	// GhostRows counts the remote rows the shard adopted in the stage.
+	// Skipped marks a layer call the router elided because the shard had no
+	// events, no delivered records and no carried hooks — a skipped shard is
+	// excluded from makespan and barrier attribution.
 	GhostRows int
 	Skipped   bool
 }
@@ -188,15 +184,13 @@ func (t *RoundTrace) BarrierShare() float64 {
 }
 
 type roundShardJSON struct {
-	Shard      int     `json:"shard"`
-	ComputeUS  float64 `json:"compute_us"`
-	BarrierUS  float64 `json:"barrier_us"`
-	GhostUS    float64 `json:"ghost_us"`
-	Events     int     `json:"events"`
-	BoundaryUS float64 `json:"boundary_us,omitempty"`
-	InteriorUS float64 `json:"interior_us,omitempty"`
-	GhostRows  int     `json:"ghost_rows,omitempty"`
-	Skipped    bool    `json:"skipped,omitempty"`
+	Shard     int     `json:"shard"`
+	ComputeUS float64 `json:"compute_us"`
+	BarrierUS float64 `json:"barrier_us"`
+	GhostUS   float64 `json:"ghost_us"`
+	Events    int     `json:"events"`
+	GhostRows int     `json:"ghost_rows,omitempty"`
+	Skipped   bool    `json:"skipped,omitempty"`
 }
 
 type roundStageJSON struct {
@@ -256,15 +250,13 @@ func (t *RoundTrace) MarshalJSON() ([]byte, error) {
 		}
 		for i, sh := range st.Shards {
 			sj.Shards[i] = roundShardJSON{
-				Shard:      i,
-				ComputeUS:  us(sh.Compute),
-				BarrierUS:  us(sh.Barrier),
-				GhostUS:    us(sh.Ghost),
-				Events:     sh.Events,
-				BoundaryUS: us(sh.Boundary),
-				InteriorUS: us(sh.Interior),
-				GhostRows:  sh.GhostRows,
-				Skipped:    sh.Skipped,
+				Shard:     i,
+				ComputeUS: us(sh.Compute),
+				BarrierUS: us(sh.Barrier),
+				GhostUS:   us(sh.Ghost),
+				Events:    sh.Events,
+				GhostRows: sh.GhostRows,
+				Skipped:   sh.Skipped,
 			}
 		}
 		out.Stages = append(out.Stages, sj)

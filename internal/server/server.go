@@ -554,10 +554,6 @@ type RoundProfileStats struct {
 	// the router-side record bucketing time as a fraction of BSP.
 	BarrierShare   float64 `json:"barrier_share"`
 	BroadcastShare float64 `json:"broadcast_share"`
-	// BoundaryShare is the boundary-phase fraction of split-layer compute
-	// (boundary / (boundary + interior)) across profiled rounds — how early
-	// a layer publishes the records other shards wait for.
-	BoundaryShare float64 `json:"boundary_share"`
 	// MeanStragglerSkew is the mean over rounds of max/mean shard compute
 	// (1 = perfectly balanced); Straggler the shard that was slowest most
 	// often, with the per-shard round counts in StragglerRounds.

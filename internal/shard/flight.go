@@ -24,7 +24,7 @@ func (rt *Router) recordRound(p *obs.RoundTrace) {
 	// mean(compute)+mean(barrier) = stage makespan, so the invariant
 	// computeNS+barrierNS ≈ bspNS survives idle-shard skipping.
 	bsp := p.BSPTime().Nanoseconds()
-	var compNS, waitNS, bndNS, intrNS int64
+	var compNS, waitNS int64
 	for _, st := range p.Stages {
 		var c, w, k int64
 		for _, sh := range st.Shards {
@@ -33,8 +33,6 @@ func (rt *Router) recordRound(p *obs.RoundTrace) {
 			}
 			c += sh.Compute.Nanoseconds()
 			w += sh.Barrier.Nanoseconds()
-			bndNS += sh.Boundary.Nanoseconds()
-			intrNS += sh.Interior.Nanoseconds()
 			k++
 		}
 		if k > 0 {
@@ -42,8 +40,6 @@ func (rt *Router) recordRound(p *obs.RoundTrace) {
 			waitNS += w / k
 		}
 	}
-	rt.boundaryNS.Add(bndNS)
-	rt.interiorNS.Add(intrNS)
 	rt.bspNS.Add(bsp)
 	rt.computeNS.Add(compNS)
 	if waitNS > 0 {

@@ -7,11 +7,12 @@
 // s's engine holds a directed shard graph containing every in-arc of every
 // vertex s owns, and full-size state matrices whose remote message rows
 // are ghost rows. Updates execute as BSP rounds
-// in layer lockstep: every shard applies its sub-batch, and after each
-// layer every message-change record is delivered, in node order, to its
-// producer and to the shards holding an arc from its source (subscribe.go),
-// which refresh their ghost rows and regenerate the fan-out over their own
-// arcs. Because the regenerated per-target event sequence equals the
+// in layer lockstep: every shard applies its sub-batch, each layer is one
+// engine call per shard closed by a barrier, and after it every
+// message-change record is delivered, in node order, to its producer and to
+// the shards holding an arc from its source (subscribe.go), which refresh
+// their ghost rows and regenerate the fan-out over their own arcs in the
+// next layer's call. Because the regenerated per-target event sequence equals the
 // single-engine sequence restricted to local targets (in the same arrival
 // order), an N-shard deployment is bit-exact against a standalone engine —
 // for monotonic and accumulative aggregators alike. One shard is the
@@ -98,13 +99,8 @@ type Router struct {
 	// Subscription-filtered delivery state (apply goroutine only, engines
 	// idle whenever it is touched). subs[s][u] counts the live arcs from
 	// remote vertex u into shard-s-owned vertices: shard s consumes u's
-	// ghost rows iff the count is positive. remoteSubs[u] counts the shards
-	// subscribed to u; boundary[s] is the per-shard mask of owned vertices
-	// with at least one remote subscriber (the engines' boundary-phase
-	// input, mutated in place between rounds).
-	subs       []map[graph.NodeID]int
-	remoteSubs []int
-	boundary   [][]bool
+	// ghost rows iff the count is positive.
+	subs []map[graph.NodeID]int
 
 	rounds atomic.Int64 // rounds applied
 	edges  atomic.Int64 // logical edge count of the served graph
@@ -140,18 +136,13 @@ type Router struct {
 	broadcastNS      atomic.Int64
 	bspNS            atomic.Int64
 	skewMilli        atomic.Int64 // cumulative straggler skew × 1000
-	boundaryNS       atomic.Int64 // cumulative boundary-phase compute
-	interiorNS       atomic.Int64 // cumulative interior-phase compute
 	stragglerRounds  []atomic.Int64
 	lastBarrierShare atomic.Uint64
 
-	// delivA/delivB are the per-destination delivery lists, double-buffered
-	// because layer l's lists are still being read by engines while layer
-	// l+1's are built; bndOut/intrOut hold each shard's two record slices
-	// of the layer in flight.
-	delivA, delivB [][]inkstream.MessageChange
-	intrOut        [][]inkstream.MessageChange
-	bndOut         [][]inkstream.MessageChange
+	// deliv holds the per-destination delivery lists of the next layer,
+	// reused across layers and rounds: a layer stage has returned before its
+	// records are bucketed, so nothing still reads the previous lists.
+	deliv [][]inkstream.MessageChange
 }
 
 // New bootstraps a partitioned deployment: one full-graph inference over g
@@ -206,9 +197,8 @@ func New(model *gnn.Model, g *graph.Graph, x *tensor.Matrix, cfg Config) (*Route
 		st.eng = eng
 		rt.shards = append(rt.shards, st)
 	}
-	if err := rt.initSubscriptions(); err != nil {
-		return nil, err
-	}
+	rt.initSubscriptions()
+	rt.deliv = make([][]inkstream.MessageChange, cfg.Shards)
 	return rt, nil
 }
 
@@ -463,7 +453,7 @@ func (rt *Router) finishRound(prof *obs.RoundTrace, durs []time.Duration, bcast 
 
 // addStage freezes one barrier stage into the round trace: per-shard compute
 // from the stage timings, barrier wait as makespan − compute, and the
-// engines' self-measured ghost/event/phase stats (written before each
+// engines' self-measured ghost/event stats (written before each
 // goroutine's WaitGroup release, so the post-barrier read is ordered).
 // skipped marks shards whose layer call was elided by the idle-shard check:
 // they are excluded from makespan and barrier attribution (an idle shard is
@@ -495,8 +485,6 @@ func (rt *Router) addStage(prof *obs.RoundTrace, name string, durs []time.Durati
 			Barrier:   st.Makespan - d,
 			Ghost:     es.Ghost,
 			Events:    es.Events,
-			Boundary:  es.Boundary,
-			Interior:  es.Interior,
 			GhostRows: es.GhostRows,
 		}
 	}

@@ -35,9 +35,6 @@ func (rt *Router) FillStats(resp *server.StatsResponse) {
 			rp.BarrierShare = float64(rt.barrierNS.Load()) / float64(bsp)
 			rp.BroadcastShare = float64(rt.broadcastNS.Load()) / float64(bsp)
 		}
-		if split := rt.boundaryNS.Load() + rt.interiorNS.Load(); split > 0 {
-			rp.BoundaryShare = float64(rt.boundaryNS.Load()) / float64(split)
-		}
 		var best int64 = -1
 		for i := range rt.stragglerRounds {
 			c := rt.stragglerRounds[i].Load()

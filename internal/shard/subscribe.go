@@ -2,11 +2,9 @@ package shard
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -14,8 +12,7 @@ import (
 )
 
 // This file is the cross-shard seam: the round protocol, with
-// subscription-filtered record delivery and the boundary-first
-// compute/exchange overlap (DESIGN.md §7.4).
+// subscription-filtered record delivery (DESIGN.md §7.4).
 //
 // A shard only ever reads the ghost rows of vertices it has an in-arc from.
 // The router therefore keeps, per shard, a refcount of live cross-shard arcs
@@ -38,54 +35,30 @@ import (
 // snapshot; dropping the subscription in the same round is safe because the
 // arc is gone before any event could need a fresher row.
 
-// initSubscriptions builds the subscription tables and boundary masks from
-// the bootstrap graph (the replica holds its directed arcs) and installs
-// each shard's boundary mask. Called once at construction; replayed rounds
-// maintain the tables like live ones.
-func (rt *Router) initSubscriptions() error {
-	n := len(rt.shards)
-	rt.subs = make([]map[graph.NodeID]int, n)
+// initSubscriptions builds the subscription tables from the bootstrap graph
+// (the replica holds its directed arcs). Called once at construction;
+// replayed rounds maintain the tables like live ones.
+func (rt *Router) initSubscriptions() {
+	rt.subs = make([]map[graph.NodeID]int, len(rt.shards))
 	for s := range rt.subs {
 		rt.subs[s] = make(map[graph.NodeID]int)
 	}
-	rt.remoteSubs = make([]int, rt.part.NumNodes())
 	g := rt.replica
 	for u := 0; u < g.NumNodes(); u++ {
 		src := rt.part.Owner(graph.NodeID(u))
 		for _, v := range g.OutNeighbors(graph.NodeID(u)) {
 			if dst := rt.part.Owner(v); dst != src {
-				if rt.subs[dst][graph.NodeID(u)]++; rt.subs[dst][graph.NodeID(u)] == 1 {
-					rt.remoteSubs[u]++
-				}
+				rt.subs[dst][graph.NodeID(u)]++
 			}
 		}
 	}
-	rt.boundary = make([][]bool, n)
-	for s := range rt.boundary {
-		rt.boundary[s] = make([]bool, rt.part.NumNodes())
-	}
-	for u, subs := range rt.remoteSubs {
-		if subs > 0 {
-			rt.boundary[rt.part.Owner(graph.NodeID(u))][u] = true
-		}
-	}
-	for s, st := range rt.shards {
-		if err := st.eng.SetPartitionBoundary(rt.boundary[s]); err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
-		}
-	}
-	rt.delivA = make([][]inkstream.MessageChange, n)
-	rt.delivB = make([][]inkstream.MessageChange, n)
-	rt.bndOut = make([][]inkstream.MessageChange, n)
-	rt.intrOut = make([][]inkstream.MessageChange, n)
-	return nil
 }
 
 // prepareRoundRouting folds one round's arc changes into the subscription
-// tables and boundary masks, then hydrates every new subscription (refcount
-// 0 → 1 on a remote source) by copying the owner's current message rows into
-// the subscriber's ghost rows — all before the round opens, on the apply
-// goroutine, while every engine is idle.
+// tables, then hydrates every new subscription (refcount 0 → 1 on a remote
+// source) by copying the owner's current message rows into the subscriber's
+// ghost rows — all before the round opens, on the apply goroutine, while
+// every engine is idle.
 func (rt *Router) prepareRoundRouting(r *round) error {
 	type hydration struct {
 		shard int
@@ -94,24 +67,15 @@ func (rt *Router) prepareRoundRouting(r *round) error {
 	var fresh []hydration
 	for s := range r.subDelta {
 		for _, ch := range r.subDelta[s] {
-			src := rt.part.Owner(ch.U) // destination owner is s by routing
-			if src == s {
+			if rt.part.Owner(ch.U) == s { // destination owner is s by routing
 				continue
 			}
 			if ch.Insert {
 				if rt.subs[s][ch.U]++; rt.subs[s][ch.U] == 1 {
-					if rt.remoteSubs[ch.U]++; rt.remoteSubs[ch.U] == 1 {
-						rt.boundary[src][ch.U] = true
-					}
 					fresh = append(fresh, hydration{s, ch.U})
 				}
-			} else {
-				if rt.subs[s][ch.U]--; rt.subs[s][ch.U] == 0 {
-					delete(rt.subs[s], ch.U)
-					if rt.remoteSubs[ch.U]--; rt.remoteSubs[ch.U] == 0 {
-						rt.boundary[src][ch.U] = false
-					}
-				}
+			} else if rt.subs[s][ch.U]--; rt.subs[s][ch.U] == 0 {
+				delete(rt.subs[s], ch.U)
 			}
 		}
 	}
@@ -130,43 +94,51 @@ func (rt *Router) prepareRoundRouting(r *round) error {
 	return nil
 }
 
-// bucketRecords distributes one shard's records into the per-destination
-// delivery lists: the producing shard always receives its own records (it
-// regenerates local fan-out from them), other shards only when subscribed.
-// Returns the remote deliveries, suppressed deliveries and delivered bytes
-// for the round counters.
-func (rt *Router) bucketRecords(src int, recs []inkstream.MessageChange, deliv [][]inkstream.MessageChange) (delivered, filtered int, bytes int64) {
-	n := len(rt.shards)
-	for _, rec := range recs {
-		deliv[src] = append(deliv[src], rec)
-		recBytes := int64(4 * (len(rec.Old) + len(rec.New)))
-		for s := 0; s < n; s++ {
-			if s == src {
-				continue
-			}
-			if rt.subs[s][rec.Node] > 0 {
-				deliv[s] = append(deliv[s], rec)
-				delivered++
-				bytes += recBytes
-			} else {
-				filtered++
+// deliver rebuilds the delivery lists from every shard's records (outs[i]
+// nil for a shard that produced none): the producing shard always receives
+// its own records (it regenerates local fan-out from them), other shards
+// only when subscribed. Each list ends node-sorted; every source node's
+// record is produced by exactly one shard, so the order is total and
+// deterministic. Returns the remote deliveries, suppressed deliveries and
+// delivered bytes for the round counters.
+func (rt *Router) deliver(outs [][]inkstream.MessageChange) (delivered, filtered int, bytes int64) {
+	deliv := rt.deliv
+	for s := range deliv {
+		deliv[s] = deliv[s][:0]
+	}
+	for src, recs := range outs {
+		for _, rec := range recs {
+			deliv[src] = append(deliv[src], rec)
+			recBytes := int64(4 * (len(rec.Old) + len(rec.New)))
+			for s := range deliv {
+				if s == src {
+					continue
+				}
+				if rt.subs[s][rec.Node] > 0 {
+					deliv[s] = append(deliv[s], rec)
+					delivered++
+					bytes += recBytes
+				} else {
+					filtered++
+				}
 			}
 		}
+	}
+	for s := range deliv {
+		slices.SortFunc(deliv[s], func(a, b inkstream.MessageChange) int { return cmp.Compare(a.Node, b.Node) })
 	}
 	return delivered, filtered, bytes
 }
 
 // executeRound runs one BSP round: BeginRound on every shard, then the
 // layers in lockstep, then FinishRound and a snapshot publish on every
-// shard. Per layer, every participating shard runs RoundLayerBoundary
-// (producing the records other shards wait for) and then RoundLayerInterior
-// back to back with no inter-shard barrier between the phases; the apply
-// goroutine buckets each shard's boundary records into the next layer's
-// delivery lists as they arrive, overlapping the exchange with the interior
-// compute. Shards with an empty sub-batch, an empty delivery list and no
-// carried hook events skip the layer call entirely — the idle half of a
-// partitioned deployment stops paying the lockstep tax. A 1-shard deployment
-// runs the same code with nothing subscribed: no boundary targets, no remote
+// shard. Each layer is one barrier stage — every participating shard's
+// RoundLayer over its delivery list — after which the apply goroutine
+// buckets all the stage's records into the next layer's delivery lists.
+// Shards with an empty sub-batch, an empty delivery list and no carried
+// hook events skip the layer call entirely — the idle half of a
+// partitioned deployment stops paying the lockstep tax. A 1-shard
+// deployment runs the same code with nothing subscribed: no remote
 // deliveries.
 func (rt *Router) executeRound(r *round) error {
 	n := len(rt.shards)
@@ -183,128 +155,43 @@ func (rt *Router) executeRound(r *round) error {
 	if err != nil {
 		return err
 	}
-
-	// Layer-0 delivery lists from the BeginRound records.
-	deliv, next := rt.delivA, rt.delivB
-	for s := range deliv {
-		deliv[s], next[s] = deliv[s][:0], next[s][:0]
-	}
-	var bcast time.Duration
 	t0 := time.Now()
-	delivered, filtered := 0, 0
-	var dBytes int64
-	for i := range outs {
-		d, f, b := rt.bucketRecords(i, outs[i], deliv)
-		delivered, filtered, dBytes = delivered+d, filtered+f, dBytes+b
-	}
-	for s := range deliv {
-		sortRecords(deliv[s])
-	}
-	bcast = time.Since(t0)
+	delivered, filtered, dBytes := rt.deliver(outs)
+	bcast := time.Since(t0)
 
 	skip := make([]bool, n)
 	for l := 0; l < rt.model.NumLayers(); l++ {
 		rt.boundaryRecs.Add(int64(delivered))
 		rt.filteredRecs.Add(int64(filtered))
 		rt.boundaryBytes.Add(dBytes)
-		stageRecs, stageBytes, layerBcast := delivered, dBytes, bcast
-
-		participants := 0
 		for i, s := range rt.shards {
-			skip[i] = len(deliv[i]) == 0 && len(r.subDelta[i]) == 0 && !s.eng.HasCarriedRoundEvents()
-			if !skip[i] {
-				participants++
-			}
+			skip[i] = len(rt.deliv[i]) == 0 && len(r.subDelta[i]) == 0 && !s.eng.HasCarriedRoundEvents()
 		}
-		for s := range next {
-			next[s] = next[s][:0]
-		}
-
-		// Launch the participants: boundary phase, publish its records,
-		// then interior — no cross-shard barrier between the phases.
-		bndReady := make(chan int, participants)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for i, s := range rt.shards {
+		if err := rt.runStage(prof, durs, func(i int, s *shardState) error {
 			if skip[i] {
-				rt.bndOut[i], rt.intrOut[i] = nil, nil
-				if prof != nil {
-					durs[i] = 0
-				}
-				continue
+				outs[i] = nil
+				return nil
 			}
-			wg.Add(1)
-			go func(i int, s *shardState, l int) {
-				defer wg.Done()
-				var t0 time.Time
-				if prof != nil {
-					t0 = time.Now()
-				}
-				bnd, err := s.eng.RoundLayerBoundary(l, deliv[i])
-				rt.bndOut[i] = bnd
-				if err != nil {
-					errs[i] = err
-					bndReady <- -1
-					return
-				}
-				bndReady <- i
-				intr, err := s.eng.RoundLayerInterior()
-				rt.intrOut[i] = intr
-				errs[i] = err
-				if prof != nil {
-					durs[i] = time.Since(t0)
-				}
-			}(i, s, l)
-		}
-
-		// Overlapped exchange: bucket each shard's boundary records into the
-		// next layer's delivery lists as soon as that shard publishes them,
-		// while the interiors are still computing.
-		var mergeBusy time.Duration
-		delivered, filtered, dBytes = 0, 0, 0
-		for k := 0; k < participants; k++ {
-			i := <-bndReady
-			if i < 0 {
-				continue
-			}
-			b0 := time.Now()
-			d, f, b := rt.bucketRecords(i, rt.bndOut[i], next)
-			delivered, filtered, dBytes = delivered+d, filtered+f, dBytes+b
-			mergeBusy += time.Since(b0)
-		}
-		wg.Wait()
-		if err := errors.Join(errs...); err != nil {
+			recs, err := s.eng.RoundLayer(l, rt.deliv[i])
+			outs[i] = recs
+			return err
+		}); err != nil {
 			return fmt.Errorf("layer %d: %w", l, err)
 		}
 		for i, s := range rt.shards {
-			if skip[i] {
-				continue
+			if !skip[i] {
+				rt.ghostRows.Add(int64(s.eng.LastStageStats().GhostRows))
 			}
-			b0 := time.Now()
-			d, f, b := rt.bucketRecords(i, rt.intrOut[i], next)
-			delivered, filtered, dBytes = delivered+d, filtered+f, dBytes+b
-			mergeBusy += time.Since(b0)
-			rt.ghostRows.Add(int64(s.eng.LastStageStats().GhostRows))
 		}
-		for s := range next {
-			sortRecords(next[s])
-		}
-		bcast = mergeBusy
-
 		if prof != nil {
-			rt.addStage(prof, "layer"+strconv.Itoa(l), durs, skip, stageRecs, stageBytes, layerBcast)
-			prof.Records += stageRecs
-			prof.Bytes += stageBytes
+			rt.addStage(prof, "layer"+strconv.Itoa(l), durs, skip, delivered, dBytes, bcast)
+			prof.Records += delivered
+			prof.Bytes += dBytes
 		}
-		deliv, next = next, deliv
+
+		t0 = time.Now()
+		delivered, filtered, dBytes = rt.deliver(outs)
+		bcast = time.Since(t0)
 	}
-	rt.delivA, rt.delivB = deliv, next
-
 	return rt.finishRound(prof, durs, bcast)
-}
-
-// sortRecords node-sorts one delivery list. Each source node's record is
-// produced by exactly one shard, so the order is total and deterministic.
-func sortRecords(recs []inkstream.MessageChange) {
-	slices.SortFunc(recs, func(a, b inkstream.MessageChange) int { return cmp.Compare(a.Node, b.Node) })
 }

@@ -22,13 +22,13 @@ go test -race ./internal/tensor ./internal/gnn ./internal/experiments \
 # pattern that matches nothing passes silently, so a renamed or folded test
 # would drop out of the gate unnoticed. That covers the one write pipeline
 # under concurrent conflicting writers and Close (server, over both
-# backends); the one BSP round protocol — subscription-filtered delivery,
-# the exchange overlapped with interior compute, idle-shard skipping, the
-# fail-stop latch — at 1, 2 and 4 shards against a standalone engine
-# (shard); both grouping routes with the pool workers writing the shared
-# grouper tables, the selector between them, and the boundary/interior
-# round protocol against plain Apply (inkstream); and the trace rings,
-# sampler, alert engine and black box (obs).
+# backends); the one BSP round protocol — one engine call per shard per
+# barrier stage, subscription-filtered delivery, ghost hydration,
+# idle-shard skipping, the fail-stop latch — at 1, 2 and 4 shards against
+# a standalone engine (shard); both grouping routes with the pool workers
+# writing the shared grouper tables, the selector between them, and the
+# round protocol's layer call against plain Apply (inkstream); and the
+# trace rings, sampler, alert engine and black box (obs).
 go test -race -count=1 ./internal/server ./internal/shard ./internal/inkstream \
     ./internal/obs
 
