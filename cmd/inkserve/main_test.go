@@ -472,7 +472,7 @@ func TestKillAndRestartReplaysWAL(t *testing.T) {
 				}
 				err = json.NewDecoder(resp.Body).Decode(&st)
 				resp.Body.Close()
-				if err != nil || st.UpdatesServed != 12 || (st.ShardingStats != nil && st.Rounds != 12) {
+				if err != nil || st.UpdatesServed != 12 || (st.ShardingStats != nil && st.PerShard[0].Rounds != 12) {
 					t.Errorf("after replay: updates_served %d, sharding %+v (%v), want 12 each", st.UpdatesServed, st.ShardingStats, err)
 				}
 			})

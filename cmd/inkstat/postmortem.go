@@ -122,11 +122,11 @@ func renderSeries(w io.Writer, d *obs.Dump) {
 
 // renderTraces prints the slowest recorded request traces with their stage
 // breakdown, error, and GC-pause overlap.
-func renderTraces(w io.Writer, traces []obs.TraceDump) {
+func renderTraces(w io.Writer, traces []obs.TraceJSON) {
 	if len(traces) == 0 {
 		return
 	}
-	sorted := append([]obs.TraceDump(nil), traces...)
+	sorted := append([]obs.TraceJSON(nil), traces...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].TotalUS > sorted[j].TotalUS })
 	n := len(sorted)
 	if n > 10 {
@@ -153,11 +153,11 @@ func renderTraces(w io.Writer, traces []obs.TraceDump) {
 
 // renderRounds prints the slowest BSP rounds with straggler and barrier
 // attribution — the sharded deployment's critical-path view.
-func renderRounds(w io.Writer, rounds []obs.RoundDump) {
+func renderRounds(w io.Writer, rounds []obs.RoundJSON) {
 	if len(rounds) == 0 {
 		return
 	}
-	sorted := append([]obs.RoundDump(nil), rounds...)
+	sorted := append([]obs.RoundJSON(nil), rounds...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].TotalUS > sorted[j].TotalUS })
 	n := len(sorted)
 	if n > 5 {

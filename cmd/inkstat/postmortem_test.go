@@ -20,8 +20,8 @@ func synthBundle(t *testing.T) string {
 		Total: 9 * time.Millisecond, Sampled: true, Round: 12,
 		GCPause: 150 * time.Microsecond,
 	})
-	rr := obs.NewRoundRecorder(8)
-	rr.Record(&obs.RoundTrace{
+	rounds := obs.NewRing[obs.RoundTrace](8)
+	rounds.Record(&obs.RoundTrace{
 		ID: 12, Start: time.Now(), Reqs: 3, Edges: 7,
 		Total: 8 * time.Millisecond,
 		Stages: []obs.RoundStageSpan{{
@@ -43,12 +43,13 @@ func synthBundle(t *testing.T) string {
 	bb := obs.NewBlackBox(obs.BlackBoxConfig{
 		Dir: dir, Debounce: -1,
 		Source: obs.BlackBoxSource{
-			Flight: f, Rounds: rr, Sampler: s,
+			Flight: f, Sampler: s,
 			Alerts: obs.NewAlertEngine(s), Runtime: obs.NewRuntime(),
 			Config: map[string]any{"deployment": "sharded", "shards": 2},
 		},
 	})
 	defer bb.Close()
+	bb.AddFile("rounds.json", func() any { return rounds.Traces() })
 	bb.AddFile("failstop.json", func() any {
 		return &obs.FailStopInfo{Round: 12, Err: "shard 1: apply exploded", Time: time.Now()}
 	})

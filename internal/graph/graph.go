@@ -241,20 +241,6 @@ func (g *Graph) Edges() [][2]NodeID {
 	return es
 }
 
-// Induce returns the subgraph induced by the first n node IDs, preserving
-// directedness. Used to model vertex removal/addition against a common
-// generated universe (Fig. 9's train-set perturbations).
-func (g *Graph) Induce(n int) *Graph {
-	if n > g.NumNodes() {
-		n = g.NumNodes()
-	}
-	ids := make([]NodeID, n)
-	for i := range ids {
-		ids[i] = NodeID(i)
-	}
-	return g.InduceSubset(ids)
-}
-
 // InduceSubset returns the subgraph induced by ids (which must be
 // distinct); node ids[i] becomes node i in the result. Inducing over a
 // random permutation prefix models unbiased vertex removal.

@@ -33,11 +33,6 @@ type Options struct {
 	// targets (and, since it idles the worker pool, parallel sharded event
 	// routing too).
 	Sequential bool
-	// Trace, when set, is invoked once per visited node per layer with
-	// the node's classification, after that layer completes (in sorted
-	// target order, from a single goroutine). For observability and
-	// debugging; keep it fast.
-	Trace func(layer int, node graph.NodeID, cond Condition)
 	// Observer, when set, records every Apply into the serving-path
 	// latency histogram and fills a per-layer obs.Trace (phase
 	// timings, event traffic, condition counts; see Trace). The trace
@@ -617,9 +612,6 @@ func (e *Engine) processRange(l int, groups []*group) {
 		e.layerStats[l].Add(conds[i])
 		if dirt[i] {
 			e.markDirty(g.target)
-		}
-		if e.opts.Trace != nil {
-			e.opts.Trace(l, g.target, conds[i])
 		}
 	}
 }

@@ -122,46 +122,6 @@ func TestDriftAndRefresh(t *testing.T) {
 	}
 }
 
-// The trace hook sees exactly the visits the statistics count, in
-// deterministic layer-then-target order.
-func TestTraceHook(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := randomGraph(rng, 40, 120)
-	x := tensor.RandMatrix(rng, 40, 5, 1)
-	type visit struct {
-		layer int
-		node  graph.NodeID
-		cond  Condition
-	}
-	var trace []visit
-	opts := Options{Trace: func(l int, n graph.NodeID, c Condition) {
-		trace = append(trace, visit{l, n, c})
-	}}
-	e, err := New(buildModel(rng, "GCN", 5, gnn.AggMax), g, x, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Update(graph.RandomDelta(rng, e.Graph(), 8)); err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(trace)) != e.Stats().Total() {
-		t.Fatalf("trace has %d entries, stats count %d", len(trace), e.Stats().Total())
-	}
-	var byCond ConditionStats
-	for i, v := range trace {
-		byCond.Add(v.cond)
-		if i > 0 && trace[i-1].layer == v.layer && trace[i-1].node >= v.node {
-			t.Fatal("trace not in sorted target order within a layer")
-		}
-		if i > 0 && trace[i-1].layer > v.layer {
-			t.Fatal("trace not in layer order")
-		}
-	}
-	if byCond != *e.Stats() {
-		t.Errorf("trace conditions %v != stats %v", byCond.String(), e.Stats())
-	}
-}
-
 // GraphConv (the generality demo model) flows through the incremental
 // engine unchanged and stays exact.
 func TestGraphConvThroughEngine(t *testing.T) {

@@ -48,12 +48,12 @@ type FailStopInfo struct {
 	Time  time.Time `json:"time"`
 }
 
-// BlackBoxSource is the observability state a deployment wires into its
-// black box. Any nil field is simply omitted from bundles, so the single
-// engine (no rounds) and the router (no drift audit) share one capture path.
+// BlackBoxSource is the observability state every deployment wires into its
+// black box; any nil field is omitted from bundles. What only one backend
+// has (the router's rounds.json and failstop.json) it registers through
+// AddFile, so both shapes share one capture path.
 type BlackBoxSource struct {
 	Flight  *FlightRecorder
-	Rounds  *RoundRecorder
 	Sampler *Sampler
 	Alerts  *AlertEngine
 	Runtime *Runtime
@@ -106,7 +106,6 @@ type BlackBox struct {
 
 	seq      atomic.Uint64
 	lastUnix atomic.Int64 // end of the last capture to disk, unix ns (the debounce origin)
-	last     atomic.Pointer[DumpManifest]
 
 	// extraMu guards extra: named JSON payload providers (e.g. the router's
 	// failstop.json) registered at wiring time.
@@ -164,13 +163,6 @@ func scanSeq(dir string) uint64 {
 	}
 	return max
 }
-
-// Dir returns the dump directory.
-func (b *BlackBox) Dir() string { return b.cfg.Dir }
-
-// LastManifest returns the most recent capture's manifest (nil before the
-// first capture of this process).
-func (b *BlackBox) LastManifest() *DumpManifest { return b.last.Load() }
 
 // Trigger requests an automatic capture: non-blocking (the incident path —
 // an alert eval or the apply goroutine tripping fail-stop — never waits on
@@ -254,11 +246,6 @@ func (b *BlackBox) collect(trigger, reason string) (DumpManifest, []dumpFile, er
 	src := b.cfg.Source
 	if src.Flight != nil {
 		if err := addJSON("traces.json", src.Flight.Traces()); err != nil {
-			return man, nil, err
-		}
-	}
-	if src.Rounds != nil {
-		if err := addJSON("rounds.json", src.Rounds.Traces()); err != nil {
 			return man, nil, err
 		}
 	}
@@ -361,7 +348,6 @@ func (b *BlackBox) Capture(trigger, reason string) (DumpManifest, error) {
 			return man, fmt.Errorf("blackbox: write %s: %w", f.name, err)
 		}
 	}
-	b.last.Store(&man)
 	// Every capture to disk (automatic or on-demand) stamps the debounce
 	// window.
 	b.lastUnix.Store(time.Now().UnixNano())
@@ -462,77 +448,12 @@ func (b *BlackBox) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 // Offline loading (inkstat -postmortem)
 
-// DumpSpan mirrors one request-trace span of a bundle's traces.json.
-type DumpSpan struct {
-	Stage string  `json:"stage"`
-	US    float64 `json:"us"`
-}
-
-// TraceDump mirrors one /v1/traces entry as serialized into traces.json —
-// the read-side twin of ReqTrace's custom MarshalJSON.
-type TraceDump struct {
-	TraceID      string          `json:"trace_id"`
-	Kind         string          `json:"kind"`
-	Start        time.Time       `json:"start"`
-	Edges        int             `json:"edges"`
-	VUps         int             `json:"vertex_updates"`
-	Fused        int             `json:"fused"`
-	RoundID      string          `json:"round_id"`
-	TotalUS      float64         `json:"total_us"`
-	Spans        []DumpSpan      `json:"spans"`
-	SlowestStage string          `json:"slowest_stage"`
-	GCPauseUS    float64         `json:"gc_pause_us"`
-	Err          string          `json:"error"`
-	Sampled      bool            `json:"sampled"`
-	Slow         bool            `json:"slow"`
-	Engine       json.RawMessage `json:"engine"`
-}
-
-// RoundShardDump mirrors one per-shard span of rounds.json.
-type RoundShardDump struct {
-	Shard     int     `json:"shard"`
-	ComputeUS float64 `json:"compute_us"`
-	BarrierUS float64 `json:"barrier_us"`
-	GhostUS   float64 `json:"ghost_us"`
-	Events    int     `json:"events"`
-	GhostRows int     `json:"ghost_rows"`
-	Skipped   bool    `json:"skipped"`
-}
-
-// RoundStageDump mirrors one barrier stage of rounds.json.
-type RoundStageDump struct {
-	Name        string           `json:"stage"`
-	Records     int              `json:"records"`
-	Bytes       int64            `json:"bytes"`
-	BroadcastUS float64          `json:"broadcast_us"`
-	MakespanUS  float64          `json:"makespan_us"`
-	Shards      []RoundShardDump `json:"shards"`
-}
-
-// RoundDump mirrors one /v1/rounds entry as serialized into rounds.json.
-type RoundDump struct {
-	RoundID       string           `json:"round_id"`
-	Start         time.Time        `json:"start"`
-	Reqs          int              `json:"requests"`
-	Edges         int              `json:"edges"`
-	VUps          int              `json:"vertex_updates"`
-	BSPUS         float64          `json:"bsp_us"`
-	BroadcastUS   float64          `json:"broadcast_us"`
-	TotalUS       float64          `json:"total_us"`
-	Records       int              `json:"records"`
-	Bytes         int64            `json:"bytes"`
-	Straggler     int              `json:"straggler"`
-	BarrierShare  float64          `json:"barrier_share"`
-	StragglerSkew float64          `json:"straggler_skew"`
-	Stages        []RoundStageDump `json:"stages"`
-}
-
 // Dump is one loaded bundle. Sections missing from the bundle are nil.
 type Dump struct {
 	Dir        string
 	Manifest   DumpManifest
-	Traces     []TraceDump
-	Rounds     []RoundDump
+	Traces     []TraceJSON
+	Rounds     []RoundJSON
 	Timeseries *TSSnapshot
 	Alerts     *AlertsResponse
 	Runtime    *RuntimeStats

@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// testSources builds a populated observability stack: one slow trace, one
-// profiled round, a ticked sampler, an alert engine and a runtime snapshot.
+// testSources builds a populated observability stack: one slow trace, a
+// ticked sampler, an alert engine and a runtime snapshot.
 func testSources(t *testing.T) BlackBoxSource {
 	t.Helper()
 	f := NewFlightRecorder(8, 1)
@@ -21,18 +21,6 @@ func testSources(t *testing.T) BlackBoxSource {
 		ID: f.NextID(), Kind: "update", Start: time.Now(),
 		Total: 7 * time.Millisecond, Sampled: true, Round: 3,
 		GCPause: 200 * time.Microsecond,
-	})
-	rr := NewRoundRecorder(8)
-	rr.Record(&RoundTrace{
-		ID: 3, Start: time.Now(), Reqs: 2, Edges: 5,
-		Total: 6 * time.Millisecond,
-		Stages: []RoundStageSpan{{
-			Name: "layer0", Makespan: 4 * time.Millisecond,
-			Shards: []RoundShardSpan{
-				{Compute: 4 * time.Millisecond},
-				{Compute: time.Millisecond, Barrier: 3 * time.Millisecond},
-			},
-		}},
 	})
 	s := NewSampler(time.Second, 16)
 	v := 0.0
@@ -43,7 +31,7 @@ func testSources(t *testing.T) BlackBoxSource {
 	}
 	rt := NewRuntime()
 	return BlackBoxSource{
-		Flight: f, Rounds: rr, Sampler: s,
+		Flight: f, Sampler: s,
 		Alerts: NewAlertEngine(s), Runtime: rt,
 		Config: map[string]any{"deployment": "test", "shards": 2},
 	}
@@ -56,6 +44,20 @@ func TestBlackBoxCaptureLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	bb := NewBlackBox(BlackBoxConfig{Dir: dir, Debounce: -1, Source: testSources(t)})
 	defer bb.Close()
+	// The router's two files, registered the way it registers them.
+	rounds := NewRing[RoundTrace](8)
+	rounds.Record(&RoundTrace{
+		ID: 3, Start: time.Now(), Reqs: 2, Edges: 5,
+		Total: 6 * time.Millisecond,
+		Stages: []RoundStageSpan{{
+			Name: "layer0", Makespan: 4 * time.Millisecond,
+			Shards: []RoundShardSpan{
+				{Compute: 4 * time.Millisecond},
+				{Compute: time.Millisecond, Barrier: 3 * time.Millisecond},
+			},
+		}},
+	})
+	bb.AddFile("rounds.json", func() any { return rounds.Traces() })
 	bb.AddFile("failstop.json", func() any {
 		return &FailStopInfo{Round: 3, Err: "round apply failed", Time: time.Now()}
 	})

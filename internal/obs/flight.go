@@ -133,12 +133,16 @@ func (t *ReqTrace) SlowestStage() (Stage, time.Duration) {
 // /v1/rounds do.
 func TraceIDString(id uint64) string { return fmt.Sprintf("%016x", id) }
 
-type spanJSONEntry struct {
+// SpanJSON is one stage span of a TraceJSON.
+type SpanJSON struct {
 	Stage string  `json:"stage"`
 	US    float64 `json:"us"`
 }
 
-type reqTraceJSON struct {
+// TraceJSON is a request trace as GET /v1/traces serves it and a bundle's
+// traces.json holds it; LoadDump reads bundles back into it. Engine is the
+// per-layer Trace, kept as raw JSON on the read side.
+type TraceJSON struct {
 	TraceID      string          `json:"trace_id"`
 	Kind         string          `json:"kind"`
 	Start        time.Time       `json:"start"`
@@ -147,20 +151,23 @@ type reqTraceJSON struct {
 	Fused        int             `json:"fused,omitempty"`
 	RoundID      string          `json:"round_id,omitempty"`
 	TotalUS      float64         `json:"total_us"`
-	Spans        []spanJSONEntry `json:"spans"`
+	Spans        []SpanJSON      `json:"spans"`
 	SlowestStage string          `json:"slowest_stage"`
 	GCPauseUS    float64         `json:"gc_pause_us,omitempty"`
 	Err          string          `json:"error,omitempty"`
 	Sampled      bool            `json:"sampled,omitempty"`
 	Slow         bool            `json:"slow,omitempty"`
-	Engine       *Trace          `json:"engine,omitempty"`
+	Engine       json.RawMessage `json:"engine,omitempty"`
 }
+
+// us renders a duration in (fractional) microseconds, the unit of every
+// *_us field of /v1/traces and /v1/rounds.
+func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
 // MarshalJSON renders the request trace for GET /v1/traces.
 func (t *ReqTrace) MarshalJSON() ([]byte, error) {
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 	slowest, _ := t.SlowestStage()
-	out := reqTraceJSON{
+	out := TraceJSON{
 		TraceID:      TraceIDString(t.ID),
 		Kind:         t.Kind,
 		Start:        t.Start,
@@ -173,64 +180,40 @@ func (t *ReqTrace) MarshalJSON() ([]byte, error) {
 		Err:          t.Err,
 		Sampled:      t.Sampled,
 		Slow:         t.Slow,
-		Engine:       t.Engine,
 	}
 	if t.Round != 0 {
 		out.RoundID = TraceIDString(t.Round)
 	}
 	for _, sp := range t.Spans() {
-		out.Spans = append(out.Spans, spanJSONEntry{Stage: sp.Stage.String(), US: us(sp.D)})
+		out.Spans = append(out.Spans, SpanJSON{Stage: sp.Stage.String(), US: us(sp.D)})
+	}
+	if t.Engine != nil {
+		eng, err := json.Marshal(t.Engine)
+		if err != nil {
+			return nil, err
+		}
+		out.Engine = eng
 	}
 	return json.Marshal(out)
 }
 
-// String renders one structured log line:
-//
-//	req 000000000000002a update dG=3 fused=8 total=312µs slowest=apply journal=12µs coalesce=4µs apply=280µs …
-func (t *ReqTrace) String() string {
-	slowest, _ := t.SlowestStage()
-	s := fmt.Sprintf("req %s %s dG=%d vups=%d fused=%d total=%v slowest=%s",
-		TraceIDString(t.ID), t.Kind, t.Edges, t.VUps, t.Fused,
-		t.Total.Round(time.Microsecond), slowest)
-	if t.Round != 0 {
-		s += " round=" + TraceIDString(t.Round)
-	}
-	if t.GCPause > 0 {
-		s += fmt.Sprintf(" gc_pause=%v", t.GCPause.Round(time.Microsecond))
-	}
-	for _, sp := range t.Spans() {
-		s += fmt.Sprintf(" %s=%v", sp.Stage, sp.D.Round(time.Microsecond))
-	}
-	if t.Err != "" {
-		s += " err=" + t.Err
-	}
-	return s
-}
-
-// FlightRecorder keeps the last N recorded request traces in a lock-free
-// ring: Record is an atomic counter bump plus one atomic pointer store, and
-// readers snapshot the slots without blocking writers. IDs are assigned to
-// every request (one atomic add); whether a request is *recorded* is decided
-// at ack time — sampled (1 in SampleEvery by ID), slow, or failed — so the
-// steady-state cost of an unrecorded request is a handful of time.Now calls
-// and two atomic adds.
+// FlightRecorder keeps the last N recorded request traces in a Ring. IDs
+// are assigned to every request (one atomic add); whether a request is
+// *recorded* is decided at ack time — sampled (1 in SampleEvery by ID),
+// slow, or failed — so the steady-state cost of an unrecorded request is a
+// handful of time.Now calls and two atomic adds.
 type FlightRecorder struct {
+	*Ring[ReqTrace]
 	sampleEvery uint64
 	slow        atomic.Int64 // ns; 0 disables the slow criterion
 	seq         atomic.Uint64
-	widx        atomic.Uint64
-	slots       []atomic.Pointer[ReqTrace]
-	recorded    atomic.Int64
 }
 
 // NewFlightRecorder builds a recorder holding the last size traces,
 // sampling one request in sampleEvery by trace ID (0 disables sampling;
 // slow and failed requests are still recorded).
 func NewFlightRecorder(size, sampleEvery int) *FlightRecorder {
-	if size < 1 {
-		size = 1
-	}
-	f := &FlightRecorder{slots: make([]atomic.Pointer[ReqTrace], size)}
+	f := &FlightRecorder{Ring: NewRing[ReqTrace](size)}
 	if sampleEvery > 0 {
 		f.sampleEvery = uint64(sampleEvery)
 	}
@@ -261,34 +244,4 @@ func (f *FlightRecorder) SlowThreshold() time.Duration {
 func (f *FlightRecorder) IsSlow(total time.Duration) bool {
 	t := f.slow.Load()
 	return t > 0 && total.Nanoseconds() >= t
-}
-
-// Record publishes one finished trace into the ring. The trace must not be
-// mutated afterwards. Safe for concurrent callers.
-func (f *FlightRecorder) Record(t *ReqTrace) {
-	i := f.widx.Add(1) - 1
-	f.slots[i%uint64(len(f.slots))].Store(t)
-	f.recorded.Add(1)
-}
-
-// Recorded returns the number of traces recorded so far (including those
-// already evicted from the ring).
-func (f *FlightRecorder) Recorded() int64 { return f.recorded.Load() }
-
-// Traces snapshots the ring, newest first. The returned traces are
-// immutable; the slice is freshly allocated.
-func (f *FlightRecorder) Traces() []*ReqTrace {
-	n := uint64(len(f.slots))
-	w := f.widx.Load()
-	out := make([]*ReqTrace, 0, n)
-	count := w
-	if count > n {
-		count = n
-	}
-	for k := uint64(1); k <= count; k++ {
-		if t := f.slots[(w-k)%n].Load(); t != nil {
-			out = append(out, t)
-		}
-	}
-	return out
 }

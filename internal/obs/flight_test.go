@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -51,7 +50,7 @@ func TestReqTraceSpans(t *testing.T) {
 	}
 }
 
-func TestReqTraceJSONAndString(t *testing.T) {
+func TestReqTraceJSON(t *testing.T) {
 	tr := mkTrace(0x2a, time.Millisecond)
 	tr.Err = "boom"
 	b, err := json.Marshal(tr)
@@ -74,16 +73,13 @@ func TestReqTraceJSONAndString(t *testing.T) {
 	if n := len(m["spans"].([]any)); n != int(StageCount) {
 		t.Errorf("%d spans in JSON", n)
 	}
-	s := tr.String()
-	for _, want := range []string{"000000000000002a", "slowest=apply", "journal=", "err=boom"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("String() %q missing %q", s, want)
-		}
-	}
 }
 
 func TestFlightRecorderSamplingAndRing(t *testing.T) {
 	f := NewFlightRecorder(4, 8)
+	if len(f.Traces()) != 0 || f.Recorded() != 0 {
+		t.Fatal("fresh recorder not empty")
+	}
 	if f.SampleEvery() != 8 {
 		t.Fatalf("sample every %d", f.SampleEvery())
 	}

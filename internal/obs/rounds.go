@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"sync/atomic"
 	"time"
 )
 
@@ -16,8 +15,8 @@ import (
 // critical path: per barrier stage, the per-shard compute time, the
 // ghost-refresh share of it, and the barrier wait (the gap between a shard
 // finishing and the slowest shard — the straggler — closing the stage).
-// The RoundRecorder keeps the last N rounds in the same lock-light
-// atomic-pointer ring the FlightRecorder uses.
+// The shard router keeps the last N rounds in a Ring, the one the
+// FlightRecorder keeps request traces in.
 
 // RoundShardSpan is one shard's slice of one barrier stage.
 type RoundShardSpan struct {
@@ -183,7 +182,8 @@ func (t *RoundTrace) BarrierShare() float64 {
 	return float64(wait) / float64(wait+comp)
 }
 
-type roundShardJSON struct {
+// RoundShardJSON is one shard's slice of a RoundStageJSON.
+type RoundShardJSON struct {
 	Shard     int     `json:"shard"`
 	ComputeUS float64 `json:"compute_us"`
 	BarrierUS float64 `json:"barrier_us"`
@@ -193,16 +193,19 @@ type roundShardJSON struct {
 	Skipped   bool    `json:"skipped,omitempty"`
 }
 
-type roundStageJSON struct {
+// RoundStageJSON is one barrier stage of a RoundJSON.
+type RoundStageJSON struct {
 	Name        string           `json:"stage"`
 	Records     int              `json:"records,omitempty"`
 	Bytes       int64            `json:"bytes,omitempty"`
 	BroadcastUS float64          `json:"broadcast_us"`
 	MakespanUS  float64          `json:"makespan_us"`
-	Shards      []roundShardJSON `json:"shards"`
+	Shards      []RoundShardJSON `json:"shards"`
 }
 
-type roundTraceJSON struct {
+// RoundJSON is a round trace as GET /v1/rounds serves it and a bundle's
+// rounds.json holds it; LoadDump reads bundles back into it.
+type RoundJSON struct {
 	RoundID       string           `json:"round_id"`
 	Start         time.Time        `json:"start"`
 	Reqs          int              `json:"requests"`
@@ -216,15 +219,14 @@ type roundTraceJSON struct {
 	Straggler     int              `json:"straggler"`
 	BarrierShare  float64          `json:"barrier_share"`
 	StragglerSkew float64          `json:"straggler_skew"`
-	Stages        []roundStageJSON `json:"stages"`
+	Stages        []RoundStageJSON `json:"stages"`
 }
 
 // MarshalJSON renders the round trace for GET /v1/rounds: the whole-round
 // attribution (straggler, barrier share, skew) and the
 // per-stage per-shard breakdown.
 func (t *RoundTrace) MarshalJSON() ([]byte, error) {
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-	out := roundTraceJSON{
+	out := RoundJSON{
 		RoundID:       TraceIDString(t.ID),
 		Start:         t.Start,
 		Reqs:          t.Reqs,
@@ -240,16 +242,16 @@ func (t *RoundTrace) MarshalJSON() ([]byte, error) {
 		StragglerSkew: t.StragglerSkew(),
 	}
 	for _, st := range t.Stages {
-		sj := roundStageJSON{
+		sj := RoundStageJSON{
 			Name:        st.Name,
 			Records:     st.Records,
 			Bytes:       st.Bytes,
 			BroadcastUS: us(st.Broadcast),
 			MakespanUS:  us(st.Makespan),
-			Shards:      make([]roundShardJSON, len(st.Shards)),
+			Shards:      make([]RoundShardJSON, len(st.Shards)),
 		}
 		for i, sh := range st.Shards {
-			sj.Shards[i] = roundShardJSON{
+			sj.Shards[i] = RoundShardJSON{
 				Shard:     i,
 				ComputeUS: us(sh.Compute),
 				BarrierUS: us(sh.Barrier),
@@ -262,64 +264,4 @@ func (t *RoundTrace) MarshalJSON() ([]byte, error) {
 		out.Stages = append(out.Stages, sj)
 	}
 	return json.Marshal(out)
-}
-
-// RoundRecorder keeps the last N round traces in a lock-free ring (the
-// FlightRecorder layout: one atomic counter bump plus one atomic pointer
-// store per round; readers snapshot the slots without blocking the apply
-// goroutine).
-type RoundRecorder struct {
-	seq      atomic.Uint64
-	widx     atomic.Uint64
-	slots    []atomic.Pointer[RoundTrace]
-	recorded atomic.Int64
-}
-
-// NewRoundRecorder builds a recorder holding the last size rounds.
-func NewRoundRecorder(size int) *RoundRecorder {
-	if size < 1 {
-		size = 1
-	}
-	return &RoundRecorder{slots: make([]atomic.Pointer[RoundTrace], size)}
-}
-
-// NextID assigns the next round ID (starting at 1).
-func (r *RoundRecorder) NextID() uint64 { return r.seq.Add(1) }
-
-// Record publishes one finished round into the ring. The trace must not be
-// mutated afterwards.
-func (r *RoundRecorder) Record(t *RoundTrace) {
-	i := r.widx.Add(1) - 1
-	r.slots[i%uint64(len(r.slots))].Store(t)
-	r.recorded.Add(1)
-}
-
-// Recorded returns the number of rounds recorded so far (including those
-// evicted from the ring).
-func (r *RoundRecorder) Recorded() int64 { return r.recorded.Load() }
-
-// Last returns the most recently recorded round (nil before the first).
-func (r *RoundRecorder) Last() *RoundTrace {
-	w := r.widx.Load()
-	if w == 0 {
-		return nil
-	}
-	return r.slots[(w-1)%uint64(len(r.slots))].Load()
-}
-
-// Traces snapshots the ring, newest first.
-func (r *RoundRecorder) Traces() []*RoundTrace {
-	n := uint64(len(r.slots))
-	w := r.widx.Load()
-	out := make([]*RoundTrace, 0, n)
-	count := w
-	if count > n {
-		count = n
-	}
-	for k := uint64(1); k <= count; k++ {
-		if t := r.slots[(w-k)%n].Load(); t != nil {
-			out = append(out, t)
-		}
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"math"
-	"sync"
 	"testing"
 	"time"
 )
@@ -103,65 +102,5 @@ func TestRoundTraceJSON(t *testing.T) {
 	s0 := shards[0].(map[string]any)
 	if s0["shard"].(float64) != 0 || s0["compute_us"].(float64) != 5000 || s0["barrier_us"].(float64) != 20000 {
 		t.Fatalf("layer0 shard0 = %v", s0)
-	}
-}
-
-func TestRoundRecorderRing(t *testing.T) {
-	r := NewRoundRecorder(4)
-	if r.Last() != nil || len(r.Traces()) != 0 || r.Recorded() != 0 {
-		t.Fatal("fresh recorder not empty")
-	}
-	for i := 0; i < 6; i++ {
-		r.Record(&RoundTrace{ID: r.NextID()})
-	}
-	if r.Recorded() != 6 {
-		t.Fatalf("Recorded = %d", r.Recorded())
-	}
-	if got := r.Last(); got == nil || got.ID != 6 {
-		t.Fatalf("Last = %+v", got)
-	}
-	traces := r.Traces()
-	if len(traces) != 4 {
-		t.Fatalf("ring kept %d traces, want 4", len(traces))
-	}
-	for i, tr := range traces {
-		if want := uint64(6 - i); tr.ID != want {
-			t.Fatalf("traces[%d].ID = %d, want %d (newest first)", i, tr.ID, want)
-		}
-	}
-}
-
-func TestRoundRecorderConcurrent(t *testing.T) {
-	r := NewRoundRecorder(8)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	readerDone := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				r.Record(&RoundTrace{ID: r.NextID(), Total: time.Duration(i)})
-			}
-		}()
-	}
-	go func() {
-		defer close(readerDone)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for _, tr := range r.Traces() {
-				_ = tr.Straggler()
-			}
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	<-readerDone
-	if r.Recorded() != 800 {
-		t.Fatalf("Recorded = %d, want 800", r.Recorded())
 	}
 }

@@ -121,9 +121,6 @@ func NewRuntime() *Runtime {
 // the obs_overhead gate benchmarks against.
 func (r *Runtime) SetEnabled(on bool) { r.enabled.Store(on) }
 
-// Enabled reports whether collection is active.
-func (r *Runtime) Enabled() bool { return r.enabled.Load() }
-
 // Collect runs one sampling pass: read the runtime/metrics sample set,
 // publish the scalar gauges, fold histogram deltas, refresh the GC pause
 // window ring. Called once per sampler tick by the series Install

@@ -57,9 +57,6 @@ func NewSampler(interval time.Duration, window int) *Sampler {
 	}
 }
 
-// Interval returns the sampling resolution.
-func (s *Sampler) Interval() time.Duration { return s.interval }
-
 func (s *Sampler) add(name string, fn func() float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -39,11 +39,15 @@ type Backend interface {
 
 	// The backend's own surface, carried by the server's one mux, /v1/stats
 	// body, registry, sampler, health check and black box instead of a second
-	// copy of each. Mount registers routes, metric families and time series,
-	// and hands over the observer applied batches are recorded into.
+	// copy of each, each signal in one of them. Mount registers routes,
+	// metric families and time series, and hands over the observer applied
+	// batches are recorded into.
 	Mount(Surface)
-	// FillStats adds the backend's part of a /v1/stats body, FillHealth its
-	// fields of /healthz and the reasons it is out of spec.
+	// FillStats adds the backend's part of a /v1/stats body: its bytes
+	// fetched and, under shards, the sharding section — nothing a family
+	// Mount registered already serves. FillHealth adds the fields of /healthz
+	// only this backend has (the drift auditor's) and the reasons it is out
+	// of spec.
 	FillStats(*StatsResponse)
 	FillHealth(*HealthzResponse)
 	// ArmBlackBox hands over the incident black box once it is enabled, for
@@ -131,25 +135,18 @@ func (e *engineBackend) Mount(sf Surface) {
 }
 
 func (e *engineBackend) FillStats(resp *StatsResponse) {
-	for name, n := range e.conditions() {
-		if n > 0 {
-			resp.Conditions[name] = n
-		}
-	}
 	if e.counters != nil {
-		cs := e.counters.Snapshot()
-		resp.BytesFetched = cs.BytesFetched
-		resp.Events = cs.EventsProcessed
+		resp.BytesFetched = e.counters.BytesFetched.Load()
 	}
 }
 
 func (e *engineBackend) FillHealth(resp *HealthzResponse) {
 	a := e.audit
-	resp.DriftMaxAbs = a.lastDrift()
-	resp.AuditFailures = a.failures.Load()
+	drift, failures := a.lastDrift(), a.failures.Load()
+	resp.DriftMaxAbs, resp.AuditFailures = &drift, &failures
 	if a.lastFailed.Load() {
 		resp.Reasons = append(resp.Reasons, fmt.Sprintf(
-			"drift audit failing: max abs drift %g over tolerance %g", resp.DriftMaxAbs, a.limit()))
+			"drift audit failing: max abs drift %g over tolerance %g", drift, a.limit()))
 	}
 }
 

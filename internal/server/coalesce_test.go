@@ -13,6 +13,16 @@ import (
 	"repro/internal/tensor"
 )
 
+// coalesceOf reads the coalescing counters behind the
+// inkstream_coalesced_batch_size and inkstream_coalesce_stalls_total
+// families and /v1/stats coalesce.fallbacks.
+func coalesceOf(s *Server) (c struct{ Requests, Batches, Stalls, Fallbacks int64 }) {
+	h := s.coSize.Snapshot()
+	c.Requests, c.Batches = h.Sum, h.Count
+	c.Stalls, c.Fallbacks = s.coStalls.Load(), s.coFallbacks.Load()
+	return c
+}
+
 // newCoalesceServer builds a server over a deterministic engine (AggMax, so
 // every comparison below may demand bit-exactness: the maintained state of
 // a monotonic model is a pure function of graph + features).
@@ -121,11 +131,11 @@ func TestCoalesceEquivalence(t *testing.T) {
 		t.Fatalf("fused embeddings not bit-identical to one-at-a-time (max diff %g)",
 			fusedSrv.engine().Output().MaxAbsDiff(singleSrv.engine().Output()))
 	}
-	st := fusedSrv.CoalesceStats()
+	st := coalesceOf(fusedSrv)
 	if st.Requests != int64(len(edges)) || st.Batches != 1 || st.Stalls != 0 || st.Fallbacks != 0 {
 		t.Fatalf("coalesce stats = %+v, want all %d requests in 1 batch", st, len(edges))
 	}
-	if st := singleSrv.CoalesceStats(); st.Batches != st.Requests || st.Requests != int64(len(edges)) {
+	if st := coalesceOf(singleSrv); st.Batches != st.Requests || st.Requests != int64(len(edges)) {
 		t.Fatalf("reference stats = %+v, want %d batches of one request", st, len(edges))
 	}
 	if err := fusedSrv.engine().Verify(0); err != nil {
@@ -165,7 +175,7 @@ func TestCoalesceConflictStall(t *testing.T) {
 			if err := <-second.done; (err == nil) != tc.directed {
 				t.Fatalf("reversed insert: %v (directed=%v)", err, tc.directed)
 			}
-			st := s.CoalesceStats()
+			st := coalesceOf(s)
 			if st.Stalls != tc.stalls || st.Batches != tc.batches || st.Fallbacks != 0 {
 				t.Fatalf("coalesce stats = %+v, want %d stall(s) and %d batch(es), no fallback", st, tc.stalls, tc.batches)
 			}
@@ -204,7 +214,7 @@ func TestCoalesceFallbackRouting(t *testing.T) {
 	if err := <-good2.done; err != nil {
 		t.Fatalf("second valid request: %v", err)
 	}
-	st := s.CoalesceStats()
+	st := coalesceOf(s)
 	if st.Fallbacks != 1 || st.Stalls != 0 || st.Batches != 1 {
 		t.Fatalf("coalesce stats = %+v, want 1 fallback, 0 stalls, 1 batch", st)
 	}
@@ -240,7 +250,7 @@ func TestCoalesceVertexConflict(t *testing.T) {
 	if err := <-second.done; err != nil {
 		t.Fatalf("second rewrite: %v", err)
 	}
-	if st := s.CoalesceStats(); st.Stalls != 1 || st.Batches != 2 {
+	if st := coalesceOf(s); st.Stalls != 1 || st.Batches != 2 {
 		t.Fatalf("coalesce stats = %+v, want 1 stall and 2 batches", st)
 	}
 	if got := s.engine().State().H[0].Row(5)[0]; got != 2 {
@@ -287,7 +297,7 @@ func TestCoalescePipelineEquivalence(t *testing.T) {
 	}
 	quiesce(coalesced)
 	quiesce(sequential)
-	if st := sequential.CoalesceStats(); st.Batches != st.Requests || st.Requests != int64(len(edges)) {
+	if st := coalesceOf(sequential); st.Batches != st.Requests || st.Requests != int64(len(edges)) {
 		t.Fatalf("closed-loop reference stats = %+v, want %d batches of one request", st, len(edges))
 	}
 	if !coalesced.engine().Output().Equal(sequential.engine().Output()) {
@@ -346,7 +356,7 @@ func TestCoalesceStress(t *testing.T) {
 	if err := s.engine().Verify(0); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.CoalesceStats(); st.Requests == 0 {
+	if st := coalesceOf(s); st.Requests == 0 {
 		t.Fatal("no requests went through the coalescing stage")
 	}
 }

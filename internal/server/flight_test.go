@@ -15,7 +15,15 @@ import (
 )
 
 // healthz fetches /healthz, which answers 200 also when degraded.
-func healthz(t *testing.T, url string) HealthzResponse {
+// auditHealth is a one-engine /healthz body with the drift auditor's two
+// fields, which only that backend emits, read as values.
+type auditHealth struct {
+	HealthzResponse
+	DriftMaxAbs   float64 `json:"drift_max_abs"`
+	AuditFailures int64   `json:"audit_failures"`
+}
+
+func healthz(t *testing.T, url string) auditHealth {
 	t.Helper()
 	resp, err := http.Get(url + "/healthz")
 	if err != nil {
@@ -25,7 +33,7 @@ func healthz(t *testing.T, url string) HealthzResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /healthz: status %d", resp.StatusCode)
 	}
-	var h HealthzResponse
+	var h auditHealth
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}

@@ -209,35 +209,6 @@ func TestMetricsWALAndGroupCommit(t *testing.T) {
 	}
 }
 
-// TestStatsLatencyQuantiles checks the /v1/stats update-latency quantiles,
-// condition counts and bytes fetched after one update.
-func TestStatsLatencyQuantiles(t *testing.T) {
-	srv, eng := newObsServer(t)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	postJSON(t, ts.URL+"/v1/update", UpdateRequest{Changes: absentEdges(t, eng.Graph(), 1)})
-
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	stats := decode[StatsResponse](t, resp)
-	if stats.UpdateLatency.P50 <= 0 || stats.UpdateLatency.Max <= 0 {
-		t.Errorf("latency quantiles missing: %+v", stats.UpdateLatency)
-	}
-	if stats.UpdateLatency.P50 > stats.UpdateLatency.P99 {
-		t.Errorf("p50 %v > p99 %v", stats.UpdateLatency.P50, stats.UpdateLatency.P99)
-	}
-	if len(stats.Conditions) == 0 {
-		t.Error("stats conditions empty after an update")
-	}
-	if stats.BytesFetched <= 0 {
-		t.Errorf("bytes_fetched = %d after an update", stats.BytesFetched)
-	}
-}
-
 // TestSlowUpdateLog: a nanosecond threshold marks every update slow, and a
 // slow request is kept in the flight recorder — outside the 1-in-64 sample —
 // with the engine's per-layer trace attached, which is where the log line

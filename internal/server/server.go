@@ -11,7 +11,7 @@
 //	POST /v1/update     {"changes":[{"u":1,"v":2,"insert":true}, …]}
 //	POST /v1/features   {"updates":[{"node":1,"x":[…]}, …]}
 //	GET  /v1/embedding?node=N
-//	GET  /v1/stats
+//	GET  /v1/stats      (deployment shape; counts no other route serves)
 //	GET  /v1/healthz    (also /healthz; degraded detection, uptime, epoch)
 //	GET  /v1/traces     (flight recorder: last N request-scoped pipeline traces)
 //	GET  /v1/timeseries (in-process time-series window, ~1s × 10min)
@@ -251,31 +251,6 @@ func (s *Server) lag() uint64 {
 	return 0
 }
 
-// CoalesceStats summarises the coalescing activity so far.
-type CoalesceStats struct {
-	// Requests is the number of mutation requests that went through the
-	// coalescing apply stage; Batches the number of Engine.Apply flushes
-	// covering them — Requests/Batches is the achieved fusion factor.
-	Requests int64 `json:"requests"`
-	Batches  int64 `json:"batches"`
-	// Stalls counts fused batches flushed early by a conflicting request;
-	// Fallbacks counts fused applies replayed per-request after a
-	// validation failure.
-	Stalls    int64 `json:"stalls"`
-	Fallbacks int64 `json:"fallbacks"`
-}
-
-// CoalesceStats returns the coalescing counters. Safe from any goroutine.
-func (s *Server) CoalesceStats() CoalesceStats {
-	h := s.coSize.Snapshot()
-	return CoalesceStats{
-		Requests:  h.Sum,
-		Batches:   h.Count,
-		Stalls:    s.coStalls.Load(),
-		Fallbacks: s.coFallbacks.Load(),
-	}
-}
-
 // SetJournal installs a write-ahead journal; call before serving — after
 // replaying an existing log through Apply, which must not journal its
 // records a second time (the journal stage reads the field only while it
@@ -463,37 +438,23 @@ func (s *Server) handleEmbedding(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, EmbeddingResponse{Node: int32(node), Epoch: epoch, Embedding: row})
 }
 
-// LatencyQuantiles summarises the update-latency histogram, in
-// milliseconds.
-type LatencyQuantiles struct {
-	P50 float64 `json:"p50_ms"`
-	P95 float64 `json:"p95_ms"`
-	P99 float64 `json:"p99_ms"`
-	Max float64 `json:"max_ms"`
-}
-
-// StatsResponse is the body of GET /v1/stats, for either backend.
+// StatsResponse is the body of GET /v1/stats, for either backend: the
+// deployment's shape and the counts no other surface carries. Epoch, lag,
+// reads, latency, conditions, events and the coalescing factors are
+// /metrics families, and epoch skew is a /healthz field too; they are not
+// repeated here.
 type StatsResponse struct {
-	Nodes  int `json:"nodes"`
-	Edges  int `json:"edges"`
-	Shards int `json:"shards"`
-	// Epoch is the published snapshot epoch the stats were read from (the
-	// minimum across shards), EpochSkew the max minus min across shards, and
-	// SnapshotLag the number of accepted batches the snapshot does not yet
-	// cover.
-	Epoch         uint64 `json:"epoch"`
-	EpochSkew     uint64 `json:"epoch_skew"`
-	SnapshotLag   uint64 `json:"snapshot_lag"`
-	UpdatesServed int64  `json:"updates_served"`
-	ReadsServed   int64  `json:"reads_served"`
-	SlowUpdates   int64  `json:"slow_updates"`
-	// Coalesce summarises server-side update coalescing: requests fused,
-	// backend applies covering them, conflict stalls and replay fallbacks.
-	Coalesce      CoalesceStats    `json:"coalesce"`
-	Conditions    map[string]int64 `json:"conditions"`
-	BytesFetched  int64            `json:"bytes_fetched"`
-	Events        int64            `json:"events_processed"`
-	UpdateLatency LatencyQuantiles `json:"update_latency"`
+	Nodes         int   `json:"nodes"`
+	Edges         int   `json:"edges"`
+	Shards        int   `json:"shards"`
+	UpdatesServed int64 `json:"updates_served"`
+	SlowUpdates   int64 `json:"slow_updates"`
+	// Coalesce holds the one coalescing count /metrics lacks: fused applies
+	// replayed per request after a validation failure.
+	Coalesce struct {
+		Fallbacks int64 `json:"fallbacks"`
+	} `json:"coalesce"`
+	BytesFetched int64 `json:"bytes_fetched"`
 	// ShardingStats is the partitioned backend's section, inlined at the top
 	// level; nil on a single engine.
 	*ShardingStats
@@ -502,29 +463,20 @@ type StatsResponse struct {
 // ShardingStats is what a partitioned backend (internal/shard) adds to
 // /v1/stats through Backend.FillStats.
 type ShardingStats struct {
-	// Rounds counts applied BSP rounds.
-	Rounds int64 `json:"rounds"`
 	// PartitionStrategy names the vertex-placement policy ("hash", "block"
 	// or "greedy").
 	PartitionStrategy string `json:"partition_strategy"`
 	// CutFraction is the bootstrap-time fraction of arcs crossing shards;
-	// BoundaryRecords/BoundaryBytes the cumulative record deliveries to
-	// remote shards those cut arcs induced. FilteredRecords counts the
-	// remote deliveries the subscription filter suppressed, GhostRows the
-	// ghost message rows engines adopted from the delivered records.
+	// BoundaryBytes the cumulative payload of the record deliveries to
+	// remote shards those cut arcs induced, and FilteredRecords the remote
+	// deliveries the subscription filter suppressed.
 	CutFraction     float64 `json:"cut_fraction"`
-	BoundaryRecords int64   `json:"boundary_records"`
 	BoundaryBytes   int64   `json:"boundary_bytes"`
 	FilteredRecords int64   `json:"filtered_records"`
-	GhostRows       int64   `json:"ghost_rows"`
-	Corrupt         bool    `json:"corrupt,omitempty"`
 	// FailStop carries the forensics of the round that tripped the corrupt
 	// latch — round ID, error, time — present only after a fail-stop.
 	FailStop *obs.FailStopInfo `json:"fail_stop,omitempty"`
-	// RoundProfile summarises the round profiler's critical-path
-	// attribution (nil with profiling off or before the first round).
-	RoundProfile *RoundProfileStats `json:"round_profile,omitempty"`
-	PerShard     []ShardStats       `json:"per_shard"`
+	PerShard []ShardStats      `json:"per_shard"`
 }
 
 // ShardStats is one shard's slice of /v1/stats (GET /v1/stats?shard=N
@@ -544,24 +496,6 @@ type ShardStats struct {
 	NodesVisited int64 `json:"nodes_visited"`
 }
 
-// RoundProfileStats is the cumulative critical-path attribution over every
-// profiled round: where BSP wall-time went (shard compute vs barrier wait),
-// how much of it the record exchange cost, and which shard sets the pace.
-type RoundProfileStats struct {
-	Rounds int64 `json:"rounds"`
-	// BarrierShare is the cumulative fraction of BSP time the mean shard
-	// spent stalled at barriers (1 − mean compute / BSP); BroadcastShare
-	// the router-side record bucketing time as a fraction of BSP.
-	BarrierShare   float64 `json:"barrier_share"`
-	BroadcastShare float64 `json:"broadcast_share"`
-	// MeanStragglerSkew is the mean over rounds of max/mean shard compute
-	// (1 = perfectly balanced); Straggler the shard that was slowest most
-	// often, with the per-shard round counts in StragglerRounds.
-	MeanStragglerSkew float64 `json:"mean_straggler_skew"`
-	Straggler         int     `json:"straggler"`
-	StragglerRounds   []int64 `json:"straggler_rounds"`
-}
-
 // Stats summarises the deployment. Everything is read from the published
 // state, atomics and the observer — never from mutable engine state — so it
 // takes no lock.
@@ -571,23 +505,10 @@ func (s *Server) Stats() StatsResponse {
 		Nodes:         sh.Nodes,
 		Edges:         sh.Edges,
 		Shards:        sh.Shards,
-		Epoch:         sh.Epoch,
-		EpochSkew:     sh.MaxEpoch - sh.Epoch,
 		UpdatesServed: s.updates.Load(),
-		ReadsServed:   s.reads.Load(),
-		Conditions:    map[string]int64{},
+		SlowUpdates:   s.obs.SlowUpdates(),
 	}
-	resp.SnapshotLag = s.lag()
-	resp.Coalesce = s.CoalesceStats()
-	resp.SlowUpdates = s.obs.SlowUpdates()
-	lat := s.obs.UpdateLatency.Snapshot()
-	const ms = 1e-6 // nanoseconds → milliseconds
-	resp.UpdateLatency = LatencyQuantiles{
-		P50: float64(lat.P50()) * ms,
-		P95: float64(lat.P95()) * ms,
-		P99: float64(lat.P99()) * ms,
-		Max: float64(lat.Max) * ms,
-	}
+	resp.Coalesce.Fallbacks = s.coFallbacks.Load()
 	s.backend.FillStats(&resp)
 	return resp
 }
@@ -640,13 +561,15 @@ type HealthzResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Shards is 1 for a single engine; Epoch the minimum published epoch
 	// across shards and EpochSkew the max minus min.
-	Shards        int     `json:"shards"`
-	Epoch         uint64  `json:"epoch"`
-	EpochSkew     uint64  `json:"epoch_skew"`
-	AckP99MS      float64 `json:"ack_p99_ms"`
-	SLOMS         float64 `json:"slo_ms,omitempty"`
-	DriftMaxAbs   float64 `json:"drift_max_abs"`
-	AuditFailures int64   `json:"audit_failures"`
+	Shards    int     `json:"shards"`
+	Epoch     uint64  `json:"epoch"`
+	EpochSkew uint64  `json:"epoch_skew"`
+	AckP99MS  float64 `json:"ack_p99_ms"`
+	SLOMS     float64 `json:"slo_ms,omitempty"`
+	// DriftMaxAbs and AuditFailures are the drift auditor's, present only
+	// on the backend that has one (a single engine).
+	DriftMaxAbs   *float64 `json:"drift_max_abs,omitempty"`
+	AuditFailures *int64   `json:"audit_failures,omitempty"`
 	// AlertsFiring names the burn-rate alerts currently firing; their
 	// human-readable reasons are folded into Reasons.
 	AlertsFiring []string `json:"alerts_firing,omitempty"`

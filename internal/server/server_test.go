@@ -200,7 +200,7 @@ func TestStatsFlow(t *testing.T) {
 	if out.Nodes != 200 || out.UpdatesServed != 1 {
 		t.Errorf("stats %+v", out)
 	}
-	if len(out.Conditions) == 0 || out.Events == 0 {
+	if out.BytesFetched <= 0 {
 		t.Errorf("stats missing engine activity: %+v", out)
 	}
 }

@@ -82,13 +82,45 @@ var series = []signal{
 	{"barrier_share", sharded, postmortem + "renderSeries"},
 }
 
+// statsKeys is the GET /v1/stats body: the deployment's shape and the
+// counts no other surface carries. An object's keys are listed as
+// "key.sub", per_shard's as those of one slice. fail_stop appears only after
+// a fail-stop (internal/shard TestFailStopForensics). A row with a reader
+// is a key something outside the server decodes by name.
+var statsKeys = []signal{
+	{"nodes", everywhere, ""},
+	{"edges", everywhere, ""},
+	{"shards", everywhere, ""},
+	{"updates_served", everywhere, ""},
+	{"slow_updates", everywhere, ""},
+	{"coalesce.fallbacks", everywhere, ""},
+	{"bytes_fetched", everywhere, ""},
+
+	{"partition_strategy", sharded, ""},
+	{"cut_fraction", sharded, "bench/trace.go:collectTraced"},
+	{"boundary_bytes", sharded, ""},
+	{"filtered_records", sharded, ""},
+	{"per_shard.shard", sharded, ""},
+	{"per_shard.epoch", sharded, ""},
+	{"per_shard.rounds", sharded, ""},
+	{"per_shard.owned_nodes", sharded, ""},
+	{"per_shard.arcs", sharded, ""},
+	{"per_shard.events_processed", sharded, ""},
+	{"per_shard.nodes_visited", sharded, ""},
+}
+
 // TestTelemetrySurface pins the surface on the three deployments: the
-// families a scrape of /metrics declares and the series /v1/timeseries
-// serves are exactly the table's, and every reader named in the table names
-// its signal.
+// families a scrape of /metrics declares, the series /v1/timeseries serves
+// and the keys of /v1/stats are exactly the tables', and every reader named
+// in a table names its signal.
 func TestTelemetrySurface(t *testing.T) {
-	for _, sig := range append(slices.Clone(families), series...) {
+	for _, sig := range slices.Concat(families, series) {
 		if !readerNames(t, sig) {
+			t.Errorf("%s: %s does not read it", sig.name, sig.reader)
+		}
+	}
+	for _, sig := range statsKeys {
+		if sig.reader != "" && !readerNames(t, sig) {
 			t.Errorf("%s: %s does not read it", sig.name, sig.reader)
 		}
 	}
@@ -140,6 +172,26 @@ func TestTelemetrySurface(t *testing.T) {
 			slices.Sort(gotSeries)
 			if w := want(series); !slices.Equal(gotSeries, w) {
 				t.Errorf("/v1/timeseries series\n got %v\nwant %v", gotSeries, w)
+			}
+
+			var stats map[string]any
+			get(t, ts.URL+"/v1/stats", &stats)
+			var gotKeys []string
+			for k, v := range stats {
+				if list, ok := v.([]any); ok && len(list) > 0 {
+					v = list[0]
+				}
+				if obj, ok := v.(map[string]any); ok {
+					for sub := range obj {
+						gotKeys = append(gotKeys, k+"."+sub)
+					}
+					continue
+				}
+				gotKeys = append(gotKeys, k)
+			}
+			slices.Sort(gotKeys)
+			if w := want(statsKeys); !slices.Equal(gotKeys, w) {
+				t.Errorf("/v1/stats keys\n got %v\nwant %v", gotKeys, w)
 			}
 		})
 	}

@@ -21,9 +21,8 @@ import (
 func (rt *Router) recordRound(p *obs.RoundTrace) {
 	// Per-stage participant means: shards whose layer call was skipped
 	// contribute neither compute nor wait, and for participants
-	// mean(compute)+mean(barrier) = stage makespan, so the invariant
-	// computeNS+barrierNS ≈ bspNS survives idle-shard skipping.
-	bsp := p.BSPTime().Nanoseconds()
+	// mean(compute)+mean(barrier) = stage makespan, so compute plus
+	// barrier still sums the round's BSP time under idle-shard skipping.
 	var compNS, waitNS int64
 	for _, st := range p.Stages {
 		var c, w, k int64
@@ -40,18 +39,14 @@ func (rt *Router) recordRound(p *obs.RoundTrace) {
 			waitNS += w / k
 		}
 	}
-	rt.bspNS.Add(bsp)
 	rt.computeNS.Add(compNS)
 	if waitNS > 0 {
 		rt.barrierNS.Add(waitNS)
 	}
-	rt.broadcastNS.Add(p.BroadcastTime().Nanoseconds())
 	if s := p.Straggler(); s >= 0 && s < len(rt.stragglerRounds) {
 		rt.stragglerRounds[s].Add(1)
 	}
-	rt.skewMilli.Add(int64(p.StragglerSkew() * 1000))
 	rt.lastBarrierShare.Store(math.Float64bits(p.BarrierShare()))
-	rt.profiled.Add(1)
 	rt.profiler.Record(p)
 }
 
@@ -70,14 +65,14 @@ func (rt *Router) SetRoundProfiling(ring int) {
 		}
 		return
 	}
-	rt.profiler = obs.NewRoundRecorder(ring)
+	rt.profiler = obs.NewRing[obs.RoundTrace](ring)
 	for _, s := range rt.shards {
 		s.eng.SetRoundTiming(true)
 	}
 }
 
-// RoundProfiler exposes the round-trace recorder (nil when disabled).
-func (rt *Router) RoundProfiler() *obs.RoundRecorder { return rt.profiler }
+// RoundProfiler exposes the round-trace ring (nil when disabled).
+func (rt *Router) RoundProfiler() *obs.Ring[obs.RoundTrace] { return rt.profiler }
 
 // RoundsResponse is the body of GET /v1/rounds.
 type RoundsResponse struct {

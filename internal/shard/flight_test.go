@@ -62,7 +62,7 @@ func driveUpdates(t testing.TB, rt *deployment, g *graph.Graph, count int) {
 // TestRouterRoundProfiler pins the tentpole: every round leaves a trace
 // whose stages cover begin, each layer and publish, with per-shard
 // compute/barrier spans that satisfy the makespan identity, a named
-// straggler, and cumulative attribution in /v1/stats.
+// straggler, and cumulative attribution on /metrics.
 func TestRouterRoundProfiler(t *testing.T) {
 	rt, g := newProfiledRouter(t, 2)
 	driveUpdates(t, rt, g, 5)
@@ -115,29 +115,18 @@ func TestRouterRoundProfiler(t *testing.T) {
 		}
 	}
 
-	stats := rt.Stats()
-	rp := stats.RoundProfile
-	if rp == nil {
-		t.Fatal("stats carry no round profile")
-	}
-	if rp.Rounds < 6 {
-		t.Fatalf("profile covers %d rounds, want >= 6", rp.Rounds)
-	}
-	if rp.Straggler < 0 || rp.Straggler >= 2 || len(rp.StragglerRounds) != 2 {
-		t.Fatalf("straggler attribution %+v", rp)
-	}
+	// Cumulative attribution, the round families of /metrics: every
+	// recorded round named one straggler, and its compute and barrier wait
+	// were summed.
 	var sum int64
-	for _, c := range rp.StragglerRounds {
-		sum += c
+	for i := range rt.rt.stragglerRounds {
+		sum += rt.rt.stragglerRounds[i].Load()
 	}
-	if sum != rp.Rounds {
-		t.Fatalf("straggler rounds sum %d != rounds %d", sum, rp.Rounds)
+	if sum != p.Recorded() {
+		t.Fatalf("straggler rounds sum %d != rounds %d", sum, p.Recorded())
 	}
-	if rp.BarrierShare < 0 || rp.BarrierShare > 1 {
-		t.Fatalf("cumulative barrier share %g", rp.BarrierShare)
-	}
-	if rp.MeanStragglerSkew < 1 {
-		t.Fatalf("mean straggler skew %g < 1", rp.MeanStragglerSkew)
+	if comp, wait := rt.rt.computeNS.Load(), rt.rt.barrierNS.Load(); comp <= 0 || wait < 0 {
+		t.Fatalf("cumulative compute %d ns, barrier wait %d ns", comp, wait)
 	}
 
 	// Request traces join to rounds via the round ID.
@@ -157,7 +146,7 @@ func TestRouterRoundProfiler(t *testing.T) {
 }
 
 // TestRouterProfilingDisabled pins the off switch: no round traces, no
-// stats slice, and /v1/rounds answers 501 instead of an empty ring.
+// cumulative attribution, and /v1/rounds answers 501 instead of an empty ring.
 func TestRouterProfilingDisabled(t *testing.T) {
 	rt, g := newProfiledRouter(t, 2)
 	rt.rt.SetRoundProfiling(0)
@@ -165,8 +154,8 @@ func TestRouterProfilingDisabled(t *testing.T) {
 	if rt.rt.RoundProfiler() != nil {
 		t.Fatal("profiler survived SetRoundProfiling(0)")
 	}
-	if rp := rt.Stats().RoundProfile; rp != nil {
-		t.Fatalf("stats carry a round profile with profiling off: %+v", rp)
+	if comp := rt.rt.computeNS.Load(); comp != 0 {
+		t.Fatalf("%d ns of round compute attributed with profiling off", comp)
 	}
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()

@@ -24,8 +24,9 @@
 // and acknowledges; the router validates each fused batch against its
 // replica, splits it per shard, executes it as one BSP round and publishes
 // every shard's snapshot — and mounts its own surface (GET /v1/rounds, the
-// sharding section of /v1/stats, per-shard and per-round metric families) on
-// the server's.
+// per-shard and per-round metric families, and the sharding section of
+// /v1/stats: partition, cross-shard traffic /metrics does not count,
+// fail-stop record, per-shard slices) on the server's.
 //
 // Failure semantics are fail-stop: router-level validation makes shard
 // applies infallible, so if one fails anyway the deployment marks itself
@@ -102,8 +103,7 @@ type Router struct {
 	// ghost rows iff the count is positive.
 	subs []map[graph.NodeID]int
 
-	rounds atomic.Int64 // rounds applied
-	edges  atomic.Int64 // logical edge count of the served graph
+	edges atomic.Int64 // logical edge count of the served graph
 	// failStop is the fail-stop latch: nil while healthy, else the forensics
 	// of the round that tripped it (round ID, error, time). First failure
 	// wins.
@@ -121,21 +121,17 @@ type Router struct {
 
 	// Round profiler (flight.go) and the black box the fail-stop latch
 	// triggers (stats.go; nil until the server arms it).
-	profiler *obs.RoundRecorder
+	profiler *obs.Ring[obs.RoundTrace]
 	roundSeq atomic.Uint64 // round IDs (profiling or not)
 	blackbox *obs.BlackBox
 
 	// Cumulative critical-path attribution, accumulated per profiled
-	// round (flight.go): compute/barrier are per-shard means so
-	// computeNS+barrierNS ≈ bspNS, and stragglerRounds[i] counts the
-	// rounds shard i was the straggler of. lastBarrierShare holds the most
-	// recent round's barrier share as Float64bits.
-	profiled         atomic.Int64
+	// round (flight.go): compute/barrier are per-shard means, and
+	// stragglerRounds[i] counts the rounds shard i was the straggler of.
+	// lastBarrierShare holds the most recent round's barrier share as
+	// Float64bits.
 	computeNS        atomic.Int64
 	barrierNS        atomic.Int64
-	broadcastNS      atomic.Int64
-	bspNS            atomic.Int64
-	skewMilli        atomic.Int64 // cumulative straggler skew × 1000
 	stragglerRounds  []atomic.Int64
 	lastBarrierShare atomic.Uint64
 
@@ -169,7 +165,6 @@ func New(model *gnn.Model, g *graph.Graph, x *tensor.Matrix, cfg Config) (*Route
 
 	opts := cfg.Opts
 	opts.Observer = nil
-	opts.Trace = nil
 	rt := &Router{
 		model:      model,
 		part:       part,
@@ -180,7 +175,7 @@ func New(model *gnn.Model, g *graph.Graph, x *tensor.Matrix, cfg Config) (*Route
 	}
 	// Last 256 rounds profiled by default; reconfigure with
 	// SetRoundProfiling before serving.
-	rt.profiler = obs.NewRoundRecorder(256)
+	rt.profiler = obs.NewRing[obs.RoundTrace](256)
 	rt.stragglerRounds = make([]atomic.Int64, cfg.Shards)
 	rt.edges.Store(int64(g.NumEdges()))
 	for s := 0; s < cfg.Shards; s++ {
@@ -273,7 +268,6 @@ func (rt *Router) Apply(delta graph.Delta, vups []inkstream.VertexUpdate, reques
 		}
 	}
 	rt.edges.Add(int64(net))
-	rt.rounds.Add(1)
 	total := time.Since(start)
 	rt.obs.RecordLatency(total)
 	if r.prof != nil {

@@ -198,10 +198,10 @@ func TestCrossShardBitExact(t *testing.T) {
 				if st.Shards != 4 || len(st.PerShard) != 4 {
 					t.Fatalf("stats report %d shards / %d slices, want 4", st.Shards, len(st.PerShard))
 				}
-				if st.EpochSkew != 0 {
-					t.Fatalf("idle deployment has epoch skew %d", st.EpochSkew)
+				if sh := r4.rt.Shape(); sh.MaxEpoch != sh.Epoch {
+					t.Fatalf("idle deployment has epoch skew %d", sh.MaxEpoch-sh.Epoch)
 				}
-				if st.BoundaryRecords == 0 || st.BoundaryBytes == 0 {
+				if r4.rt.boundaryRecs.Load() == 0 || st.BoundaryBytes == 0 {
 					t.Fatal("multi-shard stream produced no boundary traffic")
 				}
 				if st.Edges != mirror.NumEdges() {

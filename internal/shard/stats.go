@@ -8,47 +8,25 @@ import (
 	"repro/internal/server"
 )
 
-// FillStats adds the sharding section to a /v1/stats body, and the
-// per-condition visit and event totals summed across shards. Everything is
-// read from published snapshots and atomics — safe from any goroutine,
-// lock-free.
+// FillStats adds the sharding section to a /v1/stats body — the partition,
+// its cross-shard traffic, the fail-stop forensics and the per-shard slices
+// — and the bytes fetched summed across shards. Counts /metrics already
+// serves (events, visits, rounds, boundary records, ghost rows, round
+// attribution) are not repeated here. Everything is read from published
+// snapshots and atomics — safe from any goroutine, lock-free.
 func (rt *Router) FillStats(resp *server.StatsResponse) {
 	sec := &server.ShardingStats{
-		Rounds:            rt.rounds.Load(),
 		PartitionStrategy: rt.strategy,
 		CutFraction:       rt.cut.CutFraction,
-		BoundaryRecords:   rt.boundaryRecs.Load(),
 		BoundaryBytes:     rt.boundaryBytes.Load(),
 		FilteredRecords:   rt.filteredRecs.Load(),
-		GhostRows:         rt.ghostRows.Load(),
-		Corrupt:           rt.Corrupt(),
 		FailStop:          rt.failStop.Load(),
-	}
-	if n := rt.profiled.Load(); n > 0 {
-		rp := &server.RoundProfileStats{
-			Rounds:            n,
-			MeanStragglerSkew: float64(rt.skewMilli.Load()) / 1000 / float64(n),
-			Straggler:         -1,
-			StragglerRounds:   make([]int64, len(rt.stragglerRounds)),
-		}
-		if bsp := rt.bspNS.Load(); bsp > 0 {
-			rp.BarrierShare = float64(rt.barrierNS.Load()) / float64(bsp)
-			rp.BroadcastShare = float64(rt.broadcastNS.Load()) / float64(bsp)
-		}
-		var best int64 = -1
-		for i := range rt.stragglerRounds {
-			c := rt.stragglerRounds[i].Load()
-			rp.StragglerRounds[i] = c
-			if c > best {
-				best, rp.Straggler = c, i
-			}
-		}
-		sec.RoundProfile = rp
 	}
 	counts := rt.part.Counts()
 	for i, s := range rt.shards {
 		snap := s.eng.Snapshot()
 		cs := s.c.Snapshot()
+		resp.BytesFetched += cs.BytesFetched
 		sec.PerShard = append(sec.PerShard, server.ShardStats{
 			Shard:        i,
 			Epoch:        snap.Epoch,
@@ -59,12 +37,6 @@ func (rt *Router) FillStats(resp *server.StatsResponse) {
 			NodesVisited: cs.NodesVisited,
 		})
 	}
-	for name, n := range rt.conditions() {
-		if n > 0 {
-			resp.Conditions[name] = n
-		}
-	}
-	resp.Events = rt.events()
 	resp.ShardingStats = sec
 }
 

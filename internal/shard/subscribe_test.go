@@ -97,10 +97,10 @@ func TestSubscriptionFiltersDeliveries(t *testing.T) {
 	if sf.FilteredRecords == 0 {
 		t.Fatal("community stream suppressed no deliveries")
 	}
-	if sf.BoundaryRecords == 0 {
+	if filt.rt.boundaryRecs.Load() == 0 {
 		t.Fatal("bridged communities delivered no records")
 	}
-	if sf.GhostRows == 0 {
+	if filt.rt.ghostRows.Load() == 0 {
 		t.Fatal("bridged communities adopted no ghost rows")
 	}
 }
@@ -156,8 +156,8 @@ func TestSubscriptionZeroCut(t *testing.T) {
 	if sf.CutFraction != 0 {
 		t.Fatalf("cut fraction %g on disconnected communities", sf.CutFraction)
 	}
-	if sf.BoundaryRecords != 0 {
-		t.Fatalf("deployment delivered %d records across an empty cut", sf.BoundaryRecords)
+	if n := filt.rt.boundaryRecs.Load(); n != 0 {
+		t.Fatalf("deployment delivered %d records across an empty cut", n)
 	}
 	if sf.FilteredRecords == 0 {
 		t.Fatal("stream produced no records to suppress — the zero is vacuous")

@@ -147,12 +147,6 @@ func MatMulBiasAct(c, a, b *Matrix, bias Vector, act Activation) {
 	epilogueRows(c, bias, act, 0, c.Rows)
 }
 
-// MatMulBiasReLU computes c = max(0, a*b + bias), the common hidden-layer
-// epilogue.
-func MatMulBiasReLU(c, a, b *Matrix, bias Vector) {
-	MatMulBiasAct(c, a, b, bias, ReLU)
-}
-
 // ParallelMatMulBiasAct is MatMulBiasAct with rows sharded over the worker
 // pool. The row partition does not affect bits: each output row is computed
 // entirely by one worker in the canonical order.

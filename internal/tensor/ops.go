@@ -145,9 +145,6 @@ func VecMat(dst Vector, x Vector, m *Matrix) {
 	}
 }
 
-// AddBias computes dst[i] = x[i] + bias[i].
-func AddBias(dst, x, bias Vector) { Add(dst, x, bias) }
-
 // MatMul computes c = a * b sequentially with the register-tiled kernel
 // (see gemm.go). Shapes: a is (n x k), b is (k x m), c is (n x m). For
 // large n prefer ParallelMatMul. Each output row is bit-identical to

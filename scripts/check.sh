@@ -46,6 +46,24 @@ go test -run '^$' -bench . -benchtime 1x . ./internal/tensor ./internal/gnn \
 # not the next benchmark run.
 (cd bench && go vet ./... && go test ./...)
 
+# bench/'s own tests drive one shard only. One short traced 2-shard run
+# (≈10 s, ≈30 s on a cold .bench_build) reads /v1/rounds and /v1/stats the
+# way the benchmark does, so a renamed or moved field fails here instead of
+# zeroing a shard metric.
+shard_run=$(bash bench/run.sh --workload shard2-scatter --seed 1 --seconds 2 --trace 1)
+if [[ $shard_run != *'"correct":true'* ]]; then
+    echo "check.sh: traced shard2-scatter run is not correct" >&2
+    exit 1
+fi
+for m in shard.cut_fraction shard.bsp_p50_us shard.records_per_round; do
+    if ! awk -v key="\"$m\":{\"value\":" '
+        { i = index($0, key); if (i) v = substr($0, i + length(key)) + 0 }
+        END { exit !(v > 0) }' <<<"$shard_run"; then
+        echo "check.sh: traced shard2-scatter run reports no $m > 0" >&2
+        exit 1
+    fi
+done
+
 # Observability must stay essentially free on the engine hot path and the
 # full pipeline. The gate runs paired benchmarks and is sensitive to box
 # load, so it is opt-in: CHECK_OBS=1 scripts/check.sh
