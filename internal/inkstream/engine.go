@@ -431,10 +431,12 @@ func (e *Engine) arcsOf(ch graph.EdgeChange) (arcs [2][2]graph.NodeID, n int) {
 
 // shardCount decides how many grouper shards the upcoming layer's event
 // routing uses: 1 (sequential) below the event threshold or when an ablation
-// rules out pool work; otherwise twice the effective worker count —
-// ParallelForGrain inlines regions smaller than two chunks per worker, and
-// the 2× headroom also absorbs the up-to-2× shard imbalance of the
-// power-of-two block partition — capped at maxShards.
+// rules out pool work; otherwise twice the effective worker count, because
+// ParallelForGrain inlines regions smaller than two chunks per worker,
+// capped at maxShards. The count does not balance the shards: each pool
+// task gets a fixed run of contiguous shards, so the task owning the
+// low-ID blocks, where RMAT's hubs sit, folds most of the arcs (65–69 % at
+// 2 workers on bench/'s batch workloads; DESIGN.md §6.3).
 func (e *Engine) shardCount(nEvents int) int {
 	if e.opts.Sequential || e.opts.DisableGrouping || nEvents < e.shardMin {
 		return 1

@@ -12,17 +12,16 @@ import (
 // (Sec. II-B1). Monotonic layers keep the raw Del/Add payload lists (the
 // reset-condition check needs them reduced, the isolated-target and
 // ungrouped paths do not); accumulative layers are reduced on the fly into
-// a running sum.
+// a running sum, a row of the owning shard's slab.
 type group struct {
 	target graph.NodeID
 	// Monotonic payloads.
 	dels, adds []tensor.Vector
-	// Accumulative running sum; nil until the first OpUpdate event. nUpd
-	// counts the folded OpUpdate events. sumBuf retains the allocation
-	// across epochs.
-	sum    tensor.Vector
-	sumBuf tensor.Vector
-	nUpd   int
+	// Accumulative running sum and the number of OpUpdate events folded
+	// into it; sum is nil when there were none. Both are set when the
+	// shard's routing is done (grouper.close), not while the slab grows.
+	sum  tensor.Vector
+	nUpd int
 	// User events routed to hooks.
 	user []UserEvent
 }
@@ -37,18 +36,6 @@ func (g *group) reset(target graph.NodeID) {
 	g.user = g.user[:0]
 }
 
-// ensureSum activates the zeroed running sum of dimension dim, reusing the
-// retained buffer when it fits.
-func (g *group) ensureSum(dim int) {
-	if cap(g.sumBuf) < dim {
-		g.sumBuf = make(tensor.Vector, dim)
-	}
-	g.sum = g.sumBuf[:dim]
-	for i := range g.sum {
-		g.sum[i] = 0
-	}
-}
-
 // hasNative reports whether any native (non-user) event targeted the node.
 func (g *group) hasNative() bool {
 	return len(g.dels) > 0 || len(g.adds) > 0 || g.sum != nil
@@ -58,27 +45,41 @@ func (g *group) hasNative() bool {
 // so the order is total.
 func byTarget(a, b *group) int { return cmp.Compare(a.target, b.target) }
 
+// gslot is the grouper's per-node entry. stamp says whether the node has a
+// group this epoch; idx is that group's index in its shard, row the index of
+// its running sum in the shard's slab (-1 until its first OpUpdate event)
+// and nUpd the OpUpdate events folded so far. One 16-byte entry keeps a
+// fold's bookkeeping on one cache line: an arc into a target already seen
+// is a stamp check plus one row add.
+type gslot struct {
+	stamp uint32
+	idx   int32
+	row   int32
+	nUpd  int32
+}
+
 // gshard is one shard of the grouping table: a private freelist of group
-// structs plus the count of entries live this epoch. Each shard owns a
-// contiguous block of target IDs, and the worker routing a shard is the only
-// goroutine that ever touches its freelist (or the stamp/idx entries of its
-// targets) — no cross-shard writes, no locks. A sequential epoch is the
-// one-shard case.
+// structs, the count of entries live this epoch, and the slab holding the
+// running sums of its accumulative targets, dim floats per row in
+// first-touch order. Each shard owns a contiguous block of target IDs, and
+// the worker routing a shard is the only goroutine that ever touches its
+// freelist, its slab (or the slots of its targets) — no cross-shard writes,
+// no locks. A sequential epoch is the one-shard case.
 type gshard struct {
 	groups []*group // freelist; groups[:used] are live this epoch
 	used   int
+	slab   []float32 // capacity retained across epochs
 }
 
 // grouper is the table behind the grouping pass (Engine.groupLayer): it
 // buckets a layer's events by target node and reduces per-target where
-// possible. It is an engine-owned epoch-stamped table: the per-node stamp/idx
-// arrays are reused across layers and Apply calls without clearing (the stamp
+// possible. It is an engine-owned epoch-stamped table: the per-node slots
+// are reused across layers and Apply calls without clearing (the stamp
 // distinguishes epochs), and group structs — including their payload-slice
-// and sum-buffer capacity — are recycled from per-shard freelists, so
-// steady-state grouping does not allocate and involves no map operations.
+// capacity — and sum slabs are recycled per shard, so steady-state grouping
+// does not allocate and involves no map operations.
 type grouper struct {
-	stamp []uint32
-	idx   []int32
+	slot  []gslot
 	epoch uint32
 
 	// shards hold the per-target groups. Targets map to shards by ID block:
@@ -94,8 +95,7 @@ type grouper struct {
 
 func newGrouper(n int) *grouper {
 	return &grouper{
-		stamp:  make([]uint32, n),
-		idx:    make([]int32, n),
+		slot:   make([]gslot, n),
 		shards: make([]gshard, 1),
 	}
 }
@@ -105,9 +105,10 @@ func newGrouper(n int) *grouper {
 // shift chosen so the shard index stays below S: a power-of-two block
 // partition of the ID space (one block holding every target when S is 1).
 // Blocks are monotonic in target ID, which is what lets finish produce the
-// global sorted order by concatenation; the price is up-to-2× shard-size
-// imbalance, which the 2×-workers shard count (see Engine.shardCount)
-// absorbs.
+// global sorted order by concatenation. The price is imbalance: a block's
+// load is the events its targets receive, not its ID count, and nothing
+// evens it out — ParallelForGrain hands each task a fixed run of contiguous
+// shards (see Engine.shardCount).
 func (gr *grouper) begin(dim, S int) {
 	gr.epoch++
 	gr.dim = dim
@@ -116,33 +117,40 @@ func (gr *grouper) begin(dim, S int) {
 	}
 	for s := range gr.shards {
 		gr.shards[s].used = 0
+		gr.shards[s].slab = gr.shards[s].slab[:0]
 	}
 	gr.nShards = S
 	shift := uint(0)
-	for (len(gr.stamp)-1)>>shift >= S {
+	for (len(gr.slot)-1)>>shift >= S {
 		shift++
 	}
 	gr.shift = shift
 }
 
-// ensure grows the per-node tables after AddNode.
+// ensure grows the per-node table after AddNode.
 func (gr *grouper) ensure(n int) {
-	for len(gr.stamp) < n {
-		gr.stamp = append(gr.stamp, 0)
-		gr.idx = append(gr.idx, 0)
+	for len(gr.slot) < n {
+		gr.slot = append(gr.slot, gslot{})
 	}
 }
 
-// getIn returns target's group in shard sh, creating it from the shard's
-// freelist on first sight this epoch. It must only be called by the worker
-// owning sh (stamp/idx entries of sh's targets are written by that worker
+// slotIn returns target's slot, opening its group in shard sh from the
+// shard's freelist on first sight this epoch. It must only be called by the
+// worker owning sh (the slots of sh's targets are written by that worker
 // alone).
-func (gr *grouper) getIn(sh *gshard, target graph.NodeID) *group {
-	if gr.stamp[target] == gr.epoch {
-		return sh.groups[gr.idx[target]]
+func (gr *grouper) slotIn(sh *gshard, target graph.NodeID) *gslot {
+	s := &gr.slot[target]
+	if s.stamp != gr.epoch {
+		gr.open(sh, s, target)
 	}
-	gr.stamp[target] = gr.epoch
-	gr.idx[target] = int32(sh.used)
+	return s
+}
+
+// open starts target's group this epoch: slot s gets the epoch and the index
+// of a group recycled from (or appended to) sh's freelist. It is slotIn's
+// cold half, kept apart so slotIn inlines into the per-arc fold.
+func (gr *grouper) open(sh *gshard, s *gslot, target graph.NodeID) {
+	*s = gslot{stamp: gr.epoch, idx: int32(sh.used), row: -1}
 	var g *group
 	if sh.used < len(sh.groups) {
 		g = sh.groups[sh.used]
@@ -152,18 +160,50 @@ func (gr *grouper) getIn(sh *gshard, target graph.NodeID) *group {
 	}
 	sh.used++
 	g.reset(target)
-	return g
 }
 
-// addSum folds one accumulative payload into g's running sum — the paper's
-// reduction of same-operation events — so the group holds one vector
-// regardless of fan-in.
-func (gr *grouper) addSum(g *group, p tensor.Vector) {
-	if g.sum == nil {
-		g.ensureSum(gr.dim)
+// getIn returns target's group in shard sh, creating it on first sight this
+// epoch (see slotIn).
+func (gr *grouper) getIn(sh *gshard, target graph.NodeID) *group {
+	return sh.groups[gr.slotIn(sh, target).idx]
+}
+
+// addSum folds one accumulative payload into target's running sum — the
+// paper's reduction of same-operation events — so the group holds one
+// vector regardless of fan-in. The first fold appends a zeroed row to the
+// shard's slab; the slab may be reallocated by a later first fold, which is
+// why rows are addressed by index until close.
+func (gr *grouper) addSum(sh *gshard, target graph.NodeID, p tensor.Vector) {
+	s := gr.slotIn(sh, target)
+	dim := gr.dim
+	if s.row < 0 {
+		n := len(sh.slab)
+		sh.slab = slices.Grow(sh.slab, dim)[:n+dim]
+		clear(sh.slab[n:])
+		s.row = int32(n / dim)
 	}
-	tensor.Add(g.sum, g.sum, p)
-	g.nUpd++
+	off := int(s.row) * dim
+	row := sh.slab[off : off+dim]
+	tensor.Add(row, row, p)
+	s.nUpd++
+}
+
+// close ends the routing of shard sh: it sorts the shard's groups by target
+// and hands each accumulative group its slab row and fold count. The slab
+// no longer grows this epoch, so the rows stay valid until the next begin.
+func (gr *grouper) close(sh *gshard) {
+	groups := sh.groups[:sh.used]
+	slices.SortFunc(groups, byTarget)
+	if len(sh.slab) == 0 {
+		return
+	}
+	dim := gr.dim
+	for _, g := range groups {
+		if s := &gr.slot[g.target]; s.row >= 0 {
+			off := int(s.row) * dim
+			g.sum, g.nUpd = sh.slab[off:off+dim:off+dim], int(s.nUpd)
+		}
+	}
 }
 
 // finish returns the epoch's per-target groups sorted by target ID, applying
@@ -279,7 +319,8 @@ func (e *Engine) groupLayer(l int, edge []Event, recs []MessageChange, user []Us
 // input, taking the targets those shards own and leaving the rest to the
 // other tasks. Per target the arrival order is therefore the same whatever
 // the shard count: changed-edge events in ΔG order, then message changes in
-// record order. It leaves each shard's groups sorted by target.
+// record order. It closes each shard: groups sorted by target, running sums
+// in place.
 func (e *Engine) routeShards(lo, hi int, edge []Event, user []UserEvent) {
 	gr := e.gr
 	shift, base, span := gr.shift, uint32(lo), uint32(hi-lo)
@@ -288,14 +329,16 @@ func (e *Engine) routeShards(lo, hi int, edge []Event, user []UserEvent) {
 		if s >= span {
 			continue
 		}
-		g := gr.getIn(&gr.shards[lo+int(s)], ev.Target)
+		sh := &gr.shards[lo+int(s)]
 		switch ev.Op {
 		case OpAdd:
+			g := gr.getIn(sh, ev.Target)
 			g.adds = append(g.adds, ev.Payload)
 		case OpDel:
+			g := gr.getIn(sh, ev.Target)
 			g.dels = append(g.dels, ev.Payload)
 		case OpUpdate:
-			gr.addSum(g, ev.Payload)
+			gr.addSum(sh, ev.Target, ev.Payload)
 		}
 	}
 	for i := range e.routeR {
@@ -310,13 +353,14 @@ func (e *Engine) routeShards(lo, hi int, edge []Event, user []UserEvent) {
 					continue
 				}
 			}
-			g := gr.getIn(&gr.shards[lo+int(s)], v)
-			if r.del != nil {
-				g.dels = append(g.dels, e.payload(r.del))
-				g.adds = append(g.adds, e.payload(r.add))
-			} else {
-				gr.addSum(g, e.payload(r.add))
+			sh := &gr.shards[lo+int(s)]
+			if r.del == nil {
+				gr.addSum(sh, v, e.payload(r.add))
+				continue
 			}
+			g := gr.getIn(sh, v)
+			g.dels = append(g.dels, e.payload(r.del))
+			g.adds = append(g.adds, e.payload(r.add))
 		}
 	}
 	for _, ev := range user {
@@ -326,7 +370,6 @@ func (e *Engine) routeShards(lo, hi int, edge []Event, user []UserEvent) {
 		}
 	}
 	for s := lo; s < hi; s++ {
-		sh := &gr.shards[s]
-		slices.SortFunc(sh.groups[:sh.used], byTarget)
+		gr.close(&gr.shards[s])
 	}
 }

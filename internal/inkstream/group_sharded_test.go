@@ -271,8 +271,8 @@ func TestShardedGroupingEquivalence(t *testing.T) {
 }
 
 // TestShardedGrouperStress drives the sharded router hard enough for the
-// race detector to see the pool workers writing the shared stamp/idx
-// tables (disjoint per shard by construction), then verifies the state
+// race detector to see the pool workers writing the shared per-node slot
+// table (disjoint per shard by construction), then verifies the state
 // against a from-scratch recomputation. Runs in every `go test` run but is
 // load-bearing under -race (scripts/check.sh).
 func TestShardedGrouperStress(t *testing.T) {

@@ -150,9 +150,9 @@ func bruteApply(t *testing.T, model *gnn.Model, g *graph.Graph, st *gnn.State, d
 
 // routingFixture is a directed graph with one hub (node 0, an arc to every
 // other node, so a rewrite of its features alone crosses the 512-event
-// selector) over a sparse random background, and the three batches of
+// selector) over a sparse random background, and the four batches of
 // TestRecordRoutingMatchesDefinition.
-func routingFixture(t *testing.T, rng *rand.Rand) (*graph.Graph, [3]graph.Delta, [3][]graph.NodeID) {
+func routingFixture(t *testing.T, rng *rand.Rand) (*graph.Graph, [4]graph.Delta, [4][]graph.NodeID) {
 	t.Helper()
 	const n = 700
 	g := graph.New(n)
@@ -182,20 +182,44 @@ func routingFixture(t *testing.T, rng *rand.Rand) (*graph.Graph, [3]graph.Delta,
 		add(b, absent(b))
 	}
 	ins := func(u, v graph.NodeID) graph.EdgeChange { return graph.EdgeChange{U: u, V: v, Insert: true} }
-	return g, [3]graph.Delta{
+	// 150 inserted arcs into distinct targets, picked without rng so the
+	// other batches keep their inputs, away from the nodes the first two
+	// batches touch.
+	var spread graph.Delta
+	busy := func(u graph.NodeID) bool { return u == 0 || u == a || u == w || u == x || u == b || u == d }
+	for v := graph.NodeID(100); len(spread) < 150; v++ {
+		u := 1 + v*37%(n-1)
+		if u != v && !busy(u) && !busy(v) && !g.HasEdge(u, v) {
+			spread = append(spread, ins(u, v))
+		}
+	}
+	return g, [4]graph.Delta{
 			// a changes its layer-0 message (feature rewrite) and gains an
 			// out-arc; w changes its layer-1 message (x→w is new) and gains an
 			// out-arc: each new neighbor must see the new message exactly once.
 			{ins(a, absent(a)), ins(x, w), ins(w, absent(w))},
 			// b gets a feature rewrite, loses an out-arc and gains an in-arc.
 			{{U: b, V: g.OutNeighbors(b)[0]}, ins(d, b)},
+			// Many more targets than the first two batches touched: an
+			// accumulative layer outgrows the sum slabs they left behind.
+			spread,
 			// The hub's feature rewrite alone.
 			nil,
-		}, [3][]graph.NodeID{
+		}, [4][]graph.NodeID{
 			{a},
 			{b},
+			nil,
 			{0},
 		}
+}
+
+// slabCap is the sum-slab capacity, in floats, the engine's grouper retains.
+func slabCap(e *Engine) int {
+	c := 0
+	for _, sh := range e.gr.shards {
+		c += cap(sh.slab)
+	}
+	return c
 }
 
 // TestRecordRoutingMatchesDefinition pins record-driven propagation to its
@@ -204,7 +228,9 @@ func routingFixture(t *testing.T, rng *rand.Rand) (*graph.Graph, [3]graph.Delta,
 // sequential) and with the payload-sharing ablation on and off: after each
 // batch every cached checkpoint equals the brute-force per-target fold bit
 // for bit — accumulative aggregators included, which is the arrival-order
-// claim — and, for max, the from-scratch inference.
+// claim — and, for max, the from-scratch inference. On sum and mean the
+// third batch must grow the grouper's sum slabs mid-routing, so a row
+// slice taken before a reallocation would fold into a stale copy.
 func TestRecordRoutingMatchesDefinition(t *testing.T) {
 	const featLen = 5
 	setWorkers(t, 4)
@@ -235,8 +261,12 @@ func TestRecordRoutingMatchesDefinition(t *testing.T) {
 							vups = append(vups, VertexUpdate{Node: u, X: tensor.RandVector(rng, featLen, 1)})
 						}
 						bruteApply(t, model, refG, ref, delta, vups)
+						retained := slabCap(e)
 						if err := e.Apply(delta, vups); err != nil {
 							t.Fatalf("batch %d: %v", i, err)
+						}
+						if i == 2 && kind != gnn.AggMax && slabCap(e) <= retained {
+							t.Fatalf("batch %d: sum slabs did not grow past their retained %d floats", i, retained)
 						}
 						if err := copying.Apply(delta, vups); err != nil {
 							t.Fatalf("batch %d, CopyPayloads: %v", i, err)

@@ -18,7 +18,7 @@ func (e *Engine) validateVertexUpdates(ups []VertexUpdate) error {
 	if len(ups) == 0 {
 		return nil
 	}
-	// Duplicates are found through the grouper's stamp table under an epoch
+	// Duplicates are found through the grouper's slot stamps under an epoch
 	// of its own: no per-request set.
 	e.gr.epoch++
 	for i, up := range ups {
@@ -31,10 +31,10 @@ func (e *Engine) validateVertexUpdates(ups []VertexUpdate) error {
 		if len(up.X) != e.model.InDim() {
 			return fmt.Errorf("inkstream: vertex update %d: feature dim %d, model wants %d", i, len(up.X), e.model.InDim())
 		}
-		if e.gr.stamp[up.Node] == e.gr.epoch {
+		if e.gr.slot[up.Node].stamp == e.gr.epoch {
 			return fmt.Errorf("inkstream: vertex update %d: node %d updated twice in one batch", i, up.Node)
 		}
-		e.gr.stamp[up.Node] = e.gr.epoch
+		e.gr.slot[up.Node].stamp = e.gr.epoch
 	}
 	return nil
 }

@@ -12,9 +12,17 @@ func Axpy(dst Vector, a float32, x Vector) {
 	}
 }
 
-// Add computes dst[i] = a[i] + b[i].
-func Add(dst, a, b Vector) {
-	checkTriple("Add", dst, a, b)
+// Add computes dst[i] = a[i] + b[i]. dst may alias a or b (the same slice,
+// not an offset view). It is the fold kernel of the accumulative path and of
+// sum/mean Merge: on amd64 it runs an SSE2 body (add_amd64.s), elsewhere
+// addGeneric; both perform, per lane, the one IEEE binary32 add a[i] + b[i],
+// so the result is bit-identical on every GOARCH. Both bodies check the
+// lengths themselves, so Add is one call and inlines into its caller.
+func Add(dst, a, b Vector) { addKernel(dst, a, b) }
+
+// addGeneric is Add's portable body and the reference its SSE2 body is
+// tested against.
+func addGeneric(dst, a, b Vector) {
 	for i := range dst {
 		dst[i] = a[i] + b[i]
 	}

@@ -14,6 +14,12 @@ fi
 go vet ./...
 go build ./...
 go test ./...
+
+# tensor.Add has an SSE2 body on amd64 (add_amd64.s, checked by vet's
+# asmdecl above) and a pure-Go body everywhere else: cross-compile the
+# fallback so it cannot rot on an amd64-only gate.
+GOARCH=arm64 go vet ./internal/tensor
+GOARCH=arm64 go build ./...
 go test -race ./internal/tensor ./internal/gnn ./internal/experiments \
     ./internal/leakcheck
 
@@ -37,7 +43,8 @@ go test -race -count=1 ./internal/server ./internal/shard ./internal/inkstream \
 # here (≈15 s) and cannot rot unnoticed; the numbers of a single iteration
 # mean nothing. BenchmarkApply's features/ rows (four hub feature rewrites on
 # the dense profile) are the record-routing path at some hundred thousand
-# arcs a batch.
+# arcs a batch; BenchmarkAdd (internal/tensor) times the fold kernel against
+# its portable loop at widths 32 and 256.
 go test -run '^$' -bench . -benchtime 1x . ./internal/tensor ./internal/gnn \
     ./internal/inkstream ./internal/server ./internal/shard
 
