@@ -1,9 +1,6 @@
 package gnn
 
-import (
-	"repro/internal/metrics"
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // Layer is one GNN layer in the paper's abstraction (Fig. 3): a message
 // (combination) function 𝒯 feeding an aggregation 𝒜, followed by an update
@@ -49,15 +46,23 @@ type Layer interface {
 	UpdateFLOPs() int64
 }
 
+// Recorder is what the per-call cost formulas charge: a shared
+// *metrics.Counters, or a worker's own *metrics.Tally flushed into one later.
+type Recorder interface {
+	FetchVec(n int)
+	StoreVec(n int)
+	AddFLOPs(n int64)
+}
+
 // CountMessage records the cost of one ComputeMessage call against c.
-func CountMessage(c *metrics.Counters, l Layer) {
+func CountMessage(c Recorder, l Layer) {
 	c.FetchVec(l.InDim())
 	c.AddFLOPs(l.MessageFLOPs())
 	c.StoreVec(l.MsgDim())
 }
 
 // CountUpdate records the cost of one Update call against c.
-func CountUpdate(c *metrics.Counters, l Layer) {
+func CountUpdate(c Recorder, l Layer) {
 	c.FetchVec(l.MsgDim()) // α
 	if l.SelfDependent() {
 		c.FetchVec(l.MsgDim()) // own message

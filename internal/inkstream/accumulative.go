@@ -1,6 +1,9 @@
 package inkstream
 
-import "repro/internal/gnn"
+import (
+	"repro/internal/gnn"
+	"repro/internal/metrics"
+)
 
 // applyAccumulative implements Sec. II-C2: with a fully reversible
 // aggregation, the grouped (already summed) Update payloads evolve the old
@@ -11,14 +14,14 @@ import "repro/internal/gnn"
 //
 // where Σ msg combines the per-neighbor deltas Δm = m − m⁻, the negated
 // messages of removed edges and the messages of inserted edges, and d⁻/d
-// are the in-degrees before/after ΔG.
-func (e *Engine) applyAccumulative(l int, g *group) {
+// are the in-degrees before/after ΔG. Its work is charged to t.
+func (e *Engine) applyAccumulative(l int, g *group, t *metrics.Tally) {
 	agg := e.model.Layers[l].Agg()
 	u := g.target
 	alpha := e.state.Alpha[l].Row(int(u))
 	dim := len(alpha)
-	e.c.FetchVec(dim)
-	e.c.AddFLOPs(int64(dim * (g.nUpd + 1)))
+	t.FetchVec(dim)
+	t.AddFLOPs(int64(dim * (g.nUpd + 1)))
 
 	switch agg.Kind() {
 	case gnn.AggSum:
@@ -42,5 +45,5 @@ func (e *Engine) applyAccumulative(l int, g *group) {
 	default:
 		panic("inkstream: accumulative path invoked for " + agg.Kind().String())
 	}
-	e.c.StoreVec(dim)
+	t.StoreVec(dim)
 }

@@ -594,11 +594,15 @@ func (e *Engine) processRange(l int, groups []*group) {
 	conds, dirt := e.conds[:n], e.dirt[:n]
 	outU, outR := e.outU, e.outR
 	body := func(a, b int) {
-		// Per-chunk scratch, recycled across chunks, layers and batches.
+		// Per-chunk scratch, recycled across chunks, layers and batches. The
+		// chunk's targets count into its tally, which reaches the shared
+		// counters in one flush: an atomic add per charge would have every
+		// worker contend for one cache line about fifteen times per target.
 		sc := e.getScratch(l)
 		for i := a; i < b; i++ {
 			outU[i], outR[i], conds[i], dirt[i] = e.processTarget(l, groups[i], sc, outU[i][:0])
 		}
+		sc.t.Flush(e.c)
 		e.scratchPools[l].Put(sc)
 	}
 	if e.opts.Sequential || e.opts.DisableGrouping {
@@ -641,11 +645,14 @@ func (e *Engine) getScratch(l int) *scratch {
 
 // scratch is the per-worker-chunk temporary storage of processTarget: the
 // staged layer output, the reduced deletion/addition messages, the staged α
-// and the exposed channel list. Contents never survive one target.
+// and the exposed channel list, whose contents never survive one target;
+// and the chunk's work tally, which is flushed into the engine's counters
+// when the chunk ends.
 type scratch struct {
 	newH               tensor.Vector
 	mDel, mAdd, staged tensor.Vector
 	exposed            []int32
+	t                  metrics.Tally
 }
 
 func newScratch(layer gnn.Layer) *scratch {
@@ -670,8 +677,8 @@ func (e *Engine) processTarget(l int, g *group, sc *scratch, uevts []UserEvent) 
 	layer := e.model.Layers[l]
 	agg := layer.Agg()
 	u := g.target
-	e.c.VisitNode()
-	e.c.AddEvents(len(g.dels) + len(g.adds) + g.nUpd + len(g.user))
+	sc.t.VisitNode()
+	sc.t.AddEvents(len(g.dels) + len(g.adds) + g.nUpd + len(g.user))
 
 	alphaChanged := false
 	cond := CondSelfOnly
@@ -683,7 +690,7 @@ func (e *Engine) processTarget(l int, g *group, sc *scratch, uevts []UserEvent) 
 				alphaChanged, cond = e.applyMonotonic(l, g, sc)
 			}
 		} else {
-			e.applyAccumulative(l, g)
+			e.applyAccumulative(l, g, &sc.t)
 			alphaChanged = true
 			cond = CondAccumulative
 		}
@@ -714,10 +721,10 @@ func (e *Engine) processTarget(l int, g *group, sc *scratch, uevts []UserEvent) 
 	if n := e.model.Norm(l); n != nil {
 		n.ApplyRow(newH)
 	}
-	gnn.CountUpdate(e.c, layer)
+	gnn.CountUpdate(&sc.t, layer)
 	hChanged := !newH.Equal(hRow)
 	copy(hRow, newH)
-	e.c.StoreVec(len(hRow))
+	sc.t.StoreVec(len(hRow))
 	outChanged := hChanged && l+1 == e.model.NumLayers()
 
 	if !hChanged && !e.opts.DisablePruning {
@@ -736,7 +743,7 @@ func (e *Engine) processTarget(l int, g *group, sc *scratch, uevts []UserEvent) 
 	mRow := e.state.M[l+1].Row(int(u))
 	oldM := e.arena.clone(mRow)
 	next.ComputeMessage(mRow, hRow)
-	gnn.CountMessage(e.c, next)
+	gnn.CountMessage(&sc.t, next)
 	if oldM.Equal(mRow) && !e.opts.DisablePruning {
 		return uevts, MessageChange{}, cond, false
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
@@ -368,6 +369,72 @@ func TestStatsAndCountersPopulated(t *testing.T) {
 	e.ResetStats()
 	if e.Stats().Total() != 0 {
 		t.Error("ResetStats failed")
+	}
+}
+
+// TestPooledCountsMatchSequential: on the pooled route every processRange
+// chunk counts into its own tally and flushes it once when it ends; a tally
+// dropped, held over or flushed twice at a chunk boundary would make the
+// counters differ from the sequential route's, which charges the same
+// formulas for the same targets, or from the visits the condition
+// statistics count, which are merged per target outside the tallies. The
+// batch is large enough that layer 0 both groups across the pool and splits
+// into several processTarget chunks at two workers, and the per-layer
+// trace, which reads the counters around each layer, must still add up to
+// the whole batch.
+func TestPooledCountsMatchSequential(t *testing.T) {
+	setWorkers(t, 2)
+	const n, feat = 600, 6
+	for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMean} {
+		t.Run(kind.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(33))
+			g := randomGraph(rng, n, 6*n)
+			x := tensor.RandMatrix(rng, n, feat, 1)
+			delta := graph.RandomDelta(rng, g, 400)
+			run := func(opts Options) (metrics.Snapshot, ConditionStats, *Engine) {
+				var c metrics.Counters
+				model := buildModel(rand.New(rand.NewSource(9)), "SAGE", feat, kind)
+				e, err := New(model, g.Clone(), x, &c, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := c.Snapshot()
+				if err := e.Update(append(graph.Delta(nil), delta...)); err != nil {
+					t.Fatal(err)
+				}
+				return c.Snapshot().Sub(before), *e.Stats(), e
+			}
+			want, wantStats, seq := run(Options{Sequential: true})
+			got, gotStats, e := run(Options{Observer: obs.NewObserver()})
+
+			tr := e.Trace()
+			if in := tr.Layers[0].EventsIn; in < int64(shardMinEvents) {
+				t.Fatalf("layer 0 routed %d events, want ≥ %d for the pooled grouper", in, shardMinEvents)
+			}
+			chunk := tensor.MinChunkWork / (4 * e.Model().Layers[0].MsgDim())
+			if nodes := tr.Layers[0].Nodes; nodes < int64(2*chunk) {
+				t.Fatalf("layer 0 processed %d targets, want ≥ %d for two chunks", nodes, 2*chunk)
+			}
+			if got != want {
+				t.Errorf("pooled counters %+v, sequential %+v", got, want)
+			}
+			if got.NodesVisited != gotStats.Total() {
+				t.Errorf("counters visited %d targets, conditions count %d", got.NodesVisited, gotStats.Total())
+			}
+			if gotStats != wantStats {
+				t.Errorf("pooled conditions %v, sequential %v", gotStats.Counts, wantStats.Counts)
+			}
+			var traced int64
+			for _, span := range tr.Layers {
+				traced += span.BytesFetched
+			}
+			if traced != got.BytesFetched {
+				t.Errorf("trace layers fetched %d bytes, counters %d", traced, got.BytesFetched)
+			}
+			if !e.State().Equal(seq.State()) {
+				t.Error("pooled and sequential engines disagree")
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package inkstream
 import (
 	"repro/internal/gnn"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
 
@@ -12,16 +13,20 @@ import (
 // extremum is an independent selection: a channel that lost no witness
 // (α⁻[i] ≠ m⁻_A[i]) merges m_A[i]; a reset channel that m_A[i] covers takes
 // the merge too, which is m_A[i]; only the remaining exposed channels D are
-// rebuilt from the current neighborhood (rebuildChannels). The node's Fig. 8
-// class follows from the channels — exposed reset iff D ≠ ∅, else covered
-// reset iff any channel reset — so it is the class the whole-row rule gave.
-// Returns whether α actually changed and the classification.
+// rebuilt from the current neighborhood (rebuildChannels). So α⁻ is merged
+// with m_A over the whole row in one Aggregator.Merge, and a scalar scan of
+// the reset channels then collects D, whose merged values rebuildChannels
+// overwrites. The node's Fig. 8 class follows from the channels — exposed
+// reset iff D ≠ ∅, else covered reset iff any channel reset — so it is the
+// class the whole-row rule gave. Returns whether α actually changed and the
+// classification.
 func (e *Engine) applyMonotonic(l int, g *group, sc *scratch) (changed bool, cond Condition) {
 	agg := e.model.Layers[l].Agg()
 	alpha := e.state.Alpha[l].Row(int(g.target))
 	dim := len(alpha)
-	e.c.FetchVec(dim)
-	e.c.AddFLOPs(int64(dim * (len(g.dels) + len(g.adds))))
+	t := &sc.t
+	t.FetchVec(dim)
+	t.AddFLOPs(int64(dim * (len(g.dels) + len(g.adds))))
 	staged := sc.staged
 
 	if e.g.InDegree(g.target)-e.degDelta[g.target] == 0 {
@@ -29,35 +34,35 @@ func (e *Engine) applyMonotonic(l int, g *group, sc *scratch) (changed bool, con
 		// a monotonic aggregation result: there is no reduced deletion to
 		// classify against and merging into it would be unsound, so the first
 		// edges of such a node force a (trivially cheap) whole-row recompute.
-		e.recomputeAlpha(l, g.target, staged)
+		e.recomputeAlpha(l, g.target, staged, t)
 		cond = CondExposedReset
 	} else {
 		mDel := reduceInto(sc.mDel, agg.Merge, g.dels)
 		mAdd := reduceInto(sc.mAdd, agg.Merge, g.adds)
+		copy(staged, alpha)
 		if mAdd != nil {
-			e.c.AddFLOPs(int64(dim))
+			agg.Merge(staged, mAdd)
+			t.AddFLOPs(int64(dim))
 		}
 		// Only the reduced deletion can attain the old extremum: the deleted
 		// messages are a subset of the neighborhood α⁻ aggregates.
 		isMax := agg.Kind() == gnn.AggMax
 		exposed := sc.exposed[:0] // cap dim: never grows
 		reset := false
-		for i, a := range alpha {
-			if mDel != nil && a == mDel[i] {
+		if mDel != nil {
+			for i, a := range alpha {
+				if a != mDel[i] {
+					continue
+				}
 				reset = true
 				if mAdd == nil || (isMax && mAdd[i] < a) || (!isMax && mAdd[i] > a) {
 					exposed = append(exposed, int32(i))
-					continue
 				}
 			}
-			if mAdd != nil {
-				a = pick(isMax, a, mAdd[i])
-			}
-			staged[i] = a
 		}
 		switch {
 		case len(exposed) > 0:
-			e.rebuildChannels(l, g.target, isMax, exposed, staged)
+			e.rebuildChannels(l, g.target, isMax, exposed, staged, t)
 			cond = CondExposedReset
 		case reset:
 			cond = CondCoveredReset
@@ -69,25 +74,9 @@ func (e *Engine) applyMonotonic(l int, g *group, sc *scratch) (changed bool, con
 	changed = !staged.Equal(alpha)
 	if changed {
 		copy(alpha, staged)
-		e.c.StoreVec(dim)
+		t.StoreVec(dim)
 	}
 	return changed, cond
-}
-
-// pick is one channel of Aggregator.Merge for max/min: a unless m is strictly
-// better, so a tie keeps the first holder — the rule tensor.EltMax/EltMin
-// apply, written the same way so the two agree on every bit pattern.
-func pick(isMax bool, a, m float32) float32 {
-	if isMax {
-		if a >= m {
-			return a
-		}
-		return m
-	}
-	if a <= m {
-		return a
-	}
-	return m
 }
 
 // rebuildChannels recomputes the exposed channels D of α_{l,u} into dst by one
@@ -97,11 +86,12 @@ func pick(isMax bool, a, m float32) float32 {
 // ties kept by the first holder, so each rebuilt channel is bit-identical to
 // the same channel of a whole-row recomputeAlpha. A rebuilt channel can only
 // move away from the extremum: max(α⁻[i], m_A[i]) bounds it (min for AggMin).
-func (e *Engine) rebuildChannels(l int, u graph.NodeID, isMax bool, D []int32, dst tensor.Vector) {
+// Its work is charged to t.
+func (e *Engine) rebuildChannels(l int, u graph.NodeID, isMax bool, D []int32, dst tensor.Vector, t *metrics.Tally) {
 	nbrs := e.g.InNeighbors(u)
 	m := e.state.M[l]
-	e.c.FetchVec(len(D) * len(nbrs))
-	e.c.AddFLOPs(int64(len(D) * len(nbrs)))
+	t.FetchVec(len(D) * len(nbrs))
+	t.AddFLOPs(int64(len(D) * len(nbrs)))
 	if len(nbrs) == 0 {
 		// Every in-neighbor was deleted: the defined zero row (Finalize).
 		for _, i := range D {
@@ -178,8 +168,9 @@ func reduceInto(dst tensor.Vector, merge func(dst, m tensor.Vector), payloads []
 // neighbors affected at layer l−1 were refreshed when that layer was
 // processed. It serves only the two cases with no reduced deletion to
 // classify channels against: a previously isolated target, and the
-// grouping ablation below. The caller charges the store if dst is state.
-func (e *Engine) recomputeAlpha(l int, u graph.NodeID, dst tensor.Vector) {
+// grouping ablation below. Its reads are charged to t; the caller charges
+// the store if dst is state.
+func (e *Engine) recomputeAlpha(l int, u graph.NodeID, dst tensor.Vector, t *metrics.Tally) {
 	agg := e.model.Layers[l].Agg()
 	nbrs := e.g.InNeighbors(u)
 	agg.Identity(dst)
@@ -189,8 +180,8 @@ func (e *Engine) recomputeAlpha(l int, u graph.NodeID, dst tensor.Vector) {
 	}
 	agg.Finalize(dst, len(nbrs))
 	dim := len(dst)
-	e.c.FetchVec(dim * len(nbrs))
-	e.c.AddFLOPs(int64(dim * len(nbrs)))
+	t.FetchVec(dim * len(nbrs))
+	t.AddFLOPs(int64(dim * len(nbrs)))
 }
 
 // applyMonotonicUngrouped is the grouping-ablation path (Fig. 4d): events
@@ -203,18 +194,19 @@ func (e *Engine) applyMonotonicUngrouped(l int, g *group, sc *scratch) (changed 
 	agg := layer.Agg()
 	alpha := e.state.Alpha[l].Row(int(g.target))
 	dim := len(alpha)
+	t := &sc.t
 	before := sc.staged
 	copy(before, alpha)
 	recomputed := false
 	if e.g.InDegree(g.target)-e.degDelta[g.target] == 0 {
 		// See applyMonotonic: a previously empty neighborhood cannot be
 		// evolved incrementally.
-		e.recomputeAlpha(l, g.target, alpha)
-		e.c.StoreVec(dim)
+		e.recomputeAlpha(l, g.target, alpha, t)
+		t.StoreVec(dim)
 		return !alpha.Equal(before), CondExposedReset
 	}
 	for _, d := range g.dels {
-		e.c.FetchVec(dim)
+		t.FetchVec(dim)
 		needReset := false
 		for i := range alpha {
 			if alpha[i] == d[i] {
@@ -223,19 +215,19 @@ func (e *Engine) applyMonotonicUngrouped(l int, g *group, sc *scratch) (changed 
 			}
 		}
 		if needReset {
-			e.recomputeAlpha(l, g.target, alpha)
-			e.c.StoreVec(dim)
+			e.recomputeAlpha(l, g.target, alpha, t)
+			t.StoreVec(dim)
 			recomputed = true
 		}
 	}
 	for _, a := range g.adds {
-		e.c.FetchVec(dim)
+		t.FetchVec(dim)
 		agg.Merge(alpha, a)
-		e.c.AddFLOPs(int64(dim))
+		t.AddFLOPs(int64(dim))
 	}
 	changed = !alpha.Equal(before)
 	if changed {
-		e.c.StoreVec(dim)
+		t.StoreVec(dim)
 	}
 	if recomputed {
 		return changed, CondExposedReset

@@ -187,7 +187,7 @@ func TestDenseHubChannelGranular(t *testing.T) {
 				}
 				wantHubVisit(t, e, hubDim, hubDeg-hubDim)
 				whole := tensor.NewVector(hubDim)
-				e.recomputeAlpha(0, 0, whole)
+				e.recomputeAlpha(0, 0, whole, &metrics.Tally{})
 				if !slices.Equal(bits(e.State().Alpha[0].Row(0)), bits(whole)) {
 					t.Error("|D| = dim differs from the whole-row recompute")
 				}
@@ -253,7 +253,7 @@ func newMonoBench(kind gnn.AggKind, rows []tensor.Vector, deg int) (*monoRig, er
 	for v, row := range rows {
 		copy(e.state.M[0].Row(v), row)
 	}
-	e.recomputeAlpha(0, 0, e.state.Alpha[0].Row(0))
+	e.recomputeAlpha(0, 0, e.state.Alpha[0].Row(0), &metrics.Tally{})
 	return &monoRig{e: e}, nil
 }
 

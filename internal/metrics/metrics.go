@@ -12,7 +12,11 @@ import (
 )
 
 // Counters accumulates work done by an inference engine. All methods are
-// safe for concurrent use (engines shard work across goroutines).
+// safe for concurrent use (engines shard work across goroutines). Each is
+// one atomic add on a cache line every worker shares, so the incremental
+// engine does not call them per target: each of its worker chunks records
+// into its own Tally and flushes that into the Counters once, when the
+// chunk ends.
 type Counters struct {
 	// BytesFetched counts embedding bytes read from the cached state or
 	// feature matrix — the "memory cost" of Table V.
@@ -64,11 +68,36 @@ func (c *Counters) VisitNodes(n int) {
 	}
 }
 
+// Tally is Counters for one goroutine: the same recording methods as plain
+// adds, and the same fields. Flush adds it into a shared Counters in one
+// atomic add per field.
+type Tally Snapshot
+
+// FetchVec records reading an n-float32 vector.
+func (t *Tally) FetchVec(n int) { t.BytesFetched += int64(4 * n) }
+
+// StoreVec records writing an n-float32 vector.
+func (t *Tally) StoreVec(n int) { t.BytesWritten += int64(4 * n) }
+
+// AddFLOPs records n floating-point operations.
+func (t *Tally) AddFLOPs(n int64) { t.FLOPs += n }
+
+// VisitNode records one node visit.
+func (t *Tally) VisitNode() { t.NodesVisited++ }
+
 // AddEvents records n consumed events.
-func (c *Counters) AddEvents(n int) {
+func (t *Tally) AddEvents(n int) { t.EventsProcessed += int64(n) }
+
+// Flush adds t into c (nothing when c is nil) and zeroes t.
+func (t *Tally) Flush(c *Counters) {
 	if c != nil {
-		c.EventsProcessed.Add(int64(n))
+		c.BytesFetched.Add(t.BytesFetched)
+		c.BytesWritten.Add(t.BytesWritten)
+		c.FLOPs.Add(t.FLOPs)
+		c.NodesVisited.Add(t.NodesVisited)
+		c.EventsProcessed.Add(t.EventsProcessed)
 	}
+	*t = Tally{}
 }
 
 // Reset zeroes every counter.

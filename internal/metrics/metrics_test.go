@@ -14,7 +14,7 @@ func TestCountersBasics(t *testing.T) {
 	c.AddFLOPs(100)
 	c.VisitNode()
 	c.VisitNodes(4)
-	c.AddEvents(7)
+	c.EventsProcessed.Add(7)
 	s := c.Snapshot()
 	if s.BytesFetched != 40 || s.BytesWritten != 20 || s.FLOPs != 100 ||
 		s.NodesVisited != 5 || s.EventsProcessed != 7 {
@@ -35,7 +35,32 @@ func TestNilCountersSafe(t *testing.T) {
 	c.AddFLOPs(1)
 	c.VisitNode()
 	c.VisitNodes(2)
-	c.AddEvents(3)
+}
+
+// TestTallyFlush: a Tally records what Counters would, adds it into a
+// Counters in one Flush and starts over; a nil Counters takes nothing.
+func TestTallyFlush(t *testing.T) {
+	var c Counters
+	c.EventsProcessed.Add(1)
+	var tl Tally
+	tl.FetchVec(10)
+	tl.StoreVec(5)
+	tl.AddFLOPs(100)
+	tl.VisitNode()
+	tl.AddEvents(7)
+	tl.Flush(&c)
+	if s := c.Snapshot(); s != (Snapshot{BytesFetched: 40, BytesWritten: 20, FLOPs: 100, NodesVisited: 1, EventsProcessed: 8}) {
+		t.Errorf("after flush %+v", s)
+	}
+	if tl != (Tally{}) {
+		t.Errorf("flush left %+v", tl)
+	}
+	tl.VisitNode()
+	tl.Flush(nil)
+	tl.Flush(&c)
+	if c.NodesVisited.Load() != 1 {
+		t.Errorf("a flush into nil carried over: %d visits", c.NodesVisited.Load())
+	}
 }
 
 func TestCountersConcurrent(t *testing.T) {

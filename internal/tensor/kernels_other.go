@@ -1,0 +1,20 @@
+//go:build !amd64
+
+package tensor
+
+// addKernel, eltMaxKernel and eltMinKernel are the bodies of Add, EltMax
+// and EltMin on every GOARCH without assembly ones.
+func addKernel(dst, a, b []float32) {
+	checkTriple("Add", dst, a, b)
+	addGeneric(dst, a, b)
+}
+
+func eltMaxKernel(dst, a, b []float32) {
+	checkTriple("EltMax", dst, a, b)
+	eltMaxGeneric(dst, a, b)
+}
+
+func eltMinKernel(dst, a, b []float32) {
+	checkTriple("EltMin", dst, a, b)
+	eltMinGeneric(dst, a, b)
+}

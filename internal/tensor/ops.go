@@ -46,9 +46,22 @@ func Scale(dst Vector, a float32, x Vector) {
 	}
 }
 
-// EltMax computes dst[i] = max(a[i], b[i]).
-func EltMax(dst, a, b Vector) {
-	checkTriple("EltMax", dst, a, b)
+// EltMax computes dst[i] = max(a[i], b[i]) as a selection: a[i] when
+// a[i] >= b[i], else b[i], so a tie keeps a and a NaN on either side yields
+// b. dst may alias a or b (the same slice, not an offset view). It is the
+// merge of max aggregation and of the monotonic path: on amd64 it runs an
+// SSE2 compare-and-blend body (eltmax_amd64.s), elsewhere eltMaxGeneric;
+// both copy the same operand's bits on every lane, so the result is
+// bit-identical on every GOARCH. Like Add, it is one call.
+func EltMax(dst, a, b Vector) { eltMaxKernel(dst, a, b) }
+
+// EltMin computes dst[i] = min(a[i], b[i]) by the mirrored rule: a[i] when
+// a[i] <= b[i], else b[i]. See EltMax.
+func EltMin(dst, a, b Vector) { eltMinKernel(dst, a, b) }
+
+// eltMaxGeneric is EltMax's portable body and the reference its SSE2 body
+// is tested against.
+func eltMaxGeneric(dst, a, b Vector) {
 	for i := range dst {
 		if a[i] >= b[i] {
 			dst[i] = a[i]
@@ -58,9 +71,8 @@ func EltMax(dst, a, b Vector) {
 	}
 }
 
-// EltMin computes dst[i] = min(a[i], b[i]).
-func EltMin(dst, a, b Vector) {
-	checkTriple("EltMin", dst, a, b)
+// eltMinGeneric is EltMin's portable body and test reference.
+func eltMinGeneric(dst, a, b Vector) {
 	for i := range dst {
 		if a[i] <= b[i] {
 			dst[i] = a[i]

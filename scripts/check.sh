@@ -15,9 +15,10 @@ go vet ./...
 go build ./...
 go test ./...
 
-# tensor.Add has an SSE2 body on amd64 (add_amd64.s, checked by vet's
-# asmdecl above) and a pure-Go body everywhere else: cross-compile the
-# fallback so it cannot rot on an amd64-only gate.
+# tensor.Add, tensor.EltMax and tensor.EltMin have SSE2 bodies on amd64
+# (add_amd64.s and eltmax_amd64.s, both checked by vet's asmdecl above) and
+# pure-Go bodies everywhere else (kernels_other.go): cross-compile the
+# fallbacks so they cannot rot on an amd64-only gate.
 GOARCH=arm64 go vet ./internal/tensor
 GOARCH=arm64 go build ./...
 go test -race ./internal/tensor ./internal/gnn ./internal/experiments \
@@ -43,8 +44,8 @@ go test -race -count=1 ./internal/server ./internal/shard ./internal/inkstream \
 # here (≈15 s) and cannot rot unnoticed; the numbers of a single iteration
 # mean nothing. BenchmarkApply's features/ rows (four hub feature rewrites on
 # the dense profile) are the record-routing path at some hundred thousand
-# arcs a batch; BenchmarkAdd (internal/tensor) times the fold kernel against
-# its portable loop at widths 32 and 256.
+# arcs a batch; BenchmarkAdd and BenchmarkEltMax (internal/tensor) time the
+# fold and merge kernels against their portable loops at widths 32 and 256.
 go test -run '^$' -bench . -benchtime 1x . ./internal/tensor ./internal/gnn \
     ./internal/inkstream ./internal/server ./internal/shard
 
