@@ -25,8 +25,11 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte("INKS"))
 	f.Add([]byte{})
 	mutated := append([]byte(nil), valid...)
-	mutated[7] = 0xFF // blow up the node count
+	mutated[10] = 0xFF // blow up the node count (header bytes 8–11)
 	f.Add(mutated)
+	for _, c := range corruptSnapshots() {
+		f.Add(c.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, feats, err := Load(bytes.NewReader(data))

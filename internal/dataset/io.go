@@ -15,7 +15,7 @@ import (
 //
 //	magic "INKS" | version u32 | nodes u32 | edges u32 | featLen u32
 //	edges  : edges × (u u32, v u32)   — one representative arc per edge
-//	feats  : nodes × featLen × f32
+//	feats  : nodes × featLen × f32    — featLen ≥ 1
 //
 // Only undirected graphs are persisted; that is all the benchmark datasets
 // need.
@@ -32,6 +32,9 @@ func Save(w io.Writer, g *graph.Graph, f *Features) error {
 	}
 	if f.X.Rows != g.NumNodes() {
 		return fmt.Errorf("dataset: feature rows %d != nodes %d", f.X.Rows, g.NumNodes())
+	}
+	if f.Dim() == 0 {
+		return fmt.Errorf("dataset: zero-width features")
 	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(magic); err != nil {
@@ -62,7 +65,11 @@ func Save(w io.Writer, g *graph.Graph, f *Features) error {
 	return bw.Flush()
 }
 
-// Load reads a snapshot written by Save.
+// Load reads a snapshot written by Save. The graph is bulk-built with
+// graph.FromPairs, so its adjacency lists are in the order AddEdge-ing the
+// stored edges in file order gives. Nothing is sized by a header count
+// before the bytes behind it are read: the edge and feature sections are
+// read first, and every node owns at least one stored feature value.
 func Load(r io.Reader) (*graph.Graph, *Features, error) {
 	br := bufio.NewReader(r)
 	var m [4]byte
@@ -73,37 +80,32 @@ func Load(r io.Reader) (*graph.Graph, *Features, error) {
 		return nil, nil, fmt.Errorf("dataset: bad magic %q", m)
 	}
 	var hdr [4]uint32
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, nil, fmt.Errorf("dataset: reading header: %w", err)
-		}
+	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+		return nil, nil, fmt.Errorf("dataset: reading header: %w", err)
 	}
 	if hdr[0] != version {
 		return nil, nil, fmt.Errorf("dataset: unsupported version %d", hdr[0])
 	}
 	nodes, edges, featLen := int(hdr[1]), int(hdr[2]), int(hdr[3])
-	// Sanity-cap the declared sizes before allocating: a corrupt header
-	// must produce an error, not an out-of-memory crash.
-	const maxElems = 1 << 28
-	if nodes > maxElems || edges > maxElems || featLen > 1<<20 ||
-		int64(nodes)*int64(featLen) > maxElems {
+	// The caps keep IDs inside NodeID and products inside int; memory is
+	// bounded by the reads below, not by these counts.
+	if nodes > 1<<28 || edges > 1<<28 || featLen == 0 || featLen > 1<<20 ||
+		int64(nodes)*int64(featLen) > 1<<28 {
 		return nil, nil, fmt.Errorf("dataset: implausible header (%d nodes, %d edges, feat %d)", nodes, edges, featLen)
 	}
-	g := graph.NewUndirected(nodes)
-	for i := 0; i < edges; i++ {
-		var e [2]uint32
-		if err := binary.Read(br, binary.LittleEndian, &e); err != nil {
-			return nil, nil, fmt.Errorf("dataset: reading edge %d: %w", i, err)
-		}
-		if err := g.AddEdge(graph.NodeID(e[0]), graph.NodeID(e[1])); err != nil {
-			return nil, nil, fmt.Errorf("dataset: edge %d: %w", i, err)
-		}
+	pairs, err := graph.ReadPairs(br, edges)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dataset: edge section: %w", err)
 	}
-	f := &Features{X: tensor.NewMatrix(nodes, featLen)}
-	if err := binary.Read(br, binary.LittleEndian, f.X.Data); err != nil {
+	data, err := tensor.ReadFloat32s(br, nodes*featLen)
+	if err != nil {
 		return nil, nil, fmt.Errorf("dataset: reading features: %w", err)
 	}
-	return g, f, nil
+	g, err := graph.FromPairs(nodes, true, pairs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dataset: edge section: %w", err)
+	}
+	return g, &Features{X: &tensor.Matrix{Rows: nodes, Cols: featLen, Data: data}}, nil
 }
 
 // SaveFile writes a snapshot to path, creating or truncating it.

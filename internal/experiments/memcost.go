@@ -10,10 +10,12 @@ import (
 
 // MemCostRow reports the additional memory InkStream keeps for one dataset
 // (Sec. III-E): the two per-layer checkpoints (m and α) relative to the
-// dataset size (features + edges), at two hidden-state widths. Each
-// checkpoint is reported both modeled (summed slice lengths) and measured
-// (heap-in-use growth around the allocation) — a persistent gap between
-// the two means the model under-counts allocator overhead.
+// dataset size (features + edges), at two hidden-state widths. An arc is
+// modelled at 8 B, which is what graph.Graph stores: one 4-byte NodeID in
+// each direction's adjacency list and no arc index. Each checkpoint is
+// reported both modeled (summed slice lengths) and measured (heap-in-use
+// growth around the allocation) — a persistent gap between the two means
+// the model under-counts allocator overhead.
 type MemCostRow struct {
 	Dataset       string
 	DatasetBytes  int64

@@ -81,14 +81,34 @@ func ClusteringCoefficient(g *Graph, rng *rand.Rand, samples int) float64 {
 			candidates[i], candidates[j] = candidates[j], candidates[i]
 		})
 	}
+	// links counts the neighbour pairs joined by an arc either way. N(u)
+	// is marked with u's stamp; each neighbour a's lists are scanned for
+	// marked endpoints above a, so a pair is counted from its lower end,
+	// and a per-neighbour stamp in seen stops a pair joined both ways
+	// counting twice. That is O(Σ deg) per sample instead of a HasEdge per
+	// pair. Sampled nodes are distinct, so stale marks never match.
+	mark := make([]int32, g.NumNodes())
+	seen := make([]int32, g.NumNodes())
+	var tok int32
 	var total float64
 	for _, u := range candidates[:samples] {
 		nbrs := g.InNeighbors(u)
+		for _, a := range nbrs {
+			mark[a] = u + 1
+		}
 		links := 0
-		for i := 0; i < len(nbrs); i++ {
-			for j := i + 1; j < len(nbrs); j++ {
-				if g.HasEdge(nbrs[i], nbrs[j]) || g.HasEdge(nbrs[j], nbrs[i]) {
-					links++
+		for _, a := range nbrs {
+			tok++
+			lists := [][]NodeID{g.out[a], g.in[a]}
+			if g.Undirected {
+				lists = lists[:1] // in[a] holds the same endpoints
+			}
+			for _, list := range lists {
+				for _, b := range list {
+					if b > a && mark[b] == u+1 && seen[b] != tok {
+						seen[b] = tok
+						links++
+					}
 				}
 			}
 		}

@@ -275,17 +275,20 @@ func (p *Partition) Cut(g *Graph) CutStats {
 // destinations a broadcast message-change record fans out to. The result
 // is always directed — undirected logical edges must be expanded to arcs
 // by the caller (the shard router's expand does this for update batches).
+// It is bulk-built in the order AddEdge-ing g's arcs source by source
+// would give.
 func (p *Partition) ShardGraph(g *Graph, s int) *Graph {
-	sg := New(g.NumNodes())
-	for u := 0; u < g.NumNodes(); u++ {
-		for _, v := range g.OutNeighbors(NodeID(u)) {
-			if p.Owner(v) != s {
-				continue
-			}
-			if err := sg.AddEdge(NodeID(u), v); err != nil {
-				panic("graph: ShardGraph: " + err.Error())
+	var pairs [][2]NodeID
+	for u := range g.out {
+		for _, v := range g.out[u] {
+			if p.Owner(v) == s {
+				pairs = append(pairs, [2]NodeID{NodeID(u), v})
 			}
 		}
+	}
+	sg, err := FromPairs(g.NumNodes(), false, pairs)
+	if err != nil {
+		panic("graph: ShardGraph: " + err.Error())
 	}
 	return sg
 }

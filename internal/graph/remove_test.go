@@ -2,42 +2,47 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// checkArcIndex verifies that the arc-position index agrees with the
-// adjacency lists: every indexed arc points at the right slot in both
-// directions, and every adjacency entry is indexed.
-func checkArcIndex(t *testing.T, g *Graph) {
+// checkMirrored verifies that the two adjacency lists describe one arc set:
+// every out-arc (u,v) appears exactly once in in[v], both totals equal m,
+// and an undirected graph holds (v,u) for every (u,v), with in[u] equal to
+// out[u] entry for entry (RemoveEdge finds an arc's slot in both with one
+// scan).
+func checkMirrored(t *testing.T, g *Graph) {
 	t.Helper()
-	count := 0
+	outs, ins := 0, 0
 	for u := range g.out {
-		for i, v := range g.out[u] {
-			pos, ok := g.edges[key(NodeID(u), v)]
-			if !ok {
-				t.Fatalf("arc (%d,%d) in adjacency but not indexed", u, v)
+		outs += len(g.out[u])
+		ins += len(g.in[u])
+		if g.Undirected && !slices.Equal(g.out[u], g.in[u]) {
+			t.Fatalf("undirected node %d: out %v, in %v", u, g.out[u], g.in[u])
+		}
+		for _, v := range g.out[u] {
+			n := 0
+			for _, w := range g.in[v] {
+				if w == NodeID(u) {
+					n++
+				}
 			}
-			if int(pos.out) != i {
-				t.Fatalf("arc (%d,%d): index says out slot %d, actual %d", u, v, pos.out, i)
+			if n != 1 {
+				t.Fatalf("out-arc (%d,%d) appears %d times in in[%d]", u, v, n, v)
 			}
-			if g.in[v][pos.in] != NodeID(u) {
-				t.Fatalf("arc (%d,%d): in slot %d holds %d", u, v, pos.in, g.in[v][pos.in])
+			if g.Undirected && !g.HasEdge(v, NodeID(u)) {
+				t.Fatalf("undirected arc (%d,%d) has no reverse", u, v)
 			}
-			count++
 		}
 	}
-	if count != len(g.edges) {
-		t.Fatalf("%d adjacency arcs but %d index entries", count, len(g.edges))
-	}
-	if count != g.m {
-		t.Fatalf("%d adjacency arcs but m=%d", count, g.m)
+	if outs != g.m || ins != g.m {
+		t.Fatalf("%d out-arcs and %d in-arcs but m=%d", outs, ins, g.m)
 	}
 }
 
-// Randomised churn keeps the arc-position index consistent with the
-// adjacency lists through interleaved inserts and removals, directed and
-// undirected.
-func TestRemoveEdgeIndexConsistency(t *testing.T) {
+// Randomised churn keeps the out- and in-lists mirror images of one arc
+// set through interleaved inserts and removals, directed and undirected.
+func TestRemoveEdgeMirrorConsistency(t *testing.T) {
 	for _, undirected := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(7))
 		var g *Graph
@@ -73,11 +78,11 @@ func TestRemoveEdgeIndexConsistency(t *testing.T) {
 				live = append(live, edge{u, v})
 			}
 			if step%97 == 0 {
-				checkArcIndex(t, g)
+				checkMirrored(t, g)
 			}
 		}
-		checkArcIndex(t, g)
-		// Drain every remaining edge; the index must empty out exactly.
+		checkMirrored(t, g)
+		// Drain every remaining edge; both list sets must empty out.
 		for _, e := range live {
 			if !g.HasEdge(e.u, e.v) {
 				continue
@@ -86,9 +91,9 @@ func TestRemoveEdgeIndexConsistency(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if g.NumArcs() != 0 || len(g.edges) != 0 {
-			t.Fatalf("undirected=%v: %d arcs, %d index entries after drain",
-				undirected, g.NumArcs(), len(g.edges))
+		checkMirrored(t, g)
+		if g.NumArcs() != 0 {
+			t.Fatalf("undirected=%v: %d arcs after drain", undirected, g.NumArcs())
 		}
 	}
 }

@@ -142,10 +142,8 @@ func (r *reader) vec() tensor.Vector {
 		r.err = fmt.Errorf("persist: implausible vector length %d", n)
 		return nil
 	}
-	v := make(tensor.Vector, n)
-	if r.err == nil {
-		r.err = binary.Read(r.r, binary.LittleEndian, []float32(v))
-	}
+	var v []float32
+	v, r.err = tensor.ReadFloat32s(r.r, int(n))
 	return v
 }
 
@@ -161,9 +159,11 @@ func (r *reader) mat() *tensor.Matrix {
 		r.err = fmt.Errorf("persist: implausible matrix %dx%d", rows, cols)
 		return nil
 	}
-	m := tensor.NewMatrix(rows, cols)
-	r.err = binary.Read(r.r, binary.LittleEndian, m.Data)
-	return m
+	var data []float32
+	if data, r.err = tensor.ReadFloat32s(r.r, rows*cols); r.err != nil {
+		return nil
+	}
+	return &tensor.Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
 func (r *reader) magic(want string) {
@@ -471,7 +471,10 @@ func SaveBundle(out io.Writer, g *graph.Graph, m *gnn.Model, s *gnn.State) error
 }
 
 // LoadBundle reads a bundle written by SaveBundle and checks internal
-// consistency.
+// consistency. The graph is bulk-built with graph.FromPairs, in the order
+// AddEdge-ing the stored edges gives, and only once the state section has
+// backed the header's node count with at least one stored row value per
+// node: no allocation is sized by a count before its bytes are read.
 func LoadBundle(in io.Reader) (*graph.Graph, *gnn.Model, *gnn.State, error) {
 	br := bufio.NewReader(in)
 	r := &reader{r: br}
@@ -485,20 +488,9 @@ func LoadBundle(in io.Reader) (*graph.Graph, *gnn.Model, *gnn.State, error) {
 	if nodes < 0 || nodes > maxElems || nEdges < 0 || nEdges > maxElems {
 		return nil, nil, nil, fmt.Errorf("persist: implausible graph header (%d nodes, %d edges)", nodes, nEdges)
 	}
-	var g *graph.Graph
-	if undirected {
-		g = graph.NewUndirected(nodes)
-	} else {
-		g = graph.New(nodes)
-	}
-	for i := 0; i < nEdges; i++ {
-		u, v := graph.NodeID(r.u32()), graph.NodeID(r.u32())
-		if r.err != nil {
-			return nil, nil, nil, r.err
-		}
-		if err := g.AddEdge(u, v); err != nil {
-			return nil, nil, nil, fmt.Errorf("persist: edge %d: %w", i, err)
-		}
+	pairs, err := graph.ReadPairs(br, nEdges)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("persist: edge section: %w", err)
 	}
 	// The model and state sections share this reader: wrapping them in
 	// fresh buffered readers would read ahead and lose section boundaries.
@@ -510,8 +502,13 @@ func LoadBundle(in io.Reader) (*graph.Graph, *gnn.Model, *gnn.State, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if s.NumNodes() != g.NumNodes() {
-		return nil, nil, nil, fmt.Errorf("persist: bundle state/graph node mismatch")
+	if s.NumNodes() != nodes || (nodes > 0 && s.H[0].Cols == 0) {
+		return nil, nil, nil, fmt.Errorf("persist: bundle state (%dx%d) does not cover the graph's %d nodes",
+			s.NumNodes(), s.H[0].Cols, nodes)
+	}
+	g, err := graph.FromPairs(nodes, undirected, pairs)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("persist: edge section: %w", err)
 	}
 	return g, m, s, nil
 }

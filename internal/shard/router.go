@@ -200,15 +200,18 @@ func New(model *gnn.Model, g *graph.Graph, x *tensor.Matrix, cfg Config) (*Route
 // directedReplica copies g's arcs into a directed graph — the router's
 // private validation and routing view (shard sub-deltas are always
 // directed, so validating the expanded delta here guarantees every shard
-// apply succeeds).
+// apply succeeds). It is bulk-built in the order AddEdge-ing g's arcs
+// source by source would give.
 func directedReplica(g *graph.Graph) *graph.Graph {
-	r := graph.New(g.NumNodes())
+	pairs := make([][2]graph.NodeID, 0, g.NumArcs())
 	for u := 0; u < g.NumNodes(); u++ {
 		for _, v := range g.OutNeighbors(graph.NodeID(u)) {
-			if err := r.AddEdge(graph.NodeID(u), v); err != nil {
-				panic("shard: directedReplica: " + err.Error())
-			}
+			pairs = append(pairs, [2]graph.NodeID{graph.NodeID(u), v})
 		}
+	}
+	r, err := graph.FromPairs(g.NumNodes(), false, pairs)
+	if err != nil {
+		panic("shard: directedReplica: " + err.Error())
 	}
 	return r
 }

@@ -45,9 +45,13 @@ go test -race -count=1 ./internal/server ./internal/shard ./internal/inkstream \
 # mean nothing. BenchmarkApply's features/ rows (four hub feature rewrites on
 # the dense profile) are the record-routing path at some hundred thousand
 # arcs a batch; BenchmarkAdd and BenchmarkEltMax (internal/tensor) time the
-# fold and merge kernels against their portable loops at widths 32 and 256.
+# fold and merge kernels against their portable loops at widths 32 and 256;
+# BenchmarkRemoveEdge/{hub,leaf} (internal/graph) bounds the O(deg) scan a
+# removal costs without an arc index, and BenchmarkLoad (internal/dataset)
+# the one-pass bulk build of a loaded snapshot.
 go test -run '^$' -bench . -benchtime 1x . ./internal/tensor ./internal/gnn \
-    ./internal/inkstream ./internal/server ./internal/shard
+    ./internal/inkstream ./internal/server ./internal/shard ./internal/graph \
+    ./internal/dataset
 
 # bench/ is its own module (not in ./... above) and imports internal/*:
 # vet and test it here so an API change next to its probe fails this gate,
