@@ -21,7 +21,7 @@ func (e *Engine) applyAccumulative(l int, g *group, t *metrics.Tally) {
 	alpha := e.state.Alpha[l].Row(int(u))
 	dim := len(alpha)
 	t.FetchVec(dim)
-	t.AddFLOPs(int64(dim * (g.nUpd + 1)))
+	t.AddFLOPs(int64(dim * (g.n + 1)))
 
 	switch agg.Kind() {
 	case gnn.AggSum:

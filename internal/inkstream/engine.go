@@ -644,22 +644,18 @@ func (e *Engine) getScratch(l int) *scratch {
 }
 
 // scratch is the per-worker-chunk temporary storage of processTarget: the
-// staged layer output, the reduced deletion/addition messages, the staged α
-// and the exposed channel list, whose contents never survive one target;
-// and the chunk's work tally, which is flushed into the engine's counters
-// when the chunk ends.
+// staged layer output, the staged α and the exposed channel list, whose
+// contents never survive one target; and the chunk's work tally, which is
+// flushed into the engine's counters when the chunk ends.
 type scratch struct {
-	newH               tensor.Vector
-	mDel, mAdd, staged tensor.Vector
-	exposed            []int32
-	t                  metrics.Tally
+	newH, staged tensor.Vector
+	exposed      []int32
+	t            metrics.Tally
 }
 
 func newScratch(layer gnn.Layer) *scratch {
 	return &scratch{
 		newH:    make(tensor.Vector, layer.OutDim()),
-		mDel:    make(tensor.Vector, layer.MsgDim()),
-		mAdd:    make(tensor.Vector, layer.MsgDim()),
 		staged:  make(tensor.Vector, layer.MsgDim()),
 		exposed: make([]int32, 0, layer.MsgDim()),
 	}
@@ -678,7 +674,7 @@ func (e *Engine) processTarget(l int, g *group, sc *scratch, uevts []UserEvent) 
 	agg := layer.Agg()
 	u := g.target
 	sc.t.VisitNode()
-	sc.t.AddEvents(len(g.dels) + len(g.adds) + g.nUpd + len(g.user))
+	sc.t.AddEvents(g.n + len(g.user))
 
 	alphaChanged := false
 	cond := CondSelfOnly

@@ -2,26 +2,32 @@ package inkstream
 
 import (
 	"cmp"
+	mathbits "math/bits"
 	"slices"
 
+	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/tensor"
 )
 
 // group collects every event heading to one target node in one layer
-// (Sec. II-B1). Monotonic layers keep the raw Del/Add payload lists (the
-// reset-condition check needs them reduced, the isolated-target and
-// ungrouped paths do not); accumulative layers are reduced on the fly into
-// a running sum, a row of the owning shard's slab.
+// (Sec. II-B1), reduced as the events arrive: an accumulative layer folds
+// them into a running sum, a monotonic one into the reduced deletion and
+// addition m⁻_A and m_A. The reduced rows live in the owning shard's slab.
 type group struct {
 	target graph.NodeID
-	// Monotonic payloads.
+	// n counts the native events folded: OpUpdate events on an accumulative
+	// layer, Del and Add payloads on a monotonic one.
+	n int
+	// sum is the accumulative running sum; mDel and mAdd are the monotonic
+	// m⁻_A and m_A. Each is nil when no event of its kind arrived; all three
+	// are set when the shard's routing is done (grouper.close), not while the
+	// slab grows.
+	sum, mDel, mAdd tensor.Vector
+	// dels and adds are the raw monotonic payloads in arrival order, kept
+	// only under the DisableGrouping ablation, which applies each on its own
+	// instead of reducing them.
 	dels, adds []tensor.Vector
-	// Accumulative running sum and the number of OpUpdate events folded
-	// into it; sum is nil when there were none. Both are set when the
-	// shard's routing is done (grouper.close), not while the slab grows.
-	sum  tensor.Vector
-	nUpd int
 	// User events routed to hooks.
 	user []UserEvent
 }
@@ -29,58 +35,62 @@ type group struct {
 // reset clears a recycled group for a new target, keeping slice capacity.
 func (g *group) reset(target graph.NodeID) {
 	g.target = target
+	g.n = 0
+	g.sum, g.mDel, g.mAdd = nil, nil, nil
 	g.dels = g.dels[:0]
 	g.adds = g.adds[:0]
-	g.sum = nil
-	g.nUpd = 0
 	g.user = g.user[:0]
 }
 
 // hasNative reports whether any native (non-user) event targeted the node.
-func (g *group) hasNative() bool {
-	return len(g.dels) > 0 || len(g.adds) > 0 || g.sum != nil
-}
+func (g *group) hasNative() bool { return g.n > 0 }
 
-// byTarget orders groups by target ID; targets are unique within an epoch,
-// so the order is total.
-func byTarget(a, b *group) int { return cmp.Compare(a.target, b.target) }
-
-// gslot is the grouper's per-node entry. stamp says whether the node has a
-// group this epoch; idx is that group's index in its shard, row the index of
-// its running sum in the shard's slab (-1 until its first OpUpdate event)
-// and nUpd the OpUpdate events folded so far. One 16-byte entry keeps a
-// fold's bookkeeping on one cache line: an arc into a target already seen
-// is a stamp check plus one row add.
+// gslot is the grouper's per-node entry, live while the node's bit is set in
+// the grouper's bitmap: idx is the node's group index in its shard, row the
+// index of its folded payloads in the shard's slab (-1 until its first
+// native payload), n the native payloads folded so far and kinds which
+// halves of a monotonic row pair hold a payload. One 16-byte entry keeps a
+// fold's bookkeeping on one cache line.
 type gslot struct {
-	stamp uint32
 	idx   int32
 	row   int32
-	nUpd  int32
+	n     int32
+	kinds uint32
 }
 
+// The halves of a monotonic [del | add] row pair (gslot.kinds).
+const (
+	kindDel = 1 << iota
+	kindAdd
+)
+
 // gshard is one shard of the grouping table: a private freelist of group
-// structs, the count of entries live this epoch, and the slab holding the
-// running sums of its accumulative targets, dim floats per row in
-// first-touch order. Each shard owns a contiguous block of target IDs, and
-// the worker routing a shard is the only goroutine that ever touches its
-// freelist, its slab (or the slots of its targets) — no cross-shard writes,
-// no locks. A sequential epoch is the one-shard case.
+// structs, the count of entries live this epoch, the slab holding the folded
+// rows of its targets in first-touch order — dim floats per accumulative
+// target, a [del | add] pair of 2·dim per monotonic one — and the slab rows
+// one record folds into (Engine.routeShards). Each shard owns a contiguous
+// block of target IDs, and the worker routing a shard is the only goroutine
+// that ever touches its freelist, its slab, the slots of its targets or the
+// bitmap words of its block — no cross-shard writes, no locks. A sequential
+// epoch is the one-shard case.
 type gshard struct {
 	groups []*group // freelist; groups[:used] are live this epoch
 	used   int
 	slab   []float32 // capacity retained across epochs
+	rows   []int32
 }
 
 // grouper is the table behind the grouping pass (Engine.groupLayer): it
-// buckets a layer's events by target node and reduces per-target where
-// possible. It is an engine-owned epoch-stamped table: the per-node slots
-// are reused across layers and Apply calls without clearing (the stamp
-// distinguishes epochs), and group structs — including their payload-slice
-// capacity — and sum slabs are recycled per shard, so steady-state grouping
-// does not allocate and involves no map operations.
+// buckets a layer's events by target node and reduces them per target as
+// they arrive. It is engine-owned and reused across layers and Apply calls:
+// a bit per node says whether the node has a group this epoch, and close
+// clears every bit it set, so the per-node slots are never cleared; group
+// structs — including their slice capacity — and slabs are recycled per
+// shard, so steady-state grouping does not allocate and involves no map
+// operations and no sort.
 type grouper struct {
-	slot  []gslot
-	epoch uint32
+	slot []gslot
+	bits []uint64
 
 	// shards hold the per-target groups. Targets map to shards by ID block:
 	// target>>shift is the owning shard, a partition chosen per epoch so the
@@ -88,30 +98,48 @@ type grouper struct {
 	// yields the globally sorted order the engine's determinism relies on).
 	shards  []gshard
 	nShards int  // shards active this epoch (1 = sequential routing)
-	shift   uint // target >> shift == owning shard this epoch
+	shift   uint // target >> shift == owning shard this epoch; at least 6
 	dim     int
-	out     []*group // concatenated sorted groups, reused across epochs
+	// merge is a monotonic layer's merge kernel, nil on an accumulative
+	// layer; ungrouped keeps monotonic payloads in lists (DisableGrouping).
+	merge     func(dst, a, b tensor.Vector)
+	ungrouped bool
+	out       []*group // concatenated sorted groups, reused across epochs
 }
 
 func newGrouper(n int) *grouper {
-	return &grouper{
-		slot:   make([]gslot, n),
-		shards: make([]gshard, 1),
+	gr := &grouper{shards: make([]gshard, 1)}
+	gr.ensure(n)
+	return gr
+}
+
+// mergeKernel returns the kernel Aggregator.Merge runs for a monotonic kind
+// (Merge(dst, m) is kernel(dst, dst, m)), nil for an accumulative one.
+func mergeKernel(kind gnn.AggKind) func(dst, a, b tensor.Vector) {
+	switch kind {
+	case gnn.AggMax:
+		return tensor.EltMax
+	case gnn.AggMin:
+		return tensor.EltMin
 	}
+	return nil
 }
 
 // begin opens a new epoch routed across S shards for a layer whose messages
-// have the given dimension. The shard of a target is target>>shift with
-// shift chosen so the shard index stays below S: a power-of-two block
-// partition of the ID space (one block holding every target when S is 1).
+// have the given dimension and whose monotonic merge is merge (nil when
+// accumulative); ungrouped keeps monotonic payloads in lists. The shard of a
+// target is target>>shift with shift chosen so the shard index stays below
+// S: a power-of-two block partition of the ID space (one block holding
+// every target when S is 1). shift is at least 6,
+// so a block is whole words of the bitmap and no two shards ever write one
+// word; on a graph of fewer than 64·S nodes some shards then own no ID.
 // Blocks are monotonic in target ID, which is what lets finish produce the
 // global sorted order by concatenation. The price is imbalance: a block's
 // load is the events its targets receive, not its ID count, and nothing
 // evens it out — ParallelForGrain hands each task a fixed run of contiguous
 // shards (see Engine.shardCount).
-func (gr *grouper) begin(dim, S int) {
-	gr.epoch++
-	gr.dim = dim
+func (gr *grouper) begin(dim, S int, merge func(dst, a, b tensor.Vector), ungrouped bool) {
+	gr.dim, gr.merge, gr.ungrouped = dim, merge, ungrouped
 	for len(gr.shards) < S {
 		gr.shards = append(gr.shards, gshard{})
 	}
@@ -120,37 +148,45 @@ func (gr *grouper) begin(dim, S int) {
 		gr.shards[s].slab = gr.shards[s].slab[:0]
 	}
 	gr.nShards = S
-	shift := uint(0)
+	shift := uint(6)
 	for (len(gr.slot)-1)>>shift >= S {
 		shift++
 	}
 	gr.shift = shift
 }
 
-// ensure grows the per-node table after AddNode.
+// ensure grows the per-node table and bitmap after AddNode.
 func (gr *grouper) ensure(n int) {
 	for len(gr.slot) < n {
 		gr.slot = append(gr.slot, gslot{})
 	}
+	for len(gr.bits) < (n+63)>>6 {
+		gr.bits = append(gr.bits, 0)
+	}
+}
+
+// has reports whether target's bit is set.
+func (gr *grouper) has(target graph.NodeID) bool {
+	return gr.bits[target>>6]&(1<<(uint32(target)&63)) != 0
 }
 
 // slotIn returns target's slot, opening its group in shard sh from the
 // shard's freelist on first sight this epoch. It must only be called by the
-// worker owning sh (the slots of sh's targets are written by that worker
-// alone).
+// worker owning sh (the slots and bitmap words of sh's targets are written
+// by that worker alone).
 func (gr *grouper) slotIn(sh *gshard, target graph.NodeID) *gslot {
-	s := &gr.slot[target]
-	if s.stamp != gr.epoch {
-		gr.open(sh, s, target)
+	if gr.has(target) {
+		return &gr.slot[target]
 	}
-	return s
+	return gr.open(sh, target)
 }
 
-// open starts target's group this epoch: slot s gets the epoch and the index
-// of a group recycled from (or appended to) sh's freelist. It is slotIn's
-// cold half, kept apart so slotIn inlines into the per-arc fold.
-func (gr *grouper) open(sh *gshard, s *gslot, target graph.NodeID) {
-	*s = gslot{stamp: gr.epoch, idx: int32(sh.used), row: -1}
+// open starts target's group this epoch: its bit is set and its slot gets
+// the index of a group recycled from (or appended to) sh's freelist.
+func (gr *grouper) open(sh *gshard, target graph.NodeID) *gslot {
+	gr.bits[target>>6] |= 1 << (uint32(target) & 63)
+	s := &gr.slot[target]
+	*s = gslot{idx: int32(sh.used), row: -1}
 	var g *group
 	if sh.used < len(sh.groups) {
 		g = sh.groups[sh.used]
@@ -160,6 +196,7 @@ func (gr *grouper) open(sh *gshard, s *gslot, target graph.NodeID) {
 	}
 	sh.used++
 	g.reset(target)
+	return s
 }
 
 // getIn returns target's group in shard sh, creating it on first sight this
@@ -168,50 +205,155 @@ func (gr *grouper) getIn(sh *gshard, target graph.NodeID) *group {
 	return sh.groups[gr.slotIn(sh, target).idx]
 }
 
-// addSum folds one accumulative payload into target's running sum — the
-// paper's reduction of same-operation events — so the group holds one
-// vector regardless of fan-in. The first fold appends a zeroed row to the
-// shard's slab; the slab may be reallocated by a later first fold, which is
-// why rows are addressed by index until close.
-func (gr *grouper) addSum(sh *gshard, target graph.NodeID, p tensor.Vector) {
-	s := gr.slotIn(sh, target)
-	dim := gr.dim
-	if s.row < 0 {
-		n := len(sh.slab)
-		sh.slab = slices.Grow(sh.slab, dim)[:n+dim]
-		clear(sh.slab[n:])
-		s.row = int32(n / dim)
-	}
-	off := int(s.row) * dim
-	row := sh.slab[off : off+dim]
-	tensor.Add(row, row, p)
-	s.nUpd++
+// newRow appends a row of the given width to sh's slab and returns its
+// index. The slab may be reallocated, which is why rows are addressed by
+// index until close.
+func (sh *gshard) newRow(width int) int32 {
+	n := len(sh.slab)
+	sh.slab = slices.Grow(sh.slab, width)[:n+width]
+	return int32(n / width)
 }
 
-// close ends the routing of shard sh: it sorts the shard's groups by target
-// and hands each accumulative group its slab row and fold count. The slab
-// no longer grows this epoch, so the rows stay valid until the next begin.
-func (gr *grouper) close(sh *gshard) {
-	groups := sh.groups[:sh.used]
-	slices.SortFunc(groups, byTarget)
-	if len(sh.slab) == 0 {
+// sumRow counts one more accumulative fold into target's running sum and
+// returns the sum's slab row, or returns -1 when the target has no sum yet,
+// for newSum to start it. The split keeps the common case inlined in the
+// per-arc loop. The caller adds the payload: addSum for one event, AddRows
+// for a record's arcs.
+func (gr *grouper) sumRow(target graph.NodeID) int32 {
+	if gr.has(target) {
+		if s := &gr.slot[target]; s.row >= 0 {
+			s.n++
+			return s.row
+		}
+	}
+	return -1
+}
+
+// newSum starts target's running sum with its first fold: it opens the
+// target's group in sh if need be and appends a zeroed row to the slab.
+func (gr *grouper) newSum(sh *gshard, target graph.NodeID) int32 {
+	s := gr.slotIn(sh, target)
+	s.row = sh.newRow(gr.dim)
+	off := int(s.row) * gr.dim
+	clear(sh.slab[off : off+gr.dim])
+	s.n++
+	return s.row
+}
+
+// addSum folds one accumulative payload into target's running sum — the
+// paper's reduction of same-operation events — so the group holds one
+// vector regardless of fan-in.
+func (gr *grouper) addSum(sh *gshard, target graph.NodeID, p tensor.Vector) {
+	r := gr.sumRow(target)
+	if r < 0 {
+		r = gr.newSum(sh, target)
+	}
+	off := int(r) * gr.dim
+	row := sh.slab[off : off+gr.dim]
+	tensor.Add(row, row, p)
+}
+
+// addPair routes a monotonic Del and/or Add payload (nil for none) to
+// target: folded into its [del | add] row pair, or appended to its lists
+// under the grouping ablation. In the pair, the first payload of each kind
+// is copied — what reducing a one-payload list gives — and every later one
+// is merged onto it in arrival order, so m⁻_A and m_A are the reductions of
+// the lists the ablation keeps, bit for bit.
+func (gr *grouper) addPair(sh *gshard, target graph.NodeID, del, add tensor.Vector) {
+	s := gr.slotIn(sh, target)
+	if gr.ungrouped {
+		g := sh.groups[s.idx]
+		if del != nil {
+			g.dels = append(g.dels, del)
+			s.n++
+		}
+		if add != nil {
+			g.adds = append(g.adds, add)
+			s.n++
+		}
 		return
 	}
 	dim := gr.dim
-	for _, g := range groups {
-		if s := &gr.slot[g.target]; s.row >= 0 {
-			off := int(s.row) * dim
-			g.sum, g.nUpd = sh.slab[off:off+dim:off+dim], int(s.nUpd)
+	if s.row < 0 {
+		s.row = sh.newRow(2 * dim)
+	}
+	off := int(s.row) * 2 * dim
+	if del != nil {
+		gr.fold(s, kindDel, sh.slab[off:off+dim], del)
+	}
+	if add != nil {
+		gr.fold(s, kindAdd, sh.slab[off+dim:off+2*dim], add)
+	}
+}
+
+// fold puts payload p into half, the kind half of s's row pair.
+func (gr *grouper) fold(s *gslot, kind uint32, half, p tensor.Vector) {
+	if s.kinds&kind == 0 {
+		copy(half, p)
+		s.kinds |= kind
+	} else {
+		gr.merge(half, half, p)
+	}
+	s.n++
+}
+
+// close ends the routing of shard si: it walks the bitmap words of the
+// shard's ID block in order, clearing each, up to the word holding its last
+// target, so the targets come out sorted without a sort. Each target's
+// group is swapped into the next position of groups[:used] and handed its
+// fold count and its rows in the slab, which no longer grows this epoch, so
+// the rows stay valid until the next begin.
+func (gr *grouper) close(si int) {
+	sh := &gr.shards[si]
+	per := 1 << (gr.shift - 6) // bitmap words per block
+	lo := min(si*per, len(gr.bits))
+	hi := min(lo+per, len(gr.bits))
+	k := 0
+	for w := lo; w < hi && k < sh.used; w++ {
+		for word := gr.bits[w]; word != 0; word &= word - 1 {
+			s := &gr.slot[w<<6|mathbits.TrailingZeros64(word)]
+			// Positions before k hold their final groups, so the group at k
+			// belongs to a later target, whose slot follows it to s.idx.
+			g := sh.groups[s.idx]
+			if i := int(s.idx); i != k {
+				moved := sh.groups[k]
+				sh.groups[k], sh.groups[i] = g, moved
+				gr.slot[moved.target].idx = int32(i)
+			}
+			k++
+			gr.fill(g, s, sh.slab)
 		}
+		gr.bits[w] = 0
+	}
+}
+
+// fill hands g what its slot s folded: the count and the slab rows.
+func (gr *grouper) fill(g *group, s *gslot, slab []float32) {
+	g.n = int(s.n)
+	if s.row < 0 {
+		return
+	}
+	dim := gr.dim
+	if gr.merge == nil {
+		off := int(s.row) * dim
+		g.sum = slab[off : off+dim : off+dim]
+		return
+	}
+	off := int(s.row) * 2 * dim
+	if s.kinds&kindDel != 0 {
+		g.mDel = slab[off : off+dim : off+dim]
+	}
+	if s.kinds&kindAdd != 0 {
+		g.mAdd = slab[off+dim : off+2*dim : off+2*dim]
 	}
 }
 
 // finish returns the epoch's per-target groups sorted by target ID, applying
-// the user-hook reduction. Every shard is already sorted (routeShards) and
-// shard blocks are monotonic in target ID, so concatenation is the global
-// order. Sorting makes the whole engine deterministic for a fixed worker
-// count: groups are processed in chunks of this order and what they emit is
-// merged in the same order. The reduction runs on the calling goroutine: the
+// the user-hook reduction. Every shard is already sorted (close) and shard
+// blocks are monotonic in target ID, so concatenation is the global order.
+// Sorting makes the whole engine deterministic for a fixed worker count:
+// groups are processed in chunks of this order and what they emit is merged
+// in the same order. The reduction runs on the calling goroutine: the
 // UserHooks contract only promises concurrency-safety for distinct-target
 // Apply calls.
 func (gr *grouper) finish(hooks UserHooks) []*group {
@@ -285,8 +427,22 @@ func (e *Engine) insertedFrom(u graph.NodeID) [][2]graph.NodeID {
 	return e.insArcs[lo:hi]
 }
 
-// arcTarget orders an arc against a target ID by the arc's target.
-func arcTarget(a [2]graph.NodeID, v graph.NodeID) int { return cmp.Compare(a[1], v) }
+// insertedTo reports whether run, one source's inserted arcs sorted by
+// target, holds the arc to v. It is a binary search written out, where
+// slices.BinarySearchFunc would call a comparator per step: it runs once
+// per routed arc of every source that gained arcs in the batch.
+func insertedTo(run [][2]graph.NodeID, v graph.NodeID) bool {
+	lo, hi := 0, len(run)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if run[m][1] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo < len(run) && run[lo][1] == v
+}
 
 // groupLayer routes one layer's input into per-target groups: the
 // changed-edge events, then the staged message changes of the previous layer
@@ -303,7 +459,7 @@ func (e *Engine) groupLayer(l int, edge []Event, recs []MessageChange, user []Us
 	e.c.FetchVec(routed * dim)
 	n := len(edge) + routed + len(user)
 	S := e.shardCount(n)
-	e.gr.begin(dim, S)
+	e.gr.begin(dim, S, mergeKernel(e.model.Layers[l].Agg().Kind()), e.opts.DisableGrouping)
 	if S == 1 {
 		e.routeShards(0, 1, edge, user)
 	} else {
@@ -317,9 +473,12 @@ func (e *Engine) groupLayer(l int, edge []Event, recs []MessageChange, user []Us
 
 // routeShards fills the groups of shards [lo, hi) in one scan of the layer's
 // input, taking the targets those shards own and leaving the rest to the
-// other tasks. Per target the arrival order is therefore the same whatever
-// the shard count: changed-edge events in ΔG order, then message changes in
-// record order. It closes each shard: groups sorted by target, running sums
+// other tasks, and folds every payload into its target's row as it routes
+// it. Per target the arrival order is therefore the same whatever the shard
+// count: changed-edge events in ΔG order, then message changes in record
+// order. An accumulative record collects, per owned shard, the slab rows of
+// its out-neighbours there and folds its delta into all of them in one
+// AddRows call. It closes each shard: groups sorted by target, reduced rows
 // in place.
 func (e *Engine) routeShards(lo, hi int, edge []Event, user []UserEvent) {
 	gr := e.gr
@@ -332,11 +491,9 @@ func (e *Engine) routeShards(lo, hi int, edge []Event, user []UserEvent) {
 		sh := &gr.shards[lo+int(s)]
 		switch ev.Op {
 		case OpAdd:
-			g := gr.getIn(sh, ev.Target)
-			g.adds = append(g.adds, ev.Payload)
+			gr.addPair(sh, ev.Target, nil, ev.Payload)
 		case OpDel:
-			g := gr.getIn(sh, ev.Target)
-			g.dels = append(g.dels, ev.Payload)
+			gr.addPair(sh, ev.Target, ev.Payload, nil)
 		case OpUpdate:
 			gr.addSum(sh, ev.Target, ev.Payload)
 		}
@@ -348,19 +505,24 @@ func (e *Engine) routeShards(lo, hi int, edge []Event, user []UserEvent) {
 			if s >= span {
 				continue
 			}
-			if len(r.inserted) > 0 {
-				if _, dup := slices.BinarySearchFunc(r.inserted, v, arcTarget); dup {
-					continue
-				}
+			if len(r.inserted) > 0 && insertedTo(r.inserted, v) {
+				continue
 			}
 			sh := &gr.shards[lo+int(s)]
 			if r.del == nil {
-				gr.addSum(sh, v, e.payload(r.add))
-				continue
+				row := gr.sumRow(v)
+				if row < 0 {
+					row = gr.newSum(sh, v)
+				}
+				sh.rows = append(sh.rows, row)
+			} else {
+				gr.addPair(sh, v, e.payload(r.del), e.payload(r.add))
 			}
-			g := gr.getIn(sh, v)
-			g.dels = append(g.dels, e.payload(r.del))
-			g.adds = append(g.adds, e.payload(r.add))
+		}
+		if r.del == nil {
+			for s := lo; s < hi; s++ {
+				e.foldRows(&gr.shards[s], r.add)
+			}
 		}
 	}
 	for _, ev := range user {
@@ -370,6 +532,23 @@ func (e *Engine) routeShards(lo, hi int, edge []Event, user []UserEvent) {
 		}
 	}
 	for s := lo; s < hi; s++ {
-		gr.close(&gr.shards[s])
+		gr.close(s)
 	}
+}
+
+// foldRows adds an accumulative record's delta p to the slab rows it
+// collected in sh, then empties the list: one AddRows call, or, under the
+// CopyPayloads ablation, one per row, each with its own copy of p.
+func (e *Engine) foldRows(sh *gshard, p tensor.Vector) {
+	if len(sh.rows) == 0 {
+		return
+	}
+	if e.opts.CopyPayloads {
+		for k := range sh.rows {
+			tensor.AddRows(sh.slab, sh.rows[k:k+1], p.Clone())
+		}
+	} else {
+		tensor.AddRows(sh.slab, sh.rows, p)
+	}
+	sh.rows = sh.rows[:0]
 }

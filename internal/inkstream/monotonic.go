@@ -8,8 +8,9 @@ import (
 )
 
 // applyMonotonic implements Sec. II-C1 at channel granularity. The grouped
-// events heading to one target are reduced to m⁻_A (dels) and m_A (adds) and
-// every channel of α⁻ is classified on its own, because each channel's
+// events heading to one target arrive reduced to m⁻_A (g.mDel) and m_A
+// (g.mAdd), folded while they were routed (grouper.addPair), and every
+// channel of α⁻ is classified on its own, because each channel's
 // extremum is an independent selection: a channel that lost no witness
 // (α⁻[i] ≠ m⁻_A[i]) merges m_A[i]; a reset channel that m_A[i] covers takes
 // the merge too, which is m_A[i]; only the remaining exposed channels D are
@@ -26,7 +27,7 @@ func (e *Engine) applyMonotonic(l int, g *group, sc *scratch) (changed bool, con
 	dim := len(alpha)
 	t := &sc.t
 	t.FetchVec(dim)
-	t.AddFLOPs(int64(dim * (len(g.dels) + len(g.adds))))
+	t.AddFLOPs(int64(dim * g.n))
 	staged := sc.staged
 
 	if e.g.InDegree(g.target)-e.degDelta[g.target] == 0 {
@@ -37,8 +38,7 @@ func (e *Engine) applyMonotonic(l int, g *group, sc *scratch) (changed bool, con
 		e.recomputeAlpha(l, g.target, staged, t)
 		cond = CondExposedReset
 	} else {
-		mDel := reduceInto(sc.mDel, agg.Merge, g.dels)
-		mAdd := reduceInto(sc.mAdd, agg.Merge, g.adds)
+		mDel, mAdd := g.mDel, g.mAdd
 		copy(staged, alpha)
 		if mAdd != nil {
 			agg.Merge(staged, mAdd)
@@ -142,24 +142,6 @@ func (e *Engine) rebuildChannels(l int, u graph.NodeID, isMax bool, D []int32, d
 			}
 		}
 	}
-}
-
-// reduceInto reduces a payload list with merge: nil for an empty list, the
-// payload itself for a single one (the common layer-1 case of one
-// Del(old)/Add(new) pair per changed source; the result is only ever read),
-// otherwise the reduction staged in dst.
-func reduceInto(dst tensor.Vector, merge func(dst, m tensor.Vector), payloads []tensor.Vector) tensor.Vector {
-	switch len(payloads) {
-	case 0:
-		return nil
-	case 1:
-		return payloads[0]
-	}
-	copy(dst, payloads[0])
-	for _, p := range payloads[1:] {
-		merge(dst, p)
-	}
-	return dst
 }
 
 // recomputeAlpha rebuilds the whole row α_{l,u} into dst from the current

@@ -213,7 +213,7 @@ func routingFixture(t *testing.T, rng *rand.Rand) (*graph.Graph, [4]graph.Delta,
 		}
 }
 
-// slabCap is the sum-slab capacity, in floats, the engine's grouper retains.
+// slabCap is the slab capacity, in floats, the engine's grouper retains.
 func slabCap(e *Engine) int {
 	c := 0
 	for _, sh := range e.gr.shards {
@@ -228,14 +228,14 @@ func slabCap(e *Engine) int {
 // sequential) and with the payload-sharing ablation on and off: after each
 // batch every cached checkpoint equals the brute-force per-target fold bit
 // for bit — accumulative aggregators included, which is the arrival-order
-// claim — and, for max, the from-scratch inference. On sum and mean the
-// third batch must grow the grouper's sum slabs mid-routing, so a row
-// slice taken before a reallocation would fold into a stale copy.
+// claim — and, for max and min, the from-scratch inference. The third batch
+// must grow the grouper's slabs mid-routing, so a row slice taken before a
+// reallocation would fold into a stale copy.
 func TestRecordRoutingMatchesDefinition(t *testing.T) {
 	const featLen = 5
-	setWorkers(t, 4)
+	setShardWorkers(t)
 	for _, name := range allModels {
-		for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMean, gnn.AggSum} {
+		for _, kind := range allKinds {
 			for _, shardMin := range []int{1, shardMinEvents, math.MaxInt} {
 				t.Run(fmt.Sprintf("%s/%s/shardMin=%d", name, kind, shardMin), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(11))
@@ -265,8 +265,8 @@ func TestRecordRoutingMatchesDefinition(t *testing.T) {
 						if err := e.Apply(delta, vups); err != nil {
 							t.Fatalf("batch %d: %v", i, err)
 						}
-						if i == 2 && kind != gnn.AggMax && slabCap(e) <= retained {
-							t.Fatalf("batch %d: sum slabs did not grow past their retained %d floats", i, retained)
+						if i == 2 && slabCap(e) <= retained {
+							t.Fatalf("batch %d: slabs did not grow past their retained %d floats", i, retained)
 						}
 						if err := copying.Apply(delta, vups); err != nil {
 							t.Fatalf("batch %d, CopyPayloads: %v", i, err)
@@ -283,7 +283,7 @@ func TestRecordRoutingMatchesDefinition(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if kind == gnn.AggMax && !e.State().Equal(want) {
+					if model.Layers[0].Agg().Monotonic() && !e.State().Equal(want) {
 						t.Fatal("state differs from full inference")
 					}
 					if !e.State().ApproxEqual(want, 2e-3) {
@@ -365,5 +365,29 @@ func TestHubRewriteRetainsNoPerArcMemory(t *testing.T) {
 	}
 	if bytesPerRun > perArcBytes/8 {
 		t.Errorf("%d bytes allocated per repeated rewrite; an event per arc is %d", bytesPerRun, perArcBytes)
+	}
+}
+
+// TestInsertedToMatchesMembership: the duplicate-event check answers exact
+// membership for runs of 0 to 20 arcs and targets in, between and around
+// the run.
+func TestInsertedToMatchesMembership(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for size := 0; size <= 20; size++ {
+		in := map[graph.NodeID]bool{}
+		for len(in) < size {
+			in[graph.NodeID(rng.Intn(60))] = true
+		}
+		var run [][2]graph.NodeID
+		for v := graph.NodeID(0); v < 60; v++ {
+			if in[v] {
+				run = append(run, [2]graph.NodeID{7, v})
+			}
+		}
+		for v := graph.NodeID(-1); v <= 61; v++ {
+			if got := insertedTo(run, v); got != in[v] {
+				t.Fatalf("run of %d arcs: insertedTo(%d) = %v, want %v", size, v, got, in[v])
+			}
+		}
 	}
 }

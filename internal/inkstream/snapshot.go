@@ -69,18 +69,20 @@ func (s *Snapshot) Row(i int) tensor.Vector {
 type snapState struct {
 	cur      atomic.Pointer[Snapshot]
 	tracking bool
-	// dirty holds the output rows written with a changed value since the
-	// last publication; retained and cleared in place across publications.
-	dirty map[graph.NodeID]struct{}
+	// dirty lists the output rows written with a changed value since the
+	// last publication, once each in first-write order; marked[u] says u is
+	// listed. Publication clears the marks of the listed rows and empties
+	// the list, so its cost follows the rows written, whatever the node
+	// count; marked grows with AddNode.
+	dirty  []graph.NodeID
+	marked []bool
 	// applied counts successful Apply calls (for Snapshot.AppliedBatches).
 	applied uint64
 	// all forces the next publication to re-clone every row (set by
 	// Refresh, which replaces the whole state).
 	all bool
-	// ids and own are publication scratch, retained across publications:
-	// the dirty rows to re-clone, and which chunks of the next table are
-	// private copies.
-	ids []int
+	// own is publication scratch, retained across publications: which
+	// chunks of the next table are private copies.
 	own []bool
 }
 
@@ -96,23 +98,25 @@ func (e *Engine) DirtyRows() []graph.NodeID {
 	if len(e.snap.dirty) == 0 {
 		return nil
 	}
-	out := make([]graph.NodeID, 0, len(e.snap.dirty))
-	for id := range e.snap.dirty {
-		out = append(out, id)
-	}
+	out := slices.Clone(e.snap.dirty)
 	slices.Sort(out)
 	return out
 }
 
 // markDirty records an output-row write; no-op until tracking is enabled.
 func (e *Engine) markDirty(u graph.NodeID) {
-	if !e.snap.tracking {
+	if !e.snap.tracking || e.snap.marked[u] {
 		return
 	}
-	if e.snap.dirty == nil {
-		e.snap.dirty = make(map[graph.NodeID]struct{})
+	e.snap.marked[u] = true
+	e.snap.dirty = append(e.snap.dirty, u)
+}
+
+// growDirty extends the dirty marks to n nodes once tracking is on (AddNode).
+func (e *Engine) growDirty(n int) {
+	if e.snap.tracking {
+		e.snap.marked = append(e.snap.marked, make([]bool, n-len(e.snap.marked))...)
 	}
-	e.snap.dirty[u] = struct{}{}
 }
 
 // markAllDirty forces the next publication to re-clone every row.
@@ -154,10 +158,14 @@ func (e *Engine) PublishSnapshot() *Snapshot {
 		s.Epoch = prev.Epoch + 1
 	}
 	e.snap.cur.Store(s)
-	e.snap.tracking = true
-	if len(e.snap.dirty) > 0 {
-		clear(e.snap.dirty)
+	if !e.snap.tracking {
+		e.snap.tracking = true
+		e.snap.marked = make([]bool, n)
 	}
+	for _, u := range e.snap.dirty {
+		e.snap.marked[u] = false
+	}
+	e.snap.dirty = e.snap.dirty[:0]
 	return s
 }
 
@@ -168,8 +176,9 @@ func (e *Engine) PublishSnapshot() *Snapshot {
 // every chunk is copied into one allocation, which costs what a flat row
 // array would; otherwise each copied chunk is its own allocation, so a chunk
 // that later tables keep sharing pins only itself. A live table therefore
-// holds at most one multi-chunk allocation. The rows are collected before
-// any chunk is copied, so the per-row work is two index stores.
+// holds at most one multi-chunk allocation. The dirty list is walked twice,
+// once to pick the chunks to copy and once, after copying, to re-clone its
+// rows.
 func (e *Engine) cowChunks(prev [][]tensor.Vector, out *tensor.Matrix, n int) [][]tensor.Vector {
 	rows := make([][]tensor.Vector, (n+chunkRows-1)>>chunkShift)
 	copy(rows, prev)
@@ -181,10 +190,8 @@ func (e *Engine) cowChunks(prev [][]tensor.Vector, out *tensor.Matrix, n int) []
 			own[c] = true
 		}
 	}
-	ids := e.snap.ids[:0]
-	for id := range e.snap.dirty {
+	for _, id := range e.snap.dirty {
 		if i := int(id); i < from {
-			ids = append(ids, i)
 			own[i>>chunkShift] = true
 		}
 	}
@@ -214,9 +221,11 @@ func (e *Engine) cowChunks(prev [][]tensor.Vector, out *tensor.Matrix, n int) []
 	for i := from; i < n; i++ {
 		rows[i>>chunkShift][i&(chunkRows-1)] = out.Row(i).Clone()
 	}
-	for _, i := range ids {
-		rows[i>>chunkShift][i&(chunkRows-1)] = out.Row(i).Clone()
+	for _, id := range e.snap.dirty {
+		if i := int(id); i < from {
+			rows[i>>chunkShift][i&(chunkRows-1)] = out.Row(i).Clone()
+		}
 	}
-	e.snap.ids, e.snap.own = ids, own
+	e.snap.own = own
 	return rows
 }

@@ -18,9 +18,16 @@ func (e *Engine) validateVertexUpdates(ups []VertexUpdate) error {
 	if len(ups) == 0 {
 		return nil
 	}
-	// Duplicates are found through the grouper's slot stamps under an epoch
-	// of its own: no per-request set.
-	e.gr.epoch++
+	// Duplicates are found through the grouper's bitmap, which is clear
+	// between layers: no per-request set. Every bit set here is cleared
+	// again before returning.
+	seen := e.gr.bits
+	checked := 0
+	defer func() {
+		for _, up := range ups[:checked] {
+			seen[up.Node>>6] &^= 1 << (uint32(up.Node) & 63)
+		}
+	}()
 	for i, up := range ups {
 		if int(up.Node) < 0 || int(up.Node) >= e.g.NumNodes() {
 			return fmt.Errorf("inkstream: vertex update %d: %w (%d)", i, graph.ErrBadNode, up.Node)
@@ -31,10 +38,11 @@ func (e *Engine) validateVertexUpdates(ups []VertexUpdate) error {
 		if len(up.X) != e.model.InDim() {
 			return fmt.Errorf("inkstream: vertex update %d: feature dim %d, model wants %d", i, len(up.X), e.model.InDim())
 		}
-		if e.gr.slot[up.Node].stamp == e.gr.epoch {
+		if e.gr.has(up.Node) {
 			return fmt.Errorf("inkstream: vertex update %d: node %d updated twice in one batch", i, up.Node)
 		}
-		e.gr.slot[up.Node].stamp = e.gr.epoch
+		seen[up.Node>>6] |= 1 << (uint32(up.Node) & 63)
+		checked++
 	}
 	return nil
 }
@@ -84,6 +92,7 @@ func (e *Engine) AddNode(x tensor.Vector) (graph.NodeID, error) {
 	}
 	id := e.g.AddNode()
 	e.gr.ensure(e.g.NumNodes())
+	e.growDirty(e.g.NumNodes())
 	s := e.state
 	s.H[0].AppendRow(x)
 	h := x

@@ -2,11 +2,15 @@
 
 package tensor
 
-// addKernel, eltMaxKernel and eltMinKernel are the bodies of Add, EltMax
-// and EltMin on every GOARCH without assembly ones.
+// addKernel, addRowsKernel, eltMaxKernel and eltMinKernel are the bodies of
+// Add, AddRows, EltMax and EltMin on every GOARCH without assembly ones.
 func addKernel(dst, a, b []float32) {
 	checkTriple("Add", dst, a, b)
 	addGeneric(dst, a, b)
+}
+
+func addRowsKernel(dst []float32, rows []int32, x []float32) {
+	addRowsGeneric(dst, rows, x)
 }
 
 func eltMaxKernel(dst, a, b []float32) {

@@ -139,6 +139,89 @@ func TestAddLengthMismatchPanicsUntouched(t *testing.T) {
 	mismatchUntouched(t, "EltMin", EltMin)
 }
 
+// TestAddRowsMatchesGeneric pins AddRows' body to addRowsGeneric bit for
+// bit: every width 0–67, slabs starting at every offset mod 4 floats, index
+// lists with repeats (a row folded twice in one call, the second time onto
+// the first result), and the specials on every lane of slab and operand.
+// Every row of the slab, folded or not, must come out with the same bits.
+func TestAddRowsMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const nrows = 9
+	for n := 0; n <= 67; n++ {
+		for off := 0; off < 4; off++ {
+			buf := make(Vector, off+nrows*n)
+			specialOperand(rng, buf)
+			x := make(Vector, n)
+			specialOperand(rng, x)
+			rows := make([]int32, 1+rng.Intn(2*nrows))
+			for k := range rows {
+				rows[k] = int32(rng.Intn(nrows))
+			}
+			rows = append(rows, rows[0]) // at least one repeat
+			want := buf[off:].Clone()
+			addRowsGeneric(want, rows, x)
+			got := buf[off:]
+			AddRows(got, rows, x)
+			sameBits(t, fmt.Sprintf("AddRows n=%d off=%d rows=%v", n, off, rows), got, want)
+		}
+	}
+	// Every special against every special, in both orders.
+	k := len(specials)
+	slab, x := NewVector(k*k), NewVector(k)
+	for i, y := range specials {
+		x[i] = y
+		for j, z := range specials {
+			slab[j*k+i] = z
+		}
+	}
+	rows := make([]int32, k)
+	for j := range rows {
+		rows[j] = int32(j)
+	}
+	want := slab.Clone()
+	addRowsGeneric(want, rows, x)
+	AddRows(slab, rows, x)
+	sameBits(t, "AddRows specials × specials", slab, want)
+}
+
+// TestAddRowsOutOfRangePanics: an index past the slab's last row or below
+// zero panics before its row is touched, after folding the rows before it,
+// and neither body writes a float outside the slab. The slab is the middle
+// of a guarded buffer, so a store past either end would show.
+func TestAddRowsOutOfRangePanics(t *testing.T) {
+	const n, nrows, guard = 5, 4, 8
+	x := Vector{1, 2, 3, 4, 5}
+	for _, bad := range []int32{nrows, nrows + 1, -1, -nrows, math.MaxInt32, math.MinInt32} {
+		for _, body := range []struct {
+			name string
+			f    func(dst Vector, rows []int32, x Vector)
+		}{{"kernel", AddRows}, {"generic", addRowsGeneric}} {
+			buf := make(Vector, guard+nrows*n+guard)
+			for i := range buf {
+				buf[i] = 7
+			}
+			slab := buf[guard : guard+nrows*n]
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s: row index %d did not panic", body.name, bad)
+					}
+				}()
+				body.f(slab, []int32{1, bad, 2}, x)
+			}()
+			for i, v := range buf {
+				want := float32(7)
+				if i >= guard+n && i < guard+2*n {
+					want += x[i-guard-n] // row 1, folded before the bad index
+				}
+				if v != want {
+					t.Fatalf("%s: row index %d left buf[%d] = %g, want %g", body.name, bad, i, v, want)
+				}
+			}
+		}
+	}
+}
+
 // benchKernel times a kernel on two random rows at the serving width
 // (hidden 32) and the paper's (256), through the kernel and through its
 // portable loop, so the two bodies can be compared on one host. The result
@@ -163,6 +246,24 @@ func benchKernel(b *testing.B, kernel, generic func(dst, a, b Vector)) {
 
 // BenchmarkAdd times the fold kernel of the accumulative path.
 func BenchmarkAdd(b *testing.B) { benchKernel(b, Add, addGeneric) }
+
+// BenchmarkAddRows times the per-record fold of the accumulative path: one
+// payload added to 16 rows of a 64-row slab, the rows scattered as a
+// record's out-neighbours are, through one AddRows call and through the
+// portable loop.
+func BenchmarkAddRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	const slabRows = 64
+	slab := NewVector(slabRows * 256)
+	rows := make([]int32, 16)
+	for k := range rows {
+		rows[k] = int32(rng.Intn(slabRows))
+	}
+	via := func(f func(Vector, []int32, Vector)) func(dst, a, b Vector) {
+		return func(_, a, _ Vector) { f(slab[:slabRows*len(a)], rows, a) }
+	}
+	benchKernel(b, via(AddRows), via(addRowsGeneric))
+}
 
 // BenchmarkEltMax times the merge kernel of max aggregation; on random
 // rows the generic loop's branch goes either way lane by lane.

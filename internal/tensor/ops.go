@@ -28,6 +28,39 @@ func addGeneric(dst, a, b Vector) {
 	}
 }
 
+// AddRows adds x to rows of a row-major slab: for each index r of rows, in
+// order, the len(x) floats of dst starting at r·len(x) become Add(row, row,
+// x) — one call where the accumulative path would make one Add per target
+// row. A repeated index folds twice, the second time onto the first result.
+// An index that is negative or names a row past the end of dst panics before
+// that row is touched; the rows before it have been folded. On amd64 it runs
+// an SSE2 body (addrows_amd64.s), elsewhere addRowsGeneric; per lane both
+// perform Add's one IEEE binary32 add, so every row is bit-identical to the
+// Add it replaces on every GOARCH.
+func AddRows(dst Vector, rows []int32, x Vector) { addRowsKernel(dst, rows, x) }
+
+// addRowsGeneric is AddRows' portable body and the reference its SSE2 body
+// is tested against.
+func addRowsGeneric(dst Vector, rows []int32, x Vector) {
+	n := len(x)
+	for _, r := range rows {
+		if r < 0 || (int(r)+1)*n > len(dst) {
+			addRowsOutOfRange(dst, rows, x)
+		}
+		row := dst[int(r)*n : int(r)*n+n]
+		addGeneric(row, row, x)
+	}
+}
+
+// addRowsOutOfRange panics with the first index of rows AddRows cannot fold.
+func addRowsOutOfRange(dst Vector, rows []int32, x Vector) {
+	for k, r := range rows {
+		if r < 0 || (int(r)+1)*len(x) > len(dst) {
+			panic(fmt.Sprintf("tensor: AddRows rows[%d] = %d out of range for a %d-float slab of %d-float rows", k, r, len(dst), len(x)))
+		}
+	}
+}
+
 // Sub computes dst[i] = a[i] - b[i].
 func Sub(dst, a, b Vector) {
 	checkTriple("Sub", dst, a, b)

@@ -15,10 +15,11 @@ go vet ./...
 go build ./...
 go test ./...
 
-# tensor.Add, tensor.EltMax and tensor.EltMin have SSE2 bodies on amd64
-# (add_amd64.s and eltmax_amd64.s, both checked by vet's asmdecl above) and
-# pure-Go bodies everywhere else (kernels_other.go): cross-compile the
-# fallbacks so they cannot rot on an amd64-only gate.
+# tensor.Add, tensor.AddRows, tensor.EltMax and tensor.EltMin have SSE2
+# bodies on amd64 (add_amd64.s, addrows_amd64.s and eltmax_amd64.s, all
+# checked by vet's asmdecl above) and pure-Go bodies everywhere else
+# (kernels_other.go): cross-compile the fallbacks so they cannot rot on an
+# amd64-only gate.
 GOARCH=arm64 go vet ./internal/tensor
 GOARCH=arm64 go build ./...
 go test -race ./internal/tensor ./internal/gnn ./internal/experiments \
@@ -39,13 +40,27 @@ go test -race ./internal/tensor ./internal/gnn ./internal/experiments \
 go test -race -count=1 ./internal/server ./internal/shard ./internal/inkstream \
     ./internal/obs
 
+# The grouping tests pin the worker count to GOMAXPROCS (at least 2), so a
+# -cpu sweep routes them across 4, 8 and 16 shards besides the sequential
+# route, with the pool workers folding into the shared slot table and
+# bitmap. A pattern that matched fewer tests than it names would shrink the
+# gate silently, so the match is counted first.
+routing='TestShardOwnership|TestGroupingSelector|TestShardedGroupingEquivalence|TestRecordRoutingMatchesDefinition'
+matched=$(go test -list "^($routing)\$" ./internal/inkstream | grep -c '^Test' || true)
+if (( matched < 4 )); then
+    echo "check.sh: the grouping race pattern matches $matched tests, want 4" >&2
+    exit 1
+fi
+go test -race -count=1 -cpu 1,2,4,8 -run "^($routing)\$" ./internal/inkstream
+
 # Every Benchmark* left in the tree is cited by this script,
 # scripts/obs_overhead.sh, README.md or DESIGN.md, so each runs one iteration
 # here (≈15 s) and cannot rot unnoticed; the numbers of a single iteration
 # mean nothing. BenchmarkApply's features/ rows (four hub feature rewrites on
 # the dense profile) are the record-routing path at some hundred thousand
-# arcs a batch; BenchmarkAdd and BenchmarkEltMax (internal/tensor) time the
-# fold and merge kernels against their portable loops at widths 32 and 256;
+# arcs a batch; BenchmarkAdd, BenchmarkAddRows and BenchmarkEltMax
+# (internal/tensor) time the fold, per-record fold and merge kernels against
+# their portable loops at widths 32 and 256;
 # BenchmarkRemoveEdge/{hub,leaf} (internal/graph) bounds the O(deg) scan a
 # removal costs without an arc index, and BenchmarkLoad (internal/dataset)
 # the one-pass bulk build of a loaded snapshot.
