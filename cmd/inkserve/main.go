@@ -143,6 +143,15 @@ func buildServerOn(fs *flag.FlagSet, args []string) (http.Handler, string, error
 			return nil, "", fmt.Errorf("%s: single-engine flags with no sharded equivalent; drop them or run with -shards=1", strings.Join(bad, ", "))
 		}
 	}
+	if *bundle != "" {
+		// A bundle carries the graph, the model and its state, so the flags
+		// that build them, and -save-bundle, which persists a fresh
+		// bootstrap, would be ignored: refuse them.
+		bad := setAmong(fs, "save-bundle", "dataset", "file", "scale", "seed", "model", "agg", "hidden")
+		if len(bad) > 0 {
+			return nil, "", fmt.Errorf("%s: the bundle fixes the graph, model and state; drop them or start without -bundle", strings.Join(bad, ", "))
+		}
+	}
 	if *blackboxProfiles && *blackboxDir == "" {
 		return nil, "", fmt.Errorf("-blackbox-profiles requires -blackbox")
 	}

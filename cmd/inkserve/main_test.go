@@ -202,6 +202,10 @@ func TestBuildServerObservability(t *testing.T) {
 }
 
 func TestBuildServerErrors(t *testing.T) {
+	bundle := filepath.Join(t.TempDir(), "engine.inkb")
+	if _, _, err := buildServer([]string{"-dataset", "PM", "-scale", "32", "-save-bundle", bundle}); err != nil {
+		t.Fatal(err)
+	}
 	cases := [][]string{
 		{},                                   // no source
 		{"-dataset", "nope"},                 // unknown dataset
@@ -213,6 +217,16 @@ func TestBuildServerErrors(t *testing.T) {
 		{"-dataset", "PM", "-shards", "-2"},  // (used to boot one engine silently)
 		{"-dataset", "PM", "-batch", "8"},    // removed flag: undefined like any other
 		{"-dataset", "PM", "-trace-updates"}, // removed with the slow-update log: /v1/traces holds the traces
+		// A bundle fixes the graph, model and state: flags that would build
+		// or re-save them are refused, not ignored.
+		{"-bundle", bundle, "-save-bundle", bundle + ".2"},
+		{"-bundle", bundle, "-dataset", "PM"},
+		{"-bundle", bundle, "-file", bundle},
+		{"-bundle", bundle, "-scale", "4"},
+		{"-bundle", bundle, "-seed", "2"},
+		{"-bundle", bundle, "-model", "sage"},
+		{"-bundle", bundle, "-agg", "mean"},
+		{"-bundle", bundle, "-hidden", "16"},
 	}
 	for i, args := range cases {
 		if _, _, err := buildServer(args); err == nil {

@@ -11,9 +11,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
+	"io"
 	"math/rand"
+	"os"
 	"time"
 
 	"repro/internal/dataset"
@@ -24,6 +26,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "featupdate:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes the example, writing its report to w.
+func run(w io.Writer) error {
 	rng := rand.New(rand.NewSource(5))
 	sensors := 3000
 	g := dataset.GenerateRMAT(rng, sensors, 9000, dataset.DefaultRMAT)
@@ -32,9 +42,9 @@ func main() {
 	model := gnn.NewGIN(rng, feats.Dim(), 32, 3, gnn.NewAggregator(gnn.AggMax))
 	engine, err := inkstream.New(model, g, feats.X, nil, inkstream.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("sensor network: %d sensors, %d links, %d-layer GIN\n",
+	fmt.Fprintf(w, "sensor network: %d sensors, %d links, %d-layer GIN\n",
 		engine.Graph().NumNodes(), engine.Graph().NumEdges(), model.NumLayers())
 
 	// Simulate rounds of sensors reporting new readings.
@@ -60,27 +70,27 @@ func main() {
 		}
 		t0 := time.Now()
 		if err := engine.UpdateVertices(ups); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		d := time.Since(t0)
 		total += d
-		fmt.Printf("round %d: %d sensor readings propagated in %v\n", round, len(ups), d.Round(time.Microsecond))
+		fmt.Fprintf(w, "round %d: %d sensor readings propagated in %v\n", round, len(ups), d.Round(time.Microsecond))
 	}
 
 	// Deploy a new sensor and wire it to three nearby ones.
 	newFeat := tensor.RandVector(rng, feats.Dim(), 1)
 	id, err := engine.AddNode(newFeat)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := engine.Update(graph.Delta{
 		{U: id, V: 10, Insert: true},
 		{U: id, V: 20, Insert: true},
 		{U: id, V: 30, Insert: true},
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("deployed sensor %d and linked it to 3 neighbors\n", id)
+	fmt.Fprintf(w, "deployed sensor %d and linked it to 3 neighbors\n", id)
 
 	// Verify against full inference with the tracked features.
 	full := tensor.NewMatrix(engine.Graph().NumNodes(), feats.Dim())
@@ -88,11 +98,12 @@ func main() {
 	full.SetRow(int(id), newFeat)
 	want, err := gnn.Infer(model, engine.Graph(), full, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !engine.State().Equal(want) {
-		log.Fatal("BUG: incremental state diverged after vertex updates")
+		return errors.New("incremental state diverged after vertex updates")
 	}
-	fmt.Printf("total incremental time: %v — verified bit-identical to full inference\n",
-		total.Round(time.Microsecond))
+	fmt.Fprintf(w, "total incremental time: %v\n", total.Round(time.Microsecond))
+	fmt.Fprintln(w, "verified: incremental state is bit-identical to full inference")
+	return nil
 }

@@ -13,9 +13,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
+	"io"
 	"math/rand"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -44,6 +46,14 @@ func (w *watchlistHooks) Propagate(l int, u graph.NodeID, oldM, newM tensor.Vect
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "frauddetect:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes the example, writing its report to w.
+func run(w io.Writer) error {
 	rng := rand.New(rand.NewSource(2024))
 	accounts := 5000
 	g := dataset.GenerateRMAT(rng, accounts, 20000, dataset.DefaultRMAT)
@@ -52,7 +62,7 @@ func main() {
 	model := gnn.NewSAGE(rng, feats.Dim(), 32, gnn.NewAggregator(gnn.AggMax))
 	engine, err := inkstream.New(model, g, feats.X, nil, inkstream.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Install the watchlist hook on top of the built-in self-dependence
@@ -71,7 +81,7 @@ func main() {
 		return tensor.Dot(engine.Output().Row(int(u)), scoreW)
 	}
 
-	fmt.Printf("transaction graph: %d accounts, %d transactions\n",
+	fmt.Fprintf(w, "transaction graph: %d accounts, %d transactions\n",
 		engine.Graph().NumNodes(), engine.Graph().NumEdges())
 
 	// Stream transaction batches; each is a mix of new transactions and
@@ -81,11 +91,11 @@ func main() {
 		delta := graph.RandomDelta(rng, engine.Graph(), 16)
 		t0 := time.Now()
 		if err := engine.Update(delta); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		total += time.Since(t0)
 	}
-	fmt.Printf("6 transaction batches scored in %v total\n", total.Round(time.Microsecond))
+	fmt.Fprintf(w, "6 transaction batches scored in %v total\n", total.Round(time.Microsecond))
 
 	// Report the hottest accounts on the watchlist with their scores.
 	type hot struct {
@@ -102,19 +112,20 @@ func main() {
 		}
 		return hots[i].acct < hots[j].acct
 	})
-	fmt.Printf("%d accounts touched; top 5 by activity:\n", len(hots))
+	fmt.Fprintf(w, "%d accounts touched; top 5 by activity:\n", len(hots))
 	for i := 0; i < 5 && i < len(hots); i++ {
-		fmt.Printf("  account %-6d updates=%-3d fraud score %+.3f\n",
+		fmt.Fprintf(w, "  account %-6d updates=%-3d fraud score %+.3f\n",
 			hots[i].acct, hots[i].hits, score(hots[i].acct))
 	}
 
 	// Sanity: maintained scores match a from-scratch inference.
 	want, err := gnn.Infer(model, engine.Graph(), feats.X, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !engine.Output().Equal(want.Output()) {
-		log.Fatal("BUG: incremental scores diverged")
+		return errors.New("incremental scores diverged")
 	}
-	fmt.Println("verified: incremental scores match full recomputation")
+	fmt.Fprintln(w, "verified: incremental scores match full recomputation")
+	return nil
 }

@@ -11,9 +11,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
+	"io"
 	"math/rand"
+	"os"
 	"time"
 
 	"repro/internal/dataset"
@@ -24,11 +26,19 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes the example, writing its report to w.
+func run(w io.Writer) error {
 	// A small power-law graph standing in for a social network snapshot.
 	rng := rand.New(rand.NewSource(42))
 	g := dataset.GenerateRMAT(rng, 2000, 8000, dataset.DefaultRMAT)
 	feats := dataset.NewFeatures(rng, g.NumNodes(), 32)
-	fmt.Printf("graph: %d nodes, %d edges\n", g.NumNodes(), g.NumEdges())
+	fmt.Fprintf(w, "graph: %d nodes, %d edges\n", g.NumNodes(), g.NumEdges())
 
 	// A 2-layer GCN with max aggregation — InkStream-m territory: results
 	// are bit-identical to full recomputation.
@@ -39,31 +49,32 @@ func main() {
 	t0 := time.Now()
 	engine, err := inkstream.New(model, g, feats.X, &counters, inkstream.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("initial full inference: %v\n", time.Since(t0).Round(time.Microsecond))
+	fmt.Fprintf(w, "initial full inference: %v\n", time.Since(t0).Round(time.Microsecond))
 
 	// Stream ten batches of edge changes through the engine.
 	for batch := 0; batch < 10; batch++ {
 		delta := graph.RandomDelta(rng, engine.Graph(), 20)
 		t0 = time.Now()
 		if err := engine.Update(delta); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("batch %d: ΔG=%d applied in %v\n", batch, len(delta),
+		fmt.Fprintf(w, "batch %d: ΔG=%d applied in %v\n", batch, len(delta),
 			time.Since(t0).Round(time.Microsecond))
 	}
-	fmt.Printf("work done: %v\n", counters.Snapshot())
-	fmt.Printf("node conditions: %v\n", engine.Stats())
+	fmt.Fprintf(w, "work done: %v\n", counters.Snapshot())
+	fmt.Fprintf(w, "node conditions: %v\n", engine.Stats())
 
 	// Verify: the incrementally maintained state equals a from-scratch
 	// inference over the final graph, bit for bit.
 	want, err := gnn.Infer(model, engine.Graph(), feats.X, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !engine.State().Equal(want) {
-		log.Fatal("BUG: incremental state diverged from full recomputation")
+		return errors.New("incremental state diverged from full recomputation")
 	}
-	fmt.Println("verified: incremental state is bit-identical to full recomputation")
+	fmt.Fprintln(w, "verified: incremental state is bit-identical to full recomputation")
+	return nil
 }

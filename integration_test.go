@@ -1,9 +1,8 @@
 package repro
 
-// Cross-package integration tests: the full C-TDG workflow of the paper —
-// generate a dataset, assign edge lifetimes, replay the timeline through
-// the incremental engines, and verify against from-scratch inference at
-// every timestamp.
+// Cross-package integration tests: generate a dataset, stream edge
+// insertions and deletions through the incremental engine and the k-hop
+// baseline, and verify both against from-scratch inference.
 
 import (
 	"math/rand"
@@ -14,119 +13,52 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/inkstream"
-	"repro/internal/lightgcn"
 )
 
-func TestTimelineReplayThroughEngine(t *testing.T) {
+// The three maintained systems (InkStream, k-hop baseline, full inference)
+// agree after the same multi-batch stream of insertions and deletions:
+// bit-exact under max, within float reassociation under mean.
+func TestAllMethodsAgreeOnStream(t *testing.T) {
 	for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMean} {
-		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(1))
-			base := dataset.GenerateRMAT(rng, 300, 1200, dataset.DefaultRMAT)
-			feats := dataset.NewFeatures(rng, 300, 8)
-			tl, err := graph.AssignTimes(base, 0.4, 99)
+			rng := rand.New(rand.NewSource(3))
+			g := dataset.GenerateRMAT(rng, 400, 1600, dataset.DefaultRMAT)
+			feats := dataset.NewFeatures(rng, 400, 8)
+			model := gnn.NewSAGE(rng, 8, 16, gnn.NewAggregator(kind))
+			stream := graph.GenerateStream(g, graph.StreamConfig{BatchSize: 15, NumBatches: 4, Seed: 5})
+
+			ink, err := inkstream.New(model, g.Clone(), feats.X, nil, inkstream.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			times := graph.Timestamps(5)
-			g0 := tl.SnapshotAt(times[0])
-			model := gnn.NewGCN(rng, 8, 16, gnn.NewAggregator(kind))
-			eng, err := inkstream.New(model, g0, feats.X, nil, inkstream.Options{})
+			khop, err := baseline.NewKHop(model, g.Clone(), feats.X, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 1; i < len(times); i++ {
-				delta := tl.DeltaBetween(times[i-1], times[i])
-				if len(delta) == 0 {
-					continue
+			for i, d := range stream.Batches {
+				if err := ink.Update(append(graph.Delta(nil), d...)); err != nil {
+					t.Fatalf("ink batch %d: %v", i, err)
 				}
-				if err := eng.Update(delta); err != nil {
-					t.Fatalf("t=%g: %v", times[i], err)
+				if err := khop.Update(append(graph.Delta(nil), d...)); err != nil {
+					t.Fatalf("khop batch %d: %v", i, err)
 				}
-				want, err := gnn.Infer(model, tl.SnapshotAt(times[i]), feats.X, nil)
-				if err != nil {
-					t.Fatal(err)
+			}
+			full := &baseline.Full{Model: model}
+			want, err := full.Infer(stream.At(len(stream.Batches)), feats.X)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kind == gnn.AggMax {
+				if !ink.State().Equal(want) {
+					t.Error("inkstream is not bit-identical to full inference")
 				}
-				if kind == gnn.AggMax {
-					if !eng.State().Equal(want) {
-						t.Fatalf("t=%g: replayed state not bit-identical", times[i])
-					}
-				} else if !eng.State().ApproxEqual(want, 2e-3) {
-					t.Fatalf("t=%g: replayed state diverged", times[i])
-				}
+			} else if !ink.State().ApproxEqual(want, 2e-3) {
+				t.Error("inkstream disagrees with full inference")
+			}
+			if !khop.Output().ApproxEqual(want.Output(), 1e-4) {
+				t.Error("k-hop disagrees with full inference")
 			}
 		})
-	}
-}
-
-func TestTimelineReplayThroughLightGCN(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	base := dataset.GenerateRMAT(rng, 200, 800, dataset.DefaultRMAT)
-	feats := dataset.NewFeatures(rng, 200, 6)
-	tl, err := graph.AssignTimes(base, 0.5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	times := graph.Timestamps(4)
-	eng, err := lightgcn.New(tl.SnapshotAt(times[0]), feats.X, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(times); i++ {
-		delta := tl.DeltaBetween(times[i-1], times[i])
-		if len(delta) == 0 {
-			continue
-		}
-		if err := eng.Update(delta); err != nil {
-			t.Fatalf("t=%g: %v", times[i], err)
-		}
-	}
-	// Verify the final state only (the per-step check is in the package
-	// tests); the reference is a fresh engine over the final snapshot.
-	ref, err := lightgcn.New(tl.SnapshotAt(1.0), feats.X, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eng.Output().ApproxEqual(ref.Output(), 5e-3) {
-		t.Fatalf("lightgcn replay diverged (max diff %g)", eng.Output().MaxAbsDiff(ref.Output()))
-	}
-}
-
-// The three maintained systems (InkStream, k-hop baseline, full inference)
-// agree after the same stream.
-func TestAllMethodsAgreeOnStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := dataset.GenerateRMAT(rng, 400, 1600, dataset.DefaultRMAT)
-	feats := dataset.NewFeatures(rng, 400, 8)
-	model := gnn.NewSAGE(rng, 8, 16, gnn.NewAggregator(gnn.AggMax))
-	stream := graph.GenerateStream(g, graph.StreamConfig{BatchSize: 15, NumBatches: 4, Seed: 5})
-
-	ink, err := inkstream.New(model, g.Clone(), feats.X, nil, inkstream.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	khop, err := baseline.NewKHop(model, g.Clone(), feats.X, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range stream.Batches {
-		if err := ink.Update(append(graph.Delta(nil), d...)); err != nil {
-			t.Fatalf("ink batch %d: %v", i, err)
-		}
-		if err := khop.Update(append(graph.Delta(nil), d...)); err != nil {
-			t.Fatalf("khop batch %d: %v", i, err)
-		}
-	}
-	full := &baseline.Full{Model: model}
-	want, err := full.Infer(stream.At(len(stream.Batches)), feats.X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ink.Output().Equal(want.Output()) {
-		t.Error("inkstream disagrees with full inference")
-	}
-	if !khop.Output().ApproxEqual(want.Output(), 1e-4) {
-		t.Error("k-hop disagrees with full inference")
 	}
 }
 

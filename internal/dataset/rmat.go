@@ -75,7 +75,7 @@ func rmatDraw(rng *rand.Rand, levels int, p RMATParams) (int, int) {
 // nodes [0, users) are users, [users, users+items) are items, and every
 // edge connects a user to an item. Item popularity is exponentially skewed
 // with rate `skew` (larger = heavier head), matching real interaction
-// logs; the LightGCN workloads use this.
+// logs. The partitioner tests use it as their skewed second input.
 func GenerateBipartite(rng *rand.Rand, users, items, interactions int, skew float64) *graph.Graph {
 	g := graph.NewUndirected(users + items)
 	if skew <= 0 {

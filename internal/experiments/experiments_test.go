@@ -498,3 +498,107 @@ func TestDesignSectionReferences(t *testing.T) {
 		t.Error("found no backticked test name in DESIGN.md or README.md: the pattern is broken")
 	}
 }
+
+// TestInventoriesMatchTree keeps the two module inventories in step with the
+// tree. The backticked internal/*, cmd/* and examples/* paths in the first
+// column of DESIGN.md §2's table are exactly the directories under those
+// roots that hold .go files. README.md's layout block lists the same
+// internal/* packages, commands and examples, and its table runs
+// (`go run ./examples/…`) the same examples. A deleted package's row, or a
+// package added without one, fails here.
+func TestInventoriesMatchTree(t *testing.T) {
+	const root = "../.."
+	tree := make(map[string][]string) // "internal" → its package dirs
+	var all []string
+	for _, parent := range []string{"internal", "cmd", "examples"} {
+		entries, err := os.ReadDir(filepath.Join(root, parent))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !e.IsDir() {
+				continue
+			}
+			if gofiles, _ := filepath.Glob(filepath.Join(root, parent, e.Name(), "*.go")); len(gofiles) > 0 {
+				tree[parent] = append(tree[parent], e.Name())
+				all = append(all, parent+"/"+e.Name())
+			}
+		}
+	}
+	same := func(what string, got, want []string) {
+		t.Helper()
+		count := make(map[string]int)
+		for _, g := range got {
+			count[g]++
+		}
+		for _, w := range want {
+			count[w]--
+		}
+		names := make([]string, 0, len(count))
+		for name := range count {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if c := count[name]; c > 0 {
+				t.Errorf("%s %s, which is not in the tree", what, name)
+			} else if c < 0 {
+				t.Errorf("%s no %s, which the tree holds", what, name)
+			}
+		}
+	}
+
+	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(design), "\n## 2. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 2")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	path := regexp.MustCompile("`((?:internal|cmd|examples)/[^`]+)`")
+	var rows []string
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		first, _, _ := strings.Cut(line[1:], " | ")
+		for _, m := range path.FindAllStringSubmatch(first, -1) {
+			rows = append(rows, m[1])
+		}
+	}
+	same("DESIGN.md §2 inventories", rows, all)
+
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, layout, ok := strings.Cut(string(readme), "\n## Architecture\n\n```\n")
+	if !ok {
+		t.Fatal("README.md has no layout block under ## Architecture")
+	}
+	layout, _, _ = strings.Cut(layout, "```")
+	listed := make(map[string][]string)
+	for _, line := range strings.Split(layout, "\n") {
+		head, rest, _ := strings.Cut(line, " ")
+		switch {
+		case strings.HasPrefix(head, "internal/"):
+			listed["internal"] = append(listed["internal"], strings.TrimPrefix(head, "internal/"))
+		case head == "cmd/" || head == "examples/":
+			parent := strings.TrimSuffix(head, "/")
+			for _, name := range strings.Split(rest, ",") {
+				listed[parent] = append(listed[parent], strings.TrimSpace(name))
+			}
+		}
+	}
+	for _, parent := range []string{"internal", "cmd", "examples"} {
+		same("README.md's layout block lists "+parent+"/", listed[parent], tree[parent])
+	}
+
+	var run []string
+	for _, m := range regexp.MustCompile("`go run \\./examples/(\\w+)`").FindAllStringSubmatch(string(readme), -1) {
+		run = append(run, m[1])
+	}
+	same("README.md's table runs examples", run, tree["examples"])
+}

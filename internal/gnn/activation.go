@@ -35,14 +35,3 @@ func (k ActKind) Fn() tensor.Activation {
 	}
 	panic(fmt.Sprintf("gnn: bad ActKind %d", uint8(k)))
 }
-
-// ParseActKind converts a name to an ActKind.
-func ParseActKind(s string) (ActKind, error) {
-	switch s {
-	case "identity":
-		return ActIdentity, nil
-	case "relu":
-		return ActReLU, nil
-	}
-	return 0, fmt.Errorf("gnn: unknown activation %q", s)
-}

@@ -50,16 +50,6 @@ func Components(g *Graph) (labels []int, sizes []int) {
 	return labels, sizes
 }
 
-// DegreeHistogram returns the in-degree counts: hist[d] = number of nodes
-// with in-degree d.
-func DegreeHistogram(g *Graph) []int {
-	hist := make([]int, g.MaxInDegree()+1)
-	for u := 0; u < g.NumNodes(); u++ {
-		hist[g.InDegree(NodeID(u))]++
-	}
-	return hist
-}
-
 // ClusteringCoefficient estimates the average local clustering coefficient
 // by sampling `samples` random nodes with degree >= 2 (exact when samples
 // covers all such nodes). High clustering increases the overlap of k-hop

@@ -40,25 +40,6 @@ func TestComponentsDirected(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := NewUndirected(4)
-	mustAdd(t, g, 0, 1)
-	mustAdd(t, g, 0, 2)
-	mustAdd(t, g, 0, 3)
-	hist := DegreeHistogram(g)
-	// Node 0 has degree 3; nodes 1-3 degree 1.
-	if hist[3] != 1 || hist[1] != 3 || hist[0] != 0 {
-		t.Errorf("hist = %v", hist)
-	}
-	sum := 0
-	for _, c := range hist {
-		sum += c
-	}
-	if sum != 4 {
-		t.Errorf("histogram covers %d nodes", sum)
-	}
-}
-
 func TestClusteringCoefficient(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// Triangle: every node's neighborhood is fully linked.

@@ -1,8 +1,8 @@
 // Package graph provides the dynamic-graph substrate for InkStream: an
 // adjacency-list store supporting streaming edge insertion and removal,
 // CSR freezing for fast full-graph inference, k-hop affected-area
-// computation, and delta-batch (ΔG) generation mimicking the T-GCN style
-// random edge creation/deletion streams used in the paper's evaluation.
+// computation, and delta-batch (ΔG) generation: random insert/delete
+// batches (RandomDelta) and the streams built from them (GenerateStream).
 package graph
 
 import (

@@ -90,45 +90,6 @@ func TestQuickCSRFaithful(t *testing.T) {
 	}
 }
 
-// Property: timeline snapshot at t equals snapshot at 0 plus
-// DeltaBetween(0, t) for any pair of times.
-func TestQuickTimelineDeltaConsistency(t *testing.T) {
-	f := func(seed int64, aRaw, bRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng, 20, 50, true)
-		tl, err := AssignTimes(g, 0.5, seed)
-		if err != nil {
-			return false
-		}
-		t0 := float64(aRaw%100) / 100
-		t1 := float64(bRaw%100) / 100
-		if t0 > t1 {
-			t0, t1 = t1, t0
-		}
-		snap := tl.SnapshotAt(t0)
-		d := tl.DeltaBetween(t0, t1)
-		if err := d.Validate(snap); err != nil {
-			return false
-		}
-		if err := d.Apply(snap); err != nil {
-			return false
-		}
-		want := tl.SnapshotAt(t1)
-		if snap.NumEdges() != want.NumEdges() {
-			return false
-		}
-		for _, e := range want.Edges() {
-			if !snap.HasEdge(e[0], e[1]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: InduceSubset preserves exactly the edges among the kept nodes.
 func TestQuickInduceSubset(t *testing.T) {
 	f := func(seed int64, keepRaw uint8) bool {

@@ -3,9 +3,9 @@ package graph
 import "math/rand"
 
 // Stream models a dynamic graph as an initial snapshot plus a sequence of
-// ΔG batches, following the evaluation setup of the paper (random edge
-// creation and deletion times assigned T-GCN style, snapshots taken every
-// BatchSize changes).
+// ΔG batches of BatchSize changes each. Every batch is a RandomDelta drawn
+// against the state the previous batches produced: half of its changes
+// delete existing edges and the rest insert new ones.
 type Stream struct {
 	// Initial is the snapshot at timestamp 0. Batches do not mutate it;
 	// callers clone it and apply batches in order.

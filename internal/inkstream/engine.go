@@ -33,12 +33,6 @@ type Options struct {
 	// targets (and, since it idles the worker pool, parallel sharded event
 	// routing too).
 	Sequential bool
-	// Observer, when set, records every Apply into the serving-path
-	// latency histogram and fills a per-layer obs.Trace (phase
-	// timings, event traffic, condition counts; see Trace). The trace
-	// buffer is engine-owned and reused, so steady-state observation does
-	// not allocate; see SetObserver to install one after construction.
-	Observer *obs.Observer
 }
 
 // Engine holds the incrementally maintained inference state for one model
@@ -165,15 +159,17 @@ func NewFromState(model *gnn.Model, g *graph.Graph, state *gnn.State, c *metrics
 	e.shardMin = shardMinEvents
 	e.layerStats = make([]ConditionStats, model.NumLayers())
 	e.scratchPools = make([]sync.Pool, model.NumLayers())
-	e.obs = opts.Observer
 	e.trace.CondNames = ConditionNames()
 	return e, nil
 }
 
-// SetObserver installs (or, with nil, removes) the serving-path observer
-// after construction; the HTTP server uses this to share one observer
-// between the engine and its /metrics registry. Not safe to call
-// concurrently with Apply.
+// SetObserver installs (or, with nil, removes) the serving-path observer.
+// An observer records every Apply into the serving-path latency histogram
+// and fills a per-layer obs.Trace (phase timings, event traffic, condition
+// counts; see Trace). The trace buffer is engine-owned and reused, so
+// steady-state observation does not allocate. The HTTP server uses this to
+// share one observer between the engine and its /metrics registry. Not
+// safe to call concurrently with Apply.
 func (e *Engine) SetObserver(o *obs.Observer) { e.obs = o }
 
 // Observer returns the installed observer (nil when observability is off).

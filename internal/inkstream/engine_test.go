@@ -398,6 +398,7 @@ func TestPooledCountsMatchSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				e.SetObserver(obs.NewObserver())
 				before := c.Snapshot()
 				if err := e.Update(append(graph.Delta(nil), delta...)); err != nil {
 					t.Fatal(err)
@@ -405,7 +406,7 @@ func TestPooledCountsMatchSequential(t *testing.T) {
 				return c.Snapshot().Sub(before), *e.Stats(), e
 			}
 			want, wantStats, seq := run(Options{Sequential: true})
-			got, gotStats, e := run(Options{Observer: obs.NewObserver()})
+			got, gotStats, e := run(Options{})
 
 			tr := e.Trace()
 			if in := tr.Layers[0].EventsIn; in < int64(shardMinEvents) {

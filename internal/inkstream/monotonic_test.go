@@ -76,10 +76,11 @@ func hubEngine(t *testing.T, modelName string, kind gnn.AggKind, tweak func(x *t
 	case "GIN":
 		model = gnn.NewGIN(rng, hubDim, hubDim, 3, agg)
 	}
-	e, err := New(model, g, x, &metrics.Counters{}, Options{Observer: obs.NewObserver()})
+	e, err := New(model, g, x, &metrics.Counters{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.SetObserver(obs.NewObserver())
 	return e, x
 }
 

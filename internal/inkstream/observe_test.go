@@ -24,10 +24,11 @@ func TestApplyRecordsTrace(t *testing.T) {
 	o := obs.NewObserver()
 
 	var c metrics.Counters
-	e, err := New(model, g, x, &c, Options{Observer: o})
+	e, err := New(model, g, x, &c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.SetObserver(o)
 	delta := graph.RandomDelta(rng, g, 6)
 	before := *e.Stats()
 	if err := e.Update(delta); err != nil {
@@ -111,10 +112,11 @@ func TestSlowUpdateEmission(t *testing.T) {
 
 	o := obs.NewObserver()
 	o.SlowThreshold = time.Hour // nothing is that slow
-	e, err := New(model, g, x, nil, Options{Observer: o})
+	e, err := New(model, g, x, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.SetObserver(o)
 	if err := e.Update(graph.RandomDelta(rng, g, 4)); err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +208,11 @@ func BenchmarkApplyObservability(b *testing.B) {
 		{"on", obs.NewObserver()},
 	} {
 		model := gnn.NewGCN(rand.New(rand.NewSource(6)), feat, hidden, gnn.NewAggregator(gnn.AggMax))
-		e, err := New(model, g, x, nil, Options{Observer: cfg.o})
+		e, err := New(model, g, x, nil, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		e.SetObserver(cfg.o)
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -65,9 +65,7 @@ type Config struct {
 	// "greedy" (locality-aware streaming greedy, graph.NewGreedyPartition).
 	// Resolved over the bootstrap graph via graph.PartitionByStrategy.
 	PartitionStrategy string
-	// Opts is applied to every shard engine. Observer and Trace are ignored
-	// (they are single-engine serving concerns; the router records rounds
-	// into the server's observer).
+	// Opts is applied to every shard engine.
 	Opts inkstream.Options
 }
 
@@ -163,8 +161,6 @@ func New(model *gnn.Model, g *graph.Graph, x *tensor.Matrix, cfg Config) (*Route
 		return nil, fmt.Errorf("shard: bootstrap inference: %w", err)
 	}
 
-	opts := cfg.Opts
-	opts.Observer = nil
 	rt := &Router{
 		model:      model,
 		part:       part,
@@ -180,7 +176,7 @@ func New(model *gnn.Model, g *graph.Graph, x *tensor.Matrix, cfg Config) (*Route
 	rt.edges.Store(int64(g.NumEdges()))
 	for s := 0; s < cfg.Shards; s++ {
 		st := &shardState{c: &metrics.Counters{}}
-		eng, err := inkstream.NewFromState(model, part.ShardGraph(g, s), base.Clone(), st.c, opts)
+		eng, err := inkstream.NewFromState(model, part.ShardGraph(g, s), base.Clone(), st.c, cfg.Opts)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}

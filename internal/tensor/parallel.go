@@ -43,9 +43,9 @@ func workers(requested int) int {
 // call; the pool amortises that to a channel send. Workers are started
 // lazily on the first parallel region and live for the process lifetime.
 
-// parallelRegion tracks one ParallelFor invocation: how many chunks are
+// parallelRegion tracks one ParallelForGrain invocation: how many chunks are
 // still outstanding and a buffered completion signal. Regions are pooled so
-// steady-state ParallelFor calls do not allocate.
+// steady-state ParallelForGrain calls do not allocate.
 type parallelRegion struct {
 	pending atomic.Int32
 	done    chan struct{}
@@ -107,16 +107,9 @@ func ParallelMatMul(c, a, b *Matrix) {
 // GEMM wins outright.
 const parallelMatMulCutoff = 1 << 16
 
-// ParallelFor splits [0, n) into contiguous chunks and runs body on each
-// chunk concurrently over the shared worker pool, blocking until all chunks
-// complete. body must be safe to run concurrently on disjoint ranges. Each
-// index is assumed to cost about one grain unit of work; use
-// ParallelForGrain when a single index is substantially heavier, or tiny
-// loops over expensive bodies will be needlessly serialised by the
-// MinChunkWork floor.
-func ParallelFor(n int, body func(lo, hi int)) { ParallelForGrain(n, 1, body) }
-
-// ParallelForGrain is ParallelFor with an explicit per-index work estimate:
+// ParallelForGrain splits [0, n) into contiguous chunks and runs body on
+// each chunk concurrently over the shared worker pool, blocking until all
+// chunks complete. body must be safe to run concurrently on disjoint ranges.
 // grain is the approximate cost of one index in arbitrary "element" units
 // (for per-node kernels, the embedding dimension is a good estimate). The
 // splitter refuses to create chunks carrying fewer than MinChunkWork units,
@@ -181,15 +174,9 @@ func ParallelForGrain(n, grain int, body func(lo, hi int)) {
 	}
 }
 
-// ParallelForEach runs body(i) for each i in items concurrently, sharded in
-// contiguous chunks. Convenience wrapper over ParallelFor for index-free
-// worklists.
-func ParallelForEach[T any](items []T, body func(item T)) {
-	ParallelForEachGrain(items, 1, body)
-}
-
-// ParallelForEachGrain is ParallelForEach with a per-item work estimate
-// (see ParallelForGrain).
+// ParallelForEachGrain runs body(item) for each item concurrently, sharded
+// in contiguous chunks, with a per-item work estimate (see
+// ParallelForGrain).
 func ParallelForEachGrain[T any](items []T, grain int, body func(item T)) {
 	ParallelForGrain(len(items), grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

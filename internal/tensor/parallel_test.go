@@ -49,7 +49,7 @@ func TestParallelForCoversRange(t *testing.T) {
 			MinChunkWork = min
 			for _, n := range []int{0, 1, 2, 5, 100, 1023, 1024, 4097} {
 				var c coverage
-				ParallelFor(n, c.body)
+				ParallelForGrain(n, 1, c.body)
 				c.verify(t, n)
 			}
 		}
@@ -81,7 +81,7 @@ func TestParallelForMinChunk(t *testing.T) {
 
 	// 100 unit-cost indices < 2*1024: must not split.
 	var c coverage
-	ParallelFor(100, c.body)
+	ParallelForGrain(100, 1, c.body)
 	if len(c.chunks) != 1 {
 		t.Errorf("tiny region split into %d chunks, want 1", len(c.chunks))
 	}
@@ -112,9 +112,9 @@ func TestParallelForNested(t *testing.T) {
 	Parallelism = 4
 	MinChunkWork = 1
 	var total atomic.Int64
-	ParallelFor(64, func(lo, hi int) {
+	ParallelForGrain(64, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ParallelFor(32, func(ilo, ihi int) {
+			ParallelForGrain(32, 1, func(ilo, ihi int) {
 				total.Add(int64(ihi - ilo))
 			})
 		}
@@ -155,7 +155,7 @@ func TestParallelForConcurrentRegions(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 50; iter++ {
 				var sum atomic.Int64
-				ParallelFor(257, func(lo, hi int) {
+				ParallelForGrain(257, 1, func(lo, hi int) {
 					for i := lo; i < hi; i++ {
 						sum.Add(1)
 					}

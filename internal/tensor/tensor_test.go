@@ -252,17 +252,6 @@ func TestMatMulShapePanic(t *testing.T) {
 // TestParallelMatMulMatchesSequential and TestParallelForCoversRange moved
 // to parallel_test.go / gemm_test.go as strict bit-exactness variants.
 
-func TestParallelForEach(t *testing.T) {
-	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	out := make([]int32, len(items))
-	ParallelForEach(items, func(i int) { out[i] = 1 })
-	for i, v := range out {
-		if v != 1 {
-			t.Fatalf("item %d not visited", i)
-		}
-	}
-}
-
 func TestGlorotMatrixDeterministic(t *testing.T) {
 	a := GlorotMatrix(rand.New(rand.NewSource(42)), 8, 8)
 	b := GlorotMatrix(rand.New(rand.NewSource(42)), 8, 8)

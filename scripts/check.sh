@@ -53,6 +53,21 @@ if (( matched < 4 )); then
 fi
 go test -race -count=1 -cpu 1,2,4,8 -run "^($routing)\$" ./internal/inkstream
 
+# The golden gate pins every value of the paper's count artifacts (Fig. 8,
+# Table V, Fig. 1a/1b, memcost's modeled bytes) at tiny() and compares them
+# exactly. Those values are pure functions of counts, so the gate must not
+# depend on the host: it runs uncached at 1, 2 and 4 CPUs (the pool's worker
+# count and scheduling change with each) and once under the race detector
+# (≈20 s). The pattern is counted first, as above.
+golden='TestCountArtifactsGolden'
+matched=$(go test -list "^$golden\$" ./internal/experiments | grep -c '^Test' || true)
+if (( matched != 1 )); then
+    echo "check.sh: the golden pattern matches $matched tests, want 1" >&2
+    exit 1
+fi
+go test -count=1 -cpu 1,2,4 -run "^$golden\$" ./internal/experiments
+go test -race -count=1 -run "^$golden\$" ./internal/experiments
+
 # Every Benchmark* left in the tree is cited by this script,
 # scripts/obs_overhead.sh, README.md or DESIGN.md, so each runs one iteration
 # here (≈15 s) and cannot rot unnoticed; the numbers of a single iteration
