@@ -1,8 +1,7 @@
 package repro
 
 // One benchmark per table and figure of the paper's evaluation section,
-// plus ablation benchmarks for the design decisions called out in
-// DESIGN.md §4 and micro-benchmarks for the hot kernels.
+// plus micro-benchmarks for the hot kernels.
 //
 // The experiment benchmarks run the corresponding driver at a reduced
 // scale (Quick configuration with the two small datasets unless the
@@ -16,9 +15,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/experiments"
-	"repro/internal/gnn"
-	"repro/internal/graph"
-	"repro/internal/inkstream"
 	"repro/internal/tensor"
 )
 
@@ -54,6 +50,10 @@ func BenchmarkFig1b(b *testing.B) {
 	runExperiment(b, "fig1b", cfg)
 }
 
+// BenchmarkFig4 regenerates the Fig. 4 grouping ablation (recomputes and
+// bytes fetched with and without event grouping).
+func BenchmarkFig4(b *testing.B) { runExperiment(b, "fig4", benchConfig()) }
+
 // BenchmarkTable4 regenerates Table IV (inference-time comparison of the
 // five methods over three models).
 func BenchmarkTable4(b *testing.B) { runExperiment(b, "table4", benchConfig()) }
@@ -88,71 +88,6 @@ func BenchmarkFig9Trained(b *testing.B) {
 
 // BenchmarkMemCost regenerates the Sec. III-E checkpoint-memory analysis.
 func BenchmarkMemCost(b *testing.B) { runExperiment(b, "memcost", benchConfig()) }
-
-// ---------------------------------------------------------------------------
-// Ablation benchmarks (DESIGN.md §4): each toggles one design decision on
-// one engine update per iteration (2-layer max-GCN, mid-size power-law graph).
-
-type benchWorld struct {
-	g     *graph.Graph
-	model *gnn.Model
-	state *gnn.State
-	delta graph.Delta
-}
-
-func newBenchWorld(b *testing.B, deltaG int) *benchWorld {
-	b.Helper()
-	rng := rand.New(rand.NewSource(11))
-	g := dataset.GenerateRMAT(rng, 5000, 25000, dataset.DefaultRMAT)
-	x := tensor.RandMatrix(rng, 5000, 32, 1)
-	model := gnn.NewGCN(rng, 32, 32, gnn.NewAggregator(gnn.AggMax))
-	state, err := gnn.Infer(model, g, x, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return &benchWorld{g: g, model: model, state: state,
-		delta: graph.RandomDelta(rng, g, deltaG)}
-}
-
-func (w *benchWorld) inkUpdate(b *testing.B, opts inkstream.Options) {
-	b.Helper()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		eng, err := inkstream.NewFromState(w.model, w.g.Clone(), w.state.Clone(), nil, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := eng.Update(append(graph.Delta(nil), w.delta...)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationGrouping: event grouping vs per-event processing
-// (Fig. 4's motivation).
-func BenchmarkAblationGrouping(b *testing.B) {
-	w := newBenchWorld(b, 100)
-	b.Run("on", func(b *testing.B) { w.inkUpdate(b, inkstream.Options{Sequential: true}) })
-	b.Run("off", func(b *testing.B) { w.inkUpdate(b, inkstream.Options{DisableGrouping: true}) })
-}
-
-// BenchmarkAblationPayloadSharing: shared event payloads vs per-event
-// copies (Sec. II-B's metadata/payload separation).
-func BenchmarkAblationPayloadSharing(b *testing.B) {
-	w := newBenchWorld(b, 1000)
-	b.Run("shared", func(b *testing.B) { w.inkUpdate(b, inkstream.Options{}) })
-	b.Run("copied", func(b *testing.B) { w.inkUpdate(b, inkstream.Options{CopyPayloads: true}) })
-}
-
-// BenchmarkAblationParallel: parallel vs sequential intra-layer apply.
-func BenchmarkAblationParallel(b *testing.B) {
-	w := newBenchWorld(b, 1000)
-	b.Run("parallel", func(b *testing.B) { w.inkUpdate(b, inkstream.Options{}) })
-	b.Run("sequential", func(b *testing.B) { w.inkUpdate(b, inkstream.Options{Sequential: true}) })
-}
 
 // ---------------------------------------------------------------------------
 // Kernel micro-benchmarks.

@@ -6,7 +6,7 @@
 //	inkbench -list
 //	inkbench all
 //
-// Experiments: fig1a fig1b table4 table5 table6 fig7 fig8 fig9 fig9t
+// Experiments: fig1a fig1b fig4 table4 table5 table6 fig7 fig8 fig9 fig9t
 // memcost — the paper's evaluation artifacts and nothing else; serving is
 // measured by bench/ through the shipping inkserve binary.
 // Output is a text rendering of the corresponding paper artifact; see

@@ -42,10 +42,12 @@ func run(args []string) error {
 		return fmt.Errorf("-dataset and -out are required")
 	}
 	spec, err := dataset.ByName(*name)
+	if err == nil {
+		spec, err = spec.Scaled(*scale)
+	}
 	if err != nil {
 		return err
 	}
-	spec.Scale *= *scale
 	g, f := dataset.Generate(spec, *seed)
 	fmt.Printf("generated %s\n", spec)
 	if err := dataset.SaveFile(*out, g, f); err != nil {

@@ -33,6 +33,8 @@ func TestRunErrors(t *testing.T) {
 		{},                              // missing flags
 		{"-dataset", "PM"},              // missing -out
 		{"-dataset", "XX", "-out", "x"}, // unknown dataset
+		{"-dataset", "PM", "-out", "x", "-scale", "0"},  // (used to divide by zero)
+		{"-dataset", "PM", "-out", "x", "-scale", "-1"}, // (used to panic allocating the graph)
 	}
 	for i, args := range cases {
 		if err := run(args); err == nil {

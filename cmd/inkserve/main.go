@@ -129,6 +129,9 @@ func buildServerOn(fs *flag.FlagSet, args []string) (http.Handler, string, error
 	if *shards < 1 {
 		return nil, "", fmt.Errorf("-shards %d: need at least 1 engine", *shards)
 	}
+	if *hidden < 1 {
+		return nil, "", fmt.Errorf("-hidden %d: need a hidden dimension of at least 1", *hidden)
+	}
 	if bad := setAmong(fs, "partition"); *shards == 1 && len(bad) > 0 {
 		return nil, "", fmt.Errorf("%s: partitioned-deployment flags require -shards>1", strings.Join(bad, ", "))
 	}
@@ -302,10 +305,12 @@ func loadData(fs *flag.FlagSet, file, name string, scale, seed int64) (*graph.Gr
 		return dataset.LoadFile(file)
 	case name != "":
 		spec, err := dataset.ByName(name)
+		if err == nil {
+			spec, err = spec.Scaled(scale)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
-		spec.Scale *= scale
 		g, feats := dataset.Generate(spec, seed)
 		log.Printf("generated %s", spec)
 		return g, feats, nil

@@ -207,16 +207,20 @@ func TestBuildServerErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := [][]string{
-		{},                                   // no source
-		{"-dataset", "nope"},                 // unknown dataset
-		{"-dataset", "PM", "-model", "x"},    // unknown model
-		{"-dataset", "PM", "-agg", "medi"},   // unknown aggregation
-		{"-bundle", "/does/not/exist"},       // missing bundle
-		{"-file", "/does/not/exist"},         // missing snapshot
-		{"-dataset", "PM", "-shards", "0"},   // no engine at all
-		{"-dataset", "PM", "-shards", "-2"},  // (used to boot one engine silently)
-		{"-dataset", "PM", "-batch", "8"},    // removed flag: undefined like any other
-		{"-dataset", "PM", "-trace-updates"}, // removed with the slow-update log: /v1/traces holds the traces
+		{},                                                  // no source
+		{"-dataset", "nope"},                                // unknown dataset
+		{"-dataset", "PM", "-model", "x"},                   // unknown model
+		{"-dataset", "PM", "-agg", "medi"},                  // unknown aggregation
+		{"-bundle", "/does/not/exist"},                      // missing bundle
+		{"-file", "/does/not/exist"},                        // missing snapshot
+		{"-dataset", "PM", "-shards", "0"},                  // no engine at all
+		{"-dataset", "PM", "-shards", "-2"},                 // (used to boot one engine silently)
+		{"-dataset", "PM", "-scale", "32", "-hidden", "0"},  // (used to boot a zero-width model)
+		{"-dataset", "PM", "-scale", "32", "-hidden", "-4"}, // (used to panic building the weights)
+		{"-dataset", "PM", "-scale", "0"},                   // (used to divide by zero)
+		{"-dataset", "PM", "-scale", "-1"},                  // (used to panic allocating the graph)
+		{"-dataset", "PM", "-batch", "8"},                   // removed flag: undefined like any other
+		{"-dataset", "PM", "-trace-updates"},                // removed with the slow-update log: /v1/traces holds the traces
 		// A bundle fixes the graph, model and state: flags that would build
 		// or re-save them are refused, not ignored.
 		{"-bundle", bundle, "-save-bundle", bundle + ".2"},

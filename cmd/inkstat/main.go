@@ -68,10 +68,12 @@ func run(args []string) error {
 		fmt.Printf("snapshot %s\n", *file)
 	case *name != "":
 		spec, err := dataset.ByName(*name)
+		if err == nil {
+			spec, err = spec.Scaled(*scale)
+		}
 		if err != nil {
 			return err
 		}
-		spec.Scale *= *scale
 		g, _ = dataset.Generate(spec, *seed)
 		fmt.Println(spec)
 	default:

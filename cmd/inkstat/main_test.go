@@ -36,4 +36,7 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-file", "/does/not/exist"}); err == nil {
 		t.Error("missing file accepted")
 	}
+	if err := run([]string{"-dataset", "PM", "-scale", "0"}); err == nil {
+		t.Error("-scale 0 accepted")
+	}
 }

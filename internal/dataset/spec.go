@@ -50,6 +50,16 @@ func (s Spec) FeatLen() int {
 	return f
 }
 
+// Scaled returns the profile down-scaled by a further factor by (≥ 1), the
+// -scale flag of the commands that generate a profile.
+func (s Spec) Scaled(by int64) (Spec, error) {
+	if by < 1 {
+		return Spec{}, fmt.Errorf("dataset: scale %d: need a down-scaling factor of at least 1", by)
+	}
+	s.Scale *= by
+	return s, nil
+}
+
 // AvgDegree returns the synthetic (≈ published) average degree.
 func (s Spec) AvgDegree() float64 { return float64(s.Edges()) / float64(s.Nodes()) }
 

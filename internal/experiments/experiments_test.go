@@ -210,6 +210,28 @@ func TestTable6AblationOrdering(t *testing.T) {
 	_ = r.Render()
 }
 
+// TestFig4GroupingSavesWork: grouping a target's events before applying
+// them must fetch fewer bytes than applying each on its own, and never
+// expose more resets — the claim Fig. 4 illustrates.
+func TestFig4GroupingSavesWork(t *testing.T) {
+	r, err := Fig4(tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != 2 {
+		t.Fatalf("%d rows", len(r.Rows))
+	}
+	for _, row := range r.Rows {
+		if row.FetchedGrouped >= row.FetchedUngrouped {
+			t.Errorf("%s: grouped fetched %d bytes, ungrouped %d", row.Dataset, row.FetchedGrouped, row.FetchedUngrouped)
+		}
+		if row.ExposedGrouped > row.ExposedUngrouped {
+			t.Errorf("%s: grouped exposed %d resets, ungrouped %d", row.Dataset, row.ExposedGrouped, row.ExposedUngrouped)
+		}
+	}
+	_ = r.Render()
+}
+
 func TestFig7Shape(t *testing.T) {
 	r, err := Fig7(tiny())
 	if err != nil {
@@ -337,7 +359,7 @@ func TestFig9TrainedSmallDelta(t *testing.T) {
 }
 
 func TestRunnerRegistry(t *testing.T) {
-	if len(Names()) != 10 {
+	if len(Names()) != 11 {
 		t.Errorf("registry size = %d", len(Names()))
 	}
 	if _, err := Run("nope", tiny()); err == nil {
@@ -376,8 +398,10 @@ func TestDesignIndexMatchesRegistry(t *testing.T) {
 }
 
 // TestReadmeIdsMatchRegistry keeps README's "What is reproduced where" id
-// list in step with the registry.
+// list and the inkbench command's doc-comment id list in step with the
+// registry.
 func TestReadmeIdsMatchRegistry(t *testing.T) {
+	want := strings.Join(Names(), " ")
 	doc, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
@@ -393,8 +417,23 @@ func TestReadmeIdsMatchRegistry(t *testing.T) {
 	list, _, _ = strings.Cut(list, "`")
 	ids := strings.Fields(list)
 	sort.Strings(ids)
-	if got, want := strings.Join(ids, " "), strings.Join(Names(), " "); got != want {
+	if got := strings.Join(ids, " "); got != want {
 		t.Errorf("README.md lists [%s], the registry holds [%s]", got, want)
+	}
+
+	src, err := os.ReadFile("../../cmd/inkbench/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, ok = strings.Cut(string(src), "\n// Experiments: ")
+	if !ok {
+		t.Fatal("cmd/inkbench/main.go's doc comment has no Experiments: list")
+	}
+	list, _, _ = strings.Cut(list, " — ")
+	ids = strings.Fields(strings.ReplaceAll(list, "//", ""))
+	sort.Strings(ids)
+	if got := strings.Join(ids, " "); got != want {
+		t.Errorf("cmd/inkbench's doc comment lists [%s], the registry holds [%s]", got, want)
 	}
 }
 

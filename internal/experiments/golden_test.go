@@ -20,8 +20,9 @@ const goldenPath = "testdata/count_artifacts.golden"
 
 // TestCountArtifactsGolden pins every value of the paper's artifacts that is
 // a pure function of counts, at tiny(): the Fig. 8 condition fractions, the
-// Table V reductions, the Fig. 1a and Fig. 1b ratios, and memcost's modeled
-// byte counts (its Measured* columns are heap readings and are left out).
+// Table V reductions, the Fig. 1a and Fig. 1b ratios, memcost's modeled
+// byte counts (its Measured* columns are heap readings and are left out)
+// and the Fig. 4 grouping ablation's recomputes and bytes fetched.
 // None of them may depend on the host, the worker count or the scheduling
 // of the pool, so the file is compared exactly. Floats are written in the
 // shortest form that parses back to the same float64, so two lines are
@@ -109,6 +110,15 @@ func countArtifacts(cfg Config) (string, error) {
 	for _, r := range mc.Rows {
 		fmt.Fprintf(&b, "memcost %s dataset=%d ckpt-h%d=%d ckpt-h32=%d\n",
 			r.Dataset, r.DatasetBytes, mc.Hidden, r.CheckpointH, r.CheckpointH32)
+	}
+
+	f4, err := Fig4(cfg)
+	if err != nil {
+		return "", err
+	}
+	for _, r := range f4.Rows {
+		fmt.Fprintf(&b, "fig4 %s exposed=%d/%d fetched=%d/%d\n",
+			r.Dataset, r.ExposedGrouped, r.ExposedUngrouped, r.FetchedGrouped, r.FetchedUngrouped)
 	}
 	return b.String(), nil
 }

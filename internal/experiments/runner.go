@@ -18,6 +18,7 @@ type Runner func(Config) (Result, error)
 var Registry = map[string]Runner{
 	"fig1a":   func(c Config) (Result, error) { return Fig1a(c) },
 	"fig1b":   func(c Config) (Result, error) { return Fig1b(c) },
+	"fig4":    func(c Config) (Result, error) { return Fig4(c) },
 	"table4":  func(c Config) (Result, error) { return Table4(c) },
 	"table5":  func(c Config) (Result, error) { return Table5(c) },
 	"table6":  func(c Config) (Result, error) { return Table6(c) },

@@ -290,7 +290,8 @@ func TestCustomHooksWrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomGraph(rng, 40, 120)
 	x := tensor.RandMatrix(rng, 40, 5, 1)
-	e, err := New(buildModel(rng, "SAGE", 5, gnn.AggMax), g, x, nil, Options{Sequential: true})
+	setWorkers(t, 1)
+	e, err := New(buildModel(rng, "SAGE", 5, gnn.AggMax), g, x, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 )
 
 // Options tunes the engine. The zero value is the full InkStream algorithm;
-// the Disable* switches exist for the paper's ablation studies (Table VI
-// and DESIGN.md §4).
+// the two switches are the paper's ablation studies, Table VI and Fig. 4
+// (DESIGN.md §4).
 type Options struct {
 	// DisablePruning turns off inter-layer pruned propagation (component 2
 	// in Table VI): resilient nodes keep propagating events, so the whole
@@ -26,13 +26,6 @@ type Options struct {
 	// conservative recompute whenever a lone deletion resets a channel.
 	// Processing falls back to sequential order.
 	DisableGrouping bool
-	// CopyPayloads disables payload sharing between events fanned out from
-	// one source (DESIGN.md §4, item 1): every event carries its own copy.
-	CopyPayloads bool
-	// Sequential disables intra-layer parallel processing of grouped
-	// targets (and, since it idles the worker pool, parallel sharded event
-	// routing too).
-	Sequential bool
 }
 
 // Engine holds the incrementally maintained inference state for one model
@@ -282,22 +275,6 @@ func (e *Engine) VerifyDiff(tol float32) (float32, error) {
 	return maxDiff, nil
 }
 
-// Refresh re-anchors the cache by recomputing the full inference over the
-// current graph and features. Monotonic aggregators never need this (they
-// are bit-exact); accumulative aggregators accumulate floating-point drift
-// across many incremental batches, and deployments can Refresh on the same
-// cadence as the paper's periodic retraining to bound it. Counters are not
-// charged (it is maintenance, not serving work).
-func (e *Engine) Refresh() error {
-	state, err := gnn.Infer(e.model, e.g, e.state.H[0], nil)
-	if err != nil {
-		return err
-	}
-	e.state = state
-	e.markAllDirty()
-	return nil
-}
-
 // Update applies one ΔG batch of edge insertions/removals and incrementally
 // refreshes the cached state (Algorithm 1). On validation error the graph
 // and state are unchanged.
@@ -407,11 +384,6 @@ func (e *Engine) stageBatch(delta graph.Delta, vups []VertexUpdate) ([]map[graph
 	return oldMsg, nil
 }
 
-// AppliedBatches returns the number of successfully applied batches —
-// the counter a published Snapshot records as AppliedBatches. Writer
-// goroutine only.
-func (e *Engine) AppliedBatches() uint64 { return e.snap.applied }
-
 // arcsOf expands a logical edge change into its directed arcs without
 // allocating: the arcs come back by value in a fixed-size array, with n
 // reporting how many are live (2 when the graph is undirected, else 1).
@@ -426,15 +398,15 @@ func (e *Engine) arcsOf(ch graph.EdgeChange) (arcs [2][2]graph.NodeID, n int) {
 }
 
 // shardCount decides how many grouper shards the upcoming layer's event
-// routing uses: 1 (sequential) below the event threshold or when an ablation
-// rules out pool work; otherwise twice the effective worker count, because
+// routing uses: 1 (sequential) below the event threshold or under the
+// grouping ablation; otherwise twice the effective worker count, because
 // ParallelForGrain inlines regions smaller than two chunks per worker,
 // capped at maxShards. The count does not balance the shards: each pool
 // task gets a fixed run of contiguous shards, so the task owning the
 // low-ID blocks, where RMAT's hubs sit, folds most of the arcs (65–69 % at
 // 2 workers on bench/'s batch workloads; DESIGN.md §6.3).
 func (e *Engine) shardCount(nEvents int) int {
-	if e.opts.Sequential || e.opts.DisableGrouping || nEvents < e.shardMin {
+	if e.opts.DisableGrouping || nEvents < e.shardMin {
 		return 1
 	}
 	w := tensor.Parallelism
@@ -522,11 +494,11 @@ func (e *Engine) appendChangedEdgeEvents(evts []Event, l int, delta graph.Delta,
 			var ev Event
 			switch {
 			case agg.Monotonic() && ch.Insert:
-				ev = Event{Op: OpAdd, Target: dst, Payload: e.payload(e.state.M[l].Row(int(src)))}
+				ev = Event{Op: OpAdd, Target: dst, Payload: e.state.M[l].Row(int(src))}
 			case agg.Monotonic():
-				ev = Event{Op: OpDel, Target: dst, Payload: e.payload(oldMsg[l][src])}
+				ev = Event{Op: OpDel, Target: dst, Payload: oldMsg[l][src]}
 			case ch.Insert:
-				ev = Event{Op: OpUpdate, Target: dst, Payload: e.payload(e.state.M[l].Row(int(src)))}
+				ev = Event{Op: OpUpdate, Target: dst, Payload: e.state.M[l].Row(int(src))}
 			default:
 				neg, ok := e.negCache[src]
 				if !ok {
@@ -544,14 +516,6 @@ func (e *Engine) appendChangedEdgeEvents(evts []Event, l int, delta graph.Delta,
 		}
 	}
 	return evts
-}
-
-// payload returns p, or a private copy when payload sharing is ablated.
-func (e *Engine) payload(p tensor.Vector) tensor.Vector {
-	if e.opts.CopyPayloads {
-		return p.Clone()
-	}
-	return p
 }
 
 // layerStep runs layer l of a batch — the one layer body of Apply and of the
@@ -601,7 +565,7 @@ func (e *Engine) processRange(l int, groups []*group) {
 		sc.t.Flush(e.c)
 		e.scratchPools[l].Put(sc)
 	}
-	if e.opts.Sequential || e.opts.DisableGrouping {
+	if e.opts.DisableGrouping {
 		body(0, n)
 	} else {
 		tensor.ParallelForGrain(n, 4*e.model.Layers[l].MsgDim(), body)

@@ -161,20 +161,22 @@ func TestUpdateIsolateNode(t *testing.T) {
 	}
 }
 
-// All four ablation options must preserve correctness — they trade work,
-// not results.
+// Both ablation options, and one worker, must preserve correctness — they
+// trade work, not results.
 func TestUpdateOptionsPreserveResults(t *testing.T) {
 	opts := map[string]Options{
 		"no-pruning":  {DisablePruning: true},
 		"no-grouping": {DisableGrouping: true},
-		"copy":        {CopyPayloads: true},
-		"sequential":  {Sequential: true},
-		"all-off":     {DisablePruning: true, DisableGrouping: true, CopyPayloads: true, Sequential: true},
+		"sequential":  {},
+		"all-off":     {DisablePruning: true, DisableGrouping: true},
 	}
 	for name, opt := range opts {
 		for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMean} {
 			name, opt, kind := name, opt, kind
 			t.Run(name+"/"+kind.String(), func(t *testing.T) {
+				if name == "sequential" {
+					setWorkers(t, 1)
+				}
 				rng := rand.New(rand.NewSource(11))
 				g := randomGraph(rng, 50, 150)
 				x := tensor.RandMatrix(rng, 50, 5, 1)
@@ -372,11 +374,11 @@ func TestStatsAndCountersPopulated(t *testing.T) {
 	}
 }
 
-// TestPooledCountsMatchSequential: on the pooled route every processRange
-// chunk counts into its own tally and flushes it once when it ends; a tally
-// dropped, held over or flushed twice at a chunk boundary would make the
-// counters differ from the sequential route's, which charges the same
-// formulas for the same targets, or from the visits the condition
+// TestPooledCountsMatchSequential checks that on the pooled route every
+// processRange chunk counts into its own tally and flushes it once when it
+// ends; a tally dropped, held over or flushed twice at a chunk boundary
+// would make the counters differ from the one-worker route's, which charges
+// the same formulas for the same targets, or from the visits the condition
 // statistics count, which are merged per target outside the tallies. The
 // batch is large enough that layer 0 both groups across the pool and splits
 // into several processTarget chunks at two workers, and the per-layer
@@ -405,8 +407,9 @@ func TestPooledCountsMatchSequential(t *testing.T) {
 				}
 				return c.Snapshot().Sub(before), *e.Stats(), e
 			}
-			want, wantStats, seq := run(Options{Sequential: true})
 			got, gotStats, e := run(Options{})
+			setWorkers(t, 1)
+			want, wantStats, seq := run(Options{})
 
 			tr := e.Trace()
 			if in := tr.Layers[0].EventsIn; in < int64(shardMinEvents) {

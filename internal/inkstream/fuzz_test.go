@@ -29,7 +29,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			{},
 			{DisablePruning: true},
 			{DisableGrouping: true},
-			{CopyPayloads: true, Sequential: true},
+			{DisablePruning: true, DisableGrouping: true},
 		}[int(optPick)%4]
 		e, err := New(model, g, x, nil, opts)
 		if err != nil {

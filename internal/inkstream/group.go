@@ -516,7 +516,7 @@ func (e *Engine) routeShards(lo, hi int, edge []Event, user []UserEvent) {
 				}
 				sh.rows = append(sh.rows, row)
 			} else {
-				gr.addPair(sh, v, e.payload(r.del), e.payload(r.add))
+				gr.addPair(sh, v, r.del, r.add)
 			}
 		}
 		if r.del == nil {
@@ -537,18 +537,11 @@ func (e *Engine) routeShards(lo, hi int, edge []Event, user []UserEvent) {
 }
 
 // foldRows adds an accumulative record's delta p to the slab rows it
-// collected in sh, then empties the list: one AddRows call, or, under the
-// CopyPayloads ablation, one per row, each with its own copy of p.
+// collected in sh in one AddRows call, then empties the list.
 func (e *Engine) foldRows(sh *gshard, p tensor.Vector) {
 	if len(sh.rows) == 0 {
 		return
 	}
-	if e.opts.CopyPayloads {
-		for k := range sh.rows {
-			tensor.AddRows(sh.slab, sh.rows[k:k+1], p.Clone())
-		}
-	} else {
-		tensor.AddRows(sh.slab, sh.rows, p)
-	}
+	tensor.AddRows(sh.slab, sh.rows, p)
 	sh.rows = sh.rows[:0]
 }

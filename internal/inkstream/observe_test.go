@@ -143,7 +143,8 @@ func TestObservedApplyDoesNotAllocate(t *testing.T) {
 	g := randomGraph(rng, n, 3*n)
 	x := tensor.RandMatrix(rng, n, feat, 1)
 	model := buildModel(rng, "GCN", feat, gnn.AggMax)
-	e, err := New(model, g, x, nil, Options{Sequential: true})
+	setWorkers(t, 1)
+	e, err := New(model, g, x, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,9 +225,8 @@ func slabCap(e *Engine) int {
 // TestRecordRoutingMatchesDefinition pins record-driven propagation to its
 // definition (bruteApply) for every model and aggregator kind, over both
 // routes (every layer sharded, the 512-event selector, every layer
-// sequential) and with the payload-sharing ablation on and off: after each
-// batch every cached checkpoint equals the brute-force per-target fold bit
-// for bit — accumulative aggregators included, which is the arrival-order
+// sequential): after each batch every cached checkpoint equals the
+// brute-force per-target fold bit for bit — accumulative aggregators included, which is the arrival-order
 // claim — and, for max and min, the from-scratch inference. The third batch
 // must grow the grouper's slabs mid-routing, so a row slice taken before a
 // reallocation would fold into a stale copy.
@@ -250,7 +249,7 @@ func TestRecordRoutingMatchesDefinition(t *testing.T) {
 						e.shardMin = shardMin
 						return e
 					}
-					e, copying := build(Options{}), build(Options{CopyPayloads: true})
+					e := build(Options{})
 					if shardMin == shardMinEvents && e.shardCount(g.OutDegree(0)) <= 1 {
 						t.Fatal("the hub rewrite does not cross the selector")
 					}
@@ -268,15 +267,9 @@ func TestRecordRoutingMatchesDefinition(t *testing.T) {
 						if i == 2 && slabCap(e) <= retained {
 							t.Fatalf("batch %d: slabs did not grow past their retained %d floats", i, retained)
 						}
-						if err := copying.Apply(delta, vups); err != nil {
-							t.Fatalf("batch %d, CopyPayloads: %v", i, err)
-						}
 						if !e.State().Equal(ref) {
 							t.Fatalf("batch %d: state differs from the per-target fold (output max diff %g)",
 								i, e.Output().MaxAbsDiff(ref.Output()))
-						}
-						if !copying.State().Equal(e.State()) {
-							t.Fatalf("batch %d: CopyPayloads changed the state", i)
 						}
 					}
 					want, err := gnn.Infer(model, e.Graph(), e.State().H[0], nil)
@@ -323,7 +316,8 @@ func TestHubRewriteRetainsNoPerArcMemory(t *testing.T) {
 	}
 	x := tensor.RandMatrix(rng, n, featLen, 1)
 	model := gnn.NewGCN(rng, featLen, 8, gnn.NewAggregator(gnn.AggMean))
-	e, err := New(model, g, x, nil, Options{Sequential: true})
+	setWorkers(t, 1)
+	e, err := New(model, g, x, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,9 +78,6 @@ type snapState struct {
 	marked []bool
 	// applied counts successful Apply calls (for Snapshot.AppliedBatches).
 	applied uint64
-	// all forces the next publication to re-clone every row (set by
-	// Refresh, which replaces the whole state).
-	all bool
 	// own is publication scratch, retained across publications: which
 	// chunks of the next table are private copies.
 	own []bool
@@ -119,13 +116,6 @@ func (e *Engine) growDirty(n int) {
 	}
 }
 
-// markAllDirty forces the next publication to re-clone every row.
-func (e *Engine) markAllDirty() {
-	if e.snap.tracking {
-		e.snap.all = true
-	}
-}
-
 // PublishSnapshot builds a new immutable snapshot of the final-layer
 // embeddings and publishes it atomically, then clears the dirty-row set.
 // The first call clones every row and enables dirty tracking; subsequent
@@ -140,12 +130,10 @@ func (e *Engine) PublishSnapshot() *Snapshot {
 	prev := e.snap.cur.Load()
 	out := e.state.Output()
 	n := e.g.NumNodes()
-	// Refresh replaced the whole state: rebuild as on the first publication.
 	var prevRows [][]tensor.Vector
-	if prev != nil && !e.snap.all {
+	if prev != nil {
 		prevRows = prev.rows
 	}
-	e.snap.all = false
 	s := &Snapshot{
 		Epoch:          1,
 		AppliedBatches: e.snap.applied,

@@ -95,26 +95,6 @@ func TestSnapshotPublishAndCOW(t *testing.T) {
 	}
 }
 
-func TestSnapshotRefreshMarksAllDirty(t *testing.T) {
-	eng := newSnapEngine(t, 120)
-	s1 := eng.PublishSnapshot()
-	if err := eng.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	s2 := eng.PublishSnapshot()
-	if s2.NumNodes() != 120 {
-		t.Fatalf("rows after Refresh %d", s2.NumNodes())
-	}
-	for i := 0; i < s2.NumNodes(); i++ {
-		if &s1.Row(i)[0] == &s2.Row(i)[0] {
-			t.Fatalf("row %d shares storage after Refresh (state was replaced)", i)
-		}
-		if !s2.Row(i).Equal(eng.Output().Row(i)) {
-			t.Fatalf("row %d differs from engine output after Refresh", i)
-		}
-	}
-}
-
 // TestSnapshotAddNodeGrowth grows the snapshot across chunk boundaries: a
 // partial last chunk that fills up and spills into a new one (63 → 65) and
 // a full last chunk followed by a fresh one (128 → 129). Every row reads

@@ -75,9 +75,9 @@ func TestLayerStats(t *testing.T) {
 }
 
 // Long-horizon drift: accumulative aggregators drift across many batches
-// (fp reassociation); Refresh re-anchors the cache exactly, and monotonic
+// (fp reassociation) but stay within a loose tolerance, and monotonic
 // aggregators never drift at all.
-func TestDriftAndRefresh(t *testing.T) {
+func TestLongHorizonDrift(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := randomGraph(rng, 60, 180)
 	x := tensor.RandMatrix(rng, 60, 5, 1)
@@ -103,22 +103,9 @@ func TestDriftAndRefresh(t *testing.T) {
 	if err := maxE.Verify(0); err != nil {
 		t.Fatalf("monotonic drifted: %v", err)
 	}
-	// Accumulative: small drift tolerated, eliminated by Refresh.
+	// Accumulative: small drift tolerated.
 	if err := mean.Verify(5e-2); err != nil {
 		t.Fatalf("accumulative drifted beyond loose tolerance: %v", err)
-	}
-	if err := mean.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if err := mean.Verify(0); err != nil {
-		t.Fatalf("Refresh did not re-anchor exactly: %v", err)
-	}
-	// The engine keeps serving correctly after a refresh.
-	if err := mean.Update(graph.RandomDelta(rng, mean.Graph(), 6)); err != nil {
-		t.Fatal(err)
-	}
-	if err := mean.Verify(2e-3); err != nil {
-		t.Fatal(err)
 	}
 }
 

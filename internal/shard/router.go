@@ -65,8 +65,6 @@ type Config struct {
 	// "greedy" (locality-aware streaming greedy, graph.NewGreedyPartition).
 	// Resolved over the bootstrap graph via graph.PartitionByStrategy.
 	PartitionStrategy string
-	// Opts is applied to every shard engine.
-	Opts inkstream.Options
 }
 
 // round is one BSP round: the per-shard sub-batches of one fused batch.
@@ -176,7 +174,7 @@ func New(model *gnn.Model, g *graph.Graph, x *tensor.Matrix, cfg Config) (*Route
 	rt.edges.Store(int64(g.NumEdges()))
 	for s := 0; s < cfg.Shards; s++ {
 		st := &shardState{c: &metrics.Counters{}}
-		eng, err := inkstream.NewFromState(model, part.ShardGraph(g, s), base.Clone(), st.c, cfg.Opts)
+		eng, err := inkstream.NewFromState(model, part.ShardGraph(g, s), base.Clone(), st.c, inkstream.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}

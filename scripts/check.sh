@@ -54,7 +54,8 @@ fi
 go test -race -count=1 -cpu 1,2,4,8 -run "^($routing)\$" ./internal/inkstream
 
 # The golden gate pins every value of the paper's count artifacts (Fig. 8,
-# Table V, Fig. 1a/1b, memcost's modeled bytes) at tiny() and compares them
+# Table V, Fig. 1a/1b, memcost's modeled bytes, and Fig. 4's recomputes and
+# bytes fetched grouped vs ungrouped) at tiny() and compares them
 # exactly. Those values are pure functions of counts, so the gate must not
 # depend on the host: it runs uncached at 1, 2 and 4 CPUs (the pool's worker
 # count and scheduling change with each) and once under the race detector
