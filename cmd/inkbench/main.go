@@ -69,6 +69,19 @@ func run(args []string) error {
 		ids = experiments.Names()
 	}
 
+	// Refuse what Config would otherwise clamp, so a run is never silently
+	// another size than the one asked for.
+	switch {
+	case *scale < 1:
+		return fmt.Errorf("-scale %d: need a down-scaling factor of at least 1", *scale)
+	case *hidden < 4:
+		return fmt.Errorf("-hidden %d: need a hidden dimension of at least 4", *hidden)
+	case *scenarios < 1:
+		return fmt.Errorf("-scenarios %d: need at least 1 scenario", *scenarios)
+	case *ginLayers < 2:
+		return fmt.Errorf("-gin-layers %d: need a GIN depth of at least 2", *ginLayers)
+	}
+
 	cfg := experiments.Default()
 	if *quick {
 		cfg = experiments.Quick()

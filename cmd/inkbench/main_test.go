@@ -23,6 +23,12 @@ func TestRunErrors(t *testing.T) {
 		{"-quick", "mixed"},              // retired in-process scenario: bench/ measures serving
 		{"-readers", "4", "-list"},       // its flag went with it
 		{"-datasets", "XX", "fig1a"},     // unknown dataset
+		// Sizes the experiment config would clamp are refused, not rewritten.
+		{"-quick", "-scale", "0", "-datasets", "PM", "memcost"},
+		{"-quick", "-scale", "-2", "-datasets", "PM", "memcost"},
+		{"-quick", "-hidden", "3", "-datasets", "PM", "memcost"},
+		{"-quick", "-scenarios", "0", "-datasets", "PM", "memcost"},
+		{"-quick", "-gin-layers", "1", "-datasets", "PM", "memcost"},
 	}
 	for i, args := range cases {
 		if err := run(args); err == nil {

@@ -369,10 +369,7 @@ func (e *Engine) Apply(delta graph.Delta, vups []VertexUpdate) error {
 // arcs and in-degree deltas; then mutate the graph. It returns the
 // removed-source snapshot.
 func (e *Engine) stageBatch(delta graph.Delta, vups []VertexUpdate) ([]map[graph.NodeID]tensor.Vector, error) {
-	if err := delta.Validate(e.g); err != nil {
-		return nil, err
-	}
-	if err := e.validateVertexUpdates(vups); err != nil {
+	if err := e.Validate(delta, vups); err != nil {
 		return nil, err
 	}
 	e.arena.reset()
@@ -382,6 +379,18 @@ func (e *Engine) stageBatch(delta graph.Delta, vups []VertexUpdate) ([]map[graph
 		return nil, err // unreachable after Validate, but fail safe
 	}
 	return oldMsg, nil
+}
+
+// Validate reports whether Apply (or, on a partitioned engine, BeginRound)
+// would accept delta and vups, without touching graph or state: the delta
+// against the maintained graph, then the vertex updates against the vertex
+// space (the owned vertices, when partitioned), the model's input dimension
+// and each other. Like Apply it is for the writer goroutine only.
+func (e *Engine) Validate(delta graph.Delta, vups []VertexUpdate) error {
+	if err := delta.Validate(e.g); err != nil {
+		return err
+	}
+	return e.validateVertexUpdates(vups)
 }
 
 // arcsOf expands a logical edge change into its directed arcs without
@@ -565,7 +574,7 @@ func (e *Engine) processRange(l int, groups []*group) {
 		sc.t.Flush(e.c)
 		e.scratchPools[l].Put(sc)
 	}
-	if e.opts.DisableGrouping {
+	if e.gr.ungrouped {
 		body(0, n)
 	} else {
 		tensor.ParallelForGrain(n, 4*e.model.Layers[l].MsgDim(), body)
@@ -640,7 +649,7 @@ func (e *Engine) processTarget(l int, g *group, sc *scratch, uevts []UserEvent) 
 	cond := CondSelfOnly
 	if g.hasNative() {
 		if agg.Monotonic() {
-			if e.opts.DisableGrouping {
+			if e.gr.ungrouped {
 				alphaChanged, cond = e.applyMonotonicUngrouped(l, g, sc)
 			} else {
 				alphaChanged, cond = e.applyMonotonic(l, g, sc)

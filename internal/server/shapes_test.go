@@ -4,6 +4,7 @@ import (
 	"archive/tar"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -51,13 +52,32 @@ func forEachShape(t *testing.T, f func(t *testing.T, shards int)) {
 	}
 }
 
-// deploy builds one server of the given shape and returns it with the
-// caller's mirror of its graph.
+// deploy builds one server of the given shape over an undirected graph and
+// returns it with the caller's mirror of its graph.
 func deploy(t *testing.T, shards int) (*server.Server, *graph.Graph) {
+	t.Helper()
+	return deployOn(t, shards, true)
+}
+
+// deployOn is deploy over an undirected graph or over a directed one that
+// keeps one arc of each of its edges, oriented either way.
+func deployOn(t *testing.T, shards int, undirected bool) (*server.Server, *graph.Graph) {
 	t.Helper()
 	leakcheck.Check(t)
 	rng := rand.New(rand.NewSource(7))
 	g := dataset.GenerateRMAT(rng, shapeNodes, 600, dataset.DefaultRMAT)
+	if !undirected {
+		var arcs [][2]graph.NodeID
+		for _, e := range g.Edges() {
+			if (e[0] < e[1]) == ((e[0]+e[1])%2 == 0) {
+				arcs = append(arcs, e)
+			}
+		}
+		var err error
+		if g, err = graph.FromPairs(shapeNodes, false, arcs); err != nil {
+			t.Fatal(err)
+		}
+	}
 	feats := dataset.NewFeatures(rng, shapeNodes, shapeFeatLen)
 	model := gnn.NewGCN(rng, shapeFeatLen, 16, gnn.NewAggregator(gnn.AggMax))
 	var srv *server.Server
@@ -480,67 +500,123 @@ func TestShapesBundleEndpoint(t *testing.T) {
 }
 
 // TestShapesValidation pins all-or-nothing application: invalid batches are
-// rejected whole with no state change, the deployment stays healthy, and a
-// valid batch still lands afterwards. On the sharded shape this is the
-// router-side validation that makes shard applies infallible.
+// rejected whole with the error of their fault and no state change, the
+// deployment stays healthy, and a valid batch still lands afterwards — on
+// directed and undirected graphs, and at 3 shards too. On a sharded shape
+// every shard validates the sub-batch it owns before any shard applies, so a
+// batch whose bad arc lands on another shard than its good one is refused
+// the same way, without a round.
 func TestShapesValidation(t *testing.T) {
-	forEachShape(t, func(t *testing.T, shards int) {
-		srv, g := deploy(t, shards)
-		missing := absent(t, g, 1)[0]
-		var present graph.EdgeChange
-		for u := 0; u < g.NumNodes() && !present.Insert; u++ {
-			if out := g.OutNeighbors(graph.NodeID(u)); len(out) > 0 {
-				present = graph.EdgeChange{U: graph.NodeID(u), V: out[0], Insert: true}
+	check := func(t *testing.T, shards int) {
+		for _, undirected := range []bool{false, true} {
+			name := "directed"
+			if undirected {
+				name = "undirected"
 			}
+			t.Run(name, func(t *testing.T) { checkValidation(t, shards, undirected) })
 		}
-		cases := []struct {
-			name  string
-			delta graph.Delta
-			vups  []inkstream.VertexUpdate
-		}{
-			{"insert-existing", graph.Delta{present}, nil},
-			{"delete-missing", graph.Delta{{U: missing.U, V: missing.V, Insert: false}}, nil},
-			{"vup-out-of-range", nil, []inkstream.VertexUpdate{{Node: shapeNodes + 5, X: make(tensor.Vector, shapeFeatLen)}}},
-			{"vup-bad-dim", nil, []inkstream.VertexUpdate{{Node: 1, X: make(tensor.Vector, shapeFeatLen+1)}}},
-			{"vup-duplicate", nil, []inkstream.VertexUpdate{
-				{Node: 2, X: make(tensor.Vector, shapeFeatLen)},
-				{Node: 2, X: make(tensor.Vector, shapeFeatLen)},
-			}},
-			// The second half of an otherwise valid batch is bad: the first
-			// half must not land.
-			{"half-valid", graph.Delta{missing, present}, nil},
-		}
-		for _, tc := range cases {
-			if err := srv.Apply(tc.delta, tc.vups); err == nil {
-				t.Errorf("%s: accepted", tc.name)
-			}
-		}
-		st := srv.Stats()
-		if st.UpdatesServed != 0 {
-			t.Fatalf("rejected batches counted as %d served updates", st.UpdatesServed)
-		}
-		if st.Edges != g.NumEdges() {
-			t.Fatalf("edge count drifted to %d, want %d", st.Edges, g.NumEdges())
-		}
-		if shards > 1 {
-			for _, ps := range st.PerShard {
-				if ps.Rounds != 0 {
-					t.Fatalf("rejected batches produced %d rounds on shard %d", ps.Rounds, ps.Shard)
-				}
-			}
-			if st.FailStop != nil {
-				t.Fatal("rejections fail-stopped the deployment")
-			}
-		}
+	}
+	forEachShape(t, check)
+	t.Run("3-shard", func(t *testing.T) { check(t, 3) })
+}
 
-		// A valid batch still lands after the rejections.
-		if err := srv.Apply(graph.Delta{missing}, nil); err != nil {
-			t.Fatalf("valid batch after rejections: %v", err)
+func checkValidation(t *testing.T, shards int, undirected bool) {
+	srv, g := deployOn(t, shards, undirected)
+	missing := absent(t, g, 1)[0]
+	var present graph.EdgeChange
+	for u := 0; u < g.NumNodes() && !present.Insert; u++ {
+		if out := g.OutNeighbors(graph.NodeID(u)); len(out) > 0 {
+			present = graph.EdgeChange{U: graph.NodeID(u), V: out[0], Insert: true}
 		}
-		if got := srv.Stats().Edges; got != g.NumEdges()+1 {
-			t.Fatalf("edge count %d after insert, want %d", got, g.NumEdges()+1)
+	}
+	// A valid insert whose arcs all land on the first shard and an invalid
+	// one whose arcs all land on the last (the router's hash partition;
+	// any two edges on the engine).
+	part, err := graph.PartitionByStrategy("", g, max(shards, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	on := func(e graph.EdgeChange, s int) bool { return part.Owner(e.U) == s && part.Owner(e.V) == s }
+	var first, last graph.EdgeChange
+	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			e := graph.EdgeChange{U: u, V: v, Insert: true}
+			switch {
+			case u == v:
+			case !first.Insert && on(e, 0) && !g.HasEdge(u, v) && !g.HasEdge(v, u):
+				first = e
+			case !last.Insert && on(e, part.NumShards()-1) && g.HasEdge(u, v):
+				last = e
+			}
 		}
-	})
+	}
+	if !first.Insert || !last.Insert {
+		t.Fatalf("no edge inside shard 0 (%v) or inside the last shard (%v)", first, last)
+	}
+
+	type row struct {
+		name  string
+		delta graph.Delta
+		vups  []inkstream.VertexUpdate
+		want  error // the sentinel the rejection wraps; nil when it has none
+	}
+	cases := []row{
+		// First, so that a router which left a shard's sub-batch unchecked
+		// fails here rather than on a later row: the valid half lands on
+		// the first shard, the bad one on the last.
+		{"cross-shard", graph.Delta{first, last}, nil, graph.ErrDuplicateEdge},
+		{"insert-existing", graph.Delta{present}, nil, graph.ErrDuplicateEdge},
+		{"delete-missing", graph.Delta{{U: missing.U, V: missing.V, Insert: false}}, nil, graph.ErrMissingEdge},
+		{"edge-out-of-range", graph.Delta{{U: 1, V: shapeNodes + 5, Insert: true}}, nil, graph.ErrBadNode},
+		{"self-loop", graph.Delta{{U: 3, V: 3, Insert: true}}, nil, graph.ErrSelfLoop},
+		{"edge-twice", graph.Delta{missing, missing}, nil, nil},
+		{"vup-out-of-range", nil, []inkstream.VertexUpdate{{Node: shapeNodes + 5, X: make(tensor.Vector, shapeFeatLen)}}, graph.ErrBadNode},
+		{"vup-bad-dim", nil, []inkstream.VertexUpdate{{Node: 1, X: make(tensor.Vector, shapeFeatLen+1)}}, nil},
+		{"vup-duplicate", nil, []inkstream.VertexUpdate{
+			{Node: 2, X: make(tensor.Vector, shapeFeatLen)},
+			{Node: 2, X: make(tensor.Vector, shapeFeatLen)},
+		}, nil},
+		// The second half of an otherwise valid batch is bad: the first
+		// half must not land.
+		{"half-valid", graph.Delta{missing, present}, nil, graph.ErrDuplicateEdge},
+	}
+	if undirected {
+		// One edge named from both ends touches it twice.
+		cases = append(cases, row{"both-directions", graph.Delta{missing, {U: missing.V, V: missing.U, Insert: true}}, nil, nil})
+	}
+	for _, tc := range cases {
+		err := srv.Apply(tc.delta, tc.vups)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	st := srv.Stats()
+	if st.UpdatesServed != 0 {
+		t.Fatalf("rejected batches counted as %d served updates", st.UpdatesServed)
+	}
+	if st.Edges != g.NumEdges() {
+		t.Fatalf("edge count drifted to %d, want %d", st.Edges, g.NumEdges())
+	}
+	if shards > 1 {
+		for _, ps := range st.PerShard {
+			if ps.Rounds != 0 {
+				t.Fatalf("rejected batches produced %d rounds on shard %d", ps.Rounds, ps.Shard)
+			}
+		}
+		if st.FailStop != nil {
+			t.Fatal("rejections fail-stopped the deployment")
+		}
+	}
+
+	// A valid batch still lands after the rejections.
+	if err := srv.Apply(graph.Delta{missing}, nil); err != nil {
+		t.Fatalf("valid batch after rejections: %v", err)
+	}
+	if got := srv.Stats().Edges; got != g.NumEdges()+1 {
+		t.Fatalf("edge count %d after insert, want %d", got, g.NumEdges()+1)
+	}
 }
 
 // TestShapesBodyLimits pins decodeBody on both mutation routes: a body over

@@ -21,17 +21,19 @@
 //
 // The router is not a server: it is the apply step of internal/server's one
 // write pipeline (server.Backend). The pipeline submits, journals, fuses
-// and acknowledges; the router validates each fused batch against its
-// replica, splits it per shard, executes it as one BSP round and publishes
-// every shard's snapshot — and mounts its own surface (GET /v1/rounds, the
-// per-shard and per-round metric families, and the sharding section of
-// /v1/stats: partition, cross-shard traffic /metrics does not count,
-// fail-stop record, per-shard slices) on the server's.
+// and acknowledges; the router splits each fused batch per shard, has every
+// shard validate its sub-batch against the graph it holds, executes the
+// batch as one BSP round and publishes every shard's snapshot — and mounts
+// its own surface (GET /v1/rounds, the per-shard and per-round metric
+// families, and the sharding section of /v1/stats: partition, cross-shard
+// traffic /metrics does not count, fail-stop record, per-shard slices) on
+// the server's. It keeps no copy of the graph or the state: the shards
+// hold both.
 //
-// Failure semantics are fail-stop: router-level validation makes shard
-// applies infallible, so if one fails anyway the deployment marks itself
-// corrupt, rejects further mutations, and keeps serving reads from the
-// last published snapshots (DESIGN.md §7.6).
+// Failure semantics are fail-stop: validating every sub-batch before any
+// shard applies makes shard applies infallible, so if one fails anyway the
+// deployment marks itself corrupt, rejects further mutations, and keeps
+// serving reads from the last published snapshots (DESIGN.md §7.6).
 package shard
 
 import (
@@ -52,9 +54,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// ErrCorrupt is returned for mutations once a round has failed; the router
-// is fail-stop for writes but keeps serving reads (DESIGN.md §7.6). It
-// wraps server.ErrUnavailable, so the HTTP layer answers 503.
+// ErrCorrupt is returned for mutations once a round has failed — a shard
+// apply that failed although every shard had validated its sub-batch. The
+// router is fail-stop for writes but keeps serving reads (DESIGN.md §7.6).
+// It wraps server.ErrUnavailable, so the HTTP layer answers 503.
 var ErrCorrupt = fmt.Errorf("shard: deployment corrupt after failed round; writes rejected (%w)", server.ErrUnavailable)
 
 // Config tunes a partitioned deployment.
@@ -87,8 +90,7 @@ type shardState struct {
 type Router struct {
 	model      *gnn.Model
 	part       *graph.Partition
-	strategy   string       // partition strategy name (for stats)
-	replica    *graph.Graph // directed union of all shard arcs; apply goroutine only
+	strategy   string // partition strategy name (for stats)
 	undirected bool
 	shards     []*shardState
 	cut        graph.CutStats
@@ -99,7 +101,6 @@ type Router struct {
 	// ghost rows iff the count is positive.
 	subs []map[graph.NodeID]int
 
-	edges atomic.Int64 // logical edge count of the served graph
 	// failStop is the fail-stop latch: nil while healthy, else the forensics
 	// of the round that tripped it (round ID, error, time). First failure
 	// wins.
@@ -138,8 +139,9 @@ type Router struct {
 }
 
 // New bootstraps a partitioned deployment: one full-graph inference over g
-// and x, then per shard a directed shard graph, a cloned state and a
-// partition-aware engine. g is the logical bootstrap graph (directed or
+// and x, then per shard a directed shard graph, a state and a
+// partition-aware engine. The last shard takes the bootstrap state itself,
+// the others a clone each. g is the logical bootstrap graph (directed or
 // undirected); the router expands undirected edges into arcs when routing.
 // Every shard publishes epoch 1 (the bootstrapped state) before New returns.
 func New(model *gnn.Model, g *graph.Graph, x *tensor.Matrix, cfg Config) (*Router, error) {
@@ -163,7 +165,6 @@ func New(model *gnn.Model, g *graph.Graph, x *tensor.Matrix, cfg Config) (*Route
 		model:      model,
 		part:       part,
 		strategy:   strategy,
-		replica:    directedReplica(g),
 		undirected: g.Undirected,
 		cut:        part.Cut(g),
 	}
@@ -171,10 +172,13 @@ func New(model *gnn.Model, g *graph.Graph, x *tensor.Matrix, cfg Config) (*Route
 	// SetRoundProfiling before serving.
 	rt.profiler = obs.NewRing[obs.RoundTrace](256)
 	rt.stragglerRounds = make([]atomic.Int64, cfg.Shards)
-	rt.edges.Store(int64(g.NumEdges()))
 	for s := 0; s < cfg.Shards; s++ {
 		st := &shardState{c: &metrics.Counters{}}
-		eng, err := inkstream.NewFromState(model, part.ShardGraph(g, s), base.Clone(), st.c, inkstream.Options{})
+		state := base
+		if s < cfg.Shards-1 {
+			state = base.Clone()
+		}
+		eng, err := inkstream.NewFromState(model, part.ShardGraph(g, s), state, st.c, inkstream.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
@@ -189,25 +193,6 @@ func New(model *gnn.Model, g *graph.Graph, x *tensor.Matrix, cfg Config) (*Route
 	rt.initSubscriptions()
 	rt.deliv = make([][]inkstream.MessageChange, cfg.Shards)
 	return rt, nil
-}
-
-// directedReplica copies g's arcs into a directed graph — the router's
-// private validation and routing view (shard sub-deltas are always
-// directed, so validating the expanded delta here guarantees every shard
-// apply succeeds). It is bulk-built in the order AddEdge-ing g's arcs
-// source by source would give.
-func directedReplica(g *graph.Graph) *graph.Graph {
-	pairs := make([][2]graph.NodeID, 0, g.NumArcs())
-	for u := 0; u < g.NumNodes(); u++ {
-		for _, v := range g.OutNeighbors(graph.NodeID(u)) {
-			pairs = append(pairs, [2]graph.NodeID{graph.NodeID(u), v})
-		}
-	}
-	r, err := graph.FromPairs(g.NumNodes(), false, pairs)
-	if err != nil {
-		panic("shard: directedReplica: " + err.Error())
-	}
-	return r
 }
 
 // Corrupt reports whether a failed round has fail-stopped writes.
@@ -227,44 +212,39 @@ func (rt *Router) failStopNow(roundID uint64, err error) {
 	}
 }
 
-// Apply validates one fused batch (logical edge changes and/or vertex
-// feature updates) fully against the replica — so an error means no shard
-// was touched — then executes it as one BSP round that ends with every
-// shard's snapshot published. A round that fails anyway fail-stops the
-// deployment. requests sizes the round's profile; the returned ID names it
-// in /v1/rounds.
+// Apply splits one fused batch (logical edge changes and/or vertex feature
+// updates) into per-shard sub-batches and has every shard validate its own
+// against the graph it holds — so an error means no shard was touched —
+// then executes it as one BSP round that ends with every shard's snapshot
+// published. Shard s holds every in-arc of every vertex it owns and every
+// arc of the batch is routed to its destination's owner, so the per-shard
+// verdicts together are the verdict on the whole batch; with several faults
+// in one batch the first shard's is reported. A round that fails anyway
+// fail-stops the deployment. requests sizes the round's profile; the
+// returned ID names it in /v1/rounds.
 func (rt *Router) Apply(delta graph.Delta, vups []inkstream.VertexUpdate, requests int) (uint64, error) {
 	if rt.Corrupt() {
 		return 0, ErrCorrupt
 	}
 	start := time.Now()
-	arcs := rt.expand(delta)
-	if err := rt.validate(arcs, vups); err != nil {
+	r, err := rt.split(rt.expand(delta), vups)
+	if err != nil {
 		return 0, err
 	}
-	r := rt.split(arcs, vups)
+	for i, s := range rt.shards {
+		if err := s.eng.Validate(r.subDelta[i], r.subVups[i]); err != nil {
+			return 0, err
+		}
+	}
 	id := rt.roundSeq.Add(1)
 	if rt.profiler != nil {
 		r.prof = &obs.RoundTrace{ID: id, Start: start, Reqs: requests, Edges: len(delta), VUps: len(vups)}
 	}
-	err := arcs.Apply(rt.replica) // cannot fail after validate
-	if err == nil {
-		err = rt.executeRound(r)
-	}
-	if err != nil {
+	if err := rt.executeRound(r); err != nil {
 		err = fmt.Errorf("%w: round %d failed: %v", ErrCorrupt, id, err)
 		rt.failStopNow(id, err)
 		return 0, err
 	}
-	net := 0
-	for _, ch := range delta {
-		if ch.Insert {
-			net++
-		} else {
-			net--
-		}
-	}
-	rt.edges.Add(int64(net))
 	total := time.Since(start)
 	rt.obs.RecordLatency(total)
 	if r.prof != nil {
@@ -319,54 +299,39 @@ func (rt *Router) ReadRow(node int) (tensor.Vector, uint64, bool) {
 	return snap.Row(node), snap.Epoch, true
 }
 
-// Shape reports the served graph and the (min, max) published epoch across
-// shards; their difference is the inter-shard epoch skew (transient while a
-// round publishes).
+// Shape reports the served graph, its edges counted from the arcs the shards
+// published, and the (min, max) published epoch across shards; their
+// difference is the inter-shard epoch skew (transient while a round
+// publishes, like the edge count).
 func (rt *Router) Shape() server.Shape {
 	sh := server.Shape{
 		Nodes:      rt.part.NumNodes(),
-		Edges:      int(rt.edges.Load()),
 		Undirected: rt.undirected,
 		Shards:     len(rt.shards),
 	}
 	for i, s := range rt.shards {
-		e := s.eng.Snapshot().Epoch
-		if i == 0 || e < sh.Epoch {
-			sh.Epoch = e
+		snap := s.eng.Snapshot()
+		sh.Edges += snap.Edges
+		if i == 0 || snap.Epoch < sh.Epoch {
+			sh.Epoch = snap.Epoch
 		}
-		if e > sh.MaxEpoch {
-			sh.MaxEpoch = e
+		if snap.Epoch > sh.MaxEpoch {
+			sh.MaxEpoch = snap.Epoch
 		}
+	}
+	if rt.undirected {
+		sh.Edges /= 2
 	}
 	return sh
 }
 
-// validate checks one batch fully at the router so shard applies cannot
-// fail: expanded delta against the directed replica, feature updates
-// against the vertex space and model input dimension.
-func (rt *Router) validate(arcs graph.Delta, vups []inkstream.VertexUpdate) error {
-	if err := arcs.Validate(rt.replica); err != nil {
-		return err
-	}
-	seen := make(map[graph.NodeID]struct{}, len(vups))
-	for i, up := range vups {
-		if int(up.Node) < 0 || int(up.Node) >= rt.part.NumNodes() {
-			return fmt.Errorf("shard: vertex update %d: %w (%d)", i, graph.ErrBadNode, up.Node)
-		}
-		if len(up.X) != rt.model.InDim() {
-			return fmt.Errorf("shard: vertex update %d: feature dim %d, model wants %d", i, len(up.X), rt.model.InDim())
-		}
-		if _, dup := seen[up.Node]; dup {
-			return fmt.Errorf("shard: vertex update %d: node %d updated twice in one batch", i, up.Node)
-		}
-		seen[up.Node] = struct{}{}
-	}
-	return nil
-}
-
-// split routes one validated batch into per-shard sub-batches.
-func (rt *Router) split(arcs graph.Delta, vups []inkstream.VertexUpdate) *round {
+// split routes one batch into per-shard sub-batches: each arc to the owner
+// of its destination, each vertex update to the owner of its node. A node
+// outside the vertex space has no owner and fails the whole batch with
+// graph.ErrBadNode; every other check is the owning shard's.
+func (rt *Router) split(arcs graph.Delta, vups []inkstream.VertexUpdate) (*round, error) {
 	n := len(rt.shards)
+	nodes := graph.NodeID(rt.part.NumNodes())
 	r := &round{
 		subDelta: make([]graph.Delta, n),
 		subVups:  make([][]inkstream.VertexUpdate, n),
@@ -375,19 +340,25 @@ func (rt *Router) split(arcs graph.Delta, vups []inkstream.VertexUpdate) *round 
 	// order within a request); per-target event order on each shard then
 	// matches the single-engine order.
 	for _, ch := range arcs {
+		if ch.U < 0 || ch.U >= nodes || ch.V < 0 || ch.V >= nodes {
+			return nil, fmt.Errorf("shard: delta change %v: %w: %d nodes", ch, graph.ErrBadNode, nodes)
+		}
 		s := rt.part.Owner(ch.V)
 		r.subDelta[s] = append(r.subDelta[s], ch)
 	}
-	// Round vertex updates are canonically sorted by node (duplicates are
-	// impossible — validate rejects them), so layer-0 record order is node
-	// order on every deployment shape.
+	// Round vertex updates are canonically sorted by node (a batch that
+	// updates a node twice fails its owner's validation), so layer-0 record
+	// order is node order on every deployment shape.
 	vups = append([]inkstream.VertexUpdate(nil), vups...)
 	slices.SortFunc(vups, func(a, b inkstream.VertexUpdate) int { return cmp.Compare(a.Node, b.Node) })
 	for _, up := range vups {
+		if up.Node < 0 || up.Node >= nodes {
+			return nil, fmt.Errorf("shard: vertex update of node %d: %w: %d nodes", up.Node, graph.ErrBadNode, nodes)
+		}
 		s := rt.part.Owner(up.Node)
 		r.subVups[s] = append(r.subVups[s], up)
 	}
-	return r
+	return r, nil
 }
 
 // ---------------------------------------------------------------------------

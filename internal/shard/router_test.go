@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,132 +84,239 @@ func testModel(rng *rand.Rand, name string, featLen int, kind gnn.AggKind) *gnn.
 	panic("unknown model " + name)
 }
 
+// oneWay keeps one arc of each of g's edges, oriented either way: a
+// directed graph of g's shape.
+func oneWay(g *graph.Graph) *graph.Graph {
+	var arcs [][2]graph.NodeID
+	for _, e := range g.Edges() {
+		if (e[0] < e[1]) == ((e[0]+e[1])%2 == 0) {
+			arcs = append(arcs, e)
+		}
+	}
+	d, err := graph.FromPairs(g.NumNodes(), false, arcs)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// faults are the ways a batch is rejected; withFault adds one of them to a
+// valid batch over g, at a random place in it.
+var faults = []string{
+	"insert-existing", "delete-missing", "edge-out-of-range", "self-loop", "edge-twice",
+	"vup-out-of-range", "vup-bad-dim", "vup-twice", "both-directions", // the last only on undirected graphs
+}
+
+func withFault(rng *rand.Rand, g *graph.Graph, fault string, delta graph.Delta, vups []inkstream.VertexUpdate, featLen int) (graph.Delta, []inkstream.VertexUpdate) {
+	n := g.NumNodes()
+	// One more valid vertex update, on a node the batch does not update yet,
+	// for the vertex-update faults to spoil.
+	node := graph.NodeID(rng.Intn(n))
+	for slices.ContainsFunc(vups, func(up inkstream.VertexUpdate) bool { return up.Node == node }) {
+		node = graph.NodeID(rng.Intn(n))
+	}
+	vups = append(slices.Clone(vups), inkstream.VertexUpdate{Node: node, X: tensor.RandVector(rng, featLen, 1)})
+	var bad graph.EdgeChange
+	switch fault {
+	case "insert-existing":
+		e := g.Edges()[rng.Intn(len(g.Edges()))]
+		bad = graph.EdgeChange{U: e[0], V: e[1], Insert: true}
+	case "delete-missing":
+		for bad.U == bad.V || g.HasEdge(bad.U, bad.V) {
+			bad = graph.EdgeChange{U: graph.NodeID(rng.Intn(n)), V: graph.NodeID(rng.Intn(n))}
+		}
+	case "edge-out-of-range":
+		bad = graph.EdgeChange{U: graph.NodeID(rng.Intn(n)), V: graph.NodeID(n + rng.Intn(3)), Insert: true}
+	case "self-loop":
+		v := graph.NodeID(rng.Intn(n))
+		bad = graph.EdgeChange{U: v, V: v, Insert: true}
+	case "edge-twice":
+		bad = delta[rng.Intn(len(delta))]
+	case "both-directions":
+		bad = delta[rng.Intn(len(delta))]
+		bad.U, bad.V = bad.V, bad.U
+	case "vup-out-of-range":
+		vups[len(vups)-1].Node = graph.NodeID(n + rng.Intn(3))
+		return delta, vups
+	case "vup-bad-dim":
+		vups[len(vups)-1].X = tensor.RandVector(rng, featLen+1, 1)
+		return delta, vups
+	case "vup-twice":
+		vups = append(vups, inkstream.VertexUpdate{Node: vups[len(vups)-1].Node, X: tensor.RandVector(rng, featLen, 1)})
+		return delta, vups
+	}
+	at := rng.Intn(len(delta) + 1)
+	return slices.Insert(slices.Clone(delta), at, bad), vups
+}
+
 // TestCrossShardBitExact drives an identical add/delete/feature-update
-// stream through a standalone engine, a 1-shard deployment and one 4-shard
-// deployment per partition strategy over a graph with a nontrivial cut, and
-// demands identical embeddings for every vertex at every published epoch —
-// bitwise, for accumulative aggregators included (the §7.5 exactness
-// claim). The 1-shard router runs the same round protocol as the
-// deployments it is compared with, so the engine is the reference that
-// shares none of it. The final state is also checked against from-scratch
-// inference on a mirror of the stream.
+// stream through a standalone engine, a 1-shard deployment, 2- and 3-shard
+// hash deployments and one 4-shard deployment per partition strategy over a
+// graph with a nontrivial cut, directed and undirected, and demands
+// identical embeddings for every vertex at every published epoch — bitwise,
+// for accumulative aggregators included (the §7.5 exactness claim). The
+// 1-shard router runs the same round protocol as the deployments it is
+// compared with, so the engine is the reference that shares none of it.
+// Every step also offers each of them a batch with one fault in it, which
+// all must refuse as the engine does, with the same sentinel and no state
+// change. The final state is also checked against from-scratch inference
+// on a mirror of the stream.
 func TestCrossShardBitExact(t *testing.T) {
 	for _, name := range []string{"SAGE", "GIN"} {
 		for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMean, gnn.AggSum} {
 			t.Run(fmt.Sprintf("%s/%s", name, kind), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(97))
-				const n, featLen = 60, 6
-				g := testGraph(rng, n, 150)
-				x := tensor.RandMatrix(rng, n, featLen, 1)
-				model := testModel(rng, name, featLen, kind)
-
-				ref := newReference(t, model, g, x)
-				r1 := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 1})
-				// One deployment per partition strategy — all must match
-				// the 1-shard deployment, and that the engine, bitwise at
-				// every epoch.
-				type named struct {
-					name string
-					rt   *deployment
-				}
-				var deps []named
-				for _, strat := range graph.PartitionStrategies {
-					deps = append(deps, named{strat, newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 4, PartitionStrategy: strat})})
-				}
-				r4 := deps[0].rt
-				for _, d := range deps {
-					if d.rt.Stats().CutFraction == 0 {
-						t.Fatalf("%s: trivial cut; the test would prove nothing", d.name)
+				for _, undirected := range []bool{true, false} {
+					graphKind := "directed"
+					if undirected {
+						graphKind = "undirected"
 					}
-				}
-
-				mirror := g.Clone()
-				xCur := x.Clone()
-				for step := 0; step < 10; step++ {
-					delta := graph.RandomDelta(rng, mirror, 4)
-					var vups []inkstream.VertexUpdate
-					if step%2 == 1 {
-						for _, v := range rng.Perm(n)[:3] {
-							up := inkstream.VertexUpdate{
-								Node: graph.NodeID(v),
-								X:    tensor.RandVector(rng, featLen, 1),
-							}
-							vups = append(vups, up)
-							copy(xCur.Row(v), up.X)
-						}
-					}
-					if err := ref.apply(delta, vups); err != nil {
-						t.Fatalf("step %d: engine apply: %v", step, err)
-					}
-					if err := r1.Apply(delta, vups); err != nil {
-						t.Fatalf("step %d: 1-shard apply: %v", step, err)
-					}
-					for _, d := range deps {
-						if err := d.rt.Apply(delta, vups); err != nil {
-							t.Fatalf("step %d: %s apply: %v", step, d.name, err)
-						}
-					}
-					if err := delta.Apply(mirror); err != nil {
-						t.Fatalf("step %d: mirror apply: %v", step, err)
-					}
-					for v := 0; v < n; v++ {
-						row1, e1, ok1 := r1.ReadEmbedding(v)
-						if !ok1 {
-							t.Fatalf("step %d: node %d unreadable on 1-shard", step, v)
-						}
-						if !row1.Equal(ref.row(v)) {
-							t.Fatalf("step %d: node %d: 1-shard deployment diverged from the standalone engine at epoch %d:\nengine:  %v\n1-shard: %v",
-								step, v, e1, ref.row(v), row1)
-						}
-						for _, d := range deps {
-							row4, e4, ok4 := d.rt.ReadEmbedding(v)
-							if !ok4 {
-								t.Fatalf("step %d: node %d unreadable on %s", step, v, d.name)
-							}
-							if e1 != e4 {
-								t.Fatalf("step %d: node %d epochs diverged on %s: %d vs %d", step, v, d.name, e1, e4)
-							}
-							if !row1.Equal(row4) {
-								t.Fatalf("step %d: node %d embeddings diverged on %s at epoch %d:\n1-shard: %v\n4-shard: %v",
-									step, v, d.name, e1, row1, row4)
-							}
-						}
-					}
-				}
-
-				// The shared stream also has to mean the right thing: check
-				// the 4-shard deployment against from-scratch inference on
-				// the mirrored graph and features.
-				want, err := gnn.Infer(model, mirror, xCur, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				monotonic := kind == gnn.AggMax || kind == gnn.AggMin
-				for v := 0; v < n; v++ {
-					row, _, _ := r4.ReadEmbedding(v)
-					ref := want.Output().Row(v)
-					if monotonic && !row.Equal(ref) {
-						t.Fatalf("node %d: not bit-identical to reference inference", v)
-					}
-					if !monotonic && !row.ApproxEqual(ref, 2e-3) {
-						t.Fatalf("node %d: drifted from reference inference: %v vs %v", v, row, ref)
-					}
-				}
-
-				st := r4.Stats()
-				if st.Shards != 4 || len(st.PerShard) != 4 {
-					t.Fatalf("stats report %d shards / %d slices, want 4", st.Shards, len(st.PerShard))
-				}
-				if sh := r4.rt.Shape(); sh.MaxEpoch != sh.Epoch {
-					t.Fatalf("idle deployment has epoch skew %d", sh.MaxEpoch-sh.Epoch)
-				}
-				if r4.rt.boundaryRecs.Load() == 0 || st.BoundaryBytes == 0 {
-					t.Fatal("multi-shard stream produced no boundary traffic")
-				}
-				if st.Edges != mirror.NumEdges() {
-					t.Fatalf("stats count %d edges, mirror has %d", st.Edges, mirror.NumEdges())
+					t.Run(graphKind, func(t *testing.T) { checkCrossShard(t, name, kind, undirected) })
 				}
 			})
+		}
+	}
+}
+
+func checkCrossShard(t *testing.T, name string, kind gnn.AggKind, undirected bool) {
+	rng := rand.New(rand.NewSource(97))
+	const n, featLen = 60, 6
+	g := testGraph(rng, n, 150)
+	if !undirected {
+		g = oneWay(g)
+	}
+	x := tensor.RandMatrix(rng, n, featLen, 1)
+	model := testModel(rng, name, featLen, kind)
+
+	ref := newReference(t, model, g, x)
+	r1 := newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 1})
+	// The multi-shard deployments — all must match the 1-shard deployment,
+	// and that the engine, bitwise at every epoch.
+	type named struct {
+		name string
+		rt   *deployment
+	}
+	var deps []named
+	for _, shards := range []int{2, 3} {
+		deps = append(deps, named{fmt.Sprintf("hash/%d", shards), newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: shards})})
+	}
+	for _, strat := range graph.PartitionStrategies {
+		deps = append(deps, named{strat + "/4", newDeployment(t, model, g.Clone(), x.Clone(), Config{Shards: 4, PartitionStrategy: strat})})
+	}
+	r4 := deps[2].rt
+	for _, d := range deps {
+		if d.rt.Stats().CutFraction == 0 {
+			t.Fatalf("%s: trivial cut; the test would prove nothing", d.name)
+		}
+	}
+	all := append([]named{{"1-shard", r1}}, deps...)
+	sentinels := []error{graph.ErrBadNode, graph.ErrSelfLoop, graph.ErrDuplicateEdge, graph.ErrMissingEdge}
+
+	mirror := g.Clone()
+	xCur := x.Clone()
+	for step := 0; step < 10; step++ {
+		delta := graph.RandomDelta(rng, mirror, 4)
+		var vups []inkstream.VertexUpdate
+		if step%2 == 1 {
+			for _, v := range rng.Perm(n)[:3] {
+				vups = append(vups, inkstream.VertexUpdate{
+					Node: graph.NodeID(v),
+					X:    tensor.RandVector(rng, featLen, 1),
+				})
+			}
+		}
+
+		fault := faults[step%len(faults)]
+		if fault == "both-directions" && !undirected {
+			fault = faults[0]
+		}
+		badDelta, badVups := withFault(rng, mirror, fault, delta, vups, featLen)
+		want := ref.apply(badDelta, badVups)
+		if want == nil {
+			t.Fatalf("step %d: the engine accepted a batch with fault %s", step, fault)
+		}
+		for _, d := range all {
+			got := d.rt.Apply(badDelta, badVups)
+			if got == nil {
+				t.Fatalf("step %d: %s accepted a batch with fault %s the engine refused: %v", step, d.name, fault, want)
+			}
+			for _, s := range sentinels {
+				if errors.Is(got, s) != errors.Is(want, s) {
+					t.Fatalf("step %d: %s refused fault %s with %v, the engine with %v", step, d.name, fault, got, want)
+				}
+			}
+		}
+
+		for _, up := range vups {
+			copy(xCur.Row(int(up.Node)), up.X)
+		}
+		if err := ref.apply(delta, vups); err != nil {
+			t.Fatalf("step %d: engine apply: %v", step, err)
+		}
+		for _, d := range all {
+			if err := d.rt.Apply(delta, vups); err != nil {
+				t.Fatalf("step %d: %s apply: %v", step, d.name, err)
+			}
+		}
+		if err := delta.Apply(mirror); err != nil {
+			t.Fatalf("step %d: mirror apply: %v", step, err)
+		}
+		for v := 0; v < n; v++ {
+			row1, e1, ok1 := r1.ReadEmbedding(v)
+			if !ok1 {
+				t.Fatalf("step %d: node %d unreadable on 1-shard", step, v)
+			}
+			if !row1.Equal(ref.row(v)) {
+				t.Fatalf("step %d: node %d: 1-shard deployment diverged from the standalone engine at epoch %d:\nengine:  %v\n1-shard: %v",
+					step, v, e1, ref.row(v), row1)
+			}
+			for _, d := range deps {
+				rowN, eN, okN := d.rt.ReadEmbedding(v)
+				if !okN {
+					t.Fatalf("step %d: node %d unreadable on %s", step, v, d.name)
+				}
+				if e1 != eN {
+					t.Fatalf("step %d: node %d epochs diverged on %s: %d vs %d", step, v, d.name, e1, eN)
+				}
+				if !row1.Equal(rowN) {
+					t.Fatalf("step %d: node %d embeddings diverged on %s at epoch %d:\n1-shard: %v\n%s: %v",
+						step, v, d.name, e1, row1, d.name, rowN)
+				}
+			}
+		}
+	}
+
+	// The shared stream also has to mean the right thing: check
+	// the 4-shard deployment against from-scratch inference on
+	// the mirrored graph and features.
+	want, err := gnn.Infer(model, mirror, xCur, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	monotonic := kind == gnn.AggMax || kind == gnn.AggMin
+	for v := 0; v < n; v++ {
+		row, _, _ := r4.ReadEmbedding(v)
+		ref := want.Output().Row(v)
+		if monotonic && !row.Equal(ref) {
+			t.Fatalf("node %d: not bit-identical to reference inference", v)
+		}
+		if !monotonic && !row.ApproxEqual(ref, 2e-3) {
+			t.Fatalf("node %d: drifted from reference inference: %v vs %v", v, row, ref)
+		}
+	}
+
+	st := r4.Stats()
+	if st.Shards != 4 || len(st.PerShard) != 4 {
+		t.Fatalf("stats report %d shards / %d slices, want 4", st.Shards, len(st.PerShard))
+	}
+	if sh := r4.rt.Shape(); sh.MaxEpoch != sh.Epoch {
+		t.Fatalf("idle deployment has epoch skew %d", sh.MaxEpoch-sh.Epoch)
+	}
+	if r4.rt.boundaryRecs.Load() == 0 || st.BoundaryBytes == 0 {
+		t.Fatal("multi-shard stream produced no boundary traffic")
+	}
+	for _, d := range all {
+		if st := d.rt.Stats(); st.Edges != mirror.NumEdges() {
+			t.Fatalf("%s counts %d edges, mirror has %d", d.name, st.Edges, mirror.NumEdges())
 		}
 	}
 }

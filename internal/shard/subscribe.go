@@ -35,20 +35,19 @@ import (
 // snapshot; dropping the subscription in the same round is safe because the
 // arc is gone before any event could need a fresher row.
 
-// initSubscriptions builds the subscription tables from the bootstrap graph
-// (the replica holds its directed arcs). Called once at construction;
-// replayed rounds maintain the tables like live ones.
+// initSubscriptions builds the subscription tables from the shard graphs:
+// shard s's graph holds exactly the arcs into s-owned vertices, so the
+// out-degree of a remote vertex u there is the number of live arcs from u
+// into s. Called once at construction; replayed rounds maintain the tables
+// like live ones.
 func (rt *Router) initSubscriptions() {
 	rt.subs = make([]map[graph.NodeID]int, len(rt.shards))
-	for s := range rt.subs {
+	for s, st := range rt.shards {
 		rt.subs[s] = make(map[graph.NodeID]int)
-	}
-	g := rt.replica
-	for u := 0; u < g.NumNodes(); u++ {
-		src := rt.part.Owner(graph.NodeID(u))
-		for _, v := range g.OutNeighbors(graph.NodeID(u)) {
-			if dst := rt.part.Owner(v); dst != src {
-				rt.subs[dst][graph.NodeID(u)]++
+		g := st.eng.Graph()
+		for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+			if d := len(g.OutNeighbors(u)); d > 0 && rt.part.Owner(u) != s {
+				rt.subs[s][u] = d
 			}
 		}
 	}

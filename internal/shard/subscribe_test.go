@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/gnn"
@@ -43,6 +44,41 @@ func communityGraph(rng *rand.Rand, n, intra, bridges int) *graph.Graph {
 		added++
 	}
 	return g
+}
+
+// TestSubscriptionsFromBootstrap pins the tables New reads off the shard
+// graphs against their definition over the bootstrap graph: subs[s][u]
+// counts the arcs from u into vertices s owns, for every u that s does not
+// own — at 2 and 3 shards, every partition strategy, directed and
+// undirected.
+func TestSubscriptionsFromBootstrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(229))
+	const n, featLen = 40, 4
+	undirected := testGraph(rng, n, 90)
+	x := tensor.RandMatrix(rng, n, featLen, 1)
+	model := testModel(rng, "SAGE", featLen, gnn.AggMax)
+	for _, g := range []*graph.Graph{undirected, oneWay(undirected)} {
+		for _, shards := range []int{2, 3} {
+			for _, strat := range graph.PartitionStrategies {
+				rt, err := New(model, g.Clone(), x.Clone(), Config{Shards: shards, PartitionStrategy: strat})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]map[graph.NodeID]int, shards)
+				for s := range want {
+					want[s] = make(map[graph.NodeID]int)
+				}
+				for _, e := range g.Edges() {
+					if src, dst := rt.part.Owner(e[0]), rt.part.Owner(e[1]); src != dst {
+						want[dst][e[0]]++
+					}
+				}
+				if !reflect.DeepEqual(rt.subs, want) {
+					t.Errorf("undirected=%v %s/%d: subscriptions %v, want %v", g.Undirected, strat, shards, rt.subs, want)
+				}
+			}
+		}
+	}
 }
 
 // TestSubscriptionFiltersDeliveries pins subscription filtering on a

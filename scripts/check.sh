@@ -30,10 +30,11 @@ go test -race ./internal/tensor ./internal/gnn ./internal/experiments \
 # pattern that matches nothing passes silently, so a renamed or folded test
 # would drop out of the gate unnoticed. That covers the one write pipeline
 # under concurrent conflicting writers and Close (server, over both
-# backends); the one BSP round protocol — one engine call per shard per
+# backends); the one BSP round protocol — per-shard validation of every
+# sub-batch before any shard applies, one engine call per shard per
 # barrier stage, subscription-filtered delivery, ghost hydration,
-# idle-shard skipping, the fail-stop latch — at 1, 2 and 4 shards against
-# a standalone engine (shard); both grouping routes with the pool workers
+# idle-shard skipping, the fail-stop latch — at 1, 2, 3 and 4 shards
+# against a standalone engine (shard); both grouping routes with the pool workers
 # writing the shared grouper tables, the selector between them, and the
 # round protocol's layer call against plain Apply (inkstream); and the
 # trace rings, sampler, alert engine and black box (obs).
