@@ -32,16 +32,29 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// invocation is one parsed command line: the experiments to run and the
+// configuration they run at, or the request to list them.
+type invocation struct {
+	list              bool
+	ids               []string
+	cfg               experiments.Config
+	outPath, profPath string
+}
+
+// parse reads a command line. The configuration is experiments.Default, or
+// experiments.Quick under -quick, with each size flag applied only when it
+// was given, so -quick keeps Quick's sizes unless a flag overrides one.
+func parse(args []string) (*invocation, error) {
+	def := experiments.Default()
 	fs := flag.NewFlagSet("inkbench", flag.ContinueOnError)
 	var (
 		list      = fs.Bool("list", false, "list available experiments and exit")
 		quick     = fs.Bool("quick", false, "use the heavily scaled-down quick configuration")
-		seed      = fs.Int64("seed", 1, "random seed for graphs, weights and scenarios")
+		seed      = fs.Int64("seed", def.Seed, "random seed for graphs, weights and scenarios")
 		scale     = fs.Int("scale", 1, "extra down-scaling factor applied to every dataset")
-		hidden    = fs.Int("hidden", 32, "hidden-state dimension for GCN/GraphSAGE (GIN uses half)")
-		scenarios = fs.Int("scenarios", 3, "max graph-changing scenarios averaged per point")
-		ginLayers = fs.Int("gin-layers", 5, "GIN depth")
+		hidden    = fs.Int("hidden", def.Hidden, "hidden-state dimension for GCN/GraphSAGE (GIN uses half)")
+		scenarios = fs.Int("scenarios", def.Scenarios, "max graph-changing scenarios averaged per point")
+		ginLayers = fs.Int("gin-layers", def.GINLayers, "GIN depth")
 		datasets  = fs.String("datasets", "", "comma-separated dataset names or abbreviations (default: all six)")
 		outPath   = fs.String("out", "", "also append renderings to this file")
 		profPath  = fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
@@ -52,18 +65,15 @@ func run(args []string) error {
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	if *list {
-		for _, n := range experiments.Names() {
-			fmt.Println(n)
-		}
-		return nil
+		return &invocation{list: true}, nil
 	}
 	ids := fs.Args()
 	if len(ids) == 0 {
 		fs.Usage()
-		return fmt.Errorf("no experiment given")
+		return nil, fmt.Errorf("no experiment given")
 	}
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = experiments.Names()
@@ -73,46 +83,68 @@ func run(args []string) error {
 	// another size than the one asked for.
 	switch {
 	case *scale < 1:
-		return fmt.Errorf("-scale %d: need a down-scaling factor of at least 1", *scale)
+		return nil, fmt.Errorf("-scale %d: need a down-scaling factor of at least 1", *scale)
 	case *hidden < 4:
-		return fmt.Errorf("-hidden %d: need a hidden dimension of at least 4", *hidden)
+		return nil, fmt.Errorf("-hidden %d: need a hidden dimension of at least 4", *hidden)
 	case *scenarios < 1:
-		return fmt.Errorf("-scenarios %d: need at least 1 scenario", *scenarios)
+		return nil, fmt.Errorf("-scenarios %d: need at least 1 scenario", *scenarios)
 	case *ginLayers < 2:
-		return fmt.Errorf("-gin-layers %d: need a GIN depth of at least 2", *ginLayers)
+		return nil, fmt.Errorf("-gin-layers %d: need a GIN depth of at least 2", *ginLayers)
 	}
 
-	cfg := experiments.Default()
+	cfg := def
 	if *quick {
 		cfg = experiments.Quick()
 	}
-	cfg.Seed = *seed
 	cfg.ExtraScale *= *scale
-	cfg.Hidden = *hidden
-	cfg.Scenarios = *scenarios
-	cfg.GINLayers = *ginLayers
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "seed":
+			cfg.Seed = *seed
+		case "hidden":
+			cfg.Hidden = *hidden
+		case "scenarios":
+			cfg.Scenarios = *scenarios
+		case "gin-layers":
+			cfg.GINLayers = *ginLayers
+		}
+	})
 	if *datasets != "" {
 		cfg.Datasets = nil
 		for _, name := range strings.Split(*datasets, ",") {
 			spec, err := dataset.ByName(strings.TrimSpace(name))
 			if err != nil {
-				return err
+				return nil, err
 			}
 			cfg.Datasets = append(cfg.Datasets, spec)
 		}
 	}
+	return &invocation{ids: ids, cfg: cfg, outPath: *outPath, profPath: *profPath}, nil
+}
+
+func run(args []string) error {
+	inv, err := parse(args)
+	if err != nil {
+		return err
+	}
+	if inv.list {
+		for _, n := range experiments.Names() {
+			fmt.Println(n)
+		}
+		return nil
+	}
 
 	var sink *os.File
-	if *outPath != "" {
+	if inv.outPath != "" {
 		var err error
-		sink, err = os.OpenFile(*outPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		sink, err = os.OpenFile(inv.outPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return err
 		}
 		defer sink.Close()
 	}
-	if *profPath != "" {
-		f, err := os.Create(*profPath)
+	if inv.profPath != "" {
+		f, err := os.Create(inv.profPath)
 		if err != nil {
 			return err
 		}
@@ -122,9 +154,9 @@ func run(args []string) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	for _, id := range ids {
+	for _, id := range inv.ids {
 		t0 := time.Now()
-		res, err := experiments.Run(id, cfg)
+		res, err := experiments.Run(id, inv.cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}

@@ -36,3 +36,33 @@ func TestRunErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestQuickKeepsItsSizes: -quick runs at experiments.Quick's sizes unless a
+// flag overrides one, a flag given explicitly wins in either configuration,
+// and without -quick the sizes are experiments.Default's.
+func TestQuickKeepsItsSizes(t *testing.T) {
+	sizes := func(args ...string) [4]int {
+		t.Helper()
+		inv, err := parse(append(args, "memcost"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := inv.cfg
+		return [4]int{c.ExtraScale, c.Hidden, c.Scenarios, c.GINLayers}
+	}
+	for _, c := range []struct {
+		args []string
+		want [4]int
+	}{
+		{[]string{"-quick"}, [4]int{16, 16, 2, 3}},
+		{[]string{"-quick", "-scale", "2"}, [4]int{32, 16, 2, 3}},
+		{[]string{"-quick", "-hidden", "32"}, [4]int{16, 32, 2, 3}},
+		{[]string{"-quick", "-scenarios", "5", "-gin-layers", "4"}, [4]int{16, 16, 5, 4}},
+		{nil, [4]int{1, 32, 3, 5}},
+		{[]string{"-hidden", "8"}, [4]int{1, 8, 3, 5}},
+	} {
+		if got := sizes(c.args...); got != c.want {
+			t.Errorf("%v: scale, hidden, scenarios, GIN layers %v, want %v", c.args, got, c.want)
+		}
+	}
+}

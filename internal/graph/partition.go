@@ -276,9 +276,16 @@ func (p *Partition) Cut(g *Graph) CutStats {
 // is always directed — undirected logical edges must be expanded to arcs
 // by the caller (the shard router's expand does this for update batches).
 // It is bulk-built in the order AddEdge-ing g's arcs source by source
-// would give.
+// would give, from a pair list sized first by the owned vertices'
+// in-degrees.
 func (p *Partition) ShardGraph(g *Graph, s int) *Graph {
-	var pairs [][2]NodeID
+	arcs := 0
+	for v, in := range g.in {
+		if p.Owner(NodeID(v)) == s {
+			arcs += len(in)
+		}
+	}
+	pairs := make([][2]NodeID, 0, arcs)
 	for u := range g.out {
 		for _, v := range g.out[u] {
 			if p.Owner(v) == s {

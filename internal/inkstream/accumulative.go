@@ -30,7 +30,7 @@ func (e *Engine) applyAccumulative(l int, g *group, t *metrics.Tally) {
 		}
 	case gnn.AggMean:
 		d := e.g.InDegree(u)
-		dOld := d - e.degDelta[u]
+		dOld := d - int(e.degDelta[u])
 		if d == 0 {
 			for i := range alpha {
 				alpha[i] = 0

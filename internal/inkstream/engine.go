@@ -46,13 +46,16 @@ type Engine struct {
 
 	// Per-Apply scratch, valid only during one Apply call but retained
 	// across calls so the steady-state hot path does not allocate: the
-	// maps are cleared (not re-made) per batch, created lazily on the
-	// first non-empty delta. insArcs lists the arcs this batch inserts,
-	// sorted by (source, target), for the duplicate-event rule: a record
-	// looks up its source's run once (stageRecords) and only a source with
-	// a run checks its routed arcs against it (routeShards).
-	insArcs  [][2]graph.NodeID
-	degDelta map[graph.NodeID]int
+	// maps are cleared (not re-made) per batch. insArcs lists the arcs this
+	// batch inserts, sorted by (source, target), for the duplicate-event
+	// rule: a record looks up its source's run once (stageRecords) and only
+	// a source with a run checks its routed arcs against it (routeDense,
+	// routeShards). degDelta[v] is v's in-degree change in this batch,
+	// node-indexed and grown by AddNode; degTouched lists the entries the
+	// batch set, which the next batch resets.
+	insArcs    [][2]graph.NodeID
+	degDelta   []int32
+	degTouched []graph.NodeID
 	// snapMaps[l] holds snapshotRemovedSources' per-layer tables, cleared
 	// per batch; nil until the first deletion batch.
 	snapMaps []map[graph.NodeID]tensor.Vector
@@ -149,6 +152,7 @@ func NewFromState(model *gnn.Model, g *graph.Graph, state *gnn.State, c *metrics
 		return l < model.NumLayers() && model.Layers[l].SelfDependent()
 	}}
 	e.gr = newGrouper(g.NumNodes())
+	e.degDelta = make([]int32, g.NumNodes())
 	e.shardMin = shardMinEvents
 	e.layerStats = make([]ConditionStats, model.NumLayers())
 	e.scratchPools = make([]sync.Pool, model.NumLayers())
@@ -406,14 +410,15 @@ func (e *Engine) arcsOf(ch graph.EdgeChange) (arcs [2][2]graph.NodeID, n int) {
 	return arcs, 1
 }
 
-// shardCount decides how many grouper shards the upcoming layer's event
-// routing uses: 1 (sequential) below the event threshold or under the
+// shardCount decides how many grouper shards the upcoming monotonic layer's
+// event routing uses (an accumulative layer always routes in one pass,
+// routeDense): 1 (sequential) below the event threshold or under the
 // grouping ablation; otherwise twice the effective worker count, because
 // ParallelForGrain inlines regions smaller than two chunks per worker,
 // capped at maxShards. The count does not balance the shards: each pool
 // task gets a fixed run of contiguous shards, so the task owning the
-// low-ID blocks, where RMAT's hubs sit, folds most of the arcs (65–69 % at
-// 2 workers on bench/'s batch workloads; DESIGN.md §6.3).
+// low-ID blocks, where RMAT's hubs sit, folds most of the arcs (DESIGN.md
+// §6.3).
 func (e *Engine) shardCount(nEvents int) int {
 	if e.opts.DisableGrouping || nEvents < e.shardMin {
 		return 1

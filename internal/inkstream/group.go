@@ -13,11 +13,12 @@ import (
 // group collects every event heading to one target node in one layer
 // (Sec. II-B1), reduced as the events arrive: an accumulative layer folds
 // them into a running sum, a monotonic one into the reduced deletion and
-// addition m⁻_A and m_A. The reduced rows live in the owning shard's slab.
+// addition m⁻_A and m_A. A sum lives in the grouper's node-indexed slab, a
+// monotonic pair in the owning shard's slab.
 type group struct {
 	target graph.NodeID
-	// n counts the native events folded: OpUpdate events on an accumulative
-	// layer, Del and Add payloads on a monotonic one.
+	// n counts the native events folded: changed-edge events and record arcs
+	// on an accumulative layer, Del and Add payloads on a monotonic one.
 	n int
 	// sum is the accumulative running sum; mDel and mAdd are the monotonic
 	// m⁻_A and m_A. Each is nil when no event of its kind arrived; all three
@@ -46,11 +47,11 @@ func (g *group) reset(target graph.NodeID) {
 func (g *group) hasNative() bool { return g.n > 0 }
 
 // gslot is the grouper's per-node entry, live while the node's bit is set in
-// the grouper's bitmap: idx is the node's group index in its shard, row the
-// index of its folded payloads in the shard's slab (-1 until its first
-// native payload), n the native payloads folded so far and kinds which
-// halves of a monotonic row pair hold a payload. One 16-byte entry keeps a
-// fold's bookkeeping on one cache line.
+// the grouper's bitmap: idx is the node's group index in its shard, n the
+// native payloads folded so far; on a monotonic layer row is the index of
+// its [del | add] pair in the shard's slab (-1 until its first native
+// payload) and kinds which halves of the pair hold a payload. One 16-byte
+// entry keeps a fold's bookkeeping on one cache line.
 type gslot struct {
 	idx   int32
 	row   int32
@@ -65,19 +66,17 @@ const (
 )
 
 // gshard is one shard of the grouping table: a private freelist of group
-// structs, the count of entries live this epoch, the slab holding the folded
-// rows of its targets in first-touch order — dim floats per accumulative
-// target, a [del | add] pair of 2·dim per monotonic one — and the slab rows
-// one record folds into (Engine.routeShards). Each shard owns a contiguous
-// block of target IDs, and the worker routing a shard is the only goroutine
-// that ever touches its freelist, its slab, the slots of its targets or the
-// bitmap words of its block — no cross-shard writes, no locks. A sequential
-// epoch is the one-shard case.
+// structs, the count of entries live this epoch and the slab holding the
+// [del | add] row pairs of its monotonic targets, 2·dim floats each, in
+// first-touch order. Each shard owns a contiguous block of target IDs, and
+// the worker routing a shard is the only goroutine that ever touches its
+// freelist, its slab, the slots of its targets or the bitmap words of its
+// block — no cross-shard writes, no locks. A sequential epoch, and every
+// accumulative one, is the one-shard case.
 type gshard struct {
 	groups []*group // freelist; groups[:used] are live this epoch
 	used   int
 	slab   []float32 // capacity retained across epochs
-	rows   []int32
 }
 
 // grouper is the table behind the grouping pass (Engine.groupLayer): it
@@ -105,6 +104,13 @@ type grouper struct {
 	merge     func(dst, a, b tensor.Vector)
 	ungrouped bool
 	out       []*group // concatenated sorted groups, reused across epochs
+
+	// dense holds an accumulative layer's running sums, row v at v·dim. It
+	// is all zero between epochs: begin clears the rows the previous epoch
+	// handed out. rows is a record's adjacency list with the arcs inserted
+	// this batch filtered out (Engine.routeDense).
+	dense []float32
+	rows  []int32
 }
 
 func newGrouper(n int) *grouper {
@@ -138,7 +144,20 @@ func mergeKernel(kind gnn.AggKind) func(dst, a, b tensor.Vector) {
 // load is the events its targets receive, not its ID count, and nothing
 // evens it out — ParallelForGrain hands each task a fixed run of contiguous
 // shards (see Engine.shardCount).
+//
+// Every epoch first clears the dense rows the previous one handed out, if
+// it was accumulative; an accumulative one then grows the dense slab to
+// n·dim.
 func (gr *grouper) begin(dim, S int, merge func(dst, a, b tensor.Vector), ungrouped bool) {
+	if gr.merge == nil {
+		for _, g := range gr.out {
+			clear(g.sum)
+		}
+	}
+	gr.out = gr.out[:0]
+	if n := len(gr.slot) * dim; merge == nil && len(gr.dense) < n {
+		gr.dense = append(gr.dense, make([]float32, n-len(gr.dense))...)
+	}
 	gr.dim, gr.merge, gr.ungrouped = dim, merge, ungrouped
 	for len(gr.shards) < S {
 		gr.shards = append(gr.shards, gshard{})
@@ -186,17 +205,43 @@ func (gr *grouper) slotIn(sh *gshard, target graph.NodeID) *gslot {
 func (gr *grouper) open(sh *gshard, target graph.NodeID) *gslot {
 	gr.bits[target>>6] |= 1 << (uint32(target) & 63)
 	s := &gr.slot[target]
-	*s = gslot{idx: int32(sh.used), row: -1}
-	var g *group
-	if sh.used < len(sh.groups) {
-		g = sh.groups[sh.used]
-	} else {
-		g = &group{}
-		sh.groups = append(sh.groups, g)
-	}
-	sh.used++
-	g.reset(target)
+	*s = gslot{idx: sh.next(target), row: -1}
 	return s
+}
+
+// next takes the next group of sh's freelist, appending one if it is
+// exhausted, resets it for target and returns its index.
+func (sh *gshard) next(target graph.NodeID) int32 {
+	if sh.used == len(sh.groups) {
+		sh.groups = append(sh.groups, &group{})
+	}
+	sh.groups[sh.used].reset(target)
+	sh.used++
+	return int32(sh.used - 1)
+}
+
+// mark counts one more fold into target's dense row; the first sets its bit
+// and starts the count, which the slot keeps until materialize opens the
+// group.
+func (gr *grouper) mark(target graph.NodeID) {
+	w, b := &gr.bits[target>>6], uint64(1)<<(uint32(target)&63)
+	if *w&b == 0 {
+		*w |= b
+		gr.slot[target].n = 1
+	} else {
+		gr.slot[target].n++
+	}
+}
+
+// materialize opens, in target order, the group of every target the dense
+// route marked; the slot keeps the fold count mark left in it.
+func (gr *grouper) materialize(sh *gshard) {
+	for w, word := range gr.bits {
+		for ; word != 0; word &= word - 1 {
+			v := graph.NodeID(w<<6 | mathbits.TrailingZeros64(word))
+			gr.slot[v].idx = sh.next(v)
+		}
+	}
 }
 
 // getIn returns target's group in shard sh, creating it on first sight this
@@ -212,45 +257,6 @@ func (sh *gshard) newRow(width int) int32 {
 	n := len(sh.slab)
 	sh.slab = slices.Grow(sh.slab, width)[:n+width]
 	return int32(n / width)
-}
-
-// sumRow counts one more accumulative fold into target's running sum and
-// returns the sum's slab row, or returns -1 when the target has no sum yet,
-// for newSum to start it. The split keeps the common case inlined in the
-// per-arc loop. The caller adds the payload: addSum for one event, AddRows
-// for a record's arcs.
-func (gr *grouper) sumRow(target graph.NodeID) int32 {
-	if gr.has(target) {
-		if s := &gr.slot[target]; s.row >= 0 {
-			s.n++
-			return s.row
-		}
-	}
-	return -1
-}
-
-// newSum starts target's running sum with its first fold: it opens the
-// target's group in sh if need be and appends a zeroed row to the slab.
-func (gr *grouper) newSum(sh *gshard, target graph.NodeID) int32 {
-	s := gr.slotIn(sh, target)
-	s.row = sh.newRow(gr.dim)
-	off := int(s.row) * gr.dim
-	clear(sh.slab[off : off+gr.dim])
-	s.n++
-	return s.row
-}
-
-// addSum folds one accumulative payload into target's running sum — the
-// paper's reduction of same-operation events — so the group holds one
-// vector regardless of fan-in.
-func (gr *grouper) addSum(sh *gshard, target graph.NodeID, p tensor.Vector) {
-	r := gr.sumRow(target)
-	if r < 0 {
-		r = gr.newSum(sh, target)
-	}
-	off := int(r) * gr.dim
-	row := sh.slab[off : off+gr.dim]
-	tensor.Add(row, row, p)
 }
 
 // addPair routes a monotonic Del and/or Add payload (nil for none) to
@@ -327,16 +333,19 @@ func (gr *grouper) close(si int) {
 	}
 }
 
-// fill hands g what its slot s folded: the count and the slab rows.
+// fill hands g what its slot s folded: the count and the rows, its dense
+// row on an accumulative layer, its slab pair on a monotonic one.
 func (gr *grouper) fill(g *group, s *gslot, slab []float32) {
 	g.n = int(s.n)
-	if s.row < 0 {
-		return
-	}
 	dim := gr.dim
 	if gr.merge == nil {
-		off := int(s.row) * dim
-		g.sum = slab[off : off+dim : off+dim]
+		if s.n > 0 {
+			off := int(g.target) * dim
+			g.sum = gr.dense[off : off+dim : off+dim]
+		}
+		return
+	}
+	if s.row < 0 {
 		return
 	}
 	off := int(s.row) * 2 * dim
@@ -447,19 +456,27 @@ func insertedTo(run [][2]graph.NodeID, v graph.NodeID) bool {
 // groupLayer routes one layer's input into per-target groups: the
 // changed-edge events, then the staged message changes of the previous layer
 // (each folded into the groups of its source's out-neighbors, with no Event
-// built), then the carried user events. Small layers route on the calling
-// goroutine, large ones across the worker pool, each pool task owning a
-// contiguous run of target-block shards; both routes yield identical groups
-// in identical order (DESIGN.md §6.3), so the choice is invisible to
-// everything downstream. Groups come back sorted by target, with the number
-// of native events the records stood for.
+// built), then the carried user events. An accumulative layer always routes
+// on the calling goroutine into the dense slab (routeDense). A monotonic
+// layer routes there too when small, across the worker pool when large,
+// each pool task owning a contiguous run of target-block shards; both
+// monotonic routes yield identical groups in identical order (DESIGN.md
+// §6.3), so the choice is invisible to everything downstream. Groups come
+// back sorted by target, with the number of native events the records stood
+// for.
 func (e *Engine) groupLayer(l int, edge []Event, recs []MessageChange, user []UserEvent) ([]*group, int) {
+	agg := e.model.Layers[l].Agg()
 	dim := e.model.Layers[l].MsgDim()
 	routed := e.stageRecords(l, recs)
 	e.c.FetchVec(routed * dim)
+	if !agg.Monotonic() {
+		e.gr.begin(dim, 1, nil, e.opts.DisableGrouping)
+		e.routeDense(edge, user)
+		return e.gr.finish(e.hooks), routed
+	}
 	n := len(edge) + routed + len(user)
 	S := e.shardCount(n)
-	e.gr.begin(dim, S, mergeKernel(e.model.Layers[l].Agg().Kind()), e.opts.DisableGrouping)
+	e.gr.begin(dim, S, mergeKernel(agg.Kind()), e.opts.DisableGrouping)
 	if S == 1 {
 		e.routeShards(0, 1, edge, user)
 	} else {
@@ -471,15 +488,57 @@ func (e *Engine) groupLayer(l int, edge []Event, recs []MessageChange, user []Us
 	return e.gr.finish(e.hooks), routed
 }
 
-// routeShards fills the groups of shards [lo, hi) in one scan of the layer's
-// input, taking the targets those shards own and leaving the rest to the
-// other tasks, and folds every payload into its target's row as it routes
-// it. Per target the arrival order is therefore the same whatever the shard
-// count: changed-edge events in ΔG order, then message changes in record
-// order. An accumulative record collects, per owned shard, the slab rows of
-// its out-neighbours there and folds its delta into all of them in one
-// AddRows call. It closes each shard: groups sorted by target, reduced rows
-// in place.
+// routeDense routes an accumulative layer in one pass: each changed-edge
+// event is added into its target's dense row, each record's delta into the
+// rows of its out-neighbours in one AddRows call over the adjacency list —
+// less the arcs its source gained this batch, whose changed-edge events
+// carry the new message already — and every fold marks its target. Per
+// target the fold order is the arrival order: changed-edge events in ΔG
+// order, then records in record order, each in adjacency order. The marked
+// targets' groups are then opened in target order, the user events routed
+// and the one shard closed.
+func (e *Engine) routeDense(edge []Event, user []UserEvent) {
+	gr := e.gr
+	dim := gr.dim
+	for _, ev := range edge {
+		off := int(ev.Target) * dim
+		row := gr.dense[off : off+dim]
+		tensor.Add(row, row, ev.Payload)
+		gr.mark(ev.Target)
+	}
+	for i := range e.routeR {
+		r := &e.routeR[i]
+		rows := e.g.OutNeighbors(r.node)
+		if len(r.inserted) > 0 {
+			kept := gr.rows[:0]
+			for _, v := range rows {
+				if !insertedTo(r.inserted, v) {
+					kept = append(kept, v)
+				}
+			}
+			gr.rows, rows = kept, kept
+		}
+		tensor.AddRows(gr.dense, rows, r.add)
+		for _, v := range rows {
+			gr.mark(v)
+		}
+	}
+	sh := &gr.shards[0]
+	gr.materialize(sh)
+	for _, ev := range user {
+		g := gr.getIn(sh, ev.Target)
+		g.user = append(g.user, ev)
+	}
+	gr.close(0)
+}
+
+// routeShards fills the groups of shards [lo, hi) of a monotonic layer in
+// one scan of the layer's input, taking the targets those shards own and
+// leaving the rest to the other tasks, and folds every payload into its
+// target's row pair as it routes it. Per target the arrival order is
+// therefore the same whatever the shard count: changed-edge events in ΔG
+// order, then message changes in record order. It closes each shard: groups
+// sorted by target, reduced rows in place.
 func (e *Engine) routeShards(lo, hi int, edge []Event, user []UserEvent) {
 	gr := e.gr
 	shift, base, span := gr.shift, uint32(lo), uint32(hi-lo)
@@ -489,13 +548,10 @@ func (e *Engine) routeShards(lo, hi int, edge []Event, user []UserEvent) {
 			continue
 		}
 		sh := &gr.shards[lo+int(s)]
-		switch ev.Op {
-		case OpAdd:
+		if ev.Op == OpAdd {
 			gr.addPair(sh, ev.Target, nil, ev.Payload)
-		case OpDel:
+		} else {
 			gr.addPair(sh, ev.Target, ev.Payload, nil)
-		case OpUpdate:
-			gr.addSum(sh, ev.Target, ev.Payload)
 		}
 	}
 	for i := range e.routeR {
@@ -508,21 +564,7 @@ func (e *Engine) routeShards(lo, hi int, edge []Event, user []UserEvent) {
 			if len(r.inserted) > 0 && insertedTo(r.inserted, v) {
 				continue
 			}
-			sh := &gr.shards[lo+int(s)]
-			if r.del == nil {
-				row := gr.sumRow(v)
-				if row < 0 {
-					row = gr.newSum(sh, v)
-				}
-				sh.rows = append(sh.rows, row)
-			} else {
-				gr.addPair(sh, v, r.del, r.add)
-			}
-		}
-		if r.del == nil {
-			for s := lo; s < hi; s++ {
-				e.foldRows(&gr.shards[s], r.add)
-			}
+			gr.addPair(&gr.shards[lo+int(s)], v, r.del, r.add)
 		}
 	}
 	for _, ev := range user {
@@ -534,14 +576,4 @@ func (e *Engine) routeShards(lo, hi int, edge []Event, user []UserEvent) {
 	for s := lo; s < hi; s++ {
 		gr.close(s)
 	}
-}
-
-// foldRows adds an accumulative record's delta p to the slab rows it
-// collected in sh in one AddRows call, then empties the list.
-func (e *Engine) foldRows(sh *gshard, p tensor.Vector) {
-	if len(sh.rows) == 0 {
-		return
-	}
-	tensor.AddRows(sh.slab, sh.rows, p)
-	sh.rows = sh.rows[:0]
 }

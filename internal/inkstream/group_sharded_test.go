@@ -55,15 +55,18 @@ func sameUser(a, b UserEvent) bool { return a.Target == b.Target && a.Tag == b.T
 
 // TestShardOwnership checks the scan-and-own route directly on some 10 k
 // random events — changed-edge style events, message-change records over a
-// random directed graph, user events: every group filled for shard s has
-// target>>shift == s, the concatenation is globally sorted, and every group
-// holds exactly what the sequential route gives it — the same event count,
-// the same user events in the same order, bit-identical m⁻_A and m_A for max
-// and a bit-identical running sum for sum (float addition does not
-// reassociate, so equal bits are equal fold order).
+// random directed graph, user events: for max and min, every group filled
+// for shard s has target>>shift == s, the concatenation is globally sorted,
+// and every group holds exactly what the sequential route gives it — the
+// same event count, the same user events in the same order, bit-identical
+// m⁻_A and m_A. A sum layer routes in one pass whatever the threshold, and
+// each of its groups holds the per-target fold written out: changed-edge
+// payloads in list order, then every record's New − Old over its arcs in
+// record order, bit for bit (float addition does not reassociate, so equal
+// bits are equal fold order).
 func TestShardOwnership(t *testing.T) {
 	const nodes = 1000
-	for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggSum} {
+	for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMin, gnn.AggSum} {
 		t.Run(kind.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			g := graph.New(nodes)
@@ -84,7 +87,7 @@ func TestShardOwnership(t *testing.T) {
 			edge := make([]Event, 2000)
 			for i := range edge {
 				op := OpUpdate
-				if kind == gnn.AggMax {
+				if kind != gnn.AggSum {
 					op = Op(rng.Intn(2)) // OpAdd or OpDel
 				}
 				edge[i] = Event{Op: op, Target: graph.NodeID(rng.Intn(nodes)), Payload: tensor.RandVector(rng, dim, 1)}
@@ -103,6 +106,18 @@ func TestShardOwnership(t *testing.T) {
 			e.SetHooks(NopHooks{}) // keep every user event: SelfHooks dedups
 
 			setShardWorkers(t)
+			if kind == gnn.AggSum {
+				e.shardMin = 1
+				groups, routed := e.groupLayer(0, edge, recs, user)
+				if e.gr.nShards != 1 {
+					t.Fatalf("a sum layer routed across %d shards", e.gr.nShards)
+				}
+				if n := len(edge) + routed + len(user); n < 10_000 {
+					t.Fatalf("only %d events routed, want ≥ 10000", n)
+				}
+				checkSumsByDefinition(t, g, dim, edge, recs, user, groups)
+				return
+			}
 			e.shardMin = math.MaxInt
 			seqGroups, seqRouted := e.groupLayer(0, edge, recs, user)
 			if e.gr.nShards != 1 {
@@ -142,14 +157,64 @@ func TestShardOwnership(t *testing.T) {
 					t.Fatalf("group %d: target %d n %d user %v, sequential route has target %d n %d user %v",
 						i, g.target, g.n, g.user, w.target, w.n, w.user)
 				}
-				if !sameRow(g.mDel, w.mDel) || !sameRow(g.mAdd, w.mAdd) {
+				if !sameRow(g.mDel, w.mDel) || !sameRow(g.mAdd, w.mAdd) || g.sum != nil {
 					t.Fatalf("target %d: m⁻_A or m_A differs from the sequential route", g.target)
-				}
-				if !sameRow(g.sum, w.sum) {
-					t.Fatalf("target %d: running sum differs from the sequential route", g.target)
 				}
 			}
 		})
+	}
+}
+
+// checkSumsByDefinition holds the groups of one accumulative layer, routed
+// with no inserted arcs, to the per-target fold written out: the target's
+// changed-edge payloads in list order, then New − Old of every record with
+// an arc to it in record order, folded from a zero row; its event count is
+// the number of folds and its user events arrive in list order. A target
+// with only user events has no sum, and a target with neither no group.
+func checkSumsByDefinition(t *testing.T, g *graph.Graph, dim int, edge []Event, recs []MessageChange, user []UserEvent, groups []*group) {
+	t.Helper()
+	n := g.NumNodes()
+	sums, folds := make([]tensor.Vector, n), make([]int, n)
+	users := make([][]UserEvent, n)
+	fold := func(v graph.NodeID, p tensor.Vector) {
+		if sums[v] == nil {
+			sums[v] = tensor.NewVector(dim)
+		}
+		tensor.Add(sums[v], sums[v], p)
+		folds[v]++
+	}
+	for _, ev := range edge {
+		fold(ev.Target, ev.Payload)
+	}
+	for _, r := range recs {
+		diff := tensor.NewVector(dim)
+		tensor.Sub(diff, r.New, r.Old)
+		for _, v := range g.OutNeighbors(r.Node) {
+			fold(v, diff)
+		}
+	}
+	for _, ev := range user {
+		users[ev.Target] = append(users[ev.Target], ev)
+	}
+	i := 0
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		if folds[v] == 0 && len(users[v]) == 0 {
+			continue
+		}
+		if i == len(groups) || groups[i].target != v {
+			t.Fatalf("target %d received events but has no group at position %d", v, i)
+		}
+		gr := groups[i]
+		if gr.n != folds[v] || !slices.EqualFunc(gr.user, users[v], sameUser) {
+			t.Fatalf("target %d: n %d user %v, definition gives n %d user %v", v, gr.n, gr.user, folds[v], users[v])
+		}
+		if !sameRow(gr.sum, sums[v]) || gr.mDel != nil || gr.mAdd != nil {
+			t.Fatalf("target %d: running sum %#x, definition gives %#x", v, bits(gr.sum), bits(sums[v]))
+		}
+		i++
+	}
+	if i != len(groups) {
+		t.Fatalf("%d groups, %d targets received events", len(groups), i)
 	}
 }
 
@@ -171,16 +236,17 @@ func setShardWorkers(t *testing.T) {
 }
 
 // TestGroupingSelector pins the one rule that picks a grouping route, at its
-// boundary: a layer one event short of shardMinEvents routes sequentially,
-// a layer of exactly shardMinEvents (user events count) routes across the
-// pool when there is more than one worker, and one worker never shards.
-// Both sides of the boundary then apply the same batch — a directed delta of
-// exactly shardMinEvents changes is exactly that many layer-0 events — to
-// bit-identical state.
+// boundary: on a max layer, a layer one event short of shardMinEvents routes
+// sequentially, a layer of exactly shardMinEvents (user events count)
+// routes across the pool when there is more than one worker, and one worker
+// never shards. Both sides of the boundary then apply the same batch — a
+// directed delta of exactly shardMinEvents changes is exactly that many
+// layer-0 events — to bit-identical state. A sum layer always routes in one
+// pass, however many events and workers.
 func TestGroupingSelector(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	const n, featLen = 1500, 6
-	build := func() *Engine {
+	build := func(kind gnn.AggKind) *Engine {
 		rng := rand.New(rand.NewSource(3))
 		g := graph.New(n)
 		for g.NumEdges() < 4*n {
@@ -192,7 +258,7 @@ func TestGroupingSelector(t *testing.T) {
 			}
 		}
 		x := tensor.RandMatrix(rng, n, featLen, 1)
-		model := gnn.NewGIN(rng, featLen, 8, 3, gnn.NewAggregator(gnn.AggSum))
+		model := gnn.NewGIN(rng, featLen, 8, 3, gnn.NewAggregator(kind))
 		e, err := New(model, g, x, nil, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -200,11 +266,11 @@ func TestGroupingSelector(t *testing.T) {
 		return e
 	}
 
-	e := build()
+	e := build(gnn.AggMax)
 	dim := e.model.Layers[0].MsgDim()
-	native := make([]Event, shardMinEvents)
+	native := make([]Event, 2*shardMinEvents)
 	for i := range native {
-		native[i] = Event{Op: OpUpdate, Target: graph.NodeID(rng.Intn(n)), Payload: tensor.RandVector(rng, dim, 1)}
+		native[i] = Event{Op: Op(rng.Intn(2)), Target: graph.NodeID(rng.Intn(n)), Payload: tensor.RandVector(rng, dim, 1)}
 	}
 	user := []UserEvent{{Target: graph.NodeID(rng.Intn(n))}}
 	routed := func(workers int, native []Event, user []UserEvent) int {
@@ -216,17 +282,28 @@ func TestGroupingSelector(t *testing.T) {
 	if got := routed(4, native[:shardMinEvents-1], nil); got != 1 {
 		t.Errorf("%d events, 4 workers: routed across %d shards, want sequential", shardMinEvents-1, got)
 	}
-	if got := routed(4, native, nil); got <= 1 {
+	if got := routed(4, native[:shardMinEvents], nil); got <= 1 {
 		t.Errorf("%d events, 4 workers: routed sequentially, want sharded", shardMinEvents)
 	}
 	if got := routed(4, native[:shardMinEvents-1], user); got <= 1 {
 		t.Errorf("%d native + 1 user event, 4 workers: routed sequentially, want sharded", shardMinEvents-1)
 	}
-	if got := routed(1, native, nil); got != 1 {
+	if got := routed(1, native[:shardMinEvents], nil); got != 1 {
 		t.Errorf("%d events, 1 worker: routed across %d shards, want sequential", shardMinEvents, got)
 	}
 
-	shardedEng, seqEng := build(), build()
+	// A sum layer always routes in one pass.
+	e = build(gnn.AggSum)
+	sums := make([]Event, len(native))
+	for i, ev := range native {
+		sums[i] = Event{Op: OpUpdate, Target: ev.Target, Payload: ev.Payload}
+	}
+	e.shardMin = 1
+	if got := routed(4, sums, user); got != 1 {
+		t.Errorf("%d sum events, 4 workers, threshold 1: routed across %d shards, want one pass", len(sums), got)
+	}
+
+	shardedEng, seqEng := build(gnn.AggMax), build(gnn.AggMax)
 	delta := graph.RandomDelta(rng, shardedEng.Graph(), shardMinEvents)
 	tensor.Parallelism = 4
 	if shardedEng.shardCount(len(delta)) <= 1 {
@@ -492,87 +569,193 @@ func TestMonotonicFoldMatchesDefinition(t *testing.T) {
 }
 
 // TestGroupOrderFromBitmap: groups come out in target order, one per target
-// that received an event, and leave the grouper's bitmap clear, at 1, 2·w
-// (w = GOMAXPROCS, at least 2) and 16 shards — on a graph of fewer than
-// 64·S nodes, so some shards own no ID at all — and again after AddNode has
-// grown the node table past a bitmap word. Vertex updates, which find
-// duplicates through the same bitmap, must leave it clear too.
+// that received an event, and leave the grouper's bitmap clear — on a max
+// layer at 1, 2·w (w = GOMAXPROCS, at least 2) and 16 shards, on a graph of
+// fewer than 64·S nodes, so some shards own no ID at all, and on a sum layer
+// through the one-pass dense route — and again after AddNode has grown the
+// node table past a bitmap word. Vertex updates, which find duplicates
+// through the same bitmap, must leave it clear too.
 func TestGroupOrderFromBitmap(t *testing.T) {
 	const nodes, featLen = 180, 4 // 3 bitmap words, 4 after AddNode
 	rng := rand.New(rand.NewSource(43))
-	model := gnn.NewGCN(rng, featLen, 4, gnn.NewAggregator(gnn.AggSum))
-	e, err := New(model, randomGraph(rng, nodes, 4*nodes), tensor.RandMatrix(rng, nodes, featLen, 1), nil, Options{})
-	if err != nil {
-		t.Fatal(err)
+	g := randomGraph(rng, nodes, 4*nodes)
+	x := tensor.RandMatrix(rng, nodes, featLen, 1)
+	w := max(2, runtime.GOMAXPROCS(0))
+	type route struct{ workers, shardMin, shards int }
+	for _, c := range []struct {
+		kind   gnn.AggKind
+		routes []route
+	}{
+		{gnn.AggMax, []route{{w, math.MaxInt, 1}, {w, 1, 2 * w}, {8, 1, 16}}},
+		{gnn.AggSum, []route{{w, 1, 1}}},
+	} {
+		model := gnn.NewGCN(rng, featLen, 4, gnn.NewAggregator(c.kind))
+		e, err := New(model, g.Clone(), x.Clone(), nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetHooks(NopHooks{})
+		dim := model.Layers[0].MsgDim()
+		bitmapClear := func(what string) {
+			t.Helper()
+			for w, word := range e.gr.bits {
+				if word != 0 {
+					t.Fatalf("%s: bitmap word %d = %#x after the layer", what, w, word)
+				}
+			}
+		}
+		for _, grow := range []int{0, 40} {
+			for i := 0; i < grow; i++ {
+				if _, err := e.AddNode(tensor.RandVector(rng, featLen, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n := e.Graph().NumNodes()
+			if len(e.gr.bits) != (n+63)/64 {
+				t.Fatalf("%d nodes, %d bitmap words", n, len(e.gr.bits))
+			}
+			for _, r := range c.routes {
+				setWorkers(t, r.workers)
+				e.shardMin = r.shardMin
+				edge := make([]Event, 700)
+				targets := map[graph.NodeID]bool{}
+				for i := range edge {
+					v := graph.NodeID(rng.Intn(n))
+					if i < 8 {
+						v = graph.NodeID(n - 1 - i) // the last IDs, new ones after AddNode
+					}
+					op := OpUpdate
+					if c.kind == gnn.AggMax {
+						op = Op(rng.Intn(2))
+					}
+					edge[i] = Event{Op: op, Target: v, Payload: tensor.RandVector(rng, dim, 1)}
+					targets[v] = true
+				}
+				user := make([]UserEvent, 50)
+				for i := range user {
+					user[i] = UserEvent{Target: graph.NodeID(rng.Intn(n))}
+					targets[user[i].Target] = true
+				}
+				groups, _ := e.groupLayer(0, edge, nil, user)
+				what := fmt.Sprintf("%s, %d nodes, %d shards", c.kind, n, e.gr.nShards)
+				if e.gr.nShards != r.shards || r.shards > 1 && 64*r.shards <= n {
+					t.Fatalf("%s: want %d shards over fewer than 64·S nodes", what, r.shards)
+				}
+				var want []graph.NodeID
+				for v := range targets {
+					want = append(want, v)
+				}
+				slices.Sort(want)
+				got := make([]graph.NodeID, len(groups))
+				for i, g := range groups {
+					got[i] = g.target
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: group targets %v, want %v", what, got, want)
+				}
+				bitmapClear(what)
+			}
+		}
+		ups := []VertexUpdate{{Node: 5, X: tensor.NewVector(featLen)}, {Node: 9, X: tensor.NewVector(featLen)}, {Node: 5, X: tensor.NewVector(featLen)}}
+		if err := e.UpdateVertices(ups); err == nil {
+			t.Fatal("duplicate vertex update accepted")
+		}
+		bitmapClear("refused vertex updates")
+		if err := e.UpdateVertices(ups[:2]); err != nil {
+			t.Fatal(err)
+		}
+		bitmapClear("vertex updates")
 	}
-	e.SetHooks(NopHooks{})
-	dim := model.Layers[0].MsgDim()
-	bitmapClear := func(what string) {
-		t.Helper()
-		for w, word := range e.gr.bits {
-			if word != 0 {
-				t.Fatalf("%s: bitmap word %d = %#x after the layer", what, w, word)
+}
+
+// checkDenseSlab holds the grouper's dense slab to its invariant after an
+// Apply: no float outside the rows the last epoch handed out is nonzero, and
+// once the next epoch begins none is.
+func checkDenseSlab(t *testing.T, e *Engine, what string) {
+	t.Helper()
+	gr := e.gr
+	live := make([]bool, len(gr.dense))
+	for _, g := range gr.out {
+		if g.sum != nil {
+			off := int(g.target) * gr.dim
+			for i := range g.sum {
+				live[off+i] = true
 			}
 		}
 	}
-	w := max(2, runtime.GOMAXPROCS(0))
-	for _, grow := range []int{0, 40} {
-		for i := 0; i < grow; i++ {
-			if _, err := e.AddNode(tensor.RandVector(rng, featLen, 1)); err != nil {
+	for i, f := range gr.dense {
+		if f != 0 && !live[i] {
+			t.Fatalf("%s: dense float %d is %g outside the rows the last epoch handed out", what, i, f)
+		}
+	}
+	gr.begin(1, 1, tensor.EltMax, false)
+	for i, f := range gr.dense {
+		if f != 0 {
+			t.Fatalf("%s: dense float %d is %g when an epoch begins", what, i, f)
+		}
+	}
+}
+
+// TestDenseSlabZeroAfterApply: the dense sum slab is zero between epochs
+// after every Apply — edge batches, feature rewrites, a refused batch, and
+// batches after AddNode has grown it — on a mean model and on the stacks
+// that alternate max and mean layers, with every max layer routed across
+// the pool, so a sum row left behind would fold into the next epoch's.
+func TestDenseSlabZeroAfterApply(t *testing.T) {
+	const nodes, featLen = 120, 5
+	setShardWorkers(t)
+	for _, kinds := range [][]gnn.AggKind{{gnn.AggMean}, {gnn.AggMax, gnn.AggMean}, {gnn.AggMean, gnn.AggMax}} {
+		name := ""
+		for _, k := range kinds {
+			name += k.String() + "-"
+		}
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(53))
+			model := mixedModel(rng, featLen, kinds...)
+			e, err := New(model, randomGraph(rng, nodes, 4*nodes), tensor.RandMatrix(rng, nodes, featLen, 1), nil, Options{})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		n := e.Graph().NumNodes()
-		if len(e.gr.bits) != (n+63)/64 {
-			t.Fatalf("%d nodes, %d bitmap words", n, len(e.gr.bits))
-		}
-		for _, c := range []struct{ workers, shardMin, shards int }{
-			{w, math.MaxInt, 1}, {w, 1, 2 * w}, {8, 1, 16},
-		} {
-			setWorkers(t, c.workers)
-			e.shardMin = c.shardMin
-			edge := make([]Event, 700)
-			targets := map[graph.NodeID]bool{}
-			for i := range edge {
-				v := graph.NodeID(rng.Intn(n))
-				if i < 8 {
-					v = graph.NodeID(n - 1 - i) // the last IDs, new ones after AddNode
+			e.shardMin = 1
+			dim := 0
+			for _, layer := range model.Layers {
+				if !layer.Agg().Monotonic() {
+					dim = max(dim, layer.MsgDim())
 				}
-				edge[i] = Event{Op: OpUpdate, Target: v, Payload: tensor.RandVector(rng, dim, 1)}
-				targets[v] = true
 			}
-			user := make([]UserEvent, 50)
-			for i := range user {
-				user[i] = UserEvent{Target: graph.NodeID(rng.Intn(n))}
-				targets[user[i].Target] = true
+			apply := func(what string, delta graph.Delta, nodes ...graph.NodeID) {
+				t.Helper()
+				var vups []VertexUpdate
+				for _, v := range nodes {
+					vups = append(vups, VertexUpdate{Node: v, X: tensor.RandVector(rng, featLen, 1)})
+				}
+				if err := e.Apply(delta, vups); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				checkDenseSlab(t, e, what)
 			}
-			groups, _ := e.groupLayer(0, edge, nil, user)
-			what := fmt.Sprintf("%d nodes, %d shards", n, e.gr.nShards)
-			if e.gr.nShards != c.shards || c.shards > 1 && 64*c.shards <= n {
-				t.Fatalf("%s: want %d shards over fewer than 64·S nodes", what, c.shards)
+			for b := 0; b < 4; b++ {
+				apply(fmt.Sprintf("batch %d", b), graph.RandomDelta(rng, e.Graph(), 20), graph.NodeID(rng.Intn(nodes)))
 			}
-			var want []graph.NodeID
-			for v := range targets {
-				want = append(want, v)
+			u := e.Graph().OutNeighbors(3)[0]
+			if err := e.Apply(graph.Delta{{U: 3, V: u, Insert: true}}, nil); err == nil {
+				t.Fatal("insertion of an existing arc accepted")
 			}
-			slices.Sort(want)
-			got := make([]graph.NodeID, len(groups))
-			for i, g := range groups {
-				got[i] = g.target
+			checkDenseSlab(t, e, "refused batch")
+			for i := 0; i < 70; i++ { // past a bitmap word
+				if _, err := e.AddNode(tensor.RandVector(rng, featLen, 1)); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: group targets %v, want %v", what, got, want)
+			n := graph.NodeID(e.Graph().NumNodes())
+			apply("first batch after AddNode", graph.Delta{{U: 3, V: n - 1, Insert: true}, {U: n - 1, V: 4, Insert: true}, {U: n - 2, V: n - 1, Insert: true}}, 3, n-2)
+			if want := int(n) * dim; len(e.gr.dense) != want {
+				t.Fatalf("dense slab of %d floats after AddNode, want %d", len(e.gr.dense), want)
 			}
-			bitmapClear(what)
-		}
+			apply("second batch after AddNode", graph.RandomDelta(rng, e.Graph(), 20), n-1)
+			if err := e.Verify(2e-3); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	ups := []VertexUpdate{{Node: 5, X: tensor.NewVector(featLen)}, {Node: 9, X: tensor.NewVector(featLen)}, {Node: 5, X: tensor.NewVector(featLen)}}
-	if err := e.UpdateVertices(ups); err == nil {
-		t.Fatal("duplicate vertex update accepted")
-	}
-	bitmapClear("refused vertex updates")
-	if err := e.UpdateVertices(ups[:2]); err != nil {
-		t.Fatal(err)
-	}
-	bitmapClear("vertex updates")
 }

@@ -30,7 +30,7 @@ func (e *Engine) applyMonotonic(l int, g *group, sc *scratch) (changed bool, con
 	t.AddFLOPs(int64(dim * g.n))
 	staged := sc.staged
 
-	if e.g.InDegree(g.target)-e.degDelta[g.target] == 0 {
+	if e.g.InDegree(g.target) == int(e.degDelta[g.target]) {
 		// α⁻ of a previously isolated node is the *defined* zero vector, not
 		// a monotonic aggregation result: there is no reduced deletion to
 		// classify against and merging into it would be unsound, so the first
@@ -180,7 +180,7 @@ func (e *Engine) applyMonotonicUngrouped(l int, g *group, sc *scratch) (changed 
 	before := sc.staged
 	copy(before, alpha)
 	recomputed := false
-	if e.g.InDegree(g.target)-e.degDelta[g.target] == 0 {
+	if e.g.InDegree(g.target) == int(e.degDelta[g.target]) {
 		// See applyMonotonic: a previously empty neighborhood cannot be
 		// evolved incrementally.
 		e.recomputeAlpha(l, g.target, alpha, t)

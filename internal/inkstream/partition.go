@@ -225,19 +225,16 @@ func (e *Engine) FinishRound() error {
 // target (propagation from an affected source skips them — the changed-edge
 // event carries the new message already — and only a record whose source has
 // a run here pays a per-arc check), and per-node in-degree deltas (the mean
-// aggregator's incremental formula needs the previous degree). The storage is
-// retained and reset per batch; vertex-only batches never pay for it.
+// aggregator's incremental formula and the monotonic empty-neighbourhood
+// test need the previous degree). The storage is retained; only the degree
+// entries the previous batch touched are reset, so vertex-only batches pay
+// nothing.
 func (e *Engine) indexDeltaArcs(delta graph.Delta) {
 	e.insArcs = e.insArcs[:0]
-	if len(e.degDelta) > 0 {
-		clear(e.degDelta)
+	for _, v := range e.degTouched {
+		e.degDelta[v] = 0
 	}
-	if len(delta) == 0 {
-		return
-	}
-	if e.degDelta == nil {
-		e.degDelta = make(map[graph.NodeID]int)
-	}
+	e.degTouched = e.degTouched[:0]
 	for _, ch := range delta {
 		arcs, na := e.arcsOf(ch)
 		for _, a := range arcs[:na] {
@@ -247,6 +244,7 @@ func (e *Engine) indexDeltaArcs(delta graph.Delta) {
 			} else {
 				e.degDelta[a[1]]--
 			}
+			e.degTouched = append(e.degTouched, a[1])
 		}
 	}
 	slices.SortFunc(e.insArcs, func(a, b [2]graph.NodeID) int {

@@ -200,8 +200,8 @@ func routingFixture(t *testing.T, rng *rand.Rand) (*graph.Graph, [4]graph.Delta,
 			{ins(a, absent(a)), ins(x, w), ins(w, absent(w))},
 			// b gets a feature rewrite, loses an out-arc and gains an in-arc.
 			{{U: b, V: g.OutNeighbors(b)[0]}, ins(d, b)},
-			// Many more targets than the first two batches touched: an
-			// accumulative layer outgrows the sum slabs they left behind.
+			// Many more targets than the first two batches touched: a
+			// monotonic layer outgrows the slabs they left behind.
 			spread,
 			// The hub's feature rewrite alone.
 			nil,
@@ -213,7 +213,8 @@ func routingFixture(t *testing.T, rng *rand.Rand) (*graph.Graph, [4]graph.Delta,
 		}
 }
 
-// slabCap is the slab capacity, in floats, the engine's grouper retains.
+// slabCap is the monotonic slab capacity, in floats, the engine's grouper
+// retains.
 func slabCap(e *Engine) int {
 	c := 0
 	for _, sh := range e.gr.shards {
@@ -223,13 +224,18 @@ func slabCap(e *Engine) int {
 }
 
 // TestRecordRoutingMatchesDefinition pins record-driven propagation to its
-// definition (bruteApply) for every model and aggregator kind, over both
-// routes (every layer sharded, the 512-event selector, every layer
-// sequential): after each batch every cached checkpoint equals the
-// brute-force per-target fold bit for bit — accumulative aggregators included, which is the arrival-order
-// claim — and, for max and min, the from-scratch inference. The third batch
-// must grow the grouper's slabs mid-routing, so a row slice taken before a
-// reallocation would fold into a stale copy.
+// definition (bruteApply) for every model and aggregator kind, over every
+// route (monotonic layers: every layer sharded, the 512-event selector,
+// every layer sequential; accumulative layers route in one pass whatever the
+// threshold): after each batch every cached checkpoint equals the
+// brute-force per-target fold bit for bit — accumulative aggregators
+// included, which is the arrival-order claim — and, for max and min, the
+// from-scratch inference. On a monotonic layer the third batch must grow the
+// grouper's slabs mid-routing, so a row slice taken before a reallocation
+// would fold into a stale copy. On an accumulative one the dense slab must
+// grow with AddNode: the new node then gains an in-arc from the hub in the
+// batch that rewrites the hub (an inserted arc its record must skip) and an
+// out-arc, and its own rewrite in the next batch folds into the new row.
 func TestRecordRoutingMatchesDefinition(t *testing.T) {
 	const featLen = 5
 	setShardWorkers(t)
@@ -250,6 +256,7 @@ func TestRecordRoutingMatchesDefinition(t *testing.T) {
 						return e
 					}
 					e := build(Options{})
+					mono := model.Layers[0].Agg().Monotonic()
 					if shardMin == shardMinEvents && e.shardCount(g.OutDegree(0)) <= 1 {
 						t.Fatal("the hub rewrite does not cross the selector")
 					}
@@ -264,7 +271,7 @@ func TestRecordRoutingMatchesDefinition(t *testing.T) {
 						if err := e.Apply(delta, vups); err != nil {
 							t.Fatalf("batch %d: %v", i, err)
 						}
-						if i == 2 && slabCap(e) <= retained {
+						if i == 2 && mono && slabCap(e) <= retained {
 							t.Fatalf("batch %d: slabs did not grow past their retained %d floats", i, retained)
 						}
 						if !e.State().Equal(ref) {
@@ -272,11 +279,44 @@ func TestRecordRoutingMatchesDefinition(t *testing.T) {
 								i, e.Output().MaxAbsDiff(ref.Output()))
 						}
 					}
+					if !mono {
+						dim := 0
+						for _, layer := range model.Layers {
+							dim = max(dim, layer.MsgDim())
+						}
+						v, err := e.AddNode(tensor.RandVector(rng, featLen, 1))
+						if err != nil {
+							t.Fatal(err)
+						}
+						// AddNode's rows are not under test here: the
+						// reference adopts them.
+						refG, ref = e.Graph().Clone(), e.State().Clone()
+						for i, b := range []struct {
+							delta graph.Delta
+							node  graph.NodeID
+						}{
+							{graph.Delta{{U: 0, V: v, Insert: true}, {U: v, V: 1, Insert: true}}, 0},
+							{nil, v},
+						} {
+							vups := []VertexUpdate{{Node: b.node, X: tensor.RandVector(rng, featLen, 1)}}
+							bruteApply(t, model, refG, ref, b.delta, vups)
+							if err := e.Apply(b.delta, vups); err != nil {
+								t.Fatalf("batch %d after AddNode: %v", i, err)
+							}
+							if want := e.Graph().NumNodes() * dim; len(e.gr.dense) != want {
+								t.Fatalf("batch %d after AddNode: dense slab of %d floats, want %d", i, len(e.gr.dense), want)
+							}
+							if !e.State().Equal(ref) {
+								t.Fatalf("batch %d after AddNode: state differs from the per-target fold (output max diff %g)",
+									i, e.Output().MaxAbsDiff(ref.Output()))
+							}
+						}
+					}
 					want, err := gnn.Infer(model, e.Graph(), e.State().H[0], nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if model.Layers[0].Agg().Monotonic() && !e.State().Equal(want) {
+					if mono && !e.State().Equal(want) {
 						t.Fatal("state differs from full inference")
 					}
 					if !e.State().ApproxEqual(want, 2e-3) {

@@ -92,6 +92,7 @@ func (e *Engine) AddNode(x tensor.Vector) (graph.NodeID, error) {
 	}
 	id := e.g.AddNode()
 	e.gr.ensure(e.g.NumNodes())
+	e.degDelta = append(e.degDelta, 0)
 	e.growDirty(e.g.NumNodes())
 	s := e.state
 	s.H[0].AppendRow(x)

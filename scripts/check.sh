@@ -34,22 +34,27 @@ go test -race ./internal/tensor ./internal/gnn ./internal/experiments \
 # sub-batch before any shard applies, one engine call per shard per
 # barrier stage, subscription-filtered delivery, ghost hydration,
 # idle-shard skipping, the fail-stop latch — at 1, 2, 3 and 4 shards
-# against a standalone engine (shard); both grouping routes with the pool workers
-# writing the shared grouper tables, the selector between them, and the
-# round protocol's layer call against plain Apply (inkstream); and the
+# against a standalone engine (shard); both monotonic grouping routes with
+# the pool workers writing the shared grouper tables, the selector between
+# them, the one-pass dense route of accumulative layers, and the round
+# protocol's layer call against plain Apply (inkstream); and the
 # trace rings, sampler, alert engine and black box (obs).
 go test -race -count=1 ./internal/server ./internal/shard ./internal/inkstream \
     ./internal/obs
 
 # The grouping tests pin the worker count to GOMAXPROCS (at least 2), so a
-# -cpu sweep routes them across 4, 8 and 16 shards besides the sequential
-# route, with the pool workers folding into the shared slot table and
-# bitmap. A pattern that matched fewer tests than it names would shrink the
-# gate silently, so the match is counted first.
-routing='TestShardOwnership|TestGroupingSelector|TestShardedGroupingEquivalence|TestRecordRoutingMatchesDefinition'
+# -cpu sweep routes their monotonic layers across 4, 8 and 16 shards
+# besides the sequential route, with the pool workers folding into the
+# shared slot table and bitmap; only the monotonic route writes those tables
+# from the pool, an accumulative layer folds into its dense slab on the
+# calling goroutine. The dense slab must be zero between epochs whatever
+# the shard count of the monotonic layers around it. A pattern that matched
+# fewer tests than it names would shrink the gate silently, so the match is
+# counted first.
+routing='TestShardOwnership|TestGroupingSelector|TestShardedGroupingEquivalence|TestRecordRoutingMatchesDefinition|TestDenseSlabZeroAfterApply'
 matched=$(go test -list "^($routing)\$" ./internal/inkstream | grep -c '^Test' || true)
-if (( matched < 4 )); then
-    echo "check.sh: the grouping race pattern matches $matched tests, want 4" >&2
+if (( matched < 5 )); then
+    echo "check.sh: the grouping race pattern matches $matched tests, want 5" >&2
     exit 1
 fi
 go test -race -count=1 -cpu 1,2,4,8 -run "^($routing)\$" ./internal/inkstream
