@@ -73,8 +73,8 @@ type Engine struct {
 	// recOut and uevBuf carry each layer's merged records and user events
 	// into the next layer's grouping pass (safe to overwrite in place: the
 	// grouper has absorbed the previous layer's input before they are
-	// reused). edgeEv stages one layer's changed-edge events and routeR its
-	// records (group.go).
+	// reused). edgeEv stages one layer's changed-edge events, routeR its
+	// records and cuts the records' inserted-arc positions (group.go).
 	outR   []MessageChange
 	outU   [][]UserEvent
 	conds  []Condition
@@ -82,6 +82,7 @@ type Engine struct {
 	uevBuf []UserEvent
 	edgeEv []Event
 	routeR []routedRec
+	cuts   []int32
 
 	// Partitioned-mode state (partition.go). partLocal non-nil switches the
 	// engine into shard mode: Apply is disabled in favour of the round

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gnn"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
 
@@ -17,8 +18,10 @@ import (
 // monotonic pair in the owning shard's slab.
 type group struct {
 	target graph.NodeID
-	// n counts the native events folded: changed-edge events and record arcs
-	// on an accumulative layer, Del and Add payloads on a monotonic one.
+	// n counts the native events folded: Del and Add payloads on a monotonic
+	// layer. On an accumulative one it is 1 for a target whose row got any
+	// fold; routeDense charges the folds beyond one per target for the whole
+	// layer, so the per-target count is never kept.
 	n int
 	// sum is the accumulative running sum; mDel and mAdd are the monotonic
 	// m⁻_A and m_A. Each is nil when no event of its kind arrived; all three
@@ -48,10 +51,10 @@ func (g *group) hasNative() bool { return g.n > 0 }
 
 // gslot is the grouper's per-node entry, live while the node's bit is set in
 // the grouper's bitmap: idx is the node's group index in its shard, n the
-// native payloads folded so far; on a monotonic layer row is the index of
-// its [del | add] pair in the shard's slab (-1 until its first native
-// payload) and kinds which halves of the pair hold a payload. One 16-byte
-// entry keeps a fold's bookkeeping on one cache line.
+// native payloads folded so far (group.n); on a monotonic layer row is the
+// index of its [del | add] pair in the shard's slab (-1 until its first
+// native payload) and kinds which halves of the pair hold a payload. One
+// 16-byte entry keeps a fold's bookkeeping on one cache line.
 type gslot struct {
 	idx   int32
 	row   int32
@@ -107,10 +110,8 @@ type grouper struct {
 
 	// dense holds an accumulative layer's running sums, row v at v·dim. It
 	// is all zero between epochs: begin clears the rows the previous epoch
-	// handed out. rows is a record's adjacency list with the arcs inserted
-	// this batch filtered out (Engine.routeDense).
+	// handed out.
 	dense []float32
-	rows  []int32
 }
 
 func newGrouper(n int) *grouper {
@@ -220,28 +221,31 @@ func (sh *gshard) next(target graph.NodeID) int32 {
 	return int32(sh.used - 1)
 }
 
-// mark counts one more fold into target's dense row; the first sets its bit
-// and starts the count, which the slot keeps until materialize opens the
-// group.
+// mark sets target's bit: its dense row got a fold this epoch. It is all
+// the dense route does per arc besides the add.
 func (gr *grouper) mark(target graph.NodeID) {
-	w, b := &gr.bits[target>>6], uint64(1)<<(uint32(target)&63)
-	if *w&b == 0 {
-		*w |= b
-		gr.slot[target].n = 1
-	} else {
-		gr.slot[target].n++
+	gr.bits[target>>6] |= 1 << (uint32(target) & 63)
+}
+
+// foldRows adds x into the dense rows of targets, in order, and marks them.
+func (gr *grouper) foldRows(targets []graph.NodeID, x tensor.Vector) {
+	tensor.AddRows(gr.dense, targets, x)
+	for _, v := range targets {
+		gr.mark(v)
 	}
 }
 
 // materialize opens, in target order, the group of every target the dense
-// route marked; the slot keeps the fold count mark left in it.
-func (gr *grouper) materialize(sh *gshard) {
+// route marked, with n = 1, and returns how many it opened.
+func (gr *grouper) materialize(sh *gshard) (targets int) {
 	for w, word := range gr.bits {
 		for ; word != 0; word &= word - 1 {
 			v := graph.NodeID(w<<6 | mathbits.TrailingZeros64(word))
-			gr.slot[v].idx = sh.next(v)
+			gr.slot[v] = gslot{idx: sh.next(v), n: 1}
+			targets++
 		}
 	}
+	return targets
 }
 
 // getIn returns target's group in shard sh, creating it on first sight this
@@ -383,12 +387,13 @@ func (gr *grouper) finish(hooks UserHooks) []*group {
 // routedRec is one message change staged for a layer's routing pass: the
 // source, the payloads its out-neighbors receive (monotonic: the old message
 // to cancel and the new one to merge; accumulative: del is nil and add is
-// new − old, computed once per source on the arena), and the arcs the source
-// gained in this batch (Engine.insertedFrom), which are not routed.
+// new − old, computed once per source on the arena), and cuts, the positions
+// in the source's adjacency list of the arcs it gained in this batch, which
+// are not routed (ascending; empty for most sources).
 type routedRec struct {
 	node     graph.NodeID
 	del, add tensor.Vector
-	inserted [][2]graph.NodeID
+	cuts     []int32
 }
 
 // stageRecords turns layer l's message-change records into e.routeR and
@@ -398,15 +403,26 @@ type routedRec struct {
 // new message, the duplicate-event rule of Sec. II-B2 — so a source routes
 // outdeg − (its arcs inserted this batch) events; every inserted arc is in
 // the post-batch graph exactly once (Delta.Validate), which keeps the count
-// exact without walking a neighborhood.
+// exact without walking a neighborhood. A source that gained arcs has their
+// positions found here, once per layer (insertedAt), so the routes skip them
+// by position. The cuts of all records share e.cuts: when an append moves it,
+// the earlier records keep pointing into the old array, which nothing writes
+// again this layer.
 func (e *Engine) stageRecords(l int, recs []MessageChange) (events int) {
 	mono := e.model.Layers[l].Agg().Monotonic()
 	e.routeR = e.routeR[:0]
+	e.cuts = e.cuts[:0]
 	for _, r := range recs {
-		rr := routedRec{node: r.Node, del: r.Old, add: r.New, inserted: e.insertedFrom(r.Node)}
-		arcs := e.g.OutDegree(r.Node) - len(rr.inserted)
+		run := e.insertedFrom(r.Node)
+		arcs := e.g.OutDegree(r.Node) - len(run)
 		if arcs == 0 {
 			continue
+		}
+		rr := routedRec{node: r.Node, del: r.Old, add: r.New}
+		if len(run) > 0 {
+			start := len(e.cuts)
+			e.cuts = insertedAt(e.cuts, e.g.OutNeighbors(r.Node), run)
+			rr.cuts = e.cuts[start:]
 		}
 		if mono {
 			arcs *= 2
@@ -436,21 +452,24 @@ func (e *Engine) insertedFrom(u graph.NodeID) [][2]graph.NodeID {
 	return e.insArcs[lo:hi]
 }
 
-// insertedTo reports whether run, one source's inserted arcs sorted by
-// target, holds the arc to v. It is a binary search written out, where
-// slices.BinarySearchFunc would call a comparator per step: it runs once
-// per routed arc of every source that gained arcs in the batch.
-func insertedTo(run [][2]graph.NodeID, v graph.NodeID) bool {
-	lo, hi := 0, len(run)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if run[m][1] < v {
-			lo = m + 1
-		} else {
-			hi = m
+// insertedAt appends to cuts the positions in nbrs, ascending, of the arcs
+// of run — one source's inserted arcs sorted by target, each in nbrs exactly
+// once. AddEdge appends, so they sit at the tail unless a removal later in
+// the batch swapped one forward (RemoveEdge moves the last arc into the
+// hole): the scan runs from the tail and stops at the last one it finds, so
+// it costs about len(run) membership tests, not one per arc.
+func insertedAt(cuts []int32, nbrs []graph.NodeID, run [][2]graph.NodeID) []int32 {
+	start, left := len(cuts), len(run)
+	for j := len(nbrs) - 1; left > 0; j-- {
+		if _, ok := slices.BinarySearchFunc(run, nbrs[j], func(a [2]graph.NodeID, v graph.NodeID) int {
+			return cmp.Compare(a[1], v)
+		}); ok {
+			cuts = append(cuts, int32(j))
+			left--
 		}
 	}
-	return lo < len(run) && run[lo][1] == v
+	slices.Reverse(cuts[start:])
+	return cuts
 }
 
 // groupLayer routes one layer's input into per-target groups: the
@@ -471,7 +490,7 @@ func (e *Engine) groupLayer(l int, edge []Event, recs []MessageChange, user []Us
 	e.c.FetchVec(routed * dim)
 	if !agg.Monotonic() {
 		e.gr.begin(dim, 1, nil, e.opts.DisableGrouping)
-		e.routeDense(edge, user)
+		e.routeDense(edge, routed, user)
 		return e.gr.finish(e.hooks), routed
 	}
 	n := len(edge) + routed + len(user)
@@ -490,14 +509,20 @@ func (e *Engine) groupLayer(l int, edge []Event, recs []MessageChange, user []Us
 
 // routeDense routes an accumulative layer in one pass: each changed-edge
 // event is added into its target's dense row, each record's delta into the
-// rows of its out-neighbours in one AddRows call over the adjacency list —
-// less the arcs its source gained this batch, whose changed-edge events
-// carry the new message already — and every fold marks its target. Per
-// target the fold order is the arrival order: changed-edge events in ΔG
-// order, then records in record order, each in adjacency order. The marked
-// targets' groups are then opened in target order, the user events routed
-// and the one shard closed.
-func (e *Engine) routeDense(edge []Event, user []UserEvent) {
+// rows of its out-neighbours by AddRows over its adjacency list — over the
+// segments between its cuts, when its source gained arcs this batch, whose
+// changed-edge events carry the new message already — and every fold sets
+// its target's bit. Per target the fold order is the arrival order:
+// changed-edge events in ΔG order, then records in record order, each in
+// adjacency order. The marked targets' groups are then opened in target
+// order, the user events routed and the one shard closed.
+//
+// Each opened group counts one native event (materialize). Of the layer's
+// len(edge) + routed folds, those beyond one per target are charged here,
+// once for the layer: folds − targets events and dim·(folds − targets)
+// FLOPs, so the counters total one event and one dim-float add per fold,
+// what a per-target fold count would have charged.
+func (e *Engine) routeDense(edge []Event, routed int, user []UserEvent) {
 	gr := e.gr
 	dim := gr.dim
 	for _, ev := range edge {
@@ -508,23 +533,20 @@ func (e *Engine) routeDense(edge []Event, user []UserEvent) {
 	}
 	for i := range e.routeR {
 		r := &e.routeR[i]
-		rows := e.g.OutNeighbors(r.node)
-		if len(r.inserted) > 0 {
-			kept := gr.rows[:0]
-			for _, v := range rows {
-				if !insertedTo(r.inserted, v) {
-					kept = append(kept, v)
-				}
-			}
-			gr.rows, rows = kept, kept
+		nbrs := e.g.OutNeighbors(r.node)
+		lo := 0
+		for _, c := range r.cuts {
+			gr.foldRows(nbrs[lo:c], r.add)
+			lo = int(c) + 1
 		}
-		tensor.AddRows(gr.dense, rows, r.add)
-		for _, v := range rows {
-			gr.mark(v)
-		}
+		gr.foldRows(nbrs[lo:], r.add)
 	}
 	sh := &gr.shards[0]
-	gr.materialize(sh)
+	extra := len(edge) + routed - gr.materialize(sh)
+	var t metrics.Tally
+	t.AddEvents(extra)
+	t.AddFLOPs(int64(dim * extra))
+	t.Flush(e.c)
 	for _, ev := range user {
 		g := gr.getIn(sh, ev.Target)
 		g.user = append(g.user, ev)
@@ -556,12 +578,14 @@ func (e *Engine) routeShards(lo, hi int, edge []Event, user []UserEvent) {
 	}
 	for i := range e.routeR {
 		r := &e.routeR[i]
-		for _, v := range e.g.OutNeighbors(r.node) {
-			s := uint32(v)>>shift - base
-			if s >= span {
+		cuts := r.cuts
+		for j, v := range e.g.OutNeighbors(r.node) {
+			if len(cuts) > 0 && int(cuts[0]) == j {
+				cuts = cuts[1:]
 				continue
 			}
-			if len(r.inserted) > 0 && insertedTo(r.inserted, v) {
+			s := uint32(v)>>shift - base
+			if s >= span {
 				continue
 			}
 			gr.addPair(&gr.shards[lo+int(s)], v, r.del, r.add)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/gnn"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
 
@@ -108,6 +109,7 @@ func TestShardOwnership(t *testing.T) {
 			setShardWorkers(t)
 			if kind == gnn.AggSum {
 				e.shardMin = 1
+				e.c = &metrics.Counters{}
 				groups, routed := e.groupLayer(0, edge, recs, user)
 				if e.gr.nShards != 1 {
 					t.Fatalf("a sum layer routed across %d shards", e.gr.nShards)
@@ -115,7 +117,7 @@ func TestShardOwnership(t *testing.T) {
 				if n := len(edge) + routed + len(user); n < 10_000 {
 					t.Fatalf("only %d events routed, want ≥ 10000", n)
 				}
-				checkSumsByDefinition(t, g, dim, edge, recs, user, groups)
+				checkSumsByDefinition(t, e, edge, recs, user, nil, groups)
 				return
 			}
 			e.shardMin = math.MaxInt
@@ -165,14 +167,19 @@ func TestShardOwnership(t *testing.T) {
 	}
 }
 
-// checkSumsByDefinition holds the groups of one accumulative layer, routed
-// with no inserted arcs, to the per-target fold written out: the target's
-// changed-edge payloads in list order, then New − Old of every record with
-// an arc to it in record order, folded from a zero row; its event count is
-// the number of folds and its user events arrive in list order. A target
-// with only user events has no sum, and a target with neither no group.
-func checkSumsByDefinition(t *testing.T, g *graph.Graph, dim int, edge []Event, recs []MessageChange, user []UserEvent, groups []*group) {
+// checkSumsByDefinition holds the groups of one accumulative layer 0 of e,
+// just routed into fresh counters e.c, to the per-target fold written out:
+// the target's changed-edge payloads in list order, then New − Old of every
+// record with an arc to it that is not in inserted (the arcs the batch
+// inserted) in record order, folded from a zero row; its user events arrive
+// in list order. A target with only user events has no sum, and a target
+// with neither no group. The layer's charged totals — what routing charged
+// into e.c plus what processing charges each group (processTarget's n native
+// and user events, applyAccumulative's FLOPs) — come to one event per fold
+// and per user event and dim·(folds + 1) FLOPs per folded target.
+func checkSumsByDefinition(t *testing.T, e *Engine, edge []Event, recs []MessageChange, user []UserEvent, inserted map[[2]graph.NodeID]bool, groups []*group) {
 	t.Helper()
+	g, dim := e.g, e.model.Layers[0].MsgDim()
 	n := g.NumNodes()
 	sums, folds := make([]tensor.Vector, n), make([]int, n)
 	users := make([][]UserEvent, n)
@@ -190,23 +197,30 @@ func checkSumsByDefinition(t *testing.T, g *graph.Graph, dim int, edge []Event, 
 		diff := tensor.NewVector(dim)
 		tensor.Sub(diff, r.New, r.Old)
 		for _, v := range g.OutNeighbors(r.Node) {
-			fold(v, diff)
+			if !inserted[[2]graph.NodeID{r.Node, v}] {
+				fold(v, diff)
+			}
 		}
 	}
 	for _, ev := range user {
 		users[ev.Target] = append(users[ev.Target], ev)
 	}
+	var wantEvents, wantFLOPs int64
 	i := 0
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		if folds[v] == 0 && len(users[v]) == 0 {
 			continue
 		}
+		wantEvents += int64(folds[v] + len(users[v]))
+		if folds[v] > 0 {
+			wantFLOPs += int64(dim * (folds[v] + 1))
+		}
 		if i == len(groups) || groups[i].target != v {
 			t.Fatalf("target %d received events but has no group at position %d", v, i)
 		}
 		gr := groups[i]
-		if gr.n != folds[v] || !slices.EqualFunc(gr.user, users[v], sameUser) {
-			t.Fatalf("target %d: n %d user %v, definition gives n %d user %v", v, gr.n, gr.user, folds[v], users[v])
+		if gr.hasNative() != (folds[v] > 0) || !slices.EqualFunc(gr.user, users[v], sameUser) {
+			t.Fatalf("target %d: native %v user %v, definition gives %d folds user %v", v, gr.hasNative(), gr.user, folds[v], users[v])
 		}
 		if !sameRow(gr.sum, sums[v]) || gr.mDel != nil || gr.mAdd != nil {
 			t.Fatalf("target %d: running sum %#x, definition gives %#x", v, bits(gr.sum), bits(sums[v]))
@@ -215,6 +229,96 @@ func checkSumsByDefinition(t *testing.T, g *graph.Graph, dim int, edge []Event, 
 	}
 	if i != len(groups) {
 		t.Fatalf("%d groups, %d targets received events", len(groups), i)
+	}
+	var tl metrics.Tally
+	for _, gr := range groups {
+		tl.AddEvents(gr.n + len(gr.user))
+		if gr.hasNative() {
+			e.applyAccumulative(0, gr, &tl)
+		}
+	}
+	tl.Flush(e.c)
+	if got := e.c.Snapshot(); got.EventsProcessed != wantEvents || got.FLOPs != wantFLOPs {
+		t.Fatalf("layer charged %d events and %d FLOPs, definition gives %d and %d",
+			got.EventsProcessed, got.FLOPs, wantEvents, wantFLOPs)
+	}
+}
+
+// TestDenseRouteSkipsInsertedArcs routes one accumulative layer of a real
+// batch on an undirected graph — sum and mean — in which 40 sources each
+// gain one to four edges and then lose up to two older ones, so the
+// swap-removal moves some inserted arcs forward from the adjacency tail, and
+// every one of them also sends a record: each target's running sum must be
+// the fold written out with the inserted arcs, both directions, left to
+// their changed-edge events (checkSumsByDefinition), and the layer's charged
+// events and FLOPs its folds exactly.
+func TestDenseRouteSkipsInsertedArcs(t *testing.T) {
+	const nodes, featLen = 400, 4
+	for _, kind := range []gnn.AggKind{gnn.AggSum, gnn.AggMean} {
+		t.Run(kind.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(71))
+			g := randomGraph(rng, nodes, 8*nodes)
+			model := gnn.NewGCN(rng, featLen, 4, gnn.NewAggregator(kind))
+			e, err := New(model, g, tensor.RandMatrix(rng, nodes, featLen, 1), nil, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var delta graph.Delta
+			inserted, removed := map[[2]graph.NodeID]bool{}, map[[2]graph.NodeID]bool{}
+			change := func(set map[[2]graph.NodeID]bool, u, v graph.NodeID, insert bool) {
+				delta = append(delta, graph.EdgeChange{U: u, V: v, Insert: insert})
+				set[[2]graph.NodeID{u, v}], set[[2]graph.NodeID{v, u}] = true, true
+			}
+			var srcs []graph.NodeID
+			for _, k := range rng.Perm(nodes)[:40] {
+				u := graph.NodeID(k)
+				srcs = append(srcs, u)
+				for added := 1 + rng.Intn(4); added > 0; {
+					if v := graph.NodeID(rng.Intn(nodes)); v != u && !g.HasEdge(u, v) && !inserted[[2]graph.NodeID{u, v}] {
+						change(inserted, u, v, true)
+						added--
+					}
+				}
+			}
+			for _, u := range srcs {
+				for _, v := range g.OutNeighbors(u)[:min(rng.Intn(3), g.OutDegree(u))] {
+					if !removed[[2]graph.NodeID{u, v}] {
+						change(removed, u, v, false)
+					}
+				}
+			}
+			oldMsg, err := e.stageBatch(delta, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edge := e.appendChangedEdgeEvents(nil, 0, delta, oldMsg)
+			slices.Sort(srcs)
+			dim := model.Layers[0].MsgDim()
+			var recs []MessageChange
+			for _, u := range srcs {
+				recs = append(recs, MessageChange{Node: u, Old: tensor.RandVector(rng, dim, 1), New: tensor.RandVector(rng, dim, 1)})
+			}
+			user := make([]UserEvent, 50)
+			for i := range user {
+				user[i] = UserEvent{Target: graph.NodeID(rng.Intn(nodes)), Tag: i}
+			}
+			e.SetHooks(NopHooks{})
+			moved := 0
+			for _, u := range srcs {
+				nbrs := e.g.OutNeighbors(u)
+				for j, v := range nbrs {
+					if inserted[[2]graph.NodeID{u, v}] && j < len(nbrs)-len(e.insertedFrom(u)) {
+						moved++
+					}
+				}
+			}
+			if moved == 0 {
+				t.Fatal("no inserted arc was swapped forward from the adjacency tail")
+			}
+			e.c = &metrics.Counters{}
+			groups, _ := e.groupLayer(0, edge, recs, user)
+			checkSumsByDefinition(t, e, edge, recs, user, inserted, groups)
+		})
 	}
 }
 

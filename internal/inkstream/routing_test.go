@@ -1,11 +1,13 @@
 package inkstream
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"testing"
 
 	"repro/internal/gnn"
@@ -402,25 +404,54 @@ func TestHubRewriteRetainsNoPerArcMemory(t *testing.T) {
 	}
 }
 
-// TestInsertedToMatchesMembership: the duplicate-event check answers exact
-// membership for runs of 0 to 20 arcs and targets in, between and around
-// the run.
-func TestInsertedToMatchesMembership(t *testing.T) {
+// TestInsertedAtFindsPositions: the duplicate-event cut-out finds exactly
+// the adjacency positions of a source's inserted arcs, ascending, appended
+// after what the buffer already holds — for runs of 0 to 20 arcs, inserted
+// after 30 older arcs, with 0 to 3 of the older ones then removed, which
+// swaps the tail's inserted arcs forward into their holes.
+func TestInsertedAtFindsPositions(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	const u = 7
 	for size := 0; size <= 20; size++ {
-		in := map[graph.NodeID]bool{}
-		for len(in) < size {
-			in[graph.NodeID(rng.Intn(60))] = true
-		}
-		var run [][2]graph.NodeID
-		for v := graph.NodeID(0); v < 60; v++ {
-			if in[v] {
-				run = append(run, [2]graph.NodeID{7, v})
+		for removed := 0; removed <= 3; removed++ {
+			g := graph.New(80)
+			targets := rng.Perm(80)
+			var old, run [][2]graph.NodeID
+			for _, v := range targets {
+				if v == u {
+					continue
+				}
+				arc := [2]graph.NodeID{u, graph.NodeID(v)}
+				if len(old) < 30 {
+					old = append(old, arc)
+				} else if len(run) < size {
+					run = append(run, arc)
+				}
 			}
-		}
-		for v := graph.NodeID(-1); v <= 61; v++ {
-			if got := insertedTo(run, v); got != in[v] {
-				t.Fatalf("run of %d arcs: insertedTo(%d) = %v, want %v", size, v, got, in[v])
+			for _, a := range append(old, run...) {
+				if err := g.AddEdge(a[0], a[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, k := range rng.Perm(len(old))[:removed] {
+				if err := g.RemoveEdge(u, old[k][1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			in := map[graph.NodeID]bool{}
+			for _, a := range run {
+				in[a[1]] = true
+			}
+			slices.SortFunc(run, func(a, b [2]graph.NodeID) int { return cmp.Compare(a[1], b[1]) })
+			nbrs := g.OutNeighbors(u)
+			want := []int32{-1}
+			for j, v := range nbrs {
+				if in[v] {
+					want = append(want, int32(j))
+				}
+			}
+			if got := insertedAt([]int32{-1}, nbrs, run); !slices.Equal(got, want) {
+				t.Fatalf("%d arcs inserted, %d removed: positions %v, want %v", size, removed, got[1:], want[1:])
 			}
 		}
 	}

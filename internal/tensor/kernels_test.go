@@ -140,14 +140,21 @@ func TestAddLengthMismatchPanicsUntouched(t *testing.T) {
 }
 
 // TestAddRowsMatchesGeneric pins AddRows' body to addRowsGeneric bit for
-// bit: every width 0–67, slabs starting at every offset mod 4 floats, index
-// lists with repeats (a row folded twice in one call, the second time onto
-// the first result), and the specials on every lane of slab and operand.
-// Every row of the slab, folded or not, must come out with the same bits.
+// bit: every width 0–131 and 256 — every width x fits in registers whole
+// (≤ 32) and every column-block boundary after it (the blocks are 32 floats),
+// each with every 0–3-float tail — slabs starting at every offset mod 4
+// floats, index lists with repeats (a row folded twice in one call, the
+// second time onto the first result), and the specials on every lane of
+// slab and operand. Every row of the slab, folded or not, must come out with
+// the same bits.
 func TestAddRowsMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const nrows = 9
-	for n := 0; n <= 67; n++ {
+	widths := make([]int, 0, 133)
+	for n := 0; n <= 131; n++ {
+		widths = append(widths, n)
+	}
+	for _, n := range append(widths, 256) {
 		for off := 0; off < 4; off++ {
 			buf := make(Vector, off+nrows*n)
 			specialOperand(rng, buf)
@@ -185,37 +192,43 @@ func TestAddRowsMatchesGeneric(t *testing.T) {
 }
 
 // TestAddRowsOutOfRangePanics: an index past the slab's last row or below
-// zero panics before its row is touched, after folding the rows before it,
-// and neither body writes a float outside the slab. The slab is the middle
-// of a guarded buffer, so a store past either end would show.
+// zero panics before its row is touched, after folding the rows before it
+// — in every column block, at widths 32 (one block) and 256 (eight) — and
+// neither body writes a float outside the slab. The slab is the middle of a
+// guarded buffer, so a store past either end would show.
 func TestAddRowsOutOfRangePanics(t *testing.T) {
-	const n, nrows, guard = 5, 4, 8
-	x := Vector{1, 2, 3, 4, 5}
-	for _, bad := range []int32{nrows, nrows + 1, -1, -nrows, math.MaxInt32, math.MinInt32} {
-		for _, body := range []struct {
-			name string
-			f    func(dst Vector, rows []int32, x Vector)
-		}{{"kernel", AddRows}, {"generic", addRowsGeneric}} {
-			buf := make(Vector, guard+nrows*n+guard)
-			for i := range buf {
-				buf[i] = 7
-			}
-			slab := buf[guard : guard+nrows*n]
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("%s: row index %d did not panic", body.name, bad)
-					}
-				}()
-				body.f(slab, []int32{1, bad, 2}, x)
-			}()
-			for i, v := range buf {
-				want := float32(7)
-				if i >= guard+n && i < guard+2*n {
-					want += x[i-guard-n] // row 1, folded before the bad index
+	const nrows, guard = 4, 8
+	for _, n := range []int{5, 32, 256} {
+		x := make(Vector, n)
+		for i := range x {
+			x[i] = float32(i + 1)
+		}
+		for _, bad := range []int32{nrows, nrows + 1, -1, -nrows, math.MaxInt32, math.MinInt32} {
+			for _, body := range []struct {
+				name string
+				f    func(dst Vector, rows []int32, x Vector)
+			}{{"kernel", AddRows}, {"generic", addRowsGeneric}} {
+				buf := make(Vector, guard+nrows*n+guard)
+				for i := range buf {
+					buf[i] = 7
 				}
-				if v != want {
-					t.Fatalf("%s: row index %d left buf[%d] = %g, want %g", body.name, bad, i, v, want)
+				slab := buf[guard : guard+nrows*n]
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("%s n=%d: row index %d did not panic", body.name, n, bad)
+						}
+					}()
+					body.f(slab, []int32{1, 3, bad, 2}, x)
+				}()
+				for i, v := range buf {
+					want := float32(7)
+					if r := (i - guard) / n; i >= guard && (r == 1 || r == 3) {
+						want += x[(i-guard)%n] // rows 1 and 3, folded before the bad index
+					}
+					if v != want {
+						t.Fatalf("%s n=%d: row index %d left buf[%d] = %g, want %g", body.name, n, bad, i, v, want)
+					}
 				}
 			}
 		}
@@ -248,21 +261,27 @@ func benchKernel(b *testing.B, kernel, generic func(dst, a, b Vector)) {
 func BenchmarkAdd(b *testing.B) { benchKernel(b, Add, addGeneric) }
 
 // BenchmarkAddRows times the per-record fold of the accumulative path: one
-// payload added to 16 rows of a 64-row slab, the rows scattered as a
-// record's out-neighbours are, through one AddRows call and through the
-// portable loop.
+// payload added to the rows of a record's out-neighbours, scattered as they
+// are, through one AddRows call and through the portable loop. The top-level
+// case folds 16 rows of a 64-row slab, an ordinary source; hub/ folds 1 024
+// rows of a 4 096-row slab, a hub's adjacency list, where the call is a
+// stream of rows and any per-row reload of the payload shows (ns/op ÷ 1 024
+// is the cost of one arc).
 func BenchmarkAddRows(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	const slabRows = 64
-	slab := NewVector(slabRows * 256)
-	rows := make([]int32, 16)
-	for k := range rows {
-		rows[k] = int32(rng.Intn(slabRows))
+	bench := func(b *testing.B, nrows, slabRows int) {
+		rng := rand.New(rand.NewSource(9))
+		slab := NewVector(slabRows * 256)
+		rows := make([]int32, nrows)
+		for k := range rows {
+			rows[k] = int32(rng.Intn(slabRows))
+		}
+		via := func(f func(Vector, []int32, Vector)) func(dst, a, b Vector) {
+			return func(_, a, _ Vector) { f(slab[:slabRows*len(a)], rows, a) }
+		}
+		benchKernel(b, via(AddRows), via(addRowsGeneric))
 	}
-	via := func(f func(Vector, []int32, Vector)) func(dst, a, b Vector) {
-		return func(_, a, _ Vector) { f(slab[:slabRows*len(a)], rows, a) }
-	}
-	benchKernel(b, via(AddRows), via(addRowsGeneric))
+	bench(b, 16, 64)
+	b.Run("hub", func(b *testing.B) { bench(b, 1024, 4096) })
 }
 
 // BenchmarkEltMax times the merge kernel of max aggregation; on random
