@@ -3,11 +3,18 @@ package experiments
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/gnn"
+	"repro/internal/graph"
+	"repro/internal/inkstream"
+	"repro/internal/metrics"
+	"repro/internal/tensor"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/count_artifacts.golden from the current code")
@@ -21,8 +28,10 @@ const goldenPath = "testdata/count_artifacts.golden"
 // TestCountArtifactsGolden pins every value of the paper's artifacts that is
 // a pure function of counts, at tiny(): the Fig. 8 condition fractions, the
 // Table V reductions, the Fig. 1a and Fig. 1b ratios, memcost's modeled
-// byte counts (its Measured* columns are heap readings and are left out)
-// and the Fig. 4 grouping ablation's recomputes and bytes fetched.
+// byte counts (its Measured* columns are heap readings and are left out),
+// the Fig. 4 grouping ablation's recomputes and bytes fetched, and the work
+// counters of one InkStream-m and one InkStream-a update sequence
+// (workCounts).
 // None of them may depend on the host, the worker count or the scheduling
 // of the pool, so the file is compared exactly. Floats are written in the
 // shortest form that parses back to the same float64, so two lines are
@@ -120,5 +129,43 @@ func countArtifacts(cfg Config) (string, error) {
 		fmt.Fprintf(&b, "fig4 %s exposed=%d/%d fetched=%d/%d\n",
 			r.Dataset, r.ExposedGrouped, r.ExposedUngrouped, r.FetchedGrouped, r.FetchedUngrouped)
 	}
+
+	for _, agg := range []gnn.AggKind{gnn.AggMax, gnn.AggMean} {
+		s, err := workCounts(cfg, agg)
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(&b, "work GCN-%s events=%d flops=%d fetched=%d visited=%d\n",
+			agg, s.EventsProcessed, s.FLOPs, s.BytesFetched, s.NodesVisited)
+	}
 	return b.String(), nil
+}
+
+// workCounts returns the work counters one engine totals over an update
+// sequence on cfg's first dataset: a GCN with the given aggregation applies
+// four batches in turn, each 100 edge changes plus feature rewrites of four
+// nodes, so both layers route changed-edge events and records, and most
+// targets receive more than one. These are the charges a routing change can
+// shift without moving a ratio the paper's artifacts report: the events and
+// FLOPs of every fold, the bytes fetched and the nodes visited.
+func workCounts(cfg Config, agg gnn.AggKind) (metrics.Snapshot, error) {
+	cfg = cfg.normalize()
+	inst := cfg.build(cfg.Datasets[0])
+	var c metrics.Counters
+	e, err := inkstream.New(cfg.model(modelGCN, inst.X.Cols, agg), inst.G.Clone(), inst.X, &c, inkstream.Options{})
+	if err != nil {
+		return metrics.Snapshot{}, err
+	}
+	before := c.Snapshot()
+	rng := rand.New(rand.NewSource(cfg.Seed + 5))
+	for batch := 0; batch < 4; batch++ {
+		var vups []inkstream.VertexUpdate
+		for _, v := range rng.Perm(e.Graph().NumNodes())[:4] {
+			vups = append(vups, inkstream.VertexUpdate{Node: graph.NodeID(v), X: tensor.RandVector(rng, inst.X.Cols, 1)})
+		}
+		if err := e.Apply(graph.RandomDelta(rng, e.Graph(), 100), vups); err != nil {
+			return metrics.Snapshot{}, err
+		}
+	}
+	return c.Snapshot().Sub(before), nil
 }
