@@ -2,7 +2,6 @@ package inkstream
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -49,10 +48,11 @@ type Engine struct {
 	// maps are cleared (not re-made) per batch. insArcs lists the arcs this
 	// batch inserts, sorted by (source, target), for the duplicate-event
 	// rule: a record looks up its source's run once (stageRecords) and only
-	// a source with a run checks its routed arcs against it (routeDense,
-	// routeShards). degDelta[v] is v's in-degree change in this batch,
-	// node-indexed and grown by AddNode; degTouched lists the entries the
-	// batch set, which the next batch resets.
+	// a source with a run has the positions of those arcs cut out of the
+	// arcs it routes (routeDense, routeMonotonic). degDelta[v] is v's
+	// in-degree change in this batch, node-indexed and grown by AddNode;
+	// degTouched lists the entries the batch set, which the next batch
+	// resets.
 	insArcs    [][2]graph.NodeID
 	degDelta   []int32
 	degTouched []graph.NodeID
@@ -106,12 +106,8 @@ type Engine struct {
 	// scratchPools[l] recycles processTarget worker scratch for layer l.
 	scratchPools []sync.Pool
 
-	// gr is the reusable epoch-stamped grouping table; shardMin is the
-	// per-layer event count from which it routes across the worker pool
-	// (shardMinEvents; a field only so in-package tests can pin either
-	// route).
-	gr       *grouper
-	shardMin int
+	// gr is the reusable grouping table (group.go).
+	gr *grouper
 
 	// snap is the epoch-snapshot machinery (snapshot.go); dirt is the
 	// per-group output-changed scratch merged alongside conds.
@@ -154,7 +150,6 @@ func NewFromState(model *gnn.Model, g *graph.Graph, state *gnn.State, c *metrics
 	}}
 	e.gr = newGrouper(g.NumNodes())
 	e.degDelta = make([]int32, g.NumNodes())
-	e.shardMin = shardMinEvents
 	e.layerStats = make([]ConditionStats, model.NumLayers())
 	e.scratchPools = make([]sync.Pool, model.NumLayers())
 	e.trace.CondNames = ConditionNames()
@@ -411,40 +406,6 @@ func (e *Engine) arcsOf(ch graph.EdgeChange) (arcs [2][2]graph.NodeID, n int) {
 	return arcs, 1
 }
 
-// shardCount decides how many grouper shards the upcoming monotonic layer's
-// event routing uses (an accumulative layer always routes in one pass,
-// routeDense): 1 (sequential) below the event threshold or under the
-// grouping ablation; otherwise twice the effective worker count, because
-// ParallelForGrain inlines regions smaller than two chunks per worker,
-// capped at maxShards. The count does not balance the shards: each pool
-// task gets a fixed run of contiguous shards, so the task owning the
-// low-ID blocks, where RMAT's hubs sit, folds most of the arcs (DESIGN.md
-// §6.3).
-func (e *Engine) shardCount(nEvents int) int {
-	if e.opts.DisableGrouping || nEvents < e.shardMin {
-		return 1
-	}
-	w := tensor.Parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w <= 1 {
-		// One worker: shards buy no parallelism.
-		return 1
-	}
-	return min(2*w, maxShards)
-}
-
-const (
-	// shardMinEvents gates the sharded router: below this many events per
-	// layer, sequential routing wins (the pool handoff and every task's own
-	// scan of the input cost more than they save). Same spirit as
-	// tensor.MinChunkWork, measured in events rather than grain units.
-	shardMinEvents = 512
-	// maxShards bounds the shard count.
-	maxShards = 32
-)
-
 // snapshotRemovedSources clones the pre-batch message rows of every removed
 // arc's source node at every layer. Insert-only (and empty) deltas return
 // nil without touching the tables; the per-layer maps and the clones are
@@ -494,8 +455,7 @@ func (e *Engine) snapshotRemovedSources(delta graph.Delta) []map[graph.NodeID]te
 // cancelling the old message m⁻_{l,u} at v; for an inserted arc (s,t) an
 // event adding the current message m_{l,s} — which the previous layer's
 // processing has already refreshed if s was affected. Events are appended
-// to evts (rather than routed into the grouper directly) so every routing
-// task can scan the list for the targets it owns.
+// to evts, which the layer's routing pass then scans (groupLayer).
 func (e *Engine) appendChangedEdgeEvents(evts []Event, l int, delta graph.Delta, oldMsg []map[graph.NodeID]tensor.Vector) []Event {
 	agg := e.model.Layers[l].Agg()
 	dim := e.model.Layers[l].MsgDim()
