@@ -160,18 +160,10 @@ func (gr *grouper) has(target graph.NodeID) bool {
 	return gr.bits[target>>6]&(1<<(uint32(target)&63)) != 0
 }
 
-// mark sets target's bit: it gets a group this epoch. It is all the dense
-// route does per arc besides the add.
+// mark sets target's bit: it gets a group this epoch. The dense route's
+// records set theirs inside tensor.AddRows instead.
 func (gr *grouper) mark(target graph.NodeID) {
 	gr.bits[target>>6] |= 1 << (uint32(target) & 63)
-}
-
-// foldRows adds x into the dense rows of targets, in order, and marks them.
-func (gr *grouper) foldRows(targets []graph.NodeID, x tensor.Vector) {
-	tensor.AddRows(gr.dense, targets, x)
-	for _, v := range targets {
-		gr.mark(v)
-	}
 }
 
 // addPair routes a monotonic Del and/or Add payload (nil for none) to
@@ -444,12 +436,12 @@ func (e *Engine) groupLayer(l int, edge []Event, recs []MessageChange, user []Us
 
 // routeDense routes an accumulative layer: each changed-edge event is added
 // into its target's dense row, each record's delta into the rows of its
-// out-neighbours by AddRows over its adjacency list — over the segments
+// out-neighbours by one AddRows over its adjacency list — over the segments
 // between its cuts, when its source gained arcs this batch, whose
 // changed-edge events carry the new message already — and every fold sets
-// its target's bit. Per target the fold order is the arrival order:
-// changed-edge events in ΔG order, then records in record order, each in
-// adjacency order.
+// its target's bit, AddRows in the same pass over the rows. Per target the
+// fold order is the arrival order: changed-edge events in ΔG order, then
+// records in record order, each in adjacency order.
 func (e *Engine) routeDense(edge []Event) {
 	gr := e.gr
 	dim := gr.dim
@@ -464,10 +456,10 @@ func (e *Engine) routeDense(edge []Event) {
 		nbrs := e.g.OutNeighbors(r.node)
 		lo := 0
 		for _, c := range r.cuts {
-			gr.foldRows(nbrs[lo:c], r.add)
+			tensor.AddRows(gr.dense, nbrs[lo:c], r.add, gr.bits)
 			lo = int(c) + 1
 		}
-		gr.foldRows(nbrs[lo:], r.add)
+		tensor.AddRows(gr.dense, nbrs[lo:], r.add, gr.bits)
 	}
 }
 

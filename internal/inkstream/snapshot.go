@@ -122,7 +122,8 @@ func (e *Engine) growDirty(n int) {
 // calls copy the previous snapshot's chunk pointers, copy only the chunks
 // holding a row Apply touched since, and re-clone just those rows
 // (copy-on-write), so steady-state publication costs O(n/chunkRows + dirty
-// chunks), not O(n).
+// chunks), not O(n) — unless at least half the rows are dirty, when one copy
+// of the output replaces their clones (cowChunks).
 //
 // Must only be called from the writer goroutine (the same discipline as
 // Apply); the returned snapshot may be read from anywhere.
@@ -159,18 +160,41 @@ func (e *Engine) PublishSnapshot() *Snapshot {
 
 // cowChunks builds the chunk table of the first n rows of out from prev,
 // the previous table (nil to clone every row). Rows past prev's (AddNode
-// growth) and dirty rows are re-cloned into private copies of their chunks;
-// every other chunk is shared. When at least half the chunks need a copy,
-// every chunk is copied into one allocation, which costs what a flat row
-// array would; otherwise each copied chunk is its own allocation, so a chunk
-// that later tables keep sharing pins only itself. A live table therefore
-// holds at most one multi-chunk allocation. The dirty list is walked twice,
-// once to pick the chunks to copy and once, after copying, to re-clone its
-// rows.
+// growth) and dirty rows are fresh. When prev is not nil and they are at
+// least half of n, out's data is copied once and every row of the new table
+// points into that copy: one copy costs what half the rows' clones would,
+// in three allocations instead of one per row. Otherwise every fresh row is
+// re-cloned into a private copy of its chunk and every other chunk is
+// shared. When at least half the chunks need a copy, every chunk is copied
+// into one allocation, which costs what a flat row array would; otherwise
+// each copied chunk is its own allocation, so a chunk that later tables keep
+// sharing pins only itself. A live table therefore holds at most one copy
+// of out's data, plus the rows cloned since, and one multi-chunk
+// allocation. The first table clones its rows one by one: one copy would
+// stay whole while any row still points into it, which on a stream whose
+// publishes stay below half keeps a second copy of every row re-cloned
+// since. The dirty list is walked three times: to count the fresh rows, to
+// pick the chunks to copy and, after copying, to re-clone its rows.
 func (e *Engine) cowChunks(prev [][]tensor.Vector, out *tensor.Matrix, n int) [][]tensor.Vector {
 	rows := make([][]tensor.Vector, (n+chunkRows-1)>>chunkShift)
-	copy(rows, prev)
 	from := numRows(prev)
+	fresh := n - from
+	for _, id := range e.snap.dirty {
+		if int(id) < from {
+			fresh++
+		}
+	}
+	if prev != nil && 2*fresh >= n {
+		w := out.Cols
+		data := slices.Clone(out.Data[:n*w])
+		flat := make([]tensor.Vector, n)
+		for i := range flat {
+			flat[i] = data[i*w : (i+1)*w : (i+1)*w]
+		}
+		splitChunks(rows, flat)
+		return rows
+	}
+	copy(rows, prev)
 	own := slices.Grow(e.snap.own[:0], len(rows))[:len(rows)]
 	clear(own)
 	if from < n {
@@ -191,12 +215,10 @@ func (e *Engine) cowChunks(prev [][]tensor.Vector, out *tensor.Matrix, n int) []
 	}
 	if 2*copied >= len(own) {
 		flat := make([]tensor.Vector, n)
-		for c := range rows {
-			lo := c << chunkShift
-			hi := min(lo+chunkRows, n)
-			copy(flat[lo:hi], rows[c])
-			rows[c] = flat[lo:hi:hi]
+		for c, ch := range rows {
+			copy(flat[c<<chunkShift:], ch)
 		}
+		splitChunks(rows, flat)
 	} else {
 		for c, o := range own {
 			if o {
@@ -216,4 +238,13 @@ func (e *Engine) cowChunks(prev [][]tensor.Vector, out *tensor.Matrix, n int) []
 	}
 	e.snap.own = own
 	return rows
+}
+
+// splitChunks points each chunk of rows at its run of flat.
+func splitChunks(rows [][]tensor.Vector, flat []tensor.Vector) {
+	for c := range rows {
+		lo := c << chunkShift
+		hi := min(lo+chunkRows, len(flat))
+		rows[c] = flat[lo:hi:hi]
+	}
 }

@@ -1,8 +1,10 @@
 package inkstream
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dataset"
 	"repro/internal/gnn"
@@ -21,6 +23,35 @@ func newSnapEngine(t testing.TB, nodes int) *Engine {
 		t.Fatal(err)
 	}
 	return eng
+}
+
+// freshHalf reports whether a publish after the first, from a table of
+// from rows to one of n rows, with dirty the rows written since, re-copies
+// at least half of n — the rows past from and the dirty rows before it —
+// and so takes one copy of the output for all its rows.
+func freshHalf(dirty []graph.NodeID, from, n int) bool {
+	fresh := n - from
+	for _, id := range dirty {
+		if int(id) < from {
+			fresh++
+		}
+	}
+	return 2*fresh >= n
+}
+
+// oneCopy checks that the rows of s lie, in order, in one backing array
+// that is not out's own storage.
+func oneCopy(t *testing.T, what string, s *Snapshot, out *tensor.Matrix) {
+	t.Helper()
+	base := unsafe.Pointer(unsafe.SliceData(s.Row(0)))
+	if base == unsafe.Pointer(unsafe.SliceData(out.Data)) {
+		t.Fatalf("%s: snapshot rows are the engine's output storage", what)
+	}
+	for i := 0; i < s.NumNodes(); i++ {
+		if unsafe.Pointer(unsafe.SliceData(s.Row(i))) != unsafe.Add(base, 4*i*out.Cols) {
+			t.Fatalf("%s: row %d is not in the snapshot's one copy of the output", what, i)
+		}
+	}
 }
 
 func TestSnapshotPublishAndCOW(t *testing.T) {
@@ -63,6 +94,9 @@ func TestSnapshotPublishAndCOW(t *testing.T) {
 		}
 	}
 
+	if freshHalf(dirty, 120, 120) {
+		t.Fatalf("%d of 120 rows dirty: the copy-on-write publish below needs fewer than half", len(dirty))
+	}
 	s2 := eng.PublishSnapshot()
 	if s2.Epoch != 2 {
 		t.Fatalf("second snapshot epoch %d", s2.Epoch)
@@ -93,20 +127,45 @@ func TestSnapshotPublishAndCOW(t *testing.T) {
 			continue // row changed back or clone equal; fine either way
 		}
 	}
+
+	// A batch that dirties at least half the rows: the publish copies the
+	// output once, and no row shares storage with the previous epoch.
+	if err := eng.Update(graph.RandomDelta(rng, eng.Graph(), 40)); err != nil {
+		t.Fatal(err)
+	}
+	if dirty := eng.DirtyRows(); !freshHalf(dirty, 120, 120) {
+		t.Fatalf("%d of 120 rows dirty: the one-copy publish below needs at least half", len(dirty))
+	}
+	s3 := eng.PublishSnapshot()
+	for i := 0; i < 120; i++ {
+		if !s3.Row(i).Equal(eng.Output().Row(i)) {
+			t.Fatalf("row %d stale in the one-copy snapshot", i)
+		}
+		if &s2.Row(i)[0] == &s3.Row(i)[0] {
+			t.Errorf("row %d shares storage with the previous epoch after a one-copy publish", i)
+		}
+	}
+	oneCopy(t, "one-copy publish", s3, eng.Output())
 }
 
 // TestSnapshotAddNodeGrowth grows the snapshot across chunk boundaries: a
 // partial last chunk that fills up and spills into a new one (63 → 65) and
 // a full last chunk followed by a fresh one (128 → 129). Every row reads
-// back as the engine's output, untouched full chunks stay shared and the
-// superseded snapshot keeps its old row count.
+// back as the engine's output and the superseded snapshot keeps its old row
+// count. Below half the rows fresh, clean rows stay shared; at or above it,
+// every row lies in one copy of the output. The new node's features decide
+// which: zero features leave few rows dirty, others most of them.
 func TestSnapshotAddNodeGrowth(t *testing.T) {
-	for _, tc := range []struct{ from, to int }{{120, 121}, {63, 65}, {128, 129}} {
+	var below, above bool
+	for _, tc := range []struct {
+		from, to int
+		feat     float32
+	}{{120, 121, 0}, {63, 65, 0}, {128, 129, 0}, {120, 121, 1}, {63, 65, 1}, {128, 129, 1}} {
 		eng := newSnapEngine(t, tc.from)
 		s1 := eng.PublishSnapshot()
 		x := make(tensor.Vector, 8)
 		for k := tc.from; k < tc.to; k++ {
-			x[0] = float32(k)
+			x[0] = tc.feat * float32(k)
 			id, err := eng.AddNode(x)
 			if err != nil {
 				t.Fatal(err)
@@ -122,6 +181,8 @@ func TestSnapshotAddNodeGrowth(t *testing.T) {
 		for _, id := range eng.DirtyRows() {
 			dirty[id] = true
 		}
+		half := freshHalf(eng.DirtyRows(), tc.from, tc.to)
+		below, above = below || !half, above || half
 		s2 := eng.PublishSnapshot()
 		if s1.NumNodes() != tc.from || s2.NumNodes() != tc.to {
 			t.Fatalf("%d→%d: snapshot rows %d then %d", tc.from, tc.to, s1.NumNodes(), s2.NumNodes())
@@ -130,10 +191,16 @@ func TestSnapshotAddNodeGrowth(t *testing.T) {
 			if !s2.Row(i).Equal(eng.Output().Row(i)) {
 				t.Fatalf("%d→%d: row %d differs from engine output", tc.from, tc.to, i)
 			}
-			if i < tc.from && !dirty[graph.NodeID(i)] && &s1.Row(i)[0] != &s2.Row(i)[0] {
+			if !half && i < tc.from && !dirty[graph.NodeID(i)] && &s1.Row(i)[0] != &s2.Row(i)[0] {
 				t.Errorf("%d→%d: clean row %d was re-cloned", tc.from, tc.to, i)
 			}
 		}
+		if half {
+			oneCopy(t, fmt.Sprintf("%d→%d", tc.from, tc.to), s2, eng.Output())
+		}
+	}
+	if !below || !above {
+		t.Fatalf("a publish below half the rows fresh %v, at or above it %v; want both", below, above)
 	}
 }
 
@@ -189,7 +256,9 @@ func TestSnapshotHeldAcrossPublishes(t *testing.T) {
 // TestSnapshotPublishAllocs pins publication cost to the dirty rows: on a
 // 3.7 k-row engine, publishing 5 dirty rows that sit in 5 different chunks
 // allocates the chunk table, 5 chunks and 5 rows — well under what one
-// n-entry row-pointer array (~90 KB) would cost.
+// n-entry row-pointer array (~90 KB) would cost. Publishing with every row
+// dirty allocates a constant number of objects: the snapshot, its chunk
+// table, one flat array of row headers and one copy of the output.
 func TestSnapshotPublishAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -206,5 +275,14 @@ func TestSnapshotPublishAllocs(t *testing.T) {
 	})
 	if got := res.AllocedBytesPerOp(); got > 12<<10 {
 		t.Fatalf("5-dirty-row publish allocates %d B/op, want <= %d", got, 12<<10)
+	}
+	allDirty := testing.AllocsPerRun(20, func() {
+		for k := 0; k < 3700; k++ {
+			eng.markDirty(graph.NodeID(k))
+		}
+		eng.PublishSnapshot()
+	})
+	if allDirty > 4 {
+		t.Fatalf("all-dirty publish makes %g allocations, want <= 4", allDirty)
 	}
 }

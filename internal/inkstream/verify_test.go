@@ -1,6 +1,7 @@
 package inkstream
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -39,6 +40,34 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	e.State().Alpha[1].Set(3, 0, 1e6)
 	if err := e.Verify(0); err == nil {
 		t.Error("corrupted state passed verification")
+	}
+}
+
+// TestVerifyDiffReportsNaN: an output row that diverged to NaN fails
+// verification with a diff that is not 0, on both aggregator kinds and with
+// or without a tolerance.
+func TestVerifyDiffReportsNaN(t *testing.T) {
+	for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMean} {
+		rng := rand.New(rand.NewSource(3))
+		g := randomGraph(rng, 30, 90)
+		x := tensor.RandMatrix(rng, 30, 5, 1)
+		e, err := New(buildModel(rng, "GCN", 5, kind), g, x, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := e.Output().Row(7)
+		for i := range row {
+			row[i] = float32(math.NaN())
+		}
+		for _, tol := range []float32{0, 2e-3} {
+			diff, err := e.VerifyDiff(tol)
+			if err == nil {
+				t.Errorf("%v tol %g: a NaN output row passed verification", kind, tol)
+			}
+			if diff == 0 {
+				t.Errorf("%v tol %g: a NaN output row reported diff 0 (%v)", kind, tol, err)
+			}
+		}
 	}
 }
 

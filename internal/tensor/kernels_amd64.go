@@ -5,14 +5,14 @@ package tensor
 // (eltmax_amd64.s). SSE2 is part of the amd64 baseline, so they need no
 // CPU-feature check. On unequal lengths each of the first three jumps to its
 // mismatch function, which panics, before touching memory; addRowsKernel
-// checks each row index before touching its row and jumps to
+// checks each row index before touching its row or its mark and jumps to
 // addRowsOutOfRange.
 //
 //go:noescape
 func addKernel(dst, a, b []float32)
 
 //go:noescape
-func addRowsKernel(dst []float32, rows []int32, x []float32)
+func addRowsKernel(dst []float32, rows []int32, x []float32, marks []uint64)
 
 //go:noescape
 func eltMaxKernel(dst, a, b []float32)

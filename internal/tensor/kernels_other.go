@@ -9,8 +9,8 @@ func addKernel(dst, a, b []float32) {
 	addGeneric(dst, a, b)
 }
 
-func addRowsKernel(dst []float32, rows []int32, x []float32) {
-	addRowsGeneric(dst, rows, x)
+func addRowsKernel(dst []float32, rows []int32, x []float32, marks []uint64) {
+	addRowsGeneric(dst, rows, x, marks)
 }
 
 func eltMaxKernel(dst, a, b []float32) {

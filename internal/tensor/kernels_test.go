@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -146,7 +147,8 @@ func TestAddLengthMismatchPanicsUntouched(t *testing.T) {
 // floats, index lists with repeats (a row folded twice in one call, the
 // second time onto the first result), and the specials on every lane of
 // slab and operand. Every row of the slab, folded or not, must come out with
-// the same bits.
+// the same bits, and so must the bitmap: it starts with random bits set, and
+// both bodies must leave exactly those bits and the folded rows' set.
 func TestAddRowsMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const nrows = 9
@@ -165,11 +167,17 @@ func TestAddRowsMatchesGeneric(t *testing.T) {
 				rows[k] = int32(rng.Intn(nrows))
 			}
 			rows = append(rows, rows[0]) // at least one repeat
-			want := buf[off:].Clone()
-			addRowsGeneric(want, rows, x)
+			marks := []uint64{rng.Uint64(), rng.Uint64()}
+			what := fmt.Sprintf("AddRows n=%d off=%d rows=%v", n, off, rows)
+			want, wantMarks := buf[off:].Clone(), slices.Clone(marks)
+			addRowsGeneric(want, rows, x, wantMarks)
+			sameMarks(t, what+" generic", wantMarks, marks, rows)
 			got := buf[off:]
-			AddRows(got, rows, x)
-			sameBits(t, fmt.Sprintf("AddRows n=%d off=%d rows=%v", n, off, rows), got, want)
+			AddRows(got, rows, x, marks)
+			sameBits(t, what, got, want)
+			if !slices.Equal(marks, wantMarks) {
+				t.Fatalf("%s: marks %#x, generic loop gives %#x", what, marks, wantMarks)
+			}
 		}
 	}
 	// Every special against every special, in both orders.
@@ -185,50 +193,88 @@ func TestAddRowsMatchesGeneric(t *testing.T) {
 	for j := range rows {
 		rows[j] = int32(j)
 	}
-	want := slab.Clone()
-	addRowsGeneric(want, rows, x)
-	AddRows(slab, rows, x)
+	want, wantMarks, marks := slab.Clone(), make([]uint64, 1), make([]uint64, 1)
+	addRowsGeneric(want, rows, x, wantMarks)
+	AddRows(slab, rows, x, marks)
 	sameBits(t, "AddRows specials × specials", slab, want)
+	sameMarks(t, "AddRows specials × specials", marks, []uint64{0}, rows)
 }
 
-// TestAddRowsOutOfRangePanics: an index past the slab's last row or below
-// zero panics before its row is touched, after folding the rows before it
-// — in every column block, at widths 32 (one block) and 256 (eight) — and
-// neither body writes a float outside the slab. The slab is the middle of a
-// guarded buffer, so a store past either end would show.
+// sameMarks checks that marks is before with exactly the bits of rows added.
+func sameMarks(t *testing.T, what string, marks, before []uint64, rows []int32) {
+	t.Helper()
+	want := slices.Clone(before)
+	for _, r := range rows {
+		want[r/64] |= 1 << (r % 64)
+	}
+	if !slices.Equal(marks, want) {
+		t.Fatalf("%s: marks %#x, want %#x", what, marks, want)
+	}
+}
+
+// TestAddRowsOutOfRangePanics: an index past the slab's last row, below zero
+// or past the bitmap's last bit panics before its row is touched or its bit
+// set, after folding and marking the rows before it — in every column block,
+// at widths 5 (a partial block), 32 (one whole block) and 256 (eight) — and
+// neither body writes a float outside the slab or a word outside the bitmap.
+// Slab and bitmap are the middle of guarded buffers, so a store past either
+// end would show.
 func TestAddRowsOutOfRangePanics(t *testing.T) {
-	const nrows, guard = 4, 8
+	const guard = 8
+	type tc struct {
+		nrows, words int     // slab rows and bitmap words
+		rows         []int32 // the bad index is rows[bad]
+		bad          int
+	}
+	var cases []tc
+	for _, bad := range []int32{4, 5, -1, -4, math.MaxInt32, math.MinInt32} {
+		cases = append(cases, tc{4, 1, []int32{1, 3, bad, 2}, 2})
+	}
+	// Rows 64 and 65 lie in the slab, but their bits lie past a one-word
+	// bitmap; with no bitmap at all, even row 0's bit does.
+	cases = append(cases, tc{66, 1, []int32{1, 63, 64, 2}, 2}, tc{66, 1, []int32{65}, 0}, tc{66, 0, []int32{0, 1}, 0})
 	for _, n := range []int{5, 32, 256} {
 		x := make(Vector, n)
 		for i := range x {
 			x[i] = float32(i + 1)
 		}
-		for _, bad := range []int32{nrows, nrows + 1, -1, -nrows, math.MaxInt32, math.MinInt32} {
+		for _, c := range cases {
 			for _, body := range []struct {
 				name string
-				f    func(dst Vector, rows []int32, x Vector)
+				f    func(dst Vector, rows []int32, x Vector, marks []uint64)
 			}{{"kernel", AddRows}, {"generic", addRowsGeneric}} {
-				buf := make(Vector, guard+nrows*n+guard)
+				what := fmt.Sprintf("%s n=%d rows=%v marks=%d", body.name, n, c.rows, c.words)
+				buf := make(Vector, guard+c.nrows*n+guard)
 				for i := range buf {
 					buf[i] = 7
 				}
-				slab := buf[guard : guard+nrows*n]
+				slab := buf[guard : guard+c.nrows*n]
+				mbuf := make([]uint64, 1+c.words+1)
+				marks := mbuf[1 : 1+c.words]
 				func() {
 					defer func() {
 						if recover() == nil {
-							t.Fatalf("%s n=%d: row index %d did not panic", body.name, n, bad)
+							t.Fatalf("%s: row index %d did not panic", what, c.rows[c.bad])
 						}
 					}()
-					body.f(slab, []int32{1, 3, bad, 2}, x)
+					body.f(slab, c.rows, x, marks)
 				}()
+				folded := c.rows[:c.bad]
 				for i, v := range buf {
 					want := float32(7)
-					if r := (i - guard) / n; i >= guard && (r == 1 || r == 3) {
-						want += x[(i-guard)%n] // rows 1 and 3, folded before the bad index
+					if r := (i - guard) / n; i >= guard && slices.Contains(folded, int32(r)) {
+						want += x[(i-guard)%n] // folded before the bad index
 					}
 					if v != want {
-						t.Fatalf("%s n=%d: row index %d left buf[%d] = %g, want %g", body.name, n, bad, i, v, want)
+						t.Fatalf("%s: buf[%d] = %g, want %g", what, i, v, want)
 					}
+				}
+				wantM := make([]uint64, len(mbuf))
+				for _, r := range folded {
+					wantM[1+r/64] |= 1 << (r % 64)
+				}
+				if !slices.Equal(mbuf, wantM) {
+					t.Fatalf("%s: guarded bitmap %#x, want %#x", what, mbuf, wantM)
 				}
 			}
 		}
@@ -262,7 +308,8 @@ func BenchmarkAdd(b *testing.B) { benchKernel(b, Add, addGeneric) }
 
 // BenchmarkAddRows times the per-record fold of the accumulative path: one
 // payload added to the rows of a record's out-neighbours, scattered as they
-// are, through one AddRows call and through the portable loop. The top-level
+// are, and their bits set in a slab-wide bitmap, through one AddRows call and
+// through the portable loop. The top-level
 // case folds 16 rows of a 64-row slab, an ordinary source; hub/ folds 1 024
 // rows of a 4 096-row slab, a hub's adjacency list, where the call is a
 // stream of rows and any per-row reload of the payload shows (ns/op ÷ 1 024
@@ -271,12 +318,13 @@ func BenchmarkAddRows(b *testing.B) {
 	bench := func(b *testing.B, nrows, slabRows int) {
 		rng := rand.New(rand.NewSource(9))
 		slab := NewVector(slabRows * 256)
+		marks := make([]uint64, slabRows/64)
 		rows := make([]int32, nrows)
 		for k := range rows {
 			rows[k] = int32(rng.Intn(slabRows))
 		}
-		via := func(f func(Vector, []int32, Vector)) func(dst, a, b Vector) {
-			return func(_, a, _ Vector) { f(slab[:slabRows*len(a)], rows, a) }
+		via := func(f func(Vector, []int32, Vector, []uint64)) func(dst, a, b Vector) {
+			return func(_, a, _ Vector) { f(slab[:slabRows*len(a)], rows, a, marks) }
 		}
 		benchKernel(b, via(AddRows), via(addRowsGeneric))
 	}

@@ -28,35 +28,47 @@ func addGeneric(dst, a, b Vector) {
 	}
 }
 
-// AddRows adds x to rows of a row-major slab: for each index r of rows, in
-// order, the len(x) floats of dst starting at r·len(x) become Add(row, row,
-// x) — one call where the accumulative path would make one Add per target
-// row. A repeated index folds twice, the second time onto the first result.
-// An index that is negative or names a row past the end of dst panics before
-// that row is touched; the rows before it have been folded. On amd64 it runs
-// an SSE2 body (addrows_amd64.s), elsewhere addRowsGeneric; per lane both
-// perform Add's one IEEE binary32 add, so every row is bit-identical to the
-// Add it replaces on every GOARCH.
-func AddRows(dst Vector, rows []int32, x Vector) { addRowsKernel(dst, rows, x) }
+// AddRows adds x to rows of a row-major slab and marks them: for each index
+// r of rows, in order, the len(x) floats of dst starting at r·len(x) become
+// Add(row, row, x) — one call where the accumulative path would make one Add
+// per target row — and bit r of marks (bit r%64 of marks[r/64]) is set. A
+// repeated index folds twice, the second time onto the first result; no
+// other bit of marks changes. An index that is negative, names a row past
+// the end of dst or a bit past the end of marks panics before that row is
+// touched or its bit set; the rows before it have been folded and marked.
+// On amd64 it runs an SSE2 body (addrows_amd64.s), elsewhere addRowsGeneric;
+// per lane both perform Add's one IEEE binary32 add, so every row is
+// bit-identical to the Add it replaces on every GOARCH.
+func AddRows(dst Vector, rows []int32, x Vector, marks []uint64) {
+	addRowsKernel(dst, rows, x, marks)
+}
 
 // addRowsGeneric is AddRows' portable body and the reference its SSE2 body
 // is tested against.
-func addRowsGeneric(dst Vector, rows []int32, x Vector) {
+func addRowsGeneric(dst Vector, rows []int32, x Vector, marks []uint64) {
 	n := len(x)
 	for _, r := range rows {
-		if r < 0 || (int(r)+1)*n > len(dst) {
-			addRowsOutOfRange(dst, rows, x)
+		if !rowInRange(r, dst, x, marks) {
+			addRowsOutOfRange(dst, rows, x, marks)
 		}
 		row := dst[int(r)*n : int(r)*n+n]
 		addGeneric(row, row, x)
+		marks[r>>6] |= 1 << (uint32(r) & 63)
 	}
 }
 
+// rowInRange reports whether AddRows can fold row r: r ≥ 0, the row ends
+// inside dst and its bit lies inside marks. The row's end is computed in
+// int64, so it cannot wrap where int is 32 bits.
+func rowInRange(r int32, dst, x Vector, marks []uint64) bool {
+	return r >= 0 && (int64(r)+1)*int64(len(x)) <= int64(len(dst)) && int(r)>>6 < len(marks)
+}
+
 // addRowsOutOfRange panics with the first index of rows AddRows cannot fold.
-func addRowsOutOfRange(dst Vector, rows []int32, x Vector) {
+func addRowsOutOfRange(dst Vector, rows []int32, x Vector, marks []uint64) {
 	for k, r := range rows {
-		if r < 0 || (int(r)+1)*len(x) > len(dst) {
-			panic(fmt.Sprintf("tensor: AddRows rows[%d] = %d out of range for a %d-float slab of %d-float rows", k, r, len(dst), len(x)))
+		if !rowInRange(r, dst, x, marks) {
+			panic(fmt.Sprintf("tensor: AddRows rows[%d] = %d out of range for a %d-float slab of %d-float rows and %d marks", k, r, len(dst), len(x), 64*len(marks)))
 		}
 	}
 }

@@ -45,24 +45,20 @@ func (v Vector) Equal(w Vector) bool {
 
 // ApproxEqual reports whether v and w have the same dimension and every
 // channel agrees within tol, using a mixed absolute/relative criterion:
-// |a-b| <= tol * max(1, |a|, |b|).
+// |a-b| <= tol * max(1, |a|, |b|). Equal channels agree, NaN on both sides
+// included; a channel where one side is NaN or infinite and the other is not
+// the same never does.
 func (v Vector) ApproxEqual(w Vector, tol float32) bool {
 	if len(v) != len(w) {
 		return false
 	}
-	for i := range v {
-		d := v[i] - w[i]
-		if d < 0 {
-			d = -d
-		}
-		m := float32(1)
-		if a := abs32(v[i]); a > m {
-			m = a
-		}
-		if b := abs32(w[i]); b > m {
-			m = b
-		}
-		if d > tol*m {
+	for i, a := range v {
+		b := w[i]
+		switch {
+		case a == b || a != a && b != b:
+		case a != a || b != b || abs32(a) > math.MaxFloat32 || abs32(b) > math.MaxFloat32:
+			return false
+		case abs32(a-b) > tol*max(1, abs32(a), abs32(b)):
 			return false
 		}
 	}
@@ -170,15 +166,22 @@ func (m *Matrix) ApproxEqual(n *Matrix, tol float32) bool {
 }
 
 // MaxAbsDiff returns the largest absolute element-wise difference between m
-// and n, for diagnostics. Panics if shapes differ.
+// and n, for diagnostics. Equal entries, NaN on both sides included, differ
+// by 0; an entry where exactly one side is NaN differs by +Inf, so a
+// divergence to NaN never reads as agreement. Panics if shapes differ.
 func (m *Matrix) MaxAbsDiff(n *Matrix) float32 {
 	if m.Rows != n.Rows || m.Cols != n.Cols {
 		panic("tensor: MaxAbsDiff shape mismatch")
 	}
 	var worst float32
-	for i := range m.Data {
-		if d := abs32(m.Data[i] - n.Data[i]); d > worst {
-			worst = d
+	for i, a := range m.Data {
+		b := n.Data[i]
+		switch {
+		case a == b || a != a && b != b:
+		case a != a || b != b:
+			return float32(math.Inf(1))
+		default:
+			worst = max(worst, abs32(a-b))
 		}
 	}
 	return worst

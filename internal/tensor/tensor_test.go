@@ -61,6 +61,22 @@ func TestVectorApproxEqual(t *testing.T) {
 	if a.ApproxEqual(Vector{1, 1000}, 1) {
 		t.Error("dim mismatch should not be equal")
 	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, c := range []struct {
+		a, b Vector
+		want bool
+	}{
+		{Vector{1, nan}, Vector{1, 2}, false},
+		{Vector{1, 2}, Vector{1, nan}, false},
+		{Vector{nan, 2}, Vector{nan, 2}, true},
+		{Vector{inf, -inf}, Vector{inf, -inf}, true},
+		{Vector{inf}, Vector{math.MaxFloat32}, false},
+		{Vector{-inf}, Vector{inf}, false},
+	} {
+		if got := c.a.ApproxEqual(c.b, 1); got != c.want {
+			t.Errorf("%v.ApproxEqual(%v, 1) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
 }
 
 func TestMatrixRowViews(t *testing.T) {
@@ -127,10 +143,24 @@ func TestMatrixZeroFill(t *testing.T) {
 }
 
 func TestMaxAbsDiff(t *testing.T) {
-	a := FromRows([][]float32{{1, 2}})
-	b := FromRows([][]float32{{1.5, -2}})
-	if got := a.MaxAbsDiff(b); got != 4 {
-		t.Errorf("MaxAbsDiff = %g, want 4", got)
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, c := range []struct {
+		a, b []float32
+		want float32
+	}{
+		{[]float32{1, 2}, []float32{1.5, -2}, 4},
+		{[]float32{1, nan}, []float32{1, 2}, inf},       // NaN on one side
+		{[]float32{1, 2}, []float32{1, nan}, inf},       // on the other
+		{[]float32{nan, 2}, []float32{nan, 1}, 1},       // NaN on both sides agrees
+		{[]float32{inf, -inf}, []float32{inf, -inf}, 0}, // equal infinities agree
+		{[]float32{inf, 0}, []float32{-inf, 0}, inf},
+		{[]float32{inf, 0}, []float32{3, 0}, inf},
+		{[]float32{1, -inf}, []float32{1, 3}, inf},
+	} {
+		a, b := FromRows([][]float32{c.a}), FromRows([][]float32{c.b})
+		if got := a.MaxAbsDiff(b); got != c.want {
+			t.Errorf("MaxAbsDiff(%v, %v) = %g, want %g", c.a, c.b, got, c.want)
+		}
 	}
 }
 

@@ -18,10 +18,13 @@ go test ./...
 # tensor.Add, tensor.AddRows, tensor.EltMax and tensor.EltMin have SSE2
 # bodies on amd64 (add_amd64.s, addrows_amd64.s and eltmax_amd64.s, all
 # checked by vet's asmdecl above) and pure-Go bodies everywhere else
-# (kernels_other.go): cross-compile the fallbacks so they cannot rot on an
-# amd64-only gate.
+# (kernels_other.go): cross-compile the fallbacks for arm64 so they cannot
+# rot on an amd64-only gate, and run them as 386, which an amd64 host
+# executes, through the tensor tests and the engine tests that fold with
+# them (AddRows' marking included) (≈12 s).
 GOARCH=arm64 go vet ./internal/tensor
 GOARCH=arm64 go build ./...
+GOARCH=386 go test ./internal/tensor ./internal/inkstream
 go test -race ./internal/tensor ./internal/gnn ./internal/experiments \
     ./internal/leakcheck
 
