@@ -378,7 +378,7 @@ func TestBuildServerSharded(t *testing.T) {
 // drops the torn tail, the next restart still sees what was written after
 // it, and the final rows equal full inference over the mirrored graph
 // (bit-exact for max, within 2e-3 for mean). Every lifetime also sends a
-// request the server answers 422: the journal stage runs ahead of validation,
+// request the server answers 422: the writer journals it before validation,
 // so it is in the log, and every restart refuses it again without effect.
 func TestKillAndRestartReplaysWAL(t *testing.T) {
 	for _, shards := range []string{"1", "2"} {

@@ -1,6 +1,8 @@
 package inkstream
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -314,6 +316,41 @@ func TestVertexUpdateValidation(t *testing.T) {
 	for name, ups := range cases {
 		if err := e.UpdateVertices(ups); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestVertexUpdateRefusesNonFinite: a NaN or an infinity in a feature
+// vector is refused with ErrNonFinite, also behind a valid edge change and a
+// valid feature row in the same batch, and graph and state stay
+// bit-identical; AddNode refuses one too.
+func TestVertexUpdateRefusesNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	g := randomGraph(rng, 20, 50)
+	x := tensor.RandMatrix(rng, 20, 4, 1)
+	for _, agg := range []gnn.AggKind{gnn.AggMax, gnn.AggMean} {
+		e, err := New(buildModel(rng, "GCN", 4, agg), g.Clone(), x, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, edges := e.State().Clone(), e.Graph().NumEdges()
+		missing := graph.RandomDelta(rng, e.Graph(), 1)
+		for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+			row := tensor.RandVector(rng, 4, 1)
+			row[2] = bad
+			ups := []VertexUpdate{{Node: 3, X: tensor.RandVector(rng, 4, 1)}, {Node: 5, X: row}}
+			if err := e.Apply(missing, ups); !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("%v: feature %v: %v, want ErrNonFinite", agg, bad, err)
+			}
+			if _, err := e.AddNode(row); !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("%v: AddNode with %v: %v, want ErrNonFinite", agg, bad, err)
+			}
+		}
+		if !e.State().Equal(before) || e.Graph().NumEdges() != edges || e.Graph().NumNodes() != 20 {
+			t.Fatalf("%v: a refused batch changed graph or state", agg)
+		}
+		if err := e.Apply(missing, nil); err != nil {
+			t.Fatalf("%v: valid batch after the refusals: %v", agg, err)
 		}
 	}
 }

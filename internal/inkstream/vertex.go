@@ -1,6 +1,7 @@
 package inkstream
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/gnn"
@@ -13,6 +14,13 @@ type VertexUpdate struct {
 	Node graph.NodeID
 	X    tensor.Vector
 }
+
+// ErrNonFinite refuses a feature vector holding a NaN or an infinity. The
+// incremental rules assume every cached m, α and h is finite (NaN ≠ NaN
+// hides a deleted max holder, and Inf − Inf turns a sum delta into NaN), so
+// such a vector is refused at admission and leaves graph and state as they
+// were.
+var ErrNonFinite = errors.New("inkstream: non-finite feature value")
 
 func (e *Engine) validateVertexUpdates(ups []VertexUpdate) error {
 	if len(ups) == 0 {
@@ -37,6 +45,9 @@ func (e *Engine) validateVertexUpdates(ups []VertexUpdate) error {
 		}
 		if len(up.X) != e.model.InDim() {
 			return fmt.Errorf("inkstream: vertex update %d: feature dim %d, model wants %d", i, len(up.X), e.model.InDim())
+		}
+		if !up.X.IsFinite() {
+			return fmt.Errorf("inkstream: vertex update %d (node %d): %w", i, up.Node, ErrNonFinite)
 		}
 		if e.gr.has(up.Node) {
 			return fmt.Errorf("inkstream: vertex update %d: node %d updated twice in one batch", i, up.Node)
@@ -89,6 +100,9 @@ func (e *Engine) AddNode(x tensor.Vector) (graph.NodeID, error) {
 	}
 	if len(x) != e.model.InDim() {
 		return 0, fmt.Errorf("inkstream: AddNode feature dim %d, model wants %d", len(x), e.model.InDim())
+	}
+	if !x.IsFinite() {
+		return 0, fmt.Errorf("inkstream: AddNode: %w", ErrNonFinite)
 	}
 	id := e.g.AddNode()
 	e.gr.ensure(e.g.NumNodes())

@@ -165,7 +165,7 @@ func scanSeq(dir string) uint64 {
 }
 
 // Trigger requests an automatic capture: non-blocking (the incident path —
-// an alert eval or the apply goroutine tripping fail-stop — never waits on
+// an alert eval or the writer tripping fail-stop — never waits on
 // disk), debounced, executed on the worker. A trigger that finds the queue
 // full, or arrives inside the debounce window, is dropped: a capture for the
 // same incident is already queued or on disk.

@@ -11,8 +11,8 @@ import (
 //
 // The per-update Trace resolves where one Engine.Apply spent its time, but
 // a served request's latency is dominated by everything *around* the apply:
-// queueing behind the in-flight group, the WAL group commit, the coalescing
-// absorb window, snapshot publication and the acknowledgement handoff. A
+// queueing behind the in-flight group, the WAL group commit, coalescing,
+// snapshot publication and the acknowledgement. A
 // ReqTrace timestamps each of those stages for one request travelling the
 // single-writer pipeline, and the FlightRecorder keeps the last N
 // interesting requests (sampled, slow or failed) in a lock-free ring so a
@@ -26,8 +26,8 @@ type Stage int
 const (
 	// StageJournal: the request's group commit returned (durability point).
 	StageJournal Stage = iota
-	// StageCoalesce: the apply stage absorbed the request into the open
-	// fused batch (or picked it up for a non-coalesced apply).
+	// StageCoalesce: the writer folded the request into the open fused
+	// batch (or picked it up for a non-coalesced apply).
 	StageCoalesce
 	// StageApply: the Engine.Apply covering the request returned.
 	StageApply

@@ -68,7 +68,7 @@ type RoundTrace struct {
 	// to a request before its round (queueing, journal, fusing) is in the
 	// stage marks of its request trace.
 	ID uint64
-	// Start is when the apply stage handed the fused batch to the router.
+	// Start is when the writer handed the fused batch to the router.
 	Start time.Time
 	// Reqs, Edges and VUps size the round: requests fused, logical edge
 	// changes and vertex updates across them.

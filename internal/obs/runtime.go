@@ -12,7 +12,7 @@ import (
 // Runtime telemetry plane (DESIGN.md §9.3). The serving stack explains tail
 // latency in application terms — coalescing, barriers, WAL commits — but in
 // a real Go process the tails that matter are just as often the runtime's:
-// a GC pause freezing the apply goroutine, heap growth tripping more
+// a GC pause freezing the writer, heap growth tripping more
 // frequent cycles, a goroutine pileup in the pipeline.
 // Runtime bridges the stdlib runtime/metrics package into the existing
 // observability stack: one Collect per Sampler tick reads a fixed sample

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -29,6 +30,9 @@ import (
 type WAL struct {
 	f *os.File
 	w *bufio.Writer
+	// rec is the record being encoded, header included, reused by every
+	// append: the WAL has one writer, so one buffer serves it.
+	rec []byte
 	// lat, when set, observes per-Append latency in nanoseconds — encode,
 	// buffered write, flush and fsync together, i.e. the durability cost a
 	// served update pays before it reaches the engine.
@@ -107,14 +111,8 @@ func (w *WAL) Append(delta graph.Delta, vups []inkstream.VertexUpdate) error {
 // a torn tail from a crash between the two is detected and dropped on
 // replay, exactly like a crash mid-Append.
 func (w *WAL) AppendBuffered(delta graph.Delta, vups []inkstream.VertexUpdate) error {
-	payload := encodeBatch(delta, vups)
-	hdr := make([]byte, 5)
-	hdr[0] = 'R'
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.w.Write(payload)
+	w.rec = appendRecord(w.rec[:0], delta, vups)
+	_, err := w.w.Write(w.rec)
 	return err
 }
 
@@ -146,33 +144,32 @@ func (w *WAL) Close() error {
 	return w.f.Close()
 }
 
-func encodeBatch(delta graph.Delta, vups []inkstream.VertexUpdate) []byte {
+// appendRecord appends one framed record — marker, payload length, payload
+// — to buf.
+func appendRecord(buf []byte, delta graph.Delta, vups []inkstream.VertexUpdate) []byte {
 	size := 4 + len(delta)*9 + 4
 	for _, v := range vups {
 		size += 8 + 4*len(v.X)
 	}
-	buf := make([]byte, 0, size)
-	var scratch [4]byte
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:], v)
-		buf = append(buf, scratch[:]...)
-	}
-	u32(uint32(len(delta)))
+	buf = slices.Grow(buf, 5+size)
+	buf = append(buf, 'R')
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(size))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(delta)))
 	for _, c := range delta {
-		u32(uint32(c.U))
-		u32(uint32(c.V))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.U))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.V))
 		if c.Insert {
 			buf = append(buf, 1)
 		} else {
 			buf = append(buf, 0)
 		}
 	}
-	u32(uint32(len(vups)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vups)))
 	for _, v := range vups {
-		u32(uint32(v.Node))
-		u32(uint32(len(v.X)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Node))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.X)))
 		for _, x := range v.X {
-			u32(uint32(float32bits(x)))
+			buf = binary.LittleEndian.AppendUint32(buf, float32bits(x))
 		}
 	}
 	return buf

@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -125,6 +127,80 @@ func TestWALGroupCommit(t *testing.T) {
 	}
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWALAppendAllocs: a buffered append encodes header and payload into
+// the log's own buffer and writes it once, allocating nothing.
+func TestWALAppendAllocs(t *testing.T) {
+	wal, err := OpenWAL(filepath.Join(t.TempDir(), "allocs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	delta := make(graph.Delta, 64)
+	for i := range delta {
+		delta[i] = graph.EdgeChange{U: graph.NodeID(i), V: graph.NodeID(i + 1), Insert: i%2 == 0}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := wal.AppendBuffered(delta, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendBuffered of a 64-change record allocates %v times, want 0", allocs)
+	}
+}
+
+// TestWALReplayRefusesNonFinite: the journal runs ahead of validation, so a
+// feature row holding a NaN is in the log; replay refuses it again with
+// inkstream.ErrNonFinite and goes on, ending where the live engine did.
+func TestWALReplayRefusesNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := randomGraph(rng, 30, 90)
+	x := tensor.RandMatrix(rng, 30, 6, 1)
+	model := gnn.NewSAGE(rng, 6, 8, gnn.NewAggregator(gnn.AggMax))
+	live, err := inkstream.New(model, g.Clone(), x, nil, inkstream.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := inkstream.New(model, g, x, nil, inkstream.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "nan.wal")
+	wal, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := tensor.RandVector(rng, 6, 1)
+	bad[0] = float32(math.NaN())
+	for i := 0; i < 3; i++ {
+		delta := graph.RandomDelta(rng, live.Graph(), 4)
+		vups := []inkstream.VertexUpdate{{Node: 7, X: tensor.RandVector(rng, 6, 1)}}
+		if i == 1 {
+			vups[0].X = bad
+		}
+		if err := wal.Append(delta, vups); err != nil {
+			t.Fatal(err)
+		}
+		if err := live.Apply(delta, vups); (err != nil) != (i == 1) {
+			t.Fatalf("live batch %d: %v", i, err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	batches, _, err := ReadWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rej := Replay(replayed, batches)
+	if len(rej) != 1 || rej[0].Index != 1 || !errors.Is(rej[0].Err, inkstream.ErrNonFinite) {
+		t.Fatalf("replay refused %+v, want record 1 with ErrNonFinite", rej)
+	}
+	if !replayed.State().Equal(live.State()) {
+		t.Fatal("replayed state differs from the live engine")
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // scratch inference over time — the accumulated-error concern the paper's
 // tolerance sweeps quantify offline. The auditor turns it into a live
 // signal: it captures the L-hop dependency cone of a few random nodes on the
-// apply stage (exclusive — see baseline.CaptureShadow), recomputes them *off*
+// writer (exclusive — see baseline.CaptureShadow), recomputes them *off*
 // the pipeline, and publishes the measured drift (the drift_max_abs series
 // and /healthz field) plus a failure count when drift exceeds the tolerance.
 // It is the sampled, non-exclusive sibling of Engine.Verify: Verify quiesces
@@ -176,7 +176,7 @@ func (e *engineBackend) auditLoop(every uint64) {
 }
 
 // AuditNow runs one drift audit synchronously: capture the dependency cone
-// of `sample` random nodes on the apply stage, recompute off the pipeline,
+// of `sample` random nodes on the writer, recompute off the pipeline,
 // publish the measured drift. Returns the shadow result and a non-nil error
 // when the audit failed (drift over tolerance) or could not run. Safe from
 // any goroutine; concurrent audits serialise.
@@ -210,7 +210,7 @@ func (s *Server) AuditNow(sample int) (baseline.ShadowResult, error) {
 		seen[v] = struct{}{}
 		targets = append(targets, v)
 	}
-	// Phase 1: capture on the apply stage (exclusive, cheap — clones the
+	// Phase 1: capture on the writer (exclusive, cheap — clones the
 	// cone's adjacency and feature/output rows, no inference).
 	var sh *baseline.Shadow
 	err := e.s.do(nil, nil, func() error {
@@ -255,7 +255,7 @@ type VerifyResponse struct {
 	// embeddings and the from-scratch recompute — reported even on success,
 	// so operators see how close to the tolerance the state is drifting.
 	MaxAbsDiff float64 `json:"max_abs_diff"`
-	// ElapsedMS is the recompute+compare time on the apply stage; LatencyMS
+	// ElapsedMS is the recompute+compare time on the writer; LatencyMS
 	// the full request latency including the wait to quiesce the pipeline.
 	ElapsedMS float64 `json:"elapsed_ms"`
 	LatencyMS float64 `json:"latency_ms"`
@@ -265,7 +265,7 @@ type VerifyResponse struct {
 // maintained state (Engine.VerifyDiff: bit-exact on a monotonic model, within
 // the audit tolerance otherwise) — an operational self-check, and the
 // exhaustive sibling of the sampled drift auditor. It runs as an exclusive
-// operation on the apply stage (the pipeline is quiesced for the whole
+// operation on the writer (the pipeline is quiesced for the whole
 // recompute), so it never races an update; use the drift auditor for a
 // continuous check that does not stall serving. It is a POST because it is
 // expensive. Only this backend mounts it: a shard graph does not hold the

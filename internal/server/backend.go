@@ -16,9 +16,9 @@ import (
 // partition-owning engines executing each batch as a BSP round
 // (internal/shard). It is what lets one pipeline hide which of the two it
 // drives: the server never asks a backend what it is. Apply,
-// PublishSnapshot and Trace are called by the apply stage only (one
-// goroutine); ReadRow, Shape and the Fill methods are safe from any
-// goroutine; Mount and ArmBlackBox run before serving.
+// PublishSnapshot and Trace are called by the writer only (one goroutine at
+// a time); ReadRow, Shape and the Fill methods are safe from any goroutine;
+// Mount and ArmBlackBox run before serving.
 type Backend interface {
 	// Apply applies one batch, fusing the changes of `requests` queued
 	// requests, all-or-nothing: validation precedes any mutation, so a non-nil
@@ -79,7 +79,7 @@ type Surface struct {
 // has: POST /v1/verify and the drift auditor (both need the L-hop cone of a
 // vertex in one graph; audit.go), per-layer update traces and the work
 // counters. It reaches back into the server for the exclusive ops on the
-// apply stage that verify and the audit capture run as.
+// writer that verify and the audit capture run as.
 type engineBackend struct {
 	*inkstream.Engine
 	s        *Server

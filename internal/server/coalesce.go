@@ -6,12 +6,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Server-side adaptive coalescing (DESIGN.md §7.3). The journal stage drains
-// every request queued behind the in-flight one into a group; applying each
-// on its own would pay the backend's fixed per-batch costs (validation,
-// arena rewind, per-layer grouper epochs, BSP barriers, snapshot
-// publication) once per request. Coalescing merges compatible requests of a
-// group into one fused Apply, preserving the per-request contract:
+// Server-side adaptive coalescing (DESIGN.md §7.3). The writer takes every
+// request queued behind its own into a group; applying each on its own would
+// pay the backend's fixed per-batch costs (validation, arena rewind,
+// per-layer grouper epochs, BSP barriers, snapshot publication) once per
+// request. Coalescing merges compatible requests of a group into one fused
+// Apply, preserving the per-request contract:
 //
 //   - Ack/error routing: a request is acknowledged with exactly the error
 //     it would have received applied alone. Compatible requests cannot
@@ -42,7 +42,7 @@ func (s *Server) canonEdge(ch graph.EdgeChange) edgeKey {
 }
 
 // fused accumulates compatible queued mutations into one backend batch.
-// Owned by the apply goroutine; all storage is reused across flushes.
+// Owned by the writer of the moment; all storage is reused across flushes.
 type fused struct {
 	reqs  []*updateReq
 	delta graph.Delta

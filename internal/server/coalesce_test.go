@@ -57,9 +57,10 @@ func newCoalesceServerOn(t *testing.T, directed bool) *Server {
 	return s
 }
 
-// quiesce stops the server's pipeline goroutines so a test can drive the
-// apply stage (applyCoalesced) deterministically from its own goroutine —
-// the only way to pin down which requests share a fused batch.
+// quiesce closes the server, so no caller becomes the writer again and a
+// test can drive the writer's steps (applyCoalesced) deterministically from
+// its own goroutine — the only way to pin down which requests share a fused
+// batch.
 func quiesce(s *Server) { s.Close() }
 
 // applyCoalesced coalesces one group and closes the window: every request

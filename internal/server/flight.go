@@ -40,9 +40,9 @@ func (s *Server) newReq(delta graph.Delta, vups []inkstream.VertexUpdate, op fun
 }
 
 // mark timestamps one pipeline stage for the request (no-op when tracing is
-// disabled). Marks are cumulative offsets from submit; each is written by
-// exactly one pipeline goroutine while it owns the request, and the channel
-// handoffs between stages order the writes.
+// disabled). Marks are cumulative offsets from submit; all are written by
+// the writer whose group holds the request, before finish delivers its
+// outcome.
 func (r *updateReq) mark(st obs.Stage) {
 	if r.id != 0 {
 		r.marks[st] = time.Since(r.start)
@@ -60,8 +60,8 @@ func (s *Server) willRecord(r *updateReq) bool {
 }
 
 // attachEngineTrace clones the backend's per-layer trace of the apply that
-// just covered r (when it keeps one) onto the request. Must run on the apply
-// goroutine, before the next Apply invalidates the trace.
+// just covered r (when it keeps one) onto the request. Must run on the
+// writer, before the next Apply invalidates the trace.
 func (s *Server) attachEngineTrace(r *updateReq, eng **obs.Trace) {
 	if !s.willRecord(r) {
 		return

@@ -232,7 +232,7 @@ func TestDriftAuditLoop(t *testing.T) {
 	srv.EnableDriftAudit(1, 4, 0)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	// Corrupt every row on the apply stage, where no audit capture can race
+	// Corrupt every row on the writer, where no audit capture can race
 	// the write. The updates below rewrite only the rows they reach.
 	if err := srv.do(nil, nil, func() error { nudge(eng, 1e-3); return nil }); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,9 @@ package server
 import (
 	"errors"
 	"fmt"
+	"os"
+	"runtime"
+	"runtime/debug"
 	"time"
 
 	"repro/internal/graph"
@@ -25,10 +28,21 @@ var ErrUnavailable = errors.New("backend refuses writes")
 // the latency any single request waits behind the group.
 const maxGroup = 128
 
-// updateReq is one unit of work travelling the single-writer pipeline.
-// Exactly one of (delta/vups) or op is used: ordinary mutations carry the
-// batch and are journaled, while op requests (e.g. /v1/verify) run
-// exclusively on the apply stage without touching the journal.
+// yieldEvery is how often writer turns yield their P (write): a tenth of
+// the scheduler's 10 ms preemption slice, so goroutines runnable on a
+// closed-loop caller's P run within about a millisecond, and a serving
+// writer, which parks on its socket between requests anyway, pays for at
+// most one Gosched per millisecond.
+const yieldEvery = time.Millisecond
+
+// errLead is what a queued caller receives on its done channel, instead of
+// an outcome, when the finishing writer hands it the writer role.
+var errLead = errors.New("server: writer role handed over")
+
+// updateReq is one unit of work on the single-writer path. Exactly one of
+// (delta/vups) or op is used: ordinary mutations carry the batch and are
+// journaled, while op requests (e.g. /v1/verify) run exclusively on the
+// writer without touching the journal.
 type updateReq struct {
 	delta graph.Delta
 	vups  []inkstream.VertexUpdate
@@ -38,9 +52,9 @@ type updateReq struct {
 
 	// Flight-recorder state (flight.go): id 0 means tracing is disabled for
 	// this request. Marks are cumulative offsets from start, each written by
-	// the one pipeline goroutine owning the request at that stage. round is
-	// the backend's ID for the apply that covered the request (0 when the
-	// backend has none), joining its trace to /v1/rounds.
+	// the writer that took the request's group. round is the backend's ID
+	// for the apply that covered the request (0 when the backend has none),
+	// joining its trace to /v1/rounds.
 	id      uint64
 	start   time.Time
 	kind    string
@@ -51,40 +65,96 @@ type updateReq struct {
 	eng     *obs.Trace
 }
 
-// Apply submits one update batch into the single-writer pipeline and waits
-// until it is durable (when a journal is configured) and applied, with the
-// resulting snapshot published. It is the programmatic equivalent of
+// Apply submits one update batch to the single writer and waits until it is
+// durable (when a journal is configured) and applied, with the resulting
+// snapshot published. It is the programmatic equivalent of
 // POST /v1/update + /v1/features and is safe for any number of concurrent
 // callers.
 func (s *Server) Apply(delta graph.Delta, vups []inkstream.VertexUpdate) error {
 	return s.do(delta, vups, nil)
 }
 
-// do enqueues a request and waits for its one outcome. Every accepted
-// request gets exactly one, Close included: a request Close overtakes is
-// acknowledged with ErrServerClosed.
+// do queues a request and returns its one outcome. The caller that finds
+// nobody writing becomes the writer: it journals, applies, publishes and
+// acknowledges one group on its own goroutine (write). Any other caller
+// waits on its done channel, which brings either its outcome — another
+// writer's group held its request — or errLead, the writer role, with its
+// request now at the head of the queue. Every accepted request gets exactly
+// one outcome, Close included: a request Close overtakes is acknowledged
+// with ErrServerClosed.
 func (s *Server) do(delta graph.Delta, vups []inkstream.VertexUpdate, op func() error) error {
 	r := s.newReq(delta, vups, op)
-	if err := s.submit(r); err != nil {
-		return err
-	}
-	return <-r.done
-}
-
-// submit enqueues r unless the server is closed. A full submitCh blocks
-// here but never deadlocks: the journal stage keeps draining and takes no
-// locks, and Close's write lock just waits.
-func (s *Server) submit(r *updateReq) error {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
+	s.mu.Lock()
 	if s.closed {
+		s.mu.Unlock()
 		return ErrServerClosed
 	}
-	s.submitCh <- r
+	s.queue = append(s.queue, r)
 	if r.op == nil {
 		s.accepted.Add(1)
 	}
-	return nil
+	lead := !s.writing
+	s.writing = true
+	s.mu.Unlock()
+	if !lead {
+		if err := <-r.done; err != errLead {
+			return err
+		}
+	}
+	s.write()
+	return <-r.done
+}
+
+// write is one writer turn. The writer's own request heads the queue (it
+// found the queue empty, or was handed its head), so the group it takes —
+// everything queued, up to maxGroup — holds that request, and the turn ends
+// with its outcome: a writer never writes past its own group. The group is
+// made durable under one Commit, fused and applied, and acknowledged behind
+// a published snapshot. Then the role passes to the next queued caller, if
+// any; once Close has run, it passes to nobody and Close fails the rest.
+func (s *Server) write() {
+	defer crashOnPanic()
+	s.mu.Lock()
+	n := min(len(s.queue), maxGroup)
+	group := append(s.group[:0], s.queue[:n]...)
+	clear(s.queue[copy(s.queue, s.queue[n:]):])
+	s.queue = s.queue[:len(s.queue)-n]
+	s.mu.Unlock()
+
+	s.coalesceGroup(s.journalGroup(group), s.fused)
+	s.flushFused(s.fused)
+	clear(group)
+	s.group = group[:0]
+	// A caller writing in a closed loop never parks: its turns need no
+	// channel wait, so goroutines made runnable on its P (readers of the
+	// snapshots it publishes) would wait for the scheduler to preempt it.
+	// Yield once yieldEvery has passed since the last yield.
+	if time.Since(s.yielded) >= yieldEvery {
+		runtime.Gosched()
+		s.yielded = time.Now()
+	}
+
+	s.mu.Lock()
+	if len(s.queue) > 0 && !s.closed {
+		// Never blocks: nothing has sent to a request still queued, and
+		// done holds one.
+		s.queue[0].done <- errLead
+	} else {
+		s.writing = false
+		s.idle.Broadcast()
+	}
+	s.mu.Unlock()
+}
+
+// crashOnPanic ends the process on a panic in a writer turn, as an
+// unrecovered panic on a goroutine of its own would. net/http recovers a
+// handler's panic, which would leave the writer role held and every later
+// write waiting forever.
+func crashOnPanic() {
+	if p := recover(); p != nil {
+		fmt.Fprintf(os.Stderr, "server: panic in the writer: %v\n%s", p, debug.Stack())
+		os.Exit(2)
+	}
 }
 
 // ReadEmbedding resolves one node against the currently published
@@ -97,16 +167,24 @@ func (s *Server) ReadEmbedding(node int) (row tensor.Vector, epoch uint64, ok bo
 	return s.backend.ReadRow(node)
 }
 
-// Close stops the pipeline and waits for both stages to exit. Requests
-// still queued are failed with ErrServerClosed rather than applied;
+// Close bars new requests, waits for the current writer's turn to end, and
+// fails what is still queued with ErrServerClosed rather than applying it;
 // anything already journaled remains durable and is recovered by WAL
 // replay. Reads keep working against the last published snapshot. A
 // concurrent second Close returns once the first has finished.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
-		s.closeMu.Lock()
+		s.mu.Lock()
 		s.closed = true
-		s.closeMu.Unlock()
+		for s.writing {
+			s.idle.Wait()
+		}
+		queued := s.queue
+		s.queue = nil
+		s.mu.Unlock()
+		for _, r := range queued {
+			s.finish(r, ErrServerClosed)
+		}
 		close(s.quit)
 		s.wg.Wait()
 		s.sampler.Stop()
@@ -114,58 +192,6 @@ func (s *Server) Close() {
 		// fail-stop immediately followed by shutdown still leaves its bundle.
 		s.blackbox.Close()
 	})
-}
-
-// journalLoop is stage 1 of the writer pipeline: it drains every request
-// queued behind the first one into a group (bounded by maxGroup), makes
-// the whole group durable under a single fsync (group commit), and hands
-// it to the apply stage. Because applyCh is buffered, the next group's
-// encode/append/fsync overlaps the engine compute of the previous one.
-func (s *Server) journalLoop() {
-	defer s.wg.Done()
-	defer close(s.applyCh)
-	// Shutdown drain: Close barred new submits before closing quit, so
-	// failing what is still queued leaves no request without an outcome.
-	defer func() {
-		for {
-			select {
-			case r := <-s.submitCh:
-				s.finish(r, ErrServerClosed)
-			default:
-				return
-			}
-		}
-	}()
-	for {
-		var first *updateReq
-		select {
-		case first = <-s.submitCh:
-		case <-s.quit:
-			return
-		}
-		group := append(make([]*updateReq, 0, 8), first)
-	drain:
-		for len(group) < maxGroup {
-			select {
-			case r := <-s.submitCh:
-				group = append(group, r)
-			default:
-				break drain
-			}
-		}
-		group = s.journalGroup(group)
-		if len(group) == 0 {
-			continue
-		}
-		select {
-		case s.applyCh <- group:
-		case <-s.quit:
-			for _, r := range group {
-				s.finish(r, ErrServerClosed)
-			}
-			return
-		}
-	}
 }
 
 // journalGroup writes every journalable request of the group into the
@@ -213,40 +239,4 @@ func (s *Server) journalGroup(group []*updateReq) []*updateReq {
 		s.finish(r, fmt.Errorf("journal: %w", jerr))
 	}
 	return out
-}
-
-// applyLoop is stage 2: the only goroutine that ever mutates the backend.
-// It merges each group's compatible mutations into fused Backend.Apply calls
-// (coalesce.go), amortising the backend's fixed per-batch costs across
-// everything that queued behind the in-flight update; with nothing queued a
-// batch covers one request. A snapshot covering a request is published
-// before that request is acknowledged — so a successful response implies the
-// served snapshot already reflects the update (read-your-writes: the paper's
-// "instantaneous" availability).
-func (s *Server) applyLoop() {
-	defer s.wg.Done()
-	f := newFused()
-	for group := range s.applyCh {
-		s.coalesceGroup(group, f)
-		// Drain every group already journaled behind this one into the
-		// open batch before flushing. The absorb never waits — it only
-		// takes what the journal stage has finished — so it widens the
-		// fusion window exactly when requests are queueing faster than
-		// the engine applies them, and adds nothing to latency when the
-		// pipeline is idle. coalesceGroup's maxGroup bound still flushes
-		// oversized batches mid-absorb.
-	absorb:
-		for {
-			select {
-			case more, ok := <-s.applyCh:
-				if !ok {
-					break absorb
-				}
-				s.coalesceGroup(more, f)
-			default:
-				break absorb
-			}
-		}
-		s.flushFused(f)
-	}
 }

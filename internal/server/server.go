@@ -23,20 +23,20 @@
 // self-check) on one engine, GET /v1/rounds under shards.
 //
 // Concurrency model (DESIGN.md §7): reads never block on writes. All
-// mutations funnel into a single-writer pipeline — requests enqueue onto a
-// channel drained by a journal stage (which makes a whole group of queued
-// batches durable under one fsync, "group commit") feeding an apply stage
-// (the only goroutine that calls Backend.Apply). That queue is the only
-// place writes are batched: the apply stage merges compatible mutations
-// queued behind the in-flight one into a single fused Apply, and a
-// conflicting request (same edge or same node as the open batch) flushes
-// the batch first, so per-request ack/error semantics are preserved. After
-// each applied batch the backend publishes immutable, epoch-stamped
-// embedding snapshots via atomic pointers; every read handler resolves
-// against the current snapshot with zero locking and reports the snapshot
-// epoch it observed. A successful mutation response implies the batch is
-// durable, applied, and visible in the published snapshot
-// (read-your-writes).
+// mutations go through one writer at a time: a request joins a queue, and
+// the caller that finds nobody writing becomes the writer on its own
+// goroutine. It takes what is queued as a group, makes the group durable
+// under one fsync ("group commit"), calls Backend.Apply and acknowledges,
+// then hands the role to the next queued caller. That queue is the only
+// place writes are batched: the writer merges the group's compatible
+// mutations into a single fused Apply, and a conflicting request (same edge
+// or same node as the open batch) flushes the batch first, so per-request
+// ack/error semantics are preserved. After each applied batch the backend
+// publishes immutable, epoch-stamped embedding snapshots via atomic
+// pointers; every read handler resolves against the current snapshot with
+// zero locking and reports the snapshot epoch it observed. A successful
+// mutation response implies the batch is durable, applied, and visible in
+// the published snapshot (read-your-writes).
 //
 // Observability: every server owns an obs.Observer shared with its engine
 // (per-update latency histogram, slow-update count) and an obs.Registry
@@ -64,26 +64,30 @@ import (
 )
 
 // Server wraps a backend with HTTP handlers and the single-writer update
-// pipeline. The backend is owned by the apply stage after New returns;
-// nothing else may mutate it.
+// path. After New returns, only the writer of the moment mutates the
+// backend.
 type Server struct {
 	backend Backend
 	journal Journal
 	mux     *http.ServeMux
 
-	// Pipeline plumbing (pipeline.go).
-	submitCh  chan *updateReq
-	applyCh   chan []*updateReq
-	quit      chan struct{}
-	closeOnce sync.Once
-	// closeMu orders submits against Close: a submitter holds the read side
-	// across its submitCh send, so once Close sets closed under the write
-	// side no request can land behind the journal stage's shutdown drain (a
-	// bare select on quit could — a buffered send and a closed quit are both
-	// ready, and select picks between them at random).
-	closeMu sync.RWMutex
+	// The write path (pipeline.go). mu guards queue (accepted requests no
+	// writer has taken yet), writing (some caller is the writer) and closed;
+	// idle wakes Close when a writer turn ends. group, fused and yielded
+	// belong to the writer of the moment: the role passes under mu, which orders one
+	// writer's use of them, the backend and the journal before the next's.
+	mu      sync.Mutex
+	idle    sync.Cond
+	queue   []*updateReq
+	writing bool
 	closed  bool
-	wg      sync.WaitGroup // the two stages, and the drift auditor once enabled
+	group   []*updateReq
+	fused   *fused
+	yielded time.Time // when a writer last yielded its P
+
+	quit      chan struct{} // closed by Close; stops the drift auditor
+	closeOnce sync.Once
+	wg        sync.WaitGroup // the drift auditor once enabled
 
 	updates   atomic.Int64  // successful mutation requests
 	reads     atomic.Int64  // embedding reads resolved against a snapshot
@@ -120,8 +124,8 @@ type Server struct {
 	blackbox *obs.BlackBox
 }
 
-// Journal is the write-ahead log the journal stage writes every accepted
-// batch to before the backend sees it; persist.WAL implements it.
+// Journal is the write-ahead log the writer writes every accepted batch to
+// before the backend sees it; persist.WAL implements it.
 // AppendBuffered stages one record without durability and one Commit fsyncs
 // everything staged (group commit: one fsync covers every request queued
 // behind it). A journal failure fails the update before the backend sees
@@ -135,8 +139,8 @@ type Journal interface {
 // records into (or nil). The server reuses the engine's observer when one
 // was installed at construction (so CLI-configured tracing keeps working)
 // and otherwise installs a fresh one, builds the /metrics registry,
-// publishes the initial embedding snapshot (epoch 1), and starts the
-// writer pipeline. Call Close to stop it.
+// publishes the initial embedding snapshot (epoch 1), and serves; it starts
+// no writer goroutine (each write runs on a caller's). Call Close to stop.
 //
 // Configuration methods (SetJournal, SetSlowTraceThreshold) must be called
 // before the first request is served.
@@ -151,7 +155,7 @@ func New(engine *inkstream.Engine, counters *metrics.Counters) *Server {
 	return s.init()
 }
 
-// NewOn starts the same pipeline on any Backend (internal/shard's router):
+// NewOn serves the same write path on any Backend (internal/shard's router):
 // its routes, stats section and metric families are mounted next to the
 // server's own. The features that read one engine's internals (/v1/verify,
 // the drift auditor, per-layer update traces) come with New's backend only.
@@ -183,16 +187,10 @@ func (s *Server) init() *Server {
 	s.buildTimeseries()
 	s.buildMux()
 	s.backend.Mount(Surface{Mux: s.mux, Registry: s.reg, Sampler: s.sampler, Observer: s.obs})
-	s.submitCh = make(chan *updateReq, 4*maxGroup)
-	s.applyCh = make(chan []*updateReq, 1)
+	s.idle.L = &s.mu
+	s.fused = newFused()
 	s.quit = make(chan struct{})
 	s.sampler.Start()
-	// The two pipeline stages start last, once every field they read exists;
-	// SetJournal remains "call before serving" because the journal stage reads
-	// the field unlocked.
-	s.wg.Add(2)
-	go s.journalLoop()
-	go s.applyLoop()
 	return s
 }
 
@@ -253,8 +251,8 @@ func (s *Server) lag() uint64 {
 
 // SetJournal installs a write-ahead journal; call before serving — after
 // replaying an existing log through Apply, which must not journal its
-// records a second time (the journal stage reads the field only while it
-// holds a request, so installing it between requests is ordered). Journals
+// records a second time (a writer reads the field only during its turn, and
+// turns are ordered by mu, so installing it between requests is ordered). Journals
 // that can observe their commit latency (persist.WAL) are handed the
 // registered WAL histogram.
 func (s *Server) SetJournal(j Journal) {

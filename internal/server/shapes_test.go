@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -579,6 +580,11 @@ func checkValidation(t *testing.T, shards int, undirected bool) {
 		// The second half of an otherwise valid batch is bad: the first
 		// half must not land.
 		{"half-valid", graph.Delta{missing, present}, nil, graph.ErrDuplicateEdge},
+		{"vup-nan", graph.Delta{missing}, []inkstream.VertexUpdate{{Node: 4, X: nonFinite(float32(math.NaN()))}}, inkstream.ErrNonFinite},
+		{"vup-inf", nil, []inkstream.VertexUpdate{
+			{Node: 1, X: make(tensor.Vector, shapeFeatLen)},
+			{Node: 2, X: nonFinite(float32(math.Inf(-1)))},
+		}, inkstream.ErrNonFinite},
 	}
 	if undirected {
 		// One edge named from both ends touches it twice.
@@ -617,6 +623,13 @@ func checkValidation(t *testing.T, shards int, undirected bool) {
 	if got := srv.Stats().Edges; got != g.NumEdges()+1 {
 		t.Fatalf("edge count %d after insert, want %d", got, g.NumEdges()+1)
 	}
+}
+
+// nonFinite returns a feature row whose last value is x.
+func nonFinite(x float32) tensor.Vector {
+	v := make(tensor.Vector, shapeFeatLen)
+	v[shapeFeatLen-1] = x
+	return v
 }
 
 // TestShapesBodyLimits pins decodeBody on both mutation routes: a body over

@@ -113,7 +113,7 @@ func TestSnapshotEpochConsistencyRace(t *testing.T) {
 	}
 
 	// The update stream: generate deltas against a shadow graph (the
-	// engine's own graph is concurrently mutated by the apply stage, so it
+	// engine's own graph is concurrently mutated by the writer, so it
 	// cannot be read here), submit, and record the snapshot each publish
 	// produced.
 	shadow := eng.Graph().Clone()

@@ -16,8 +16,7 @@ import (
 // request trace carries the ID of the round that applied it.
 
 // recordRound freezes one successful profiled round: cumulative
-// critical-path attribution and the ring slot. Runs on the apply goroutine
-// only.
+// critical-path attribution and the ring slot. Runs on the writer only.
 func (rt *Router) recordRound(p *obs.RoundTrace) {
 	// Per-stage participant means: shards whose layer call was skipped
 	// contribute neither compute nor wait, and for participants

@@ -85,7 +85,7 @@ type shardState struct {
 }
 
 // Router owns the shards and executes rounds. Apply is for one goroutine at
-// a time (the server's apply stage); everything else is safe from any
+// a time (the server's writer); everything else is safe from any
 // goroutine.
 type Router struct {
 	model      *gnn.Model
@@ -95,7 +95,7 @@ type Router struct {
 	shards     []*shardState
 	cut        graph.CutStats
 
-	// Subscription-filtered delivery state (apply goroutine only, engines
+	// Subscription-filtered delivery state (the writer only, engines
 	// idle whenever it is touched). subs[s][u] counts the live arcs from
 	// remote vertex u into shard-s-owned vertices: shard s consumes u's
 	// ghost rows iff the count is positive.

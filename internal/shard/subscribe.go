@@ -25,7 +25,7 @@ import (
 // local events — so filtering shrinks the delivery set, never the event
 // order, and the §7.5 bit-exactness argument holds unchanged.
 //
-// Subscriptions move with the cut: the apply goroutine folds each round's
+// Subscriptions move with the cut: the writer folds each round's
 // arc changes into the refcounts before opening the round, and when a shard
 // subscribes to a source it was not watching (refcount 0 → 1) it first
 // adopts the owner's current message rows — ghost hydration, the mid-stream
@@ -56,7 +56,7 @@ func (rt *Router) initSubscriptions() {
 // prepareRoundRouting folds one round's arc changes into the subscription
 // tables, then hydrates every new subscription (refcount 0 → 1 on a remote
 // source) by copying the owner's current message rows into the subscriber's
-// ghost rows — all before the round opens, on the apply goroutine, while
+// ghost rows — all before the round opens, on the writer, while
 // every engine is idle.
 func (rt *Router) prepareRoundRouting(r *round) error {
 	type hydration struct {
@@ -132,7 +132,7 @@ func (rt *Router) deliver(outs [][]inkstream.MessageChange) (delivered, filtered
 // executeRound runs one BSP round: BeginRound on every shard, then the
 // layers in lockstep, then FinishRound and a snapshot publish on every
 // shard. Each layer is one barrier stage — every participating shard's
-// RoundLayer over its delivery list — after which the apply goroutine
+// RoundLayer over its delivery list — after which the writer
 // buckets all the stage's records into the next layer's delivery lists.
 // Shards with an empty sub-batch, an empty delivery list and no carried
 // hook events skip the layer call entirely — the idle half of a

@@ -44,6 +44,20 @@ go test -race ./internal/tensor ./internal/gnn ./internal/experiments \
 go test -race -count=1 ./internal/server ./internal/shard ./internal/inkstream \
     ./internal/obs
 
+# There is no writer goroutine: the caller that finds nobody writing
+# journals, applies, publishes and acknowledges on its own goroutine, and a
+# writer's turn ends with its own group. Which caller writes depends on the
+# scheduler, so the two writer tests (over both backends) run under the race
+# detector at one and at four CPUs. The pattern is counted first, as for the
+# grouping and golden gates below.
+writer='TestWriterIsTheCaller|TestWriterGroupCommitHandOff'
+matched=$(go test -list "^($writer)\$" ./internal/server | grep -c '^Test' || true)
+if (( matched != 2 )); then
+    echo "check.sh: the writer pattern matches $matched tests, want 2" >&2
+    exit 1
+fi
+go test -race -count=1 -cpu 1,4 -run "^($writer)\$" ./internal/server
+
 # Grouping runs on the calling goroutine; what the worker pool shares is
 # processRange, whose chunks read the layer's groups and their slab rows and
 # write the state rows of their own targets. The grouping tests that apply
