@@ -109,6 +109,10 @@ type Engine struct {
 	// gr is the reusable grouping table (group.go).
 	gr *grouper
 
+	// cols is the column-major copy of the monotonic message matrices, kept
+	// on a dense graph only (columns.go).
+	cols msgCols
+
 	// snap is the epoch-snapshot machinery (snapshot.go); dirt is the
 	// per-group output-changed scratch merged alongside conds.
 	snap snapState
@@ -153,6 +157,7 @@ func NewFromState(model *gnn.Model, g *graph.Graph, state *gnn.State, c *metrics
 	e.layerStats = make([]ConditionStats, model.NumLayers())
 	e.scratchPools = make([]sync.Pool, model.NumLayers())
 	e.trace.CondNames = ConditionNames()
+	e.initColumns()
 	return e, nil
 }
 
@@ -674,6 +679,7 @@ func (e *Engine) processTarget(l int, g *group, sc *scratch, uevts []UserEvent) 
 	mRow := e.state.M[l+1].Row(int(u))
 	oldM := e.arena.clone(mRow)
 	next.ComputeMessage(mRow, hRow)
+	e.cols.set(l+1, u, mRow)
 	gnn.CountMessage(&sc.t, next)
 	if oldM.Equal(mRow) && !e.opts.DisablePruning {
 		return uevts, MessageChange{}, cond, false

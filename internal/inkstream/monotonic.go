@@ -86,7 +86,9 @@ func (e *Engine) applyMonotonic(l int, g *group, sc *scratch) (changed bool, con
 // ties kept by the first holder, so each rebuilt channel is bit-identical to
 // the same channel of a whole-row recomputeAlpha. A rebuilt channel can only
 // move away from the extremum: max(α⁻[i], m_A[i]) bounds it (min for AggMin).
-// Its work is charged to t.
+// On a dense graph each channel is one loop over its contiguous column of
+// the message copy (columns.go); on a sparse one the scan reads m_l's rows.
+// Either way its work is charged to t as |D|·deg.
 func (e *Engine) rebuildChannels(l int, u graph.NodeID, isMax bool, D []int32, dst tensor.Vector, t *metrics.Tally) {
 	nbrs := e.g.InNeighbors(u)
 	m := e.state.M[l]
@@ -96,6 +98,12 @@ func (e *Engine) rebuildChannels(l int, u graph.NodeID, isMax bool, D []int32, d
 		// Every in-neighbor was deleted: the defined zero row (Finalize).
 		for _, i := range D {
 			dst[i] = 0
+		}
+		return
+	}
+	if e.cols.data != nil {
+		for _, i := range D {
+			dst[i] = columnExtremum(e.cols.column(l, i), nbrs, isMax)
 		}
 		return
 	}
@@ -142,6 +150,26 @@ func (e *Engine) rebuildChannels(l int, u graph.NodeID, isMax bool, D []int32, d
 			}
 		}
 	}
+}
+
+// columnExtremum selects the maximum (minimum unless isMax) of col over the
+// non-empty nbrs, in neighbor order with ties kept by the first holder.
+func columnExtremum(col []float32, nbrs []graph.NodeID, isMax bool) float32 {
+	best := col[nbrs[0]]
+	if isMax {
+		for _, v := range nbrs[1:] {
+			if x := col[v]; !(best >= x) {
+				best = x
+			}
+		}
+	} else {
+		for _, v := range nbrs[1:] {
+			if x := col[v]; !(best <= x) {
+				best = x
+			}
+		}
+	}
+	return best
 }
 
 // recomputeAlpha rebuilds the whole row α_{l,u} into dst from the current

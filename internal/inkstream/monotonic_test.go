@@ -247,14 +247,20 @@ func newMonoBench(kind gnn.AggKind, rows []tensor.Vector, deg int) (*monoRig, er
 	rng := rand.New(rand.NewSource(1))
 	layer := gnn.NewSAGELayer(rng, "l0", dim, dim, gnn.NewAggregator(kind), gnn.ActIdentity)
 	model := &gnn.Model{Name: "mono", Layers: []gnn.Layer{layer}}
-	e, err := New(model, g, tensor.NewMatrix(n, dim), &metrics.Counters{}, Options{})
+	boot, err := New(model, g, tensor.NewMatrix(n, dim), &metrics.Counters{}, Options{})
 	if err != nil {
 		return nil, err
 	}
 	for v, row := range rows {
-		copy(e.state.M[0].Row(v), row)
+		copy(boot.state.M[0].Row(v), row)
 	}
-	e.recomputeAlpha(0, 0, e.state.Alpha[0].Row(0), &metrics.Tally{})
+	boot.recomputeAlpha(0, 0, boot.state.Alpha[0].Row(0), &metrics.Tally{})
+	// The rig's engine wraps the rewritten state, so a message copy is built
+	// from these rows, not from the ones New inferred.
+	e, err := NewFromState(model, g, boot.state, &metrics.Counters{}, Options{})
+	if err != nil {
+		return nil, err
+	}
 	return &monoRig{e: e}, nil
 }
 
@@ -315,7 +321,9 @@ func wantCond(kind gnn.AggKind, before tensor.Vector, dels, adds []tensor.Vector
 	return CondNoReset
 }
 
-func TestMonotonicSpecialValues(t *testing.T) {
+func TestMonotonicSpecialValues(t *testing.T) { eachLayout(t, checkMonotonicSpecialValues) }
+
+func checkMonotonicSpecialValues(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMin} {
 		win, lose := tensor.Inf32, -tensor.Inf32
@@ -346,6 +354,9 @@ func TestMonotonicSpecialValues(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if got, want := b.e.cols.data != nil, msgLayout == layoutColumns; got != want {
+				t.Fatalf("engine keeps a message copy: %v, want %v", got, want)
+			}
 			if _, _, err := b.visit(tc.delta); err != nil {
 				t.Fatal(err)
 			}
@@ -361,7 +372,9 @@ func TestMonotonicSpecialValues(t *testing.T) {
 // row — applyMonotonic leaves exactly the per-channel reduce over the
 // post-batch neighbourhood, reports changed truthfully and classifies the
 // visit as the definitions do.
-func TestQuickApplyMonotonicMatchesBruteForce(t *testing.T) {
+func TestQuickApplyMonotonicMatchesBruteForce(t *testing.T) { eachLayout(t, checkQuickApplyMonotonic) }
+
+func checkQuickApplyMonotonic(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		kind := []gnn.AggKind{gnn.AggMax, gnn.AggMin}[rng.Intn(2)]

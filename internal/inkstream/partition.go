@@ -142,6 +142,7 @@ func (e *Engine) RoundLayer(l int, recs []MessageChange) ([]MessageChange, error
 			continue
 		}
 		e.state.M[l].SetRow(int(r.Node), r.New)
+		e.cols.set(l, r.Node, r.New)
 		e.c.StoreVec(len(r.New))
 		ghosts++
 	}
@@ -201,6 +202,7 @@ func (e *Engine) SetGhostMessageRow(l int, v graph.NodeID, row tensor.Vector) er
 		return fmt.Errorf("inkstream: SetGhostMessageRow on local node %d (row is authoritative)", v)
 	}
 	e.state.M[l].SetRow(int(v), row)
+	e.cols.set(l, v, row)
 	return nil
 }
 

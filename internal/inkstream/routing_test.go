@@ -225,7 +225,8 @@ func routingFixture(t *testing.T, rng *rand.Rand) (*graph.Graph, [4]graph.Delta,
 // grow with AddNode: the new node then gains an in-arc from the hub in the
 // batch that rewrites the hub (an inserted arc its record must skip) and an
 // out-arc, and its own rewrite in the next batch folds into the new row.
-// Each case runs at three shardMin values, the fewest work units one
+// A max or min case runs on both message layouts (columns.go). Each case
+// runs at three shardMin values, the fewest work units one
 // processRange chunk may carry (tensor.MinChunkWork), with at least two
 // workers: 1 splits every layer of two or more targets per worker across
 // the pool, 512 only the layers with many targets, such as the hub
@@ -239,84 +240,91 @@ func TestRecordRoutingMatchesDefinition(t *testing.T) {
 			for _, shardMin := range []int{1, 512, math.MaxInt} {
 				t.Run(fmt.Sprintf("%s/%s/shardMin=%d", name, kind, shardMin), func(t *testing.T) {
 					setChunkMin(t, shardMin)
-					rng := rand.New(rand.NewSource(11))
-					g, deltas, rewrites := routingFixture(t, rng)
-					x := tensor.RandMatrix(rng, g.NumNodes(), featLen, 1)
-					model := buildModel(rng, name, featLen, kind)
-					build := func(opts Options) *Engine {
-						e, err := New(model, g.Clone(), x.Clone(), nil, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return e
-					}
-					e := build(Options{})
-					mono := model.Layers[0].Agg().Monotonic()
-					if shardMin == 512 && g.OutDegree(0) < 2*max(1, shardMin/(4*model.Layers[0].MsgDim())) {
-						t.Fatal("the hub rewrite's layer 0 does not split into chunks")
-					}
-					refG, ref := g.Clone(), e.State().Clone()
-					for i, delta := range deltas {
-						var vups []VertexUpdate
-						for _, u := range rewrites[i] {
-							vups = append(vups, VertexUpdate{Node: u, X: tensor.RandVector(rng, featLen, 1)})
-						}
-						bruteApply(t, model, refG, ref, delta, vups)
-						retained := cap(e.gr.slab)
-						if err := e.Apply(delta, vups); err != nil {
-							t.Fatalf("batch %d: %v", i, err)
-						}
-						if i == 2 && mono && cap(e.gr.slab) <= retained {
-							t.Fatalf("batch %d: pair slab did not grow past its retained %d floats", i, retained)
-						}
-						if !e.State().Equal(ref) {
-							t.Fatalf("batch %d: state differs from the per-target fold (output max diff %g)",
-								i, e.Output().MaxAbsDiff(ref.Output()))
-						}
-					}
-					if !mono {
-						dim := 0
-						for _, layer := range model.Layers {
-							dim = max(dim, layer.MsgDim())
-						}
-						v, err := e.AddNode(tensor.RandVector(rng, featLen, 1))
-						if err != nil {
-							t.Fatal(err)
-						}
-						// AddNode's rows are not under test here: the
-						// reference adopts them.
-						refG, ref = e.Graph().Clone(), e.State().Clone()
-						for i, b := range []struct {
-							delta graph.Delta
-							node  graph.NodeID
-						}{
-							{graph.Delta{{U: 0, V: v, Insert: true}, {U: v, V: 1, Insert: true}}, 0},
-							{nil, v},
-						} {
-							vups := []VertexUpdate{{Node: b.node, X: tensor.RandVector(rng, featLen, 1)}}
-							bruteApply(t, model, refG, ref, b.delta, vups)
-							if err := e.Apply(b.delta, vups); err != nil {
-								t.Fatalf("batch %d after AddNode: %v", i, err)
+					check := func(t *testing.T) {
+						rng := rand.New(rand.NewSource(11))
+						g, deltas, rewrites := routingFixture(t, rng)
+						x := tensor.RandMatrix(rng, g.NumNodes(), featLen, 1)
+						model := buildModel(rng, name, featLen, kind)
+						build := func(opts Options) *Engine {
+							e, err := New(model, g.Clone(), x.Clone(), nil, opts)
+							if err != nil {
+								t.Fatal(err)
 							}
-							if want := e.Graph().NumNodes() * dim; len(e.gr.dense) != want {
-								t.Fatalf("batch %d after AddNode: dense slab of %d floats, want %d", i, len(e.gr.dense), want)
+							return e
+						}
+						e := build(Options{})
+						mono := model.Layers[0].Agg().Monotonic()
+						if shardMin == 512 && g.OutDegree(0) < 2*max(1, shardMin/(4*model.Layers[0].MsgDim())) {
+							t.Fatal("the hub rewrite's layer 0 does not split into chunks")
+						}
+						refG, ref := g.Clone(), e.State().Clone()
+						for i, delta := range deltas {
+							var vups []VertexUpdate
+							for _, u := range rewrites[i] {
+								vups = append(vups, VertexUpdate{Node: u, X: tensor.RandVector(rng, featLen, 1)})
+							}
+							bruteApply(t, model, refG, ref, delta, vups)
+							retained := cap(e.gr.slab)
+							if err := e.Apply(delta, vups); err != nil {
+								t.Fatalf("batch %d: %v", i, err)
+							}
+							if i == 2 && mono && cap(e.gr.slab) <= retained {
+								t.Fatalf("batch %d: pair slab did not grow past its retained %d floats", i, retained)
 							}
 							if !e.State().Equal(ref) {
-								t.Fatalf("batch %d after AddNode: state differs from the per-target fold (output max diff %g)",
+								t.Fatalf("batch %d: state differs from the per-target fold (output max diff %g)",
 									i, e.Output().MaxAbsDiff(ref.Output()))
 							}
 						}
+						if !mono {
+							dim := 0
+							for _, layer := range model.Layers {
+								dim = max(dim, layer.MsgDim())
+							}
+							v, err := e.AddNode(tensor.RandVector(rng, featLen, 1))
+							if err != nil {
+								t.Fatal(err)
+							}
+							// AddNode's rows are not under test here: the
+							// reference adopts them.
+							refG, ref = e.Graph().Clone(), e.State().Clone()
+							for i, b := range []struct {
+								delta graph.Delta
+								node  graph.NodeID
+							}{
+								{graph.Delta{{U: 0, V: v, Insert: true}, {U: v, V: 1, Insert: true}}, 0},
+								{nil, v},
+							} {
+								vups := []VertexUpdate{{Node: b.node, X: tensor.RandVector(rng, featLen, 1)}}
+								bruteApply(t, model, refG, ref, b.delta, vups)
+								if err := e.Apply(b.delta, vups); err != nil {
+									t.Fatalf("batch %d after AddNode: %v", i, err)
+								}
+								if want := e.Graph().NumNodes() * dim; len(e.gr.dense) != want {
+									t.Fatalf("batch %d after AddNode: dense slab of %d floats, want %d", i, len(e.gr.dense), want)
+								}
+								if !e.State().Equal(ref) {
+									t.Fatalf("batch %d after AddNode: state differs from the per-target fold (output max diff %g)",
+										i, e.Output().MaxAbsDiff(ref.Output()))
+								}
+							}
+						}
+						want, err := gnn.Infer(model, e.Graph(), e.State().H[0], nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if mono && !e.State().Equal(want) {
+							t.Fatal("state differs from full inference")
+						}
+						if !e.State().ApproxEqual(want, 2e-3) {
+							t.Fatalf("state drifted from full inference (output max diff %g)", e.Output().MaxAbsDiff(want.Output()))
+						}
 					}
-					want, err := gnn.Infer(model, e.Graph(), e.State().H[0], nil)
-					if err != nil {
-						t.Fatal(err)
+					if !gnn.NewAggregator(kind).Monotonic() {
+						check(t)
+						return
 					}
-					if mono && !e.State().Equal(want) {
-						t.Fatal("state differs from full inference")
-					}
-					if !e.State().ApproxEqual(want, 2e-3) {
-						t.Fatalf("state drifted from full inference (output max diff %g)", e.Output().MaxAbsDiff(want.Output()))
-					}
+					eachLayout(t, check)
 				})
 			}
 		}

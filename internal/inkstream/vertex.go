@@ -76,6 +76,7 @@ func (e *Engine) applyVertexUpdates(ups []VertexUpdate) []UserEvent {
 		mRow := e.state.M[0].Row(int(up.Node))
 		oldM := e.arena.clone(mRow)
 		layer0.ComputeMessage(mRow, up.X)
+		e.cols.set(0, up.Node, mRow)
 		gnn.CountMessage(e.c, layer0)
 		if oldM.Equal(mRow) {
 			continue
@@ -108,6 +109,7 @@ func (e *Engine) AddNode(x tensor.Vector) (graph.NodeID, error) {
 	e.gr.ensure(e.g.NumNodes())
 	e.degDelta = append(e.degDelta, 0)
 	e.growDirty(e.g.NumNodes())
+	e.cols.grow(e.g.NumNodes())
 	s := e.state
 	s.H[0].AppendRow(x)
 	h := x
@@ -115,6 +117,7 @@ func (e *Engine) AddNode(x tensor.Vector) (graph.NodeID, error) {
 		m := make(tensor.Vector, layer.MsgDim())
 		layer.ComputeMessage(m, h)
 		s.M[l].AppendRow(m)
+		e.cols.set(l, id, m)
 		alpha := make(tensor.Vector, layer.MsgDim())
 		layer.Agg().Identity(alpha)
 		layer.Agg().Finalize(alpha, 0)

@@ -75,17 +75,21 @@ func TestSnapshotEpochConsistencyRace(t *testing.T) {
 		t.Fatalf("initial epoch %d", truth[1].Epoch)
 	}
 
+	// Every reader finishes one read (ready) before the stream starts, so
+	// reads overlap the stream however the scheduler places the goroutines.
+	// That first read only shows the reader runs and is not kept.
 	stop := make(chan struct{})
 	var obsMu sync.Mutex
 	var observed []observation
-	var wg sync.WaitGroup
+	var wg, ready sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
+		ready.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + r)))
 			var local []observation
-			for {
+			for first := true; ; first = false {
 				select {
 				case <-stop:
 					obsMu.Lock()
@@ -96,6 +100,9 @@ func TestSnapshotEpochConsistencyRace(t *testing.T) {
 				}
 				p := probes[rng.Intn(probeCnt)]
 				row, epoch, ok := s.ReadEmbedding(int(p))
+				if first {
+					ready.Done()
+				}
 				if !ok {
 					t.Errorf("reader %d: probe %d rejected", r, p)
 					return
@@ -105,7 +112,7 @@ func TestSnapshotEpochConsistencyRace(t *testing.T) {
 				// scribbled on a published row, the comparison would catch
 				// the corruption. The sample cap bounds memory; reads keep
 				// flowing (and racing) beyond it either way.
-				if len(local) < 20_000 {
+				if !first && len(local) < 20_000 {
 					local = append(local, observation{probe: p, epoch: epoch, row: row})
 				}
 			}
@@ -118,6 +125,7 @@ func TestSnapshotEpochConsistencyRace(t *testing.T) {
 	// produced.
 	shadow := eng.Graph().Clone()
 	rng := rand.New(rand.NewSource(42))
+	ready.Wait()
 	for i := 0; i < updates; i++ {
 		delta := graph.RandomDelta(rng, shadow, 6)
 		if err := delta.Apply(shadow); err != nil {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"repro/internal/gnn"
 	"repro/internal/graph"
@@ -161,6 +162,13 @@ func withFault(rng *rand.Rand, g *graph.Graph, fault string, delta graph.Delta, 
 // all must refuse as the engine does, with the same sentinel and no state
 // change. The final state is also checked against from-scratch inference
 // on a mirror of the stream.
+// msgLayout is the inkstream engine's test-only override of its message
+// layout: 1 builds every engine with message rows only, 2 with the column
+// copy as well (inkstream's columns.go), 0 lets each graph's density pick.
+//
+//go:linkname msgLayout repro/internal/inkstream.msgLayout
+var msgLayout int
+
 func TestCrossShardBitExact(t *testing.T) {
 	for _, name := range []string{"SAGE", "GIN"} {
 		for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMean, gnn.AggSum} {
@@ -170,7 +178,26 @@ func TestCrossShardBitExact(t *testing.T) {
 					if undirected {
 						graphKind = "undirected"
 					}
-					t.Run(graphKind, func(t *testing.T) { checkCrossShard(t, name, kind, undirected) })
+					t.Run(graphKind, func(t *testing.T) {
+						if kind != gnn.AggMax {
+							checkCrossShard(t, name, kind, undirected)
+							return
+						}
+						// A max layer keeps its messages in rows or also in
+						// columns, as its graph's density picks (inkstream's
+						// columns.go): every shape must be exact on both.
+						for _, lay := range []struct {
+							name   string
+							layout int
+						}{{"rows", 1}, {"columns", 2}} {
+							t.Run(lay.name, func(t *testing.T) {
+								old := msgLayout
+								msgLayout = lay.layout
+								t.Cleanup(func() { msgLayout = old })
+								checkCrossShard(t, name, kind, undirected)
+							})
+						}
+					})
 				}
 			})
 		}

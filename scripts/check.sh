@@ -68,13 +68,15 @@ go test -race -count=1 -cpu 1,4 -run "^($writer)\$" ./internal/server
 # for every model and kind, the dense slab zero between epochs around max
 # layers, groups in bitmap order before and after AddNode, and the per-chunk
 # tallies (pinned at two workers, so there the sweep
-# changes only how the chunks are scheduled). A pattern that matched fewer
-# tests than it names would shrink the gate silently, so the match is
-# counted first.
-routing='TestRecordRoutingMatchesDefinition|TestDenseSlabZeroAfterApply|TestGroupOrderFromBitmap|TestPooledCountsMatchSequential'
+# changes only how the chunks are scheduled). On a dense graph the chunks
+# also write the column copy of their targets' messages into arrays shared
+# by the whole layer, which must equal the rows after every kind of batch.
+# A pattern that matched fewer tests than it names would shrink the gate
+# silently, so the match is counted first.
+routing='TestRecordRoutingMatchesDefinition|TestDenseSlabZeroAfterApply|TestGroupOrderFromBitmap|TestPooledCountsMatchSequential|TestMessageColumnsMatchRows'
 matched=$(go test -list "^($routing)\$" ./internal/inkstream | grep -c '^Test' || true)
-if (( matched < 4 )); then
-    echo "check.sh: the grouping race pattern matches $matched tests, want 4" >&2
+if (( matched < 5 )); then
+    echo "check.sh: the grouping race pattern matches $matched tests, want 5" >&2
     exit 1
 fi
 go test -race -count=1 -cpu 1,2,4,8 -run "^($routing)\$" ./internal/inkstream
