@@ -8,13 +8,23 @@ import (
 	"repro/internal/tensor"
 )
 
-// Snapshot rows live in fixed chunks of chunkRows rows, so a publication
-// copies one pointer per chunk and clones only the chunks that hold a dirty
-// row (DESIGN.md §7.1).
+// Snapshot rows live in blocks of blockRows contiguous rows, each one
+// pointer-free []float32, and the blocks in groups of groupBlocks: a
+// snapshot is a root of group pointers. A publication copies the root and
+// only the groups and blocks that hold a fresh row (DESIGN.md §7.1).
 const (
-	chunkShift = 6
-	chunkRows  = 1 << chunkShift
+	blockShift  = 2
+	blockRows   = 1 << blockShift
+	groupShift  = 4
+	groupBlocks = 1 << groupShift
+	// rootShift maps a row to its group's index in the root.
+	rootShift = blockShift + groupShift
 )
+
+// snapGroup holds groupBlocks blocks. In a snapshot's last group the blocks
+// past its rows are nil, and its last block may hold fewer than blockRows
+// rows.
+type snapGroup [groupBlocks][]float32
 
 // Snapshot is an immutable, epoch-stamped copy of the final-layer
 // embeddings plus the serving-relevant summary state. Snapshots are built
@@ -37,30 +47,25 @@ type Snapshot struct {
 	// statistics at publication time.
 	Conditions ConditionStats
 
-	// rows[c] holds rows c*chunkRows … c*chunkRows+chunkRows-1; every chunk
-	// but the last is full. A chunk no dirty row touched is shared with the
-	// previous snapshot.
-	rows [][]tensor.Vector
+	// root[i>>rootShift] is the group of row i, its block is entry
+	// (i>>blockShift)&(groupBlocks-1) of that group, and the row starts
+	// (i&(blockRows-1))*width floats into the block. A group or block no
+	// fresh row touched is shared with the previous snapshot.
+	root     []*snapGroup
+	n, width int
 }
 
 // NumNodes returns the number of embedding rows in the snapshot.
-func (s *Snapshot) NumNodes() int { return numRows(s.rows) }
-
-// numRows counts the rows of a chunk table.
-func numRows(chunks [][]tensor.Vector) int {
-	if len(chunks) == 0 {
-		return 0
-	}
-	last := len(chunks) - 1
-	return last<<chunkShift + len(chunks[last])
-}
+func (s *Snapshot) NumNodes() int { return s.n }
 
 // Row returns node i's embedding as of this snapshot's epoch; i must be in
 // [0, NumNodes()), and the result is never nil. The returned vector is
 // immutable by contract: callers must not write to it, and may read it
 // indefinitely without holding any lock.
 func (s *Snapshot) Row(i int) tensor.Vector {
-	return s.rows[i>>chunkShift][i&(chunkRows-1)]
+	blk := s.root[i>>rootShift][(i>>blockShift)&(groupBlocks-1)]
+	lo := (i & (blockRows - 1)) * s.width
+	return blk[lo : lo+s.width : lo+s.width]
 }
 
 // snapState is the engine's snapshot machinery. Dirty-output tracking is
@@ -78,9 +83,9 @@ type snapState struct {
 	marked []bool
 	// applied counts successful Apply calls (for Snapshot.AppliedBatches).
 	applied uint64
-	// own is publication scratch, retained across publications: which
-	// chunks of the next table are private copies.
-	own []bool
+	// blockMarks is publication scratch, retained across publications and all
+	// false between them: which blocks below the growth hold a dirty row.
+	blockMarks []bool
 }
 
 // Snapshot returns the most recently published snapshot, or nil when
@@ -118,12 +123,12 @@ func (e *Engine) growDirty(n int) {
 
 // PublishSnapshot builds a new immutable snapshot of the final-layer
 // embeddings and publishes it atomically, then clears the dirty-row set.
-// The first call clones every row and enables dirty tracking; subsequent
-// calls copy the previous snapshot's chunk pointers, copy only the chunks
-// holding a row Apply touched since, and re-clone just those rows
-// (copy-on-write), so steady-state publication costs O(n/chunkRows + dirty
-// chunks), not O(n) — unless at least half the rows are dirty, when one copy
-// of the output replaces their clones (cowChunks).
+// The first call copies every row and enables dirty tracking; subsequent
+// calls copy the previous snapshot's root and only the groups and blocks
+// holding a row Apply touched since (copy-on-write), so steady-state
+// publication costs O(n/(blockRows·groupBlocks) + dirty blocks), not O(n) —
+// unless at least half the blocks are fresh, when one copy of the output
+// replaces their clones (cowBlocks).
 //
 // Must only be called from the writer goroutine (the same discipline as
 // Apply); the returned snapshot may be read from anywhere.
@@ -131,17 +136,15 @@ func (e *Engine) PublishSnapshot() *Snapshot {
 	prev := e.snap.cur.Load()
 	out := e.state.Output()
 	n := e.g.NumNodes()
-	var prevRows [][]tensor.Vector
-	if prev != nil {
-		prevRows = prev.rows
-	}
 	s := &Snapshot{
 		Epoch:          1,
 		AppliedBatches: e.snap.applied,
 		Nodes:          n,
 		Edges:          e.g.NumEdges(),
 		Conditions:     e.stats,
-		rows:           e.cowChunks(prevRows, out, n),
+		root:           e.cowBlocks(prev, out, n),
+		n:              n,
+		width:          out.Cols,
 	}
 	if prev != nil {
 		s.Epoch = prev.Epoch + 1
@@ -158,93 +161,84 @@ func (e *Engine) PublishSnapshot() *Snapshot {
 	return s
 }
 
-// cowChunks builds the chunk table of the first n rows of out from prev,
-// the previous table (nil to clone every row). Rows past prev's (AddNode
-// growth) and dirty rows are fresh. When prev is not nil and they are at
-// least half of n, out's data is copied once and every row of the new table
-// points into that copy: one copy costs what half the rows' clones would,
-// in three allocations instead of one per row. Otherwise every fresh row is
-// re-cloned into a private copy of its chunk and every other chunk is
-// shared. When at least half the chunks need a copy, every chunk is copied
-// into one allocation, which costs what a flat row array would; otherwise
-// each copied chunk is its own allocation, so a chunk that later tables keep
-// sharing pins only itself. A live table therefore holds at most one copy
-// of out's data, plus the rows cloned since, and one multi-chunk
-// allocation. The first table clones its rows one by one: one copy would
-// stay whole while any row still points into it, which on a stream whose
-// publishes stay below half keeps a second copy of every row re-cloned
-// since. The dirty list is walked three times: to count the fresh rows, to
-// pick the chunks to copy and, after copying, to re-clone its rows.
-func (e *Engine) cowChunks(prev [][]tensor.Vector, out *tensor.Matrix, n int) [][]tensor.Vector {
-	rows := make([][]tensor.Vector, (n+chunkRows-1)>>chunkShift)
-	from := numRows(prev)
-	fresh := n - from
+// cowBlocks builds the root of the first n rows of out from prev, the
+// previous snapshot (nil to copy every block). A block is fresh when it
+// holds a dirty row or a row past prev's (AddNode growth). When prev is not
+// nil and at least half the blocks are fresh, out's data is copied once and
+// every block points into that copy, which costs what half the blocks'
+// copies would. Otherwise each fresh block is copied from out, whose clean
+// rows equal prev's, into a private copy of its group, and every other
+// group and block is shared. A live snapshot therefore holds at most one
+// copy of out's data plus the blocks and groups copied since. The first
+// snapshot copies block by block: one copy stays whole while any block
+// points into it, which on a stream whose publishes stay below half keeps a
+// second copy of every block re-copied since. The dirty list is walked
+// twice: to mark and count the fresh blocks, then to copy and unmark them.
+func (e *Engine) cowBlocks(prev *Snapshot, out *tensor.Matrix, n int) []*snapGroup {
+	nb := (n + blockRows - 1) >> blockShift
+	root := make([]*snapGroup, (nb+groupBlocks-1)>>groupShift)
+	var from int
+	var prevRoot []*snapGroup
+	if prev != nil {
+		from, prevRoot = prev.n, prev.root
+	}
+	grown := nb // the first block holding a row past prev's
+	if from < n {
+		grown = from >> blockShift
+	}
+	if len(e.snap.blockMarks) < nb {
+		e.snap.blockMarks = append(e.snap.blockMarks, make([]bool, nb-len(e.snap.blockMarks))...)
+	}
+	mark, fresh := e.snap.blockMarks, nb-grown
 	for _, id := range e.snap.dirty {
-		if int(id) < from {
+		if b := int(id) >> blockShift; b < grown && !mark[b] {
+			mark[b] = true
 			fresh++
 		}
 	}
-	if prev != nil && 2*fresh >= n {
-		w := out.Cols
-		data := slices.Clone(out.Data[:n*w])
-		flat := make([]tensor.Vector, n)
-		for i := range flat {
-			flat[i] = data[i*w : (i+1)*w : (i+1)*w]
-		}
-		splitChunks(rows, flat)
-		return rows
+	w, start := out.Cols, grown
+	var data []float32
+	if prev != nil && 2*fresh >= nb {
+		data, prevRoot, start = slices.Clone(out.Data[:n*w]), nil, 0
 	}
-	copy(rows, prev)
-	own := slices.Grow(e.snap.own[:0], len(rows))[:len(rows)]
-	clear(own)
-	if from < n {
-		for c := from >> chunkShift; c < len(own); c++ {
-			own[c] = true
+	copy(root, prevRoot)
+	place := func(b int) {
+		lo, hi := b<<blockShift*w, min((b+1)<<blockShift, n)*w
+		var blk []float32
+		if data != nil {
+			blk = data[lo:hi:hi]
+		} else {
+			blk = append(make([]float32, 0, hi-lo), out.Data[lo:hi]...)
 		}
+		ownGroup(root, prevRoot, b>>groupShift)[b&(groupBlocks-1)] = blk
+	}
+	for b := start; b < nb; b++ {
+		place(b)
 	}
 	for _, id := range e.snap.dirty {
-		if i := int(id); i < from {
-			own[i>>chunkShift] = true
-		}
-	}
-	copied := 0
-	for _, o := range own {
-		if o {
-			copied++
-		}
-	}
-	if 2*copied >= len(own) {
-		flat := make([]tensor.Vector, n)
-		for c, ch := range rows {
-			copy(flat[c<<chunkShift:], ch)
-		}
-		splitChunks(rows, flat)
-	} else {
-		for c, o := range own {
-			if o {
-				ch := make([]tensor.Vector, min(chunkRows, n-c<<chunkShift))
-				copy(ch, rows[c])
-				rows[c] = ch
+		if b := int(id) >> blockShift; b < grown && mark[b] {
+			mark[b] = false
+			if data == nil {
+				place(b)
 			}
 		}
 	}
-	for i := from; i < n; i++ {
-		rows[i>>chunkShift][i&(chunkRows-1)] = out.Row(i).Clone()
-	}
-	for _, id := range e.snap.dirty {
-		if i := int(id); i < from {
-			rows[i>>chunkShift][i&(chunkRows-1)] = out.Row(i).Clone()
-		}
-	}
-	e.snap.own = own
-	return rows
+	return root
 }
 
-// splitChunks points each chunk of rows at its run of flat.
-func splitChunks(rows [][]tensor.Vector, flat []tensor.Vector) {
-	for c := range rows {
-		lo := c << chunkShift
-		hi := min(lo+chunkRows, len(flat))
-		rows[c] = flat[lo:hi:hi]
+// ownGroup returns group gi of root as one this publication may write:
+// prev's group copied on first use, or a new one past prev's groups.
+func ownGroup(root, prev []*snapGroup, gi int) *snapGroup {
+	g := root[gi]
+	switch {
+	case gi < len(prev) && g == prev[gi]:
+		c := *g
+		g = &c
+	case g == nil:
+		g = new(snapGroup)
+	default:
+		return g
 	}
+	root[gi] = g
+	return g
 }

@@ -283,8 +283,8 @@ func (e *engineBackend) handleVerify(w http.ResponseWriter, _ *http.Request) {
 		return verr
 	})
 	lat := time.Since(t0)
-	if errors.Is(err, ErrServerClosed) {
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+	if errors.Is(err, ErrServerClosed) || errors.Is(err, ErrOverloaded) {
+		httpError(w, mutationStatus(err), "%v", err)
 		return
 	}
 	resp := VerifyResponse{

@@ -23,10 +23,18 @@ var ErrServerClosed = errors.New("server: closed")
 // wrapping it (shard.ErrCorrupt does).
 var ErrUnavailable = errors.New("backend refuses writes")
 
+// ErrOverloaded is returned, without queueing the request, when the write
+// queue already holds maxQueued requests; handlers answer 429 for it.
+var ErrOverloaded = errors.New("server: write queue full")
+
 // maxGroup bounds how many queued requests one group commit may cover:
 // large enough to amortise the fsync under load, small enough to bound
 // the latency any single request waits behind the group.
 const maxGroup = 128
+
+// maxQueued bounds the write queue: four groups' worth of waiting callers,
+// each one a blocked goroutine and its request.
+const maxQueued = 4 * maxGroup
 
 // yieldEvery is how often writer turns yield their P (write): a tenth of
 // the scheduler's 10 ms preemption slice, so goroutines runnable on a
@@ -81,13 +89,18 @@ func (s *Server) Apply(delta graph.Delta, vups []inkstream.VertexUpdate) error {
 // writer's group held its request — or errLead, the writer role, with its
 // request now at the head of the queue. Every accepted request gets exactly
 // one outcome, Close included: a request Close overtakes is acknowledged
-// with ErrServerClosed.
+// with ErrServerClosed. A request that finds maxQueued others waiting is
+// refused with ErrOverloaded and never queued.
 func (s *Server) do(delta graph.Delta, vups []inkstream.VertexUpdate, op func() error) error {
 	r := s.newReq(delta, vups, op)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrServerClosed
+	}
+	if len(s.queue) >= maxQueued {
+		s.mu.Unlock()
+		return ErrOverloaded
 	}
 	s.queue = append(s.queue, r)
 	if r.op == nil {

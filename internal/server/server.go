@@ -310,9 +310,13 @@ type UpdateResponse struct {
 	LatencyMS float64 `json:"latency_ms"`
 }
 
-// mutationStatus maps a pipeline error to an HTTP status: 503 when the
-// pipeline or the backend refuses writes, 422 for a rejected batch.
+// mutationStatus maps a pipeline error to an HTTP status: 429 when the
+// write queue is full, 503 when the pipeline or the backend refuses
+// writes, 422 for a rejected batch.
 func mutationStatus(err error) int {
+	if errors.Is(err, ErrOverloaded) {
+		return http.StatusTooManyRequests
+	}
 	if errors.Is(err, ErrServerClosed) || errors.Is(err, ErrUnavailable) {
 		return http.StatusServiceUnavailable
 	}

@@ -1,6 +1,9 @@
 package server_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -172,6 +175,96 @@ func TestWriterGroupCommitHandOff(t *testing.T) {
 		ones, _ := m.Get("inkstream_group_commit_batch_size_bucket", "le", "1")
 		if count != 2 || sum != n+1 || ones != 1 {
 			t.Fatalf("group commits: count %v sum %v (%v of size 1), want sizes 1 and %d", count, sum, ones, n)
+		}
+	})
+}
+
+// TestWriterBoundedAdmission: while the writer's Commit is held, 512
+// callers (four groups' worth) queue behind it. The next request is refused
+// at once with 429 and never queued; released, the writer acknowledges
+// every queued caller.
+func TestWriterBoundedAdmission(t *testing.T) {
+	const queued = 512
+	forEachShape(t, func(t *testing.T, shards int) {
+		srv, g := deploy(t, shards)
+		hold := make(chan struct{})
+		j := &stubJournal{entered: make(chan int, 8), hold: map[int]chan struct{}{1: hold}}
+		srv.SetJournal(j)
+		released := false
+		release := func() {
+			if !released {
+				released = true
+				close(hold)
+			}
+		}
+		t.Cleanup(release)
+		edges := absent(t, g, queued+2)
+
+		first := make(chan error, 1)
+		go func() { first <- srv.Apply(graph.Delta{edges[0]}, nil) }()
+		if k := <-j.entered; k != 1 {
+			t.Fatalf("commit %d entered first", k)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, queued)
+		for _, e := range edges[1 : queued+1] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs <- srv.Apply(graph.Delta{e}, nil)
+			}()
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			lag, _ := scrapeMetrics(t, srv).Get("inkstream_snapshot_lag_batches")
+			if lag == queued+1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("lag %v, want %d queued", lag, queued+1)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+
+		e := edges[queued+1]
+		body, err := json.Marshal(server.UpdateRequest{Changes: []server.EdgeChangeJSON{{U: int32(e.U), V: int32(e.V), Insert: true}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		answered := make(chan struct{})
+		go func() {
+			defer close(answered)
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/update", bytes.NewReader(body)))
+		}()
+		select {
+		case <-answered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("request %d past a full queue was queued, not refused", queued+2)
+		}
+		if rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("request %d answered %d %s, want 429", queued+2, rec.Code, rec.Body)
+		}
+		if err := srv.Apply(graph.Delta{e}, nil); !errors.Is(err, server.ErrOverloaded) {
+			t.Fatalf("Apply past a full queue: %v, want ErrOverloaded", err)
+		}
+
+		release()
+		if err := <-first; err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if j.appended != queued+1 {
+			t.Fatalf("%d records journaled, want %d: a refused request reached the journal", j.appended, queued+1)
+		}
+		if lag, _ := scrapeMetrics(t, srv).Get("inkstream_snapshot_lag_batches"); lag != 0 {
+			t.Fatalf("lag %v after the queue drained, want 0: a refused request was counted as accepted", lag)
 		}
 	})
 }

@@ -58,6 +58,23 @@ if (( matched != 2 )); then
 fi
 go test -race -count=1 -cpu 1,4 -run "^($writer)\$" ./internal/server
 
+# A published snapshot shares its untouched groups and blocks with the
+# snapshots after it, and readers hold it with no lock while the writer
+# publishes. The two tests that read held snapshots across later publishes
+# (in the engine, and through the server's readers during an update stream)
+# run under the race detector at one and at four CPUs; each pattern must
+# match exactly one test.
+for gate in 'TestSnapshotHeldAcrossPublishes ./internal/inkstream' \
+    'TestSnapshotEpochConsistencyRace ./internal/server'; do
+    read -r name pkg <<<"$gate"
+    matched=$(go test -list "^$name\$" "$pkg" | grep -c '^Test' || true)
+    if (( matched != 1 )); then
+        echo "check.sh: the pattern $name matches $matched tests in $pkg, want 1" >&2
+        exit 1
+    fi
+    go test -race -count=1 -cpu 1,4 -run "^$name\$" "$pkg"
+done
+
 # Grouping runs on the calling goroutine; what the worker pool shares is
 # processRange, whose chunks read the layer's groups and their slab rows and
 # write the state rows of their own targets. The grouping tests that apply
